@@ -217,6 +217,9 @@ def main(argv=None) -> int:
     if getattr(args, "max_steps", 0) < 0:
         print("--max-steps must be nonnegative", file=_sys.stderr)
         return EXIT_PARSE_ERROR
+    if getattr(args, "bound", 1) < 1:
+        print("--bound must be at least 1", file=_sys.stderr)
+        return EXIT_PARSE_ERROR
     return args.fn(args)
 
 

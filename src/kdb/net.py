@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from kdb import syntax as s
@@ -29,6 +30,9 @@ class CanonicalNet:
 
 def _is_table(body) -> bool:
     return isinstance(body, s.TableComp)
+
+
+_NIL = s.NilProc()
 
 
 def _item_sort_key(pair):
@@ -113,9 +117,38 @@ def canonicalize(net: s.Net) -> CanonicalNet:
     return CanonicalNet(tuple(restricted), Multiset(_absorb_nil_units(items)), err)
 
 
-def make_canonical(restricted: tuple, items, err: bool = False) -> CanonicalNet:
-    """Build a canonical net from raw items, re-absorbing inert units."""
-    return CanonicalNet(tuple(restricted), Multiset(_absorb_nil_units(list(items))), err)
+def make_canonical(parent: CanonicalNet, removed, added) -> CanonicalNet:
+    """The canonical net `parent` becomes when `removed` items give way to `added`.
+
+    It starts from a copy of the parent's item counts, takes one copy of each
+    removed item away (never below zero) and adds one of each added item, so
+    only the touched items are hashed.  Inert units are re-absorbed only at
+    the touched localities; every other locality is already absorbed in a
+    canonical parent.
+    """
+    counts = parent.items.copy_counts()
+    for item in removed:
+        n = counts.get(item, 0)
+        if n > 1:
+            counts[item] = n - 1
+        else:
+            counts.pop(item, None)
+    for item in added:
+        counts[item] = counts.get(item, 0) + 1
+    for loc in {loc for loc, _ in removed} | {loc for loc, _ in added}:
+        _absorb_nil_at(counts, loc)
+    return CanonicalNet(parent.restricted, Multiset.of_counts(counts), parent.err)
+
+
+def _absorb_nil_at(counts: dict, loc: str) -> None:
+    """Keep an inert unit at loc once, and only when loc hosts nothing else."""
+    nil = (loc, _NIL)
+    if nil not in counts:
+        return
+    if any(iloc == loc and not isinstance(body, s.NilProc) for iloc, body in counts):
+        del counts[nil]
+    else:
+        counts[nil] = 1
 
 
 ERR_NET = CanonicalNet((), Multiset(), True)
@@ -179,15 +212,36 @@ def no_rep(pairs: Multiset) -> bool:
     return all(n == 1 for _, n in pairs.items())
 
 
+def table_entries(cn: CanonicalNet) -> list:
+    """(loc, table, count) for every distinct table item, in deterministic order.
+
+    The order is `_item_sort_key`'s without rendering every table: a table
+    renders as `table <tid> : ...`, so at one locality render order is tid
+    order.  Only tables that tie on (loc, tid), which only an unchecked net
+    can hold, are rendered to break the tie.
+    """
+    entries = [(loc, body, n) for (loc, body), n in cn.items.items() if _is_table(body)]
+    ties = Counter((loc, body.interface.tid) for loc, body, _ in entries)
+
+    def key(entry):
+        loc, body, _ = entry
+        tid = body.interface.tid
+        return (loc, tid, s.render(body) if ties[loc, tid] > 1 else "")
+
+    return sorted(entries, key=key)
+
+
 def find_tables(cn: CanonicalNet, loc: str, tid: str) -> list:
-    """All tables named tid at loc, in deterministic order."""
-    found = []
-    for pair, cnt in cn.items.items():
-        iloc, body = pair
-        if iloc == loc and _is_table(body) and body.interface.tid == tid:
-            found.extend([body] * cnt)
-    found.sort(key=s.render)
-    return found
+    """All tables named tid at loc, in deterministic order.
+
+    They all tie on (loc, tid), so several different ones, which only an
+    unchecked net can hold, are ordered by render.
+    """
+    found = [(body, n) for (iloc, body), n in cn.items.items()
+             if iloc == loc and _is_table(body) and body.interface.tid == tid]
+    if len(found) > 1:
+        found.sort(key=lambda entry: s.render(entry[0]))
+    return [body for body, n in found for _ in range(n)]
 
 
 def ok(cn: CanonicalNet) -> bool:
@@ -202,7 +256,10 @@ def canonical_key(cn: CanonicalNet):
 
     Restricted names are anonymized positionally; with several restrictions
     the minimum over their permutations is taken (restriction prefixes are
-    tiny in practice).
+    tiny in practice).  The key renders every item, so it is computed only
+    where it decides something: `explore` deduplicates every reached state by
+    it, and `semantics.enumerate_transitions` orders and merges the
+    successors of transitions that share a label by it.
     """
     def keyed(mapping: dict):
         rows = []
@@ -225,19 +282,17 @@ def canonical_key(cn: CanonicalNet):
 def dump_tables(cn: CanonicalNet) -> list:
     """JSON-ready dump of every table, deterministic order."""
     out = []
-    for loc, body in sorted_items(cn):
-        if not _is_table(body):
-            continue
+    for loc, body, n in table_entries(cn):
         rows = [
             [_json_value(v) for v in row.components]
             for row in sorted_rows(body.rows)
         ]
-        out.append({
+        out.extend({
             "loc": loc,
             "tid": body.interface.tid,
             "schema": s.render_schema(body.interface.schema),
             "rows": rows,
-        })
+        } for _ in range(n))
     return out
 
 

@@ -4,6 +4,12 @@ Each enabled transition is computed whole: enumerate_transitions returns the
 successor nets themselves, so applying a transition is just picking one.
 Monitored failures (format mismatches, evaluation errors) yield a successor
 that is the collapsed error net; the engine gives that state no transitions.
+
+A step's cost does not grow with tables it does not touch: a successor is
+the parent's item counts with the transition's items swapped
+(`net.make_canonical`), so untouched items are not rehashed; the rendering
+`canonical_key` is computed only for transitions that share a label; and
+tables are ordered by (locality, identifier), rendered only to break a tie.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from kdb import syntax as s
 from kdb.net import ERR_NET, CanonicalNet, canonical_key, lid, make_canonical, no_rep
 from kdb.values import Multiset, ValueTuple, row_sort_key
 
-# Checks that every applied transition preserves table-identifier integrity;
-# cheap on the nets this engine targets, so it stays on.
+# Checks that every enumerated successor, not only the one a scheduler picks,
+# preserves table-identifier integrity.  It costs one `lid` pass over the
+# items (not the rows) per successor, so it stays on.
 CHECK_INTEGRITY = True
 
 
@@ -46,11 +53,11 @@ class Trace:
         """Stuck processes left at quiescence, rendered for diagnostics."""
         if self.terminal != "quiescent":
             return []
-        out = []
-        for loc, body in netmod.sorted_items(self.final()):
-            if not isinstance(body, (s.TableComp, s.NilProc)):
-                out.append(f"{loc} :: {s.render(body)}")
-        return out
+        stuck = sorted(
+            (loc, s.render(body))
+            for (loc, body), n in self.final().items.items() for _ in range(n)
+            if not isinstance(body, (s.TableComp, s.NilProc)))
+        return [f"{loc} :: {text}" for loc, text in stuck]
 
 
 @dataclass(frozen=True)
@@ -76,17 +83,20 @@ def known_localities(cn: CanonicalNet) -> frozenset:
     return frozenset(names)
 
 
+def _is_known_locality(cn: CanonicalNet, loc: str) -> bool:
+    """`loc in known_localities(cn)`, answered from the restricted names and
+    the item localities before walking every item's body."""
+    if loc in cn.restricted or any(iloc == loc for (iloc, _), _n in cn.items.items()):
+        return True
+    return loc in known_localities(cn)
+
+
 def _tables_at(cn: CanonicalNet, loc: str, tid: str) -> list:
     return netmod.find_tables(cn, loc, tid)
 
 
 def _located_tables(cn: CanonicalNet) -> list:
-    out = []
-    for pair in sorted(cn.items.support(), key=netmod._item_sort_key):
-        loc, body = pair
-        if isinstance(body, s.TableComp):
-            out.append((loc, body.interface, body.rows))
-    return out
+    return [(loc, body.interface, body.rows) for loc, body, _ in netmod.table_entries(cn)]
 
 
 def _loc_of(e: s.Expr):
@@ -235,7 +245,7 @@ def _action_outcomes(cn: CanonicalNet, actor: str, action: s.Action, cont: s.Pro
         return out
     if isinstance(action, s.Create):
         l2 = _loc_of(action.loc)
-        if l2 is None or l2 not in known_localities(cn):
+        if l2 is None or not _is_known_locality(cn, l2):
             return out
         interface = s.Interface(action.tid, action.schema)
         if (l2, action.tid) in lid(cn):
@@ -255,7 +265,7 @@ def _action_outcomes(cn: CanonicalNet, actor: str, action: s.Action, cont: s.Pro
         return out
     if isinstance(action, s.Eval):
         l2 = _loc_of(action.loc)
-        if l2 is None or l2 not in known_localities(cn):
+        if l2 is None or not _is_known_locality(cn, l2):
             return out
         if s.free_vars(action.process):
             return out
@@ -370,24 +380,24 @@ def _proc_outcomes(cn: CanonicalNet, actor: str, proc: s.Process, sys: s.System)
 def _apply(cn: CanonicalNet, actor_item, oc: _Outcome) -> CanonicalNet:
     if oc.err:
         return ERR_NET
-    removed = [actor_item]
-    added = [(actor_item[0], oc.new_proc)]
-    for old, new in oc.replace:
-        removed.append(old)
-        added.append(new)
-    removed.extend(oc.remove)
-    added.extend(oc.add)
-    items = cn.items.subtract(Multiset(removed)).union(Multiset(added))
-    return make_canonical(cn.restricted, items, cn.err)
+    removed = [actor_item, *(old for old, _ in oc.replace), *oc.remove]
+    added = [(actor_item[0], oc.new_proc), *(new for _, new in oc.replace), *oc.add]
+    return make_canonical(cn, removed, added)
 
 
 def enumerate_transitions(cn: CanonicalNet, sys: s.System) -> list:
-    """Every enabled transition as (label, successor), deterministically ordered."""
+    """Every enabled transition as (label, successor), deterministically ordered.
+
+    Transitions are ordered by label (rule, actor, detail).  Transitions that
+    share a label are ordered by the `str` of their successors'
+    `canonical_key`, and those with equal keys are merged into the first one
+    found; a label held by one transition needs no key.
+    """
     if cn.err:
         return []
     before_ok = no_rep(lid(cn))
-    found = {}
-    for pair in cn.items.support():
+    by_label = {}
+    for pair, _ in cn.items.items():
         loc, body = pair
         if isinstance(body, s.TableComp):
             continue
@@ -396,9 +406,17 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System) -> list:
             if CHECK_INTEGRITY and before_ok and not succ.err and not no_rep(lid(succ)):
                 raise IntegrityError(
                     f"transition {rule} at {loc} duplicated a table identifier")
-            label = TransitionLabel(rule, loc, detail)
-            found.setdefault((label, canonical_key(succ)), (label, succ))
-    return [found[key] for key in sorted(found, key=lambda kv: (kv[0].rule, kv[0].actor, kv[0].detail, str(kv[1])))]
+            by_label.setdefault(TransitionLabel(rule, loc, detail), []).append(succ)
+    out = []
+    for label in sorted(by_label, key=lambda lb: (lb.rule, lb.actor, lb.detail)):
+        succs = by_label[label]
+        if len(succs) > 1:
+            keyed = {}
+            for succ in succs:
+                keyed.setdefault(canonical_key(succ), succ)
+            succs = [keyed[key] for key in sorted(keyed, key=str)]
+        out.extend((label, succ) for succ in succs)
+    return out
 
 
 def step_interactive(cn: CanonicalNet, sys: s.System, chosen_index: int):

@@ -59,16 +59,30 @@ class Multiset:
     def items(self):
         return self._counts.items()
 
+    def copy_counts(self) -> dict:
+        """A fresh copy of the element-to-count map; no key is rehashed."""
+        return dict(self._counts)
+
+    @classmethod
+    def of_counts(cls, counts: dict) -> "Multiset":
+        """Take over a map of positive counts without copying or rehashing it."""
+        ms = cls.__new__(cls)
+        ms._counts = counts
+        ms._hash = None
+        return ms
+
     def add(self, elem, n: int = 1) -> "Multiset":
         out = dict(self._counts)
         out[elem] = out.get(elem, 0) + n
-        return Multiset(out)
+        if out[elem] <= 0:
+            return Multiset(out)  # validates: drops a zero, rejects a negative
+        return Multiset.of_counts(out)
 
     def union(self, other: "Multiset") -> "Multiset":
         out = dict(self._counts)
         for k, n in other._counts.items():
             out[k] = out.get(k, 0) + n
-        return Multiset(out)
+        return Multiset.of_counts(out)
 
     def intersect(self, other: "Multiset") -> "Multiset":
         out = {}
@@ -84,7 +98,7 @@ class Multiset:
             m = n - other.count(k)
             if m > 0:
                 out[k] = m
-        return Multiset(out)
+        return Multiset.of_counts(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multiset):
@@ -183,6 +197,12 @@ class ValueTuple:
     def __post_init__(self):
         if len(self.components) < 1:
             raise ValueError("rows must have at least one component")
+        # Computed once per row, as rows are hashed whenever a table is; it
+        # equals the hash the dataclass would generate.
+        object.__setattr__(self, "_hash", hash((self.components,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.components)

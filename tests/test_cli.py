@@ -108,6 +108,17 @@ class TestExplore:
         assert main(["explore", str(f)]) == 0
         assert "states: 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_one_is_rejected(self, bound, capsys):
+        assert main(["explore", DEPT, "--bound", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--bound must be at least 1" in captured.err
+
+    def test_bound_one_truncates(self, capsys):
+        assert main(["explore", DEPT, "--bound", "1"]) == 0
+        assert "states: 1 (truncated)" in capsys.readouterr().out
+
     def test_dot_output(self, tmp_path, capsys):
         dot = tmp_path / "g.dot"
         assert main(["explore", BAD, "--unchecked", "--dot", str(dot)]) == 0
