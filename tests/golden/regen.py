@@ -18,6 +18,13 @@ of transitions cannot pass unnoticed.
   `semantics.explore` (state count, edges as (i, rule, actor, detail, j),
   sorted quiescent dumps), plus seeded runs of a copy that
   `gensys.corrupt` made ill-typed, so that error outcomes are pinned too.
+- `frontend.jsonl`: what the front end makes of the corpus files,
+  `SHARED_SITE`, `BINDER_REUSE` (every binder form, reused names, reused
+  restrictions, locality values under a restriction), `CREATE_BEFORE_TABLE`
+  and `TWO_BAD_CALLS`: the render of `parse_system`'s result, which shows
+  every fresh `#k` name, or its parse error, and the stdout and exit code of
+  `kdb check --json`.  Then one line per `gensys.typed_system` seed with the
+  `check_system` diagnostics of its `gensys.corrupt` copy.
 
 Regenerate only when a change of engine behaviour is intended, and record
 the change in CHANGES.md.  From the root of a checkout:
@@ -43,7 +50,9 @@ import gensys  # noqa: E402
 from kdb import net as netmod  # noqa: E402
 from kdb import semantics  # noqa: E402
 from kdb.cli import main  # noqa: E402
-from kdb.parser import parse_system  # noqa: E402
+from kdb.parser import ParseError, parse_system  # noqa: E402
+from kdb.syntax import render  # noqa: E402
+from kdb.typesys import check_system  # noqa: E402
 
 DEPT = HERE.parent.parent / "corpus" / "dept_stores.kdb"
 RUN_SEEDS = range(10)
@@ -72,6 +81,37 @@ SHARED_SITE = "\n".join([
     "  }",
     "|| $l1 :: table Small : (String, Int, Int) = { (\"sa\", 20, 1), (\"sb\", 5, 2) }",
 ]) + "\n"
+
+# Every binder form with reused names: procedure parameters of all three
+# kinds, template fields `!x` and `!@u` of every action and of loops,
+# select's `!t` and aggr's result binder, a select inside an eval, two
+# restrictions of the same `$n` that also occurs free, and locality values
+# in rows under a restriction.
+BINDER_REUSE = "\n".join([
+    "schema T : (Int, Loc)",
+    "schema S : (Loc)",
+    "schema R : (Int)",
+    "let f(x: Int, u: Loc) := insert(T@u, (x, $m)). delete(T@u, (!x, !@u), x = 1 && u = $m). nil",
+    "and g(t: (Int, Loc), x: Int) := foreach(t, (!x, !@u), x > 0, asc[1]): insert(R@$m, (x)). nil",
+    "in",
+    "$m :: { table T : (Int, Loc) = { (1, $m), (2, $n) }",
+    "      | table R : (Int) = {}",
+    "      | select(T@$m, (!x, !@u), !(x in {1, 2}), (x, u), !t). "
+    "foreach(t, (!x, !@u), true, unordered): update(T@u, (!x, !@u), x = 1, (x + 1, u)). nil",
+    "      | aggr(T@$m, (!x, !@u), true, sum[1], (!x)). insert(R@$m, (x)). f(x, $m)",
+    "      | eval(select(T@$m, (!x, !@u), true, (x), !t). foreach(t, (!x), true, lex): nil, $m). nil }",
+    "|| (new $n) $n :: { table S : (Loc) = { ($n) } | insert(S@$n, ($n)). nil }",
+    "|| (new $n) ($n :: table S : (Loc) = { ($n), ($m) }",
+    "   || $n :: select(table U : (Loc) = { ($n) }, S@$n, (!@u, !@v), u = v, (u), !t). "
+    "delete(S@$n, (!@u), u = $n). nil)",
+]) + "\n"
+
+# Net tables are collected before the processes' create actions, so the
+# table's (Int) is the expected schema and the create's (String) the found one.
+CREATE_BEFORE_TABLE = "$l :: { create(T@$l, (String)). nil | table T : (Int) = {} }\n"
+
+# Two bad calls: which one the parser reports is part of its behaviour.
+TWO_BAD_CALLS = "let f(x: Int) := nil in $l :: g(1) || $l :: f(1, 2)\n"
 
 
 def _cli(argv: list) -> tuple:
@@ -127,14 +167,19 @@ def _explore_summary(sys1, bound: int) -> dict:
     }
 
 
-def gensys_line(seed: int) -> str:
+def _gensys_pair(seed: int) -> tuple:
+    """A generated system and its ill-typed copy (or None)."""
     # Odd seeds use the larger shape of the acceptance population.
     if seed % 2:
         sys1 = gensys.typed_system(seed, max_procs=3, max_steps=6, max_rows=4)
     else:
         sys1 = gensys.typed_system(seed)
-    # A corrupted copy drives the runs into the monitor's error outcomes.
-    bad = gensys.corrupt(sys1, random.Random(seed))
+    return sys1, gensys.corrupt(sys1, random.Random(seed))
+
+
+def gensys_line(seed: int) -> str:
+    # The corrupted copy drives the runs into the monitor's error outcomes.
+    sys1, bad = _gensys_pair(seed)
     return json.dumps({
         "system": seed,
         "runs": [_run_summary(sys1, r) for r in GENSYS_RUN_SEEDS],
@@ -154,11 +199,42 @@ def shared_site_file() -> str:
     return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
 
+def frontend_inputs() -> dict:
+    inputs = {f"corpus/{p.name}": p.read_text(encoding="utf-8")
+              for p in sorted(DEPT.parent.glob("*.kdb"))}
+    inputs["SHARED_SITE"] = SHARED_SITE
+    inputs["BINDER_REUSE"] = BINDER_REUSE
+    inputs["CREATE_BEFORE_TABLE"] = CREATE_BEFORE_TABLE
+    inputs["TWO_BAD_CALLS"] = TWO_BAD_CALLS
+    return inputs
+
+
+def frontend_file() -> str:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.kdb")
+        for name, source in frontend_inputs().items():
+            try:
+                parsed = {"render": render(parse_system(source))}
+            except ParseError as exc:
+                parsed = {"parse_error": str(exc)}
+            pathlib.Path(path).write_text(source, encoding="utf-8")
+            code, out = _cli(["check", path, "--json"])
+            lines.append({"input": name, **parsed, "check_json": out, "check_exit": code})
+    for seed in GENSYS_SEEDS:
+        _, bad = _gensys_pair(seed)
+        if bad is not None:
+            lines.append({"corrupted_system": seed,
+                          "diagnostics": [d.to_json() for d in check_system(bad)]})
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+
+
 def golden_files() -> dict:
     """Every golden file's content, keyed by its path under golden/."""
     files = corpus_files()
     files["shared_site.jsonl"] = shared_site_file()
     files["gensys.jsonl"] = gensys_file()
+    files["frontend.jsonl"] = frontend_file()
     return files
 
 
