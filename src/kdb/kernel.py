@@ -3,6 +3,14 @@
 All operations are total functions that report failures through the ERR
 sentinel rather than exceptions; the transition engine turns ERR outcomes
 into monitored error states.
+
+Expressions, predicates and tuples are evaluated under an environment, the
+substitution a template match produced: a variable evaluates to the value
+the environment binds it to.  So the engine evaluates an action's
+predicate and payload once per row without building substituted copies.
+`apply_subst` builds a substituted copy only for what runs on afterwards:
+the continuation of a select or aggr, a loop body and a procedure body.
+It is a `syntax.ScopedMap`, so it respects the binders CHILDREN declares.
 """
 
 from __future__ import annotations
@@ -54,11 +62,14 @@ def is_err(x) -> bool:
 # literal tables produced by selection.
 Subst = dict
 
+_NO_ENV: Subst = {}  # never mutated
+
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def eval_expr(e: s.Expr) -> Union[Value, _EvalErr]:
+def eval_expr(e: s.Expr, env: Subst = _NO_ENV) -> Union[Value, _EvalErr]:
+    """The value of an expression whose variables env binds to values."""
     if isinstance(e, s.IntLit):
         return VInt(e.value)
     if isinstance(e, s.StrLit):
@@ -68,17 +79,17 @@ def eval_expr(e: s.Expr) -> Union[Value, _EvalErr]:
     if isinstance(e, s.LocLit):
         return VLoc(e.name)
     if isinstance(e, (s.DataVar, s.LocVar)):
-        # Closed expressions only; a leftover variable is an evaluation error.
-        return ERR
+        # A variable env does not bind is an evaluation error.
+        return env.get(e.name, ERR)
     if isinstance(e, s.Concat):
-        a = eval_expr(e.left)
-        b = eval_expr(e.right)
+        a = eval_expr(e.left, env)
+        b = eval_expr(e.right, env)
         if isinstance(a, VStr) and isinstance(b, VStr):
             return VStr(a.value + b.value)
         return ERR
     if isinstance(e, s.Arith):
-        a = eval_expr(e.left)
-        b = eval_expr(e.right)
+        a = eval_expr(e.left, env)
+        b = eval_expr(e.right, env)
         if not (isinstance(a, VInt) and isinstance(b, VInt)):
             return ERR
         if e.op == "+":
@@ -96,7 +107,7 @@ def eval_expr(e: s.Expr) -> Union[Value, _EvalErr]:
     if isinstance(e, s.MultisetLit):
         vals = []
         for el in e.elements:
-            v = eval_expr(el)
+            v = eval_expr(el, env)
             if is_err(v):
                 return ERR
             k = scalar_kind(v)
@@ -145,12 +156,12 @@ def _proper_subset(a: VSet, b: VSet) -> Union[bool, _EvalErr]:
     return a.elements != b.elements
 
 
-def eval_pred(p: s.Pred) -> Union[bool, _EvalErr]:
+def eval_pred(p: s.Pred, env: Subst = _NO_ENV) -> Union[bool, _EvalErr]:
     if isinstance(p, s.TruePred):
         return True
     if isinstance(p, s.Cmp):
-        a = eval_expr(p.left)
-        b = eval_expr(p.right)
+        a = eval_expr(p.left, env)
+        b = eval_expr(p.right, env)
         if is_err(a) or is_err(b):
             return ERR
         if p.op == "sub":
@@ -159,8 +170,8 @@ def eval_pred(p: s.Pred) -> Union[bool, _EvalErr]:
             return ERR
         return _cmp_scalars(p.op, a, b)
     if isinstance(p, s.Member):
-        a = eval_expr(p.elem)
-        b = eval_expr(p.container)
+        a = eval_expr(p.elem, env)
+        b = eval_expr(p.container, env)
         if is_err(a) or is_err(b):
             return ERR
         if scalar_kind(a) is None or not isinstance(b, VSet):
@@ -170,24 +181,24 @@ def eval_pred(p: s.Pred) -> Union[bool, _EvalErr]:
             return ERR
         return a in b.elements
     if isinstance(p, s.Not):
-        r = eval_pred(p.inner)
+        r = eval_pred(p.inner, env)
         if is_err(r):
             return ERR
         return not r
     if isinstance(p, s.And):
         # Error-strict: an error on either side wins even if the other is false.
-        a = eval_pred(p.left)
-        b = eval_pred(p.right)
+        a = eval_pred(p.left, env)
+        b = eval_pred(p.right, env)
         if is_err(a) or is_err(b):
             return ERR
         return a and b
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def eval_tuple(t: s.Tuple) -> Union[ValueTuple, _EvalErr]:
+def eval_tuple(t: s.Tuple, env: Subst = _NO_ENV) -> Union[ValueTuple, _EvalErr]:
     vals = []
     for e in t.components:
-        v = eval_expr(e)
+        v = eval_expr(e, env)
         if is_err(v):
             return ERR
         vals.append(v)
@@ -267,130 +278,42 @@ def value_to_expr(v: Value) -> s.Expr:
     raise TypeError(f"not a value: {v!r}")
 
 
-def _without(sigma: Subst, names) -> Subst:
-    trimmed = {n: v for n, v in sigma.items() if n not in names}
-    return trimmed if len(trimmed) != len(sigma) else sigma
+class _Subst(s.ScopedMap):
+    """Replaces the variables env binds; binders in scope shadow them."""
+
+    def bind(self, names, env):
+        bound = [name for name, _ in names if name in env]
+        if bound:
+            env = {n: v for n, v in env.items() if n not in bound}
+        return None, env
+
+    def _var(self, node, env):
+        if node.name not in env:
+            return node
+        v = env[node.name]
+        if isinstance(v, s.TableLiteral):
+            raise TypeError(f"table bound to {node.name!r} used as an expression")
+        return value_to_expr(v)
+
+    def _table_var(self, node, env):
+        if node.name not in env:
+            return node
+        v = env[node.name]
+        if not isinstance(v, s.TableLiteral):
+            raise TypeError(f"non-table bound to table variable {node.name!r}")
+        return v
+
+    hooks = {s.DataVar: _var, s.LocVar: _var, s.TableByVar: _table_var}
 
 
-def _subst_expr(sigma: Subst, e: s.Expr) -> s.Expr:
-    if isinstance(e, (s.DataVar, s.LocVar)):
-        if e.name in sigma:
-            v = sigma[e.name]
-            if isinstance(v, s.TableLiteral):
-                raise TypeError(f"table bound to {e.name!r} used as an expression")
-            return value_to_expr(v)
-        return e
-    if isinstance(e, s.Concat):
-        return s.Concat(_subst_expr(sigma, e.left), _subst_expr(sigma, e.right))
-    if isinstance(e, s.Arith):
-        return s.Arith(e.op, _subst_expr(sigma, e.left), _subst_expr(sigma, e.right))
-    if isinstance(e, s.MultisetLit):
-        return s.MultisetLit(tuple(_subst_expr(sigma, x) for x in e.elements))
-    return e
-
-
-def _subst_pred(sigma: Subst, p: s.Pred) -> s.Pred:
-    if isinstance(p, s.TruePred):
-        return p
-    if isinstance(p, s.Cmp):
-        return s.Cmp(p.op, _subst_expr(sigma, p.left), _subst_expr(sigma, p.right))
-    if isinstance(p, s.Member):
-        return s.Member(_subst_expr(sigma, p.elem), _subst_expr(sigma, p.container))
-    if isinstance(p, s.Not):
-        return s.Not(_subst_pred(sigma, p.inner))
-    if isinstance(p, s.And):
-        return s.And(_subst_pred(sigma, p.left), _subst_pred(sigma, p.right))
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-def _subst_tuple(sigma: Subst, t: s.Tuple) -> s.Tuple:
-    return s.Tuple(tuple(_subst_expr(sigma, e) for e in t.components))
-
-
-def _subst_tableref(sigma: Subst, tb: s.TableRef) -> s.TableRef:
-    if isinstance(tb, s.TableByName):
-        return s.TableByName(tb.tid, _subst_expr(sigma, tb.loc))
-    if isinstance(tb, s.TableByVar):
-        if tb.name in sigma:
-            v = sigma[tb.name]
-            if not isinstance(v, s.TableLiteral):
-                raise TypeError(f"non-table bound to table variable {tb.name!r}")
-            return v
-        return tb
-    return tb
-
-
-def _subst_action(sigma: Subst, a: s.Action) -> s.Action:
-    if isinstance(a, s.Insert):
-        return s.Insert(a.tid, _subst_tuple(sigma, a.payload), _subst_expr(sigma, a.loc))
-    if isinstance(a, s.Delete):
-        inner = _without(sigma, a.template.names())
-        return s.Delete(a.tid, a.template, _subst_pred(inner, a.pred),
-                        _subst_expr(sigma, a.loc))
-    if isinstance(a, s.Select):
-        inner = _without(sigma, a.template.names())
-        return s.Select(
-            tuple(_subst_tableref(sigma, tb) for tb in a.tables),
-            a.template,
-            _subst_pred(inner, a.pred),
-            _subst_tuple(inner, a.payload),
-            a.bind,
-        )
-    if isinstance(a, s.Update):
-        inner = _without(sigma, a.template.names())
-        return s.Update(a.tid, a.template, _subst_pred(inner, a.pred),
-                        _subst_tuple(inner, a.payload), _subst_expr(sigma, a.loc))
-    if isinstance(a, s.Aggr):
-        inner = _without(sigma, a.template.names())
-        return s.Aggr(a.tid, a.template, _subst_pred(inner, a.pred), a.fn,
-                      a.bind_template, _subst_expr(sigma, a.loc))
-    if isinstance(a, s.Create):
-        return s.Create(a.tid, _subst_expr(sigma, a.loc), a.schema)
-    if isinstance(a, s.Drop):
-        return s.Drop(a.tid, _subst_expr(sigma, a.loc))
-    if isinstance(a, s.Eval):
-        return s.Eval(_subst_process(sigma, a.process), _subst_expr(sigma, a.loc))
-    raise TypeError(f"not an action: {a!r}")
-
-
-def _subst_process(sigma: Subst, p: s.Process) -> s.Process:
-    if not sigma:
-        return p
-    if isinstance(p, s.NilProc):
-        return p
-    if isinstance(p, s.Prefix):
-        new_action = _subst_action(sigma, p.action)
-        cont_sigma = _without(sigma, s._binders_exported(p.action))
-        return s.Prefix(new_action, _subst_process(cont_sigma, p.cont))
-    if isinstance(p, s.CallProc):
-        return s.CallProc(p.name, tuple(_subst_expr(sigma, e) for e in p.args))
-    if isinstance(p, s.Foreach):
-        inner = _without(sigma, p.template.names())
-        return s.Foreach(
-            _subst_tableref(sigma, p.table),
-            p.template,
-            _subst_pred(inner, p.pred),
-            p.order,
-            _subst_process(inner, p.body),
-        )
-    if isinstance(p, s.Seq):
-        return s.Seq(_subst_process(sigma, p.first), _subst_process(sigma, p.second))
-    raise TypeError(f"not a process: {p!r}")
+_SUBST = _Subst()
 
 
 def apply_subst(sigma: Subst, target):
     """Apply a substitution, respecting binders that shadow its domain."""
     if not sigma:
         return target
-    if isinstance(target, s.Tuple):
-        return _subst_tuple(sigma, target)
-    if isinstance(target, (s.TruePred, s.Cmp, s.Member, s.Not, s.And)):
-        return _subst_pred(sigma, target)
-    if isinstance(target, (s.NilProc, s.Prefix, s.CallProc, s.Foreach, s.Seq)):
-        return _subst_process(sigma, target)
-    if isinstance(target, (s.TableByName, s.TableByVar, s.TableLiteral)):
-        return _subst_tableref(sigma, target)
-    return _subst_expr(sigma, target)
+    return _SUBST.map(target, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +451,6 @@ def aggr_row_ok(fn: s.AggrFn, row: ValueTuple) -> bool:
         return True
     i = fn.col - 1
     return 0 <= i < len(row) and isinstance(row[i], VInt)
-
-
-def aggr_bind_ok(fn: s.AggrFn, bind_template: s.Template) -> bool:
-    """All aggregators yield a single integer, so the binder must be one !x."""
-    return len(bind_template.fields) == 1 and isinstance(bind_template.fields[0], s.BindData)
 
 
 def apply_aggr(fn: s.AggrFn, rows: Multiset) -> ValueTuple:

@@ -24,9 +24,6 @@ class CanonicalNet:
     items: Multiset  # of (loc, Process | TableComp)
     err: bool = False
 
-    def localities(self) -> frozenset:
-        return frozenset(loc for loc, _ in self.items.support())
-
 
 def _is_table(body) -> bool:
     return isinstance(body, s.TableComp)

@@ -5,11 +5,18 @@ lowercase (`tp`, `tbv`), localities carry a `$` sigil (`$l1`).  Template
 fields bind data with `!x` and localities with `!@u`, so the parser can tell
 the two kinds of binders apart without type information.
 
-After building the AST the parser runs three passes: variable occurrences
-are classified as data or locality variables according to their binders,
-procedure calls are resolved against the declared procedures, and bound
-names are renamed apart so that no binder name is reused anywhere in the
-system (fresh names use a `#k` suffix, which the lexer forbids in source).
+After building the AST the parser runs three passes, each a
+`syntax.ScopedMap` over the binders that `syntax.CHILDREN` declares:
+
+1. `classify_variables`: a bare name is a locality variable where a `!@u`
+   template field or a Loc parameter binds it, and a data variable
+   otherwise (the parser reads every bare name as data).
+2. `resolve_calls`: every call names a declared procedure and passes it as
+   many arguments as it has parameters.
+3. `rename_apart`: bound names are renamed apart so that no binder name is
+   reused anywhere in the system (fresh names use a `#k` suffix, which the
+   lexer forbids in source), numbered in visit order: procedures in
+   declaration order, then the main net.
 """
 
 from __future__ import annotations
@@ -675,195 +682,52 @@ def _contains_multiset(e: s.Expr) -> bool:
 # ---------------------------------------------------------------------------
 # Pass 1: classify bare variable occurrences as data vs locality
 
-def _param_kind(ty) -> str:
-    if isinstance(ty, tuple):
-        return "table"
-    if ty == s.LOC:
-        return "loc"
-    return "data"
+class _Classify(s.ScopedMap):
+    """A name is a locality variable where a `!@u` or a Loc parameter binds
+    it; env maps the names in scope to their sorts."""
 
+    def bind(self, names, env):
+        return None, {**env, **dict(names)}
 
-def _template_kinds(template: s.Template) -> dict:
-    return {
-        f.name: ("loc" if isinstance(f, s.BindLoc) else "data")
-        for f in template.fields
-    }
+    def _data(self, node, env):
+        if env.get(node.name) == "loc":
+            return s.LocVar(node.name, span=node.span)
+        return node
 
+    def _loc(self, node, env):
+        if env.get(node.name, "loc") != "loc":
+            return s.DataVar(node.name, span=node.span)
+        return node
 
-def _classify_expr(e: s.Expr, env: dict) -> s.Expr:
-    if isinstance(e, s.DataVar):
-        if env.get(e.name) == "loc":
-            return s.LocVar(e.name, span=e.span)
-        return e
-    if isinstance(e, s.LocVar):
-        if env.get(e.name, "loc") != "loc":
-            return s.DataVar(e.name, span=e.span)
-        return e
-    if isinstance(e, s.Concat):
-        return s.Concat(_classify_expr(e.left, env), _classify_expr(e.right, env), span=e.span)
-    if isinstance(e, s.Arith):
-        return s.Arith(e.op, _classify_expr(e.left, env), _classify_expr(e.right, env), span=e.span)
-    if isinstance(e, s.MultisetLit):
-        return s.MultisetLit(tuple(_classify_expr(x, env) for x in e.elements), span=e.span)
-    return e
-
-
-def _classify_pred(p: s.Pred, env: dict) -> s.Pred:
-    if isinstance(p, s.TruePred):
-        return p
-    if isinstance(p, s.Cmp):
-        return s.Cmp(p.op, _classify_expr(p.left, env), _classify_expr(p.right, env), span=p.span)
-    if isinstance(p, s.Member):
-        return s.Member(_classify_expr(p.elem, env), _classify_expr(p.container, env), span=p.span)
-    if isinstance(p, s.Not):
-        return s.Not(_classify_pred(p.inner, env), span=p.span)
-    if isinstance(p, s.And):
-        return s.And(_classify_pred(p.left, env), _classify_pred(p.right, env), span=p.span)
-    raise TypeError(p)
-
-
-def _classify_tuple(t: s.Tuple, env: dict) -> s.Tuple:
-    return s.Tuple(tuple(_classify_expr(e, env) for e in t.components), span=t.span)
-
-
-def _classify_tableref(tb: s.TableRef, env: dict) -> s.TableRef:
-    if isinstance(tb, s.TableByName):
-        return s.TableByName(tb.tid, _classify_expr(tb.loc, env), span=tb.span)
-    return tb
-
-
-def _classify_action(a: s.Action, env: dict) -> s.Action:
-    if isinstance(a, s.Insert):
-        return s.Insert(a.tid, _classify_tuple(a.payload, env), _classify_expr(a.loc, env), span=a.span)
-    if isinstance(a, s.Delete):
-        inner = {**env, **_template_kinds(a.template)}
-        return s.Delete(a.tid, a.template, _classify_pred(a.pred, inner),
-                        _classify_expr(a.loc, env), span=a.span)
-    if isinstance(a, s.Select):
-        inner = {**env, **_template_kinds(a.template)}
-        return s.Select(
-            tuple(_classify_tableref(tb, env) for tb in a.tables),
-            a.template,
-            _classify_pred(a.pred, inner),
-            _classify_tuple(a.payload, inner),
-            a.bind,
-            span=a.span,
-        )
-    if isinstance(a, s.Update):
-        inner = {**env, **_template_kinds(a.template)}
-        return s.Update(a.tid, a.template, _classify_pred(a.pred, inner),
-                        _classify_tuple(a.payload, inner), _classify_expr(a.loc, env), span=a.span)
-    if isinstance(a, s.Aggr):
-        inner = {**env, **_template_kinds(a.template)}
-        return s.Aggr(a.tid, a.template, _classify_pred(a.pred, inner), a.fn,
-                      a.bind_template, _classify_expr(a.loc, env), span=a.span)
-    if isinstance(a, s.Create):
-        return s.Create(a.tid, _classify_expr(a.loc, env), a.schema, span=a.span)
-    if isinstance(a, s.Drop):
-        return s.Drop(a.tid, _classify_expr(a.loc, env), span=a.span)
-    if isinstance(a, s.Eval):
-        return s.Eval(_classify_process(a.process, env), _classify_expr(a.loc, env), span=a.span)
-    raise TypeError(a)
-
-
-def _action_export_kinds(a: s.Action) -> dict:
-    if isinstance(a, s.Select):
-        return {a.bind: "table"}
-    if isinstance(a, s.Aggr):
-        return _template_kinds(a.bind_template)
-    return {}
-
-
-def _classify_process(p: s.Process, env: dict) -> s.Process:
-    if isinstance(p, s.NilProc):
-        return p
-    if isinstance(p, s.Prefix):
-        action = _classify_action(p.action, env)
-        cont_env = {**env, **_action_export_kinds(p.action)}
-        return s.Prefix(action, _classify_process(p.cont, cont_env), span=p.span)
-    if isinstance(p, s.CallProc):
-        return s.CallProc(p.name, tuple(_classify_expr(e, env) for e in p.args), span=p.span)
-    if isinstance(p, s.Foreach):
-        inner = {**env, **_template_kinds(p.template)}
-        return s.Foreach(_classify_tableref(p.table, env), p.template,
-                         _classify_pred(p.pred, inner), p.order,
-                         _classify_process(p.body, inner), span=p.span)
-    if isinstance(p, s.Seq):
-        return s.Seq(_classify_process(p.first, env), _classify_process(p.second, env), span=p.span)
-    raise TypeError(p)
-
-
-def _classify_component(c: s.Component, env: dict) -> s.Component:
-    if isinstance(c, s.ProcComp):
-        return s.ProcComp(_classify_process(c.process, env), span=c.span)
-    if isinstance(c, s.ParComp):
-        return s.ParComp(_classify_component(c.left, env), _classify_component(c.right, env), span=c.span)
-    return c
-
-
-def _classify_net(n: s.Net, env: dict) -> s.Net:
-    if isinstance(n, (s.NilNet, s.ErrNet)):
-        return n
-    if isinstance(n, s.ParNet):
-        return s.ParNet(_classify_net(n.left, env), _classify_net(n.right, env), span=n.span)
-    if isinstance(n, s.Restrict):
-        return s.Restrict(n.loc, _classify_net(n.inner, env), span=n.span)
-    if isinstance(n, s.Node):
-        return s.Node(n.loc, _classify_component(n.component, env), span=n.span)
-    raise TypeError(n)
+    hooks = {s.DataVar: _data, s.LocVar: _loc}
 
 
 def classify_variables(system: s.System) -> s.System:
-    procedures = {}
-    for name, d in system.procedures.items():
-        env = {pname: _param_kind(ty) for pname, ty in d.params}
-        procedures[name] = s.ProcDef(d.name, d.params, _classify_process(d.body, env), span=d.span)
-    return s.System(
-        procedures=procedures,
-        schema_decls=system.schema_decls,
-        main_net=_classify_net(system.main_net, {}),
-    )
+    return _Classify().map(system, {})
 
 
 # ---------------------------------------------------------------------------
 # Pass 2: resolve procedure calls
 
-def _walk_processes(node):
-    """Yield every process subterm reachable from a net/process/component."""
-    stack = [node]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, s.Prefix):
-            yield x
-            if isinstance(x.action, s.Eval):
-                stack.append(x.action.process)
-            stack.append(x.cont)
-        elif isinstance(x, (s.CallProc, s.NilProc)):
-            yield x
-        elif isinstance(x, s.Foreach):
-            yield x
-            stack.append(x.body)
-        elif isinstance(x, s.Seq):
-            yield x
-            stack.append(x.first)
-            stack.append(x.second)
-        elif isinstance(x, s.ProcComp):
-            stack.append(x.process)
-        elif isinstance(x, (s.ParComp, s.ParNet)):
-            stack.append(x.left)
-            stack.append(x.right)
-        elif isinstance(x, s.Restrict):
-            stack.append(x.inner)
-        elif isinstance(x, s.Node):
-            stack.append(x.component)
+class _Calls(s.ScopedMap):
+    """Every procedure call, in visit order."""
+
+    def __init__(self):
+        self.out = []
+
+    def _call(self, node, env):
+        self.out.append(node)
+        return node
+
+    hooks = {s.CallProc: _call, **dict.fromkeys(s.EXPRESSION_NODES, s.keep)}
 
 
 def resolve_calls(system: s.System) -> None:
-    roots = [system.main_net] + [d.body for d in system.procedures.values()]
-    for root in roots:
-        for p in _walk_processes(root):
-            if not isinstance(p, s.CallProc):
-                continue
+    for root in [system.main_net] + [d.body for d in system.procedures.values()]:
+        calls = _Calls()
+        calls.map(root, None)
+        # Of several bad calls in one root, the last one is reported.
+        for p in reversed(calls.out):
             d = system.procedures.get(p.name)
             where = p.span or s.Span(0, 0)
             if d is None:
@@ -880,12 +744,13 @@ def resolve_calls(system: s.System) -> None:
 # ---------------------------------------------------------------------------
 # Pass 3: rename bound names apart
 
-class _Renamer:
+class _RenameApart(s.ScopedMap):
     """Makes every binder name unique across the whole system.
 
-    Variables and localities live in separate namespaces.  A binder keeps
-    its name on first use and gets a `#k`-suffixed fresh name on any reuse;
-    `#` cannot appear in source names, so fresh names never collide.
+    Variables and localities live in separate namespaces; env is the pair
+    (variable renaming, locality renaming) in scope.  A binder keeps its
+    name on first use and gets a `#k`-suffixed fresh name on any reuse; `#`
+    cannot appear in source names, so fresh names never collide.
     """
 
     def __init__(self, used_vars: set, used_locs: set):
@@ -893,164 +758,37 @@ class _Renamer:
         self.used_locs = used_locs
         self.counter = itertools.count(1)
 
-    def _fresh(self, base: str, used: set) -> str:
-        while True:
-            cand = f"{base}#{next(self.counter)}"
-            if cand not in used:
-                return cand
+    def _fresh(self, name: str, used: set) -> str:
+        new = name
+        while new in used:
+            new = f"{name}#{next(self.counter)}"
+        used.add(new)
+        return new
 
-    def bind_var(self, name: str, venv: dict) -> tuple:
-        if name in self.used_vars:
-            new = self._fresh(name, self.used_vars)
-        else:
-            new = name
-        self.used_vars.add(new)
-        return new, {**venv, name: new}
+    def bind(self, names, env):
+        venv, lenv = env
+        new = tuple(self._fresh(name, self.used_vars) for name, _ in names)
+        return new, ({**venv, **{name: n for (name, _), n in zip(names, new)}}, lenv)
 
-    def bind_loc(self, name: str, lenv: dict) -> tuple:
-        if name in self.used_locs:
-            new = self._fresh(name, self.used_locs)
-        else:
-            new = name
-        self.used_locs.add(new)
-        return new, {**lenv, name: new}
+    def restrict(self, name, env):
+        venv, lenv = env
+        new = self._fresh(name, self.used_locs)
+        return new, (venv, {**lenv, name: new})
 
-    def template(self, t: s.Template, venv: dict) -> tuple:
-        fields = []
-        for f in t.fields:
-            new, venv = self.bind_var(f.name, venv)
-            cls = s.BindData if isinstance(f, s.BindData) else s.BindLoc
-            fields.append(cls(new, span=f.span))
-        return s.Template(tuple(fields), span=t.span), venv
+    def site(self, name, env):
+        return env[1].get(name, name)
 
-    def expr(self, e: s.Expr, venv: dict, lenv: dict) -> s.Expr:
-        if isinstance(e, s.DataVar):
-            return s.DataVar(venv.get(e.name, e.name), span=e.span)
-        if isinstance(e, s.LocVar):
-            return s.LocVar(venv.get(e.name, e.name), span=e.span)
-        if isinstance(e, s.LocLit):
-            return s.LocLit(lenv.get(e.name, e.name), span=e.span)
-        if isinstance(e, s.Concat):
-            return s.Concat(self.expr(e.left, venv, lenv), self.expr(e.right, venv, lenv), span=e.span)
-        if isinstance(e, s.Arith):
-            return s.Arith(e.op, self.expr(e.left, venv, lenv), self.expr(e.right, venv, lenv), span=e.span)
-        if isinstance(e, s.MultisetLit):
-            return s.MultisetLit(tuple(self.expr(x, venv, lenv) for x in e.elements), span=e.span)
-        return e
+    def _var(self, node, env):
+        return s.rename_occurrence(node, env[0])
 
-    def pred(self, p: s.Pred, venv: dict, lenv: dict) -> s.Pred:
-        if isinstance(p, s.TruePred):
-            return p
-        if isinstance(p, s.Cmp):
-            return s.Cmp(p.op, self.expr(p.left, venv, lenv), self.expr(p.right, venv, lenv), span=p.span)
-        if isinstance(p, s.Member):
-            return s.Member(self.expr(p.elem, venv, lenv), self.expr(p.container, venv, lenv), span=p.span)
-        if isinstance(p, s.Not):
-            return s.Not(self.pred(p.inner, venv, lenv), span=p.span)
-        if isinstance(p, s.And):
-            return s.And(self.pred(p.left, venv, lenv), self.pred(p.right, venv, lenv), span=p.span)
-        raise TypeError(p)
+    def _loc(self, node, env):
+        return s.rename_occurrence(node, env[1])
 
-    def tuple_(self, t: s.Tuple, venv: dict, lenv: dict) -> s.Tuple:
-        return s.Tuple(tuple(self.expr(e, venv, lenv) for e in t.components), span=t.span)
+    def _table(self, node, env):
+        return s.rename_table(node, env[1]) if env[1] else node
 
-    def value(self, v, lenv: dict):
-        if isinstance(v, VLoc):
-            return VLoc(lenv.get(v.name, v.name))
-        if isinstance(v, VSet):
-            return VSet(Multiset([self.value(e, lenv) for e in v.elements]))
-        return v
-
-    def rows(self, rows: Multiset, lenv: dict) -> Multiset:
-        if not lenv:
-            return rows
-        return Multiset([
-            ValueTuple(tuple(self.value(v, lenv) for v in row.components))
-            for row in rows
-        ])
-
-    def tableref(self, tb: s.TableRef, venv: dict, lenv: dict) -> s.TableRef:
-        if isinstance(tb, s.TableByName):
-            return s.TableByName(tb.tid, self.expr(tb.loc, venv, lenv), span=tb.span)
-        if isinstance(tb, s.TableByVar):
-            return s.TableByVar(venv.get(tb.name, tb.name), span=tb.span)
-        return s.TableLiteral(tb.interface, self.rows(tb.rows, lenv), span=tb.span)
-
-    def action(self, a: s.Action, venv: dict, lenv: dict) -> tuple:
-        """Returns the renamed action plus the continuation's variable env."""
-        if isinstance(a, s.Insert):
-            return s.Insert(a.tid, self.tuple_(a.payload, venv, lenv),
-                            self.expr(a.loc, venv, lenv), span=a.span), venv
-        if isinstance(a, s.Delete):
-            template, inner = self.template(a.template, venv)
-            return s.Delete(a.tid, template, self.pred(a.pred, inner, lenv),
-                            self.expr(a.loc, venv, lenv), span=a.span), venv
-        if isinstance(a, s.Select):
-            tables = tuple(self.tableref(tb, venv, lenv) for tb in a.tables)
-            template, inner = self.template(a.template, venv)
-            pred = self.pred(a.pred, inner, lenv)
-            payload = self.tuple_(a.payload, inner, lenv)
-            bind, cont_env = self.bind_var(a.bind, venv)
-            return s.Select(tables, template, pred, payload, bind, span=a.span), cont_env
-        if isinstance(a, s.Update):
-            template, inner = self.template(a.template, venv)
-            return s.Update(a.tid, template, self.pred(a.pred, inner, lenv),
-                            self.tuple_(a.payload, inner, lenv),
-                            self.expr(a.loc, venv, lenv), span=a.span), venv
-        if isinstance(a, s.Aggr):
-            template, inner = self.template(a.template, venv)
-            pred = self.pred(a.pred, inner, lenv)
-            bind_template, cont_env = self.template(a.bind_template, venv)
-            return s.Aggr(a.tid, template, pred, a.fn, bind_template,
-                          self.expr(a.loc, venv, lenv), span=a.span), cont_env
-        if isinstance(a, s.Create):
-            return s.Create(a.tid, self.expr(a.loc, venv, lenv), a.schema, span=a.span), venv
-        if isinstance(a, s.Drop):
-            return s.Drop(a.tid, self.expr(a.loc, venv, lenv), span=a.span), venv
-        if isinstance(a, s.Eval):
-            return s.Eval(self.process(a.process, venv, lenv),
-                          self.expr(a.loc, venv, lenv), span=a.span), venv
-        raise TypeError(a)
-
-    def process(self, p: s.Process, venv: dict, lenv: dict) -> s.Process:
-        if isinstance(p, s.NilProc):
-            return p
-        if isinstance(p, s.Prefix):
-            action, cont_env = self.action(p.action, venv, lenv)
-            return s.Prefix(action, self.process(p.cont, cont_env, lenv), span=p.span)
-        if isinstance(p, s.CallProc):
-            return s.CallProc(p.name, tuple(self.expr(e, venv, lenv) for e in p.args), span=p.span)
-        if isinstance(p, s.Foreach):
-            table = self.tableref(p.table, venv, lenv)
-            template, inner = self.template(p.template, venv)
-            return s.Foreach(table, template, self.pred(p.pred, inner, lenv), p.order,
-                             self.process(p.body, inner, lenv), span=p.span)
-        if isinstance(p, s.Seq):
-            return s.Seq(self.process(p.first, venv, lenv),
-                         self.process(p.second, venv, lenv), span=p.span)
-        raise TypeError(p)
-
-    def component(self, c: s.Component, venv: dict, lenv: dict) -> s.Component:
-        if isinstance(c, s.ProcComp):
-            return s.ProcComp(self.process(c.process, venv, lenv), span=c.span)
-        if isinstance(c, s.TableComp):
-            return s.TableComp(c.interface, self.rows(c.rows, lenv), span=c.span)
-        if isinstance(c, s.ParComp):
-            return s.ParComp(self.component(c.left, venv, lenv),
-                             self.component(c.right, venv, lenv), span=c.span)
-        raise TypeError(c)
-
-    def net(self, n: s.Net, venv: dict, lenv: dict) -> s.Net:
-        if isinstance(n, (s.NilNet, s.ErrNet)):
-            return n
-        if isinstance(n, s.ParNet):
-            return s.ParNet(self.net(n.left, venv, lenv), self.net(n.right, venv, lenv), span=n.span)
-        if isinstance(n, s.Restrict):
-            new, inner = self.bind_loc(n.loc, lenv)
-            return s.Restrict(new, self.net(n.inner, venv, inner), span=n.span)
-        if isinstance(n, s.Node):
-            return s.Node(lenv.get(n.loc, n.loc), self.component(n.component, venv, lenv), span=n.span)
-        raise TypeError(n)
+    hooks = {s.DataVar: _var, s.LocVar: _var, s.TableByVar: _var,
+             s.LocLit: _loc, s.TableLiteral: _table, s.TableComp: _table}
 
 
 def rename_apart(system: s.System) -> s.System:
@@ -1058,19 +796,7 @@ def rename_apart(system: s.System) -> s.System:
     used_locs = set(s.free_locs(system.main_net))
     for d in system.procedures.values():
         used_locs |= s.loc_names(d.body)
-    renamer = _Renamer(used_vars, used_locs)
-    procedures = {}
-    for name, d in system.procedures.items():
-        venv: dict = {}
-        params = []
-        for pname, ty in d.params:
-            new, venv = renamer.bind_var(pname, venv)
-            params.append((new, ty))
-        procedures[name] = s.ProcDef(
-            d.name, tuple(params), renamer.process(d.body, venv, {}), span=d.span,
-        )
-    main = renamer.net(system.main_net, {}, {})
-    return s.System(procedures=procedures, schema_decls=system.schema_decls, main_net=main)
+    return _RenameApart(used_vars, used_locs).map(system, ({}, {}))
 
 
 # ---------------------------------------------------------------------------

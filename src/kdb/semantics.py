@@ -10,6 +10,11 @@ the parent's item counts with the transition's items swapped
 (`net.make_canonical`), so untouched items are not rehashed; the rendering
 `canonical_key` is computed only for transitions that share a label; and
 tables are ordered by (locality, identifier), rendered only to break a tie.
+
+Predicates and payloads are evaluated once per row under the row's match
+(`kernel.eval_pred(pred, sigma)`); substitution builds new terms only for
+continuations: the process after a select or aggr, a loop body and a
+procedure body.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from kdb import kernel as k
 from kdb import net as netmod
 from kdb import syntax as s
 from kdb.net import ERR_NET, CanonicalNet, canonical_key, lid, make_canonical, no_rep
-from kdb.values import Multiset, ValueTuple, row_sort_key
+from kdb.values import Multiset, row_sort_key
 
 # Checks that every enumerated successor, not only the one a scheduler picks,
 # preserves table-identifier integrity.  It costs one `lid` pass over the
@@ -109,7 +114,7 @@ def _row_err_scan(rows: Multiset, template: s.Template, pred: s.Pred):
         sigma = k.match(row, template)
         if k.is_err(sigma):
             return True
-        if k.is_err(k.eval_pred(k.apply_subst(sigma, pred))):
+        if k.is_err(k.eval_pred(pred, sigma)):
             return True
     return False
 
@@ -120,7 +125,7 @@ def _satisfying(rows: Multiset, template: s.Template, pred: s.Pred) -> Multiset:
         sigma = k.match(row, template)
         if k.is_err(sigma):
             continue
-        if k.eval_pred(k.apply_subst(sigma, pred)) is True:
+        if k.eval_pred(pred, sigma) is True:
             out[row] = n
     return Multiset(out)
 
@@ -159,7 +164,7 @@ def _action_outcomes(cn: CanonicalNet, actor: str, action: s.Action, cont: s.Pro
             removed = 0
             for row, n in tab.rows.items():
                 sigma = k.match(row, action.template)
-                if k.eval_pred(k.apply_subst(sigma, action.pred)) is True:
+                if k.eval_pred(action.pred, sigma) is True:
                     removed += n
                 else:
                     keep[row] = n
@@ -190,8 +195,8 @@ def _action_outcomes(cn: CanonicalNet, actor: str, action: s.Action, cont: s.Pro
                 if k.is_err(sigma):
                     err = True
                     break
-                holds = k.eval_pred(k.apply_subst(sigma, action.pred))
-                new_row = k.eval_tuple(k.apply_subst(sigma, action.payload))
+                holds = k.eval_pred(action.pred, sigma)
+                new_row = k.eval_tuple(action.payload, sigma)
                 if k.is_err(holds) or k.is_err(new_row):
                     err = True
                     break
@@ -224,7 +229,7 @@ def _action_outcomes(cn: CanonicalNet, actor: str, action: s.Action, cont: s.Pro
                 for row in tab.rows.support():
                     sigma = k.match(row, action.template)
                     if (k.is_err(sigma)
-                            or k.is_err(k.eval_pred(k.apply_subst(sigma, action.pred)))
+                            or k.is_err(k.eval_pred(action.pred, sigma))
                             or not k.aggr_row_ok(action.fn, row)):
                         bad = True
                         break
@@ -296,8 +301,8 @@ def _select_outcomes(cn: CanonicalNet, action: s.Select, cont: s.Process) -> lis
         sigma = k.match(row, action.template)
         if k.is_err(sigma):
             return [("SEL", "select: row fails to match the template", _ERR_OUTCOME)]
-        holds = k.eval_pred(k.apply_subst(sigma, action.pred))
-        payload = k.eval_tuple(k.apply_subst(sigma, action.payload))
+        holds = k.eval_pred(action.pred, sigma)
+        payload = k.eval_tuple(action.payload, sigma)
         if k.is_err(holds) or k.is_err(payload):
             return [("SEL", "select: evaluation error", _ERR_OUTCOME)]
         if holds is True:

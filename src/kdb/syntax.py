@@ -4,6 +4,16 @@ AST nodes are frozen dataclasses with tuple-valued children, so every node is
 hashable and structural equality is cheap.  Source spans are carried on nodes
 but excluded from equality and hashing: two parses of the same text compare
 equal regardless of layout.
+
+The binding structure is declared once, in the table CHILDREN: a template's
+`!x` and `!@u` scope over its action's predicate and payload and over a
+loop's body; a select's `!t` and an aggr's result template scope over the
+continuation of their prefix; procedure parameters scope over the body; and
+`(new $l)` scopes over its net.  `ScopedMap` is the one traversal that
+table drives.  `free_vars`, `loc_names`, `free_locs` and
+`rename_localities` here, `kernel.apply_subst`, the parser's passes and the
+checker's collection of table shapes are each a few hooks on it.  `render`
+and the type checker stay explicit recursions.
 """
 
 from __future__ import annotations
@@ -471,13 +481,6 @@ class System:
     schema_decls: tuple  # of (tid, Schema), in declaration order; repeats kept
     main_net: Net
 
-    def schema_map(self) -> dict:
-        """First declaration wins; conflicts are the type checker's business."""
-        out = {}
-        for tid, sk in self.schema_decls:
-            out.setdefault(tid, sk)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, System):
             return NotImplemented
@@ -766,361 +769,374 @@ def render(node) -> str:
 
 # ---------------------------------------------------------------------------
 # Binding structure
+#
+# CHILDREN declares, once for the whole language, which fields of each AST
+# class hold its children (in dataclass order) and how they are scoped.  A
+# class that is not listed has no children to visit: constants, the
+# occurrences DataVar, LocVar, TableByVar and LocLit, and the tables
+# TableLiteral and TableComp, whose rows may hold locality values.
+#
+# Shapes of a child field:
+ONE = "one"  # one node, in the scope of the node's surroundings
+MANY = "many"  # a tuple of nodes, likewise
+SCOPED = "scoped"  # one node in the scope of the node's binder
+ACTION = "action"  # Prefix.action: what the action exports scopes over SCOPED
+SITE = "site"  # Node.loc: a locality occurrence
+PROCS = "procs"  # System.procedures: ProcDef by name
+# Shapes of a binder field, which comes before the fields it scopes over:
+PATTERN = "pattern"  # a Template: `!x` binds data, `!@u` a locality variable
+PARAMS = "params"  # ProcDef.params: data, locality and table variables
+RESTRICTED = "restricted"  # Restrict.loc: a locality name
+TABLE_VAR = "table-var"  # a table variable
+# ... and of a binder that scopes over the continuation of its Prefix:
+EXPORTS_TABLE_VAR = "exports table-var"  # Select.bind
+EXPORTS_PATTERN = "exports pattern"  # Aggr.bind_template
 
-def _binders_exported(a: Action) -> frozenset:
-    """Variables an action binds in the continuation of its prefix."""
-    if isinstance(a, Select):
-        return frozenset((a.bind,))
-    if isinstance(a, Aggr):
-        return frozenset(a.bind_template.names())
-    return frozenset()
+CHILDREN = {
+    Concat: (("left", ONE), ("right", ONE)),
+    Arith: (("left", ONE), ("right", ONE)),
+    MultisetLit: (("elements", MANY),),
+    Cmp: (("left", ONE), ("right", ONE)),
+    Member: (("elem", ONE), ("container", ONE)),
+    Not: (("inner", ONE),),
+    And: (("left", ONE), ("right", ONE)),
+    Tuple: (("components", MANY),),
+    TableByName: (("loc", ONE),),
+    Insert: (("payload", ONE), ("loc", ONE)),
+    Delete: (("template", PATTERN), ("pred", SCOPED), ("loc", ONE)),
+    Select: (("tables", MANY), ("template", PATTERN), ("pred", SCOPED), ("payload", SCOPED),
+             ("bind", EXPORTS_TABLE_VAR)),
+    Update: (("template", PATTERN), ("pred", SCOPED), ("payload", SCOPED), ("loc", ONE)),
+    Aggr: (("template", PATTERN), ("pred", SCOPED), ("bind_template", EXPORTS_PATTERN),
+           ("loc", ONE)),
+    Create: (("loc", ONE),),
+    Drop: (("loc", ONE),),
+    Eval: (("process", ONE), ("loc", ONE)),
+    Prefix: (("action", ACTION), ("cont", SCOPED)),
+    CallProc: (("args", MANY),),
+    Foreach: (("table", ONE), ("template", PATTERN), ("pred", SCOPED), ("body", SCOPED)),
+    Seq: (("first", ONE), ("second", ONE)),
+    ProcComp: (("process", ONE),),
+    ParComp: (("left", ONE), ("right", ONE)),
+    ParNet: (("left", ONE), ("right", ONE)),
+    Restrict: (("loc", RESTRICTED), ("inner", SCOPED)),
+    Node: (("loc", SITE), ("component", ONE)),
+    ProcDef: (("params", PARAMS), ("body", SCOPED)),
+    System: (("procedures", PROCS), ("main_net", ONE)),
+}
+
+_EXPORTED = {EXPORTS_TABLE_VAR: TABLE_VAR, EXPORTS_PATTERN: PATTERN}
+
+
+def _plan(cls) -> tuple:
+    attrs = tuple(f.name for f in fields(cls) if f.name != "span")
+    steps = tuple((attrs.index(name), name, shape) for name, shape in CHILDREN[cls])
+    return attrs, steps
+
+
+# class -> (field names but span, ((index, field, shape), ...))
+_PLANS = {cls: _plan(cls) for cls in CHILDREN}
+# action class -> (index, field, binder shape) of the binder it exports
+_EXPORTS = {cls: (i, name, _EXPORTED[shape])
+            for cls, (_, steps) in _PLANS.items()
+            for i, name, shape in steps if shape in _EXPORTED}
+
+
+# The classes with children that hold expressions only: no process, table
+# or binder occurs below them.  A fold that looks for none of those need not
+# enter them (see `keep`).
+EXPRESSION_NODES = (Concat, Arith, MultisetLit, Cmp, Member, Not, And, Tuple, TableByName)
+
+
+def keep(visitor, node, env):
+    """A hook that returns its node as it is, without visiting its children."""
+    return node
+
+
+def _param_sort(ty) -> str:
+    """The sort of variable a procedure parameter of type `ty` binds."""
+    if isinstance(ty, tuple):
+        return "table"
+    return "loc" if ty == LOC else "data"
+
+
+def _rebuild(node, vals: list):
+    if node.__class__ is System:
+        return System(*vals)
+    return node.__class__(*vals, span=node.span)
+
+
+class ScopedMap:
+    """The one traversal of the AST, driven by CHILDREN.
+
+    `map(node, env)` maps every child of the node in field order under the
+    environment its scope gives it, and rebuilds the node from the results;
+    it returns the node itself when no child changed.  A subclass says what
+    happens at leaves and binders.  A fold is a map whose hooks collect
+    something and return their node.  The recursion is here alone and costs
+    one Python frame per level of the tree; hooks do not recurse.
+
+    - `hooks`: class -> function(self, node, env) -> node.  A hook takes
+      over its node whole, whether a leaf or a node it need not enter.
+    - `bind(names, env)`: variable binders, `names` = ((name, sort), ...)
+      with sort "data", "loc" or "table".  Returns the binders' new names
+      (None keeps them) and the environment of their scope.
+    - `restrict(name, env)`: a restricted locality; returns its new name
+      (None keeps it) and the environment of its scope.
+    - `site(name, env)`: the locality name of a Node; returns its new name.
+    """
+
+    hooks: dict = {}
+    _dispatch: dict = _PLANS  # class -> hook or plan
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        cls._dispatch = {**_PLANS, **cls.hooks}
+
+    def bind(self, names: tuple, env):
+        return None, env
+
+    def restrict(self, name: str, env):
+        return None, env
+
+    def site(self, name: str, env) -> str:
+        return name
+
+    def map(self, node, env):
+        entry = self._dispatch.get(node.__class__)
+        if entry is None:
+            return node
+        if entry.__class__ is not tuple:
+            return entry(self, node, env)
+        attrs, steps = entry
+        vals = None
+        inner = env
+        for i, name, shape in steps:
+            old = getattr(node, name)
+            if shape is ONE:
+                new = self.map(old, env)
+            elif shape is SCOPED:
+                new = self.map(old, inner)
+            elif shape is MANY:
+                # A loop, not a generator, keeps the recursion at one frame.
+                new = old
+                for j, x in enumerate(old):
+                    y = self.map(x, env)
+                    if y is not x:
+                        if new is old:
+                            new = list(old)
+                        new[j] = y
+                if new is not old:
+                    new = tuple(new)
+            elif shape is ACTION:
+                new = self.map(old, env)
+                export = _EXPORTS.get(old.__class__)
+                if export is not None:
+                    j, field_name, binder = export
+                    bound = getattr(old, field_name)
+                    renamed, inner = self._bind(binder, bound, env)
+                    if renamed is not bound:
+                        rebuilt = [getattr(new, f) for f in _PLANS[old.__class__][0]]
+                        rebuilt[j] = renamed
+                        new = _rebuild(new, rebuilt)
+            elif shape is SITE:
+                new = self.site(old, env)
+            elif shape is PROCS:
+                new = old
+                for key, d in old.items():
+                    d2 = self.map(d, env)
+                    if d2 is not d:
+                        if new is old:
+                            new = dict(old)
+                        new[key] = d2
+            elif shape in _EXPORTED:
+                continue  # bound by the enclosing Prefix
+            else:
+                new, inner = self._bind(shape, old, env)
+            if new is not old:
+                if vals is None:
+                    vals = [getattr(node, a) for a in attrs]
+                vals[i] = new
+        return node if vals is None else _rebuild(node, vals)
+
+    def _bind(self, shape, value, env):
+        """Open a binder's scope: the binder, renamed or not, and its env."""
+        if shape is RESTRICTED:
+            new, env = self.restrict(value, env)
+            return (value if new is None or new == value else new), env
+        if shape is PATTERN:
+            names = tuple((f.name, "loc" if f.__class__ is BindLoc else "data")
+                          for f in value.fields)
+        elif shape is PARAMS:
+            names = tuple((name, _param_sort(ty)) for name, ty in value)
+        else:  # TABLE_VAR
+            names = ((value, "table"),)
+        new, env = self.bind(names, env)
+        if new is None or new == tuple(name for name, _ in names):
+            return value, env
+        if shape is PATTERN:
+            return Template(tuple(f.__class__(name, span=f.span)
+                                  for f, name in zip(value.fields, new)), span=value.span), env
+        if shape is PARAMS:
+            return tuple((name, ty) for name, (_, ty) in zip(new, value)), env
+        return new[0], env
+
+
+# -- renaming occurrences, shared by the traversals that rename
+
+def rename_occurrence(node, mapping: dict):
+    """A DataVar, LocVar, TableByVar or LocLit with its name mapped."""
+    name = mapping.get(node.name)
+    if name is None or name == node.name:
+        return node
+    return node.__class__(name, span=node.span)
+
+
+def _rename_value(v, mapping: dict):
+    if v.__class__ is VLoc:
+        name = mapping.get(v.name)
+        return v if name is None else VLoc(name)
+    if v.__class__ is VSet:
+        elems = [_rename_value(e, mapping) for e in v.elements]
+        if all(a is b for a, b in zip(elems, v.elements)):
+            return v
+        return VSet(Multiset(elems))
+    return v
+
+
+def rename_rows(rows: Multiset, mapping: dict) -> Multiset:
+    """Rows with their locality values mapped; `rows` itself if none is."""
+    counts = None
+    for row, n in rows.items():
+        comps = tuple(_rename_value(v, mapping) for v in row.components)
+        if all(a is b for a, b in zip(comps, row.components)):
+            continue
+        if counts is None:
+            counts = rows.copy_counts()
+        # Move the row's n copies to its new name; the count stays >= n.
+        if counts[row] == n:
+            del counts[row]
+        else:
+            counts[row] -= n
+        new = ValueTuple(comps)
+        counts[new] = counts.get(new, 0) + n
+    return rows if counts is None else Multiset.of_counts(counts)
+
+
+def rename_table(node, mapping: dict):
+    """A TableLiteral or TableComp with the locality values in its rows mapped."""
+    rows = rename_rows(node.rows, mapping)
+    if rows is node.rows:
+        return node
+    return node.__class__(node.interface, rows, span=node.span)
+
+
+# -- the traversals of the binding structure itself
+
+class _FreeVars(ScopedMap):
+    """Variable occurrences outside the binders in scope (env)."""
+
+    def __init__(self):
+        self.out = set()
+
+    def bind(self, names, env):
+        return None, env.union(name for name, _ in names)
+
+    def _occurrence(self, node, env):
+        if node.name not in env:
+            self.out.add(node.name)
+        return node
+
+    hooks = {DataVar: _occurrence, LocVar: _occurrence, TableByVar: _occurrence}
 
 
 def free_vars(node) -> frozenset:
     """Free data/locality/table variables of any AST node."""
-    if isinstance(node, (IntLit, StrLit, TidLit, LocLit, NilProc, NilNet, ErrNet,
-                         TruePred, TableLiteral, TableComp, Template, BindData, BindLoc)):
-        return frozenset()
-    if isinstance(node, (DataVar, LocVar)):
-        return frozenset((node.name,))
-    if isinstance(node, (Concat, And)):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Arith):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Cmp):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, MultisetLit):
-        out = frozenset()
-        for e in node.elements:
-            out |= free_vars(e)
-        return out
-    if isinstance(node, Member):
-        return free_vars(node.elem) | free_vars(node.container)
-    if isinstance(node, Not):
-        return free_vars(node.inner)
-    if isinstance(node, Tuple):
-        out = frozenset()
-        for e in node.components:
-            out |= free_vars(e)
-        return out
-    if isinstance(node, TableByName):
-        return free_vars(node.loc)
-    if isinstance(node, TableByVar):
-        return frozenset((node.name,))
-    if isinstance(node, Insert):
-        return free_vars(node.payload) | free_vars(node.loc)
-    if isinstance(node, Delete):
-        bound = frozenset(node.template.names())
-        return (free_vars(node.pred) - bound) | free_vars(node.loc)
-    if isinstance(node, Select):
-        out = frozenset()
-        for tb in node.tables:
-            out |= free_vars(tb)
-        bound = frozenset(node.template.names())
-        return out | ((free_vars(node.pred) | free_vars(node.payload)) - bound)
-    if isinstance(node, Update):
-        bound = frozenset(node.template.names())
-        return ((free_vars(node.pred) | free_vars(node.payload)) - bound) | free_vars(node.loc)
-    if isinstance(node, Aggr):
-        bound = frozenset(node.template.names())
-        return (free_vars(node.pred) - bound) | free_vars(node.loc)
-    if isinstance(node, (Create, Drop)):
-        return free_vars(node.loc)
-    if isinstance(node, Eval):
-        return free_vars(node.process) | free_vars(node.loc)
-    if isinstance(node, Prefix):
-        return free_vars(node.action) | (free_vars(node.cont) - _binders_exported(node.action))
-    if isinstance(node, CallProc):
-        out = frozenset()
-        for e in node.args:
-            out |= free_vars(e)
-        return out
-    if isinstance(node, Foreach):
-        bound = frozenset(node.template.names())
-        return free_vars(node.table) | ((free_vars(node.pred) | free_vars(node.body)) - bound)
-    if isinstance(node, Seq):
-        return free_vars(node.first) | free_vars(node.second)
-    if isinstance(node, ProcComp):
-        return free_vars(node.process)
-    if isinstance(node, ParComp):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Node):
-        return free_vars(node.component)
-    if isinstance(node, ParNet):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Restrict):
-        return free_vars(node.inner)
-    if isinstance(node, System):
-        out = free_vars(node.main_net)
-        for d in node.procedures.values():
-            out |= free_vars(d.body) - frozenset(n for n, _ in d.params)
-        return out
-    raise TypeError(f"free_vars: unsupported node {type(node).__name__}")
+    fold = _FreeVars()
+    fold.map(node, frozenset())
+    return frozenset(fold.out)
 
 
-def bound_vars(node) -> frozenset:
-    """All variable names bound anywhere inside the node."""
-    if isinstance(node, (IntLit, StrLit, TidLit, LocLit, DataVar, LocVar, TruePred,
-                         NilProc, NilNet, ErrNet, TableLiteral, TableComp, TableByName,
-                         TableByVar, CallProc)):
-        return frozenset()
-    if isinstance(node, (Concat, Arith, Cmp, And)):
-        return frozenset()
-    if isinstance(node, (MultisetLit, Member, Not, Tuple)):
-        return frozenset()
-    if isinstance(node, Template):
-        return frozenset(node.names())
-    if isinstance(node, Insert):
-        return frozenset()
-    if isinstance(node, Delete):
-        return bound_vars(node.template)
-    if isinstance(node, Select):
-        return bound_vars(node.template) | frozenset((node.bind,))
-    if isinstance(node, Update):
-        return bound_vars(node.template)
-    if isinstance(node, Aggr):
-        return bound_vars(node.template) | bound_vars(node.bind_template)
-    if isinstance(node, (Create, Drop)):
-        return frozenset()
-    if isinstance(node, Eval):
-        return bound_vars(node.process)
-    if isinstance(node, Prefix):
-        return bound_vars(node.action) | bound_vars(node.cont)
-    if isinstance(node, Foreach):
-        return bound_vars(node.template) | bound_vars(node.body)
-    if isinstance(node, Seq):
-        return bound_vars(node.first) | bound_vars(node.second)
-    if isinstance(node, ProcComp):
-        return bound_vars(node.process)
-    if isinstance(node, ParComp):
-        return bound_vars(node.left) | bound_vars(node.right)
-    if isinstance(node, Node):
-        return bound_vars(node.component)
-    if isinstance(node, ParNet):
-        return bound_vars(node.left) | bound_vars(node.right)
-    if isinstance(node, Restrict):
-        return bound_vars(node.inner)
-    if isinstance(node, System):
-        out = bound_vars(node.main_net)
-        for d in node.procedures.values():
-            out |= frozenset(n for n, _ in d.params) | bound_vars(d.body)
-        return out
-    raise TypeError(f"bound_vars: unsupported node {type(node).__name__}")
-
-
-def _locs_in_value(v) -> frozenset:
+def _locs_in_value(v, out: set) -> None:
     if isinstance(v, VLoc):
-        return frozenset((v.name,))
-    if isinstance(v, VSet):
-        out = frozenset()
+        out.add(v.name)
+    elif isinstance(v, VSet):
         for e in v.elements.support():
-            out |= _locs_in_value(e)
-        return out
-    return frozenset()
+            _locs_in_value(e, out)
 
 
-def _locs_in_rows(rows: Multiset) -> frozenset:
-    out = frozenset()
-    for row in rows.support():
-        for v in row.components:
-            out |= _locs_in_value(v)
-    return out
+class _Localities(ScopedMap):
+    """Locality names; with `free`, only those no restriction in scope binds."""
+
+    def __init__(self, free: bool):
+        self.free = free
+        self.out = set()
+
+    def restrict(self, name, env):
+        if self.free:
+            return None, env | {name}
+        self.out.add(name)
+        return None, env
+
+    def site(self, name, env):
+        if name not in env:
+            self.out.add(name)
+        return name
+
+    def _literal(self, node, env):
+        self.site(node.name, env)
+        return node
+
+    def _rows(self, node, env):
+        found = set()
+        for row in node.rows.support():
+            for v in row.components:
+                _locs_in_value(v, found)
+        self.out |= found - env
+        return node
+
+    hooks = {LocLit: _literal, TableLiteral: _rows, TableComp: _rows}
 
 
 def loc_names(node) -> frozenset:
-    """All locality names occurring in the node, ignoring restriction binders."""
-    if isinstance(node, LocLit):
-        return frozenset((node.name,))
-    if isinstance(node, (IntLit, StrLit, TidLit, DataVar, LocVar, TruePred, NilProc,
-                         NilNet, ErrNet, TableByVar)):
-        return frozenset()
-    if isinstance(node, (Concat, Arith, Cmp)):
-        return loc_names(node.left) | loc_names(node.right)
-    if isinstance(node, And):
-        return loc_names(node.left) | loc_names(node.right)
-    if isinstance(node, MultisetLit):
-        out = frozenset()
-        for e in node.elements:
-            out |= loc_names(e)
-        return out
-    if isinstance(node, Member):
-        return loc_names(node.elem) | loc_names(node.container)
-    if isinstance(node, Not):
-        return loc_names(node.inner)
-    if isinstance(node, Tuple):
-        out = frozenset()
-        for e in node.components:
-            out |= loc_names(e)
-        return out
-    if isinstance(node, Template):
-        return frozenset()
-    if isinstance(node, TableByName):
-        return loc_names(node.loc)
-    if isinstance(node, TableLiteral):
-        return _locs_in_rows(node.rows)
-    if isinstance(node, Insert):
-        return loc_names(node.payload) | loc_names(node.loc)
-    if isinstance(node, Delete):
-        return loc_names(node.pred) | loc_names(node.loc)
-    if isinstance(node, Select):
-        out = loc_names(node.pred) | loc_names(node.payload)
-        for tb in node.tables:
-            out |= loc_names(tb)
-        return out
-    if isinstance(node, Update):
-        return loc_names(node.pred) | loc_names(node.payload) | loc_names(node.loc)
-    if isinstance(node, Aggr):
-        return loc_names(node.pred) | loc_names(node.loc)
-    if isinstance(node, (Create, Drop)):
-        return loc_names(node.loc)
-    if isinstance(node, Eval):
-        return loc_names(node.process) | loc_names(node.loc)
-    if isinstance(node, Prefix):
-        return loc_names(node.action) | loc_names(node.cont)
-    if isinstance(node, CallProc):
-        out = frozenset()
-        for e in node.args:
-            out |= loc_names(e)
-        return out
-    if isinstance(node, Foreach):
-        return loc_names(node.table) | loc_names(node.pred) | loc_names(node.body)
-    if isinstance(node, Seq):
-        return loc_names(node.first) | loc_names(node.second)
-    if isinstance(node, ProcComp):
-        return loc_names(node.process)
-    if isinstance(node, TableComp):
-        return _locs_in_rows(node.rows)
-    if isinstance(node, ParComp):
-        return loc_names(node.left) | loc_names(node.right)
-    if isinstance(node, Node):
-        return frozenset((node.loc,)) | loc_names(node.component)
-    if isinstance(node, ParNet):
-        return loc_names(node.left) | loc_names(node.right)
-    if isinstance(node, Restrict):
-        return frozenset((node.loc,)) | loc_names(node.inner)
-    raise TypeError(f"loc_names: unsupported node {type(node).__name__}")
+    """All locality names occurring in the node, restricted ones included."""
+    fold = _Localities(free=False)
+    fold.map(node, frozenset())
+    return frozenset(fold.out)
 
 
-def free_locs(net: Net) -> frozenset:
-    """Locality names occurring free in a net (restriction binds)."""
-    if isinstance(net, (NilNet, ErrNet)):
-        return frozenset()
-    if isinstance(net, ParNet):
-        return free_locs(net.left) | free_locs(net.right)
-    if isinstance(net, Restrict):
-        return free_locs(net.inner) - frozenset((net.loc,))
-    if isinstance(net, Node):
-        return frozenset((net.loc,)) | loc_names(net.component)
-    raise TypeError(f"free_locs: not a net: {type(net).__name__}")
+def free_locs(node) -> frozenset:
+    """Locality names occurring free in a node (restriction binds)."""
+    fold = _Localities(free=True)
+    fold.map(node, frozenset())
+    return frozenset(fold.out)
+
+
+class _RenameLocalities(ScopedMap):
+    """Free locality occurrences renamed by env; restriction binders shadow."""
+
+    def restrict(self, name, env):
+        if name in env:
+            env = {k: v for k, v in env.items() if k != name}
+        return None, env
+
+    def site(self, name, env):
+        return env.get(name, name)
+
+    def _literal(self, node, env):
+        return rename_occurrence(node, env)
+
+    def _table(self, node, env):
+        return rename_table(node, env)
+
+    hooks = {LocLit: _literal, TableLiteral: _table, TableComp: _table}
+
+
+_RENAME_LOCALITIES = _RenameLocalities()
 
 
 def rename_localities(node, mapping: dict):
     """Rename free locality occurrences; restriction binders shadow."""
     if not mapping:
         return node
-    ren = lambda name: mapping.get(name, name)  # noqa: E731
-    if isinstance(node, LocLit):
-        return LocLit(ren(node.name), span=node.span)
-    if isinstance(node, (IntLit, StrLit, TidLit, DataVar, LocVar, TruePred,
-                         NilProc, NilNet, ErrNet, TableByVar, Template)):
-        return node
-    if isinstance(node, Concat):
-        return Concat(rename_localities(node.left, mapping),
-                      rename_localities(node.right, mapping), span=node.span)
-    if isinstance(node, Arith):
-        return Arith(node.op, rename_localities(node.left, mapping),
-                     rename_localities(node.right, mapping), span=node.span)
-    if isinstance(node, MultisetLit):
-        return MultisetLit(tuple(rename_localities(e, mapping) for e in node.elements),
-                           span=node.span)
-    if isinstance(node, Cmp):
-        return Cmp(node.op, rename_localities(node.left, mapping),
-                   rename_localities(node.right, mapping), span=node.span)
-    if isinstance(node, Member):
-        return Member(rename_localities(node.elem, mapping),
-                      rename_localities(node.container, mapping), span=node.span)
-    if isinstance(node, Not):
-        return Not(rename_localities(node.inner, mapping), span=node.span)
-    if isinstance(node, And):
-        return And(rename_localities(node.left, mapping),
-                   rename_localities(node.right, mapping), span=node.span)
-    if isinstance(node, Tuple):
-        return Tuple(tuple(rename_localities(e, mapping) for e in node.components),
-                     span=node.span)
-    if isinstance(node, TableByName):
-        return TableByName(node.tid, rename_localities(node.loc, mapping), span=node.span)
-    if isinstance(node, TableLiteral):
-        return TableLiteral(node.interface, _rename_locs_rows(node.rows, mapping),
-                            span=node.span)
-    if isinstance(node, Insert):
-        return Insert(node.tid, rename_localities(node.payload, mapping),
-                      rename_localities(node.loc, mapping), span=node.span)
-    if isinstance(node, Delete):
-        return Delete(node.tid, node.template, rename_localities(node.pred, mapping),
-                      rename_localities(node.loc, mapping), span=node.span)
-    if isinstance(node, Select):
-        return Select(tuple(rename_localities(tb, mapping) for tb in node.tables),
-                      node.template, rename_localities(node.pred, mapping),
-                      rename_localities(node.payload, mapping), node.bind, span=node.span)
-    if isinstance(node, Update):
-        return Update(node.tid, node.template, rename_localities(node.pred, mapping),
-                      rename_localities(node.payload, mapping),
-                      rename_localities(node.loc, mapping), span=node.span)
-    if isinstance(node, Aggr):
-        return Aggr(node.tid, node.template, rename_localities(node.pred, mapping),
-                    node.fn, node.bind_template,
-                    rename_localities(node.loc, mapping), span=node.span)
-    if isinstance(node, Create):
-        return Create(node.tid, rename_localities(node.loc, mapping), node.schema,
-                      span=node.span)
-    if isinstance(node, Drop):
-        return Drop(node.tid, rename_localities(node.loc, mapping), span=node.span)
-    if isinstance(node, Eval):
-        return Eval(rename_localities(node.process, mapping),
-                    rename_localities(node.loc, mapping), span=node.span)
-    if isinstance(node, Prefix):
-        return Prefix(rename_localities(node.action, mapping),
-                      rename_localities(node.cont, mapping), span=node.span)
-    if isinstance(node, CallProc):
-        return CallProc(node.name, tuple(rename_localities(e, mapping) for e in node.args),
-                        span=node.span)
-    if isinstance(node, Foreach):
-        return Foreach(rename_localities(node.table, mapping), node.template,
-                       rename_localities(node.pred, mapping), node.order,
-                       rename_localities(node.body, mapping), span=node.span)
-    if isinstance(node, Seq):
-        return Seq(rename_localities(node.first, mapping),
-                   rename_localities(node.second, mapping), span=node.span)
-    if isinstance(node, ProcComp):
-        return ProcComp(rename_localities(node.process, mapping), span=node.span)
-    if isinstance(node, TableComp):
-        return TableComp(node.interface, _rename_locs_rows(node.rows, mapping),
-                         span=node.span)
-    if isinstance(node, ParComp):
-        return ParComp(rename_localities(node.left, mapping),
-                       rename_localities(node.right, mapping), span=node.span)
-    if isinstance(node, ParNet):
-        return ParNet(rename_localities(node.left, mapping),
-                      rename_localities(node.right, mapping), span=node.span)
-    if isinstance(node, Restrict):
-        inner_map = {k: v for k, v in mapping.items() if k != node.loc}
-        return Restrict(node.loc, rename_localities(node.inner, inner_map), span=node.span)
-    if isinstance(node, Node):
-        return Node(mapping.get(node.loc, node.loc),
-                    rename_localities(node.component, mapping), span=node.span)
-    raise TypeError(f"rename_localities: unsupported node {type(node).__name__}")
-
-
-def _rename_locs_value(v, mapping: dict):
-    if isinstance(v, VLoc):
-        return VLoc(mapping.get(v.name, v.name))
-    if isinstance(v, VSet):
-        return VSet(Multiset([_rename_locs_value(e, mapping) for e in v.elements]))
-    return v
-
-
-def _rename_locs_rows(rows: Multiset, mapping: dict) -> Multiset:
-    return Multiset([
-        ValueTuple(tuple(_rename_locs_value(v, mapping) for v in row.components))
-        for row in rows
-    ])
+    return _RENAME_LOCALITIES.map(node, mapping)

@@ -14,7 +14,6 @@ from typing import Optional
 
 from kdb import syntax as s
 from kdb.kernel import well_sorted_value
-from kdb.values import ValueTuple
 
 
 @dataclass
@@ -581,74 +580,26 @@ def _param_binding(ty):
     return DataBind(ty)
 
 
-def _collect_table_shapes(system: s.System):
-    """Every (tid, schema, span) asserted by literals and create actions."""
-    out = []
+class _TableShapes(s.ScopedMap):
+    """Every (tid, schema, span) asserted by a named table or a create
+    action: tables of the net itself apart from those in its processes."""
 
-    def from_component(c: s.Component):
-        if isinstance(c, s.TableComp):
-            if c.interface.tid is not None:
-                out.append((c.interface.tid, c.interface.schema, c.span))
-        elif isinstance(c, s.ParComp):
-            from_component(c.left)
-            from_component(c.right)
+    def __init__(self):
+        self.net_tables = []
+        self.in_processes = []
 
-    def from_net(n: s.Net):
-        if isinstance(n, s.ParNet):
-            from_net(n.left)
-            from_net(n.right)
-        elif isinstance(n, s.Restrict):
-            from_net(n.inner)
-        elif isinstance(n, s.Node):
-            from_component(n.component)
+    def _table(self, node, env):
+        if node.interface.tid is not None:
+            found = self.net_tables if isinstance(node, s.TableComp) else self.in_processes
+            found.append((node.interface.tid, node.interface.schema, node.span))
+        return node
 
-    def from_process(p: s.Process):
-        if isinstance(p, s.Prefix):
-            from_action(p.action)
-            from_process(p.cont)
-        elif isinstance(p, s.Foreach):
-            from_tableref(p.table)
-            from_process(p.body)
-        elif isinstance(p, s.Seq):
-            from_process(p.first)
-            from_process(p.second)
+    def _create(self, node, env):
+        self.in_processes.append((node.tid, node.schema, node.span))
+        return node
 
-    def from_tableref(tb):
-        if isinstance(tb, s.TableLiteral) and tb.interface.tid is not None:
-            out.append((tb.interface.tid, tb.interface.schema, tb.span))
-
-    def from_action(a: s.Action):
-        if isinstance(a, s.Create):
-            out.append((a.tid, a.schema, a.span))
-        elif isinstance(a, s.Select):
-            for tb in a.tables:
-                from_tableref(tb)
-        elif isinstance(a, s.Eval):
-            from_process(a.process)
-
-    from_net(system.main_net)
-    for d in system.procedures.values():
-        from_process(d.body)
-
-    # Process parts of the net were not walked above; do them now.
-    def procs_in_net(n: s.Net):
-        if isinstance(n, s.ParNet):
-            procs_in_net(n.left)
-            procs_in_net(n.right)
-        elif isinstance(n, s.Restrict):
-            procs_in_net(n.inner)
-        elif isinstance(n, s.Node):
-            procs_in_component(n.component)
-
-    def procs_in_component(c: s.Component):
-        if isinstance(c, s.ProcComp):
-            from_process(c.process)
-        elif isinstance(c, s.ParComp):
-            procs_in_component(c.left)
-            procs_in_component(c.right)
-
-    procs_in_net(system.main_net)
-    return out
+    hooks = {s.TableComp: _table, s.TableLiteral: _table, s.Create: _create,
+             **dict.fromkeys(s.EXPRESSION_NODES, s.keep)}
 
 
 def build_schema_map(system: s.System):
@@ -657,10 +608,17 @@ def build_schema_map(system: s.System):
     Returns (mapping, diagnostics); any tid asserted with two different
     shapes is a conflict.
     """
+    net = _TableShapes()
+    net.map(system.main_net, None)
+    bodies = _TableShapes()
+    for d in system.procedures.values():
+        bodies.map(d.body, None)
+    # The first shape seen wins: declarations, the net's tables, procedure
+    # bodies, then the processes of the net.
+    sources = [(tid, sk, None) for tid, sk in system.schema_decls]
+    sources += net.net_tables + bodies.in_processes + net.in_processes
     nabla: dict = {}
     diags: list = []
-    sources = [(tid, sk, None) for tid, sk in system.schema_decls]
-    sources.extend(_collect_table_shapes(system))
     for tid, sk, span in sources:
         old = nabla.get(tid)
         if old is None:

@@ -84,14 +84,6 @@ class Multiset:
             out[k] = out.get(k, 0) + n
         return Multiset.of_counts(out)
 
-    def intersect(self, other: "Multiset") -> "Multiset":
-        out = {}
-        for k, n in self._counts.items():
-            m = min(n, other.count(k))
-            if m > 0:
-                out[k] = m
-        return Multiset(out)
-
     def subtract(self, other: "Multiset") -> "Multiset":
         out = {}
         for k, n in self._counts.items():
@@ -113,21 +105,6 @@ class Multiset:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {n}" for k, n in self._counts.items())
         return f"Multiset({{{inner}}})"
-
-
-def ms_union(a: Multiset, b: Multiset) -> Multiset:
-    """Pointwise sum of multiplicities."""
-    return a.union(b)
-
-
-def ms_intersect(a: Multiset, b: Multiset) -> Multiset:
-    """Pointwise minimum of multiplicities."""
-    return a.intersect(b)
-
-
-def ms_subtract(a: Multiset, b: Multiset) -> Multiset:
-    """Pointwise truncated difference of multiplicities."""
-    return a.subtract(b)
 
 
 # ---------------------------------------------------------------------------

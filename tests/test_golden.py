@@ -1,4 +1,5 @@
-"""Seeded traces and explored state graphs stay byte-identical to the goldens.
+"""Seeded traces, explored state graphs and front-end output stay byte-identical
+to the goldens.
 
 The goldens under `tests/golden/` were written by `tests/golden/regen.py`;
 see its docstring for what each file pins and how to regenerate them after

@@ -100,6 +100,53 @@ class TestEvalPred:
         assert k.eval_pred(s.Cmp("sub", two, one)) is False
 
 
+class TestEvalUnderEnvironment:
+    """Evaluating under a match's environment agrees with evaluating the
+    term the same substitution yields, errors included."""
+
+    def test_random_terms_agree_with_substitution(self):
+        rng = random.Random(5)
+        values = [VInt(7), VStr("a"), VLoc("l"),
+                  VSet(Multiset([VInt(2), VInt(2), VInt(3)])), VSet(Multiset())]
+        names = ["x", "y", "z"]
+
+        def expr(depth):
+            c = rng.random()
+            if depth == 0 or c < 0.5:
+                if rng.random() < 0.3:
+                    return s.IntLit(rng.randrange(4))
+                return rng.choice([s.DataVar, s.DataVar, s.LocVar])(rng.choice(names))
+            if c < 0.6:
+                return s.MultisetLit((expr(0), expr(0)))
+            if c < 0.95:
+                return s.Arith(rng.choice("+-*/"), expr(depth - 1), expr(depth - 1))
+            return s.Concat(expr(depth - 1), s.StrLit("b"))
+
+        def pred(depth):
+            c = rng.random()
+            if depth == 0 or c < 0.5:
+                if c < 0.1:
+                    return s.Member(expr(1), expr(1))
+                return s.Cmp(rng.choice(s.CMP_OPS), expr(1), expr(1))
+            if c < 0.7:
+                return s.Not(pred(depth - 1))
+            return s.And(pred(depth - 1), pred(depth - 1))
+
+        outcomes = set()
+        for _ in range(1000):
+            # x and y are integers; z is anything, or unbound.
+            env = {"x": VInt(rng.randrange(4)), "y": VInt(rng.randrange(4))}
+            if rng.random() < 0.8:
+                env["z"] = rng.choice(values)
+            p = pred(2)
+            got = k.eval_pred(p, env)
+            assert got == k.eval_pred(k.apply_subst(env, p))
+            outcomes.add(repr(got))
+            t = s.Tuple((expr(2), expr(1)))
+            assert k.eval_tuple(t, env) == k.eval_tuple(k.apply_subst(env, t))
+        assert outcomes == {"True", "False", "ERR"}
+
+
 class TestEvalTuple:
     def test_componentwise(self):
         t = s.Tuple((s.Arith("+", intlit(1), intlit(1)),
@@ -508,8 +555,3 @@ class TestAggregation:
         assert not k.aggr_row_ok(s.AggSum(7), srow("a", 1))
         assert not k.aggr_row_ok(s.AggSum(1), srow("a", 1))
         assert k.aggr_row_ok(s.AggCount(), srow("a"))
-
-    def test_bind_fit(self):
-        assert k.aggr_bind_ok(s.AggSum(1), s.Template((s.BindData("r"),)))
-        assert not k.aggr_bind_ok(s.AggSum(1), s.Template((s.BindLoc("u"),)))
-        assert not k.aggr_bind_ok(s.AggSum(1), s.Template((s.BindData("a"), s.BindData("b"))))

@@ -1,8 +1,10 @@
 """Binding structure and rendering."""
 
+from dataclasses import fields
+
 from fixtures import SEVEN_BINDERS
 from kdb import syntax as s
-from kdb.values import Multiset
+from kdb.values import Multiset, ValueTuple, VInt, VLoc
 
 
 def seven_var_tuple():
@@ -30,8 +32,9 @@ class TestFreeVars:
         assert s.free_vars(payload) == frozenset(SEVEN_BINDERS.names())
 
     def test_prefix_with_no_templates_binds_nothing(self):
-        p = s.Prefix(s.Insert("T", s.Tuple((s.IntLit(1),)), s.LocLit("l")), s.NilProc())
-        assert s.bound_vars(p) == frozenset()
+        cont = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), s.LocLit("l")), s.NilProc())
+        p = s.Prefix(s.Insert("T", s.Tuple((s.IntLit(1),)), s.LocLit("l")), cont)
+        assert s.free_vars(p) == frozenset(["x"])
 
     def test_select_binds_its_table_variable_in_the_continuation(self):
         cont = s.Foreach(s.TableByVar("tbv"), s.Template((s.BindData("x"),)),
@@ -41,7 +44,7 @@ class TestFreeVars:
                           s.Tuple((s.DataVar("a"),)), "tbv")
         p = s.Prefix(action, cont)
         assert "tbv" not in s.free_vars(p)
-        assert "tbv" in s.bound_vars(p)
+        assert "tbv" in s.free_vars(cont)
 
     def test_sequencing_does_not_extend_scope(self):
         first = s.Prefix(
@@ -74,10 +77,44 @@ class TestFreeLocs:
         assert s.free_locs(net) == frozenset(["l1", "l9"])
 
     def test_locality_values_in_rows_are_free(self):
-        from kdb.values import ValueTuple, VLoc
         rows = Multiset([ValueTuple((VLoc("l7"),))])
         net = s.Node("l1", s.TableComp(s.Interface("T", (s.LOC,)), rows))
         assert s.free_locs(net) == frozenset(["l1", "l7"])
+
+
+class TestScopedMap:
+    def test_children_are_listed_in_dataclass_order(self):
+        for cls, children in s.CHILDREN.items():
+            order = [f.name for f in fields(cls)]
+            listed = [order.index(name) for name, _ in children]
+            assert listed == sorted(listed), cls.__name__
+
+    def test_unchanged_node_is_returned_itself(self):
+        p = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), s.LocLit("l")), s.NilProc())
+        assert s.rename_localities(p, {"m": "n"}) is p
+        from kdb.kernel import apply_subst
+        assert apply_subst({"y": VInt(1)}, p) is p
+
+    def test_restriction_shadows_a_renamed_locality(self):
+        inner = s.Node("l", s.ProcComp(s.Prefix(
+            s.Insert("T", s.Tuple((s.LocLit("l"),)), s.LocLit("m")), s.NilProc())))
+        net = s.ParNet(s.Restrict("l", inner), inner)
+        got = s.rename_localities(net, {"l": "a", "m": "b"})
+        assert s.render(got) == ("(new $l) $l :: insert(T@$b, ($l)). nil"
+                                 " || $a :: insert(T@$b, ($a)). nil")
+
+    def test_renamed_rows_keep_their_multiplicities(self):
+        rows = Multiset({ValueTuple((VLoc("a"),)): 2, ValueTuple((VLoc("b"),)): 1,
+                         ValueTuple((VInt(1),)): 1})
+        table = s.TableComp(s.Interface("T", (s.LOC,)), rows)
+        swapped = s.rename_localities(table, {"a": "b", "b": "a"})
+        assert swapped.rows == Multiset({ValueTuple((VLoc("b"),)): 2,
+                                         ValueTuple((VLoc("a"),)): 1,
+                                         ValueTuple((VInt(1),)): 1})
+        merged = s.rename_localities(table, {"a": "b"})
+        assert merged.rows == Multiset({ValueTuple((VLoc("b"),)): 3,
+                                        ValueTuple((VInt(1),)): 1})
+        assert s.rename_localities(table, {"c": "d"}) is table
 
 
 class TestRender:

@@ -167,6 +167,23 @@ class TestActionTyping:
         assert c.type_action(g, a) == [("res", DataBind(s.INT))]
         assert not c.diags
 
+    def test_aggr_result_binder_fit(self):
+        # Every aggregator yields one integer, so only a single `!x` binds it.
+        def check(bind_template):
+            c = fresh_checker()
+            a = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggSum(7), bind_template,
+                       s.LocLit("l1"))
+            return c.type_action(env(), a), c.diags
+
+        assert check(s.Template((s.BindData("r"),))) == ([("r", DataBind(s.INT))], [])
+        binds, diags = check(s.Template((s.BindLoc("u"),)))
+        assert binds is None
+        assert [(d.kind, d.expected, d.found) for d in diags] == [("binder-kind", "Loc", "Int")]
+        binds, diags = check(s.Template((s.BindData("a"), s.BindData("b"))))
+        assert binds is None
+        assert [(d.kind, d.expected, d.found) for d in diags] == [
+            ("template-arity", "(Int)", "(!a, !b)")]
+
     def test_truncated_insert_rejected(self):
         c = fresh_checker()
         a = s.Insert("KLD", s.Tuple((s.StrLit("001"), s.StrLit("HB"), s.StrLit("2015"))),
