@@ -131,6 +131,53 @@ class TestDiagnostics:
             parse_net("$l :: insert(T@$l, (x#1)). nil")
 
 
+PROCESS_EXPECTED = ("(expected a procedure call or aggr or create or delete or drop"
+                    " or eval or foreach or insert or nil or select or update)")
+
+# Each source and the full text of its error: position, message, expected.
+ERRORS = [
+    ("$l :: insert(T@$l, (1)). nil ~", "1:30: unexpected character '~'"),
+    ('$l :: insert(T@$l, ("abc)). nil', "1:21: unexpected character '\"'"),
+    ('$l :: insert(T@$l, ("a\\qb")). nil', "1:21: unknown escape \\q"),
+    ("$l ::\n  insert(T@$l, (1)).", "2:21: expected a process " + PROCESS_EXPECTED),
+    ("$l ::\n  insert(T@$l, (1))",
+     "2:20: unexpected end of input (expected '.' and a continuation)"),
+    ("$l ::\n  insert(T@$l, (1))\n",
+     "3:1: unexpected end of input (expected '.' and a continuation)"),
+    ("$l :: @", "1:7: expected a process " + PROCESS_EXPECTED),
+    ("$l :: insert(T@$l, (1)) nil",
+     "1:25: unexpected 'nil' (expected '.' and a continuation)"),
+    ("$l :: insert(T@, (1)). nil",
+     "1:16: expected a locality (expected $ or a locality variable)"),
+    ("$l :: delete(T@$l, (!x, !x), true). nil",
+     "1:25: template binds 'x' twice; binders must be linear"),
+    ("$l :: foreach(T@$l, (!x), true, asc[0]): nil", "1:37: column indices start at 1"),
+    ("$l :: insert(T@$l, ({1, {2}})). nil", "1:25: multisets cannot nest"),
+    ("$l :: table T : ({Int}) = { ({1, {2}}) }", "1:34: multisets cannot nest"),
+    ('$l :: table T : ({Int}) = { ({1, "a"}) }',
+     "1:30: mixed element kinds in multiset value: ['Int', 'String']"),
+    ("let f(x: Int, x: Int) := nil in nil", "1:5: duplicate parameter name in 'f'"),
+    ("$l :: missing(1)", "1:7: call to undefined procedure 'missing'"),
+    ("let f(x: Int) := nil in $l :: f(1, 2)",
+     "1:31: procedure 'f' takes 1 argument(s), got 2"),
+    # Bad calls: the main net is checked first, then the procedures in order,
+    # and of several bad calls in one of them the last is reported.
+    ("let f(x: Int) := nil in $l :: g(1) || $l :: f(1, 2)",
+     "1:45: procedure 'f' takes 1 argument(s), got 2"),
+    ("let f() := g() and h() := f(1); k() in $l :: f()",
+     "1:12: call to undefined procedure 'g'"),
+    ("let f() := nil and h() := f(1); k() in $l :: f()",
+     "1:33: call to undefined procedure 'k'"),
+]
+
+
+@pytest.mark.parametrize("src, message", ERRORS)
+def test_parse_error_text(src, message):
+    with pytest.raises(ParseError) as exc:
+        parse_system(src)
+    assert str(exc.value) == message
+
+
 class TestRenamingApart:
     def test_reused_binder_names_get_distinct(self):
         src = ("$l :: delete(T@$l, (!x), x = 1). delete(T@$l, (!x), x = 2). nil "
