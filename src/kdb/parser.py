@@ -5,25 +5,37 @@ lowercase (`tp`, `tbv`), localities carry a `$` sigil (`$l1`).  Template
 fields bind data with `!x` and localities with `!@u`, so the parser can tell
 the two kinds of binders apart without type information.
 
-After building the AST the parser runs three passes, each a
-`syntax.ScopedMap` over the binders that `syntax.CHILDREN` declares:
+`tokenize` makes one regular-expression match and one list append per
+token.  A token is a (kind, text, offset) triple; its line and column are
+computed from the offset only for spans and errors.  The list ends in one
+EOF token, which the parser never reads past.  Keyword and operator choices
+are table lookups on the kind.
 
-1. `classify_variables`: a bare name is a locality variable where a `!@u`
-   template field or a Loc parameter binds it, and a data variable
-   otherwise (the parser reads every bare name as data).
-2. `resolve_calls`: every call names a declared procedure and passes it as
-   many arguments as it has parameters.
-3. `rename_apart`: bound names are renamed apart so that no binder name is
-   reused anywhere in the system (fresh names use a `#k` suffix, which the
-   lexer forbids in source), numbered in visit order: procedures in
-   declaration order, then the main net.
+After building the AST, `rename_apart` makes one `syntax.ScopedMap` walk
+over the binders that `syntax.CHILDREN` declares, after two folds that
+collect the names already in use.  Its environment maps each variable in
+scope to its sort and its new name, and each restricted locality to its new
+name.  The walk
+
+- sorts variables: a bare name is a locality variable where a `!@u`
+  template field or a Loc parameter binds it, and a data variable otherwise
+  (the parser reads a bare name as data, or in a locality position as a
+  locality variable);
+- renames bound names apart so that no binder name is reused anywhere in
+  the system (fresh names use a `#k` suffix, which the lexer forbids in
+  source), numbered in visit order: procedures in declaration order, then
+  the main net;
+- collects the procedure calls.  After the walk every call must name a
+  declared procedure and pass it as many arguments as it has parameters.
+  The main net is checked first, then the procedure bodies in declaration
+  order; of several bad calls in one of them, the last is reported.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
 
 from kdb import syntax as s
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
@@ -53,153 +65,167 @@ KEYWORDS = {
     "Int", "String", "Id", "Loc",
 }
 
+# Two-character operators come first, so that the longest one matches.
+OPERATORS = ("||", "::", ":=", "!=", "<=", ">=", "++", "&&", "!@",
+             "(", ")", "[", "]", "{", "}", ",", ".", ";", "@", "$", "!",
+             "<", ">", "=", "+", "-", "*", "/", "|", ":")
+
+# Layout, then one token: the name of the group that matched is its kind.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<int>\d+)
-  | (?P<string>"(?:\\.|[^"\\\n])*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>\|\||::|:=|!=|<=|>=|\+\+|&&|!@|[()\[\]{},.;@$!<>=+\-*/|:])
-    """,
+    r"""\s*(?://[^\n]*\s*)*
+    (?:
+        (?P<INT>\d+)
+      | (?P<STRING>"(?:\\.|[^"\\\n])*")
+      | (?P<TID>[A-Z][A-Za-z0-9_]*)
+      | (?P<NAME>[a-z_][A-Za-z0-9_]*)
+      | (?P<OP>""" + "|".join(map(re.escape, OPERATORS)) + r""")
+      | (?P<EOF>\Z)
+      | (?P<BAD>.)
+    )""",
     re.VERBOSE,
 )
 
+# A keyword or an operator is a kind of its own.
+_OWN_KIND = {text: text for text in (*KEYWORDS, *OPERATORS)}
+
+_ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # INT STRING NAME TID keyword-or-op EOF
-    text: str
-    line: int
-    col: int
+def _line_starts(source: str) -> list:
+    return [0] + [m.end() for m in re.finditer("\n", source)]
 
-    def span(self) -> s.Span:
-        return s.Span(self.line, self.col)
+
+def _position(line_starts: list, offset: int) -> s.Span:
+    line = bisect_right(line_starts, offset)
+    return s.Span(line, offset - line_starts[line - 1] + 1)
+
+
+def _lex_error(message: str, source: str, offset: int) -> ParseError:
+    where = _position(_line_starts(source), offset)
+    return ParseError(message, where.line, where.col)
+
+
+def _unescape(body: str, source: str, offset: int) -> str:
+    def escape(m):
+        if m[1] not in _ESCAPES:
+            raise _lex_error(f"unknown escape \\{m[1]}", source, offset)
+        return _ESCAPES[m[1]]
+
+    return _ESCAPE_RE.sub(escape, body) if "\\" in body else body
 
 
 def tokenize(source: str) -> list:
+    """(kind, text, offset) per token, ending in EOF.
+
+    The kind of a keyword or an operator is its text; the other kinds are
+    INT, STRING (whose text is the unescaped body), TID and NAME.
+    """
     tokens = []
     pos = 0
-    line = 1
-    line_start = 0
-    n = len(source)
-    while pos < n:
+    while True:
         m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
         kind = m.lastgroup
-        text = m.group()
-        col = pos - line_start + 1
-        if kind == "ws" or kind == "comment":
-            pass
-        elif kind == "int":
-            tokens.append(Token("INT", text, line, col))
-        elif kind == "string":
-            body = text[1:-1]
-            out = []
-            i = 0
-            while i < len(body):
-                c = body[i]
-                if c == "\\":
-                    i += 1
-                    esc = body[i]
-                    if esc not in _ESCAPES:
-                        raise ParseError(f"unknown escape \\{esc}", line, col)
-                    out.append(_ESCAPES[esc])
-                else:
-                    out.append(c)
-                i += 1
-            tokens.append(Token("STRING", "".join(out), line, col))
-        elif kind == "ident":
-            if text in KEYWORDS:
-                tokens.append(Token(text, text, line, col))
-            elif text[0].isupper():
-                tokens.append(Token("TID", text, line, col))
-            else:
-                tokens.append(Token("NAME", text, line, col))
+        text = m[kind]
+        start = m.start(kind)
+        if kind == "STRING":
+            text = _unescape(text[1:-1], source, start)
         else:
-            tokens.append(Token(text, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            line_start = pos + text.rfind("\n") + 1
+            kind = _OWN_KIND.get(text, kind)
+            if kind == "BAD":
+                raise _lex_error(f"unexpected character {text!r}", source, start)
+        tokens.append((kind, text, start))
+        if kind == "EOF":
+            return tokens
         pos = m.end()
-    tokens.append(Token("EOF", "", line, n - line_start + 1))
-    return tokens
 
 
-_CMP_TOKENS = ("=", "!=", "<", "<=", ">", ">=")
-_BINOPS = ("++", "+", "-", "*", "/")
+_BASE_TYPES = {kw: kw for kw in ("Int", "String", "Id", "Loc")}
+_ORDERS = {"unordered": s.Unordered, "lex": s.Lex, "asc": s.Asc, "desc": s.Desc}
+_AGGREGATORS = {"count": s.AggCount, "sum": s.AggSum, "avg": s.AggAvg,
+                "min": s.AggMin, "max": s.AggMax}
+_COMPARISONS = {op: op for op in ("=", "!=", "<", "<=", ">", ">=", "in", "sub")}
+_BINOPS = frozenset(("++", "+", "-", "*", "/"))
 _ACTION_KEYWORDS = ("insert", "delete", "select", "update", "aggr", "create", "drop", "eval")
 
 
 class _Parser:
-    def __init__(self, tokens: list):
+    def __init__(self, source: str, tokens: list):
         self.tokens = tokens
         self.pos = 0
+        self.line_starts = _line_starts(source)
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self, ahead: int = 0) -> tuple:
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.tokens[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
+        self.pos += 1
         return t
 
-    def at(self, *kinds) -> bool:
-        return self.peek().kind in kinds
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos][0] == kind
 
-    def accept(self, kind):
-        if self.at(kind):
-            return self.next()
-        return None
+    def accept(self, kind: str):
+        t = self.tokens[self.pos]
+        if t[0] != kind:
+            return None
+        self.pos += 1
+        return t
 
-    def expect(self, kind, what=None) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(
-                f"unexpected {self._describe(t)}", t.line, t.col,
-                expected=(what or kind,),
-            )
-        return self.next()
+    def expect(self, kind: str, what=None) -> tuple:
+        t = self.tokens[self.pos]
+        if t[0] != kind:
+            described = "end of input" if t[0] == "EOF" else repr(t[1])
+            raise self.error(f"unexpected {described}", t, expected=(what or kind,))
+        self.pos += 1
+        return t
 
-    @staticmethod
-    def _describe(t: Token) -> str:
-        if t.kind == "EOF":
-            return "end of input"
-        return repr(t.text)
+    def keyword(self, table: dict, what: str):
+        """The table's entry for the next token, which must be one of its keys."""
+        entry = table.get(self.tokens[self.pos][0])
+        if entry is None:
+            self.fail(f"expected {what}", expected=table)
+        self.pos += 1
+        return entry
+
+    def separated(self, item) -> list:
+        """item (',' item)*"""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
+    def span(self, t: tuple) -> s.Span:
+        return _position(self.line_starts, t[2])
+
+    def error(self, message: str, t: tuple, expected=()) -> ParseError:
+        where = self.span(t)
+        return ParseError(message, where.line, where.col, expected=expected)
 
     def fail(self, message: str, expected=()):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col, expected=expected)
+        raise self.error(message, self.tokens[self.pos], expected)
 
     # -- entry point
 
     def system(self) -> s.System:
         decls = []
-        while self.at("schema"):
-            self.next()
-            tid = self.expect("TID", "table identifier").text
+        while self.accept("schema"):
+            tid = self.expect("TID", "table identifier")[1]
             self.expect(":")
             decls.append((tid, self.schema()))
         procedures = {}
-        if self.at("let"):
-            self.next()
+        if self.accept("let"):
             while True:
                 d = self.procdef()
                 if d.name in procedures:
-                    self.fail(f"procedure {d.name!r} defined twice")
+                    raise ParseError(f"procedure {d.name!r} defined twice",
+                                     d.span.line, d.span.col)
                 procedures[d.name] = d
-                if self.accept("and"):
-                    continue
-                break
+                if not self.accept("and"):
+                    break
             self.expect("in")
         net = self.net()
         self.expect("EOF", "end of input")
@@ -208,48 +234,33 @@ class _Parser:
     def procdef(self) -> s.ProcDef:
         t = self.expect("NAME", "procedure name")
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            while True:
-                pname = self.expect("NAME", "parameter name").text
-                self.expect(":")
-                params.append((pname, self.param_type()))
-                if not self.accept(","):
-                    break
+        params = [] if self.at(")") else self.separated(self.param)
         self.expect(")")
         self.expect(":=")
         body = self.process()
         if len({n for n, _ in params}) != len(params):
-            raise ParseError(f"duplicate parameter name in {t.text!r}", t.line, t.col)
-        return s.ProcDef(t.text, tuple(params), body, span=t.span())
+            raise self.error(f"duplicate parameter name in {t[1]!r}", t)
+        return s.ProcDef(t[1], tuple(params), body, span=self.span(t))
+
+    def param(self) -> tuple:
+        name = self.expect("NAME", "parameter name")[1]
+        self.expect(":")
+        return name, (self.schema() if self.at("(") else self.mtype())
 
     # -- types
 
-    def param_type(self):
-        if self.at("("):
-            return self.schema()
-        return self.mtype()
-
     def schema(self) -> s.Schema:
         self.expect("(", "schema")
-        parts = [self.mtype()]
-        while self.accept(","):
-            parts.append(self.mtype())
+        parts = self.separated(self.mtype)
         self.expect(")")
         return tuple(parts)
 
     def mtype(self) -> s.MType:
         if self.accept("{"):
-            base = self.base_type()
+            base = self.keyword(_BASE_TYPES, "a column type")
             self.expect("}")
             return s.MSet(base)
-        return s.Base(self.base_type())
-
-    def base_type(self) -> str:
-        for kw in ("Int", "String", "Id", "Loc"):
-            if self.accept(kw):
-                return kw
-        self.fail("expected a column type", expected=("Int", "String", "Id", "Loc"))
+        return s.Base(self.keyword(_BASE_TYPES, "a column type"))
 
     # -- nets and components
 
@@ -262,23 +273,19 @@ class _Parser:
     def net_atom(self) -> s.Net:
         t = self.peek()
         if self.accept("nil"):
-            return s.NilNet(span=t.span())
+            return s.NilNet(span=self.span(t))
         if self.accept("ERR"):
-            return s.ErrNet(span=t.span())
-        if self.at("$"):
-            self.next()
-            loc = self.expect("NAME", "locality name").text
+            return s.ErrNet(span=self.span(t))
+        if self.accept("$"):
+            loc = self.expect("NAME", "locality name")[1]
             self.expect("::")
-            return s.Node(loc, self.component(), span=t.span())
-        if self.at("("):
-            if self.peek(1).kind == "new":
-                self.next()
-                self.next()
+            return s.Node(loc, self.component(), span=self.span(t))
+        if self.accept("("):
+            if self.accept("new"):
                 self.expect("$")
-                loc = self.expect("NAME", "locality name").text
+                loc = self.expect("NAME", "locality name")[1]
                 self.expect(")")
-                return s.Restrict(loc, self.net_atom(), span=t.span())
-            self.next()
+                return s.Restrict(loc, self.net_atom(), span=self.span(t))
             inner = self.net()
             self.expect(")")
             return inner
@@ -292,76 +299,58 @@ class _Parser:
 
     def comp_atom(self) -> s.Component:
         t = self.peek()
-        if self.at("table"):
+        if t[0] == "table":
             interface, rows = self.table_literal()
-            return s.TableComp(interface, rows, span=t.span())
-        if self.at("{"):
-            self.next()
+            return s.TableComp(interface, rows, span=self.span(t))
+        if self.accept("{"):
             inner = self.component()
             self.expect("}")
             return inner
-        return s.ProcComp(self.process(), span=t.span())
+        return s.ProcComp(self.process(), span=self.span(t))
 
     def table_literal(self):
         self.expect("table")
-        tid = self.expect("TID", "table identifier").text
+        tid = self.expect("TID", "table identifier")[1]
         self.expect(":")
         sk = self.schema()
         self.expect("=")
-        rows = self.rows()
-        return s.Interface(tid, sk), rows
-
-    def rows(self) -> Multiset:
         self.expect("{")
-        rows = []
-        if not self.at("}"):
-            while True:
-                rows.append(self.row())
-                if not self.accept(","):
-                    break
+        rows = [] if self.at("}") else self.separated(self.row)
         self.expect("}")
-        return Multiset(rows)
+        return s.Interface(tid, sk), Multiset(rows)
 
     def row(self) -> ValueTuple:
         self.expect("(", "row")
-        vals = [self.value()]
-        while self.accept(","):
-            vals.append(self.value())
+        vals = self.separated(self.value)
         self.expect(")")
         return ValueTuple(tuple(vals))
 
     def value(self):
-        t = self.peek()
-        if self.at("INT"):
-            return VInt(int(self.next().text))
-        if self.at("-") and self.peek(1).kind == "INT":
-            self.next()
-            return VInt(-int(self.next().text))
-        if self.at("STRING"):
-            return VStr(self.next().text)
-        if self.at("TID"):
-            return VTid(self.next().text)
-        if self.at("$"):
-            self.next()
-            return VLoc(self.expect("NAME", "locality name").text)
-        if self.at("{"):
-            self.next()
-            elems = [self.scalar_value()]
-            while self.accept(","):
-                elems.append(self.scalar_value())
+        t = self.next()
+        kind = t[0]
+        if kind == "INT":
+            return VInt(int(t[1]))
+        if kind == "-" and self.at("INT"):
+            return VInt(-int(self.next()[1]))
+        if kind == "STRING":
+            return VStr(t[1])
+        if kind == "TID":
+            return VTid(t[1])
+        if kind == "$":
+            return VLoc(self.expect("NAME", "locality name")[1])
+        if kind == "{":
+            elems = self.separated(self.scalar_value)
             self.expect("}")
             try:
                 return VSet(Multiset(elems))
             except ValueError as exc:
-                raise ParseError(str(exc), t.line, t.col) from None
-        self.fail("expected a constant value")
+                raise self.error(str(exc), t) from None
+        raise self.error("expected a constant value", t)
 
     def scalar_value(self):
-        t = self.peek()
         if self.at("{"):
-            raise ParseError("multisets cannot nest", t.line, t.col)
-        v = self.value()
-        return v
+            raise self.error("multisets cannot nest", self.peek())
+        return self.value()
 
     # -- processes
 
@@ -373,14 +362,26 @@ class _Parser:
 
     def proc_atom(self) -> s.Process:
         t = self.peek()
-        if self.accept("nil"):
-            return s.NilProc(span=t.span())
-        if self.at("("):
+        kind = t[0]
+        if kind in _ACTION_KEYWORDS:
+            action = self.action()
+            self.expect(".", "'.' and a continuation")
+            return s.Prefix(action, self.proc_atom(), span=action.span)
+        if kind == "NAME":
+            self.next()
+            self.expect("(")
+            args = [] if self.at(")") else self.separated(self.expr)
+            self.expect(")")
+            return s.CallProc(t[1], tuple(args), span=self.span(t))
+        if kind == "nil":
+            self.next()
+            return s.NilProc(span=self.span(t))
+        if kind == "(":
             self.next()
             inner = self.process()
             self.expect(")")
             return inner
-        if self.at("foreach"):
+        if kind == "foreach":
             self.next()
             self.expect("(")
             table = self.tableref()
@@ -389,134 +390,51 @@ class _Parser:
             self.expect(",")
             pred = self.pred()
             self.expect(",")
-            order = self.order()
+            order = self.keyword(_ORDERS, "a loop order")
+            order = order(self.col_index()) if order in (s.Asc, s.Desc) else order()
             self.expect(")")
             self.expect(":")
             body = self.proc_atom()
-            return s.Foreach(table, template, pred, order, body, span=t.span())
-        if self.at(*_ACTION_KEYWORDS):
-            action = self.action()
-            self.expect(".", "'.' and a continuation")
-            return s.Prefix(action, self.proc_atom(), span=t.span())
-        if self.at("NAME"):
-            name = self.next().text
-            self.expect("(")
-            args = []
-            if not self.at(")"):
-                while True:
-                    args.append(self.expr())
-                    if not self.accept(","):
-                        break
-            self.expect(")")
-            return s.CallProc(name, tuple(args), span=t.span())
+            return s.Foreach(table, template, pred, order, body, span=self.span(t))
         self.fail(
             "expected a process",
             expected=("nil", "foreach", "a procedure call") + _ACTION_KEYWORDS,
         )
 
-    def order(self) -> s.OrderSpec:
-        if self.accept("unordered"):
-            return s.Unordered()
-        if self.accept("lex"):
-            return s.Lex()
-        for kw, cls in (("asc", s.Asc), ("desc", s.Desc)):
-            if self.accept(kw):
-                return cls(self.col_index())
-        self.fail("expected a loop order", expected=("unordered", "asc", "desc", "lex"))
-
     def col_index(self) -> int:
         self.expect("[")
         t = self.expect("INT", "column index")
         self.expect("]")
-        col = int(t.text)
+        col = int(t[1])
         if col < 1:
-            raise ParseError("column indices start at 1", t.line, t.col)
+            raise self.error("column indices start at 1", t)
         return col
-
-    def aggfn(self) -> s.AggrFn:
-        if self.accept("count"):
-            return s.AggCount()
-        for kw, cls in (("sum", s.AggSum), ("avg", s.AggAvg), ("min", s.AggMin), ("max", s.AggMax)):
-            if self.accept(kw):
-                return cls(self.col_index())
-        self.fail("expected an aggregator", expected=("sum", "avg", "count", "min", "max"))
 
     # -- actions
 
     def target(self):
         """`TID@loc` with loc a locality literal or variable."""
-        tid = self.expect("TID", "table identifier").text
+        tid = self.expect("TID", "table identifier")[1]
         self.expect("@")
         return tid, self.loc_expr()
 
     def loc_expr(self) -> s.Expr:
         t = self.peek()
         if self.accept("$"):
-            return s.LocLit(self.expect("NAME", "locality name").text, span=t.span())
-        if self.at("NAME"):
-            return s.LocVar(self.next().text, span=t.span())
+            return s.LocLit(self.expect("NAME", "locality name")[1], span=self.span(t))
+        if self.accept("NAME"):
+            return s.LocVar(t[1], span=self.span(t))
         self.fail("expected a locality", expected=("$", "a locality variable"))
 
     def action(self) -> s.Action:
         t = self.next()
-        kw = t.kind
+        kw = t[0]
+        span = self.span(t)
         self.expect("(")
-        if kw == "insert":
-            tid, loc = self.target()
-            self.expect(",")
-            payload = self.tuple_()
-            self.expect(")")
-            return s.Insert(tid, payload, loc, span=t.span())
-        if kw == "delete":
-            tid, loc = self.target()
-            self.expect(",")
-            template = self.template()
-            self.expect(",")
-            pred = self.pred()
-            self.expect(")")
-            return s.Delete(tid, template, pred, loc, span=t.span())
-        if kw == "update":
-            tid, loc = self.target()
-            self.expect(",")
-            template = self.template()
-            self.expect(",")
-            pred = self.pred()
-            self.expect(",")
-            payload = self.tuple_()
-            self.expect(")")
-            return s.Update(tid, template, pred, payload, loc, span=t.span())
-        if kw == "aggr":
-            tid, loc = self.target()
-            self.expect(",")
-            template = self.template()
-            self.expect(",")
-            pred = self.pred()
-            self.expect(",")
-            fn = self.aggfn()
-            self.expect(",")
-            bind_template = self.template()
-            self.expect(")")
-            return s.Aggr(tid, template, pred, fn, bind_template, loc, span=t.span())
-        if kw == "create":
-            tid, loc = self.target()
-            self.expect(",")
-            sk = self.schema()
-            self.expect(")")
-            return s.Create(tid, loc, sk, span=t.span())
-        if kw == "drop":
-            tid, loc = self.target()
-            self.expect(")")
-            return s.Drop(tid, loc, span=t.span())
-        if kw == "eval":
-            proc = self.process()
-            self.expect(",")
-            loc = self.loc_expr()
-            self.expect(")")
-            return s.Eval(proc, loc, span=t.span())
         if kw == "select":
             tables = [self.tableref()]
             self.expect(",")
-            while not self._template_ahead():
+            while not (self.at("(") and self.peek(1)[0] in ("!", "!@")):
                 tables.append(self.tableref())
                 self.expect(",")
             template = self.template()
@@ -526,33 +444,65 @@ class _Parser:
             payload = self.tuple_()
             self.expect(",")
             self.expect("!")
-            bind = self.expect("NAME", "table variable").text
+            bind = self.expect("NAME", "table variable")[1]
             self.expect(")")
-            return s.Select(tuple(tables), template, pred, payload, bind, span=t.span())
-        raise AssertionError(kw)
-
-    def _template_ahead(self) -> bool:
-        return self.at("(") and self.peek(1).kind in ("!", "!@")
+            return s.Select(tuple(tables), template, pred, payload, bind, span=span)
+        if kw == "eval":
+            proc = self.process()
+            self.expect(",")
+            loc = self.loc_expr()
+            self.expect(")")
+            return s.Eval(proc, loc, span=span)
+        # The other actions share their leading arguments: a target, then
+        # most of them a template and a predicate.
+        tid, loc = self.target()
+        if kw == "drop":
+            self.expect(")")
+            return s.Drop(tid, loc, span=span)
+        self.expect(",")
+        if kw == "insert":
+            payload = self.tuple_()
+            self.expect(")")
+            return s.Insert(tid, payload, loc, span=span)
+        if kw == "create":
+            sk = self.schema()
+            self.expect(")")
+            return s.Create(tid, loc, sk, span=span)
+        template = self.template()
+        self.expect(",")
+        pred = self.pred()
+        if kw == "delete":
+            self.expect(")")
+            return s.Delete(tid, template, pred, loc, span=span)
+        self.expect(",")
+        if kw == "update":
+            payload = self.tuple_()
+            self.expect(")")
+            return s.Update(tid, template, pred, payload, loc, span=span)
+        fn = self.keyword(_AGGREGATORS, "an aggregator")  # aggr
+        fn = fn() if fn is s.AggCount else fn(self.col_index())
+        self.expect(",")
+        bind_template = self.template()
+        self.expect(")")
+        return s.Aggr(tid, template, pred, fn, bind_template, loc, span=span)
 
     def tableref(self) -> s.TableRef:
         t = self.peek()
-        if self.at("table"):
+        if t[0] == "table":
             interface, rows = self.table_literal()
-            return s.TableLiteral(interface, rows, span=t.span())
-        if self.at("TID"):
+            return s.TableLiteral(interface, rows, span=self.span(t))
+        if t[0] == "TID":
             tid, loc = self.target()
-            return s.TableByName(tid, loc, span=t.span())
-        if self.at("NAME"):
-            return s.TableByVar(self.next().text, span=t.span())
+            return s.TableByName(tid, loc, span=self.span(t))
+        if self.accept("NAME"):
+            return s.TableByVar(t[1], span=self.span(t))
         self.fail("expected a table", expected=("TID@loc", "a table variable", "table"))
 
     # -- templates, tuples, predicates, expressions
 
     def template(self) -> s.Template:
         t = self.expect("(", "template")
-        fields = [self.template_field()]
-        while self.accept(","):
-            fields.append(self.template_field())
+        fields = self.separated(self.template_field)
         self.expect(")")
         seen = set()
         for f in fields:
@@ -562,23 +512,21 @@ class _Parser:
                     f.span.line, f.span.col,
                 )
             seen.add(f.name)
-        return s.Template(tuple(fields), span=t.span())
+        return s.Template(tuple(fields), span=self.span(t))
 
     def template_field(self):
         t = self.peek()
         if self.accept("!@"):
-            return s.BindLoc(self.expect("NAME", "locality variable").text, span=t.span())
+            return s.BindLoc(self.expect("NAME", "locality variable")[1], span=self.span(t))
         if self.accept("!"):
-            return s.BindData(self.expect("NAME", "data variable").text, span=t.span())
+            return s.BindData(self.expect("NAME", "data variable")[1], span=self.span(t))
         self.fail("expected a template field", expected=("!x", "!@u"))
 
     def tuple_(self) -> s.Tuple:
         t = self.expect("(", "tuple")
-        comps = [self.expr()]
-        while self.accept(","):
-            comps.append(self.expr())
+        comps = self.separated(self.expr)
         self.expect(")")
-        return s.Tuple(tuple(comps), span=t.span())
+        return s.Tuple(tuple(comps), span=self.span(t))
 
     def pred(self) -> s.Pred:
         left = self.pred_atom()
@@ -589,9 +537,9 @@ class _Parser:
     def pred_atom(self) -> s.Pred:
         t = self.peek()
         if self.accept("true"):
-            return s.TruePred(span=t.span())
+            return s.TruePred(span=self.span(t))
         if self.accept("!"):
-            return s.Not(self.pred_atom(), span=t.span())
+            return s.Not(self.pred_atom(), span=self.span(t))
         if self.at("("):
             # Could be a parenthesized predicate or a parenthesized expression
             # starting a comparison; try the former, fall back to the latter.
@@ -600,74 +548,59 @@ class _Parser:
                 self.next()
                 inner = self.pred()
                 self.expect(")")
-                if not self.at("in", "sub", *_CMP_TOKENS):
+                if self.peek()[0] not in _COMPARISONS:
                     return inner
             except ParseError:
                 pass
             self.pos = mark
         left = self.expr()
-        if self.accept("in"):
-            return s.Member(left, self.expr(), span=t.span())
-        if self.accept("sub"):
-            return s.Cmp("sub", left, self.expr(), span=t.span())
-        for op in _CMP_TOKENS:
-            if self.accept(op):
-                return s.Cmp(op, left, self.expr(), span=t.span())
-        self.fail("expected a comparison", expected=_CMP_TOKENS + ("in", "sub"))
+        op = self.keyword(_COMPARISONS, "a comparison")
+        if op == "in":
+            return s.Member(left, self.expr(), span=self.span(t))
+        return s.Cmp(op, left, self.expr(), span=self.span(t))
 
     def expr(self) -> s.Expr:
         left = self.expr_atom()
-        while True:
-            matched = False
-            for op in _BINOPS:
-                if self.at(op):
-                    t = self.next()
-                    right = self.expr_atom()
-                    if op == "++":
-                        left = s.Concat(left, right, span=t.span())
-                    else:
-                        left = s.Arith(op, left, right, span=t.span())
-                    matched = True
-                    break
-            if not matched:
-                return left
+        while self.peek()[0] in _BINOPS:
+            t = self.next()
+            right = self.expr_atom()
+            if t[0] == "++":
+                left = s.Concat(left, right, span=self.span(t))
+            else:
+                left = s.Arith(t[0], left, right, span=self.span(t))
+        return left
 
     def expr_atom(self) -> s.Expr:
-        t = self.peek()
-        if self.at("INT"):
-            return s.IntLit(int(self.next().text), span=t.span())
-        if self.at("-") and self.peek(1).kind == "INT":
-            self.next()
-            return s.IntLit(-int(self.next().text), span=t.span())
-        if self.at("STRING"):
-            return s.StrLit(self.next().text, span=t.span())
-        if self.at("TID"):
-            return s.TidLit(self.next().text, span=t.span())
-        if self.at("$"):
-            self.next()
-            return s.LocLit(self.expect("NAME", "locality name").text, span=t.span())
-        if self.at("NAME"):
-            # Data vs locality variable is settled by the classification pass.
-            return s.DataVar(self.next().text, span=t.span())
-        if self.at("{"):
-            self.next()
-            elems = [self.multiset_elem()]
-            while self.accept(","):
-                elems.append(self.multiset_elem())
+        t = self.next()
+        kind = t[0]
+        if kind == "NAME":
+            # Data vs locality variable is settled by `rename_apart`.
+            return s.DataVar(t[1], span=self.span(t))
+        if kind == "INT":
+            return s.IntLit(int(t[1]), span=self.span(t))
+        if kind == "STRING":
+            return s.StrLit(t[1], span=self.span(t))
+        if kind == "TID":
+            return s.TidLit(t[1], span=self.span(t))
+        if kind == "$":
+            return s.LocLit(self.expect("NAME", "locality name")[1], span=self.span(t))
+        if kind == "-" and self.at("INT"):
+            return s.IntLit(-int(self.next()[1]), span=self.span(t))
+        if kind == "{":
+            elems = self.separated(self.multiset_elem)
             self.expect("}")
-            return s.MultisetLit(tuple(elems), span=t.span())
-        if self.at("("):
-            self.next()
+            return s.MultisetLit(tuple(elems), span=self.span(t))
+        if kind == "(":
             inner = self.expr()
             self.expect(")")
             return inner
-        self.fail("expected an expression")
+        raise self.error("expected an expression", t)
 
     def multiset_elem(self) -> s.Expr:
         t = self.peek()
         e = self.expr()
         if _contains_multiset(e):
-            raise ParseError("multisets cannot nest", t.line, t.col)
+            raise self.error("multisets cannot nest", t)
         return e
 
 
@@ -680,83 +613,27 @@ def _contains_multiset(e: s.Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Pass 1: classify bare variable occurrences as data vs locality
+# Sorting variables, renaming binders apart and collecting calls, in one walk
 
-class _Classify(s.ScopedMap):
-    """A name is a locality variable where a `!@u` or a Loc parameter binds
-    it; env maps the names in scope to their sorts."""
+class _Resolve(s.ScopedMap):
+    """env is the pair (variables, localities) in scope: `variables` maps a
+    name to its sort ("data", "loc" or "table") and its new name,
+    `localities` maps a restricted locality to its new name.
 
-    def bind(self, names, env):
-        return None, {**env, **dict(names)}
-
-    def _data(self, node, env):
-        if env.get(node.name) == "loc":
-            return s.LocVar(node.name, span=node.span)
-        return node
-
-    def _loc(self, node, env):
-        if env.get(node.name, "loc") != "loc":
-            return s.DataVar(node.name, span=node.span)
-        return node
-
-    hooks = {s.DataVar: _data, s.LocVar: _loc}
-
-
-def classify_variables(system: s.System) -> s.System:
-    return _Classify().map(system, {})
-
-
-# ---------------------------------------------------------------------------
-# Pass 2: resolve procedure calls
-
-class _Calls(s.ScopedMap):
-    """Every procedure call, in visit order."""
-
-    def __init__(self):
-        self.out = []
-
-    def _call(self, node, env):
-        self.out.append(node)
-        return node
-
-    hooks = {s.CallProc: _call, **dict.fromkeys(s.EXPRESSION_NODES, s.keep)}
-
-
-def resolve_calls(system: s.System) -> None:
-    for root in [system.main_net] + [d.body for d in system.procedures.values()]:
-        calls = _Calls()
-        calls.map(root, None)
-        # Of several bad calls in one root, the last one is reported.
-        for p in reversed(calls.out):
-            d = system.procedures.get(p.name)
-            where = p.span or s.Span(0, 0)
-            if d is None:
-                raise ParseError(f"call to undefined procedure {p.name!r}",
-                                 where.line, where.col)
-            if len(d.params) != len(p.args):
-                raise ParseError(
-                    f"procedure {p.name!r} takes {len(d.params)} argument(s), "
-                    f"got {len(p.args)}",
-                    where.line, where.col,
-                )
-
-
-# ---------------------------------------------------------------------------
-# Pass 3: rename bound names apart
-
-class _RenameApart(s.ScopedMap):
-    """Makes every binder name unique across the whole system.
-
-    Variables and localities live in separate namespaces; env is the pair
-    (variable renaming, locality renaming) in scope.  A binder keeps its
-    name on first use and gets a `#k`-suffixed fresh name on any reuse; `#`
-    cannot appear in source names, so fresh names never collide.
+    A binder keeps its name on first use and gets a `#k`-suffixed fresh name
+    on any reuse; `#` cannot appear in source names, so fresh names never
+    collide.  `calls` holds the calls of each root mapped so far.
     """
 
     def __init__(self, used_vars: set, used_locs: set):
         self.used_vars = used_vars
         self.used_locs = used_locs
         self.counter = itertools.count(1)
+        self.calls = []
+
+    def root(self, node):
+        self.calls.append([])
+        return self.map(node, ({}, {}))
 
     def _fresh(self, name: str, used: set) -> str:
         new = name
@@ -766,20 +643,32 @@ class _RenameApart(s.ScopedMap):
         return new
 
     def bind(self, names, env):
-        venv, lenv = env
+        variables, localities = env
         new = tuple(self._fresh(name, self.used_vars) for name, _ in names)
-        return new, ({**venv, **{name: n for (name, _), n in zip(names, new)}}, lenv)
+        scope = dict(variables)
+        for (name, sort), fresh in zip(names, new):
+            scope[name] = (sort, fresh)
+        return new, (scope, localities)
 
     def restrict(self, name, env):
-        venv, lenv = env
+        variables, localities = env
         new = self._fresh(name, self.used_locs)
-        return new, (venv, {**lenv, name: new})
+        return new, (variables, {**localities, name: new})
 
     def site(self, name, env):
         return env[1].get(name, name)
 
     def _var(self, node, env):
-        return s.rename_occurrence(node, env[0])
+        bound = env[0].get(node.name)
+        if bound is None:
+            return node
+        sort, name = bound
+        cls = node.__class__
+        if cls is not s.TableByVar:
+            cls = s.LocVar if sort == "loc" else s.DataVar
+        if cls is node.__class__ and name == node.name:
+            return node
+        return cls(name, span=node.span)
 
     def _loc(self, node, env):
         return s.rename_occurrence(node, env[1])
@@ -787,16 +676,46 @@ class _RenameApart(s.ScopedMap):
     def _table(self, node, env):
         return s.rename_table(node, env[1]) if env[1] else node
 
-    hooks = {s.DataVar: _var, s.LocVar: _var, s.TableByVar: _var,
+    def _call(self, node, env):
+        # A call is a leaf process, so mapping its arguments here adds one
+        # frame at the bottom of the tree only.
+        self.calls[-1].append(node)
+        args = tuple([self.map(a, env) for a in node.args])
+        if all(a is b for a, b in zip(args, node.args)):
+            return node
+        return s.CallProc(node.name, args, span=node.span)
+
+    hooks = {s.DataVar: _var, s.LocVar: _var, s.TableByVar: _var, s.CallProc: _call,
              s.LocLit: _loc, s.TableLiteral: _table, s.TableComp: _table}
 
 
+def _check_calls(calls: list, procedures: dict) -> None:
+    for p in reversed(calls):
+        d = procedures.get(p.name)
+        where = p.span or s.Span(0, 0)
+        if d is None:
+            raise ParseError(f"call to undefined procedure {p.name!r}",
+                             where.line, where.col)
+        if len(d.params) != len(p.args):
+            raise ParseError(
+                f"procedure {p.name!r} takes {len(d.params)} argument(s), "
+                f"got {len(p.args)}",
+                where.line, where.col,
+            )
+
+
 def rename_apart(system: s.System) -> s.System:
+    """Sort variables, rename binders apart and check calls (module docstring)."""
     used_vars = set(s.free_vars(system))
     used_locs = set(s.free_locs(system.main_net))
     for d in system.procedures.values():
         used_locs |= s.loc_names(d.body)
-    return _RenameApart(used_vars, used_locs).map(system, ({}, {}))
+    walk = _Resolve(used_vars, used_locs)
+    procedures = {name: walk.root(d) for name, d in system.procedures.items()}
+    main_net = walk.root(system.main_net)
+    for calls in [walk.calls[-1], *walk.calls[:-1]]:
+        _check_calls(calls, system.procedures)
+    return s.System(procedures, system.schema_decls, main_net)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +724,5 @@ def rename_apart(system: s.System) -> s.System:
 def parse_system(source: str) -> s.System:
     """Parse a full system; raises ParseError on malformed input."""
     tokens = tokenize(source)
-    system = _Parser(tokens).system()
-    system = classify_variables(system)
-    resolve_calls(system)
+    system = _Parser(source, tokens).system()
     return rename_apart(system)

@@ -11,9 +11,9 @@ loop's body; a select's `!t` and an aggr's result template scope over the
 continuation of their prefix; procedure parameters scope over the body; and
 `(new $l)` scopes over its net.  `ScopedMap` is the one traversal that
 table drives.  `free_vars`, `loc_names`, `free_locs` and
-`rename_localities` here, `kernel.apply_subst`, the parser's passes and the
-checker's collection of table shapes are each a few hooks on it.  `render`
-and the type checker stay explicit recursions.
+`rename_localities` here, `kernel.apply_subst`, the parser's renaming walk
+and the checker's collection of table shapes are each a few hooks on it.
+`render` and the type checker stay explicit recursions.
 """
 
 from __future__ import annotations
@@ -873,8 +873,9 @@ class ScopedMap:
     environment its scope gives it, and rebuilds the node from the results;
     it returns the node itself when no child changed.  A subclass says what
     happens at leaves and binders.  A fold is a map whose hooks collect
-    something and return their node.  The recursion is here alone and costs
-    one Python frame per level of the tree; hooks do not recurse.
+    something and return their node.  The recursion is here and costs one
+    Python frame per level of the tree; a hook recurses only below a leaf of
+    the process tree, as the parser's does into a call's arguments.
 
     - `hooks`: class -> function(self, node, env) -> node.  A hook takes
       over its node whole, whether a leaf or a node it need not enter.

@@ -4,7 +4,10 @@ Judgments follow the language's declarative rules; the checker adds error
 recovery (siblings keep getting checked after a failure, dependents are
 suppressed) and runs in time linear in the program text: environments are
 mutated in place with an undo journal, so extension is O(1) per binding and
-lookup is a dict hit.
+lookup is a dict hit.  A scope is a mark of the journal, the binder's
+bindings, and an undo to the mark after its body is checked, all in the
+frame that checks the binder; so checking a straight-line process costs one
+Python frame per action.
 """
 
 from __future__ import annotations
@@ -346,14 +349,6 @@ class Checker:
                                   a.span, expected=s.render_schema(sk),
                                   found=s.render_schema(tt))
             return []
-        if isinstance(a, s.Delete):
-            sk = self._schema_of(a.tid, a.span)
-            binds = self.type_template(sk, a.template)
-            okl = self._check_loc(env, a.loc)
-            if binds is None or not okl:
-                return None
-            ok = self._with_bindings(env, binds, lambda: self.type_pred(env, a.pred))
-            return [] if ok else None
         if isinstance(a, s.Select):
             parts = []
             failed = False
@@ -376,47 +371,34 @@ class Checker:
                         "select-payload",
                         "selection payloads are built from constants and variables",
                         a.span, found=s.render(e))
-            result = {}
-
-            def body():
-                ok = self.type_pred(env, a.pred)
-                result["payload"] = self.type_tuple(env, a.payload)
-                return ok
-
-            ok = self._with_bindings(env, binds, body)
-            if not ok or result.get("payload") is None:
+            mark = self._bind(env, binds)
+            ok = self.type_pred(env, a.pred)
+            payload = self.type_tuple(env, a.payload)
+            env.undo(mark)
+            if not ok or payload is None:
                 return None
-            return [(a.bind, TableBind(result["payload"]))]
-        if isinstance(a, s.Update):
+            return [(a.bind, TableBind(payload))]
+        if isinstance(a, (s.Delete, s.Update, s.Aggr)):
+            # A template over a named table scopes over the predicate and,
+            # of an update, over the payload, which must fit the table.
             sk = self._schema_of(a.tid, a.span)
             binds = self.type_template(sk, a.template)
             okl = self._check_loc(env, a.loc)
             if binds is None or not okl:
                 return None
-            result = {}
-
-            def body():
-                ok = self.type_pred(env, a.pred)
-                result["payload"] = self.type_tuple(env, a.payload)
-                return ok
-
-            ok = self._with_bindings(env, binds, body)
-            if not ok or result.get("payload") is None:
+            mark = self._bind(env, binds)
+            ok = self.type_pred(env, a.pred)
+            payload = self.type_tuple(env, a.payload) if isinstance(a, s.Update) else sk
+            env.undo(mark)
+            if not ok or payload is None:
                 return None
-            if result["payload"] != sk:
+            if payload != sk:
                 return self.error("payload-format",
                                   f"updated row does not fit table {a.tid!r}",
                                   a.span, expected=s.render_schema(sk),
-                                  found=s.render_schema(result["payload"]))
-            return []
-        if isinstance(a, s.Aggr):
-            sk = self._schema_of(a.tid, a.span)
-            binds = self.type_template(sk, a.template)
-            okl = self._check_loc(env, a.loc)
-            if binds is None or not okl:
-                return None
-            if not self._with_bindings(env, binds, lambda: self.type_pred(env, a.pred)):
-                return None
+                                  found=s.render_schema(payload))
+            if not isinstance(a, s.Aggr):
+                return []
             if not isinstance(a.fn, s.AggCount):
                 col = a.fn.col
                 if not (1 <= col <= len(sk)) or sk[col - 1] != s.INT:
@@ -426,10 +408,7 @@ class Checker:
                         f"{name}[{col}] needs an Int column {col} in table {a.tid!r}",
                         a.span, expected="Int",
                         found=_render_mtype(sk[col - 1]) if 1 <= col <= len(sk) else "no such column")
-            out_binds = self.type_template((s.INT,), a.bind_template)
-            if out_binds is None:
-                return None
-            return out_binds
+            return self.type_template((s.INT,), a.bind_template)
         if isinstance(a, s.Create):
             okl = self._check_loc(env, a.loc)
             sk = self._schema_of(a.tid, a.span)
@@ -449,17 +428,15 @@ class Checker:
             return [] if okp and okl else None
         raise TypeError(f"not an action: {a!r}")
 
-    def _with_bindings(self, env: TypeEnv, binds, thunk) -> bool:
+    def _bind(self, env: TypeEnv, binds) -> int:
+        """Opens the scope of `binds`; `env.undo` of the mark returned closes it."""
         mark = env.mark()
         for name, st in binds:
             if env.lookup(name) is not None:
                 # Renaming apart makes shadowing impossible in parsed systems.
                 self.error("shadowing", f"binder {name!r} shadows an existing binding")
             env.bind(name, st)
-        try:
-            return bool(thunk())
-        finally:
-            env.undo(mark)
+        return mark
 
     # -- processes, components, nets
 
@@ -470,7 +447,10 @@ class Checker:
             binds = self.type_action(env, p.action)
             if binds is None:
                 return False
-            return self._with_bindings(env, binds, lambda: self.type_process(env, p.cont))
+            mark = self._bind(env, binds)
+            ok = self.type_process(env, p.cont)
+            env.undo(mark)
+            return ok
         if isinstance(p, s.CallProc):
             d = self.procedures.get(p.name)
             if d is None:
@@ -504,16 +484,15 @@ class Checker:
             binds = self.type_template(sk, p.template)
             if binds is None:
                 return False
-
-            def body():
-                ok = self.type_pred(env, p.pred)
-                return self.type_process(env, p.body) and ok
-
             if not isinstance(p.order, (s.Unordered, s.Lex)):
                 if not (1 <= p.order.col <= len(sk)):
                     self.error("order-column", "loop order names a missing column", p.span)
                     return False
-            return self._with_bindings(env, binds, body)
+            mark = self._bind(env, binds)
+            okp = self.type_pred(env, p.pred)
+            ok = self.type_process(env, p.body) and okp
+            env.undo(mark)
+            return ok
         if isinstance(p, s.Seq):
             a = self.type_process(env, p.first)
             b = self.type_process(env, p.second)

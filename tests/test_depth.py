@@ -2,7 +2,7 @@
 
 Each pass over the syntax recurses once per action of a chain, so these
 lengths pin how many Python frames one level of the tree costs: the parser
-and its passes one, the checker three, and running or exploring two (the
+and its passes one, the checker one, and running or exploring two (the
 rendering in keys and dumps).  A traversal that spent one more frame per
 level would fail here.
 """
@@ -21,8 +21,8 @@ def test_parse_chain_of_900():
     assert parse_system(chain(900)) is not None
 
 
-def test_check_chain_of_300():
-    assert check_system(parse_system(chain(300))) == []
+def test_check_chain_of_900():
+    assert check_system(parse_system(chain(900))) == []
 
 
 def test_run_chain_of_450():

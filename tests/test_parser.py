@@ -157,6 +157,7 @@ ERRORS = [
     ('$l :: table T : ({Int}) = { ({1, "a"}) }',
      "1:30: mixed element kinds in multiset value: ['Int', 'String']"),
     ("let f(x: Int, x: Int) := nil in nil", "1:5: duplicate parameter name in 'f'"),
+    ("let f() := nil\nand f() := nil\nin $l :: nil", "2:5: procedure 'f' defined twice"),
     ("$l :: missing(1)", "1:7: call to undefined procedure 'missing'"),
     ("let f(x: Int) := nil in $l :: f(1, 2)",
      "1:31: procedure 'f' takes 1 argument(s), got 2"),

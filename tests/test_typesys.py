@@ -289,6 +289,24 @@ class TestSystemChecking:
         diags = check_system(parse_system(src))
         assert any(d.kind == "call-argument" for d in diags)
 
+    # The parser rejects bad calls in source text; a System built in code
+    # reaches the checker with them, which reports them before it pairs
+    # parameters with arguments.
+    def test_call_to_unknown_procedure_in_built_system(self):
+        call = s.CallProc("g", (s.IntLit(1),), span=s.Span(1, 7))
+        system = s.System({}, (), s.Node("l", s.ProcComp(call)))
+        (diag,) = check_system(system)
+        assert diag.kind == "unknown-procedure"
+        assert str(diag) == "1:7: call to undefined procedure 'g'"
+
+    def test_call_arity_in_built_system(self):
+        f = s.ProcDef("f", (("x", s.INT),), s.NilProc())
+        call = s.CallProc("f", (s.IntLit(1), s.StrLit("extra")), span=s.Span(1, 7))
+        system = s.System({"f": f}, (), s.Node("l", s.ProcComp(call)))
+        (diag,) = check_system(system)
+        assert diag.kind == "call-arity"
+        assert str(diag) == "1:7: procedure 'f' takes 1 argument(s) (expected 1, found 2)"
+
     def test_foreach_over_named_table_types_against_schema(self):
         src = ('schema T : (String, Int)\n'
                '$l :: table T : (String, Int) = { ("a", 1) } '
