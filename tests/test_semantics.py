@@ -566,6 +566,121 @@ class TestDuplicateTables:
         assert all(label.rule == "INS" for label, _ in transitions)
 
 
+X = s.Template((s.BindData("x"),))
+XY = s.Template((s.BindData("x"), s.BindData("y")))
+AT_L1 = s.LocLit("l1")
+# Comparing an Int with a String is an evaluation error.
+BAD_CMP = s.Cmp("=", s.DataVar("x"), lit("a"))
+NO_ROW = s.Cmp(">", s.DataVar("x"), s.IntLit(5))
+
+
+def t_table(*rows, schema=(s.INT,)) -> s.TableComp:
+    return s.TableComp(s.Interface("T", schema), Multiset(rows))
+
+
+def with_t(action, *rows, schema=(s.INT,)) -> s.Net:
+    """One action at l1 beside an unchecked table T@l1 holding rows."""
+    return s.ParNet(node("l1", s.ProcComp(prefix_chain(action))),
+                    node("l1", t_table(*rows, schema=schema)))
+
+
+def select_t(template, pred, payload, source=s.TableByName("T", AT_L1)) -> s.Select:
+    return s.Select((source,), template, pred, payload, "u")
+
+
+def loop_at_l1(pred, order, *rows, template=X) -> s.Net:
+    table = s.TableLiteral(s.Interface("T", (s.INT,)), Multiset(rows))
+    return node("l1", s.ProcComp(s.Foreach(table, template, pred, order, s.NilProc())))
+
+
+X_PAYLOAD = s.Tuple((s.DataVar("x"),))
+
+MONITORED = [
+    pytest.param(with_t(s.Insert("T", tup("a"), AT_L1), srow(1)),
+                 "INS", "insert into T@l1: bad row format", True, id="ins-bad-row"),
+    pytest.param(with_t(s.Delete("T", XY, s.TruePred(), AT_L1), srow(1)),
+                 "DEL", "delete from T@l1: format or evaluation error", True, id="del-format"),
+    pytest.param(with_t(s.Delete("T", X, BAD_CMP, AT_L1), srow(1), srow(2)),
+                 "DEL", "delete from T@l1: format or evaluation error", True, id="del-eval"),
+    pytest.param(with_t(s.Update("T", XY, s.TruePred(), tup(1, 2), AT_L1), srow(1)),
+                 "UPD", "update T@l1: template mismatch", True, id="upd-template"),
+    pytest.param(with_t(s.Update("T", X, NO_ROW, s.Tuple((s.Concat(s.DataVar("x"), lit("a")),)),
+                                 AT_L1), srow(1)),
+                 "UPD", "update T@l1: format or evaluation error", True,
+                 id="upd-payload-fails-on-rejected-row"),
+    pytest.param(with_t(s.Update("T", X, s.TruePred(), tup("a"), AT_L1), srow(1)),
+                 "UPD", "update T@l1: format or evaluation error", True,
+                 id="upd-new-row-breaks-schema"),
+    pytest.param(with_t(s.Aggr("T", X, s.TruePred(), s.AggSum(1), s.Template((s.BindData("r"),)),
+                               AT_L1), srow("a"), schema=(s.STRING,)),
+                 "AGR", "aggregate over T@l1: signature or evaluation error", True,
+                 id="agr-signature"),
+    pytest.param(with_t(s.Aggr("T", X, BAD_CMP, s.AggCount(), s.Template((s.BindData("r"),)),
+                               AT_L1), srow(1)),
+                 "AGR", "aggregate over T@l1: signature or evaluation error", True,
+                 id="agr-eval"),
+    pytest.param(with_t(select_t(X, s.TruePred(), X_PAYLOAD, source=s.TableByVar("t"))),
+                 "SEL", "select: unresolvable table source", True, id="sel-unresolvable"),
+    pytest.param(with_t(select_t(XY, s.TruePred(), X_PAYLOAD), srow(1)),
+                 "SEL", "select: template does not fit the joined schema", True,
+                 id="sel-template"),
+    pytest.param(with_t(select_t(X, s.TruePred(), X_PAYLOAD), srow(1), srow(1, 2)),
+                 "SEL", "select: row fails to match the template", True, id="sel-row-match"),
+    pytest.param(with_t(select_t(X, BAD_CMP, X_PAYLOAD), srow(1)),
+                 "SEL", "select: evaluation error", True, id="sel-eval"),
+    pytest.param(with_t(select_t(X, s.TruePred(),
+                                 s.Tuple((s.Arith("+", s.DataVar("x"), s.IntLit(1)),))),
+                        srow(1)),
+                 "SEL", "select: malformed payload for schema projection", True,
+                 id="sel-payload"),
+    pytest.param(loop_at_l1(s.TruePred(), s.Asc(2), srow(1)),
+                 "FOR_TT", "loop order names a missing column", True, id="for-order-column"),
+    pytest.param(loop_at_l1(BAD_CMP, s.Unordered(), srow(1), srow(2)),
+                 "FOR_FF", "loop exit: format or evaluation error", True, id="for-exit-error"),
+    pytest.param(loop_at_l1(s.TruePred(), s.Unordered(), srow(1, 2), template=X),
+                 "FOR_FF", "loop exit: format or evaluation error", True, id="for-exit-mismatch"),
+    pytest.param(loop_at_l1(s.Cmp(">", s.DataVar("x"), s.IntLit(0)), s.Unordered(),
+                            srow("a"), srow(1)),
+                 "FOR_TT", "iterate on (1)", False, id="for-iterates-past-a-failing-row"),
+]
+
+
+@pytest.mark.parametrize("net, rule, detail, err", MONITORED)
+def test_monitored_error_outcome(net, rule, detail, err):
+    label, succ = single_step(empty_system(net))
+    assert (label.rule, label.actor, label.detail) == (rule, "l1", detail)
+    assert succ.err == err
+
+
+class TestRunTerminal:
+    def inserts(self, *values) -> s.Net:
+        proc = prefix_chain(*(s.Insert("T", tup(v), AT_L1) for v in values))
+        return s.ParNet(node("l1", s.ProcComp(proc)), node("l1", t_table()))
+
+    def test_no_steps_allowed_on_an_enabled_net_is_the_step_limit(self):
+        trace = run(empty_system(self.inserts(1)), seed=0, max_steps=0)
+        assert (trace.terminal, trace.steps) == ("step-limit", [])
+
+    def test_no_steps_allowed_on_a_quiescent_net_is_quiescent(self):
+        trace = run(empty_system(node("l1", t_table(srow(1)))), seed=0, max_steps=0)
+        assert (trace.terminal, trace.steps) == ("quiescent", [])
+
+    def test_error_on_the_last_allowed_step_is_err(self):
+        trace = run(empty_system(self.inserts("a", 2)), seed=0, max_steps=1)
+        assert trace.terminal == "err"
+        assert [l.rule for l, _ in trace.steps] == ["INS"]
+
+    def test_quiescence_exactly_at_the_limit_is_quiescent(self):
+        trace = run(empty_system(self.inserts(1, 2)), seed=0, max_steps=2)
+        assert trace.terminal == "quiescent"
+        assert len(trace.steps) == 2
+
+    def test_enabled_at_the_limit_is_the_step_limit(self):
+        trace = run(empty_system(self.inserts(1, 2)), seed=0, max_steps=1)
+        assert trace.terminal == "step-limit"
+        assert len(trace.steps) == 1
+
+
 class TestCaseStudyRun:
     def test_summary_row_present_after_the_branch_iteration(self):
         text = (CORPUS / "dept_stores.kdb").read_text()
