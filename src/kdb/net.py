@@ -175,33 +175,10 @@ def to_net(cn: CanonicalNet) -> s.Net:
 # ---------------------------------------------------------------------------
 # Table bookkeeping
 
-def lid(n) -> Multiset:
+def lid(cn: CanonicalNet) -> Multiset:
     """The multiset of (locality, table identifier) pairs of all tables."""
-    if isinstance(n, CanonicalNet):
-        pairs = []
-        for (loc, body), cnt in n.items.items():
-            if _is_table(body):
-                pairs.extend([(loc, body.interface.tid)] * cnt)
-        return Multiset(pairs)
-    if isinstance(n, (s.NilNet, s.ErrNet)):
-        return Multiset()
-    if isinstance(n, s.ParNet):
-        return lid(n.left).union(lid(n.right))
-    if isinstance(n, s.Restrict):
-        return lid(n.inner)
-    if isinstance(n, s.Node):
-        return _lid_component(n.loc, n.component)
-    raise TypeError(f"lid: not a net: {n!r}")
-
-
-def _lid_component(loc: str, comp: s.Component) -> Multiset:
-    if isinstance(comp, s.ProcComp):
-        return Multiset()
-    if isinstance(comp, s.TableComp):
-        return Multiset([(loc, comp.interface.tid)])
-    if isinstance(comp, s.ParComp):
-        return _lid_component(loc, comp.left).union(_lid_component(loc, comp.right))
-    raise TypeError(f"not a component: {comp!r}")
+    return Multiset((loc, body.interface.tid) for (loc, body), n in cn.items.items()
+                    if _is_table(body) for _ in range(n))
 
 
 def no_rep(pairs: Multiset) -> bool:

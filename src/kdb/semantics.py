@@ -2,36 +2,44 @@
 
 Each enabled transition is computed whole: enumerate_transitions returns the
 successor nets themselves, so applying a transition is just picking one.
-Monitored failures (format mismatches, evaluation errors) yield a successor
-that is the collapsed error net; the engine gives that state no transitions.
+
+An outcome has one shape, `_Outcome(new_proc, remove, add)`: the acting
+process item becomes new_proc at its locality and the remove items give way
+to the add items.  A table write removes the old table and adds the new one.
+Insert, delete, update, aggr and drop find their `tid@loc` tables in one
+place (`net.find_tables`) and say only what they do to one table.
+
+The rows of a table action pass once through `_row_pass`: each row is
+matched against the template, and the predicate (with the payload of an
+update or select) is evaluated under the match.  The pass reports the first
+row that fails, and counts the hits and the misses.  Errors are monitored
+there and where an action meets a schema: a bad inserted row, a template that
+does not fit, a failing row, a new row or aggregate that breaks its schema,
+an unresolvable select source or payload, and a loop order naming a missing
+column.  A loop iterates on the rows that hit; a failing row is an error
+only at loop exit.  A monitored error is `kernel.ERR` in place of an outcome; its successor is the
+collapsed error net, which has no transitions.
 
 A step's cost does not grow with tables it does not touch: a successor is
 the parent's item counts with the transition's items swapped
 (`net.make_canonical`), so untouched items are not rehashed; the rendering
 `canonical_key` is computed only for transitions that share a label; and
 tables are ordered by (locality, identifier), rendered only to break a tie.
-
-Predicates and payloads are evaluated once per row under the row's match
-(`kernel.eval_pred(pred, sigma)`); substitution builds new terms only for
-continuations: the process after a select or aggr, a loop body and a
-procedure body.
+Substitution builds new terms only for continuations: the process after a
+select or aggr, a loop body and a procedure body.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 from kdb import kernel as k
 from kdb import net as netmod
 from kdb import syntax as s
 from kdb.net import ERR_NET, CanonicalNet, canonical_key, lid, make_canonical, no_rep
 from kdb.values import Multiset, row_sort_key
-
-# Checks that every enumerated successor, not only the one a scheduler picks,
-# preserves table-identifier integrity.  It costs one `lid` pass over the
-# items (not the rows) per successor, so it stays on.
-CHECK_INTEGRITY = True
 
 
 class IntegrityError(AssertionError):
@@ -67,15 +75,12 @@ class Trace:
 
 @dataclass(frozen=True)
 class _Outcome:
-    """Effect of one transition relative to the acting process item."""
-    new_proc: object = None
-    err: bool = False
-    replace: tuple = ()  # of (old_item, new_item)
+    """Effect of one transition: the acting process item becomes new_proc at
+    its locality, and the remove items give way to the add items.  A
+    monitored error is `kernel.ERR` in place of an outcome."""
+    new_proc: object
     remove: tuple = ()  # of item
     add: tuple = ()  # of item
-
-
-_ERR_OUTCOME = _Outcome(err=True)
 
 
 def known_localities(cn: CanonicalNet) -> frozenset:
@@ -96,259 +101,185 @@ def _is_known_locality(cn: CanonicalNet, loc: str) -> bool:
     return loc in known_localities(cn)
 
 
-def _tables_at(cn: CanonicalNet, loc: str, tid: str) -> list:
-    return netmod.find_tables(cn, loc, tid)
-
-
-def _located_tables(cn: CanonicalNet) -> list:
-    return [(loc, body.interface, body.rows) for loc, body, _ in netmod.table_entries(cn)]
-
-
 def _loc_of(e: s.Expr):
     return e.name if isinstance(e, s.LocLit) else None
 
 
-def _row_err_scan(rows: Multiset, template: s.Template, pred: s.Pred):
-    """True when matching or the predicate fails on any row."""
-    for row in rows.support():
-        sigma = k.match(row, template)
-        if k.is_err(sigma):
-            return True
-        if k.is_err(k.eval_pred(pred, sigma)):
-            return True
-    return False
+class _RowPass(NamedTuple):
+    failure: Optional[str]  # None, or "match" | "eval" for the first row that fails
+    hits: dict  # row, or its payload value, -> count, where the predicate holds
+    misses: dict  # row -> count, where it does not
+    envs: dict  # row -> its match, where the predicate holds
 
 
-def _satisfying(rows: Multiset, template: s.Template, pred: s.Pred) -> Multiset:
-    out = {}
+def _row_pass(rows: Multiset, template: s.Template, pred: s.Pred, payload=None) -> _RowPass:
+    """The monitored pass of an action over rows.
+
+    Each row is matched once, and the predicate, with the payload when one is
+    given, is evaluated under the match.  Every row is visited even after a
+    failure, so a loop still finds the rows it can iterate on.
+    """
+    failure = None
+    hits, misses, envs = {}, {}, {}
     for row, n in rows.items():
         sigma = k.match(row, template)
         if k.is_err(sigma):
+            failure = failure or "match"
             continue
-        if k.eval_pred(pred, sigma) is True:
-            out[row] = n
-    return Multiset(out)
+        holds = k.eval_pred(pred, sigma)
+        hit = row if payload is None else k.eval_tuple(payload, sigma)
+        if k.is_err(holds) or k.is_err(hit):
+            failure = failure or "eval"
+        elif holds:
+            hits[hit] = hits.get(hit, 0) + n
+            envs[row] = sigma
+        else:
+            misses[row] = n
+    return _RowPass(failure, hits, misses, envs)
 
 
-def _action_outcomes(cn: CanonicalNet, actor: str, action: s.Action, cont: s.Process,
-                     sys: s.System) -> list:
+def _write(loc: str, tab: s.TableComp, rows: Multiset, cont: s.Process) -> _Outcome:
+    return _Outcome(cont, remove=((loc, tab),), add=((loc, s.TableComp(tab.interface, rows)),))
+
+
+def _insert(a: s.Insert, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
+    row = k.eval_tuple(a.payload)
+    if k.is_err(row) or not k.well_sorted_value(row, tab.interface.schema):
+        return "INS", f"insert into {a.tid}@{loc}: bad row format", k.ERR
+    return ("INS", f"insert {s.render_row(row)} into {a.tid}@{loc}",
+            _write(loc, tab, tab.rows.add(row), cont))
+
+
+def _delete(a: s.Delete, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
+    if k.well_sorted_template(a.template, tab.interface.schema):
+        found = _row_pass(tab.rows, a.template, a.pred)
+        if not found.failure:
+            return ("DEL", f"delete {sum(found.hits.values())} row(s) from {a.tid}@{loc}",
+                    _write(loc, tab, Multiset.of_counts(found.misses), cont))
+    return "DEL", f"delete from {a.tid}@{loc}: format or evaluation error", k.ERR
+
+
+def _update(a: s.Update, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
+    schema = tab.interface.schema
+    if not k.well_sorted_template(a.template, schema):
+        return "UPD", f"update {a.tid}@{loc}: template mismatch", k.ERR
+    found = _row_pass(tab.rows, a.template, a.pred, a.payload)
+    if found.failure or not all(k.well_sorted_value(row, schema) for row in found.hits):
+        return "UPD", f"update {a.tid}@{loc}: format or evaluation error", k.ERR
+    rows = Multiset.of_counts(found.misses).union(Multiset.of_counts(found.hits))
+    return ("UPD", f"update {sum(found.hits.values())} row(s) of {a.tid}@{loc}",
+            _write(loc, tab, rows, cont))
+
+
+def _aggr(a: s.Aggr, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
+    if k.well_sorted_template(a.template, tab.interface.schema):
+        found = _row_pass(tab.rows, a.template, a.pred)
+        if not found.failure and all(k.aggr_row_ok(a.fn, row)
+                                     for row in [*found.hits, *found.misses]):
+            result = k.apply_aggr(a.fn, Multiset.of_counts(found.hits))
+            sigma = k.match(result, a.bind_template)
+            if not k.is_err(sigma):
+                return ("AGR", f"aggregate over {a.tid}@{loc} -> {s.render_row(result)}",
+                        _Outcome(k.apply_subst(sigma, cont)))
+    return "AGR", f"aggregate over {a.tid}@{loc}: signature or evaluation error", k.ERR
+
+
+def _drop(a: s.Drop, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
+    return "DRP", f"drop {a.tid}@{loc}", _Outcome(cont, remove=((loc, tab),))
+
+
+# What an action naming `tid@loc` does to one table found there.
+_ON_TABLE = {s.Insert: _insert, s.Delete: _delete, s.Update: _update, s.Aggr: _aggr,
+             s.Drop: _drop}
+
+
+def _action_outcomes(cn: CanonicalNet, action: s.Action, cont: s.Process) -> list:
     """All (rule, detail, outcome) triples for one action at its redex."""
-    out = []
-    if isinstance(action, s.Insert):
-        l2 = _loc_of(action.loc)
-        if l2 is None:
-            return out
-        for tab in _tables_at(cn, l2, action.tid):
-            et = k.eval_tuple(action.payload)
-            if k.is_err(et) or not k.well_sorted_value(et, tab.interface.schema):
-                out.append(("INS", f"insert into {action.tid}@{l2}: bad row format",
-                            _ERR_OUTCOME))
-                continue
-            new_tab = s.TableComp(tab.interface, tab.rows.add(et))
-            out.append((
-                "INS", f"insert {s.render_row(et)} into {action.tid}@{l2}",
-                _Outcome(new_proc=cont, replace=(((l2, tab), (l2, new_tab)),)),
-            ))
-        return out
-    if isinstance(action, s.Delete):
-        l2 = _loc_of(action.loc)
-        if l2 is None:
-            return out
-        for tab in _tables_at(cn, l2, action.tid):
-            if (not k.well_sorted_template(action.template, tab.interface.schema)
-                    or _row_err_scan(tab.rows, action.template, action.pred)):
-                out.append(("DEL", f"delete from {action.tid}@{l2}: format or evaluation error",
-                            _ERR_OUTCOME))
-                continue
-            keep = {}
-            removed = 0
-            for row, n in tab.rows.items():
-                sigma = k.match(row, action.template)
-                if k.eval_pred(action.pred, sigma) is True:
-                    removed += n
-                else:
-                    keep[row] = n
-            new_tab = s.TableComp(tab.interface, Multiset(keep))
-            out.append((
-                "DEL", f"delete {removed} row(s) from {action.tid}@{l2}",
-                _Outcome(new_proc=cont, replace=(((l2, tab), (l2, new_tab)),)),
-            ))
-        return out
     if isinstance(action, s.Select):
         return _select_outcomes(cn, action, cont)
-    if isinstance(action, s.Update):
-        l2 = _loc_of(action.loc)
-        if l2 is None:
-            return out
-        for tab in _tables_at(cn, l2, action.tid):
-            sk = tab.interface.schema
-            if not k.well_sorted_template(action.template, sk):
-                out.append(("UPD", f"update {action.tid}@{l2}: template mismatch",
-                            _ERR_OUTCOME))
-                continue
-            err = False
-            kept = {}
-            replaced = {}
-            changed = 0
-            for row, n in tab.rows.items():
-                sigma = k.match(row, action.template)
-                if k.is_err(sigma):
-                    err = True
-                    break
-                holds = k.eval_pred(action.pred, sigma)
-                new_row = k.eval_tuple(action.payload, sigma)
-                if k.is_err(holds) or k.is_err(new_row):
-                    err = True
-                    break
-                if holds is True:
-                    if not k.well_sorted_value(new_row, sk):
-                        err = True
-                        break
-                    replaced[new_row] = replaced.get(new_row, 0) + n
-                    changed += n
-                else:
-                    kept[row] = n
-            if err:
-                out.append(("UPD", f"update {action.tid}@{l2}: format or evaluation error",
-                            _ERR_OUTCOME))
-                continue
-            new_tab = s.TableComp(tab.interface, Multiset(kept).union(Multiset(replaced)))
-            out.append((
-                "UPD", f"update {changed} row(s) of {action.tid}@{l2}",
-                _Outcome(new_proc=cont, replace=(((l2, tab), (l2, new_tab)),)),
-            ))
-        return out
-    if isinstance(action, s.Aggr):
-        l2 = _loc_of(action.loc)
-        if l2 is None:
-            return out
-        for tab in _tables_at(cn, l2, action.tid):
-            sk = tab.interface.schema
-            bad = not k.well_sorted_template(action.template, sk)
-            if not bad:
-                for row in tab.rows.support():
-                    sigma = k.match(row, action.template)
-                    if (k.is_err(sigma)
-                            or k.is_err(k.eval_pred(action.pred, sigma))
-                            or not k.aggr_row_ok(action.fn, row)):
-                        bad = True
-                        break
-            if not bad:
-                sat = _satisfying(tab.rows, action.template, action.pred)
-                result = k.apply_aggr(action.fn, sat)
-                sigma2 = k.match(result, action.bind_template)
-                bad = k.is_err(sigma2)
-            if bad:
-                out.append(("AGR", f"aggregate over {action.tid}@{l2}: signature or evaluation error",
-                            _ERR_OUTCOME))
-                continue
-            out.append((
-                "AGR",
-                f"aggregate over {action.tid}@{l2} -> {s.render_row(result)}",
-                _Outcome(new_proc=k.apply_subst(sigma2, cont)),
-            ))
-        return out
+    loc = _loc_of(action.loc)
+    if loc is None:
+        return []
+    on_table = _ON_TABLE.get(type(action))
+    if on_table is not None:
+        return [on_table(action, loc, tab, cont)
+                for tab in netmod.find_tables(cn, loc, action.tid)]
+    if not _is_known_locality(cn, loc):
+        return []
     if isinstance(action, s.Create):
-        l2 = _loc_of(action.loc)
-        if l2 is None or not _is_known_locality(cn, l2):
-            return out
-        interface = s.Interface(action.tid, action.schema)
-        if (l2, action.tid) in lid(cn):
-            out.append(("CRT", f"create {action.tid}@{l2}: skipped, identifier taken",
-                        _Outcome(new_proc=cont)))
-        else:
-            out.append(("CRT", f"create {action.tid}@{l2}",
-                        _Outcome(new_proc=cont, add=((l2, s.TableComp(interface, Multiset())),))))
-        return out
-    if isinstance(action, s.Drop):
-        l2 = _loc_of(action.loc)
-        if l2 is None:
-            return out
-        for tab in _tables_at(cn, l2, action.tid):
-            out.append(("DRP", f"drop {action.tid}@{l2}",
-                        _Outcome(new_proc=cont, remove=((l2, tab),))))
-        return out
+        if (loc, action.tid) in lid(cn):
+            return [("CRT", f"create {action.tid}@{loc}: skipped, identifier taken",
+                     _Outcome(cont))]
+        table = s.TableComp(s.Interface(action.tid, action.schema), Multiset())
+        return [("CRT", f"create {action.tid}@{loc}", _Outcome(cont, add=((loc, table),)))]
     if isinstance(action, s.Eval):
-        l2 = _loc_of(action.loc)
-        if l2 is None or not _is_known_locality(cn, l2):
-            return out
         if s.free_vars(action.process):
-            return out
-        out.append(("EVL", f"spawn process at {l2}",
-                    _Outcome(new_proc=cont, add=((l2, action.process),))))
-        return out
+            return []
+        return [("EVL", f"spawn process at {loc}",
+                 _Outcome(cont, add=((loc, action.process),)))]
     raise TypeError(f"not an action: {action!r}")
 
 
+_SELECT_FAILURE = {"match": "select: row fails to match the template",
+                   "eval": "select: evaluation error"}
+
+
 def _select_outcomes(cn: CanonicalNet, action: s.Select, cont: s.Process) -> list:
-    located = _located_tables(cn)
+    located = [(loc, tab.interface, tab.rows) for loc, tab, _ in netmod.table_entries(cn)]
     for tb in action.tables:
         if isinstance(tb, s.TableLiteral):
             continue
         if isinstance(tb, s.TableByVar) or not isinstance(getattr(tb, "loc", None), s.LocLit):
             # An unresolvable source can never become resolvable: monitor it.
-            return [("SEL", "select: unresolvable table source", _ERR_OUTCOME)]
+            return [("SEL", "select: unresolvable table source", k.ERR)]
         if not any(loc == tb.loc.name and i.tid == tb.tid for loc, i, _ in located):
             return []  # premise fails; may become enabled later
     jsk = k.join_schemas(action.tables, located)
     jrows = k.join_rows(action.tables, located)
     assert jsk is not None and jrows is not None
     if not k.well_sorted_template(action.template, jsk):
-        return [("SEL", "select: template does not fit the joined schema", _ERR_OUTCOME)]
-    result = {}
-    matched = 0
-    for row, n in jrows.items():
-        sigma = k.match(row, action.template)
-        if k.is_err(sigma):
-            return [("SEL", "select: row fails to match the template", _ERR_OUTCOME)]
-        holds = k.eval_pred(action.pred, sigma)
-        payload = k.eval_tuple(action.payload, sigma)
-        if k.is_err(holds) or k.is_err(payload):
-            return [("SEL", "select: evaluation error", _ERR_OUTCOME)]
-        if holds is True:
-            result[payload] = result.get(payload, 0) + n
-            matched += n
+        return [("SEL", "select: template does not fit the joined schema", k.ERR)]
+    found = _row_pass(jrows, action.template, action.pred, action.payload)
+    if found.failure:
+        return [("SEL", _SELECT_FAILURE[found.failure], k.ERR)]
     proj = k.project_schema(jsk, action.template, action.payload)
     if proj is None:
-        return [("SEL", "select: malformed payload for schema projection", _ERR_OUTCOME)]
-    table = s.TableLiteral(s.Interface(None, proj), Multiset(result))
-    sigma2 = {action.bind: table}
+        return [("SEL", "select: malformed payload for schema projection", k.ERR)]
+    table = s.TableLiteral(s.Interface(None, proj), Multiset.of_counts(found.hits))
     return [(
-        "SEL", f"select {matched} row(s) into !{action.bind}",
-        _Outcome(new_proc=k.apply_subst(sigma2, cont)),
+        "SEL", f"select {sum(found.hits.values())} row(s) into !{action.bind}",
+        _Outcome(k.apply_subst({action.bind: table}, cont)),
     )]
 
 
-def _foreach_outcomes(cn: CanonicalNet, p: s.Foreach) -> list:
+def _foreach_outcomes(p: s.Foreach) -> list:
     if not isinstance(p.table, s.TableLiteral):
         return []  # loops run over materialized tables only
     rows = p.table.rows
-    sat = _satisfying(rows, p.template, p.pred)
-    if sat:
-        if isinstance(p.order, (s.Asc, s.Desc)):
-            arity = min(len(r) for r in sat.support())
-            if p.order.col > arity:
-                return [("FOR_TT", "loop order names a missing column", _ERR_OUTCOME)]
-        out = []
-        for t0 in sorted(k.minimal(sat, p.order), key=row_sort_key):
-            sigma = k.match(t0, p.template)
-            rest = s.TableLiteral(p.table.interface, rows.subtract(Multiset([t0])))
-            succ = s.Seq(
-                k.apply_subst(sigma, p.body),
-                s.Foreach(rest, p.template, p.pred, p.order, p.body),
-            )
-            out.append(("FOR_TT", f"iterate on {s.render_row(t0)}", _Outcome(new_proc=succ)))
-        return out
-    if _row_err_scan(rows, p.template, p.pred):
-        return [("FOR_FF", "loop exit: format or evaluation error", _ERR_OUTCOME)]
-    return [("FOR_FF", "loop exhausted", _Outcome(new_proc=s.NilProc()))]
+    found = _row_pass(rows, p.template, p.pred)
+    if not found.hits:
+        if found.failure:
+            return [("FOR_FF", "loop exit: format or evaluation error", k.ERR)]
+        return [("FOR_FF", "loop exhausted", _Outcome(s.NilProc()))]
+    if (isinstance(p.order, (s.Asc, s.Desc))
+            and p.order.col > min(len(row) for row in found.hits)):
+        return [("FOR_TT", "loop order names a missing column", k.ERR)]
+    out = []
+    for t0 in sorted(k.minimal(Multiset.of_counts(found.hits), p.order), key=row_sort_key):
+        rest = s.TableLiteral(p.table.interface, rows.subtract(Multiset([t0])))
+        succ = s.Seq(
+            k.apply_subst(found.envs[t0], p.body),
+            s.Foreach(rest, p.template, p.pred, p.order, p.body),
+        )
+        out.append(("FOR_TT", f"iterate on {s.render_row(t0)}", _Outcome(succ)))
+    return out
 
 
-def _proc_outcomes(cn: CanonicalNet, actor: str, proc: s.Process, sys: s.System) -> list:
+def _proc_outcomes(cn: CanonicalNet, proc: s.Process, sys: s.System) -> list:
     if isinstance(proc, s.NilProc):
         return []
     if isinstance(proc, s.Prefix):
-        return _action_outcomes(cn, actor, proc.action, proc.cont, sys)
+        return _action_outcomes(cn, proc.action, proc.cont)
     if isinstance(proc, s.CallProc):
         d = sys.procedures.get(proc.name)
         if d is None:
@@ -360,34 +291,27 @@ def _proc_outcomes(cn: CanonicalNet, actor: str, proc: s.Process, sys: s.System)
                 return []
             vals.append(v)
         sigma = {name: v for (name, _), v in zip(d.params, vals)}
-        body = k.apply_subst(sigma, d.body)
-        return [("CALL", f"call {proc.name}", _Outcome(new_proc=body))]
+        return [("CALL", f"call {proc.name}", _Outcome(k.apply_subst(sigma, d.body)))]
     if isinstance(proc, s.Foreach):
-        return _foreach_outcomes(cn, proc)
+        return _foreach_outcomes(proc)
     if isinstance(proc, s.Seq):
         lifted = []
-        for rule, detail, oc in _proc_outcomes(cn, actor, proc.first, sys):
-            if oc.err:
+        for rule, detail, oc in _proc_outcomes(cn, proc.first, sys):
+            if k.is_err(oc):
                 lifted.append((rule, detail, oc))
-                continue
-            if isinstance(oc.new_proc, s.NilProc):
-                lifted.append(("SEQ_FF", f"[{rule}] {detail}",
-                               _Outcome(new_proc=proc.second, replace=oc.replace,
-                                        remove=oc.remove, add=oc.add)))
+            elif isinstance(oc.new_proc, s.NilProc):
+                lifted.append(("SEQ_FF", f"[{rule}] {detail}", replace(oc, new_proc=proc.second)))
             else:
                 lifted.append(("SEQ_TT", f"[{rule}] {detail}",
-                               _Outcome(new_proc=s.Seq(oc.new_proc, proc.second),
-                                        replace=oc.replace, remove=oc.remove, add=oc.add)))
+                               replace(oc, new_proc=s.Seq(oc.new_proc, proc.second))))
         return lifted
     raise TypeError(f"not a process: {proc!r}")
 
 
-def _apply(cn: CanonicalNet, actor_item, oc: _Outcome) -> CanonicalNet:
-    if oc.err:
+def _apply(cn: CanonicalNet, actor_item, oc) -> CanonicalNet:
+    if k.is_err(oc):
         return ERR_NET
-    removed = [actor_item, *(old for old, _ in oc.replace), *oc.remove]
-    added = [(actor_item[0], oc.new_proc), *(new for _, new in oc.replace), *oc.add]
-    return make_canonical(cn, removed, added)
+    return make_canonical(cn, [actor_item, *oc.remove], [(actor_item[0], oc.new_proc), *oc.add])
 
 
 def enumerate_transitions(cn: CanonicalNet, sys: s.System) -> list:
@@ -396,7 +320,8 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System) -> list:
     Transitions are ordered by label (rule, actor, detail).  Transitions that
     share a label are ordered by the `str` of their successors'
     `canonical_key`, and those with equal keys are merged into the first one
-    found; a label held by one transition needs no key.
+    found; a label held by one transition needs no key.  Every successor, not
+    only the one a scheduler picks, must keep table identifiers unique.
     """
     if cn.err:
         return []
@@ -406,9 +331,9 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System) -> list:
         loc, body = pair
         if isinstance(body, s.TableComp):
             continue
-        for rule, detail, oc in _proc_outcomes(cn, loc, body, sys):
+        for rule, detail, oc in _proc_outcomes(cn, body, sys):
             succ = _apply(cn, pair, oc)
-            if CHECK_INTEGRITY and before_ok and not succ.err and not no_rep(lid(succ)):
+            if before_ok and not succ.err and not no_rep(lid(succ)):
                 raise IntegrityError(
                     f"transition {rule} at {loc} duplicated a table identifier")
             by_label.setdefault(TransitionLabel(rule, loc, detail), []).append(succ)
@@ -439,17 +364,15 @@ def run(sys: s.System, seed: int = 0, max_steps: int = 10000) -> Trace:
     cn = initial
     rng = random.Random(seed)
     steps = []
-    for _ in range(max_steps):
+    while True:
         transitions = enumerate_transitions(cn, sys)
-        if not transitions:
-            return Trace(initial=initial, steps=steps, terminal="quiescent")
-        label, succ = transitions[rng.randrange(len(transitions))]
-        steps.append((label, succ))
-        cn = succ
+        if not transitions or len(steps) >= max_steps:
+            terminal = "step-limit" if transitions else "quiescent"
+            return Trace(initial=initial, steps=steps, terminal=terminal)
+        label, cn = transitions[rng.randrange(len(transitions))]
+        steps.append((label, cn))
         if cn.err:
             return Trace(initial=initial, steps=steps, terminal="err")
-    terminal = "quiescent" if not enumerate_transitions(cn, sys) else "step-limit"
-    return Trace(initial=initial, steps=steps, terminal=terminal)
 
 
 @dataclass

@@ -7,6 +7,7 @@ label-first ordering, kept as the oracle for the faster step path.
   by (rule, actor, detail, str(key)), merging equal (label, key) pairs.
 """
 
+from kdb import kernel as k
 from kdb import semantics
 from kdb import syntax as s
 from kdb.net import ERR_NET, CanonicalNet, canonical_key
@@ -29,15 +30,10 @@ def absorb_nil_units(items: list) -> list:
 
 
 def rebuild_apply(cn: CanonicalNet, actor_item, oc) -> CanonicalNet:
-    if oc.err:
+    if k.is_err(oc):
         return ERR_NET
-    removed = [actor_item]
-    added = [(actor_item[0], oc.new_proc)]
-    for old, new in oc.replace:
-        removed.append(old)
-        added.append(new)
-    removed.extend(oc.remove)
-    added.extend(oc.add)
+    removed = [actor_item, *oc.remove]
+    added = [(actor_item[0], oc.new_proc), *oc.add]
     items = cn.items.subtract(Multiset(removed)).union(Multiset(added))
     return CanonicalNet(tuple(cn.restricted), Multiset(absorb_nil_units(list(items))), cn.err)
 
@@ -48,7 +44,7 @@ def outcomes(cn: CanonicalNet, sys: s.System):
         loc, body = pair
         if isinstance(body, s.TableComp):
             continue
-        for rule, detail, oc in semantics._proc_outcomes(cn, loc, body, sys):
+        for rule, detail, oc in semantics._proc_outcomes(cn, body, sys):
             yield pair, rule, detail, oc
 
 

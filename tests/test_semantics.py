@@ -628,6 +628,8 @@ MONITORED = [
                  "SEL", "select: row fails to match the template", True, id="sel-row-match"),
     pytest.param(with_t(select_t(X, BAD_CMP, X_PAYLOAD), srow(1)),
                  "SEL", "select: evaluation error", True, id="sel-eval"),
+    pytest.param(with_t(select_t(X, BAD_CMP, X_PAYLOAD), srow(1), srow(1, 2)),
+                 "SEL", "select: evaluation error", True, id="sel-first-failing-row-decides"),
     pytest.param(with_t(select_t(X, s.TruePred(),
                                  s.Tuple((s.Arith("+", s.DataVar("x"), s.IntLit(1)),))),
                         srow(1)),

@@ -166,11 +166,11 @@ class TestTableOrder:
         assert [s.render(t) for t in found] == sorted(s.render(t) for t in found)
 
     def test_located_tables_keep_render_order(self, unchecked):
-        expected = [(loc, body.interface, body.rows)
+        expected = [(loc, body, 1)
                     for loc, body in sorted(unchecked.items.support(),
                                             key=netmod._item_sort_key)
                     if isinstance(body, s.TableComp)]
-        assert semantics._located_tables(unchecked) == expected
+        assert netmod.table_entries(unchecked) == expected
         assert [loc for loc, _, _ in expected] == ["l1"] * 4 + ["l2"]
 
     def test_dump_keeps_render_order(self, unchecked):
