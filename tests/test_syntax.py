@@ -2,9 +2,11 @@
 
 from dataclasses import fields
 
-from fixtures import SEVEN_BINDERS
+import pytest
+
+from fixtures import SEVEN_BINDERS, srow
 from kdb import syntax as s
-from kdb.values import Multiset, ValueTuple, VInt, VLoc
+from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VTid
 
 
 def seven_var_tuple():
@@ -122,7 +124,6 @@ class TestRender:
         assert s.render(s.NilNet()) == "nil"
 
     def test_rows_render_sorted(self):
-        from fixtures import srow
         rows = Multiset([srow(2), srow(1)])
         assert s.render_rows(rows) == "{(1), (2)}"
 
@@ -132,3 +133,129 @@ class TestRender:
 
     def test_string_escapes(self):
         assert s.render(s.StrLit('a"b\\c\n')) == '"a\\"b\\\\c\\n"'
+
+
+# Pieces of the render table below.
+X, Y, U = s.DataVar("x"), s.DataVar("y"), s.LocVar("u")
+L = s.LocLit("l")
+ONE = s.IntLit(1)
+NIL = s.NilProc()
+X_EQ_1 = s.Cmp("=", X, ONE)
+X_IN_Y = s.Member(X, Y)
+TRUE = s.TruePred()
+NOT_TRUE = s.Not(TRUE)
+BOTH = s.And(TRUE, TRUE)
+T_AT_L = s.TableByName("T", L)
+BIND_X = s.Template((s.BindData("x"),))
+INSERT = s.Insert("T", s.Tuple((ONE,)), L)
+DROP = s.Drop("T", L)
+NIL_SEQ = s.Seq(NIL, NIL)
+NODE = s.Node("l", s.ProcComp(NIL))
+PAR_NET = s.ParNet(NODE, s.ErrNet())
+INT_TABLE = s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(1)]))
+PAR_COMP = s.ParComp(s.ProcComp(NIL), INT_TABLE)
+PARAMS = (("x", s.INT), ("u", s.LOC), ("i", s.ID), ("s", s.STRING), ("m", s.MSet("Id")),
+          ("t", (s.INT, s.STRING)))
+
+# Every AST class and every position where a child may need parentheses
+# (or braces), with the exact text `render` gives it.  A renderer that adds
+# or drops one pair still round-trips through the parser, so only exact
+# texts pin the parenthesisation.
+RENDER_CASES = [
+    pytest.param(ONE, "1", id="IntLit"),
+    pytest.param(s.StrLit('a"b\\c\n\t\r'), '"a\\"b\\\\c\\n\\t\\r"', id="StrLit-escapes"),
+    pytest.param(s.TidLit("KLD"), "KLD", id="TidLit"),
+    pytest.param(L, "$l", id="LocLit"),
+    pytest.param(X, "x", id="DataVar"),
+    pytest.param(U, "u", id="LocVar"),
+    pytest.param(s.Concat(X, s.StrLit("s")), '(x ++ "s")', id="Concat"),
+    pytest.param(s.Arith("+", ONE, s.Arith("*", X, s.IntLit(2))), "(1 + (x * 2))", id="Arith"),
+    pytest.param(s.MultisetLit((s.TidLit("KLD"), s.TidLit("SH"))), "{KLD, SH}", id="MultisetLit"),
+    pytest.param(TRUE, "true", id="TruePred"),
+    pytest.param(s.Cmp("<=", X, ONE), "x <= 1", id="Cmp"),
+    pytest.param(s.Member(X, s.MultisetLit((ONE,))), "x in {1}", id="Member"),
+    pytest.param(s.Not(X_EQ_1), "!(x = 1)", id="Cmp-under-Not"),
+    pytest.param(s.Not(X_IN_Y), "!(x in y)", id="Member-under-Not"),
+    pytest.param(s.Not(BOTH), "!(true && true)", id="And-under-Not"),
+    pytest.param(NOT_TRUE, "!true", id="TruePred-under-Not"),
+    pytest.param(s.Not(NOT_TRUE), "!!true", id="Not-under-Not"),
+    pytest.param(s.And(X_EQ_1, X_IN_Y), "(x = 1) && (x in y)", id="Cmp-Member-under-And"),
+    pytest.param(s.And(X_IN_Y, X_EQ_1), "(x in y) && (x = 1)", id="Member-Cmp-under-And"),
+    pytest.param(s.And(BOTH, BOTH), "(true && true) && (true && true)", id="And-under-And"),
+    pytest.param(s.And(TRUE, NOT_TRUE), "true && !true", id="TruePred-Not-under-And"),
+    pytest.param(s.And(NOT_TRUE, TRUE), "!true && true", id="Not-TruePred-under-And"),
+    pytest.param(s.Tuple((X, ONE)), "(x, 1)", id="Tuple"),
+    pytest.param(s.Template((s.BindData("x"), s.BindLoc("u"))), "(!x, !@u)",
+                 id="Template-BindData-BindLoc"),
+    pytest.param(s.TableByName("T", U), "T@u", id="TableByName"),
+    pytest.param(s.TableByVar("t"), "t", id="TableByVar"),
+    pytest.param(s.TableLiteral(s.Interface(None, (s.INT,)), Multiset([srow(2), srow(1)])),
+                 "table ? : (Int) = {(1), (2)}", id="TableLiteral-anonymous"),
+    pytest.param(s.TableLiteral(
+        s.Interface("T", (s.STRING, s.MSet("Id"), s.LOC)),
+        Multiset([srow('q"\n', VSet(Multiset([VTid("SH"), VTid("KLD")])), VLoc("l"))])),
+        'table T : (String, {Id}, Loc) = {("q\\"\\n", {KLD, SH}, $l)}',
+        id="TableLiteral-Interface-VSet-VStr-VLoc"),
+    pytest.param(s.AggSum(2), "sum[2]", id="AggSum"),
+    pytest.param(s.AggAvg(1), "avg[1]", id="AggAvg"),
+    pytest.param(s.AggCount(), "count", id="AggCount"),
+    pytest.param(s.AggMin(3), "min[3]", id="AggMin"),
+    pytest.param(s.AggMax(1), "max[1]", id="AggMax"),
+    pytest.param(s.Unordered(), "unordered", id="Unordered"),
+    pytest.param(s.Asc(1), "asc[1]", id="Asc"),
+    pytest.param(s.Desc(2), "desc[2]", id="Desc"),
+    pytest.param(s.Lex(), "lex", id="Lex"),
+    pytest.param(INSERT, "insert(T@$l, (1))", id="Insert"),
+    pytest.param(s.Delete("T", BIND_X, X_EQ_1, U), "delete(T@u, (!x), x = 1)", id="Delete"),
+    pytest.param(s.Select((T_AT_L, s.TableByVar("t")), s.Template((s.BindData("x"), s.BindData("y"))),
+                          BOTH, s.Tuple((X,)), "r"),
+                 "select(T@$l, t, (!x, !y), true && true, (x), !r)", id="Select"),
+    pytest.param(s.Update("T", BIND_X, TRUE, s.Tuple((s.Arith("-", X, ONE),)), L),
+                 "update(T@$l, (!x), true, ((x - 1)))", id="Update"),
+    pytest.param(s.Aggr("T", BIND_X, TRUE, s.AggCount(), s.Template((s.BindData("n"),)), L),
+                 "aggr(T@$l, (!x), true, count, (!n))", id="Aggr"),
+    pytest.param(s.Create("T", L, (s.INT, s.MSet("Id"), s.STRING, s.LOC)),
+                 "create(T@$l, (Int, {Id}, String, Loc))", id="Create-Base-MSet"),
+    pytest.param(DROP, "drop(T@$l)", id="Drop"),
+    pytest.param(s.Eval(NIL_SEQ, L), "eval(nil; nil, $l)", id="Seq-under-Eval"),
+    pytest.param(NIL, "nil", id="NilProc"),
+    pytest.param(s.Prefix(INSERT, s.Prefix(DROP, NIL)), "insert(T@$l, (1)). drop(T@$l). nil",
+                 id="Prefix"),
+    pytest.param(s.Prefix(INSERT, NIL_SEQ), "insert(T@$l, (1)). (nil; nil)", id="Seq-under-Prefix"),
+    pytest.param(s.CallProc("f", (ONE, L)), "f(1, $l)", id="CallProc"),
+    pytest.param(s.CallProc("g", ()), "g()", id="CallProc-no-args"),
+    pytest.param(s.Foreach(s.TableByVar("t"), BIND_X, s.Cmp(">", X, ONE), s.Unordered(), NIL),
+                 "foreach(t, (!x), x > 1, unordered): nil", id="Foreach"),
+    pytest.param(s.Foreach(T_AT_L, BIND_X, TRUE, s.Asc(1), NIL_SEQ),
+                 "foreach(T@$l, (!x), true, asc[1]): (nil; nil)", id="Seq-under-Foreach"),
+    pytest.param(s.Seq(NIL_SEQ, NIL), "(nil; nil); nil", id="Seq-under-Seq-first"),
+    pytest.param(s.Seq(NIL, NIL_SEQ), "nil; nil; nil", id="Seq-under-Seq-second"),
+    pytest.param(s.ProcComp(NIL_SEQ), "nil; nil", id="ProcComp"),
+    pytest.param(INT_TABLE, "table T : (Int) = {(1)}", id="TableComp"),
+    pytest.param(s.ParComp(PAR_COMP, s.ProcComp(NIL)), "{ nil | table T : (Int) = {(1)} } | nil",
+                 id="ParComp-under-ParComp-left"),
+    pytest.param(s.ParComp(s.ProcComp(NIL), PAR_COMP), "nil | { nil | table T : (Int) = {(1)} }",
+                 id="ParComp-under-ParComp-right"),
+    pytest.param(s.NilNet(), "nil", id="NilNet"),
+    pytest.param(s.ErrNet(), "ERR", id="ErrNet"),
+    pytest.param(s.Node("l", PAR_COMP), "$l :: nil | table T : (Int) = {(1)}", id="Node"),
+    pytest.param(s.ParNet(PAR_NET, NODE), "($l :: nil || ERR) || $l :: nil",
+                 id="ParNet-under-ParNet-left"),
+    pytest.param(s.ParNet(NODE, PAR_NET), "$l :: nil || ($l :: nil || ERR)",
+                 id="ParNet-under-ParNet-right"),
+    pytest.param(s.Restrict("l", PAR_NET), "(new $l) ($l :: nil || ERR)", id="ParNet-under-Restrict"),
+    pytest.param(s.Restrict("k", s.Restrict("l", NODE)), "(new $k) (new $l) $l :: nil",
+                 id="Restrict-under-Restrict"),
+    pytest.param(s.System({}, (("T", (s.INT,)), ("T", (s.STRING,))), NODE),
+                 "schema T : (Int)\nschema T : (String)\n$l :: nil", id="System-no-procedures"),
+    pytest.param(s.System({"f": s.ProcDef("f", PARAMS, NIL),
+                           "g": s.ProcDef("g", (), s.CallProc("f", (ONE, L)))},
+                          (), s.Node("l", s.ProcComp(s.CallProc("g", ())))),
+                 "let f(x: Int, u: Loc, i: Id, s: String, m: {Id}, t: (Int, String)) := nil\n"
+                 "and g() := f(1, $l)\nin\n$l :: g()", id="System-ProcDef-params"),
+]
+
+
+@pytest.mark.parametrize("node, text", RENDER_CASES)
+def test_render_text(node, text):
+    assert s.render(node) == text
