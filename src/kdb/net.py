@@ -230,16 +230,25 @@ def canonical_key(cn: CanonicalNet):
 
     Restricted names are anonymized positionally; with several restrictions
     the minimum over their permutations is taken (restriction prefixes are
-    tiny in practice).  The key renders every item, so it is computed only
+    tiny in practice).  The key renders every item, each body that a
+    permutation leaves unchanged only once per call, so it is computed only
     where it decides something: `explore` deduplicates every reached state by
     it, and `semantics.enumerate_transitions` orders and merges the
     successors of transitions that share a label by it.
     """
+    texts = {}  # id(body) -> render(body), for bodies a renaming leaves as they are
+
     def keyed(mapping: dict):
         rows = []
         for (loc, body), cnt in cn.items.items():
             body2 = s.rename_localities(body, mapping)
-            rows.append((mapping.get(loc, loc), s.render(body2), cnt))
+            if body2 is body:
+                text = texts.get(id(body))
+                if text is None:
+                    text = texts[id(body)] = s.render(body)
+            else:
+                text = s.render(body2)
+            rows.append((mapping.get(loc, loc), text, cnt))
         return tuple(sorted(rows))
 
     if not cn.restricted:

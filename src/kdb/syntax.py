@@ -13,7 +13,9 @@ continuation of their prefix; procedure parameters scope over the body; and
 table drives.  `free_vars`, `loc_names`, `free_locs` and
 `rename_localities` here, `kernel.apply_subst`, the parser's renaming walk
 and the checker's collection of table shapes are each a few hooks on it.
-`render` and the type checker stay explicit recursions.
+`render` is driven by a table too, `_FORMAT`, with one format function per
+class and the parenthesisation of tight positions as data; it and the type
+checker recurse on Python frames, as `ScopedMap` does.
 """
 
 from __future__ import annotations
@@ -493,38 +495,41 @@ class System:
 
 # ---------------------------------------------------------------------------
 # Rendering back to concrete syntax
+#
+# _FORMAT holds one format function per class.  A format function renders
+# its children through `_r`, passing the wrap table of the child's position:
+# the classes that bind too loosely there, with the delimiters that wrap
+# them.  `_r` and a format function are the two frames one tree level costs.
 
-def render_mtype(t: MType) -> str:
-    if isinstance(t, Base):
-        return t.kind
-    return "{" + t.kind + "}"
-
-
-def render_schema(sk: Schema) -> str:
-    return "(" + ", ".join(render_mtype(t) for t in sk) + ")"
-
-
-def render_value(v) -> str:
-    if isinstance(v, VInt):
-        return str(v.value)
-    if isinstance(v, VStr):
-        return _quote(v.value)
-    if isinstance(v, VTid):
-        return v.name
-    if isinstance(v, VLoc):
-        return "$" + v.name
-    if isinstance(v, VSet):
-        inner = sorted(v.elements, key=lambda e: render_value(e))
-        return "{" + ", ".join(render_value(e) for e in inner) + "}"
-    raise TypeError(f"not a value: {v!r}")
+_PARENS = ("(", ")")
+_NO_WRAP: dict = {}
+_TIGHT_PROC = {Seq: _PARENS}  # a prefix's continuation, a loop body, a sequence's first half
+_TIGHT_PRED = {Cmp: _PARENS, Member: _PARENS, And: _PARENS}  # under ! and &&
+_TIGHT_COMP = {ParComp: ("{ ", " }")}  # under |
+_TIGHT_NET = {ParNet: _PARENS}  # under || and a restriction
 
 
-def render_row(row: ValueTuple) -> str:
-    return "(" + ", ".join(render_value(v) for v in row.components) + ")"
+def _r(node, wrap=_NO_WRAP) -> str:
+    cls = node.__class__
+    if cls in wrap:
+        left, right = wrap[cls]
+        return left + _FORMAT[cls](node) + right
+    return _FORMAT[cls](node)
 
 
-def render_rows(rows: Multiset) -> str:
-    return "{" + ", ".join(render_row(r) for r in sorted_rows(rows)) + "}"
+def render(node) -> str:
+    """Render an AST node, type, schema, value, row or multiset of rows back
+    to concrete syntax."""
+    try:
+        return _r(node)
+    except KeyError as e:
+        raise TypeError(f"cannot render {e.args[0].__name__}") from None
+
+
+# Public names of the renderers of the pieces below a node.  They are the
+# dispatcher, not `render`, so that only top-level renders pass through
+# `render`.
+render_mtype = render_schema = render_value = render_row = render_rows = _r
 
 
 def _quote(s: str) -> str:
@@ -533,238 +538,96 @@ def _quote(s: str) -> str:
     return '"' + out + '"'
 
 
-def _render_expr(e: Expr) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, StrLit):
-        return _quote(e.value)
-    if isinstance(e, TidLit):
-        return e.name
-    if isinstance(e, LocLit):
-        return "$" + e.name
-    if isinstance(e, (DataVar, LocVar)):
-        return e.name
-    if isinstance(e, Concat):
-        return f"({_render_expr(e.left)} ++ {_render_expr(e.right)})"
-    if isinstance(e, Arith):
-        return f"({_render_expr(e.left)} {e.op} {_render_expr(e.right)})"
-    if isinstance(e, MultisetLit):
-        return "{" + ", ".join(_render_expr(x) for x in e.elements) + "}"
-    raise TypeError(f"not an expression: {e!r}")
+def _join(nodes) -> str:
+    # No list position wraps, so the elements skip `_r`: rows are hot.
+    return ", ".join([_FORMAT[x.__class__](x) for x in nodes])
 
 
-def _pred_atom(p: Pred) -> str:
-    # Anything that is not already an atom gets explicit parentheses.
-    if isinstance(p, TruePred):
-        return "true"
-    if isinstance(p, Not):
-        return _render_pred(p)
-    return "(" + _render_pred(p) + ")"
+def _table(t) -> str:
+    tid = t.interface.tid if t.interface.tid is not None else "?"
+    return f"table {tid} : {_r(t.interface.schema)} = {_r(t.rows)}"
 
 
-def _render_pred(p: Pred) -> str:
-    if isinstance(p, TruePred):
-        return "true"
-    if isinstance(p, Cmp):
-        return f"{_render_expr(p.left)} {p.op} {_render_expr(p.right)}"
-    if isinstance(p, Member):
-        return f"{_render_expr(p.elem)} in {_render_expr(p.container)}"
-    if isinstance(p, Not):
-        return "!" + _pred_atom(p.inner)
-    if isinstance(p, And):
-        return f"{_pred_atom(p.left)} && {_pred_atom(p.right)}"
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-def _render_tuple(t: Tuple) -> str:
-    return "(" + ", ".join(_render_expr(e) for e in t.components) + ")"
-
-
-def _render_template(t: Template) -> str:
-    parts = []
-    for f in t.fields:
-        parts.append(("!" if isinstance(f, BindData) else "!@") + f.name)
-    return "(" + ", ".join(parts) + ")"
-
-
-def _render_tableref(tb: TableRef) -> str:
-    if isinstance(tb, TableByName):
-        return f"{tb.tid}@{_render_expr(tb.loc)}"
-    if isinstance(tb, TableByVar):
-        return tb.name
-    if isinstance(tb, TableLiteral):
-        return _render_table(tb.interface, tb.rows)
-    raise TypeError(f"not a table reference: {tb!r}")
-
-
-def _render_table(interface: Interface, rows: Multiset) -> str:
-    tid = interface.tid if interface.tid is not None else "?"
-    return f"table {tid} : {render_schema(interface.schema)} = {render_rows(rows)}"
-
-
-def _render_aggfn(f: AggrFn) -> str:
-    if isinstance(f, AggSum):
-        return f"sum[{f.col}]"
-    if isinstance(f, AggAvg):
-        return f"avg[{f.col}]"
-    if isinstance(f, AggCount):
-        return "count"
-    if isinstance(f, AggMin):
-        return f"min[{f.col}]"
-    if isinstance(f, AggMax):
-        return f"max[{f.col}]"
-    raise TypeError(f"not an aggregator: {f!r}")
-
-
-def _render_order(o: OrderSpec) -> str:
-    if isinstance(o, Unordered):
-        return "unordered"
-    if isinstance(o, Asc):
-        return f"asc[{o.col}]"
-    if isinstance(o, Desc):
-        return f"desc[{o.col}]"
-    if isinstance(o, Lex):
-        return "lex"
-    raise TypeError(f"not an order: {o!r}")
-
-
-def _render_action(a: Action) -> str:
-    if isinstance(a, Insert):
-        return f"insert({a.tid}@{_render_expr(a.loc)}, {_render_tuple(a.payload)})"
-    if isinstance(a, Delete):
-        return (
-            f"delete({a.tid}@{_render_expr(a.loc)}, "
-            f"{_render_template(a.template)}, {_render_pred(a.pred)})"
-        )
-    if isinstance(a, Select):
-        tables = ", ".join(_render_tableref(tb) for tb in a.tables)
-        return (
-            f"select({tables}, {_render_template(a.template)}, "
-            f"{_render_pred(a.pred)}, {_render_tuple(a.payload)}, !{a.bind})"
-        )
-    if isinstance(a, Update):
-        return (
-            f"update({a.tid}@{_render_expr(a.loc)}, {_render_template(a.template)}, "
-            f"{_render_pred(a.pred)}, {_render_tuple(a.payload)})"
-        )
-    if isinstance(a, Aggr):
-        return (
-            f"aggr({a.tid}@{_render_expr(a.loc)}, {_render_template(a.template)}, "
-            f"{_render_pred(a.pred)}, {_render_aggfn(a.fn)}, "
-            f"{_render_template(a.bind_template)})"
-        )
-    if isinstance(a, Create):
-        return f"create({a.tid}@{_render_expr(a.loc)}, {render_schema(a.schema)})"
-    if isinstance(a, Drop):
-        return f"drop({a.tid}@{_render_expr(a.loc)})"
-    if isinstance(a, Eval):
-        return f"eval({_render_process(a.process)}, {_render_expr(a.loc)})"
-    raise TypeError(f"not an action: {a!r}")
-
-
-def _proc_atom(p: Process) -> str:
-    # Sequencing binds loosest, so it needs parentheses in tight positions.
-    if isinstance(p, Seq):
-        return "(" + _render_process(p) + ")"
-    return _render_process(p)
-
-
-def _render_process(p: Process) -> str:
-    if isinstance(p, NilProc):
-        return "nil"
-    if isinstance(p, Prefix):
-        return f"{_render_action(p.action)}. {_proc_atom(p.cont)}"
-    if isinstance(p, CallProc):
-        return f"{p.name}(" + ", ".join(_render_expr(e) for e in p.args) + ")"
-    if isinstance(p, Foreach):
-        return (
-            f"foreach({_render_tableref(p.table)}, {_render_template(p.template)}, "
-            f"{_render_pred(p.pred)}, {_render_order(p.order)}): {_proc_atom(p.body)}"
-        )
-    if isinstance(p, Seq):
-        return f"{_proc_atom(p.first)}; {_render_process(p.second)}"
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _comp_atom(c: Component) -> str:
-    if isinstance(c, ParComp):
-        return "{ " + _render_component(c) + " }"
-    return _render_component(c)
-
-
-def _render_component(c: Component) -> str:
-    if isinstance(c, ProcComp):
-        return _render_process(c.process)
-    if isinstance(c, TableComp):
-        return _render_table(c.interface, c.rows)
-    if isinstance(c, ParComp):
-        return f"{_comp_atom(c.left)} | {_comp_atom(c.right)}"
-    raise TypeError(f"not a component: {c!r}")
-
-
-def _net_atom(n: Net) -> str:
-    if isinstance(n, ParNet):
-        return "(" + _render_net(n) + ")"
-    return _render_net(n)
-
-
-def _render_net(n: Net) -> str:
-    if isinstance(n, NilNet):
-        return "nil"
-    if isinstance(n, ErrNet):
-        return "ERR"
-    if isinstance(n, Node):
-        return f"${n.loc} :: {_render_component(n.component)}"
-    if isinstance(n, ParNet):
-        return f"{_net_atom(n.left)} || {_net_atom(n.right)}"
-    if isinstance(n, Restrict):
-        return f"(new ${n.loc}) {_net_atom(n.inner)}"
-    raise TypeError(f"not a net: {n!r}")
-
-
-def _render_param(name: str, ty) -> str:
-    if isinstance(ty, tuple):
-        return f"{name}: {render_schema(ty)}"
-    return f"{name}: {render_mtype(ty)}"
-
-
-def _render_system(s: System) -> str:
-    lines = []
-    for tid, sk in s.schema_decls:
-        lines.append(f"schema {tid} : {render_schema(sk)}")
-    defs = list(s.procedures.values())
-    if defs:
-        for i, d in enumerate(defs):
-            kw = "let" if i == 0 else "and"
-            params = ", ".join(_render_param(n, t) for n, t in d.params)
-            lines.append(f"{kw} {d.name}({params}) := {_render_process(d.body)}")
+def _system(system: System) -> str:
+    lines = [f"schema {tid} : {_r(sk)}" for tid, sk in system.schema_decls]
+    for i, d in enumerate(system.procedures.values()):
+        lines.append(("let " if i == 0 else "and ") + _r(d))
+    if system.procedures:
         lines.append("in")
-    lines.append(_render_net(s.main_net))
+    lines.append(_r(system.main_net))
     return "\n".join(lines)
 
 
-_RENDERERS = (
-    ((IntLit, StrLit, TidLit, LocLit, DataVar, LocVar, Concat, Arith, MultisetLit), _render_expr),
-    ((TruePred, Cmp, Member, Not, And), _render_pred),
-    ((Tuple,), _render_tuple),
-    ((Template,), _render_template),
-    ((TableByName, TableByVar, TableLiteral), _render_tableref),
-    ((AggSum, AggAvg, AggCount, AggMin, AggMax), _render_aggfn),
-    ((Unordered, Asc, Desc, Lex), _render_order),
-    ((Insert, Delete, Select, Update, Aggr, Create, Drop, Eval), _render_action),
-    ((NilProc, Prefix, CallProc, Foreach, Seq), _render_process),
-    ((ProcComp, TableComp, ParComp), _render_component),
-    ((NilNet, ErrNet, ParNet, Restrict, Node), _render_net),
-    ((System,), _render_system),
-)
-
-
-def render(node) -> str:
-    """Render any AST node back to concrete syntax."""
-    for classes, fn in _RENDERERS:
-        if isinstance(node, classes):
-            return fn(node)
-    raise TypeError(f"cannot render {type(node).__name__}")
+_FORMAT = {
+    Base: lambda t: t.kind,
+    MSet: lambda t: "{" + t.kind + "}",
+    tuple: lambda sk: "(" + _join(sk) + ")",  # a schema
+    VInt: lambda v: str(v.value),
+    VStr: lambda v: _quote(v.value),
+    VTid: lambda v: v.name,
+    VLoc: lambda v: "$" + v.name,
+    VSet: lambda v: "{" + ", ".join(sorted([_FORMAT[e.__class__](e) for e in v.elements])) + "}",
+    ValueTuple: lambda row: "(" + _join(row.components) + ")",
+    Multiset: lambda rows: "{" + _join(sorted_rows(rows)) + "}",
+    IntLit: lambda e: str(e.value),
+    StrLit: lambda e: _quote(e.value),
+    TidLit: lambda e: e.name,
+    LocLit: lambda e: "$" + e.name,
+    DataVar: lambda e: e.name,
+    LocVar: lambda e: e.name,
+    Concat: lambda e: f"({_r(e.left)} ++ {_r(e.right)})",
+    Arith: lambda e: f"({_r(e.left)} {e.op} {_r(e.right)})",
+    MultisetLit: lambda e: "{" + _join(e.elements) + "}",
+    TruePred: lambda p: "true",
+    Cmp: lambda p: f"{_r(p.left)} {p.op} {_r(p.right)}",
+    Member: lambda p: f"{_r(p.elem)} in {_r(p.container)}",
+    Not: lambda p: "!" + _r(p.inner, _TIGHT_PRED),
+    And: lambda p: f"{_r(p.left, _TIGHT_PRED)} && {_r(p.right, _TIGHT_PRED)}",
+    Tuple: lambda t: "(" + _join(t.components) + ")",
+    BindData: lambda f: "!" + f.name,
+    BindLoc: lambda f: "!@" + f.name,
+    Template: lambda t: "(" + _join(t.fields) + ")",
+    TableByName: lambda tb: f"{tb.tid}@{_r(tb.loc)}",
+    TableByVar: lambda tb: tb.name,
+    TableLiteral: _table,
+    AggSum: lambda f: f"sum[{f.col}]",
+    AggAvg: lambda f: f"avg[{f.col}]",
+    AggCount: lambda f: "count",
+    AggMin: lambda f: f"min[{f.col}]",
+    AggMax: lambda f: f"max[{f.col}]",
+    Unordered: lambda o: "unordered",
+    Asc: lambda o: f"asc[{o.col}]",
+    Desc: lambda o: f"desc[{o.col}]",
+    Lex: lambda o: "lex",
+    Insert: lambda a: f"insert({a.tid}@{_r(a.loc)}, {_r(a.payload)})",
+    Delete: lambda a: f"delete({a.tid}@{_r(a.loc)}, {_r(a.template)}, {_r(a.pred)})",
+    Select: lambda a: (f"select({_join(a.tables)}, {_r(a.template)}, {_r(a.pred)}, "
+                       f"{_r(a.payload)}, !{a.bind})"),
+    Update: lambda a: (f"update({a.tid}@{_r(a.loc)}, {_r(a.template)}, {_r(a.pred)}, "
+                       f"{_r(a.payload)})"),
+    Aggr: lambda a: (f"aggr({a.tid}@{_r(a.loc)}, {_r(a.template)}, {_r(a.pred)}, "
+                     f"{_r(a.fn)}, {_r(a.bind_template)})"),
+    Create: lambda a: f"create({a.tid}@{_r(a.loc)}, {_r(a.schema)})",
+    Drop: lambda a: f"drop({a.tid}@{_r(a.loc)})",
+    Eval: lambda a: f"eval({_r(a.process)}, {_r(a.loc)})",
+    NilProc: lambda p: "nil",
+    Prefix: lambda p: f"{_r(p.action)}. {_r(p.cont, _TIGHT_PROC)}",
+    CallProc: lambda p: f"{p.name}({_join(p.args)})",
+    Foreach: lambda p: (f"foreach({_r(p.table)}, {_r(p.template)}, {_r(p.pred)}, "
+                        f"{_r(p.order)}): {_r(p.body, _TIGHT_PROC)}"),
+    Seq: lambda p: f"{_r(p.first, _TIGHT_PROC)}; {_r(p.second)}",
+    ProcComp: lambda c: _r(c.process),
+    TableComp: _table,
+    ParComp: lambda c: f"{_r(c.left, _TIGHT_COMP)} | {_r(c.right, _TIGHT_COMP)}",
+    NilNet: lambda n: "nil",
+    ErrNet: lambda n: "ERR",
+    Node: lambda n: f"${n.loc} :: {_r(n.component)}",
+    ParNet: lambda n: f"{_r(n.left, _TIGHT_NET)} || {_r(n.right, _TIGHT_NET)}",
+    Restrict: lambda n: f"(new ${n.loc}) {_r(n.inner, _TIGHT_NET)}",
+    ProcDef: lambda d: (d.name + "(" + ", ".join([f"{name}: {_r(ty)}" for name, ty in d.params])
+                        + ") := " + _r(d.body)),
+    System: _system,
+}
 
 
 # ---------------------------------------------------------------------------

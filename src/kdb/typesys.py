@@ -92,11 +92,7 @@ class TypeEnv:
 
 
 def _render_mtype(t) -> str:
-    if t is None:
-        return "?"
-    if isinstance(t, tuple):
-        return s.render_schema(t)
-    return s.render_mtype(t)
+    return "?" if t is None else s.render_mtype(t)
 
 
 _AGG_NAMES = {s.AggSum: "sum", s.AggAvg: "avg", s.AggMin: "min", s.AggMax: "max"}
