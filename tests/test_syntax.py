@@ -210,10 +210,10 @@ RENDER_CASES = [
     pytest.param(s.Select((T_AT_L, s.TableByVar("t")), s.Template((s.BindData("x"), s.BindData("y"))),
                           BOTH, s.Tuple((X,)), "r"),
                  "select(T@$l, t, (!x, !y), true && true, (x), !r)", id="Select"),
-    pytest.param(s.Update("T", BIND_X, TRUE, s.Tuple((s.Arith("-", X, ONE),)), L),
-                 "update(T@$l, (!x), true, ((x - 1)))", id="Update"),
-    pytest.param(s.Aggr("T", BIND_X, TRUE, s.AggCount(), s.Template((s.BindData("n"),)), L),
-                 "aggr(T@$l, (!x), true, count, (!n))", id="Aggr"),
+    pytest.param(s.Update("T", BIND_X, X_EQ_1, s.Tuple((s.Arith("-", X, ONE),)), L),
+                 "update(T@$l, (!x), x = 1, ((x - 1)))", id="Update"),
+    pytest.param(s.Aggr("T", BIND_X, X_IN_Y, s.AggCount(), s.Template((s.BindData("n"),)), L),
+                 "aggr(T@$l, (!x), x in y, count, (!n))", id="Aggr"),
     pytest.param(s.Create("T", L, (s.INT, s.MSet("Id"), s.STRING, s.LOC)),
                  "create(T@$l, (Int, {Id}, String, Loc))", id="Create-Base-MSet"),
     pytest.param(DROP, "drop(T@$l)", id="Drop"),
@@ -230,6 +230,13 @@ RENDER_CASES = [
                  "foreach(T@$l, (!x), true, asc[1]): (nil; nil)", id="Seq-under-Foreach"),
     pytest.param(s.Seq(NIL_SEQ, NIL), "(nil; nil); nil", id="Seq-under-Seq-first"),
     pytest.param(s.Seq(NIL, NIL_SEQ), "nil; nil; nil", id="Seq-under-Seq-second"),
+    pytest.param(s.Prefix(INSERT, s.Foreach(T_AT_L, BIND_X, TRUE, s.Lex(),
+                                            s.Prefix(DROP, s.CallProc("g", ())))),
+                 "insert(T@$l, (1)). foreach(T@$l, (!x), true, lex): drop(T@$l). g()",
+                 id="Foreach-CallProc-in-tight-positions"),
+    pytest.param(s.Seq(s.Foreach(s.TableByVar("t"), BIND_X, TRUE, s.Desc(2), s.CallProc("g", ())),
+                       s.CallProc("g", ())),
+                 "foreach(t, (!x), true, desc[2]): g(); g()", id="Foreach-under-Seq-first"),
     pytest.param(s.ProcComp(NIL_SEQ), "nil; nil", id="ProcComp"),
     pytest.param(INT_TABLE, "table T : (Int) = {(1)}", id="TableComp"),
     pytest.param(s.ParComp(PAR_COMP, s.ProcComp(NIL)), "{ nil | table T : (Int) = {(1)} } | nil",
@@ -246,12 +253,14 @@ RENDER_CASES = [
     pytest.param(s.Restrict("l", PAR_NET), "(new $l) ($l :: nil || ERR)", id="ParNet-under-Restrict"),
     pytest.param(s.Restrict("k", s.Restrict("l", NODE)), "(new $k) (new $l) $l :: nil",
                  id="Restrict-under-Restrict"),
-    pytest.param(s.System({}, (("T", (s.INT,)), ("T", (s.STRING,))), NODE),
-                 "schema T : (Int)\nschema T : (String)\n$l :: nil", id="System-no-procedures"),
-    pytest.param(s.System({"f": s.ProcDef("f", PARAMS, NIL),
+    pytest.param(s.ParNet(s.NilNet(), s.Restrict("k", NODE)), "nil || (new $k) $l :: nil",
+                 id="NilNet-Restrict-under-ParNet"),
+    pytest.param(s.System({}, (("T", (s.INT,)), ("T", (s.STRING,))), PAR_NET),
+                 "schema T : (Int)\nschema T : (String)\n$l :: nil || ERR", id="System-no-procedures"),
+    pytest.param(s.System({"f": s.ProcDef("f", PARAMS, NIL_SEQ),
                            "g": s.ProcDef("g", (), s.CallProc("f", (ONE, L)))},
                           (), s.Node("l", s.ProcComp(s.CallProc("g", ())))),
-                 "let f(x: Int, u: Loc, i: Id, s: String, m: {Id}, t: (Int, String)) := nil\n"
+                 "let f(x: Int, u: Loc, i: Id, s: String, m: {Id}, t: (Int, String)) := nil; nil\n"
                  "and g() := f(1, $l)\nin\n$l :: g()", id="System-ProcDef-params"),
 ]
 
