@@ -4,9 +4,11 @@
 construction: every action is assembled against the schemas of the tables it
 touches, and every variable occurrence comes from an enclosing binder of the
 right type.  `corrupt` then breaks one action in a way the checker must
-catch and a run is likely to trip over.
+catch and a run is likely to trip over; `corrupt_select_or_loop` breaks a
+select or a loop anywhere in a process, which `corrupt` never does.
 """
 
+import dataclasses
 import random
 
 from kdb import syntax as s
@@ -387,3 +389,57 @@ def corrupt(system: s.System, rng: random.Random):
                         schema_decls=system.schema_decls,
                         main_net=rebuild(system.main_net, list(path)))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Corruption of a select or a loop, wherever it sits
+
+def _subterms(node):
+    """Every node below `node`, itself included, in field order."""
+    yield node
+    for name, shape in s.CHILDREN.get(node.__class__, ()):
+        child = getattr(node, name)
+        if shape == s.MANY:
+            for x in child:
+                yield from _subterms(x)
+        elif shape == s.PROCS:
+            for d in child.values():
+                yield from _subterms(d)
+        elif shape in (s.ONE, s.SCOPED, s.ACTION):
+            yield from _subterms(child)
+
+
+def _replace_node(node, target, new):
+    """`node` with every occurrence of the object `target` replaced by `new`."""
+    if node is target:
+        return new
+    changes = {}
+    for name, shape in s.CHILDREN.get(node.__class__, ()):
+        child = getattr(node, name)
+        if shape == s.MANY:
+            changes[name] = tuple(_replace_node(x, target, new) for x in child)
+        elif shape == s.PROCS:
+            changes[name] = {k: _replace_node(d, target, new) for k, d in child.items()}
+        elif shape in (s.ONE, s.SCOPED, s.ACTION):
+            changes[name] = _replace_node(child, target, new)
+    return dataclasses.replace(node, **changes) if changes else node
+
+
+def corrupt_select_or_loop(system: s.System, rng: random.Random):
+    """A copy with one select or loop broken, or None if the system has neither.
+
+    A select gets a template one field longer than its joined schema, so it
+    fails as soon as its tables exist (`SEL`).  A loop gets an order column
+    past its template's arity, so it fails when it has a row to take
+    (`FOR_TT`).  Either way the checker rejects the copy too.
+    """
+    sites = [n for n in _subterms(system) if isinstance(n, (s.Select, s.Foreach))]
+    if not sites:
+        return None
+    target = rng.choice(sites)
+    if isinstance(target, s.Select):
+        fields = target.template.fields + (s.BindData("v0"),)  # generated names start at v1
+        bad = dataclasses.replace(target, template=s.Template(fields))
+    else:
+        bad = dataclasses.replace(target, order=s.Asc(len(target.template.fields) + 1))
+    return _replace_node(system, target, bad)

@@ -58,17 +58,29 @@ def shared_site() -> s.System:
     return s.System(procedures={}, schema_decls=(), main_net=net)
 
 
+def generated(seed: int) -> s.System:
+    if seed % 2:
+        return gensys.typed_system(seed, max_procs=3, max_steps=6, max_rows=4)
+    return gensys.typed_system(seed)
+
+
+def broken_selects_and_loops():
+    """Generated systems with a select or a loop corrupted."""
+    for seed in range(120):
+        bad = gensys.corrupt_select_or_loop(generated(seed), random.Random(seed))
+        if bad is not None:
+            yield bad
+
+
 def population():
     """Generated systems, their corrupted copies and the shared-site program."""
     for seed in range(120):
-        if seed % 2:
-            sys1 = gensys.typed_system(seed, max_procs=3, max_steps=6, max_rows=4)
-        else:
-            sys1 = gensys.typed_system(seed)
+        sys1 = generated(seed)
         yield sys1
         bad = gensys.corrupt(sys1, random.Random(seed))
         if bad is not None:
             yield bad
+    yield from broken_selects_and_loops()
     yield shared_site()
 
 
@@ -117,6 +129,16 @@ class TestLabelFirstOrder:
                 assert [label_key(t) for t in got] == sorted(label_key(t) for t in got)
                 compared += len(got)
         assert compared > 1000
+
+
+    def test_population_reaches_select_and_loop_errors(self):
+        rules = set()
+        for sys1 in broken_selects_and_loops():
+            for cn in visited(sys1):
+                rules.update(label.rule for label, succ in
+                             semantics.enumerate_transitions(cn, sys1) if succ.err)
+        assert "SEL" in rules
+        assert any(rule.startswith("FOR_") for rule in rules)
 
 
 class TestDeltaSuccessors:
