@@ -27,8 +27,8 @@ name.  The walk
   the main net;
 - collects the procedure calls.  After the walk every call must name a
   declared procedure and pass it as many arguments as it has parameters.
-  The main net is checked first, then the procedure bodies in declaration
-  order; of several bad calls in one of them, the last is reported.
+  Of several bad calls the first in source order is reported: the walk
+  visits the procedures before the main net, and each in source order.
 """
 
 from __future__ import annotations
@@ -622,7 +622,7 @@ class _Resolve(s.ScopedMap):
 
     A binder keeps its name on first use and gets a `#k`-suffixed fresh name
     on any reuse; `#` cannot appear in source names, so fresh names never
-    collide.  `calls` holds the calls of each root mapped so far.
+    collide.  `calls` holds the calls mapped so far, in visit order.
     """
 
     def __init__(self, used_vars: set, used_locs: set):
@@ -630,10 +630,6 @@ class _Resolve(s.ScopedMap):
         self.used_locs = used_locs
         self.counter = itertools.count(1)
         self.calls = []
-
-    def root(self, node):
-        self.calls.append([])
-        return self.map(node, ({}, {}))
 
     def _fresh(self, name: str, used: set) -> str:
         new = name
@@ -679,7 +675,7 @@ class _Resolve(s.ScopedMap):
     def _call(self, node, env):
         # A call is a leaf process, so mapping its arguments here adds one
         # frame at the bottom of the tree only.
-        self.calls[-1].append(node)
+        self.calls.append(node)
         args = tuple([self.map(a, env) for a in node.args])
         if all(a is b for a, b in zip(args, node.args)):
             return node
@@ -690,7 +686,7 @@ class _Resolve(s.ScopedMap):
 
 
 def _check_calls(calls: list, procedures: dict) -> None:
-    for p in reversed(calls):
+    for p in calls:
         d = procedures.get(p.name)
         where = p.span or s.Span(0, 0)
         if d is None:
@@ -711,10 +707,9 @@ def rename_apart(system: s.System) -> s.System:
     for d in system.procedures.values():
         used_locs |= s.loc_names(d.body)
     walk = _Resolve(used_vars, used_locs)
-    procedures = {name: walk.root(d) for name, d in system.procedures.items()}
-    main_net = walk.root(system.main_net)
-    for calls in [walk.calls[-1], *walk.calls[:-1]]:
-        _check_calls(calls, system.procedures)
+    procedures = {name: walk.map(d, ({}, {})) for name, d in system.procedures.items()}
+    main_net = walk.map(system.main_net, ({}, {}))
+    _check_calls(walk.calls, system.procedures)
     return s.System(procedures, system.schema_decls, main_net)
 
 

@@ -161,14 +161,13 @@ ERRORS = [
     ("$l :: missing(1)", "1:7: call to undefined procedure 'missing'"),
     ("let f(x: Int) := nil in $l :: f(1, 2)",
      "1:31: procedure 'f' takes 1 argument(s), got 2"),
-    # Bad calls: the main net is checked first, then the procedures in order,
-    # and of several bad calls in one of them the last is reported.
+    # Of several bad calls, the first in source order is reported.
     ("let f(x: Int) := nil in $l :: g(1) || $l :: f(1, 2)",
-     "1:45: procedure 'f' takes 1 argument(s), got 2"),
+     "1:31: call to undefined procedure 'g'"),
     ("let f() := g() and h() := f(1); k() in $l :: f()",
      "1:12: call to undefined procedure 'g'"),
     ("let f() := nil and h() := f(1); k() in $l :: f()",
-     "1:33: call to undefined procedure 'k'"),
+     "1:27: procedure 'f' takes 0 argument(s), got 1"),
 ]
 
 
