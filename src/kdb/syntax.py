@@ -510,6 +510,7 @@ _TIGHT_NET = {ParNet: _PARENS}  # under || and a restriction
 
 
 def _r(node, wrap=_NO_WRAP) -> str:
+    """The node's text, wrapped when its class is in `wrap`."""
     cls = node.__class__
     if cls in wrap:
         left, right = wrap[cls]
@@ -526,9 +527,9 @@ def render(node) -> str:
         raise TypeError(f"cannot render {e.args[0].__name__}") from None
 
 
-# Public names of the renderers of the pieces below a node.  They are the
-# dispatcher, not `render`, so that only top-level renders pass through
-# `render`.
+# The renderers of the pieces below a node are `_r` itself, not `render`, so
+# that wrapping `render` (as `perfbench/tracer.py` does) sees only top-level
+# renders.
 render_mtype = render_schema = render_value = render_row = render_rows = _r
 
 
