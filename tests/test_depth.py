@@ -5,6 +5,9 @@ lengths pin how many Python frames one level of the tree costs: the parser
 and its passes one, the checker one, and running or exploring two (the
 rendering in keys and dumps).  A traversal that spent one more frame per
 level would fail here.
+
+Wide nets pin the same for the `||` spine of a net: the parser's passes
+recurse once per node, and canonicalize must not recurse at all.
 """
 
 from kdb import semantics
@@ -15,6 +18,13 @@ from kdb.typesys import check_system
 def chain(n: int) -> str:
     steps = "".join(f"insert(T@$l, ({i})). " for i in range(n))
     return f"schema T : (Int)\n$l :: {steps}nil || $l :: table T : (Int) = {{}}\n"
+
+
+def wide(n: int, process: str = "insert(T@$l{i}, ({i})).nil") -> str:
+    """n nodes side by side, each a process beside its own table."""
+    nodes = " || ".join(f"$l{i} :: {{ {process.format(i=i)} | table T : (Int) = {{}} }}"
+                        for i in range(n))
+    return f"schema T : (Int)\n{nodes}\n"
 
 
 def test_parse_chain_of_900():
@@ -35,3 +45,19 @@ def test_explore_chain_of_450():
     result = semantics.explore(parse_system(chain(450)), bound=3)
     assert result.truncated
     assert result.states == 3
+
+
+def test_wide_net_of_900():
+    sys1 = parse_system(wide(900))
+    assert check_system(sys1) == []
+    trace = semantics.run(sys1, seed=0, max_steps=1)
+    assert trace.terminal == "step-limit"
+    assert len(trace.steps) == 1
+
+
+def test_explore_wide_net_of_900():
+    # Every successor's key renders every item, so exploring 900 enabled
+    # inserts costs about 900 x 1,800 renders; nodes with nothing left to do
+    # take the net through explore's canonicalize and key alone.
+    result = semantics.explore(parse_system(wide(900, "nil")), bound=3)
+    assert (result.states, len(result.quiescent), result.truncated) == (1, 1, False)

@@ -8,7 +8,17 @@ import pytest
 from fixtures import KLD_ROWS, KLD_SCHEMA, SEVEN_BINDERS, srow
 from kdb import kernel as k
 from kdb import syntax as s
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
+from kdb.values import (
+    Multiset,
+    ValueTuple,
+    VInt,
+    VLoc,
+    VSet,
+    VStr,
+    VTid,
+    row_sort_key,
+    value_sort_key,
+)
 
 
 def intlit(n):
@@ -485,6 +495,25 @@ class TestJoins:
             assert got == want
 
 
+def _pairwise_minimal(rows: Multiset, order: s.OrderSpec) -> frozenset:
+    """The rows no other row strictly precedes, by comparing every pair."""
+
+    def precedes(a: ValueTuple, b: ValueTuple) -> bool:
+        if a == b:
+            return True
+        if isinstance(order, s.Unordered):
+            return False
+        if isinstance(order, s.Asc):
+            return value_sort_key(a[order.col - 1]) < value_sort_key(b[order.col - 1])
+        if isinstance(order, s.Desc):
+            return value_sort_key(a[order.col - 1]) > value_sort_key(b[order.col - 1])
+        return row_sort_key(a) < row_sort_key(b)
+
+    support = rows.support()
+    return frozenset(t for t in support
+                     if all(u == t or not precedes(u, t) for u in support))
+
+
 class TestMinimal:
     def test_ascending_singleton(self):
         rows = Multiset([srow(1), srow(2), srow(2)])
@@ -510,11 +539,36 @@ class TestMinimal:
                 for _ in range(rng.randrange(1, 6))
             ])
             got = k.minimal(rows, s.Lex())
-            from kdb.values import row_sort_key
             first = min(rows.support(), key=row_sort_key)
             want = frozenset(r for r in rows.support() if row_sort_key(r) == row_sort_key(first))
             assert got == want
             assert len(got) == 1
+
+    def test_agrees_with_the_pairwise_definition(self):
+        # Rows of up to three columns, each drawing from every value kind, so
+        # that a column can mix kinds as an unchecked net's can.
+        pools = [
+            [VInt(n) for n in range(-1, 2)],
+            [VStr(c) for c in "ab"],
+            [VTid("K"), VTid("T")],
+            [VLoc("l1"), VLoc("l2")],
+            [VSet(Multiset()), VSet(Multiset([VInt(1), VInt(1)])), VSet(Multiset([VStr("a")]))],
+        ]
+        rng = random.Random(11)
+        for trial in range(300):
+            arity = rng.randrange(1, 4)
+            kinds = [rng.randrange(len(pools)) for _ in range(arity)]
+            mixed = trial % 3 == 0
+
+            def cell(i):
+                return rng.choice(pools[rng.randrange(len(pools)) if mixed else kinds[i]])
+
+            rows = Multiset([ValueTuple(tuple(cell(i) for i in range(arity)))
+                             for _ in range(rng.randrange(1, 7))])
+            orders = [s.Lex(), s.Unordered()]
+            orders += [order(col) for order in (s.Asc, s.Desc) for col in range(1, arity + 1)]
+            for order in orders:
+                assert k.minimal(rows, order) == _pairwise_minimal(rows, order), (rows, order)
 
 
 class TestAggregation:

@@ -176,6 +176,39 @@ class TestSelection:
         assert loop.table.rows == Multiset([
             srow("green", 10), srow("green", 20), srow("brown", 10), srow("brown", 20)])
 
+    def test_join_of_a_literal_and_a_named_table(self):
+        # The joined schema is the sources' schemas laid end to end, and a
+        # joined row occurs as often as the product of its parts' counts.
+        literal = s.TableLiteral(s.Interface(None, (s.INT,)),
+                                 Multiset({srow(1): 2, srow(2): 1}))
+        named = s.TableComp(s.Interface("T", (s.STRING,)),
+                            Multiset({srow("a"): 1, srow("b"): 3}))
+        action = s.Select((literal, s.TableByName("T", s.LocLit("l1"))),
+                          XY, s.TruePred(), s.Tuple((s.DataVar("x"), s.DataVar("y"))), "tbv")
+        cont = s.Foreach(s.TableByVar("tbv"), XY, s.TruePred(), s.Unordered(), s.NilProc())
+        net = s.ParNet(node("l0", s.ProcComp(s.Prefix(action, cont))), node("l1", named))
+        label, succ = single_step(empty_system(net))
+        assert label.rule == "SEL"
+        loop = next(body for loc, body in succ.items.support()
+                    if loc == "l0" and isinstance(body, s.Foreach))
+        assert loop.table.interface.schema == (s.INT, s.STRING)
+        assert loop.table.rows == Multiset({
+            srow(1, "a"): 2, srow(1, "b"): 6, srow(2, "a"): 1, srow(2, "b"): 3})
+
+    def test_duplicate_source_reads_the_table_that_renders_first(self):
+        # Only an unchecked net can hold two tables T@l1; a select then reads
+        # the one that renders first, which is the order find_tables gives.
+        tables = [t_table(srow(2)), t_table(srow(1), srow(1))]
+        cont = s.Foreach(s.TableByVar("u"), X, s.TruePred(), s.Unordered(), s.NilProc())
+        proc = s.Prefix(select_t(X, s.TruePred(), X_PAYLOAD), cont)
+        net = s.ParNet(s.ParNet(node("l0", s.ProcComp(proc)), node("l1", tables[0])),
+                       node("l1", tables[1]))
+        label, succ = single_step(empty_system(net))
+        assert label.rule == "SEL"
+        loop = next(body for loc, body in succ.items.support()
+                    if loc == "l0" and isinstance(body, s.Foreach))
+        assert loop.table.rows == min(tables, key=s.render).rows == Multiset([srow(1), srow(1)])
+
 
 class TestUpdate:
     def test_red_size37_high_boots_updated(self):
@@ -621,6 +654,10 @@ MONITORED = [
                  id="agr-eval"),
     pytest.param(with_t(select_t(X, s.TruePred(), X_PAYLOAD, source=s.TableByVar("t"))),
                  "SEL", "select: unresolvable table source", True, id="sel-unresolvable"),
+    pytest.param(with_t(select_t(X, s.TruePred(), X_PAYLOAD,
+                                 source=s.TableByName("T", s.LocVar("u"))), srow(1)),
+                 "SEL", "select: unresolvable table source", True,
+                 id="sel-variable-locality"),
     pytest.param(with_t(select_t(XY, s.TruePred(), X_PAYLOAD), srow(1)),
                  "SEL", "select: template does not fit the joined schema", True,
                  id="sel-template"),
