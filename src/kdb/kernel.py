@@ -11,15 +11,21 @@ predicate and payload once per row without building substituted copies.
 `apply_subst` builds a substituted copy only for what runs on afterwards:
 the continuation of a select or aggr, a loop body and a procedure body.
 It is a `syntax.ScopedMap`, so it respects the binders CHILDREN declares.
+
+The kernel never looks a table up.  A join takes the row multisets of
+tables the engine has already found, and the joined schema is the engine's
+to build from their interfaces.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Optional, Union
 
 from kdb import syntax as s
 from kdb.values import (
+    KIND,
     Multiset,
     Value,
     ValueTuple,
@@ -105,45 +111,30 @@ def eval_expr(e: s.Expr, env: Subst = _NO_ENV) -> Union[Value, _EvalErr]:
             return VInt(q if (a.value >= 0) == (b.value >= 0) else -q)
         raise ValueError(f"unknown arithmetic operator {e.op!r}")
     if isinstance(e, s.MultisetLit):
-        vals = []
-        for el in e.elements:
-            v = eval_expr(el, env)
-            if is_err(v):
-                return ERR
-            k = scalar_kind(v)
-            if k is None:
-                return ERR
-            vals.append(v)
-        if vals and len({scalar_kind(v) for v in vals}) != 1:
+        vals = [eval_expr(el, env) for el in e.elements]
+        kinds = {scalar_kind(v) for v in vals}  # an error, like a multiset, has none
+        if None in kinds or len(kinds) > 1:
             return ERR
         return VSet(Multiset(vals))
     raise TypeError(f"not an expression: {e!r}")
 
 
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def _cmp_scalars(op: str, a: Value, b: Value):
-    ka, kb = scalar_kind(a), scalar_kind(b)
-    if ka is None or kb is None or ka != kb:
+    cls = type(a)
+    if cls is not type(b) or cls not in KIND:  # two scalars of one kind
         return ERR
     if op == "=":
         return a == b
     if op == "!=":
         return a != b
-    if op in s.ORDERED_CMP_OPS:
-        # Ordering exists for integers (numeric) and strings (lexicographic).
-        if ka == "Int":
-            x, y = a.value, b.value
-        elif ka == "String":
-            x, y = a.value, b.value
-        else:
-            return ERR
-        if op == "<":
-            return x < y
-        if op == "<=":
-            return x <= y
-        if op == ">":
-            return x > y
-        return x >= y
-    return ERR
+    compare = _ORDER.get(op)
+    # Ordering exists for integers (numeric) and strings (lexicographic).
+    if compare is None or cls not in (VInt, VStr):
+        return ERR
+    return compare(a.value, b.value)
 
 
 def _proper_subset(a: VSet, b: VSet) -> Union[bool, _EvalErr]:
@@ -174,10 +165,8 @@ def eval_pred(p: s.Pred, env: Subst = _NO_ENV) -> Union[bool, _EvalErr]:
         b = eval_expr(p.container, env)
         if is_err(a) or is_err(b):
             return ERR
-        if scalar_kind(a) is None or not isinstance(b, VSet):
-            return ERR
-        bk = b.kind()
-        if bk is not None and bk != scalar_kind(a):
+        ka = scalar_kind(a)
+        if ka is None or not isinstance(b, VSet) or b.kind() not in (None, ka):
             return ERR
         return a in b.elements
     if isinstance(p, s.Not):
@@ -214,15 +203,10 @@ def match(et: ValueTuple, template: s.Template) -> Union[Subst, _EvalErr]:
         return ERR
     out: Subst = {}
     for v, f in zip(et.components, template.fields):
-        if isinstance(f, s.BindData):
-            # Localities only bind locality fields; everything else binds data.
-            if isinstance(v, VLoc):
-                return ERR
-            out[f.name] = v
-        else:
-            if not isinstance(v, VLoc):
-                return ERR
-            out[f.name] = v
+        # Localities bind exactly the locality fields; everything else binds data.
+        if isinstance(f, s.BindLoc) != isinstance(v, VLoc):
+            return ERR
+        out[f.name] = v
     return out
 
 
@@ -236,28 +220,17 @@ def well_sorted_value(v, sort) -> bool:
             return False
         return all(well_sorted_value(c, t) for c, t in zip(v.components, sort))
     if isinstance(sort, s.Base):
-        want = {"Int": VInt, "String": VStr, "Id": VTid, "Loc": VLoc}[sort.kind]
-        return isinstance(v, want)
+        return scalar_kind(v) == sort.kind
     if isinstance(sort, s.MSet):
-        if not isinstance(v, VSet):
-            return False
-        k = v.kind()
-        return k is None or k == sort.kind
+        return isinstance(v, VSet) and v.kind() in (None, sort.kind)
     raise TypeError(f"not a sort: {sort!r}")
 
 
-def well_sorted_field(f, sort) -> bool:
-    if isinstance(f, s.BindData):
-        return not (isinstance(sort, s.Base) and sort.kind == "Loc")
-    if isinstance(f, s.BindLoc):
-        return isinstance(sort, s.Base) and sort.kind == "Loc"
-    raise TypeError(f"not a template field: {f!r}")
-
-
 def well_sorted_template(template: s.Template, sk: s.Schema) -> bool:
+    """Whether a template fits a schema: `!@u` binds exactly the `Loc` columns."""
     if len(template.fields) != len(sk):
         return False
-    return all(well_sorted_field(f, t) for f, t in zip(template.fields, sk))
+    return all(isinstance(f, s.BindLoc) == (t == s.LOC) for f, t in zip(template.fields, sk))
 
 
 # ---------------------------------------------------------------------------
@@ -371,39 +344,8 @@ def project_schema(sk: s.Schema, template: s.Template, t: s.Tuple) -> Optional[s
 # ---------------------------------------------------------------------------
 # Joins
 
-def _resolve_ref(ref: s.TableRef, located):
-    """Resolve one table reference against located tables; None if impossible."""
-    if isinstance(ref, s.TableLiteral):
-        return ref.interface, ref.rows
-    if isinstance(ref, s.TableByName):
-        if not isinstance(ref.loc, s.LocLit):
-            return None
-        for loc, interface, rows in located:
-            if loc == ref.loc.name and interface.tid == ref.tid:
-                return interface, rows
-        return None
-    return None
-
-
-def join_schemas(refs, located) -> Optional[s.Schema]:
-    """Flattened product of the schemas of the referenced tables."""
-    out = []
-    for ref in refs:
-        r = _resolve_ref(ref, located)
-        if r is None:
-            return None
-        out.extend(r[0].schema)
-    return tuple(out)
-
-
-def join_rows(refs, located) -> Optional[Multiset]:
+def join_rows(tables) -> Multiset:
     """Flattened Cartesian product of row multisets, multiplicities multiplying."""
-    tables = []
-    for ref in refs:
-        r = _resolve_ref(ref, located)
-        if r is None:
-            return None
-        tables.append(r[1])
     counts: dict = {}
     for combo in itertools.product(*(t.items() for t in tables)):
         parts = []
@@ -419,30 +361,23 @@ def join_rows(refs, located) -> Optional[Multiset]:
 # ---------------------------------------------------------------------------
 # Loop orders and aggregation
 
-def _precedes(order: s.OrderSpec, a: ValueTuple, b: ValueTuple) -> bool:
-    """The reflexive partial order used to pick loop candidates."""
-    if a == b:
-        return True
-    if isinstance(order, s.Unordered):
-        return False
-    if isinstance(order, s.Asc):
-        i = order.col - 1
-        return value_sort_key(a[i]) < value_sort_key(b[i])
-    if isinstance(order, s.Desc):
-        i = order.col - 1
-        return value_sort_key(a[i]) > value_sort_key(b[i])
-    if isinstance(order, s.Lex):
-        return row_sort_key(a) < row_sort_key(b)
-    raise TypeError(f"not an order: {order!r}")
-
-
 def minimal(rows: Multiset, order: s.OrderSpec) -> frozenset:
-    """Rows with no strictly preceding row; the support set when unordered."""
+    """Rows with no strictly preceding row; the support set when unordered.
+
+    Every loop order is a total preorder on rows, so these are the rows of
+    least key, or of greatest key under `desc`.
+    """
     support = rows.support()
-    return frozenset(
-        t for t in support
-        if all(u == t or not _precedes(order, u, t) for u in support)
-    )
+    if isinstance(order, s.Unordered):
+        return support
+    if isinstance(order, s.Lex):
+        keys = {row: row_sort_key(row) for row in support}
+    elif isinstance(order, (s.Asc, s.Desc)):
+        keys = {row: value_sort_key(row[order.col - 1]) for row in support}
+    else:
+        raise TypeError(f"not an order: {order!r}")
+    best = (max if isinstance(order, s.Desc) else min)(keys.values(), default=None)
+    return frozenset(row for row, key in keys.items() if key == best)
 
 
 def aggr_row_ok(fn: s.AggrFn, row: ValueTuple) -> bool:

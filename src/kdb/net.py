@@ -5,6 +5,10 @@ extruded to a single outer prefix (renaming restricted localities apart when
 extrusion would capture), every node is split into one item per co-located
 process or table, and inert-process units are absorbed.  Rule matching in
 the engine then becomes multiset lookup instead of congruence search.
+`canonicalize` is one loop over an explicit stack, not a recursion.
+
+`find_tables` is the one place that says where table `tid@loc` is: every
+engine rule that names a table, select and create included, asks it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from kdb import syntax as s
-from kdb.values import Multiset, sorted_rows
+from kdb.values import Multiset, VInt, VLoc, VSet, VStr, VTid, sorted_rows
 
 
 @dataclass(frozen=True)
@@ -45,73 +49,61 @@ def sorted_items(cn: CanonicalNet) -> list:
     return out
 
 
-def _absorb_nil_units(items: list) -> list:
-    """Drop inert processes at localities that host anything else."""
-    locs_with_content = {loc for loc, body in items if not isinstance(body, s.NilProc)}
-    out = []
-    nil_only = {}
-    for loc, body in items:
-        if isinstance(body, s.NilProc):
-            if loc not in locs_with_content:
-                nil_only[loc] = (loc, body)
+def _absorb_nil(counts: dict, locs) -> None:
+    """At each of locs, localities that hold an inert unit, keep one unit if
+    the locality hosts nothing else and none if it does.  One scan of the
+    items serves every locality."""
+    if not locs:
+        return
+    busy = {loc for loc, body in counts if not isinstance(body, s.NilProc)}
+    for loc in locs:
+        if loc in busy:
+            counts.pop((loc, _NIL), None)
         else:
-            out.append((loc, body))
-    out.extend(nil_only.values())
-    return out
+            counts[loc, _NIL] = 1
 
 
 def canonicalize(net: s.Net) -> CanonicalNet:
-    """Normal form under structural congruence."""
+    """Normal form under structural congruence.
+
+    Subterms pop off an explicit stack, left ones first: no Python frame per
+    level (`free_locs`, a ScopedMap pass, still costs one).  A net is paired
+    with the renaming of the restricted names in scope, a renamed component
+    with its node's locality.  Inert units are kept, last, only where their
+    locality holds nothing else.
+    """
     used = set(s.free_locs(net))
     counter = itertools.count(1)
     restricted: list = []
-    items: list = []
+    counts: dict = {}
+    nil_locs: dict = {}  # an ordered set
     err = False
-
-    def fresh(base: str) -> str:
-        while True:
-            cand = f"{base}#{next(counter)}"
-            if cand not in used:
-                return cand
-
-    def split_component(loc: str, comp: s.Component):
-        if isinstance(comp, s.ParComp):
-            split_component(loc, comp.left)
-            split_component(loc, comp.right)
-        elif isinstance(comp, s.ProcComp):
-            items.append((loc, comp.process))
-        elif isinstance(comp, s.TableComp):
-            items.append((loc, comp))
-        else:
-            raise TypeError(f"not a component: {comp!r}")
-
-    def walk(n: s.Net, lenv: dict):
-        nonlocal err
-        if isinstance(n, s.NilNet):
-            return
-        if isinstance(n, s.ErrNet):
-            err = True
-            return
-        if isinstance(n, s.ParNet):
-            walk(n.left, lenv)
-            walk(n.right, lenv)
-            return
-        if isinstance(n, s.Restrict):
+    stack = [(net, {})]
+    while stack:
+        n, ctx = stack.pop()
+        if isinstance(n, (s.ParNet, s.ParComp)):
+            stack += [(n.right, ctx), (n.left, ctx)]
+        elif isinstance(n, s.Restrict):
             name = n.loc
-            if name in used:
-                name = fresh(name)
+            while name in used:
+                name = f"{n.loc}#{next(counter)}"
             used.add(name)
             restricted.append(name)
-            walk(n.inner, {**lenv, n.loc: name})
-            return
-        if isinstance(n, s.Node):
-            comp = s.rename_localities(n.component, lenv)
-            split_component(lenv.get(n.loc, n.loc), comp)
-            return
-        raise TypeError(f"not a net: {n!r}")
-
-    walk(net, {})
-    return CanonicalNet(tuple(restricted), Multiset(_absorb_nil_units(items)), err)
+            stack.append((n.inner, {**ctx, n.loc: name}))
+        elif isinstance(n, s.Node):
+            stack.append((s.rename_localities(n.component, ctx), ctx.get(n.loc, n.loc)))
+        elif isinstance(n, (s.ProcComp, s.TableComp)):
+            body = n.process if isinstance(n, s.ProcComp) else n
+            if isinstance(body, s.NilProc):
+                nil_locs[ctx] = None
+            else:
+                counts[ctx, body] = counts.get((ctx, body), 0) + 1
+        elif isinstance(n, s.ErrNet):
+            err = True
+        elif not isinstance(n, s.NilNet):
+            raise TypeError(f"not a net or a component: {n!r}")
+    _absorb_nil(counts, nil_locs)
+    return CanonicalNet(tuple(restricted), Multiset.of_counts(counts), err)
 
 
 def make_canonical(parent: CanonicalNet, removed, added) -> CanonicalNet:
@@ -132,20 +124,9 @@ def make_canonical(parent: CanonicalNet, removed, added) -> CanonicalNet:
             counts.pop(item, None)
     for item in added:
         counts[item] = counts.get(item, 0) + 1
-    for loc in {loc for loc, _ in removed} | {loc for loc, _ in added}:
-        _absorb_nil_at(counts, loc)
+    touched = {loc for loc, _ in removed} | {loc for loc, _ in added}
+    _absorb_nil(counts, [loc for loc in touched if (loc, _NIL) in counts])
     return CanonicalNet(parent.restricted, Multiset.of_counts(counts), parent.err)
-
-
-def _absorb_nil_at(counts: dict, loc: str) -> None:
-    """Keep an inert unit at loc once, and only when loc hosts nothing else."""
-    nil = (loc, _NIL)
-    if nil not in counts:
-        return
-    if any(iloc == loc and not isinstance(body, s.NilProc) for iloc, body in counts):
-        del counts[nil]
-    else:
-        counts[nil] = 1
 
 
 ERR_NET = CanonicalNet((), Multiset(), True)
@@ -237,8 +218,9 @@ def canonical_key(cn: CanonicalNet):
     successors of transitions that share a label by it.
     """
     texts = {}  # id(body) -> render(body), for bodies a renaming leaves as they are
-
-    def keyed(mapping: dict):
+    best = None
+    for perm in itertools.permutations(cn.restricted):  # no names: one empty perm
+        mapping = {name: f"ρ{i}" for i, name in enumerate(perm)}
         rows = []
         for (loc, body), cnt in cn.items.items():
             body2 = s.rename_localities(body, mapping)
@@ -249,14 +231,7 @@ def canonical_key(cn: CanonicalNet):
             else:
                 text = s.render(body2)
             rows.append((mapping.get(loc, loc), text, cnt))
-        return tuple(sorted(rows))
-
-    if not cn.restricted:
-        return (cn.err, 0, keyed({}))
-    best = None
-    for perm in itertools.permutations(cn.restricted):
-        mapping = {name: f"ρ{i}" for i, name in enumerate(perm)}
-        cand = keyed(mapping)
+        cand = tuple(sorted(rows))
         if best is None or cand < best:
             best = cand
     return (cn.err, len(cn.restricted), best)
@@ -280,8 +255,6 @@ def dump_tables(cn: CanonicalNet) -> list:
 
 
 def _json_value(v):
-    from kdb.values import VInt, VLoc, VSet, VStr, VTid
-
     if isinstance(v, VInt):
         return v.value
     if isinstance(v, VStr):

@@ -6,8 +6,10 @@ successor nets themselves, so applying a transition is just picking one.
 An outcome has one shape, `_Outcome(new_proc, remove, add)`: the acting
 process item becomes new_proc at its locality and the remove items give way
 to the add items.  A table write removes the old table and adds the new one.
-Insert, delete, update, aggr and drop find their `tid@loc` tables in one
-place (`net.find_tables`) and say only what they do to one table.
+Every action finds its `tid@loc` tables in one place, `net.find_tables`:
+insert, delete, update, aggr and drop say only what they do to one table
+found there, a select joins the row multisets of the first table found for
+each source, and a create is skipped when one is found.
 
 The rows of a table action pass once through `_row_pass`: each row is
 matched against the template, and the predicate (with the payload of an
@@ -207,7 +209,7 @@ def _action_outcomes(cn: CanonicalNet, action: s.Action, cont: s.Process) -> lis
     if not _is_known_locality(cn, loc):
         return []
     if isinstance(action, s.Create):
-        if (loc, action.tid) in lid(cn):
+        if netmod.find_tables(cn, loc, action.tid):
             return [("CRT", f"create {action.tid}@{loc}: skipped, identifier taken",
                      _Outcome(cont))]
         table = s.TableComp(s.Interface(action.tid, action.schema), Multiset())
@@ -225,18 +227,20 @@ _SELECT_FAILURE = {"match": "select: row fails to match the template",
 
 
 def _select_outcomes(cn: CanonicalNet, action: s.Select, cont: s.Process) -> list:
-    located = [(loc, tab.interface, tab.rows) for loc, tab, _ in netmod.table_entries(cn)]
+    sources = []
     for tb in action.tables:
         if isinstance(tb, s.TableLiteral):
-            continue
-        if isinstance(tb, s.TableByVar) or not isinstance(getattr(tb, "loc", None), s.LocLit):
+            sources.append(tb)
+        elif isinstance(tb, s.TableByName) and isinstance(tb.loc, s.LocLit):
+            found = netmod.find_tables(cn, tb.loc.name, tb.tid)
+            if not found:
+                return []  # premise fails; may become enabled later
+            sources.append(found[0])
+        else:
             # An unresolvable source can never become resolvable: monitor it.
             return [("SEL", "select: unresolvable table source", k.ERR)]
-        if not any(loc == tb.loc.name and i.tid == tb.tid for loc, i, _ in located):
-            return []  # premise fails; may become enabled later
-    jsk = k.join_schemas(action.tables, located)
-    jrows = k.join_rows(action.tables, located)
-    assert jsk is not None and jrows is not None
+    jsk = tuple(sort for tab in sources for sort in tab.interface.schema)
+    jrows = k.join_rows([tab.rows for tab in sources])
     if not k.well_sorted_template(action.template, jsk):
         return [("SEL", "select: template does not fit the joined schema", k.ERR)]
     found = _row_pass(jrows, action.template, action.pred, action.payload)

@@ -154,17 +154,13 @@ class VSet:
 Value = Union[VInt, VStr, VTid, VLoc, VSet]
 
 
+# The column kind of each scalar value class.
+KIND = {VInt: "Int", VStr: "String", VTid: "Id", VLoc: "Loc"}
+
+
 def scalar_kind(v) -> str | None:
     """Kind tag for scalar values; None for multisets and non-values."""
-    if isinstance(v, VInt):
-        return "Int"
-    if isinstance(v, VStr):
-        return "String"
-    if isinstance(v, VTid):
-        return "Id"
-    if isinstance(v, VLoc):
-        return "Loc"
-    return None
+    return KIND.get(type(v))
 
 
 @dataclass(frozen=True)

@@ -236,15 +236,20 @@ def _steps(state, proc, sysdefs):
         if isinstance(a, s.Select):
             located = [(l, b.interface, b.rows) for l, b in state.items
                        if isinstance(b, s.TableComp)]
+            sources = []
             for tb in a.tables:
                 if isinstance(tb, s.TableLiteral):
+                    sources.append((tb.interface, tb.rows))
                     continue
                 if isinstance(tb, s.TableByVar) or not isinstance(tb.loc, s.LocLit):
                     return [ERR_MARK]
-                if not any(l == tb.loc.name and i.tid == tb.tid for l, i, _ in located):
+                hit = next(((i, r) for l, i, r in located
+                            if l == tb.loc.name and i.tid == tb.tid), None)
+                if hit is None:
                     return out
-            jsk = k.join_schemas(a.tables, located)
-            jrows = k.join_rows(a.tables, located)
+                sources.append(hit)
+            jsk = tuple(sort for i, _ in sources for sort in i.schema)
+            jrows = k.join_rows([r for _, r in sources])
             if not k.well_sorted_template(a.template, jsk):
                 return [ERR_MARK]
             picked = {}

@@ -443,34 +443,16 @@ class TestProjection:
 
 
 class TestJoins:
-    def test_single_named_table(self):
-        refs = (s.TableByName("KLD", s.LocLit("l1")),)
-        located = [("l1", s.Interface("KLD", KLD_SCHEMA), KLD_ROWS)]
-        assert k.join_schemas(refs, located) == KLD_SCHEMA
-        assert k.join_rows(refs, located) == KLD_ROWS
+    # Which tables a select joins, and the joined schema, are the select
+    # rule's: see TestSelection and the sel-* monitored cases in
+    # test_semantics.py.
+    def test_single_table_joins_to_its_rows(self):
+        assert k.join_rows([KLD_ROWS]) == KLD_ROWS
 
     def test_two_way_join_flattens(self):
-        refs = (
-            s.TableByName("KLD", s.LocLit("l1")),
-            s.TableLiteral(s.Interface("KLD", KLD_SCHEMA), KLD_ROWS),
-        )
-        located = [("l1", s.Interface("KLD", KLD_SCHEMA), KLD_ROWS)]
-        sk = k.join_schemas(refs, located)
-        assert sk == KLD_SCHEMA + KLD_SCHEMA
-        rows = k.join_rows(refs, located)
+        rows = k.join_rows([KLD_ROWS, KLD_ROWS])
         assert len(rows) == len(KLD_ROWS) ** 2
         assert all(len(r) == 14 for r in rows.support())
-
-    def test_unresolved_reference_is_undefined(self):
-        refs = (s.TableByName("KLD", s.LocLit("l9")),)
-        located = [("l1", s.Interface("KLD", KLD_SCHEMA), KLD_ROWS)]
-        assert k.join_schemas(refs, located) is None
-        assert k.join_rows(refs, located) is None
-
-    def test_variable_reference_is_undefined(self):
-        assert k.join_schemas((s.TableByVar("tbv"),), []) is None
-        refs = (s.TableByName("KLD", s.LocVar("u")),)
-        assert k.join_rows(refs, [("l1", s.Interface("KLD", KLD_SCHEMA), KLD_ROWS)]) is None
 
     def test_cardinality_matches_bruteforce_on_random_tables(self):
         rng = random.Random(7)
@@ -482,11 +464,10 @@ class TestJoins:
                     ValueTuple(tuple(VInt(rng.randrange(3)) for _ in range(arity)))
                     for _ in range(rng.randrange(0, 5))
                 ]
-                tables.append(s.TableLiteral(s.Interface("T", (s.INT,) * arity), Multiset(rows)))
-            refs = tuple(tables)
-            got = k.join_rows(refs, [])
+                tables.append(Multiset(rows))
+            got = k.join_rows(tables)
             # Brute-force nested loops over expanded rows.
-            expanded = [list(t.rows) for t in tables]
+            expanded = [list(t) for t in tables]
             combos = list(itertools.product(*expanded))
             want = Multiset([
                 ValueTuple(tuple(v for row in combo for v in row.components))
