@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from fixtures import KLD_ROWS, KLD_SCHEMA, SEVEN_BINDERS, srow
+from fixtures import KLD_ROWS, KLD_SCHEMA, KLD_TABLE, SEVEN_BINDERS, srow
 from kdb import kernel as k
 from kdb import syntax as s
+from kdb.net import canonicalize, find_tables
+from kdb.semantics import enumerate_transitions
 from kdb.values import (
     Multiset,
     ValueTuple,
@@ -448,6 +450,19 @@ class TestJoins:
     # test_semantics.py.
     def test_single_table_joins_to_its_rows(self):
         assert k.join_rows([KLD_ROWS]) == KLD_ROWS
+
+    def test_unresolved_reference_is_undefined(self):
+        # KLD@l9 names no table when KLD is only at l1: there is nothing to
+        # join, so the select has no transition.
+        select = s.Select((s.TableByName("KLD", s.LocLit("l9")),), SEVEN_BINDERS,
+                          s.TruePred(), s.Tuple((s.DataVar("id"),)), "tbv")
+        net = s.ParNet(s.Node("l0", s.ProcComp(s.Prefix(select, s.NilProc()))),
+                       s.Node("l1", KLD_TABLE))
+        cn = canonicalize(net)
+        assert find_tables(cn, "l9", "KLD") == []
+        assert [t.rows for t in find_tables(cn, "l1", "KLD")] == [KLD_ROWS]
+        system = s.System(procedures={}, schema_decls=(), main_net=net)
+        assert enumerate_transitions(cn, system) == []
 
     def test_two_way_join_flattens(self):
         rows = k.join_rows([KLD_ROWS, KLD_ROWS])
