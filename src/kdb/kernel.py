@@ -72,18 +72,31 @@ _NO_ENV: Subst = {}  # never mutated
 
 
 # ---------------------------------------------------------------------------
+# Literals
+#
+# The value each literal class denotes, and the literal of each scalar value
+# class.  A literal's sort is the kind of its value.
+
+LITERAL_VALUE = {s.IntLit: lambda e: VInt(e.value), s.StrLit: lambda e: VStr(e.value),
+                 s.TidLit: lambda e: VTid(e.name), s.LocLit: lambda e: VLoc(e.name)}
+VALUE_LITERAL = {VInt: lambda v: s.IntLit(v.value), VStr: lambda v: s.StrLit(v.value),
+                 VTid: lambda v: s.TidLit(v.name), VLoc: lambda v: s.LocLit(v.name)}
+
+
+def literal_sort(e: s.Expr) -> Optional[s.Base]:
+    """The sort of a literal; None for any other expression."""
+    value = LITERAL_VALUE.get(e.__class__)
+    return None if value is None else s.Base(scalar_kind(value(e)))
+
+
+# ---------------------------------------------------------------------------
 # Evaluation
 
 def eval_expr(e: s.Expr, env: Subst = _NO_ENV) -> Union[Value, _EvalErr]:
     """The value of an expression whose variables env binds to values."""
-    if isinstance(e, s.IntLit):
-        return VInt(e.value)
-    if isinstance(e, s.StrLit):
-        return VStr(e.value)
-    if isinstance(e, s.TidLit):
-        return VTid(e.name)
-    if isinstance(e, s.LocLit):
-        return VLoc(e.name)
+    literal = LITERAL_VALUE.get(e.__class__)
+    if literal is not None:
+        return literal(e)
     if isinstance(e, (s.DataVar, s.LocVar)):
         # A variable env does not bind is an evaluation error.
         return env.get(e.name, ERR)
@@ -237,14 +250,9 @@ def well_sorted_template(template: s.Template, sk: s.Schema) -> bool:
 # Substitution
 
 def value_to_expr(v: Value) -> s.Expr:
-    if isinstance(v, VInt):
-        return s.IntLit(v.value)
-    if isinstance(v, VStr):
-        return s.StrLit(v.value)
-    if isinstance(v, VTid):
-        return s.TidLit(v.name)
-    if isinstance(v, VLoc):
-        return s.LocLit(v.name)
+    literal = VALUE_LITERAL.get(v.__class__)
+    if literal is not None:
+        return literal(v)
     if isinstance(v, VSet):
         elems = sorted(v.elements, key=value_sort_key)
         return s.MultisetLit(tuple(value_to_expr(e) for e in elems))
@@ -293,25 +301,12 @@ def apply_subst(sigma: Subst, target):
 # Schema projection
 
 def _const_sort(e: s.Expr) -> Optional[s.MType]:
-    if isinstance(e, s.IntLit):
-        return s.INT
-    if isinstance(e, s.StrLit):
-        return s.STRING
-    if isinstance(e, s.TidLit):
-        return s.ID
-    if isinstance(e, s.LocLit):
-        return s.LOC
     if isinstance(e, s.MultisetLit):
-        kinds = set()
-        for el in e.elements:
-            t = _const_sort(el)
-            if not isinstance(t, s.Base):
-                return None
-            kinds.add(t.kind)
-        if len(kinds) != 1:
+        sorts = {literal_sort(el) for el in e.elements}
+        if len(sorts) != 1 or None in sorts:
             return None
-        return s.MSet(kinds.pop())
-    return None
+        return s.MSet(sorts.pop().kind)
+    return literal_sort(e)
 
 
 def project_schema(sk: s.Schema, template: s.Template, t: s.Tuple) -> Optional[s.Schema]:
@@ -368,21 +363,19 @@ def minimal(rows: Multiset, order: s.OrderSpec) -> frozenset:
     least key, or of greatest key under `desc`.
     """
     support = rows.support()
-    if isinstance(order, s.Unordered):
+    if order.op == "unordered":
         return support
-    if isinstance(order, s.Lex):
+    if order.op == "lex":
         keys = {row: row_sort_key(row) for row in support}
-    elif isinstance(order, (s.Asc, s.Desc)):
-        keys = {row: value_sort_key(row[order.col - 1]) for row in support}
     else:
-        raise TypeError(f"not an order: {order!r}")
-    best = (max if isinstance(order, s.Desc) else min)(keys.values(), default=None)
+        keys = {row: value_sort_key(row[order.col - 1]) for row in support}
+    best = (max if order.op == "desc" else min)(keys.values(), default=None)
     return frozenset(row for row, key in keys.items() if key == best)
 
 
 def aggr_row_ok(fn: s.AggrFn, row: ValueTuple) -> bool:
     """Whether a row fits the aggregator's input column requirements."""
-    if isinstance(fn, s.AggCount):
+    if fn.op == "count":
         return True
     i = fn.col - 1
     return 0 <= i < len(row) and isinstance(row[i], VInt)
@@ -395,13 +388,13 @@ def apply_aggr(fn: s.AggrFn, rows: Multiset) -> ValueTuple:
     and counts.  Every aggregator returns 0 on the empty multiset, and the
     average is the floor of the integer division.
     """
-    if isinstance(fn, s.AggCount):
+    if fn.op == "count":
         return ValueTuple((VInt(len(rows)),))
     i = fn.col - 1
-    if isinstance(fn, s.AggSum):
+    if fn.op == "sum":
         total = sum(row[i].value * n for row, n in rows.items())
         return ValueTuple((VInt(total),))
-    if isinstance(fn, s.AggAvg):
+    if fn.op == "avg":
         size = len(rows)
         if size == 0:
             return ValueTuple((VInt(0),))
@@ -410,4 +403,4 @@ def apply_aggr(fn: s.AggrFn, rows: Multiset) -> ValueTuple:
     vals = [row[i].value for row in rows.support()]
     if not vals:
         return ValueTuple((VInt(0),))
-    return ValueTuple((VInt(min(vals) if isinstance(fn, s.AggMin) else max(vals)),))
+    return ValueTuple((VInt(min(vals) if fn.op == "min" else max(vals)),))

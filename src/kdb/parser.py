@@ -141,9 +141,8 @@ def tokenize(source: str) -> list:
 
 
 _BASE_TYPES = {kw: kw for kw in ("Int", "String", "Id", "Loc")}
-_ORDERS = {"unordered": s.Unordered, "lex": s.Lex, "asc": s.Asc, "desc": s.Desc}
-_AGGREGATORS = {"count": s.AggCount, "sum": s.AggSum, "avg": s.AggAvg,
-                "min": s.AggMin, "max": s.AggMax}
+_ORDERS = {op: op for op in ("unordered", "lex", "asc", "desc")}
+_AGGREGATORS = {op: op for op in ("count", "sum", "avg", "min", "max")}
 _COMPARISONS = {op: op for op in ("=", "!=", "<", "<=", ">", ">=", "in", "sub")}
 _BINOPS = frozenset(("++", "+", "-", "*", "/"))
 _ACTION_KEYWORDS = ("insert", "delete", "select", "update", "aggr", "create", "drop", "eval")
@@ -390,8 +389,7 @@ class _Parser:
             self.expect(",")
             pred = self.pred()
             self.expect(",")
-            order = self.keyword(_ORDERS, "a loop order")
-            order = order(self.col_index()) if order in (s.Asc, s.Desc) else order()
+            order = self.operator(s.OrderSpec, _ORDERS, "a loop order")
             self.expect(")")
             self.expect(":")
             body = self.proc_atom()
@@ -401,14 +399,18 @@ class _Parser:
             expected=("nil", "foreach", "a procedure call") + _ACTION_KEYWORDS,
         )
 
-    def col_index(self) -> int:
+    def operator(self, cls, table: dict, what: str):
+        """An aggregator or loop order: its keyword, then `[col]` if it reads one."""
+        op = self.keyword(table, what)
+        if op in s.COLUMNLESS:
+            return cls(op)
         self.expect("[")
         t = self.expect("INT", "column index")
         self.expect("]")
         col = int(t[1])
         if col < 1:
             raise self.error("column indices start at 1", t)
-        return col
+        return cls(op, col)
 
     # -- actions
 
@@ -479,8 +481,7 @@ class _Parser:
             payload = self.tuple_()
             self.expect(")")
             return s.Update(tid, template, pred, payload, loc, span=span)
-        fn = self.keyword(_AGGREGATORS, "an aggregator")  # aggr
-        fn = fn() if fn is s.AggCount else fn(self.col_index())
+        fn = self.operator(s.AggrFn, _AGGREGATORS, "an aggregator")  # aggr
         self.expect(",")
         bind_template = self.template()
         self.expect(")")

@@ -265,8 +265,8 @@ def _foreach_outcomes(p: s.Foreach) -> list:
         if found.failure:
             return [("FOR_FF", "loop exit: format or evaluation error", k.ERR)]
         return [("FOR_FF", "loop exhausted", _Outcome(s.NilProc()))]
-    if (isinstance(p.order, (s.Asc, s.Desc))
-            and p.order.col > min(len(row) for row in found.hits)):
+    if (p.order.op not in s.COLUMNLESS
+            and not 1 <= p.order.col <= min(len(row) for row in found.hits)):
         return [("FOR_TT", "loop order names a missing column", k.ERR)]
     out = []
     for t0 in sorted(k.minimal(Multiset.of_counts(found.hits), p.order), key=row_sort_key):

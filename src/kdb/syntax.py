@@ -238,57 +238,22 @@ TableRef = Union[TableByName, TableByVar, TableLiteral]
 
 
 # ---------------------------------------------------------------------------
-# Aggregators and loop orders
+# Aggregators and loop orders: an operator and the column it reads; `col` is
+# 0 for the operators that read none, COLUMNLESS.
 
-@dataclass(frozen=True)
-class AggSum:
-    col: int
-
-
-@dataclass(frozen=True)
-class AggAvg:
-    col: int
+COLUMNLESS = frozenset(("count", "unordered", "lex"))
 
 
 @dataclass(frozen=True)
-class AggCount:
-    pass
+class AggrFn:
+    op: str  # count sum avg min max
+    col: int = 0
 
 
 @dataclass(frozen=True)
-class AggMin:
-    col: int
-
-
-@dataclass(frozen=True)
-class AggMax:
-    col: int
-
-
-AggrFn = Union[AggSum, AggAvg, AggCount, AggMin, AggMax]
-
-
-@dataclass(frozen=True)
-class Unordered:
-    pass
-
-
-@dataclass(frozen=True)
-class Asc:
-    col: int
-
-
-@dataclass(frozen=True)
-class Desc:
-    col: int
-
-
-@dataclass(frozen=True)
-class Lex:
-    pass
-
-
-OrderSpec = Union[Unordered, Asc, Desc, Lex]
+class OrderSpec:
+    op: str  # unordered lex asc desc
+    col: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +448,6 @@ class System:
     schema_decls: tuple  # of (tid, Schema), in declaration order; repeats kept
     main_net: Net
 
-    def __eq__(self, other):
-        if not isinstance(other, System):
-            return NotImplemented
-        return (
-            self.procedures == other.procedures
-            and self.schema_decls == other.schema_decls
-            and self.main_net == other.main_net
-        )
-
 
 # ---------------------------------------------------------------------------
 # Rendering back to concrete syntax
@@ -549,6 +505,10 @@ def _table(t) -> str:
     return f"table {tid} : {_r(t.interface.schema)} = {_r(t.rows)}"
 
 
+def _operator(f) -> str:
+    return f.op if f.op in COLUMNLESS else f"{f.op}[{f.col}]"
+
+
 def _system(system: System) -> str:
     lines = [f"schema {tid} : {_r(sk)}" for tid, sk in system.schema_decls]
     for i, d in enumerate(system.procedures.values()):
@@ -591,15 +551,8 @@ _FORMAT = {
     TableByName: lambda tb: f"{tb.tid}@{_r(tb.loc)}",
     TableByVar: lambda tb: tb.name,
     TableLiteral: _table,
-    AggSum: lambda f: f"sum[{f.col}]",
-    AggAvg: lambda f: f"avg[{f.col}]",
-    AggCount: lambda f: "count",
-    AggMin: lambda f: f"min[{f.col}]",
-    AggMax: lambda f: f"max[{f.col}]",
-    Unordered: lambda o: "unordered",
-    Asc: lambda o: f"asc[{o.col}]",
-    Desc: lambda o: f"desc[{o.col}]",
-    Lex: lambda o: "lex",
+    AggrFn: _operator,
+    OrderSpec: _operator,
     Insert: lambda a: f"insert({a.tid}@{_r(a.loc)}, {_r(a.payload)})",
     Delete: lambda a: f"delete({a.tid}@{_r(a.loc)}, {_r(a.template)}, {_r(a.pred)})",
     Select: lambda a: (f"select({_join(a.tables)}, {_r(a.template)}, {_r(a.pred)}, "

@@ -8,6 +8,15 @@ lookup is a dict hit.  A scope is a mark of the journal, the binder's
 bindings, and an undo to the mark after its body is checked, all in the
 frame that checks the binder; so checking a straight-line process costs one
 Python frame per action.
+
+The checker is its own walk, not a `syntax.ScopedMap` pass, for three
+reasons.  A binder's types come from a sibling's schema: a template is typed
+against the table its action names, which the binding table CHILDREN does
+not see.  A failed action suppresses the checks of what depends on it (its
+predicate, payload and continuation), which a traversal that visits every
+child cannot skip.  And the order of diagnostics is pinned, and it is not
+field order: a delete's locality is checked before its predicate, and a
+create's locality before its table identifier.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from kdb import syntax as s
-from kdb.kernel import well_sorted_value
+from kdb.kernel import LITERAL_VALUE, literal_sort, well_sorted_value
 
 
 @dataclass
@@ -44,40 +53,29 @@ class Diagnostic:
         }
 
 
-# Environment entries
-@dataclass(frozen=True)
-class DataBind:
-    mtype: s.MType
-
-
-@dataclass(frozen=True)
-class LocBind:
-    pass
-
-
-@dataclass(frozen=True)
-class TableBind:
-    schema: s.Schema
-
-
 class TypeEnv:
-    """Mutable scoped environment with O(1) extension and lookup."""
+    """Mutable scoped environment with O(1) extension and lookup.
+
+    A name is bound to its type, as in `ProcDef.params`: a data variable to
+    its MType, a locality variable to `Loc`, which the binder-kind rule gives
+    no data variable, and a table variable to its schema, a tuple.
+    """
 
     def __init__(self, bindings=None):
         self._map: dict = {}
         self._journal: list = []
         if bindings:
-            for name, st in bindings:
-                self.bind(name, st)
+            for name, ty in bindings:
+                self.bind(name, ty)
 
     def lookup(self, name: str):
         return self._map.get(name)
 
-    def bind(self, name: str, st) -> None:
+    def bind(self, name: str, ty) -> None:
         # Renaming apart means shadowing never happens for checked systems,
         # but programmatic ASTs may shadow; the journal restores the old entry.
         self._journal.append((name, self._map.get(name)))
-        self._map[name] = st
+        self._map[name] = ty
 
     def mark(self) -> int:
         return len(self._journal)
@@ -95,9 +93,6 @@ def _render_mtype(t) -> str:
     return "?" if t is None else s.render_mtype(t)
 
 
-_AGG_NAMES = {s.AggSum: "sum", s.AggAvg: "avg", s.AggMin: "min", s.AggMax: "max"}
-
-
 class Checker:
     def __init__(self, nabla: dict, procedures: Optional[dict] = None):
         self.nabla = nabla
@@ -113,33 +108,23 @@ class Checker:
     # -- expressions
 
     def type_expr(self, env: TypeEnv, e: s.Expr) -> Optional[s.MType]:
-        if isinstance(e, s.IntLit):
-            return s.INT
-        if isinstance(e, s.StrLit):
-            return s.STRING
-        if isinstance(e, s.TidLit):
-            return s.ID
-        if isinstance(e, s.LocLit):
-            return s.LOC
-        if isinstance(e, s.DataVar):
-            st = env.lookup(e.name)
-            if st is None:
+        sort = literal_sort(e)
+        if sort is not None:
+            return sort
+        if isinstance(e, (s.DataVar, s.LocVar)):
+            ty = env.lookup(e.name)
+            if ty is None:
                 return self.error("unbound-variable", f"unbound variable {e.name!r}", e.span)
-            if isinstance(st, LocBind):
-                return self.error("kind-mismatch",
-                                  f"locality variable {e.name!r} used as data", e.span)
-            if isinstance(st, TableBind):
-                return self.error("kind-mismatch",
-                                  f"table variable {e.name!r} used as data", e.span)
-            return st.mtype
-        if isinstance(e, s.LocVar):
-            st = env.lookup(e.name)
-            if st is None:
-                return self.error("unbound-variable", f"unbound variable {e.name!r}", e.span)
-            if not isinstance(st, LocBind):
+            if isinstance(e, s.LocVar) and ty != s.LOC:
                 return self.error("kind-mismatch",
                                   f"{e.name!r} is not a locality variable", e.span)
-            return s.LOC
+            if isinstance(e, s.DataVar) and ty == s.LOC:
+                return self.error("kind-mismatch",
+                                  f"locality variable {e.name!r} used as data", e.span)
+            if isinstance(ty, tuple):
+                return self.error("kind-mismatch",
+                                  f"table variable {e.name!r} used as data", e.span)
+            return ty
         if isinstance(e, s.Concat):
             lt = self.type_expr(env, e.left)
             rt = self.type_expr(env, e.right)
@@ -253,7 +238,6 @@ class Checker:
                 template.span, expected=s.render_schema(sk),
                 found=s.render(template),
             )
-        out = []
         for f, ty in zip(template.fields, sk):
             if isinstance(f, s.BindData):
                 if ty == s.LOC:
@@ -261,15 +245,12 @@ class Checker:
                         "binder-kind",
                         f"!{f.name} cannot bind a locality column; use !@{f.name}",
                         f.span)
-                out.append((f.name, DataBind(ty)))
-            else:
-                if ty != s.LOC:
-                    return self.error(
-                        "binder-kind",
-                        f"!@{f.name} can only bind a locality column",
-                        f.span, expected="Loc", found=_render_mtype(ty))
-                out.append((f.name, LocBind()))
-        return out
+            elif ty != s.LOC:
+                return self.error(
+                    "binder-kind",
+                    f"!@{f.name} can only bind a locality column",
+                    f.span, expected="Loc", found=_render_mtype(ty))
+        return [(f.name, ty) for f, ty in zip(template.fields, sk)]
 
     def _check_loc(self, env: TypeEnv, loc: s.Expr) -> bool:
         t = self.type_expr(env, loc)
@@ -293,14 +274,14 @@ class Checker:
                 return None
             return self._schema_of(tb.tid, tb.span)
         if isinstance(tb, s.TableByVar):
-            st = env.lookup(tb.name)
-            if st is None:
+            sk = env.lookup(tb.name)
+            if sk is None:
                 return self.error("unbound-variable",
                                   f"unbound table variable {tb.name!r}", tb.span)
-            if not isinstance(st, TableBind):
+            if not isinstance(sk, tuple):
                 return self.error("kind-mismatch",
                                   f"{tb.name!r} is not a table variable", tb.span)
-            return st.schema
+            return sk
         if isinstance(tb, s.TableLiteral):
             if self._check_rows(tb.interface, tb.rows, tb.span):
                 if tb.interface.tid is not None:
@@ -373,7 +354,7 @@ class Checker:
             env.undo(mark)
             if not ok or payload is None:
                 return None
-            return [(a.bind, TableBind(payload))]
+            return [(a.bind, payload)]
         if isinstance(a, (s.Delete, s.Update, s.Aggr)):
             # A template over a named table scopes over the predicate and,
             # of an update, over the payload, which must fit the table.
@@ -395,13 +376,12 @@ class Checker:
                                   found=s.render_schema(payload))
             if not isinstance(a, s.Aggr):
                 return []
-            if not isinstance(a.fn, s.AggCount):
+            if a.fn.op != "count":
                 col = a.fn.col
                 if not (1 <= col <= len(sk)) or sk[col - 1] != s.INT:
-                    name = _AGG_NAMES[type(a.fn)]
                     return self.error(
                         "aggregator-signature",
-                        f"{name}[{col}] needs an Int column {col} in table {a.tid!r}",
+                        f"{a.fn.op}[{col}] needs an Int column {col} in table {a.tid!r}",
                         a.span, expected="Int",
                         found=_render_mtype(sk[col - 1]) if 1 <= col <= len(sk) else "no such column")
             return self.type_template((s.INT,), a.bind_template)
@@ -427,11 +407,11 @@ class Checker:
     def _bind(self, env: TypeEnv, binds) -> int:
         """Opens the scope of `binds`; `env.undo` of the mark returned closes it."""
         mark = env.mark()
-        for name, st in binds:
+        for name, ty in binds:
             if env.lookup(name) is not None:
                 # Renaming apart makes shadowing impossible in parsed systems.
                 self.error("shadowing", f"binder {name!r} shadows an existing binding")
-            env.bind(name, st)
+            env.bind(name, ty)
         return mark
 
     # -- processes, components, nets
@@ -480,7 +460,7 @@ class Checker:
             binds = self.type_template(sk, p.template)
             if binds is None:
                 return False
-            if not isinstance(p.order, (s.Unordered, s.Lex)):
+            if p.order.op not in s.COLUMNLESS:
                 if not (1 <= p.order.col <= len(sk)):
                     self.error("order-column", "loop order names a missing column", p.span)
                     return False
@@ -539,20 +519,9 @@ class Checker:
 
 
 def _projectable(e: s.Expr) -> bool:
-    if isinstance(e, (s.IntLit, s.StrLit, s.TidLit, s.LocLit, s.DataVar, s.LocVar)):
-        return True
     if isinstance(e, s.MultisetLit):
-        return all(isinstance(x, (s.IntLit, s.StrLit, s.TidLit, s.LocLit))
-                   for x in e.elements)
-    return False
-
-
-def _param_binding(ty):
-    if isinstance(ty, tuple):
-        return TableBind(ty)
-    if ty == s.LOC:
-        return LocBind()
-    return DataBind(ty)
+        return all(x.__class__ in LITERAL_VALUE for x in e.elements)
+    return isinstance(e, (s.DataVar, s.LocVar)) or e.__class__ in LITERAL_VALUE
 
 
 class _TableShapes(s.ScopedMap):
@@ -612,7 +581,7 @@ def check_system(system: s.System) -> list:
     checker = Checker(nabla, system.procedures)
     checker.diags = diags
     for d in system.procedures.values():
-        env = TypeEnv([(name, _param_binding(ty)) for name, ty in d.params])
+        env = TypeEnv(d.params)
         checker.type_process(env, d.body)
     checker.type_net(TypeEnv(), system.main_net)
     leftover = s.free_vars(system.main_net)

@@ -71,11 +71,9 @@ class Multiset:
         ms._hash = None
         return ms
 
-    def add(self, elem, n: int = 1) -> "Multiset":
+    def add(self, elem) -> "Multiset":
         out = dict(self._counts)
-        out[elem] = out.get(elem, 0) + n
-        if out[elem] <= 0:
-            return Multiset(out)  # validates: drops a zero, rejects a negative
+        out[elem] = out.get(elem, 0) + 1
         return Multiset.of_counts(out)
 
     def union(self, other: "Multiset") -> "Multiset":

@@ -203,9 +203,10 @@ class AstGen:
         if kind == "aggr":
             tpl, binds = self.template()
             inner = {**env, **binds}
-            fn = rng.choice([s.AggSum(rng.randrange(1, 5)), s.AggAvg(rng.randrange(1, 5)),
-                             s.AggCount(), s.AggMin(rng.randrange(1, 5)),
-                             s.AggMax(rng.randrange(1, 5))])
+            fn = rng.choice([s.AggrFn("sum", rng.randrange(1, 5)),
+                             s.AggrFn("avg", rng.randrange(1, 5)), s.AggrFn("count"),
+                             s.AggrFn("min", rng.randrange(1, 5)),
+                             s.AggrFn("max", rng.randrange(1, 5))])
             out_tpl, out_binds = self.template(max_arity=1)
             return s.Aggr(self.fresh_tid(), tpl, self.pred(inner), fn, out_tpl,
                           self.loc_expr(env)), out_binds
@@ -217,8 +218,8 @@ class AstGen:
 
     def order(self) -> s.OrderSpec:
         rng = self.rng
-        return rng.choice([s.Unordered(), s.Asc(rng.randrange(1, 4)),
-                           s.Desc(rng.randrange(1, 4)), s.Lex()])
+        return rng.choice([s.OrderSpec("unordered"), s.OrderSpec("asc", rng.randrange(1, 4)),
+                           s.OrderSpec("desc", rng.randrange(1, 4)), s.OrderSpec("lex")])
 
     def process(self, env, depth) -> s.Process:
         rng = self.rng

@@ -196,9 +196,9 @@ class TypedGen:
             int_cols = [i + 1 for i, t in enumerate(sk) if t == s.INT]
             if int_cols and rng.random() < 0.7:
                 col = rng.choice(int_cols)
-                fn = rng.choice([s.AggSum(col), s.AggAvg(col), s.AggMin(col), s.AggMax(col)])
+                fn = rng.choice([s.AggrFn(op, col) for op in ("sum", "avg", "min", "max")])
             else:
-                fn = s.AggCount()
+                fn = s.AggrFn("count")
             out = self.fresh_var()
             a = s.Aggr(tid, tpl, self.pred_over({**env, **binds}), fn,
                        s.Template((s.BindData(out),)), s.LocLit(loc))
@@ -263,7 +263,7 @@ class TypedGen:
         return s.Prefix(action, self.typed_process(cont_env, depth - 1))
 
     def order(self) -> s.OrderSpec:
-        return self.rng.choice([s.Unordered(), s.Unordered(), s.Lex()])
+        return s.OrderSpec(self.rng.choice(["unordered", "unordered", "lex"]))
 
     def system(self) -> s.System:
         rng = self.rng
@@ -340,7 +340,7 @@ def _corrupt_action(a: s.Action, rng: random.Random):
         fields = a.template.fields[:-1]
         if isinstance(a, s.Delete):
             return s.Delete(a.tid, s.Template(fields), s.TruePred(), a.loc)
-        return s.Aggr(a.tid, s.Template(fields), s.TruePred(), s.AggCount(),
+        return s.Aggr(a.tid, s.Template(fields), s.TruePred(), s.AggrFn("count"),
                       a.bind_template, a.loc)
     return None
 
@@ -441,5 +441,6 @@ def corrupt_select_or_loop(system: s.System, rng: random.Random):
         fields = target.template.fields + (s.BindData("v0"),)  # generated names start at v1
         bad = dataclasses.replace(target, template=s.Template(fields))
     else:
-        bad = dataclasses.replace(target, order=s.Asc(len(target.template.fields) + 1))
+        col = len(target.template.fields) + 1
+        bad = dataclasses.replace(target, order=s.OrderSpec("asc", col))
     return _replace_node(system, target, bad)

@@ -307,8 +307,8 @@ def _steps(state, proc, sysdefs):
         rows = proc.table.rows
         _, hit = _keep_and_hit(rows, proc.template, proc.pred)
         if hit:
-            if isinstance(proc.order, (s.Asc, s.Desc)):
-                if any(proc.order.col > len(r) for r in hit.support()):
+            if proc.order.op in ("asc", "desc"):
+                if any(not 1 <= proc.order.col <= len(r) for r in hit.support()):
                     return [ERR_MARK]
             for row in sorted(k.minimal(hit, proc.order), key=s.render_row):
                 sub = k.match(row, proc.template)

@@ -85,7 +85,7 @@ class SmallGen:
         if kind == "aggr":
             tpl = self.template_for(sk)
             col = rng.randrange(1, len(sk) + 1)
-            fn = rng.choice([s.AggSum(col), s.AggCount(), s.AggMax(col)])
+            fn = rng.choice([s.AggrFn("sum", col), s.AggrFn("count"), s.AggrFn("max", col)])
             return s.Aggr(tid, tpl, self.pred_over(tpl, sk), fn,
                           s.Template((s.BindData(self.fresh()),)), loc)
         if kind == "select":
@@ -95,7 +95,7 @@ class SmallGen:
             bind = self.fresh()
             cont = s.Foreach(s.TableByVar(bind),
                              s.Template((s.BindData(self.fresh()),)),
-                             s.TruePred(), s.Unordered(), s.NilProc())
+                             s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
             action = s.Select((s.TableByName(tid, loc),), tpl,
                               self.pred_over(tpl, sk), payload, bind)
             return action, cont
@@ -121,7 +121,8 @@ class SmallGen:
                 for _ in range(rng.randrange(0, 3))
             ])
             tpl = self.template_for(sk)
-            order = rng.choice([s.Unordered(), s.Asc(1), s.Lex()])
+            order = rng.choice([s.OrderSpec("unordered"), s.OrderSpec("asc", 1),
+                                s.OrderSpec("lex")])
             body = self.process(depth - 1)
             return s.Foreach(s.TableLiteral(s.Interface(tid, sk), rows), tpl,
                              self.pred_over(tpl, sk), order, body)

@@ -62,6 +62,19 @@ class TestCanonicalize:
         assert cn.restricted[0] != "l1"
         assert len(cn.items) == 2
 
+    def test_restricted_names_and_items_in_source_order(self):
+        p, q = s.CallProc("p", ()), s.CallProc("q", ())
+        cn = canonicalize(s.ParNet(s.Restrict("a", node("a", proc(p))),
+                                   s.Restrict("a", node("a", proc(q)))))
+        assert cn.restricted == ("a", "a#1")
+        assert list(cn.items.items()) == [(("a", p), 1), (("a#1", q), 1)]
+
+    def test_items_of_nested_parallels_in_source_order(self):
+        p1, p2, p3 = (s.CallProc(name, ()) for name in ("p1", "p2", "p3"))
+        cn = canonicalize(s.ParNet(s.ParNet(node("x", proc(p1)), node("y", proc(p2))),
+                                   node("x", proc(p3))))
+        assert list(cn.items.items()) == [(("x", p1), 1), (("y", p2), 1), (("x", p3), 1)]
+
     def test_err_flag(self):
         cn = canonicalize(s.ParNet(s.ErrNet(), node("l1", proc(NIL))))
         assert cn.err and not ok(cn)

@@ -131,7 +131,7 @@ class TestSelection:
     def test_black_high_boots_selected(self):
         cont = s.Foreach(s.TableByVar("tbv"),
                          s.Template((s.BindData("a"), s.BindData("b"), s.BindData("c"))),
-                         s.TruePred(), s.Unordered(), s.NilProc())
+                         s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
         proc = s.Prefix(self.select_action(), cont)
         sys1 = empty_system(kld_net(proc, at="l0"))
         label, succ = single_step(sys1)
@@ -167,7 +167,7 @@ class TestSelection:
             s.Tuple((s.DataVar("cr"), s.DataVar("k"))), "tbv")
         cont = s.Foreach(s.TableByVar("tbv"),
                          s.Template((s.BindData("a"), s.BindData("b"))),
-                         s.TruePred(), s.Unordered(), s.NilProc())
+                         s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
         net = s.ParNet(kld_net(s.Prefix(action, cont), at="l0"), node("l2", small))
         sys1 = empty_system(net)
         label, succ = single_step(sys1)
@@ -185,7 +185,8 @@ class TestSelection:
                             Multiset({srow("a"): 1, srow("b"): 3}))
         action = s.Select((literal, s.TableByName("T", s.LocLit("l1"))),
                           XY, s.TruePred(), s.Tuple((s.DataVar("x"), s.DataVar("y"))), "tbv")
-        cont = s.Foreach(s.TableByVar("tbv"), XY, s.TruePred(), s.Unordered(), s.NilProc())
+        cont = s.Foreach(s.TableByVar("tbv"), XY, s.TruePred(), s.OrderSpec("unordered"),
+                         s.NilProc())
         net = s.ParNet(node("l0", s.ProcComp(s.Prefix(action, cont))), node("l1", named))
         label, succ = single_step(empty_system(net))
         assert label.rule == "SEL"
@@ -199,7 +200,7 @@ class TestSelection:
         # Only an unchecked net can hold two tables T@l1; a select then reads
         # the one that renders first, which is the order find_tables gives.
         tables = [t_table(srow(2)), t_table(srow(1), srow(1))]
-        cont = s.Foreach(s.TableByVar("u"), X, s.TruePred(), s.Unordered(), s.NilProc())
+        cont = s.Foreach(s.TableByVar("u"), X, s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
         proc = s.Prefix(select_t(X, s.TruePred(), X_PAYLOAD), cont)
         net = s.ParNet(s.ParNet(node("l0", s.ProcComp(proc)), node("l1", tables[0])),
                        node("l1", tables[1]))
@@ -244,7 +245,7 @@ class TestUpdate:
 class TestAggregation:
     def test_total_sales_of_one_shoe_id(self):
         action = s.Aggr("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("id"), lit("001")),
-                        s.AggSum(7), s.Template((s.BindData("res"),)), s.LocLit("l1"))
+                        s.AggrFn("sum", 7), s.Template((s.BindData("res"),)), s.LocLit("l1"))
         cont = prefix_chain(s.Insert("Out", s.Tuple((s.DataVar("res"),)), s.LocLit("l1")))
         out_table = s.TableComp(s.Interface("Out", (s.INT,)), Multiset())
         net = s.ParNet(kld_net(s.Prefix(action, cont)), node("l1", out_table))
@@ -255,7 +256,7 @@ class TestAggregation:
         assert out.rows == Multiset([srow(12)])
 
     def test_aggregation_leaves_the_table_alone(self):
-        action = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggCount(),
+        action = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggrFn("count"),
                         s.Template((s.BindData("n"),)), s.LocLit("l1"))
         sys1 = empty_system(kld_net(s.Prefix(action, s.NilProc())))
         _, succ = single_step(sys1)
@@ -263,7 +264,7 @@ class TestAggregation:
         assert table.rows == KLD_ROWS
 
     def test_wrong_result_binder_is_an_error(self):
-        action = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggCount(),
+        action = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggrFn("count"),
                         s.Template((s.BindLoc("u"),)), s.LocLit("l1"))
         sys1 = empty_system(kld_net(s.Prefix(action, s.NilProc())))
         _, succ = single_step(sys1)
@@ -275,14 +276,14 @@ class TestAvgGuidedPipeline:
         t0 = SEVEN_BINDERS
         primed = s.Template(tuple(s.BindData(n + "2") for n in SEVEN_BINDERS.names()))
         aggr = s.Aggr("KLD", t0, s.Cmp("=", s.DataVar("tp"), lit("HB")),
-                      s.AggAvg(7), s.Template((s.BindData("res"),)), s.LocLit("l1"))
+                      s.AggrFn("avg", 7), s.Template((s.BindData("res"),)), s.LocLit("l1"))
         select = s.Select(
             (s.TableByName("KLD", s.LocLit("l1")),), primed,
             s.Cmp(">=", s.DataVar("ss2"), s.DataVar("res")),
             s.Tuple((s.DataVar("cr2"), s.DataVar("sz2"), s.DataVar("ss2"))), "tbv")
         cont = s.Foreach(s.TableByVar("tbv"),
                          s.Template((s.BindData("a"), s.BindData("b"), s.BindData("c"))),
-                         s.TruePred(), s.Unordered(), s.NilProc())
+                         s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
         proc = s.Prefix(aggr, s.Prefix(select, cont))
         sys1 = empty_system(kld_net(proc, at="l0"))
         cn = canonicalize(sys1.main_net)
@@ -383,7 +384,7 @@ class TestForeach:
 
     def test_total_order_visits_rows_ascending(self):
         sys1 = empty_system(s.ParNet(
-            node("l1", s.ProcComp(self.loop([srow(3), srow(1), srow(2)], s.Asc(1)))),
+            node("l1", s.ProcComp(self.loop([srow(3), srow(1), srow(2)], s.OrderSpec("asc", 1)))),
             node("l1", self.out_table())))
         trace = run(sys1, seed=4, max_steps=50)
         details = [l.detail for l, _ in trace.steps if l.rule == "FOR_TT"]
@@ -392,7 +393,7 @@ class TestForeach:
 
     def test_exactly_one_maximal_trace_under_a_total_order(self):
         sys1 = empty_system(s.ParNet(
-            node("l1", s.ProcComp(self.loop([srow(2), srow(1)], s.Lex()))),
+            node("l1", s.ProcComp(self.loop([srow(2), srow(1)], s.OrderSpec("lex")))),
             node("l1", self.out_table())))
         result = explore(sys1, bound=1000)
         # each step is forced: states form a single chain
@@ -404,7 +405,7 @@ class TestForeach:
         seen = set()
         for seed in range(60):
             sys1 = empty_system(s.ParNet(
-                node("l1", s.ProcComp(self.loop(rows, s.Unordered()))),
+                node("l1", s.ProcComp(self.loop(rows, s.OrderSpec("unordered")))),
                 node("l1", self.out_table())))
             trace = run(sys1, seed=seed, max_steps=50)
             order = tuple(l.detail for l, _ in trace.steps if l.rule == "FOR_TT")
@@ -415,7 +416,7 @@ class TestForeach:
         table = s.TableLiteral(s.Interface("T", (s.INT,)),
                                Multiset([srow(1), srow(2), srow(3)]))
         loop = s.Foreach(table, s.Template((s.BindData("x"),)),
-                         s.Cmp(">", s.DataVar("x"), s.IntLit(1)), s.Asc(1),
+                         s.Cmp(">", s.DataVar("x"), s.IntLit(1)), s.OrderSpec("asc", 1),
                          prefix_chain(s.Insert("Out", s.Tuple((s.DataVar("x"),)),
                                                s.LocLit("l1"))))
         sys1 = empty_system(s.ParNet(node("l1", s.ProcComp(loop)),
@@ -427,14 +428,14 @@ class TestForeach:
     def test_erroneous_row_surfaces_at_loop_exit(self):
         table = s.TableLiteral(s.Interface("T", (s.INT, s.INT)), Multiset([srow(1, 1)]))
         loop = s.Foreach(table, s.Template((s.BindData("x"),)), s.TruePred(),
-                         s.Unordered(), s.NilProc())
+                         s.OrderSpec("unordered"), s.NilProc())
         sys1 = empty_system(node("l1", s.ProcComp(loop)))
         _, succ = single_step(sys1)
         assert succ.err
 
     def test_loop_over_a_name_reference_is_stuck(self):
         loop = s.Foreach(s.TableByName("KLD", s.LocLit("l1")), SEVEN_BINDERS,
-                         s.TruePred(), s.Unordered(), s.NilProc())
+                         s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
         sys1 = empty_system(kld_net(loop))
         cn = canonicalize(sys1.main_net)
         assert enumerate_transitions(cn, sys1) == []
@@ -564,7 +565,7 @@ class TestInterleaving:
                      s.Template((s.BindData("x"),)), s.TruePred(),
                      s.Tuple((s.DataVar("x"),)), "tbv"),
             s.Foreach(s.TableByVar("tbv"), s.Template((s.BindData("y"),)),
-                      s.TruePred(), s.Unordered(),
+                      s.TruePred(), s.OrderSpec("unordered"),
                       prefix_chain(s.Insert("Out", s.Tuple((s.DataVar("y"),)),
                                             s.LocLit("l2")))))
         writer = prefix_chain(s.Update(
@@ -644,11 +645,11 @@ MONITORED = [
     pytest.param(with_t(s.Update("T", X, s.TruePred(), tup("a"), AT_L1), srow(1)),
                  "UPD", "update T@l1: format or evaluation error", True,
                  id="upd-new-row-breaks-schema"),
-    pytest.param(with_t(s.Aggr("T", X, s.TruePred(), s.AggSum(1), s.Template((s.BindData("r"),)),
-                               AT_L1), srow("a"), schema=(s.STRING,)),
+    pytest.param(with_t(s.Aggr("T", X, s.TruePred(), s.AggrFn("sum", 1),
+                               s.Template((s.BindData("r"),)), AT_L1), srow("a"), schema=(s.STRING,)),
                  "AGR", "aggregate over T@l1: signature or evaluation error", True,
                  id="agr-signature"),
-    pytest.param(with_t(s.Aggr("T", X, BAD_CMP, s.AggCount(), s.Template((s.BindData("r"),)),
+    pytest.param(with_t(s.Aggr("T", X, BAD_CMP, s.AggrFn("count"), s.Template((s.BindData("r"),)),
                                AT_L1), srow(1)),
                  "AGR", "aggregate over T@l1: signature or evaluation error", True,
                  id="agr-eval"),
@@ -672,13 +673,16 @@ MONITORED = [
                         srow(1)),
                  "SEL", "select: malformed payload for schema projection", True,
                  id="sel-payload"),
-    pytest.param(loop_at_l1(s.TruePred(), s.Asc(2), srow(1)),
+    pytest.param(loop_at_l1(s.TruePred(), s.OrderSpec("asc", 2), srow(1)),
                  "FOR_TT", "loop order names a missing column", True, id="for-order-column"),
-    pytest.param(loop_at_l1(BAD_CMP, s.Unordered(), srow(1), srow(2)),
+    pytest.param(loop_at_l1(s.TruePred(), s.OrderSpec("asc"), srow(1, 9), srow(2, 3), template=XY),
+                 "FOR_TT", "loop order names a missing column", True,
+                 id="for-order-column-zero"),
+    pytest.param(loop_at_l1(BAD_CMP, s.OrderSpec("unordered"), srow(1), srow(2)),
                  "FOR_FF", "loop exit: format or evaluation error", True, id="for-exit-error"),
-    pytest.param(loop_at_l1(s.TruePred(), s.Unordered(), srow(1, 2), template=X),
+    pytest.param(loop_at_l1(s.TruePred(), s.OrderSpec("unordered"), srow(1, 2), template=X),
                  "FOR_FF", "loop exit: format or evaluation error", True, id="for-exit-mismatch"),
-    pytest.param(loop_at_l1(s.Cmp(">", s.DataVar("x"), s.IntLit(0)), s.Unordered(),
+    pytest.param(loop_at_l1(s.Cmp(">", s.DataVar("x"), s.IntLit(0)), s.OrderSpec("unordered"),
                             srow("a"), srow(1)),
                  "FOR_TT", "iterate on (1)", False, id="for-iterates-past-a-failing-row"),
 ]

@@ -39,8 +39,8 @@ def _reader(r: int, lo: int) -> s.Process:
     return s.Prefix(
         s.Select((s.TableByName("Big", s.LocLit("l0")),), _binders("a", "b", "c"), in_range,
                  _var_tuple("a", "b", "c"), "t"),
-        s.Foreach(s.TableByVar("t"), _binders("x", "y", "z"), s.TruePred(), s.Unordered(),
-                  copy))
+        s.Foreach(s.TableByVar("t"), _binders("x", "y", "z"), s.TruePred(),
+                  s.OrderSpec("unordered"), copy))
 
 
 def shared_site() -> s.System:

@@ -40,7 +40,7 @@ class TestFreeVars:
 
     def test_select_binds_its_table_variable_in_the_continuation(self):
         cont = s.Foreach(s.TableByVar("tbv"), s.Template((s.BindData("x"),)),
-                         s.TruePred(), s.Unordered(), s.NilProc())
+                         s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
         action = s.Select((s.TableByName("T", s.LocLit("l")),),
                           s.Template((s.BindData("a"),)), s.TruePred(),
                           s.Tuple((s.DataVar("a"),)), "tbv")
@@ -51,7 +51,7 @@ class TestFreeVars:
     def test_sequencing_does_not_extend_scope(self):
         first = s.Prefix(
             s.Aggr("T", s.Template((s.BindData("a"),)), s.TruePred(),
-                   s.AggCount(), s.Template((s.BindData("r"),)), s.LocLit("l")),
+                   s.AggrFn("count"), s.Template((s.BindData("r"),)), s.LocLit("l")),
             s.NilProc())
         second = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("r"),)), s.LocLit("l")),
                           s.NilProc())
@@ -59,7 +59,7 @@ class TestFreeVars:
 
     def test_prefix_scope_does_extend(self):
         action = s.Aggr("T", s.Template((s.BindData("a"),)), s.TruePred(),
-                        s.AggCount(), s.Template((s.BindData("r"),)), s.LocLit("l"))
+                        s.AggrFn("count"), s.Template((s.BindData("r"),)), s.LocLit("l"))
         cont = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("r"),)), s.LocLit("l")),
                         s.NilProc())
         assert s.free_vars(s.Prefix(action, cont)) == frozenset()
@@ -196,15 +196,15 @@ RENDER_CASES = [
         Multiset([srow('q"\n', VSet(Multiset([VTid("SH"), VTid("KLD")])), VLoc("l"))])),
         'table T : (String, {Id}, Loc) = {("q\\"\\n", {KLD, SH}, $l)}',
         id="TableLiteral-Interface-VSet-VStr-VLoc"),
-    pytest.param(s.AggSum(2), "sum[2]", id="AggSum"),
-    pytest.param(s.AggAvg(1), "avg[1]", id="AggAvg"),
-    pytest.param(s.AggCount(), "count", id="AggCount"),
-    pytest.param(s.AggMin(3), "min[3]", id="AggMin"),
-    pytest.param(s.AggMax(1), "max[1]", id="AggMax"),
-    pytest.param(s.Unordered(), "unordered", id="Unordered"),
-    pytest.param(s.Asc(1), "asc[1]", id="Asc"),
-    pytest.param(s.Desc(2), "desc[2]", id="Desc"),
-    pytest.param(s.Lex(), "lex", id="Lex"),
+    pytest.param(s.AggrFn("sum", 2), "sum[2]", id="AggSum"),
+    pytest.param(s.AggrFn("avg", 1), "avg[1]", id="AggAvg"),
+    pytest.param(s.AggrFn("count"), "count", id="AggCount"),
+    pytest.param(s.AggrFn("min", 3), "min[3]", id="AggMin"),
+    pytest.param(s.AggrFn("max", 1), "max[1]", id="AggMax"),
+    pytest.param(s.OrderSpec("unordered"), "unordered", id="Unordered"),
+    pytest.param(s.OrderSpec("asc", 1), "asc[1]", id="Asc"),
+    pytest.param(s.OrderSpec("desc", 2), "desc[2]", id="Desc"),
+    pytest.param(s.OrderSpec("lex"), "lex", id="Lex"),
     pytest.param(INSERT, "insert(T@$l, (1))", id="Insert"),
     pytest.param(s.Delete("T", BIND_X, X_EQ_1, U), "delete(T@u, (!x), x = 1)", id="Delete"),
     pytest.param(s.Select((T_AT_L, s.TableByVar("t")), s.Template((s.BindData("x"), s.BindData("y"))),
@@ -212,7 +212,7 @@ RENDER_CASES = [
                  "select(T@$l, t, (!x, !y), true && true, (x), !r)", id="Select"),
     pytest.param(s.Update("T", BIND_X, X_EQ_1, s.Tuple((s.Arith("-", X, ONE),)), L),
                  "update(T@$l, (!x), x = 1, ((x - 1)))", id="Update"),
-    pytest.param(s.Aggr("T", BIND_X, X_IN_Y, s.AggCount(), s.Template((s.BindData("n"),)), L),
+    pytest.param(s.Aggr("T", BIND_X, X_IN_Y, s.AggrFn("count"), s.Template((s.BindData("n"),)), L),
                  "aggr(T@$l, (!x), x in y, count, (!n))", id="Aggr"),
     pytest.param(s.Create("T", L, (s.INT, s.MSet("Id"), s.STRING, s.LOC)),
                  "create(T@$l, (Int, {Id}, String, Loc))", id="Create-Base-MSet"),
@@ -224,17 +224,19 @@ RENDER_CASES = [
     pytest.param(s.Prefix(INSERT, NIL_SEQ), "insert(T@$l, (1)). (nil; nil)", id="Seq-under-Prefix"),
     pytest.param(s.CallProc("f", (ONE, L)), "f(1, $l)", id="CallProc"),
     pytest.param(s.CallProc("g", ()), "g()", id="CallProc-no-args"),
-    pytest.param(s.Foreach(s.TableByVar("t"), BIND_X, s.Cmp(">", X, ONE), s.Unordered(), NIL),
+    pytest.param(s.Foreach(s.TableByVar("t"), BIND_X, s.Cmp(">", X, ONE), s.OrderSpec("unordered"),
+                           NIL),
                  "foreach(t, (!x), x > 1, unordered): nil", id="Foreach"),
-    pytest.param(s.Foreach(T_AT_L, BIND_X, TRUE, s.Asc(1), NIL_SEQ),
+    pytest.param(s.Foreach(T_AT_L, BIND_X, TRUE, s.OrderSpec("asc", 1), NIL_SEQ),
                  "foreach(T@$l, (!x), true, asc[1]): (nil; nil)", id="Seq-under-Foreach"),
     pytest.param(s.Seq(NIL_SEQ, NIL), "(nil; nil); nil", id="Seq-under-Seq-first"),
     pytest.param(s.Seq(NIL, NIL_SEQ), "nil; nil; nil", id="Seq-under-Seq-second"),
-    pytest.param(s.Prefix(INSERT, s.Foreach(T_AT_L, BIND_X, TRUE, s.Lex(),
+    pytest.param(s.Prefix(INSERT, s.Foreach(T_AT_L, BIND_X, TRUE, s.OrderSpec("lex"),
                                             s.Prefix(DROP, s.CallProc("g", ())))),
                  "insert(T@$l, (1)). foreach(T@$l, (!x), true, lex): drop(T@$l). g()",
                  id="Foreach-CallProc-in-tight-positions"),
-    pytest.param(s.Seq(s.Foreach(s.TableByVar("t"), BIND_X, TRUE, s.Desc(2), s.CallProc("g", ())),
+    pytest.param(s.Seq(s.Foreach(s.TableByVar("t"), BIND_X, TRUE, s.OrderSpec("desc", 2),
+                                 s.CallProc("g", ())),
                        s.CallProc("g", ())),
                  "foreach(t, (!x), true, desc[2]): g(); g()", id="Foreach-under-Seq-first"),
     pytest.param(s.ProcComp(NIL_SEQ), "nil; nil", id="ProcComp"),

@@ -5,14 +5,7 @@ import pathlib
 from fixtures import KLD_SCHEMA, SEVEN_BINDERS, SSRESULT_SCHEMA, STORES_SCHEMA
 from kdb import syntax as s
 from kdb.parser import parse_system
-from kdb.typesys import (
-    Checker,
-    DataBind,
-    LocBind,
-    TableBind,
-    TypeEnv,
-    check_system,
-)
+from kdb.typesys import Checker, TypeEnv, check_system
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -34,7 +27,7 @@ def env(*pairs) -> TypeEnv:
 class TestExprTyping:
     def test_arithmetic_under_int_binding(self):
         c = fresh_checker()
-        g = env(("is0", DataBind(s.INT)))
+        g = env(("is0", s.INT))
         assert c.type_expr(g, s.Arith("-", s.DataVar("is0"), s.IntLit(2))) == s.INT
         assert not c.diags
 
@@ -50,7 +43,7 @@ class TestExprTyping:
 
     def test_locality_variable_used_as_data(self):
         c = fresh_checker()
-        g = env(("u", LocBind()))
+        g = env(("u", s.LOC))
         assert c.type_expr(g, s.DataVar("u")) is None
         assert c.diags[0].kind == "kind-mismatch"
 
@@ -69,7 +62,7 @@ class TestExprTyping:
 class TestPredTyping:
     def test_membership_over_id_multiset(self):
         c = fresh_checker()
-        g = env(("w", DataBind(s.MSet("Id"))))
+        g = env(("w", s.MSet("Id")))
         assert c.type_pred(g, s.Member(s.TidLit("KLD"), s.DataVar("w")))
 
     def test_cross_type_compare_rejected(self):
@@ -84,7 +77,7 @@ class TestPredTyping:
 
     def test_subset_needs_matching_multisets(self):
         c = fresh_checker()
-        g = env(("a", DataBind(s.MSet("Id"))), ("b", DataBind(s.MSet("Id"))))
+        g = env(("a", s.MSet("Id")), ("b", s.MSet("Id")))
         assert c.type_pred(g, s.Cmp("sub", s.DataVar("a"), s.DataVar("b")))
         assert not c.type_pred(g, s.Cmp("sub", s.DataVar("a"), s.IntLit(1)))
 
@@ -92,8 +85,7 @@ class TestPredTyping:
 class TestTupleTyping:
     def test_select_payload_schema(self):
         c = fresh_checker()
-        g = env(("cr", DataBind(s.STRING)), ("sz", DataBind(s.STRING)),
-                ("ss", DataBind(s.INT)))
+        g = env(("cr", s.STRING), ("sz", s.STRING), ("ss", s.INT))
         t = s.Tuple((s.DataVar("cr"), s.DataVar("sz"), s.DataVar("ss")))
         assert c.type_tuple(g, t) == (s.STRING, s.STRING, s.INT)
 
@@ -103,8 +95,8 @@ class TestTemplateTyping:
         c = fresh_checker()
         binds = c.type_template(KLD_SCHEMA, SEVEN_BINDERS)
         assert [n for n, _ in binds] == list(SEVEN_BINDERS.names())
-        assert binds[0][1] == DataBind(s.STRING)
-        assert binds[5][1] == DataBind(s.INT)
+        assert binds[0][1] == s.STRING
+        assert binds[5][1] == s.INT
 
     def test_data_binder_cannot_take_locality(self):
         c = fresh_checker()
@@ -129,7 +121,7 @@ class TestTableTyping:
 
     def test_table_variable(self):
         c = fresh_checker()
-        g = env(("tbv", TableBind((s.STRING, s.LOC))))
+        g = env(("tbv", (s.STRING, s.LOC)))
         assert c.type_table(g, s.TableByVar("tbv")) == (s.STRING, s.LOC)
 
     def test_literal_with_short_row(self):
@@ -155,27 +147,26 @@ class TestActionTyping:
     def test_select_yields_table_binding(self):
         c = fresh_checker()
         got = c.type_action(env(), self.select_action())
-        assert got == [("tbv", TableBind((s.STRING, s.LOC)))]
+        assert got == [("tbv", (s.STRING, s.LOC))]
         assert not c.diags
 
     def test_aggr_yields_int_binding(self):
         c = fresh_checker()
-        g = env(("tbv", TableBind((s.STRING, s.LOC))),
-                ("q", DataBind(s.STRING)), ("u", LocBind()))
+        g = env(("tbv", (s.STRING, s.LOC)), ("q", s.STRING), ("u", s.LOC))
         a = s.Aggr("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), s.StrLit("HB")),
-                   s.AggSum(7), s.Template((s.BindData("res"),)), s.LocVar("u"))
-        assert c.type_action(g, a) == [("res", DataBind(s.INT))]
+                   s.AggrFn("sum", 7), s.Template((s.BindData("res"),)), s.LocVar("u"))
+        assert c.type_action(g, a) == [("res", s.INT)]
         assert not c.diags
 
     def test_aggr_result_binder_fit(self):
         # Every aggregator yields one integer, so only a single `!x` binds it.
         def check(bind_template):
             c = fresh_checker()
-            a = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggSum(7), bind_template,
+            a = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggrFn("sum", 7), bind_template,
                        s.LocLit("l1"))
             return c.type_action(env(), a), c.diags
 
-        assert check(s.Template((s.BindData("r"),))) == ([("r", DataBind(s.INT))], [])
+        assert check(s.Template((s.BindData("r"),))) == ([("r", s.INT)], [])
         binds, diags = check(s.Template((s.BindLoc("u"),)))
         assert binds is None
         assert [(d.kind, d.expected, d.found) for d in diags] == [("binder-kind", "Loc", "Int")]
@@ -193,7 +184,7 @@ class TestActionTyping:
 
     def test_aggr_over_string_column_rejected(self):
         c = fresh_checker()
-        a = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggSum(1),
+        a = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggrFn("sum", 1),
                    s.Template((s.BindData("r"),)), s.LocLit("l1"))
         assert c.type_action(env(), a) is None
         assert c.diags[0].kind == "aggregator-signature"
@@ -229,7 +220,7 @@ class TestActionTyping:
                                   s.Tuple((s.DataVar("q"), s.StrLit("HB"), s.IntLit(1))),
                                   s.LocLit("l0")), s.NilProc())
         a = s.Eval(inner, s.LocLit("l1"))
-        assert c.type_action(env(("q", DataBind(s.STRING))), a) == []
+        assert c.type_action(env(("q", s.STRING)), a) == []
         c2 = fresh_checker()
         assert c2.type_action(env(), a) is None
 
