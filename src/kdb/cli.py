@@ -38,8 +38,10 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
-        print(_error_line(path, f" cannot read file: {exc.strerror or exc}"), file=_sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = (f"not UTF-8 at byte {exc.start}" if isinstance(exc, UnicodeDecodeError)
+                  else exc.strerror or exc)
+        print(_error_line(path, f" cannot read file: {reason}"), file=_sys.stderr)
         return None, EXIT_PARSE_ERROR
     try:
         return parse_system(source), None
@@ -86,6 +88,17 @@ def _checked_system(args):
     return system, None
 
 
+def _write_lines(path: str, lines: list) -> bool:
+    """Write the lines to path; on failure print why and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        print(_error_line(path, f" cannot write file: {exc.strerror or exc}"), file=_sys.stderr)
+        return False
+    return True
+
+
 def _lid_json(cn) -> list:
     pairs = []
     for (loc, tid), n in sorted(netmod.lid(cn).items()):
@@ -93,7 +106,7 @@ def _lid_json(cn) -> list:
     return pairs
 
 
-def _write_trace(path: str, trace: semantics.Trace) -> None:
+def _write_trace(path: str, trace: semantics.Trace) -> bool:
     lines = []
     for i, (label, cn) in enumerate(trace.steps):
         lines.append(json.dumps({
@@ -109,8 +122,7 @@ def _write_trace(path: str, trace: semantics.Trace) -> None:
         "tables": netmod.dump_tables(trace.final()),
         "disabled": trace.disabled(),
     }, sort_keys=True))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return _write_lines(path, lines)
 
 
 def cmd_run(args) -> int:
@@ -118,8 +130,8 @@ def cmd_run(args) -> int:
     if system is None:
         return code
     trace = semantics.run(system, seed=args.seed, max_steps=args.max_steps)
-    if args.trace:
-        _write_trace(args.trace, trace)
+    if args.trace and not _write_trace(args.trace, trace):
+        return EXIT_PARSE_ERROR
     final = trace.final()
     print(f"terminal: {trace.terminal} after {len(trace.steps)} step(s)")
     for stuck in trace.disabled():
@@ -136,7 +148,7 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _write_dot(path: str, result: semantics.ExploreResult) -> None:
+def _write_dot(path: str, result: semantics.ExploreResult) -> bool:
     lines = ["digraph states {"]
     for i, cn in enumerate(result.state_list):
         shape = "doubleoctagon" if cn.err else "ellipse"
@@ -144,8 +156,7 @@ def _write_dot(path: str, result: semantics.ExploreResult) -> None:
     for i, label, j in result.edges:
         lines.append(f'  s{i} -> s{j} [label="{_dot_escape(label.rule)}"];')
     lines.append("}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return _write_lines(path, lines)
 
 
 def cmd_explore(args) -> int:
@@ -163,8 +174,8 @@ def cmd_explore(args) -> int:
     for i, d in enumerate(dumps):
         print(f"--- quiescent {i} ---")
         print(d)
-    if args.dot:
-        _write_dot(args.dot, result)
+    if args.dot and not _write_dot(args.dot, result):
+        return EXIT_PARSE_ERROR
     return EXIT_OK
 
 

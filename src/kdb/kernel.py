@@ -11,6 +11,9 @@ predicate and payload once per row without building substituted copies.
 `apply_subst` builds a substituted copy only for what runs on afterwards:
 the continuation of a select or aggr, a loop body and a procedure body.
 It is a `syntax.ScopedMap`, so it respects the binders CHILDREN declares.
+A scalar constant is its value, so evaluating one returns it and
+substitution puts a row's scalar value itself in place of a variable; only
+a multiset value becomes a `MultisetLit`, of its elements in value order.
 
 The kernel never looks a table up.  A join takes the row multisets of
 tables the engine has already found, and the joined schema is the engine's
@@ -33,7 +36,6 @@ from kdb.values import (
     VLoc,
     VSet,
     VStr,
-    VTid,
     row_sort_key,
     scalar_kind,
     value_sort_key,
@@ -72,31 +74,12 @@ _NO_ENV: Subst = {}  # never mutated
 
 
 # ---------------------------------------------------------------------------
-# Literals
-#
-# The value each literal class denotes, and the literal of each scalar value
-# class.  A literal's sort is the kind of its value.
-
-LITERAL_VALUE = {s.IntLit: lambda e: VInt(e.value), s.StrLit: lambda e: VStr(e.value),
-                 s.TidLit: lambda e: VTid(e.name), s.LocLit: lambda e: VLoc(e.name)}
-VALUE_LITERAL = {VInt: lambda v: s.IntLit(v.value), VStr: lambda v: s.StrLit(v.value),
-                 VTid: lambda v: s.TidLit(v.name), VLoc: lambda v: s.LocLit(v.name)}
-
-
-def literal_sort(e: s.Expr) -> Optional[s.Base]:
-    """The sort of a literal; None for any other expression."""
-    value = LITERAL_VALUE.get(e.__class__)
-    return None if value is None else s.Base(scalar_kind(value(e)))
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 
 def eval_expr(e: s.Expr, env: Subst = _NO_ENV) -> Union[Value, _EvalErr]:
     """The value of an expression whose variables env binds to values."""
-    literal = LITERAL_VALUE.get(e.__class__)
-    if literal is not None:
-        return literal(e)
+    if e.__class__ in KIND:
+        return e  # a scalar constant is its value
     if isinstance(e, (s.DataVar, s.LocVar)):
         # A variable env does not bind is an evaluation error.
         return env.get(e.name, ERR)
@@ -250,9 +233,8 @@ def well_sorted_template(template: s.Template, sk: s.Schema) -> bool:
 # Substitution
 
 def value_to_expr(v: Value) -> s.Expr:
-    literal = VALUE_LITERAL.get(v.__class__)
-    if literal is not None:
-        return literal(v)
+    if v.__class__ in KIND:
+        return v
     if isinstance(v, VSet):
         elems = sorted(v.elements, key=value_sort_key)
         return s.MultisetLit(tuple(value_to_expr(e) for e in elems))
@@ -260,7 +242,9 @@ def value_to_expr(v: Value) -> s.Expr:
 
 
 class _Subst(s.ScopedMap):
-    """Replaces the variables env binds; binders in scope shadow them."""
+    """Replaces the variables env binds; binders in scope shadow them.  A
+    variable bound to the wrong sort, which only an unchecked system has,
+    stays in place: its action is then stuck or a monitored error."""
 
     def bind(self, names, env):
         bound = [name for name, _ in names if name in env]
@@ -269,20 +253,14 @@ class _Subst(s.ScopedMap):
         return None, env
 
     def _var(self, node, env):
-        if node.name not in env:
+        v = env.get(node.name)
+        if v is None or isinstance(v, s.TableLiteral):
             return node
-        v = env[node.name]
-        if isinstance(v, s.TableLiteral):
-            raise TypeError(f"table bound to {node.name!r} used as an expression")
         return value_to_expr(v)
 
     def _table_var(self, node, env):
-        if node.name not in env:
-            return node
-        v = env[node.name]
-        if not isinstance(v, s.TableLiteral):
-            raise TypeError(f"non-table bound to table variable {node.name!r}")
-        return v
+        v = env.get(node.name)
+        return v if isinstance(v, s.TableLiteral) else node
 
     hooks = {s.DataVar: _var, s.LocVar: _var, s.TableByVar: _table_var}
 
@@ -299,6 +277,12 @@ def apply_subst(sigma: Subst, target):
 
 # ---------------------------------------------------------------------------
 # Schema projection
+
+def literal_sort(e: s.Expr) -> Optional[s.Base]:
+    """The sort of a scalar constant; None for any other expression."""
+    kind = KIND.get(e.__class__)
+    return None if kind is None else s.Base(kind)
+
 
 def _const_sort(e: s.Expr) -> Optional[s.MType]:
     if isinstance(e, s.MultisetLit):

@@ -324,8 +324,10 @@ class _Parser:
         self.expect(")")
         return ValueTuple(tuple(vals))
 
-    def value(self):
-        t = self.next()
+    def constant(self, t: tuple, what: str):
+        """The constant the token `t`, just read, begins: an integer, a string,
+        a table identifier or a locality, in a row or an expression alike.
+        `what` is the error when `t` begins none."""
         kind = t[0]
         if kind == "INT":
             return VInt(int(t[1]))
@@ -337,14 +339,18 @@ class _Parser:
             return VTid(t[1])
         if kind == "$":
             return VLoc(self.expect("NAME", "locality name")[1])
-        if kind == "{":
+        raise self.error(what, t)
+
+    def value(self):
+        t = self.next()
+        if t[0] == "{":
             elems = self.separated(self.scalar_value)
             self.expect("}")
             try:
                 return VSet(Multiset(elems))
             except ValueError as exc:
                 raise self.error(str(exc), t) from None
-        raise self.error("expected a constant value", t)
+        return self.constant(t, "expected a constant value")
 
     def scalar_value(self):
         if self.at("{"):
@@ -423,7 +429,7 @@ class _Parser:
     def loc_expr(self) -> s.Expr:
         t = self.peek()
         if self.accept("$"):
-            return s.LocLit(self.expect("NAME", "locality name")[1], span=self.span(t))
+            return VLoc(self.expect("NAME", "locality name")[1])
         if self.accept("NAME"):
             return s.LocVar(t[1], span=self.span(t))
         self.fail("expected a locality", expected=("$", "a locality variable"))
@@ -577,16 +583,6 @@ class _Parser:
         if kind == "NAME":
             # Data vs locality variable is settled by `rename_apart`.
             return s.DataVar(t[1], span=self.span(t))
-        if kind == "INT":
-            return s.IntLit(int(t[1]), span=self.span(t))
-        if kind == "STRING":
-            return s.StrLit(t[1], span=self.span(t))
-        if kind == "TID":
-            return s.TidLit(t[1], span=self.span(t))
-        if kind == "$":
-            return s.LocLit(self.expect("NAME", "locality name")[1], span=self.span(t))
-        if kind == "-" and self.at("INT"):
-            return s.IntLit(-int(self.next()[1]), span=self.span(t))
         if kind == "{":
             elems = self.separated(self.multiset_elem)
             self.expect("}")
@@ -595,7 +591,7 @@ class _Parser:
             inner = self.expr()
             self.expect(")")
             return inner
-        raise self.error("expected an expression", t)
+        return self.constant(t, "expected an expression")
 
     def multiset_elem(self) -> s.Expr:
         t = self.peek()
@@ -668,7 +664,7 @@ class _Resolve(s.ScopedMap):
         return cls(name, span=node.span)
 
     def _loc(self, node, env):
-        return s.rename_occurrence(node, env[1])
+        return s.rename_value(node, env[1])
 
     def _table(self, node, env):
         return s.rename_table(node, env[1]) if env[1] else node
@@ -683,7 +679,7 @@ class _Resolve(s.ScopedMap):
         return s.CallProc(node.name, args, span=node.span)
 
     hooks = {s.DataVar: _var, s.LocVar: _var, s.TableByVar: _var, s.CallProc: _call,
-             s.LocLit: _loc, s.TableLiteral: _table, s.TableComp: _table}
+             VLoc: _loc, s.TableLiteral: _table, s.TableComp: _table}
 
 
 def _check_calls(calls: list, procedures: dict) -> None:

@@ -41,7 +41,7 @@ from kdb import kernel as k
 from kdb import net as netmod
 from kdb import syntax as s
 from kdb.net import ERR_NET, CanonicalNet, canonical_key, lid, make_canonical, no_rep
-from kdb.values import Multiset, row_sort_key
+from kdb.values import Multiset, VLoc, row_sort_key
 
 
 class IntegrityError(AssertionError):
@@ -104,7 +104,7 @@ def _is_known_locality(cn: CanonicalNet, loc: str) -> bool:
 
 
 def _loc_of(e: s.Expr):
-    return e.name if isinstance(e, s.LocLit) else None
+    return e.name if isinstance(e, VLoc) else None
 
 
 class _RowPass(NamedTuple):
@@ -231,7 +231,7 @@ def _select_outcomes(cn: CanonicalNet, action: s.Select, cont: s.Process) -> lis
     for tb in action.tables:
         if isinstance(tb, s.TableLiteral):
             sources.append(tb)
-        elif isinstance(tb, s.TableByName) and isinstance(tb.loc, s.LocLit):
+        elif isinstance(tb, s.TableByName) and isinstance(tb.loc, VLoc):
             found = netmod.find_tables(cn, tb.loc.name, tb.tid)
             if not found:
                 return []  # premise fails; may become enabled later

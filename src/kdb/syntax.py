@@ -3,7 +3,9 @@
 AST nodes are frozen dataclasses with tuple-valued children, so every node is
 hashable and structural equality is cheap.  Source spans are carried on nodes
 but excluded from equality and hashing: two parses of the same text compare
-equal regardless of layout.
+equal regardless of layout.  A constant is its value: an expression holds
+the `VInt`, `VStr`, `VTid` or `VLoc` of `kdb.values` that a table row holds,
+with no span, and `rename_value` renames a locality wherever it occurs.
 
 The binding structure is declared once, in the table CHILDREN: a template's
 `!x` and `!@u` scope over its action's predicate and payload and over a
@@ -74,30 +76,6 @@ LOC = Base("Loc")
 # Expressions
 
 @dataclass(frozen=True)
-class IntLit:
-    value: int
-    span: Optional[Span] = span_field()
-
-
-@dataclass(frozen=True)
-class StrLit:
-    value: str
-    span: Optional[Span] = span_field()
-
-
-@dataclass(frozen=True)
-class TidLit:
-    name: str
-    span: Optional[Span] = span_field()
-
-
-@dataclass(frozen=True)
-class LocLit:
-    name: str
-    span: Optional[Span] = span_field()
-
-
-@dataclass(frozen=True)
 class DataVar:
     name: str
     span: Optional[Span] = span_field()
@@ -130,7 +108,7 @@ class MultisetLit:
     span: Optional[Span] = span_field()
 
 
-Expr = Union[IntLit, StrLit, TidLit, LocLit, DataVar, LocVar, Concat, Arith, MultisetLit]
+Expr = Union[VInt, VStr, VTid, VLoc, DataVar, LocVar, Concat, Arith, MultisetLit]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +195,7 @@ class Interface:
 @dataclass(frozen=True)
 class TableByName:
     tid: str
-    loc: Expr  # LocLit or LocVar
+    loc: Expr  # VLoc or LocVar
     span: Optional[Span] = span_field()
 
 
@@ -530,10 +508,6 @@ _FORMAT = {
     VSet: lambda v: "{" + ", ".join(sorted([_FORMAT[e.__class__](e) for e in v.elements])) + "}",
     ValueTuple: lambda row: "(" + _join(row.components) + ")",
     Multiset: lambda rows: "{" + _join(sorted_rows(rows)) + "}",
-    IntLit: lambda e: str(e.value),
-    StrLit: lambda e: _quote(e.value),
-    TidLit: lambda e: e.name,
-    LocLit: lambda e: "$" + e.name,
     DataVar: lambda e: e.name,
     LocVar: lambda e: e.name,
     Concat: lambda e: f"({_r(e.left)} ++ {_r(e.right)})",
@@ -589,9 +563,9 @@ _FORMAT = {
 #
 # CHILDREN declares, once for the whole language, which fields of each AST
 # class hold its children (in dataclass order) and how they are scoped.  A
-# class that is not listed has no children to visit: constants, the
-# occurrences DataVar, LocVar, TableByVar and LocLit, and the tables
-# TableLiteral and TableComp, whose rows may hold locality values.
+# class that is not listed has no children to visit: the constants, a VLoc
+# an occurrence of its locality; the variables DataVar, LocVar, TableByVar;
+# and the tables TableLiteral and TableComp, whose rows may hold localities.
 #
 # Shapes of a child field:
 ONE = "one"  # one node, in the scope of the node's surroundings
@@ -800,22 +774,15 @@ class ScopedMap:
         return new[0], env
 
 
-# -- renaming occurrences, shared by the traversals that rename
+# -- renaming localities in values, shared by the traversals that rename
 
-def rename_occurrence(node, mapping: dict):
-    """A DataVar, LocVar, TableByVar or LocLit with its name mapped."""
-    name = mapping.get(node.name)
-    if name is None or name == node.name:
-        return node
-    return node.__class__(name, span=node.span)
-
-
-def _rename_value(v, mapping: dict):
+def rename_value(v, mapping: dict):
+    """A value, in a row or as a constant, with its locality names mapped."""
     if v.__class__ is VLoc:
         name = mapping.get(v.name)
         return v if name is None else VLoc(name)
     if v.__class__ is VSet:
-        elems = [_rename_value(e, mapping) for e in v.elements]
+        elems = [rename_value(e, mapping) for e in v.elements]
         if all(a is b for a, b in zip(elems, v.elements)):
             return v
         return VSet(Multiset(elems))
@@ -826,7 +793,7 @@ def rename_rows(rows: Multiset, mapping: dict) -> Multiset:
     """Rows with their locality values mapped; `rows` itself if none is."""
     counts = None
     for row, n in rows.items():
-        comps = tuple(_rename_value(v, mapping) for v in row.components)
+        comps = tuple(rename_value(v, mapping) for v in row.components)
         if all(a is b for a, b in zip(comps, row.components)):
             continue
         if counts is None:
@@ -901,7 +868,7 @@ class _Localities(ScopedMap):
             self.out.add(name)
         return name
 
-    def _literal(self, node, env):
+    def _constant(self, node, env):
         self.site(node.name, env)
         return node
 
@@ -913,7 +880,7 @@ class _Localities(ScopedMap):
         self.out |= found - env
         return node
 
-    hooks = {LocLit: _literal, TableLiteral: _rows, TableComp: _rows}
+    hooks = {VLoc: _constant, TableLiteral: _rows, TableComp: _rows}
 
 
 def loc_names(node) -> frozenset:
@@ -941,13 +908,13 @@ class _RenameLocalities(ScopedMap):
     def site(self, name, env):
         return env.get(name, name)
 
-    def _literal(self, node, env):
-        return rename_occurrence(node, env)
+    def _constant(self, node, env):
+        return rename_value(node, env)
 
     def _table(self, node, env):
         return rename_table(node, env)
 
-    hooks = {LocLit: _literal, TableLiteral: _table, TableComp: _table}
+    hooks = {VLoc: _constant, TableLiteral: _table, TableComp: _table}
 
 
 _RENAME_LOCALITIES = _RenameLocalities()

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from kdb import syntax as s
-from kdb.kernel import LITERAL_VALUE, literal_sort, well_sorted_value
+from kdb.kernel import literal_sort, well_sorted_value
+from kdb.values import KIND
 
 
 @dataclass
@@ -257,8 +258,9 @@ class Checker:
         if t is None:
             return False
         if t != s.LOC:
-            self.error("operand-type", "a locality is required here", loc.span,
-                       expected="Loc", found=_render_mtype(t))
+            # A constant, which only a built system puts here, has no span.
+            self.error("operand-type", "a locality is required here",
+                       getattr(loc, "span", None), expected="Loc", found=_render_mtype(t))
             return False
         return True
 
@@ -520,8 +522,8 @@ class Checker:
 
 def _projectable(e: s.Expr) -> bool:
     if isinstance(e, s.MultisetLit):
-        return all(x.__class__ in LITERAL_VALUE for x in e.elements)
-    return isinstance(e, (s.DataVar, s.LocVar)) or e.__class__ in LITERAL_VALUE
+        return all(x.__class__ in KIND for x in e.elements)
+    return isinstance(e, (s.DataVar, s.LocVar)) or e.__class__ in KIND
 
 
 class _TableShapes(s.ScopedMap):

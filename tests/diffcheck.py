@@ -20,7 +20,8 @@ The population:
 - 1,000 `gen.random_system` programs, rendered and checked.
 
 Only text goes into the hash: renders, diagnostics, labels and the `str` of
-canonical keys, none of which depends on the string-hash seed.
+canonical keys, none of which depends on the string-hash seed.  CI runs it
+under PYTHONHASHSEED=0 and 7 and fails when the two lines differ.
 """
 
 import hashlib

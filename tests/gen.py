@@ -84,13 +84,13 @@ class AstGen:
         if depth == 0 or rng.random() < 0.55:
             c = rng.choice(leaves)
             if c == "int":
-                return s.IntLit(rng.randrange(-99, 100))
+                return VInt(rng.randrange(-99, 100))
             if c == "str":
-                return s.StrLit("".join(rng.choice('ab"\\n ') for _ in range(rng.randrange(0, 4))))
+                return VStr("".join(rng.choice('ab"\\n ') for _ in range(rng.randrange(0, 4))))
             if c == "tid":
-                return s.TidLit(self.fresh_tid())
+                return VTid(self.fresh_tid())
             if c == "loc":
-                return s.LocLit(self.loc_name())
+                return VLoc(self.loc_name())
             if c == "dvar":
                 return s.DataVar(rng.choice(data_vars))
             return s.LocVar(rng.choice(loc_vars))
@@ -167,7 +167,7 @@ class AstGen:
             if loc_vars and rng.random() < 0.3:
                 loc = s.LocVar(rng.choice(loc_vars))
             else:
-                loc = s.LocLit(self.loc_name())
+                loc = VLoc(self.loc_name())
             return s.TableByName(self.fresh_tid(), loc)
         return self.table_literal()
 
@@ -177,7 +177,7 @@ class AstGen:
         loc_vars = [n for n, kd in env.items() if kd == "loc"]
         if loc_vars and self.rng.random() < 0.3:
             return s.LocVar(self.rng.choice(loc_vars))
-        return s.LocLit(self.loc_name())
+        return VLoc(self.loc_name())
 
     def action(self, env, depth):
         """Returns (action, env extension for the continuation)."""

@@ -74,13 +74,13 @@ class TypedGen:
     def literal_of(self, t: s.MType) -> s.Expr:
         rng = self.rng
         if t == s.INT:
-            return s.IntLit(rng.randrange(-9, 10))
+            return VInt(rng.randrange(-9, 10))
         if t == s.STRING:
-            return s.StrLit(rng.choice(STRING_POOL))
+            return VStr(rng.choice(STRING_POOL))
         if t == s.LOC:
-            return s.LocLit(rng.choice(self.locs))
+            return VLoc(rng.choice(self.locs))
         if t == s.ID:
-            return s.TidLit(rng.choice(ID_POOL))
+            return VTid(rng.choice(ID_POOL))
         if isinstance(t, s.MSet):
             base = s.Base(t.kind)
             elems = tuple(self.literal_of(base) for _ in range(rng.randrange(1, 3)))
@@ -134,7 +134,7 @@ class TypedGen:
             else:
                 op = rng.choice(["=", "!="])
             return s.Cmp(op, var, self.expr_of(env, ty, 0))
-        return s.Cmp("=", s.IntLit(1), s.IntLit(1))
+        return s.Cmp("=", VInt(1), VInt(1))
 
     def template_for(self, sk: tuple):
         fields = []
@@ -167,14 +167,14 @@ class TypedGen:
             sk = self.schema()
             loc = rng.choice(self.locs)
             self.tables[tid] = (loc, sk)
-            return s.Create(tid, s.LocLit(loc), sk), {}
+            return s.Create(tid, VLoc(loc), sk), {}
         tid, loc, sk = self.pick_table()
         if kind == "insert":
             payload = s.Tuple(tuple(self.expr_of(env, t) for t in sk))
-            return s.Insert(tid, payload, s.LocLit(loc)), {}
+            return s.Insert(tid, payload, VLoc(loc)), {}
         if kind == "delete":
             tpl, binds = self.template_for(sk)
-            return s.Delete(tid, tpl, self.pred_over({**env, **binds}), s.LocLit(loc)), {}
+            return s.Delete(tid, tpl, self.pred_over({**env, **binds}), VLoc(loc)), {}
         if kind == "update":
             tpl, binds = self.template_for(sk)
             inner = {**env, **binds}
@@ -184,13 +184,13 @@ class TypedGen:
                 if rng.random() < 0.6:
                     var = s.LocVar(names[i]) if t == s.LOC else s.DataVar(names[i])
                     if t == s.INT and rng.random() < 0.5:
-                        payload.append(s.Arith(rng.choice(["+", "-"]), var, s.IntLit(rng.randrange(1, 4))))
+                        payload.append(s.Arith(rng.choice(["+", "-"]), var, VInt(rng.randrange(1, 4))))
                     else:
                         payload.append(var)
                 else:
                     payload.append(self.expr_of(inner, t))
             return s.Update(tid, tpl, self.pred_over(inner), s.Tuple(tuple(payload)),
-                            s.LocLit(loc)), {}
+                            VLoc(loc)), {}
         if kind == "aggr":
             tpl, binds = self.template_for(sk)
             int_cols = [i + 1 for i, t in enumerate(sk) if t == s.INT]
@@ -201,14 +201,14 @@ class TypedGen:
                 fn = s.AggrFn("count")
             out = self.fresh_var()
             a = s.Aggr(tid, tpl, self.pred_over({**env, **binds}), fn,
-                       s.Template((s.BindData(out),)), s.LocLit(loc))
+                       s.Template((s.BindData(out),)), VLoc(loc))
             return a, {out: s.INT}
         if kind == "select":
-            refs = [s.TableByName(tid, s.LocLit(loc))]
+            refs = [s.TableByName(tid, VLoc(loc))]
             joined = list(sk)
             if len(self.tables) > 1 and rng.random() < 0.4:
                 tid2, loc2, sk2 = self.pick_table()
-                refs.append(s.TableByName(tid2, s.LocLit(loc2)))
+                refs.append(s.TableByName(tid2, VLoc(loc2)))
                 joined.extend(sk2)
             tpl, binds = self.template_for(tuple(joined))
             inner = {**env, **binds}
@@ -231,10 +231,10 @@ class TypedGen:
                          s.Tuple(tuple(payload)), bind)
             return a, {bind: ("table", tuple(out_schema))}
         if kind == "drop":
-            return s.Drop(tid, s.LocLit(loc)), {}
+            return s.Drop(tid, VLoc(loc)), {}
         if kind == "eval":
             inner = self.typed_process({}, depth - 1)
-            return s.Eval(inner, s.LocLit(rng.choice(self.locs))), {}
+            return s.Eval(inner, VLoc(rng.choice(self.locs))), {}
         raise AssertionError(kind)
 
     def typed_process(self, env: dict, depth: int) -> s.Process:
@@ -329,12 +329,12 @@ def _corrupt_action(a: s.Action, rng: random.Random):
         comps.pop(rng.randrange(len(comps)))
         return s.Insert(a.tid, s.Tuple(tuple(comps)), a.loc)
     if isinstance(a, s.Insert):
-        swapped = s.StrLit("oops") if not isinstance(a.payload.components[0], s.StrLit) else s.IntLit(0)
+        swapped = VStr("oops") if not isinstance(a.payload.components[0], VStr) else VInt(0)
         return s.Insert(a.tid, s.Tuple((swapped,) + a.payload.components[1:]), a.loc)
     if isinstance(a, s.Update):
         comps = list(a.payload.components)
         i = rng.randrange(len(comps))
-        comps[i] = s.Concat(s.StrLit("a"), s.IntLit(1))
+        comps[i] = s.Concat(VStr("a"), VInt(1))
         return s.Update(a.tid, a.template, a.pred, s.Tuple(tuple(comps)), a.loc)
     if isinstance(a, (s.Delete, s.Aggr)) and len(a.template.fields) > 1:
         fields = a.template.fields[:-1]

@@ -13,7 +13,7 @@ import itertools
 
 from kdb import kernel as k
 from kdb import syntax as s
-from kdb.values import Multiset
+from kdb.values import Multiset, VLoc
 
 ERR_MARK = object()
 ERR_STATE = ((), (), True)
@@ -114,7 +114,7 @@ def _tables(state, loc, tid):
 
 
 def _loc_literal(e):
-    return e.name if isinstance(e, s.LocLit) else None
+    return e.name if isinstance(e, VLoc) else None
 
 
 def _rows_scan_err(rows, template, pred):
@@ -241,7 +241,7 @@ def _steps(state, proc, sysdefs):
                 if isinstance(tb, s.TableLiteral):
                     sources.append((tb.interface, tb.rows))
                     continue
-                if isinstance(tb, s.TableByVar) or not isinstance(tb.loc, s.LocLit):
+                if isinstance(tb, s.TableByVar) or not isinstance(tb.loc, VLoc):
                     return [ERR_MARK]
                 hit = next(((i, r) for l, i, r in located
                             if l == tb.loc.name and i.tid == tb.tid), None)

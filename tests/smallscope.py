@@ -10,7 +10,7 @@ import random
 import naive_engine
 from kdb import semantics, syntax as s
 from kdb.net import canonicalize
-from kdb.values import Multiset, ValueTuple, VInt, VStr
+from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
 
 LOCS = ["l0", "l1"]
 TIDS = ["A", "B"]
@@ -44,10 +44,10 @@ class SmallGen:
             t = s.STRING if t == s.INT else s.INT
         if t == s.INT:
             if rng.random() < 0.3:
-                return s.Arith(rng.choice(["+", "-"]), s.IntLit(rng.randrange(3)),
-                               s.IntLit(rng.randrange(3)))
-            return s.IntLit(rng.randrange(3))
-        return s.StrLit(rng.choice("ab"))
+                return s.Arith(rng.choice(["+", "-"]), VInt(rng.randrange(3)),
+                               VInt(rng.randrange(3)))
+            return VInt(rng.randrange(3))
+        return VStr(rng.choice("ab"))
 
     def template_for(self, sk):
         n = len(sk) if self.rng.random() < 0.8 else self.rng.randrange(1, 4)
@@ -65,7 +65,7 @@ class SmallGen:
     def action(self, depth):
         rng = self.rng
         tid = rng.choice(TIDS)
-        loc = s.LocLit(rng.choice(LOCS))
+        loc = VLoc(rng.choice(LOCS))
         sk = self.tables.get(tid, self.schema())
         kind = rng.choice(["insert", "insert", "delete", "update", "aggr",
                            "select", "create", "drop", "eval"])

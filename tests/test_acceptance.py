@@ -19,7 +19,7 @@ from kdb.net import canonicalize, dump_tables, lid, no_rep, to_net
 from kdb.parser import parse_system
 from kdb.semantics import run
 from kdb.typesys import Checker, TypeEnv, build_schema_map, check_net, check_system
-from kdb.values import Multiset, ValueTuple, VInt, VStr
+from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -242,8 +242,8 @@ def synthetic_system(target_chars: int) -> s.System:
     while made < n_actions:
         proc: s.Process = s.NilProc()
         for _ in range(min(chain, n_actions - made)):
-            payload = s.Tuple((s.StrLit(f"w{made:08d}"), s.IntLit(made), s.IntLit(made * 3)))
-            proc = s.Prefix(s.Insert("Big", payload, s.LocLit("l0")), proc)
+            payload = s.Tuple((VStr(f"w{made:08d}"), VInt(made), VInt(made * 3)))
+            proc = s.Prefix(s.Insert("Big", payload, VLoc("l0")), proc)
             made += 1
         parts.append(s.Node("l0", s.ProcComp(proc)))
     net = _balanced_par(parts)

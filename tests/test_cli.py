@@ -11,6 +11,21 @@ CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 DEPT = str(CORPUS / "dept_stores.kdb")
 BAD = str(CORPUS / "bad_insert.kdb")
 
+# Unchecked systems that bind a variable to the wrong sort: a select's table
+# variable inserted as data; an Int bound to a loop's table variable, and a
+# select's table variable passed as an Int argument.
+TABLE_AS_DATA = ("schema T : (Int)\nschema U : (Int)\n"
+                 "$l :: select(T@$l, (!x), true, (x), !t). insert(U@$l, (t)). nil\n"
+                 "|| $l :: table T : (Int) = {(1)} | table U : (Int) = {}")
+DATA_AS_TABLE = ("let p(t: Int) := foreach(t, (!y), true, unordered): nil\n"
+                 "in $l :: p(1) || $m :: select(table T : (Int) = {(1)}, (!x), true, (x), !t). p(t)")
+
+
+def write(tmp_path, text: str) -> str:
+    f = tmp_path / "system.kdb"
+    f.write_text(text)
+    return str(f)
+
 
 class TestCheck:
     def test_well_typed_file(self, capsys):
@@ -25,6 +40,12 @@ class TestCheck:
 
     def test_missing_file(self, capsys):
         assert main(["check", "no_such_file.kdb"]) == 2
+
+    def test_file_not_utf8(self, tmp_path, capsys):
+        f = tmp_path / "latin1.kdb"
+        f.write_bytes(b"$l :: nil\xff\n")
+        assert main(["check", str(f)]) == 2
+        assert capsys.readouterr().err == f"{f}: cannot read file: not UTF-8 at byte 9\n"
 
     def test_parse_error(self, tmp_path, capsys):
         f = tmp_path / "broken.kdb"
@@ -50,6 +71,22 @@ class TestRun:
 
     def test_unchecked_run_hits_the_monitor(self, capsys):
         assert main(["run", BAD, "--unchecked"]) == 3
+
+    def test_unchecked_table_used_as_data_is_monitored(self, tmp_path, capsys):
+        assert main(["run", write(tmp_path, TABLE_AS_DATA), "--unchecked"]) == 3
+        assert "terminal: err" in capsys.readouterr().out
+
+    def test_unchecked_data_bound_to_a_table_variable_is_stuck(self, tmp_path, capsys):
+        assert main(["run", write(tmp_path, DATA_AS_TABLE), "--unchecked"]) == 0
+        out = capsys.readouterr().out
+        assert "disabled: l :: foreach(t, (!y), true, unordered): nil" in out
+        assert "disabled: m :: p(t#" in out
+
+    def test_unwritable_trace(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "t.jsonl"
+        assert main(["run", DEPT, "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"{path}: cannot write file: No such file or directory\n")
 
     def test_step_limit(self, tmp_path, capsys):
         f = tmp_path / "spin.kdb"
@@ -101,6 +138,18 @@ class TestExplore:
     def test_bad_insert_error_reachable(self, capsys):
         assert main(["explore", BAD, "--unchecked"]) == 0
         assert "ERR reachable: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, err", [pytest.param(TABLE_AS_DATA, "yes", id="table-as-data"),
+                                           pytest.param(DATA_AS_TABLE, "no", id="data-as-table")])
+    def test_unchecked_wrong_sort_bindings(self, tmp_path, capsys, text, err):
+        assert main(["explore", write(tmp_path, text), "--unchecked"]) == 0
+        assert f"ERR reachable: {err}" in capsys.readouterr().out
+
+    def test_unwritable_dot(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "g.dot"
+        assert main(["explore", DEPT, "--dot", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"{path}: cannot write file: No such file or directory\n")
 
     def test_empty_net_single_state(self, tmp_path, capsys):
         f = tmp_path / "empty.kdb"

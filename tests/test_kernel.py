@@ -24,7 +24,7 @@ from kdb.values import (
 
 
 def intlit(n):
-    return s.IntLit(n)
+    return VInt(n)
 
 
 class TestEvalExpr:
@@ -36,17 +36,17 @@ class TestEvalExpr:
         assert k.eval_expr(s.Arith("/", intlit(-7), intlit(2))) == VInt(-3)
 
     def test_concat(self):
-        e = s.Concat(s.StrLit("ab"), s.StrLit("cd"))
+        e = s.Concat(VStr("ab"), VStr("cd"))
         assert k.eval_expr(e) == VStr("abcd")
 
     def test_arith_on_string_errs(self):
-        assert k.is_err(k.eval_expr(s.Arith("+", s.StrLit("a"), intlit(1))))
+        assert k.is_err(k.eval_expr(s.Arith("+", VStr("a"), intlit(1))))
 
     def test_concat_on_int_errs(self):
         assert k.is_err(k.eval_expr(s.Concat(intlit(1), intlit(2))))
 
     def test_mixed_multiset_errs(self):
-        e = s.MultisetLit((intlit(1), s.StrLit("x")))
+        e = s.MultisetLit((intlit(1), VStr("x")))
         assert k.is_err(k.eval_expr(e))
 
     def test_homogeneous_multiset(self):
@@ -68,31 +68,31 @@ class TestEvalPred:
         assert k.eval_pred(p) is True
 
     def test_cross_type_compare_errs(self):
-        assert k.is_err(k.eval_pred(s.Cmp("<", s.StrLit("a"), intlit(1))))
+        assert k.is_err(k.eval_pred(s.Cmp("<", VStr("a"), intlit(1))))
 
     def test_and_is_error_strict_even_when_other_side_false(self):
-        bad = s.Cmp("=", s.StrLit("a"), intlit(1))
+        bad = s.Cmp("=", VStr("a"), intlit(1))
         p = s.And(s.Cmp("=", intlit(1), intlit(2)), bad)
         assert k.is_err(k.eval_pred(p))
 
     def test_ordering_on_localities_errs(self):
-        assert k.is_err(k.eval_pred(s.Cmp("<", s.LocLit("a"), s.LocLit("b"))))
-        assert k.eval_pred(s.Cmp("=", s.LocLit("a"), s.LocLit("a"))) is True
+        assert k.is_err(k.eval_pred(s.Cmp("<", VLoc("a"), VLoc("b"))))
+        assert k.eval_pred(s.Cmp("=", VLoc("a"), VLoc("a"))) is True
 
     def test_equality_on_table_ids(self):
-        assert k.eval_pred(s.Cmp("!=", s.TidLit("A"), s.TidLit("B"))) is True
-        assert k.is_err(k.eval_pred(s.Cmp("<=", s.TidLit("A"), s.TidLit("B"))))
+        assert k.eval_pred(s.Cmp("!=", VTid("A"), VTid("B"))) is True
+        assert k.is_err(k.eval_pred(s.Cmp("<=", VTid("A"), VTid("B"))))
 
     def test_string_ordering_is_lexicographic(self):
-        assert k.eval_pred(s.Cmp("<", s.StrLit("abc"), s.StrLit("abd"))) is True
+        assert k.eval_pred(s.Cmp("<", VStr("abc"), VStr("abd"))) is True
 
     def test_membership(self):
-        container = s.MultisetLit((s.TidLit("KLD"), s.TidLit("SH")))
-        assert k.eval_pred(s.Member(s.TidLit("KLD"), container)) is True
-        assert k.eval_pred(s.Member(s.TidLit("LAM"), container)) is False
+        container = s.MultisetLit((VTid("KLD"), VTid("SH")))
+        assert k.eval_pred(s.Member(VTid("KLD"), container)) is True
+        assert k.eval_pred(s.Member(VTid("LAM"), container)) is False
 
     def test_membership_wrong_kind_errs(self):
-        container = s.MultisetLit((s.TidLit("KLD"),))
+        container = s.MultisetLit((VTid("KLD"),))
         assert k.is_err(k.eval_pred(s.Member(intlit(1), container)))
 
     def test_membership_needs_a_multiset(self):
@@ -126,13 +126,13 @@ class TestEvalUnderEnvironment:
             c = rng.random()
             if depth == 0 or c < 0.5:
                 if rng.random() < 0.3:
-                    return s.IntLit(rng.randrange(4))
+                    return VInt(rng.randrange(4))
                 return rng.choice([s.DataVar, s.DataVar, s.LocVar])(rng.choice(names))
             if c < 0.6:
                 return s.MultisetLit((expr(0), expr(0)))
             if c < 0.95:
                 return s.Arith(rng.choice("+-*/"), expr(depth - 1), expr(depth - 1))
-            return s.Concat(expr(depth - 1), s.StrLit("b"))
+            return s.Concat(expr(depth - 1), VStr("b"))
 
         def pred(depth):
             c = rng.random()
@@ -162,16 +162,16 @@ class TestEvalUnderEnvironment:
 class TestEvalTuple:
     def test_componentwise(self):
         t = s.Tuple((s.Arith("+", intlit(1), intlit(1)),
-                     s.Concat(s.StrLit("a"), s.StrLit("b"))))
+                     s.Concat(VStr("a"), VStr("b"))))
         assert k.eval_tuple(t) == ValueTuple((VInt(2), VStr("ab")))
 
     def test_any_component_error_propagates(self):
-        t = s.Tuple((intlit(1), s.Arith("+", s.StrLit("a"), intlit(1))))
+        t = s.Tuple((intlit(1), s.Arith("+", VStr("a"), intlit(1))))
         assert k.is_err(k.eval_tuple(t))
 
     def test_constant_row_evaluates_to_itself(self):
         t = s.Tuple(tuple(
-            s.StrLit(x) if isinstance(x, str) else intlit(x)
+            VStr(x) if isinstance(x, str) else intlit(x)
             for x in ("001", "HB", "2015", "white", "37", 6, 0)
         ))
         assert k.eval_tuple(t) == srow("001", "HB", "2015", "white", "37", 6, 0)
@@ -228,14 +228,14 @@ class TestWellSorted:
 
 class TestSubstitution:
     def test_predicate_substitution(self):
-        p = s.Cmp("=", s.DataVar("tp"), s.StrLit("HB"))
+        p = s.Cmp("=", s.DataVar("tp"), VStr("HB"))
         got = k.apply_subst({"tp": VStr("SB")}, p)
-        assert got == s.Cmp("=", s.StrLit("SB"), s.StrLit("HB"))
+        assert got == s.Cmp("=", VStr("SB"), VStr("HB"))
 
     def test_inner_binder_shadows(self):
         # x is rebound by the loop template, so inner occurrences stay put.
         body = s.Prefix(
-            s.Insert("T", s.Tuple((s.DataVar("x"),)), s.LocLit("l1")), s.NilProc())
+            s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l1")), s.NilProc())
         loop = s.Foreach(
             s.TableByVar("tv"),
             s.Template((s.BindData("x"),)),
@@ -244,11 +244,11 @@ class TestSubstitution:
             body,
         )
         outer = s.Seq(
-            s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), s.LocLit("l1")), s.NilProc()),
+            s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l1")), s.NilProc()),
             loop,
         )
         got = k.apply_subst({"x": VInt(5)}, outer)
-        assert got.first.action.payload == s.Tuple((s.IntLit(5),))
+        assert got.first.action.payload == s.Tuple((VInt(5),))
         assert got.second.body.action.payload == s.Tuple((s.DataVar("x"),))
 
     def test_table_variable_substitution(self):
@@ -329,7 +329,7 @@ class TestSubstAgainstScopeOracle:
 
         def rand_expr(depth=2):
             if depth == 0 or rng.random() < 0.5:
-                return rng.choice([s.IntLit(rng.randrange(5)), s.DataVar(rng.choice(names))])
+                return rng.choice([VInt(rng.randrange(5)), s.DataVar(rng.choice(names))])
             return s.Arith("+", rand_expr(depth - 1), rand_expr(depth - 1))
 
         def rand_pred():
@@ -344,10 +344,10 @@ class TestSubstAgainstScopeOracle:
                 return s.NilProc()
             c = rng.random()
             if c < 0.35:
-                act = s.Insert("T", s.Tuple((rand_expr(),)), s.LocLit("l"))
+                act = s.Insert("T", s.Tuple((rand_expr(),)), VLoc("l"))
                 return s.Prefix(act, rand_proc(depth - 1))
             if c < 0.6:
-                act = s.Delete("T", rand_template(), rand_pred(), s.LocLit("l"))
+                act = s.Delete("T", rand_template(), rand_pred(), VLoc("l"))
                 return s.Prefix(act, rand_proc(depth - 1))
             if c < 0.85:
                 return s.Foreach(s.TableByVar("tv"), rand_template(), rand_pred(),
@@ -357,7 +357,7 @@ class TestSubstAgainstScopeOracle:
         for _ in range(300):
             proc = rand_proc(3)
             got = k.apply_subst({"x": VInt(9)}, proc)
-            want = naive_subst_with_indices(proc, "x", s.IntLit(9))
+            want = naive_subst_with_indices(proc, "x", VInt(9))
             assert got == want
 
 
@@ -407,7 +407,7 @@ class TestProjection:
         assert k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t) == KLD_SCHEMA
 
     def test_constant_component_contributes_its_own_sort(self):
-        t = s.Tuple((s.IntLit(42), s.DataVar("cr")))
+        t = s.Tuple((VInt(42), s.DataVar("cr")))
         got = k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t)
         assert got == (s.INT, s.STRING)
 
@@ -416,7 +416,7 @@ class TestProjection:
         assert k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t) is None
 
     def test_operator_component_is_undefined(self):
-        t = s.Tuple((s.Arith("+", s.IntLit(1), s.IntLit(1)),))
+        t = s.Tuple((s.Arith("+", VInt(1), VInt(1)),))
         assert k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t) is None
 
     def test_identity_projection_on_random_schemas(self):
@@ -454,7 +454,7 @@ class TestJoins:
     def test_unresolved_reference_is_undefined(self):
         # KLD@l9 names no table when KLD is only at l1: there is nothing to
         # join, so the select has no transition.
-        select = s.Select((s.TableByName("KLD", s.LocLit("l9")),), SEVEN_BINDERS,
+        select = s.Select((s.TableByName("KLD", VLoc("l9")),), SEVEN_BINDERS,
                           s.TruePred(), s.Tuple((s.DataVar("id"),)), "tbv")
         net = s.ParNet(s.Node("l0", s.ProcComp(s.Prefix(select, s.NilProc()))),
                        s.Node("l1", KLD_TABLE))

@@ -16,7 +16,7 @@ from kdb.net import (
     ok,
     to_net,
 )
-from kdb.values import Multiset
+from kdb.values import Multiset, VInt, VLoc
 
 
 def node(loc, comp):
@@ -36,7 +36,7 @@ class TestCanonicalize:
         assert canonical_key(canonicalize(n)) == canonical_key(canonicalize(node("l1", proc(NIL))))
 
     def test_co_located_nil_process_absorbed(self):
-        p = s.Prefix(s.Insert("T", s.Tuple((s.IntLit(1),)), s.LocLit("l1")), NIL)
+        p = s.Prefix(s.Insert("T", s.Tuple((VInt(1),)), VLoc("l1")), NIL)
         merged = node("l1", s.ParComp(proc(p), proc(NIL)))
         plain = node("l1", proc(p))
         assert canonical_key(canonicalize(merged)) == canonical_key(canonicalize(plain))

@@ -5,7 +5,7 @@ import pytest
 from gen import random_system
 from kdb import syntax as s
 from kdb.parser import ParseError, parse_system
-from kdb.values import VInt, VStr
+from kdb.values import VInt, VLoc, VStr
 
 
 def parse_net(src: str) -> s.Net:
@@ -18,9 +18,9 @@ class TestBasics:
         action = net.component.process.action
         assert isinstance(action, s.Insert)
         assert action.tid == "KLD"
-        assert action.loc == s.LocLit("l1")
+        assert action.loc == VLoc("l1")
         assert len(action.payload.components) == 7
-        assert action.payload.components[5] == s.IntLit(6)
+        assert action.payload.components[5] == VInt(6)
 
     def test_bare_nil_is_the_empty_net(self):
         assert parse_net("nil") == s.NilNet()
@@ -43,7 +43,15 @@ class TestBasics:
 
     def test_negative_integer_literal(self):
         net = parse_net("$l :: insert(T@$l, (-5)). nil")
-        assert net.component.process.action.payload.components[0] == s.IntLit(-5)
+        assert net.component.process.action.payload.components[0] == VInt(-5)
+
+    @pytest.mark.parametrize("constant, sort", [("0", "Int"), ("-7", "Int"), ('"a\\"b"', "String"),
+                                                ("KLD", "Id"), ("$m", "Loc")])
+    def test_a_constant_reads_the_same_in_a_row_and_in_an_expression(self, constant, sort):
+        net = parse_net(f"$l :: {{ table T : ({sort}) = {{ ({constant}) }}"
+                        f" | insert(T@$l, ({constant})). nil }}")
+        (row,) = net.component.left.rows
+        assert row.components[0] == net.component.right.process.action.payload.components[0]
 
     def test_restriction(self):
         net = parse_net("(new $priv) $priv :: nil")

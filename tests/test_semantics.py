@@ -22,7 +22,7 @@ from kdb.semantics import (
     run,
     step_interactive,
 )
-from kdb.values import Multiset
+from kdb.values import Multiset, VInt, VLoc, VStr
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -43,7 +43,7 @@ def prefix_chain(*actions) -> s.Process:
 
 
 def lit(x) -> s.Expr:
-    return s.IntLit(x) if isinstance(x, int) else s.StrLit(x)
+    return VInt(x) if isinstance(x, int) else VStr(x)
 
 
 def tup(*xs) -> s.Tuple:
@@ -67,7 +67,7 @@ def single_step(sys: s.System):
 class TestInsertion:
     def test_insert_appends_the_evaluated_row(self):
         sys1 = empty_system(kld_net(prefix_chain(
-            s.Insert("KLD", WHITE_TUPLE, s.LocLit("l1")))))
+            s.Insert("KLD", WHITE_TUPLE, VLoc("l1")))))
         label, succ = single_step(sys1)
         assert label.rule == "INS"
         (table,) = find_tables(succ, "l1", "KLD")
@@ -75,7 +75,7 @@ class TestInsertion:
 
     def test_misformatted_insert_collapses_to_the_error_net(self):
         sys1 = empty_system(kld_net(prefix_chain(
-            s.Insert("KLD", tup("001", "HB", "2015"), s.LocLit("l1")))))
+            s.Insert("KLD", tup("001", "HB", "2015"), VLoc("l1")))))
         label, succ = single_step(sys1)
         assert label.rule == "INS"
         assert succ.err
@@ -83,7 +83,7 @@ class TestInsertion:
 
     def test_insert_without_a_table_is_stuck(self):
         sys1 = empty_system(node("l1", s.ProcComp(prefix_chain(
-            s.Insert("KLD", WHITE_TUPLE, s.LocLit("l1"))))))
+            s.Insert("KLD", WHITE_TUPLE, VLoc("l1"))))))
         cn = canonicalize(sys1.main_net)
         assert enumerate_transitions(cn, sys1) == []
 
@@ -94,8 +94,8 @@ class TestDeletion:
                      s.And(s.Cmp("=", s.DataVar("cr"), lit("white")),
                            s.Cmp("=", s.DataVar("sz"), lit("37"))))
         proc = prefix_chain(
-            s.Insert("KLD", WHITE_TUPLE, s.LocLit("l1")),
-            s.Delete("KLD", SEVEN_BINDERS, pred, s.LocLit("l1")),
+            s.Insert("KLD", WHITE_TUPLE, VLoc("l1")),
+            s.Delete("KLD", SEVEN_BINDERS, pred, VLoc("l1")),
         )
         sys1 = empty_system(kld_net(proc))
         trace = run(sys1, seed=0, max_steps=10)
@@ -109,7 +109,7 @@ class TestDeletion:
 
     def test_non_matching_arity_template_is_an_error(self):
         proc = prefix_chain(
-            s.Delete("KLD", s.Template((s.BindData("a"),)), s.TruePred(), s.LocLit("l1")))
+            s.Delete("KLD", s.Template((s.BindData("a"),)), s.TruePred(), VLoc("l1")))
         sys1 = empty_system(kld_net(proc))
         _, succ = single_step(sys1)
         assert succ.err
@@ -125,7 +125,7 @@ SELECT_PAYLOAD = s.Tuple((s.DataVar("cr"), s.DataVar("sz"), s.DataVar("ss")))
 
 class TestSelection:
     def select_action(self, cont_uses="tbv"):
-        return s.Select((s.TableByName("KLD", s.LocLit("l1")),), SEVEN_BINDERS,
+        return s.Select((s.TableByName("KLD", VLoc("l1")),), SEVEN_BINDERS,
                         SELECT_PRED, SELECT_PAYLOAD, cont_uses)
 
     def test_black_high_boots_selected(self):
@@ -162,7 +162,7 @@ class TestSelection:
         template = s.Template(tuple(
             [s.BindData(n) for n in SEVEN_BINDERS.names()] + [s.BindData("k")]))
         action = s.Select(
-            (s.TableByName("KLD", s.LocLit("l1")), s.TableByName("W", s.LocLit("l2"))),
+            (s.TableByName("KLD", VLoc("l1")), s.TableByName("W", VLoc("l2"))),
             template, s.Cmp("=", s.DataVar("id"), lit("002")),
             s.Tuple((s.DataVar("cr"), s.DataVar("k"))), "tbv")
         cont = s.Foreach(s.TableByVar("tbv"),
@@ -183,7 +183,7 @@ class TestSelection:
                                  Multiset({srow(1): 2, srow(2): 1}))
         named = s.TableComp(s.Interface("T", (s.STRING,)),
                             Multiset({srow("a"): 1, srow("b"): 3}))
-        action = s.Select((literal, s.TableByName("T", s.LocLit("l1"))),
+        action = s.Select((literal, s.TableByName("T", VLoc("l1"))),
                           XY, s.TruePred(), s.Tuple((s.DataVar("x"), s.DataVar("y"))), "tbv")
         cont = s.Foreach(s.TableByVar("tbv"), XY, s.TruePred(), s.OrderSpec("unordered"),
                          s.NilProc())
@@ -219,10 +219,10 @@ class TestUpdate:
         payload = s.Tuple((
             s.DataVar("id"), s.DataVar("tp"), s.DataVar("yr"), s.DataVar("cr"),
             s.DataVar("sz"),
-            s.Arith("-", s.DataVar("is0"), s.IntLit(2)),
-            s.Arith("+", s.DataVar("ss"), s.IntLit(2)),
+            s.Arith("-", s.DataVar("is0"), VInt(2)),
+            s.Arith("+", s.DataVar("ss"), VInt(2)),
         ))
-        proc = prefix_chain(s.Update("KLD", SEVEN_BINDERS, pred, payload, s.LocLit("l1")))
+        proc = prefix_chain(s.Update("KLD", SEVEN_BINDERS, pred, payload, VLoc("l1")))
         sys1 = empty_system(kld_net(proc))
         label, succ = single_step(sys1)
         assert label.rule == "UPD"
@@ -236,7 +236,7 @@ class TestUpdate:
         payload = s.Tuple(tuple(s.DataVar(n) for n in SEVEN_BINDERS.names()[:6])
                           + (s.Concat(s.DataVar("cr"), lit("x")),))
         proc = prefix_chain(s.Update("KLD", SEVEN_BINDERS, s.TruePred(), payload,
-                                     s.LocLit("l1")))
+                                     VLoc("l1")))
         sys1 = empty_system(kld_net(proc))
         _, succ = single_step(sys1)
         assert succ.err
@@ -245,8 +245,8 @@ class TestUpdate:
 class TestAggregation:
     def test_total_sales_of_one_shoe_id(self):
         action = s.Aggr("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("id"), lit("001")),
-                        s.AggrFn("sum", 7), s.Template((s.BindData("res"),)), s.LocLit("l1"))
-        cont = prefix_chain(s.Insert("Out", s.Tuple((s.DataVar("res"),)), s.LocLit("l1")))
+                        s.AggrFn("sum", 7), s.Template((s.BindData("res"),)), VLoc("l1"))
+        cont = prefix_chain(s.Insert("Out", s.Tuple((s.DataVar("res"),)), VLoc("l1")))
         out_table = s.TableComp(s.Interface("Out", (s.INT,)), Multiset())
         net = s.ParNet(kld_net(s.Prefix(action, cont)), node("l1", out_table))
         sys1 = empty_system(net)
@@ -257,7 +257,7 @@ class TestAggregation:
 
     def test_aggregation_leaves_the_table_alone(self):
         action = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggrFn("count"),
-                        s.Template((s.BindData("n"),)), s.LocLit("l1"))
+                        s.Template((s.BindData("n"),)), VLoc("l1"))
         sys1 = empty_system(kld_net(s.Prefix(action, s.NilProc())))
         _, succ = single_step(sys1)
         (table,) = find_tables(succ, "l1", "KLD")
@@ -265,7 +265,7 @@ class TestAggregation:
 
     def test_wrong_result_binder_is_an_error(self):
         action = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggrFn("count"),
-                        s.Template((s.BindLoc("u"),)), s.LocLit("l1"))
+                        s.Template((s.BindLoc("u"),)), VLoc("l1"))
         sys1 = empty_system(kld_net(s.Prefix(action, s.NilProc())))
         _, succ = single_step(sys1)
         assert succ.err
@@ -276,9 +276,9 @@ class TestAvgGuidedPipeline:
         t0 = SEVEN_BINDERS
         primed = s.Template(tuple(s.BindData(n + "2") for n in SEVEN_BINDERS.names()))
         aggr = s.Aggr("KLD", t0, s.Cmp("=", s.DataVar("tp"), lit("HB")),
-                      s.AggrFn("avg", 7), s.Template((s.BindData("res"),)), s.LocLit("l1"))
+                      s.AggrFn("avg", 7), s.Template((s.BindData("res"),)), VLoc("l1"))
         select = s.Select(
-            (s.TableByName("KLD", s.LocLit("l1")),), primed,
+            (s.TableByName("KLD", VLoc("l1")),), primed,
             s.Cmp(">=", s.DataVar("ss2"), s.DataVar("res")),
             s.Tuple((s.DataVar("cr2"), s.DataVar("sz2"), s.DataVar("ss2"))), "tbv")
         cont = s.Foreach(s.TableByVar("tbv"),
@@ -304,7 +304,7 @@ class TestAvgGuidedPipeline:
 
 class TestCreateAndDrop:
     def test_create_adds_an_empty_table(self):
-        proc = prefix_chain(s.Create("Turnover", s.LocLit("l0"), (s.STRING, s.INT)))
+        proc = prefix_chain(s.Create("Turnover", VLoc("l0"), (s.STRING, s.INT)))
         stores_like = s.TableComp(s.Interface("Stores", (s.STRING,)),
                                   Multiset([srow("x")]))
         net = s.ParNet(node("l0", s.ProcComp(proc)), node("l0", stores_like))
@@ -316,7 +316,7 @@ class TestCreateAndDrop:
         assert len(made.rows) == 0
 
     def test_create_skips_when_identifier_taken(self):
-        proc = prefix_chain(s.Create("Stores", s.LocLit("l0"), (s.STRING,)))
+        proc = prefix_chain(s.Create("Stores", VLoc("l0"), (s.STRING,)))
         existing = s.TableComp(s.Interface("Stores", (s.STRING,)), Multiset())
         net = s.ParNet(node("l0", s.ProcComp(proc)), node("l0", existing))
         sys1 = empty_system(net)
@@ -326,7 +326,7 @@ class TestCreateAndDrop:
         assert len(find_tables(succ, "l0", "Stores")) == 1
 
     def test_create_at_referenced_but_empty_locality(self):
-        proc = prefix_chain(s.Create("T", s.LocLit("l2"), (s.INT,)))
+        proc = prefix_chain(s.Create("T", VLoc("l2"), (s.INT,)))
         sys1 = empty_system(node("l1", s.ProcComp(proc)))
         label, succ = single_step(sys1)
         assert find_tables(succ, "l2", "T")
@@ -339,14 +339,14 @@ class TestCreateAndDrop:
         assert enumerate_transitions(cn, sys1) == []
 
     def test_drop_removes_the_table(self):
-        proc = prefix_chain(s.Drop("KLD", s.LocLit("l1")))
+        proc = prefix_chain(s.Drop("KLD", VLoc("l1")))
         sys1 = empty_system(kld_net(proc))
         label, succ = single_step(sys1)
         assert label.rule == "DRP"
         assert find_tables(succ, "l1", "KLD") == []
 
     def test_drop_without_a_table_is_stuck(self):
-        proc = prefix_chain(s.Drop("Nope", s.LocLit("l1")))
+        proc = prefix_chain(s.Drop("Nope", VLoc("l1")))
         sys1 = empty_system(kld_net(proc))
         cn = canonicalize(sys1.main_net)
         assert [t[0].rule for t in enumerate_transitions(cn, sys1)] == []
@@ -354,8 +354,8 @@ class TestCreateAndDrop:
 
 class TestEvalAction:
     def test_spawn_places_the_process_remotely(self):
-        inner = prefix_chain(s.Insert("KLD", WHITE_TUPLE, s.LocLit("l1")))
-        proc = prefix_chain(s.Eval(inner, s.LocLit("l1")))
+        inner = prefix_chain(s.Insert("KLD", WHITE_TUPLE, VLoc("l1")))
+        proc = prefix_chain(s.Eval(inner, VLoc("l1")))
         sys1 = empty_system(s.ParNet(node("l0", s.ProcComp(proc)), node("l1", KLD_TABLE)))
         label, succ = single_step(sys1)
         assert label.rule == "EVL"
@@ -364,8 +364,8 @@ class TestEvalAction:
         assert spawned == [inner]
 
     def test_open_process_cannot_be_spawned(self):
-        inner = prefix_chain(s.Insert("KLD", s.Tuple((s.DataVar("x"),)), s.LocLit("l1")))
-        proc = prefix_chain(s.Eval(inner, s.LocLit("l1")))
+        inner = prefix_chain(s.Insert("KLD", s.Tuple((s.DataVar("x"),)), VLoc("l1")))
+        proc = prefix_chain(s.Eval(inner, VLoc("l1")))
         sys1 = empty_system(s.ParNet(node("l0", s.ProcComp(proc)), node("l1", KLD_TABLE)))
         cn = canonicalize(sys1.main_net)
         assert enumerate_transitions(cn, sys1) == []
@@ -378,7 +378,7 @@ class TestForeach:
     def loop(self, rows, order, body=None):
         table = s.TableLiteral(s.Interface("T", (s.INT,)), Multiset(rows))
         body = body or prefix_chain(
-            s.Insert("Out", s.Tuple((s.DataVar("x"),)), s.LocLit("l1")))
+            s.Insert("Out", s.Tuple((s.DataVar("x"),)), VLoc("l1")))
         return s.Foreach(table, s.Template((s.BindData("x"),)), s.TruePred(),
                          order, body)
 
@@ -416,9 +416,9 @@ class TestForeach:
         table = s.TableLiteral(s.Interface("T", (s.INT,)),
                                Multiset([srow(1), srow(2), srow(3)]))
         loop = s.Foreach(table, s.Template((s.BindData("x"),)),
-                         s.Cmp(">", s.DataVar("x"), s.IntLit(1)), s.OrderSpec("asc", 1),
+                         s.Cmp(">", s.DataVar("x"), VInt(1)), s.OrderSpec("asc", 1),
                          prefix_chain(s.Insert("Out", s.Tuple((s.DataVar("x"),)),
-                                               s.LocLit("l1"))))
+                                               VLoc("l1"))))
         sys1 = empty_system(s.ParNet(node("l1", s.ProcComp(loop)),
                                      node("l1", self.out_table())))
         trace = run(sys1, seed=0, max_steps=50)
@@ -434,7 +434,7 @@ class TestForeach:
         assert succ.err
 
     def test_loop_over_a_name_reference_is_stuck(self):
-        loop = s.Foreach(s.TableByName("KLD", s.LocLit("l1")), SEVEN_BINDERS,
+        loop = s.Foreach(s.TableByName("KLD", VLoc("l1")), SEVEN_BINDERS,
                          s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
         sys1 = empty_system(kld_net(loop))
         cn = canonicalize(sys1.main_net)
@@ -443,8 +443,8 @@ class TestForeach:
 
 class TestSequencing:
     def test_seq_advances_head_then_drops_to_tail(self):
-        first = prefix_chain(s.Insert("KLD", WHITE_TUPLE, s.LocLit("l1")))
-        second = prefix_chain(s.Drop("KLD", s.LocLit("l1")))
+        first = prefix_chain(s.Insert("KLD", WHITE_TUPLE, VLoc("l1")))
+        second = prefix_chain(s.Drop("KLD", VLoc("l1")))
         sys1 = empty_system(kld_net(s.Seq(first, second)))
         trace = run(sys1, seed=0, max_steps=10)
         assert [l.rule for l, _ in trace.steps] == ["SEQ_FF", "DRP"]
@@ -452,15 +452,15 @@ class TestSequencing:
 
     def test_seq_keeps_tail_while_head_continues(self):
         first = prefix_chain(
-            s.Insert("KLD", WHITE_TUPLE, s.LocLit("l1")),
-            s.Insert("KLD", WHITE_TUPLE, s.LocLit("l1")),
+            s.Insert("KLD", WHITE_TUPLE, VLoc("l1")),
+            s.Insert("KLD", WHITE_TUPLE, VLoc("l1")),
         )
         sys1 = empty_system(kld_net(s.Seq(first, s.NilProc())))
         label, succ = single_step(sys1)
         assert label.rule == "SEQ_TT"
 
     def test_error_propagates_through_seq(self):
-        first = prefix_chain(s.Insert("KLD", tup(1), s.LocLit("l1")))
+        first = prefix_chain(s.Insert("KLD", tup(1), VLoc("l1")))
         sys1 = empty_system(kld_net(s.Seq(first, s.NilProc())))
         _, succ = single_step(sys1)
         assert succ.err
@@ -472,7 +472,7 @@ class TestCall:
             s.DataVar("a"), lit("HB"), lit("2015"), lit("white"), lit("37"),
             s.DataVar("n"), lit(0))), s.LocVar("u")))
         sysdef = s.ProcDef("go", (("a", s.STRING), ("n", s.INT), ("u", s.LOC)), body)
-        proc = s.CallProc("go", (lit("001"), s.Arith("+", lit(2), lit(4)), s.LocLit("l1")))
+        proc = s.CallProc("go", (lit("001"), s.Arith("+", lit(2), lit(4)), VLoc("l1")))
         sys1 = s.System(procedures={"go": sysdef}, schema_decls=(),
                         main_net=kld_net(proc))
         trace = run(sys1, seed=0, max_steps=10)
@@ -481,7 +481,7 @@ class TestCall:
         assert table.rows == KLD_ROWS.add(srow("001", "HB", "2015", "white", "37", 6, 0))
 
     def test_recursive_procedure_expands_lazily(self):
-        body = s.Prefix(s.Insert("T", tup(1), s.LocLit("l1")),
+        body = s.Prefix(s.Insert("T", tup(1), VLoc("l1")),
                         s.CallProc("loop", ()))
         sysdef = s.ProcDef("loop", (), body)
         table = s.TableComp(s.Interface("T", (s.INT,)), Multiset())
@@ -515,7 +515,7 @@ class TestScheduling:
             step_interactive(cn, sys1, 0)
 
     def test_quiescence_reports_disabled_actions(self):
-        stuck = prefix_chain(s.Insert("Nowhere", tup(1), s.LocLit("l9")))
+        stuck = prefix_chain(s.Insert("Nowhere", tup(1), VLoc("l9")))
         sys1 = empty_system(node("l1", s.ProcComp(stuck)))
         trace = run(sys1, seed=0, max_steps=10)
         assert trace.terminal == "quiescent"
@@ -529,7 +529,7 @@ class TestInterleaving:
         table = s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(1)]))
         bump = lambda amount: prefix_chain(s.Update(  # noqa: E731
             "T", s.Template((s.BindData("x"),)), s.TruePred(),
-            s.Tuple((s.Arith("*", s.DataVar("x"), s.IntLit(amount)),)), s.LocLit("l1")))
+            s.Tuple((s.Arith("*", s.DataVar("x"), VInt(amount)),)), VLoc("l1")))
         net = s.ParNet(s.ParNet(node("l1", s.ProcComp(bump(2))),
                                 node("l1", s.ProcComp(bump(3)))),
                        node("l1", table))
@@ -545,7 +545,7 @@ class TestInterleaving:
         table = s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(1)]))
         setter = lambda v: prefix_chain(s.Update(  # noqa: E731
             "T", s.Template((s.BindData("x"),)), s.TruePred(),
-            s.Tuple((s.IntLit(v),)), s.LocLit("l1")))
+            s.Tuple((VInt(v),)), VLoc("l1")))
         net = s.ParNet(s.ParNet(node("l1", s.ProcComp(setter(7))),
                                 node("l1", s.ProcComp(setter(9)))),
                        node("l1", table))
@@ -561,16 +561,16 @@ class TestInterleaving:
         table = s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(1), srow(2)]))
         out = s.TableComp(s.Interface("Out", (s.INT,)), Multiset())
         reader = s.Prefix(
-            s.Select((s.TableByName("T", s.LocLit("l1")),),
+            s.Select((s.TableByName("T", VLoc("l1")),),
                      s.Template((s.BindData("x"),)), s.TruePred(),
                      s.Tuple((s.DataVar("x"),)), "tbv"),
             s.Foreach(s.TableByVar("tbv"), s.Template((s.BindData("y"),)),
                       s.TruePred(), s.OrderSpec("unordered"),
                       prefix_chain(s.Insert("Out", s.Tuple((s.DataVar("y"),)),
-                                            s.LocLit("l2")))))
+                                            VLoc("l2")))))
         writer = prefix_chain(s.Update(
             "T", s.Template((s.BindData("z"),)), s.TruePred(),
-            s.Tuple((s.Arith("+", s.DataVar("z"), s.IntLit(10)),)), s.LocLit("l1")))
+            s.Tuple((s.Arith("+", s.DataVar("z"), VInt(10)),)), VLoc("l1")))
         net = s.ParNet(s.ParNet(node("l1", s.ProcComp(reader)),
                                 node("l1", s.ProcComp(writer))),
                        s.ParNet(node("l1", table), node("l2", out)))
@@ -590,7 +590,7 @@ class TestDuplicateTables:
         # each matching table is its own redex.
         t1 = s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(1)]))
         t2 = s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(2)]))
-        proc = prefix_chain(s.Insert("T", tup(9), s.LocLit("l1")))
+        proc = prefix_chain(s.Insert("T", tup(9), VLoc("l1")))
         net = s.ParNet(s.ParNet(node("l1", s.ProcComp(proc)), node("l1", t1)),
                        node("l1", t2))
         sys1 = empty_system(net)
@@ -602,10 +602,10 @@ class TestDuplicateTables:
 
 X = s.Template((s.BindData("x"),))
 XY = s.Template((s.BindData("x"), s.BindData("y")))
-AT_L1 = s.LocLit("l1")
+AT_L1 = VLoc("l1")
 # Comparing an Int with a String is an evaluation error.
 BAD_CMP = s.Cmp("=", s.DataVar("x"), lit("a"))
-NO_ROW = s.Cmp(">", s.DataVar("x"), s.IntLit(5))
+NO_ROW = s.Cmp(">", s.DataVar("x"), VInt(5))
 
 
 def t_table(*rows, schema=(s.INT,)) -> s.TableComp:
@@ -669,7 +669,7 @@ MONITORED = [
     pytest.param(with_t(select_t(X, BAD_CMP, X_PAYLOAD), srow(1), srow(1, 2)),
                  "SEL", "select: evaluation error", True, id="sel-first-failing-row-decides"),
     pytest.param(with_t(select_t(X, s.TruePred(),
-                                 s.Tuple((s.Arith("+", s.DataVar("x"), s.IntLit(1)),))),
+                                 s.Tuple((s.Arith("+", s.DataVar("x"), VInt(1)),))),
                         srow(1)),
                  "SEL", "select: malformed payload for schema projection", True,
                  id="sel-payload"),
@@ -682,7 +682,7 @@ MONITORED = [
                  "FOR_FF", "loop exit: format or evaluation error", True, id="for-exit-error"),
     pytest.param(loop_at_l1(s.TruePred(), s.OrderSpec("unordered"), srow(1, 2), template=X),
                  "FOR_FF", "loop exit: format or evaluation error", True, id="for-exit-mismatch"),
-    pytest.param(loop_at_l1(s.Cmp(">", s.DataVar("x"), s.IntLit(0)), s.OrderSpec("unordered"),
+    pytest.param(loop_at_l1(s.Cmp(">", s.DataVar("x"), VInt(0)), s.OrderSpec("unordered"),
                             srow("a"), srow(1)),
                  "FOR_TT", "iterate on (1)", False, id="for-iterates-past-a-failing-row"),
 ]

@@ -16,7 +16,7 @@ from kdb import net as netmod
 from kdb import semantics
 from kdb import syntax as s
 from kdb.net import canonical_key, canonicalize, find_tables
-from kdb.values import Multiset, VLoc
+from kdb.values import Multiset, VInt, VLoc, VStr
 
 
 def _var_tuple(*names):
@@ -33,11 +33,11 @@ def _reader(r: int, lo: int) -> s.Process:
     Built directly, not parsed, so every reader binds the same name and the
     readers' selects share one label, as parsed readers can after renaming.
     """
-    in_range = s.And(s.Cmp(">=", s.DataVar("b"), s.IntLit(lo)),
-                     s.Cmp("<", s.DataVar("b"), s.IntLit(lo + 3)))
-    copy = s.Prefix(s.Insert(f"R{r}", _var_tuple("x", "y", "z"), s.LocLit("l0")), s.NilProc())
+    in_range = s.And(s.Cmp(">=", s.DataVar("b"), VInt(lo)),
+                     s.Cmp("<", s.DataVar("b"), VInt(lo + 3)))
+    copy = s.Prefix(s.Insert(f"R{r}", _var_tuple("x", "y", "z"), VLoc("l0")), s.NilProc())
     return s.Prefix(
-        s.Select((s.TableByName("Big", s.LocLit("l0")),), _binders("a", "b", "c"), in_range,
+        s.Select((s.TableByName("Big", VLoc("l0")),), _binders("a", "b", "c"), in_range,
                  _var_tuple("a", "b", "c"), "t"),
         s.Foreach(s.TableByVar("t"), _binders("x", "y", "z"), s.TruePred(),
                   s.OrderSpec("unordered"), copy))
@@ -48,8 +48,8 @@ def shared_site() -> s.System:
     schema = (s.STRING, s.INT, s.INT)
     big = s.TableComp(s.Interface("Big", schema), Multiset(
         [srow(f"o{i}", 1000 + i, i % 7) for i in range(12)]))
-    writer = s.Prefix(s.Insert("Big", s.Tuple((s.StrLit("w"), s.IntLit(1), s.IntLit(2))),
-                               s.LocLit("l0")), s.NilProc())
+    writer = s.Prefix(s.Insert("Big", s.Tuple((VStr("w"), VInt(1), VInt(2))),
+                               VLoc("l0")), s.NilProc())
     comps = [big, *(s.TableComp(s.Interface(f"R{r}", schema), Multiset()) for r in range(3)),
              *(s.ProcComp(_reader(r, 1000 + 3 * r)) for r in range(3)), s.ProcComp(writer)]
     net = s.Node("l0", comps[0])
@@ -110,7 +110,7 @@ class TestLabelFirstOrder:
         # Two copies of one table: the insert has two redexes with the same
         # label and the same successor, which count as one transition.
         table = s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(1)]))
-        proc = s.Prefix(s.Insert("T", s.Tuple((s.IntLit(9),)), s.LocLit("l1")), s.NilProc())
+        proc = s.Prefix(s.Insert("T", s.Tuple((VInt(9),)), VLoc("l1")), s.NilProc())
         net = s.ParNet(s.Node("l1", s.ProcComp(proc)),
                        s.ParNet(s.Node("l1", table), s.Node("l1", table)))
         sys1 = s.System(procedures={}, schema_decls=(), main_net=net)
@@ -156,7 +156,7 @@ class TestDeltaSuccessors:
         # The finishing process leaves nil at l1, which also hosts a table;
         # l2 keeps its lone nil.
         table = s.TableComp(s.Interface("T", (s.INT,)), Multiset())
-        proc = s.Prefix(s.Insert("T", s.Tuple((s.IntLit(1),)), s.LocLit("l1")), s.NilProc())
+        proc = s.Prefix(s.Insert("T", s.Tuple((VInt(1),)), VLoc("l1")), s.NilProc())
         net = s.ParNet(s.ParNet(s.Node("l1", s.ProcComp(proc)), s.Node("l1", table)),
                        s.Node("l2", s.ProcComp(s.NilProc())))
         sys1 = s.System(procedures={}, schema_decls=(), main_net=net)

@@ -6,7 +6,7 @@ import pytest
 
 from fixtures import SEVEN_BINDERS, srow
 from kdb import syntax as s
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VTid
+from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
 
 
 def seven_var_tuple():
@@ -21,27 +21,27 @@ class TestFreeVars:
         payload = s.Tuple((
             s.DataVar("id"), s.DataVar("tp"), s.DataVar("yr"), s.DataVar("cr"),
             s.DataVar("sz"),
-            s.Arith("-", s.DataVar("is0"), s.IntLit(2)),
-            s.Arith("+", s.DataVar("ss"), s.IntLit(2)),
+            s.Arith("-", s.DataVar("is0"), VInt(2)),
+            s.Arith("+", s.DataVar("ss"), VInt(2)),
         ))
         pred = s.And(
-            s.Cmp("=", s.DataVar("tp"), s.StrLit("HB")),
-            s.And(s.Cmp("=", s.DataVar("cr"), s.StrLit("red")),
-                  s.Cmp("=", s.DataVar("sz"), s.StrLit("37"))),
+            s.Cmp("=", s.DataVar("tp"), VStr("HB")),
+            s.And(s.Cmp("=", s.DataVar("cr"), VStr("red")),
+                  s.Cmp("=", s.DataVar("sz"), VStr("37"))),
         )
-        action = s.Update("KLD", SEVEN_BINDERS, pred, payload, s.LocLit("l1"))
+        action = s.Update("KLD", SEVEN_BINDERS, pred, payload, VLoc("l1"))
         assert s.free_vars(action) == frozenset()
         assert s.free_vars(payload) == frozenset(SEVEN_BINDERS.names())
 
     def test_prefix_with_no_templates_binds_nothing(self):
-        cont = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), s.LocLit("l")), s.NilProc())
-        p = s.Prefix(s.Insert("T", s.Tuple((s.IntLit(1),)), s.LocLit("l")), cont)
+        cont = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
+        p = s.Prefix(s.Insert("T", s.Tuple((VInt(1),)), VLoc("l")), cont)
         assert s.free_vars(p) == frozenset(["x"])
 
     def test_select_binds_its_table_variable_in_the_continuation(self):
         cont = s.Foreach(s.TableByVar("tbv"), s.Template((s.BindData("x"),)),
                          s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
-        action = s.Select((s.TableByName("T", s.LocLit("l")),),
+        action = s.Select((s.TableByName("T", VLoc("l")),),
                           s.Template((s.BindData("a"),)), s.TruePred(),
                           s.Tuple((s.DataVar("a"),)), "tbv")
         p = s.Prefix(action, cont)
@@ -51,16 +51,16 @@ class TestFreeVars:
     def test_sequencing_does_not_extend_scope(self):
         first = s.Prefix(
             s.Aggr("T", s.Template((s.BindData("a"),)), s.TruePred(),
-                   s.AggrFn("count"), s.Template((s.BindData("r"),)), s.LocLit("l")),
+                   s.AggrFn("count"), s.Template((s.BindData("r"),)), VLoc("l")),
             s.NilProc())
-        second = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("r"),)), s.LocLit("l")),
+        second = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("r"),)), VLoc("l")),
                           s.NilProc())
         assert "r" in s.free_vars(s.Seq(first, second))
 
     def test_prefix_scope_does_extend(self):
         action = s.Aggr("T", s.Template((s.BindData("a"),)), s.TruePred(),
-                        s.AggrFn("count"), s.Template((s.BindData("r"),)), s.LocLit("l"))
-        cont = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("r"),)), s.LocLit("l")),
+                        s.AggrFn("count"), s.Template((s.BindData("r"),)), VLoc("l"))
+        cont = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("r"),)), VLoc("l")),
                         s.NilProc())
         assert s.free_vars(s.Prefix(action, cont)) == frozenset()
 
@@ -74,7 +74,7 @@ class TestFreeLocs:
         assert s.free_locs(net) == frozenset(["l1"])
 
     def test_locality_literals_in_actions_are_free(self):
-        p = s.Prefix(s.Insert("T", s.Tuple((s.IntLit(1),)), s.LocLit("l9")), s.NilProc())
+        p = s.Prefix(s.Insert("T", s.Tuple((VInt(1),)), VLoc("l9")), s.NilProc())
         net = s.Node("l1", s.ProcComp(p))
         assert s.free_locs(net) == frozenset(["l1", "l9"])
 
@@ -92,14 +92,14 @@ class TestScopedMap:
             assert listed == sorted(listed), cls.__name__
 
     def test_unchanged_node_is_returned_itself(self):
-        p = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), s.LocLit("l")), s.NilProc())
+        p = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
         assert s.rename_localities(p, {"m": "n"}) is p
         from kdb.kernel import apply_subst
         assert apply_subst({"y": VInt(1)}, p) is p
 
     def test_restriction_shadows_a_renamed_locality(self):
         inner = s.Node("l", s.ProcComp(s.Prefix(
-            s.Insert("T", s.Tuple((s.LocLit("l"),)), s.LocLit("m")), s.NilProc())))
+            s.Insert("T", s.Tuple((VLoc("l"),)), VLoc("m")), s.NilProc())))
         net = s.ParNet(s.Restrict("l", inner), inner)
         got = s.rename_localities(net, {"l": "a", "m": "b"})
         assert s.render(got) == ("(new $l) $l :: insert(T@$b, ($l)). nil"
@@ -128,17 +128,17 @@ class TestRender:
         assert s.render_rows(rows) == "{(1), (2)}"
 
     def test_delete_renders_with_target(self):
-        a = s.Delete("KLD", s.Template((s.BindData("x"),)), s.TruePred(), s.LocLit("l1"))
+        a = s.Delete("KLD", s.Template((s.BindData("x"),)), s.TruePred(), VLoc("l1"))
         assert s.render(a) == "delete(KLD@$l1, (!x), true)"
 
     def test_string_escapes(self):
-        assert s.render(s.StrLit('a"b\\c\n')) == '"a\\"b\\\\c\\n"'
+        assert s.render(VStr('a"b\\c\n')) == '"a\\"b\\\\c\\n"'
 
 
 # Pieces of the render table below.
 X, Y, U = s.DataVar("x"), s.DataVar("y"), s.LocVar("u")
-L = s.LocLit("l")
-ONE = s.IntLit(1)
+L = VLoc("l")
+ONE = VInt(1)
 NIL = s.NilProc()
 X_EQ_1 = s.Cmp("=", X, ONE)
 X_IN_Y = s.Member(X, Y)
@@ -162,15 +162,15 @@ PARAMS = (("x", s.INT), ("u", s.LOC), ("i", s.ID), ("s", s.STRING), ("m", s.MSet
 # or drops one pair still round-trips through the parser, so only exact
 # texts pin the parenthesisation.
 RENDER_CASES = [
-    pytest.param(ONE, "1", id="IntLit"),
-    pytest.param(s.StrLit('a"b\\c\n\t\r'), '"a\\"b\\\\c\\n\\t\\r"', id="StrLit-escapes"),
-    pytest.param(s.TidLit("KLD"), "KLD", id="TidLit"),
-    pytest.param(L, "$l", id="LocLit"),
+    pytest.param(ONE, "1", id="VInt"),
+    pytest.param(VStr('a"b\\c\n\t\r'), '"a\\"b\\\\c\\n\\t\\r"', id="VStr-escapes"),
+    pytest.param(VTid("KLD"), "KLD", id="VTid"),
+    pytest.param(L, "$l", id="VLoc"),
     pytest.param(X, "x", id="DataVar"),
     pytest.param(U, "u", id="LocVar"),
-    pytest.param(s.Concat(X, s.StrLit("s")), '(x ++ "s")', id="Concat"),
-    pytest.param(s.Arith("+", ONE, s.Arith("*", X, s.IntLit(2))), "(1 + (x * 2))", id="Arith"),
-    pytest.param(s.MultisetLit((s.TidLit("KLD"), s.TidLit("SH"))), "{KLD, SH}", id="MultisetLit"),
+    pytest.param(s.Concat(X, VStr("s")), '(x ++ "s")', id="Concat"),
+    pytest.param(s.Arith("+", ONE, s.Arith("*", X, VInt(2))), "(1 + (x * 2))", id="Arith"),
+    pytest.param(s.MultisetLit((VTid("KLD"), VTid("SH"))), "{KLD, SH}", id="MultisetLit"),
     pytest.param(TRUE, "true", id="TruePred"),
     pytest.param(s.Cmp("<=", X, ONE), "x <= 1", id="Cmp"),
     pytest.param(s.Member(X, s.MultisetLit((ONE,))), "x in {1}", id="Member"),

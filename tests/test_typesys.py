@@ -6,6 +6,7 @@ from fixtures import KLD_SCHEMA, SEVEN_BINDERS, SSRESULT_SCHEMA, STORES_SCHEMA
 from kdb import syntax as s
 from kdb.parser import parse_system
 from kdb.typesys import Checker, TypeEnv, check_system
+from kdb.values import VInt, VLoc, VStr, VTid
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -28,12 +29,12 @@ class TestExprTyping:
     def test_arithmetic_under_int_binding(self):
         c = fresh_checker()
         g = env(("is0", s.INT))
-        assert c.type_expr(g, s.Arith("-", s.DataVar("is0"), s.IntLit(2))) == s.INT
+        assert c.type_expr(g, s.Arith("-", s.DataVar("is0"), VInt(2))) == s.INT
         assert not c.diags
 
     def test_concat_of_strings(self):
         c = fresh_checker()
-        got = c.type_expr(env(), s.Concat(s.StrLit("a"), s.StrLit("b")))
+        got = c.type_expr(env(), s.Concat(VStr("a"), VStr("b")))
         assert got == s.STRING
 
     def test_unbound_variable(self):
@@ -49,7 +50,7 @@ class TestExprTyping:
 
     def test_heterogeneous_multiset(self):
         c = fresh_checker()
-        got = c.type_expr(env(), s.MultisetLit((s.IntLit(1), s.StrLit("x"))))
+        got = c.type_expr(env(), s.MultisetLit((VInt(1), VStr("x"))))
         assert got is None
         assert c.diags[0].kind == "heterogeneous-multiset"
 
@@ -63,23 +64,23 @@ class TestPredTyping:
     def test_membership_over_id_multiset(self):
         c = fresh_checker()
         g = env(("w", s.MSet("Id")))
-        assert c.type_pred(g, s.Member(s.TidLit("KLD"), s.DataVar("w")))
+        assert c.type_pred(g, s.Member(VTid("KLD"), s.DataVar("w")))
 
     def test_cross_type_compare_rejected(self):
         c = fresh_checker()
-        assert not c.type_pred(env(), s.Cmp("=", s.IntLit(1), s.StrLit("a")))
+        assert not c.type_pred(env(), s.Cmp("=", VInt(1), VStr("a")))
 
     def test_ordering_on_ids_rejected(self):
         c = fresh_checker()
-        assert not c.type_pred(env(), s.Cmp("<", s.TidLit("A"), s.TidLit("B")))
+        assert not c.type_pred(env(), s.Cmp("<", VTid("A"), VTid("B")))
         c2 = fresh_checker()
-        assert c2.type_pred(env(), s.Cmp("=", s.TidLit("A"), s.TidLit("B")))
+        assert c2.type_pred(env(), s.Cmp("=", VTid("A"), VTid("B")))
 
     def test_subset_needs_matching_multisets(self):
         c = fresh_checker()
         g = env(("a", s.MSet("Id")), ("b", s.MSet("Id")))
         assert c.type_pred(g, s.Cmp("sub", s.DataVar("a"), s.DataVar("b")))
-        assert not c.type_pred(g, s.Cmp("sub", s.DataVar("a"), s.IntLit(1)))
+        assert not c.type_pred(g, s.Cmp("sub", s.DataVar("a"), VInt(1)))
 
 
 class TestTupleTyping:
@@ -112,11 +113,11 @@ class TestTemplateTyping:
 class TestTableTyping:
     def test_named_reference(self):
         c = fresh_checker()
-        assert c.type_table(env(), s.TableByName("Stores", s.LocLit("l0"))) == STORES_SCHEMA
+        assert c.type_table(env(), s.TableByName("Stores", VLoc("l0"))) == STORES_SCHEMA
 
     def test_unknown_identifier(self):
         c = fresh_checker()
-        assert c.type_table(env(), s.TableByName("Nope", s.LocLit("l0"))) is None
+        assert c.type_table(env(), s.TableByName("Nope", VLoc("l0"))) is None
         assert c.diags[0].kind == "unknown-table"
 
     def test_table_variable(self):
@@ -138,10 +139,10 @@ class TestActionTyping:
     def select_action(self):
         template = s.Template((s.BindData("x"), s.BindData("y"), s.BindData("z"),
                                s.BindData("w"), s.BindLoc("p")))
-        pred = s.And(s.Member(s.TidLit("KLD"), s.DataVar("w")),
-                     s.Cmp("=", s.DataVar("x"), s.StrLit("CPH")))
+        pred = s.And(s.Member(VTid("KLD"), s.DataVar("w")),
+                     s.Cmp("=", s.DataVar("x"), VStr("CPH")))
         payload = s.Tuple((s.DataVar("z"), s.LocVar("p")))
-        return s.Select((s.TableByName("Stores", s.LocLit("l0")),),
+        return s.Select((s.TableByName("Stores", VLoc("l0")),),
                         template, pred, payload, "tbv")
 
     def test_select_yields_table_binding(self):
@@ -153,7 +154,7 @@ class TestActionTyping:
     def test_aggr_yields_int_binding(self):
         c = fresh_checker()
         g = env(("tbv", (s.STRING, s.LOC)), ("q", s.STRING), ("u", s.LOC))
-        a = s.Aggr("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), s.StrLit("HB")),
+        a = s.Aggr("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), VStr("HB")),
                    s.AggrFn("sum", 7), s.Template((s.BindData("res"),)), s.LocVar("u"))
         assert c.type_action(g, a) == [("res", s.INT)]
         assert not c.diags
@@ -163,7 +164,7 @@ class TestActionTyping:
         def check(bind_template):
             c = fresh_checker()
             a = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggrFn("sum", 7), bind_template,
-                       s.LocLit("l1"))
+                       VLoc("l1"))
             return c.type_action(env(), a), c.diags
 
         assert check(s.Template((s.BindData("r"),))) == ([("r", s.INT)], [])
@@ -177,39 +178,39 @@ class TestActionTyping:
 
     def test_truncated_insert_rejected(self):
         c = fresh_checker()
-        a = s.Insert("KLD", s.Tuple((s.StrLit("001"), s.StrLit("HB"), s.StrLit("2015"))),
-                     s.LocLit("l1"))
+        a = s.Insert("KLD", s.Tuple((VStr("001"), VStr("HB"), VStr("2015"))),
+                     VLoc("l1"))
         assert c.type_action(env(), a) is None
         assert c.diags[0].kind == "payload-format"
 
     def test_aggr_over_string_column_rejected(self):
         c = fresh_checker()
         a = s.Aggr("KLD", SEVEN_BINDERS, s.TruePred(), s.AggrFn("sum", 1),
-                   s.Template((s.BindData("r"),)), s.LocLit("l1"))
+                   s.Template((s.BindData("r"),)), VLoc("l1"))
         assert c.type_action(env(), a) is None
         assert c.diags[0].kind == "aggregator-signature"
 
     def test_update_payload_must_fit(self):
         c = fresh_checker()
         payload = s.Tuple(tuple(s.DataVar(n) for n in SEVEN_BINDERS.names()[:-1])
-                          + (s.StrLit("oops"),))
-        a = s.Update("KLD", SEVEN_BINDERS, s.TruePred(), payload, s.LocLit("l1"))
+                          + (VStr("oops"),))
+        a = s.Update("KLD", SEVEN_BINDERS, s.TruePred(), payload, VLoc("l1"))
         assert c.type_action(env(), a) is None
         assert c.diags[0].kind == "payload-format"
 
     def test_create_must_agree_with_declared_schema(self):
         c = fresh_checker()
-        a = s.Create("KLD", s.LocLit("l1"), (s.INT,))
+        a = s.Create("KLD", VLoc("l1"), (s.INT,))
         assert c.type_action(env(), a) is None
         assert c.diags[0].kind == "schema-conflict"
 
     def test_select_payload_with_operators_rejected(self):
         c = fresh_checker()
         template = s.Template((s.BindData("x"),))
-        a = s.Select((s.TableByName("SSResult", s.LocLit("l0")),),
+        a = s.Select((s.TableByName("SSResult", VLoc("l0")),),
                      s.Template((s.BindData("a"), s.BindData("b"), s.BindData("n"))),
                      s.TruePred(),
-                     s.Tuple((s.Arith("+", s.DataVar("n"), s.IntLit(1)),)), "tbv")
+                     s.Tuple((s.Arith("+", s.DataVar("n"), VInt(1)),)), "tbv")
         assert template is not None
         assert c.type_action(env(), a) is None
         assert c.diags[0].kind == "select-payload"
@@ -217,9 +218,9 @@ class TestActionTyping:
     def test_eval_checks_spawned_process_under_same_env(self):
         c = fresh_checker()
         inner = s.Prefix(s.Insert("SSResult",
-                                  s.Tuple((s.DataVar("q"), s.StrLit("HB"), s.IntLit(1))),
-                                  s.LocLit("l0")), s.NilProc())
-        a = s.Eval(inner, s.LocLit("l1"))
+                                  s.Tuple((s.DataVar("q"), VStr("HB"), VInt(1))),
+                                  VLoc("l0")), s.NilProc())
+        a = s.Eval(inner, VLoc("l1"))
         assert c.type_action(env(("q", s.STRING)), a) == []
         c2 = fresh_checker()
         assert c2.type_action(env(), a) is None
@@ -284,7 +285,7 @@ class TestSystemChecking:
     # reaches the checker with them, which reports them before it pairs
     # parameters with arguments.
     def test_call_to_unknown_procedure_in_built_system(self):
-        call = s.CallProc("g", (s.IntLit(1),), span=s.Span(1, 7))
+        call = s.CallProc("g", (VInt(1),), span=s.Span(1, 7))
         system = s.System({}, (), s.Node("l", s.ProcComp(call)))
         (diag,) = check_system(system)
         assert diag.kind == "unknown-procedure"
@@ -292,11 +293,19 @@ class TestSystemChecking:
 
     def test_call_arity_in_built_system(self):
         f = s.ProcDef("f", (("x", s.INT),), s.NilProc())
-        call = s.CallProc("f", (s.IntLit(1), s.StrLit("extra")), span=s.Span(1, 7))
+        call = s.CallProc("f", (VInt(1), VStr("extra")), span=s.Span(1, 7))
         system = s.System({"f": f}, (), s.Node("l", s.ProcComp(call)))
         (diag,) = check_system(system)
         assert diag.kind == "call-arity"
         assert str(diag) == "1:7: procedure 'f' takes 1 argument(s) (expected 1, found 2)"
+
+    def test_constant_in_a_locality_position_of_a_built_system(self):
+        # A constant carries no span, so the diagnostic has none.
+        c = VInt(1)
+        insert = s.Prefix(s.Insert("T", s.Tuple((c,)), c), s.NilProc())
+        system = s.System({}, (("T", (s.INT,)),), s.Node("l", s.ProcComp(insert)))
+        assert [str(d) for d in check_system(system)] == [
+            "a locality is required here (expected Loc, found Int)"]
 
     def test_foreach_over_named_table_types_against_schema(self):
         src = ('schema T : (String, Int)\n'
@@ -318,7 +327,7 @@ class TestEnvUndo:
     def test_bindings_do_not_leak(self):
         c = fresh_checker()
         g = env()
-        a = s.Delete("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), s.StrLit("HB")),
-                     s.LocLit("l1"))
+        a = s.Delete("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), VStr("HB")),
+                     VLoc("l1"))
         assert c.type_action(g, a) == []
         assert g.lookup("tp") is None
