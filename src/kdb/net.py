@@ -9,6 +9,12 @@ the engine then becomes multiset lookup instead of congruence search.
 
 `find_tables` is the one place that says where table `tid@loc` is: every
 engine rule that names a table, select and create included, asks it.
+
+Two keys identify a net up to congruence and renaming of its restricted
+names.  `canonical_key` renders every item under every numbering of those
+names; it orders the successors of transitions that share a label.
+`StateKeys`, by which `explore` deduplicates states, renders nothing and
+numbers the names by colour refinement.
 """
 
 from __future__ import annotations
@@ -210,12 +216,13 @@ def canonical_key(cn: CanonicalNet):
     """A key identifying the net up to congruence and renaming of restrictions.
 
     Restricted names are anonymized positionally; with several restrictions
-    the minimum over their permutations is taken (restriction prefixes are
-    tiny in practice).  The key renders every item, each body that a
-    permutation leaves unchanged only once per call, so it is computed only
-    where it decides something: `explore` deduplicates every reached state by
-    it, and `semantics.enumerate_transitions` orders and merges the
-    successors of transitions that share a label by it.
+    the minimum over their permutations is taken, so the key costs n! renders
+    of every item for n restricted names (each body that a permutation leaves
+    unchanged is rendered once per call).  Its value is text, ordered the same
+    on every run: `semantics.enumerate_transitions` orders and merges the
+    successors of transitions that share a label by it, and nowhere else is
+    it computed.  `explore` deduplicates states by `StateKeys`, which agrees
+    with it on which nets are equal.
     """
     texts = {}  # id(body) -> render(body), for bodies a renaming leaves as they are
     best = None
@@ -235,6 +242,180 @@ def canonical_key(cn: CanonicalNet):
         if best is None or cand < best:
             best = cand
     return (cn.err, len(cn.restricted), best)
+
+
+_SELF, _OTHER = "ρ1", "ρ"  # placeholders for restricted names; no source name has a ρ
+
+
+class StateKeys:
+    """Keys that identify nets up to congruence and renaming of restrictions,
+    as `canonical_key` does, without rendering: one keyer serves one
+    `explore`.  It treats the names in `restricted` as restricted wherever
+    they occur, so it serves any nets whose restricted names are among them
+    and whose free names are not.  Keys from two keyers do not compare.
+
+    Each body is remembered by identity, with a reference to it, for the life
+    of the keyer: which restricted names it mentions, and its forms with
+    those names renamed to placeholders, each interned to a small int.  A
+    successor shares every body but the one or two its transition made with
+    its parent, so its key renames and hashes only those.
+
+    A key is the set of the items that hold no restricted name and a
+    certificate of the others (`_certificate`): the items with every
+    restricted name replaced by a number, the names numbered canonically by
+    colour refinement with individualisation (McKay & Piperno, "Practical
+    Graph Isomorphism II", J. Symb. Comput. 2014).  Names that no item
+    links are certified apart, so like groups of names, such as the clients
+    of one hub once the hub is numbered, never need to be told apart.
+    """
+
+    def __init__(self, restricted: tuple):
+        self._restricted = frozenset(restricted)
+        self._bodies: dict = {}  # id(body) -> (body, its restricted names, {placeholders: form})
+        self._ids: dict = {}  # free locality or renamed body -> small int
+
+    def _intern(self, x) -> int:
+        return self._ids.setdefault(x, len(self._ids))
+
+    def _body(self, body) -> tuple:
+        names = ()
+        if self._restricted:
+            names = tuple(sorted(s.loc_names(body) & self._restricted))
+        entry = self._bodies[id(body)] = (body, names, {} if names else {(): self._intern(body)})
+        return entry
+
+    def _form(self, entry: tuple, placeholders: tuple) -> int:
+        """The body with its restricted names, in the entry's order, renamed
+        to `placeholders`, as an interned int."""
+        body, names, forms = entry
+        form = forms.get(placeholders)
+        if form is None:  # only a body with restricted names can miss
+            form = forms[placeholders] = self._intern(
+                s.rename_localities(body, dict(zip(names, placeholders))))
+        return form
+
+    def key(self, cn: CanonicalNet):
+        loose = []  # items that hold no restricted name
+        held = []  # (loc, body entry, count, restricted names) of the others
+        for (loc, body), n in cn.items.items():
+            entry = self._bodies.get(id(body)) or self._body(body)
+            names = entry[1]
+            if loc in self._restricted and loc not in names:
+                names = (*names, loc)
+            if names:
+                held.append((loc, entry, n, names))
+            else:
+                loose.append((loc, entry[2][()], n))
+        return cn.err, len(cn.restricted), frozenset(loose), self._certificate(held, {})
+
+    def _certificate(self, items: list, number: dict) -> tuple:
+        """The items with the restricted names in `number` numbered by it and
+        the others numbered canonically: equal for two lists of items exactly
+        when a renaming of the unnumbered names takes one to the other.
+
+        The unnumbered names fall into groups linked by the items that hold
+        them.  Each group is certified on its own and the certificates are
+        sorted, so like groups never need to be told apart.
+        """
+        done, groups = _groups(items, number)
+        return (tuple(sorted(self._numbered(item, number) for item in done)),
+                tuple(sorted(self._group(group, names, number) for group, names in groups)))
+
+    def _group(self, items: list, names: list, number: dict) -> tuple:
+        """The certificate of one linked group of unnumbered names.
+
+        The names that colour refinement leaves alone in their class are
+        numbered in colour order, which splits the rest into smaller groups.
+        When no name stands alone, each name of the least class is numbered
+        in turn and the least certificate is kept.
+        """
+        if len(names) == 1:  # its items hold no other unnumbered name
+            number = {**number, names[0]: len(number)}
+            return tuple(sorted(self._numbered(item, number) for item in items)), ()
+        classes: dict = {}
+        for name, c in self._colours(items, names, number).items():
+            classes.setdefault(c, []).append(name)
+        alone = [classes[c][0] for c in sorted(classes) if len(classes[c]) == 1]
+        if not alone:
+            return min(self._certificate(items, {**number, name: len(number)})
+                       for name in classes[min(classes)])
+        number = dict(number)
+        for name in alone:
+            number[name] = len(number)
+        return self._certificate(items, number)
+
+    def _colours(self, items: list, names: list, number: dict) -> dict:
+        """Colour refinement of the unnumbered names, from len(number) up; a
+        numbered name's colour is its number.
+
+        A name is first coloured by the items it occurs in, with itself
+        erased to one placeholder and the other restricted names to a
+        second; colours are then refined by the colours of the names it
+        shares an item with, until no class splits.
+        """
+        occurs: dict = {name: [] for name in names}
+        for loc, entry, n, item_names in items:
+            for name in item_names:
+                if name in occurs:
+                    where = (-1 if loc == name else -2 if loc in self._restricted
+                             else self._intern(loc))
+                    form = self._form(entry, tuple(_SELF if x == name else _OTHER
+                                                   for x in entry[1]))
+                    occurs[name].append(((where, form, n), [x for x in item_names if x != name]))
+        colour = dict.fromkeys(names, len(number))
+        classes = 1
+        while classes < len(colour):
+            every = {**number, **colour}
+            signature = {name: (colour[name], tuple(sorted(
+                             (occurrence, tuple(sorted(every[x] for x in others)))
+                             for occurrence, others in occurs[name])))
+                         for name in colour}
+            rank = {sig: len(number) + i
+                    for i, sig in enumerate(sorted(set(signature.values())))}
+            if len(rank) == classes:
+                break
+            colour = {name: rank[sig] for name, sig in signature.items()}
+            classes = len(rank)
+        return colour
+
+    def _numbered(self, item: tuple, number: dict) -> tuple:
+        """An item whose restricted names are all numbered, as ints."""
+        loc, entry, n, _ = item
+        numbers = sorted(number[name] for name in entry[1])
+        placeholders = tuple(f"ρ{numbers.index(number[name]) + 1}" for name in entry[1])
+        where = -1 - number[loc] if loc in number else self._intern(loc)
+        return (where, self._form(entry, placeholders), tuple(numbers), n)
+
+
+def _groups(items: list, number: dict) -> tuple:
+    """The items that hold no unnumbered restricted name, and the others
+    grouped by the unnumbered names that link them, each group with its
+    names in sorted order."""
+    root: dict = {}
+
+    def find(name):
+        while name in root:
+            name = root[name]
+        return name
+
+    done, linked = [], []
+    for item in items:
+        names = [x for x in item[3] if x not in number]
+        if not names:
+            done.append(item)
+            continue
+        linked.append((item, names))
+        first = find(names[0])
+        for name in names[1:]:
+            other = find(name)
+            if other != first:
+                root[other] = first
+    groups: dict = {}
+    for item, names in linked:
+        group, group_names = groups.setdefault(find(names[0]), ([], set()))
+        group.append(item)
+        group_names.update(names)
+    return done, [(group, sorted(group_names)) for group, group_names in groups.values()]
 
 
 def dump_tables(cn: CanonicalNet) -> list:

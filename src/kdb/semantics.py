@@ -27,8 +27,10 @@ the parent's item counts with the transition's items swapped
 (`net.make_canonical`), so untouched items are not rehashed; the rendering
 `canonical_key` is computed only for transitions that share a label; and
 tables are ordered by (locality, identifier), rendered only to break a tie.
-Substitution builds new terms only for continuations: the process after a
-select or aggr, a loop body and a procedure body.
+`explore` deduplicates the states it reaches by one `net.StateKeys` per
+call, which renders nothing and works on a body only the first time it
+meets it.  Substitution builds new terms only for continuations: the process
+after a select or aggr, a loop body and a procedure body.
 """
 
 from __future__ import annotations
@@ -392,7 +394,8 @@ class ExploreResult:
 def explore(sys: s.System, bound: int = 10000) -> ExploreResult:
     """Bounded breadth-first exploration of the reachable state space."""
     start = netmod.canonicalize(sys.main_net)
-    index = {canonical_key(start): 0}
+    keys = netmod.StateKeys(start.restricted)
+    index = {keys.key(start): 0}
     states = [start]
     edges = []
     quiescent = []
@@ -408,7 +411,7 @@ def explore(sys: s.System, bound: int = 10000) -> ExploreResult:
                 quiescent.append(cn)
                 continue
             for label, succ in transitions:
-                key = canonical_key(succ)
+                key = keys.key(succ)
                 j = index.get(key)
                 if j is None:
                     if len(states) >= bound:

@@ -779,8 +779,8 @@ class ScopedMap:
 def rename_value(v, mapping: dict):
     """A value, in a row or as a constant, with its locality names mapped."""
     if v.__class__ is VLoc:
-        name = mapping.get(v.name)
-        return v if name is None else VLoc(name)
+        name = mapping.get(v.name, v.name)
+        return v if name == v.name else VLoc(name)
     if v.__class__ is VSet:
         elems = [rename_value(e, mapping) for e in v.elements]
         if all(a is b for a, b in zip(elems, v.elements)):

@@ -82,6 +82,17 @@ class TestRun:
         assert "disabled: l :: foreach(t, (!y), true, unordered): nil" in out
         assert "disabled: m :: p(t#" in out
 
+    @pytest.mark.parametrize("prefix", ["", "(new $l) "])
+    def test_restriction_keeps_the_failure_reported(self, tmp_path, prefix):
+        # The first row that fails decides the error; restricting $l must not
+        # reorder the rows.
+        text = ("schema T : (Loc)\n" + prefix + "$l :: table T : (Loc) = {($l), (1)}"
+                " | select(T@$l, (!@u), u = 1, (u), !t). nil")
+        path = tmp_path / "t.jsonl"
+        assert main(["run", write(tmp_path, text), "--unchecked", "--trace", str(path)]) == 3
+        first = json.loads(path.read_text().splitlines()[0])
+        assert first["detail"] == "select: evaluation error"
+
     def test_unwritable_trace(self, tmp_path, capsys):
         path = tmp_path / "missing" / "t.jsonl"
         assert main(["run", DEPT, "--trace", str(path)]) == 2

@@ -1,12 +1,19 @@
-"""Canonical form, structural-congruence invariance, table bookkeeping."""
+"""Canonical form, structural-congruence invariance, state keys, table bookkeeping."""
 
+import copy
 import random
+
+import pytest
 
 import naive_engine
 from fixtures import KLD_TABLE, srow
 from gen import AstGen
+from kdb import net as netmod
 from kdb import syntax as s
+from kdb.parser import parse_system
+from kdb.semantics import explore
 from kdb.net import (
+    StateKeys,
     canonical_key,
     canonicalize,
     dump_tables,
@@ -16,7 +23,7 @@ from kdb.net import (
     ok,
     to_net,
 )
-from kdb.values import Multiset, VInt, VLoc
+from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet
 
 
 def node(loc, comp):
@@ -138,6 +145,234 @@ class TestCongruenceInvariance:
             tables = Multiset((loc, body.interface.tid) for loc, body in items
                               if isinstance(body, s.TableComp))
             assert lid(canonicalize(net)) == tables
+
+
+# -- random nets under restrictions, for the state keys
+#
+# A spec is a list of items, each a list: ["T" | "U", site, rows] for a table
+# of (Int, Loc) or (Int, {Loc}) rows, or ["P", site, target, tid, n, value]
+# for `insert(tid@target, (n, value)). nil`.  A name is an int, the index of
+# a restricted name, or a free name.  A U row's value is a list of names.
+
+_INTERFACES = {"T": s.Interface("T", (s.INT, s.LOC)), "U": s.Interface("U", (s.INT, s.MSet("Loc")))}
+
+
+def _spec(rng: random.Random) -> tuple:
+    """(number of restricted names, items) of a random net."""
+    k = rng.randrange(6)
+    # Some nets keep restricted names out of the random items, so that the
+    # cycles below are all they hold.
+    names = [*range(k), "a", "b"] if rng.random() < 0.5 else ["a", "b"]
+
+    def value(tid):
+        if tid == "T":
+            return rng.choice(names)
+        return [rng.choice(names) for _ in range(rng.randrange(1, 3))]
+
+    items = []
+    for _ in range(rng.randrange(1, 7)):
+        tid = rng.choice("TU")
+        if rng.random() < 0.5:
+            rows = [[rng.randrange(2), value(tid)] for _ in range(rng.randrange(3))]
+            items.append([tid, rng.choice(names), rows])
+        else:
+            items.append(["P", rng.choice(names), rng.choice(names), tid,
+                          rng.randrange(2), value(tid)])
+        if rng.random() < 0.3:  # a site that differs only in its name
+            twin = copy.deepcopy(rng.choice(items))
+            twin[1] = rng.choice(names)
+            items.append(twin)
+    if k > 1 and rng.random() < 0.7:
+        # One process at each restricted name acting on the table at its image
+        # under a permutation: cycles whose names colour refinement cannot
+        # tell apart, though the order in which they are numbered matters.
+        # Or a star: every name but one acts on the table at that one.
+        image = list(range(k))
+        rng.shuffle(image)
+        if rng.random() < 0.3:
+            image = [image[0]] * k
+        n, v = rng.randrange(2), rng.choice("ab")
+        items += [["P", i, image[i], "T", n, v] for i in range(k) if i != image[i]]
+    return k, items
+
+
+def _build(k: int, items: list, naming: list) -> s.Net:
+    """The net of a spec, with restricted name i called naming[i]."""
+    def name(x):
+        return naming[x] if isinstance(x, int) else x
+
+    def value(v):
+        if isinstance(v, list):
+            return VSet(Multiset(VLoc(name(x)) for x in v))
+        return VLoc(name(v))
+
+    nodes = []
+    for item in items:
+        if item[0] == "P":
+            _, site, target, tid, n, v = item
+            action = s.Insert(tid, s.Tuple((VInt(n), value(v))), VLoc(name(target)))
+            comp = s.ProcComp(s.Prefix(action, NIL))
+        else:
+            tid, site, rows = item
+            comp = s.TableComp(_INTERFACES[tid], Multiset(
+                ValueTuple((VInt(n), value(v))) for n, v in rows))
+        nodes.append(s.Node(name(site), comp))
+    out = nodes[0]
+    for part in nodes[1:]:
+        out = s.ParNet(out, part)
+    for i in reversed(range(k)):
+        out = s.Restrict(naming[i], out)
+    return out
+
+
+def _mutant(rng: random.Random, k: int, items: list) -> list:
+    """The spec with one row added or dropped, or one name changed."""
+    items = copy.deepcopy(items)
+    names = [*range(k), "a", "b"]
+    item = rng.choice(items)
+    if item[0] != "P" and rng.random() < 0.5:
+        rows = item[2]
+        if rows and rng.random() < 0.5:
+            rows.pop(rng.randrange(len(rows)))
+        else:
+            rows.append([rng.randrange(2), rng.choice(names) if item[0] == "T" else [rng.choice(names)]])
+    elif item[0] == "P":
+        item[rng.choice((1, 2, 5))] = rng.choice(names)  # site, target or value
+    else:
+        item[1] = rng.choice(names)
+    return items
+
+
+def _pairs(seeds=range(150)):
+    """(net, other net, whether canonical_key says they are equal).
+
+    Each random net is paired with a copy under fresh names, a copy under a
+    permutation of its names with its sites reordered, a scrambled copy, and
+    two mutants.
+    """
+    for seed in seeds:
+        rng = random.Random(seed)
+        k, items = _spec(rng)
+        plain = [f"r{i}" for i in range(k)]
+        base = _build(k, items, plain)
+        perm = plain[:]
+        rng.shuffle(perm)
+        shuffled = items[:]
+        rng.shuffle(shuffled)
+        others = [
+            _build(k, items, [f"q{i}" for i in range(k)]),
+            _build(k, shuffled, perm),
+            _build(k, _mutant(rng, k, items), plain),
+            _build(k, _mutant(rng, k, items), perm),
+        ]
+        fresh = [f"f{i}" for i in range(40)]
+        scrambled = base
+        for _ in range(12):
+            scrambled = scramble(scrambled, rng, fresh)
+        others.append(scrambled)
+        a = canonicalize(base)
+        oracle = canonical_key(a)
+        for other in others:
+            b = canonicalize(other)
+            yield a, b, canonical_key(b) == oracle
+
+
+def _disagreements(keyer, pairs) -> list:
+    """The pairs on which `keyer` and canonical_key disagree about equality."""
+    found = []
+    for a, b, same in pairs:
+        keys = keyer(a.restricted + b.restricted)
+        if (keys.key(a) == keys.key(b)) != same:
+            found.append((s.render(to_net(a)), s.render(to_net(b)), same))
+    return found
+
+
+class _AnyOrderKeys(StateKeys):
+    """A faulty keyer: it numbers tied names in any order, even names that
+    share an item with another restricted name."""
+
+    def _group(self, items, names, number):
+        colour = self._colours(items, names, number)
+        number = dict(number)
+        for name in sorted(names, key=colour.__getitem__):
+            number[name] = len(number)
+        return self._certificate(items, number)
+
+
+def _restricted_program(sites: list) -> str:
+    """Sites `(name, component)` under a restriction of every name."""
+    restricts = "".join(f"(new ${name}) " for name, _ in sites)
+    body = "\n   || ".join(f"${name} :: {comp}" for name, comp in sites)
+    return f"schema T : (Int)\n{restricts}( {body} )\n"
+
+
+_TABLE = "table T : (Int) = {}"
+_EIGHT = [f"r{i}" for i in range(8)]
+
+# canonical_key would try n! numberings of the n restricted names per key;
+# 8! = 40,320.  (program, reachable states up to renaming)
+_WIDE = {
+    # Each site holds one of 0, 1 or 2 rows: multisets of 8 from 3 values.
+    "identical-chains": (_restricted_program(
+        [(r, f"{{ {_TABLE} | insert(T@${r}, (1)). insert(T@${r}, (2)). nil }}") for r in _EIGHT]),
+        45),
+    # A site that has inserted cuts the ring: the uncut ring, and the 22
+    # partitions of the 8 sites into the runs between cuts.
+    "ring": (_restricted_program(
+        [(r, f"{{ {_TABLE} | insert(T@$r{(i + 1) % 8}, (1)). nil }}")
+         for i, r in enumerate(_EIGHT)]), 23),
+    # Seven clients insert into the table at one hub: how many have.
+    "star": (_restricted_program(
+        [("hub", _TABLE)] + [(r, "insert(T@$hub, (1)). nil") for r in _EIGHT[1:]]), 8),
+    # Four pairs, a client inserting into its own server: how many have.
+    "pairs": (_restricted_program(
+        [(f"c{i}", f"insert(T@$s{i}, (1)). nil") for i in range(4)]
+        + [(f"s{i}", _TABLE) for i in range(4)]), 5),
+    # Fifteen names: seven clients insert at one hub, then at a server of
+    # their own; each client has done 0, 1 or 2 inserts.
+    "hub-and-servers": (_restricted_program(
+        [("hub", _TABLE)]
+        + [(f"c{i}", f"insert(T@$hub, (1)). insert(T@$s{i}, (1)). nil") for i in range(7)]
+        + [(f"s{i}", _TABLE) for i in range(7)]), 36),
+}
+
+
+class TestStateKeys:
+    @pytest.mark.parametrize("name", sorted(_WIDE))
+    def test_many_restrictions_cost_polynomial_work(self, name, monkeypatch):
+        # Work is counted, not timed: renders, renamings, and certificates,
+        # one per numbering a key tries.
+        program, states = _WIDE[name]
+        counts = dict.fromkeys(("key", "render", "rename_localities", "_certificate"), 0)
+
+        def counting(owner, attr):
+            original = getattr(owner, attr)
+
+            def wrapper(*args):
+                counts[attr] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        for owner, attr in ((s, "render"), (s, "rename_localities"),
+                            (StateKeys, "key"), (StateKeys, "_certificate")):
+            counting(owner, attr)
+        system = parse_system(program)
+        n = len(canonicalize(system.main_net).restricted)
+        result = explore(system)
+        assert result.states == states
+        assert counts["render"] == 0
+        assert counts["_certificate"] <= n * n * counts["key"]
+        # canonicalize renames each site once, and the keyer each body once
+        # per pattern of placeholders.
+        assert counts["rename_localities"] <= n * n
+
+    def test_agrees_with_canonical_key(self):
+        pairs = list(_pairs())
+        assert {same for _, _, same in pairs} == {True, False}
+        assert _disagreements(StateKeys, pairs) == []
+
+    def test_population_tells_a_faulty_keyer_apart(self):
+        assert _disagreements(_AnyOrderKeys, _pairs())
 
 
 class TestLid:

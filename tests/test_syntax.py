@@ -97,6 +97,13 @@ class TestScopedMap:
         from kdb.kernel import apply_subst
         assert apply_subst({"y": VInt(1)}, p) is p
 
+    def test_renaming_a_locality_to_itself_keeps_the_node(self):
+        rows = Multiset([ValueTuple((VLoc("l"),)), ValueTuple((VInt(1),)),
+                         ValueTuple((VSet(Multiset([VLoc("l")])),))])
+        comp = s.ParComp(s.TableComp(s.Interface("T", (s.LOC,)), rows), s.ProcComp(
+            s.Prefix(s.Insert("T", s.Tuple((VLoc("l"),)), VLoc("l")), s.NilProc())))
+        assert s.rename_localities(comp, {"l": "l"}) is comp
+
     def test_restriction_shadows_a_renamed_locality(self):
         inner = s.Node("l", s.ProcComp(s.Prefix(
             s.Insert("T", s.Tuple((VLoc("l"),)), VLoc("m")), s.NilProc())))
