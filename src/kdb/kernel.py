@@ -242,15 +242,15 @@ def value_to_expr(v: Value) -> s.Expr:
 
 
 class _Subst(s.ScopedMap):
-    """Replaces the variables env binds; binders in scope shadow them.  A
-    variable bound to the wrong sort, which only an unchecked system has,
-    stays in place: its action is then stuck or a monitored error."""
+    """Replaces the variables env binds; a binder in scope shadows one by
+    binding it to None.  A variable bound to the wrong sort, which only an
+    unchecked system has, stays in place: its action is then stuck or a
+    monitored error."""
 
     def bind(self, names, env):
-        bound = [name for name, _ in names if name in env]
-        if bound:
-            env = {n: v for n, v in env.items() if n not in bound}
-        return None, env
+        for name, _ in names:
+            if env.get(name) is not None:
+                env.bind(name, None)
 
     def _var(self, node, env):
         v = env.get(node.name)
@@ -272,7 +272,7 @@ def apply_subst(sigma: Subst, target):
     """Apply a substitution, respecting binders that shadow its domain."""
     if not sigma:
         return target
-    return _SUBST.map(target, sigma)
+    return _SUBST.map(target, s.Scope(sigma))
 
 
 # ---------------------------------------------------------------------------

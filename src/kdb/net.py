@@ -11,8 +11,9 @@ the engine then becomes multiset lookup instead of congruence search.
 engine rule that names a table, select and create included, asks it.
 
 Two keys identify a net up to congruence and renaming of its restricted
-names.  `canonical_key` renders every item under every numbering of those
-names; it orders the successors of transitions that share a label.
+names.  `canonical_key` renders every item that mentions one of those
+names under every numbering of them; it orders the successors of
+transitions that share a label.
 `StateKeys`, by which `explore` deduplicates states, renders nothing and
 numbers the names by colour refinement.
 """
@@ -217,27 +218,28 @@ def canonical_key(cn: CanonicalNet):
 
     Restricted names are anonymized positionally; with several restrictions
     the minimum over their permutations is taken, so the key costs n! renders
-    of every item for n restricted names (each body that a permutation leaves
-    unchanged is rendered once per call).  Its value is text, ordered the same
-    on every run: `semantics.enumerate_transitions` orders and merges the
-    successors of transitions that share a label by it, and nowhere else is
-    it computed.  `explore` deduplicates states by `StateKeys`, which agrees
-    with it on which nets are equal.
+    of every body that mentions one of the n restricted names.  A body that
+    mentions none is rendered once per call, and only its locality is
+    renamed.  Its value is text, ordered the same on every run:
+    `semantics.enumerate_transitions` orders and merges the successors of
+    transitions that share a label by it, and nowhere else is it computed.
+    `explore` deduplicates states by `StateKeys`, which agrees with it on
+    which nets are equal.
     """
-    texts = {}  # id(body) -> render(body), for bodies a renaming leaves as they are
+    restricted = frozenset(cn.restricted)
+    fixed = []  # (loc, text, count) of the items whose body mentions no restricted name
+    held = []  # (loc, body, count) of the others
+    for (loc, body), cnt in cn.items.items():
+        if restricted and not restricted.isdisjoint(s.loc_names(body)):
+            held.append((loc, body, cnt))
+        else:
+            fixed.append((loc, s.render(body), cnt))
     best = None
     for perm in itertools.permutations(cn.restricted):  # no names: one empty perm
         mapping = {name: f"ρ{i}" for i, name in enumerate(perm)}
-        rows = []
-        for (loc, body), cnt in cn.items.items():
-            body2 = s.rename_localities(body, mapping)
-            if body2 is body:
-                text = texts.get(id(body))
-                if text is None:
-                    text = texts[id(body)] = s.render(body)
-            else:
-                text = s.render(body2)
-            rows.append((mapping.get(loc, loc), text, cnt))
+        rows = [(mapping.get(loc, loc), text, cnt) for loc, text, cnt in fixed]
+        rows += [(mapping.get(loc, loc), s.render(s.rename_localities(body, mapping)), cnt)
+                 for loc, body, cnt in held]
         cand = tuple(sorted(rows))
         if best is None or cand < best:
             best = cand

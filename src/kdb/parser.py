@@ -13,9 +13,9 @@ are table lookups on the kind.
 
 After building the AST, `rename_apart` makes one `syntax.ScopedMap` walk
 over the binders that `syntax.CHILDREN` declares, after two folds that
-collect the names already in use.  Its environment maps each variable in
-scope to its sort and its new name, and each restricted locality to its new
-name.  The walk
+collect the names already in use.  Its environment is two `syntax.Scope`s
+on one journal: one maps each variable in scope to its sort and its new
+name, the other each restricted locality to its new name.  The walk
 
 - sorts variables: a bare name is a locality variable where a `!@u`
   template field or a Loc parameter binds it, and a data variable otherwise
@@ -613,9 +613,9 @@ def _contains_multiset(e: s.Expr) -> bool:
 # Sorting variables, renaming binders apart and collecting calls, in one walk
 
 class _Resolve(s.ScopedMap):
-    """env is the pair (variables, localities) in scope: `variables` maps a
-    name to its sort ("data", "loc" or "table") and its new name,
-    `localities` maps a restricted locality to its new name.
+    """env maps each variable in scope to its sort ("data", "loc" or
+    "table") and its new name; `localities`, which shares env's journal,
+    maps each restricted locality in scope to its new name.
 
     A binder keeps its name on first use and gets a `#k`-suffixed fresh name
     on any reuse; `#` cannot appear in source names, so fresh names never
@@ -627,6 +627,8 @@ class _Resolve(s.ScopedMap):
         self.used_locs = used_locs
         self.counter = itertools.count(1)
         self.calls = []
+        self.variables = s.Scope()
+        self.localities = s.Scope(journal=self.variables.journal)
 
     def _fresh(self, name: str, used: set) -> str:
         new = name
@@ -636,23 +638,21 @@ class _Resolve(s.ScopedMap):
         return new
 
     def bind(self, names, env):
-        variables, localities = env
         new = tuple(self._fresh(name, self.used_vars) for name, _ in names)
-        scope = dict(variables)
         for (name, sort), fresh in zip(names, new):
-            scope[name] = (sort, fresh)
-        return new, (scope, localities)
+            env.bind(name, (sort, fresh))
+        return new
 
     def restrict(self, name, env):
-        variables, localities = env
         new = self._fresh(name, self.used_locs)
-        return new, (variables, {**localities, name: new})
+        self.localities.bind(name, new)
+        return new
 
     def site(self, name, env):
-        return env[1].get(name, name)
+        return self.localities.get(name, name)
 
     def _var(self, node, env):
-        bound = env[0].get(node.name)
+        bound = env.get(node.name)
         if bound is None:
             return node
         sort, name = bound
@@ -664,10 +664,10 @@ class _Resolve(s.ScopedMap):
         return cls(name, span=node.span)
 
     def _loc(self, node, env):
-        return s.rename_value(node, env[1])
+        return s.rename_value(node, self.localities)
 
     def _table(self, node, env):
-        return s.rename_table(node, env[1]) if env[1] else node
+        return s.rename_table(node, self.localities) if self.localities else node
 
     def _call(self, node, env):
         # A call is a leaf process, so mapping its arguments here adds one
@@ -699,13 +699,11 @@ def _check_calls(calls: list, procedures: dict) -> None:
 
 def rename_apart(system: s.System) -> s.System:
     """Sort variables, rename binders apart and check calls (module docstring)."""
-    used_vars = set(s.free_vars(system))
-    used_locs = set(s.free_locs(system.main_net))
-    for d in system.procedures.values():
-        used_locs |= s.loc_names(d.body)
-    walk = _Resolve(used_vars, used_locs)
-    procedures = {name: walk.map(d, ({}, {})) for name, d in system.procedures.items()}
-    main_net = walk.map(system.main_net, ({}, {}))
+    # A procedure body restricts no name, so the free localities of the
+    # system are every name its bodies mention.
+    walk = _Resolve(set(s.free_vars(system)), set(s.free_locs(system)))
+    procedures = {name: walk.map(d, walk.variables) for name, d in system.procedures.items()}
+    main_net = walk.map(system.main_net, walk.variables)
     _check_calls(walk.calls, system.procedures)
     return s.System(procedures, system.schema_decls, main_net)
 

@@ -7,17 +7,19 @@ equal regardless of layout.  A constant is its value: an expression holds
 the `VInt`, `VStr`, `VTid` or `VLoc` of `kdb.values` that a table row holds,
 with no span, and `rename_value` renames a locality wherever it occurs.
 
-The binding structure is declared once, in the table CHILDREN: a template's
-`!x` and `!@u` scope over its action's predicate and payload and over a
-loop's body; a select's `!t` and an aggr's result template scope over the
-continuation of their prefix; procedure parameters scope over the body; and
-`(new $l)` scopes over its net.  `ScopedMap` is the one traversal that
-table drives.  `free_vars`, `loc_names`, `free_locs` and
-`rename_localities` here, `kernel.apply_subst`, the parser's renaming walk
-and the checker's collection of table shapes are each a few hooks on it.
-`render` is driven by a table too, `_FORMAT`, with one format function per
-class and the parenthesisation of tight positions as data; it and the type
-checker recurse on Python frames, as `ScopedMap` does.
+The binding structure is declared once, in the table CHILDREN: a binder
+scopes over the fields of its node listed after it.  A template's `!x` and
+`!@u` scope over its action's predicate and payload and over a loop's body;
+a select's `!t` and an aggr's result template over the continuation of
+their prefix; procedure parameters over the body; `(new $l)` over its net.
+`ScopedMap` is the one traversal that table drives.  Like the type checker
+it binds in a `Scope`, in place, and undoes what a node bound when the node
+is done.  `free_vars`, `loc_names`, `free_locs` and `rename_localities`
+here, `kernel.apply_subst`, the parser's renaming walk and the checker's
+collection of table shapes are each a few hooks on it.  `render` is driven
+by a table too, `_FORMAT`, with one format function per class and the
+parenthesisation of tight positions as data; it and the type checker
+recurse on Python frames, as `ScopedMap` does.
 """
 
 from __future__ import annotations
@@ -562,24 +564,26 @@ _FORMAT = {
 # Binding structure
 #
 # CHILDREN declares, once for the whole language, which fields of each AST
-# class hold its children (in dataclass order) and how they are scoped.  A
-# class that is not listed has no children to visit: the constants, a VLoc
-# an occurrence of its locality; the variables DataVar, LocVar, TableByVar;
-# and the tables TableLiteral and TableComp, whose rows may hold localities.
+# class hold its children and how they are scoped, by one rule: a binder
+# scopes over the fields of its node listed after it (so a delete's,
+# update's and aggr's locality comes before its template).  A class that is
+# not listed has no children to visit: the constants, a VLoc an occurrence
+# of its locality; the variables DataVar, LocVar, TableByVar; and the
+# tables TableLiteral and TableComp, whose rows may hold localities.
 #
 # Shapes of a child field:
-ONE = "one"  # one node, in the scope of the node's surroundings
-MANY = "many"  # a tuple of nodes, likewise
-SCOPED = "scoped"  # one node in the scope of the node's binder
-ACTION = "action"  # Prefix.action: what the action exports scopes over SCOPED
+ONE = "one"  # one node
+MANY = "many"  # a tuple of nodes
+ACTION = "action"  # Prefix.action, whose exported binder is a binder of the Prefix
 SITE = "site"  # Node.loc: a locality occurrence
 PROCS = "procs"  # System.procedures: ProcDef by name
-# Shapes of a binder field, which comes before the fields it scopes over:
+# Shapes of a binder field:
 PATTERN = "pattern"  # a Template: `!x` binds data, `!@u` a locality variable
 PARAMS = "params"  # ProcDef.params: data, locality and table variables
 RESTRICTED = "restricted"  # Restrict.loc: a locality name
 TABLE_VAR = "table-var"  # a table variable
-# ... and of a binder that scopes over the continuation of its Prefix:
+# ... and of a binder that its action exports to the continuation of its
+# Prefix, where ACTION binds it; within its own node it scopes over nothing:
 EXPORTS_TABLE_VAR = "exports table-var"  # Select.bind
 EXPORTS_PATTERN = "exports pattern"  # Aggr.bind_template
 
@@ -594,25 +598,25 @@ CHILDREN = {
     Tuple: (("components", MANY),),
     TableByName: (("loc", ONE),),
     Insert: (("payload", ONE), ("loc", ONE)),
-    Delete: (("template", PATTERN), ("pred", SCOPED), ("loc", ONE)),
-    Select: (("tables", MANY), ("template", PATTERN), ("pred", SCOPED), ("payload", SCOPED),
+    Delete: (("loc", ONE), ("template", PATTERN), ("pred", ONE)),
+    Select: (("tables", MANY), ("template", PATTERN), ("pred", ONE), ("payload", ONE),
              ("bind", EXPORTS_TABLE_VAR)),
-    Update: (("template", PATTERN), ("pred", SCOPED), ("payload", SCOPED), ("loc", ONE)),
-    Aggr: (("template", PATTERN), ("pred", SCOPED), ("bind_template", EXPORTS_PATTERN),
-           ("loc", ONE)),
+    Update: (("loc", ONE), ("template", PATTERN), ("pred", ONE), ("payload", ONE)),
+    Aggr: (("loc", ONE), ("template", PATTERN), ("pred", ONE),
+           ("bind_template", EXPORTS_PATTERN)),
     Create: (("loc", ONE),),
     Drop: (("loc", ONE),),
     Eval: (("process", ONE), ("loc", ONE)),
-    Prefix: (("action", ACTION), ("cont", SCOPED)),
+    Prefix: (("action", ACTION), ("cont", ONE)),
     CallProc: (("args", MANY),),
-    Foreach: (("table", ONE), ("template", PATTERN), ("pred", SCOPED), ("body", SCOPED)),
+    Foreach: (("table", ONE), ("template", PATTERN), ("pred", ONE), ("body", ONE)),
     Seq: (("first", ONE), ("second", ONE)),
     ProcComp: (("process", ONE),),
     ParComp: (("left", ONE), ("right", ONE)),
     ParNet: (("left", ONE), ("right", ONE)),
-    Restrict: (("loc", RESTRICTED), ("inner", SCOPED)),
+    Restrict: (("loc", RESTRICTED), ("inner", ONE)),
     Node: (("loc", SITE), ("component", ONE)),
-    ProcDef: (("params", PARAMS), ("body", SCOPED)),
+    ProcDef: (("params", PARAMS), ("body", ONE)),
     System: (("procedures", PROCS), ("main_net", ONE)),
 }
 
@@ -644,6 +648,39 @@ def keep(visitor, node, env):
     return node
 
 
+_UNBOUND = object()  # the journal's mark of a name a binding did not shadow
+
+
+class Scope(dict):
+    """The names in scope, bound in place on an undo journal: `bind` journals
+    the binding it shadows and `undo(mark)` restores every binding made since
+    `mark()`, so a binder costs O(1) however many names are in scope.  A
+    scope made with another's `journal` shares its undo.
+    """
+
+    __slots__ = ("journal",)
+
+    def __init__(self, bindings=(), journal=None):
+        dict.__init__(self, bindings)
+        self.journal = [] if journal is None else journal
+
+    def bind(self, name, value) -> None:
+        self.journal.append((self, name, self.get(name, _UNBOUND)))
+        self[name] = value
+
+    def mark(self) -> int:
+        return len(self.journal)
+
+    def undo(self, mark: int) -> None:
+        journal = self.journal
+        while len(journal) > mark:
+            scope, name, old = journal.pop()
+            if old is _UNBOUND:
+                del scope[name]
+            else:
+                scope[name] = old
+
+
 def _param_sort(ty) -> str:
     """The sort of variable a procedure parameter of type `ty` binds."""
     if isinstance(ty, tuple):
@@ -660,21 +697,23 @@ def _rebuild(node, vals: list):
 class ScopedMap:
     """The one traversal of the AST, driven by CHILDREN.
 
-    `map(node, env)` maps every child of the node in field order under the
-    environment its scope gives it, and rebuilds the node from the results;
-    it returns the node itself when no child changed.  A subclass says what
-    happens at leaves and binders.  A fold is a map whose hooks collect
-    something and return their node.  The recursion is here and costs one
-    Python frame per level of the tree; a hook recurses only below a leaf of
-    the process tree, as the parser's does into a call's arguments.
+    `map(node, env)` maps every child of the node in the order CHILDREN
+    lists them and rebuilds the node from the results; it returns the node
+    itself when no child changed.  `env` is a `Scope`: the node's binders
+    bind into it in place, and `map` undoes them when the node is done.  A
+    subclass says what happens at leaves and binders.  A fold is a map whose
+    hooks collect something and return their node.  The recursion is here
+    and costs one Python frame per level of the tree; a hook recurses only
+    below a leaf of the process tree, as the parser's does into a call's
+    arguments.
 
     - `hooks`: class -> function(self, node, env) -> node.  A hook takes
       over its node whole, whether a leaf or a node it need not enter.
     - `bind(names, env)`: variable binders, `names` = ((name, sort), ...)
-      with sort "data", "loc" or "table".  Returns the binders' new names
-      (None keeps them) and the environment of their scope.
-    - `restrict(name, env)`: a restricted locality; returns its new name
-      (None keeps it) and the environment of its scope.
+      with sort "data", "loc" or "table".  Binds in env what their scope
+      needs; returns their new names (None keeps them).
+    - `restrict(name, env)`: a restricted locality, likewise; returns its
+      new name (None keeps it).
     - `site(name, env)`: the locality name of a Node; returns its new name.
     """
 
@@ -686,10 +725,10 @@ class ScopedMap:
         cls._dispatch = {**_PLANS, **cls.hooks}
 
     def bind(self, names: tuple, env):
-        return None, env
+        return None
 
     def restrict(self, name: str, env):
-        return None, env
+        return None
 
     def site(self, name: str, env) -> str:
         return name
@@ -702,13 +741,11 @@ class ScopedMap:
             return entry(self, node, env)
         attrs, steps = entry
         vals = None
-        inner = env
+        mark = None  # the journal's length at the node's first binder
         for i, name, shape in steps:
             old = getattr(node, name)
             if shape is ONE:
                 new = self.map(old, env)
-            elif shape is SCOPED:
-                new = self.map(old, inner)
             elif shape is MANY:
                 # A loop, not a generator, keeps the recursion at one frame.
                 new = old
@@ -724,9 +761,11 @@ class ScopedMap:
                 new = self.map(old, env)
                 export = _EXPORTS.get(old.__class__)
                 if export is not None:
+                    if mark is None:
+                        mark = len(env.journal)
                     j, field_name, binder = export
                     bound = getattr(old, field_name)
-                    renamed, inner = self._bind(binder, bound, env)
+                    renamed = self._bind(binder, bound, env)
                     if renamed is not bound:
                         rebuilt = [getattr(new, f) for f in _PLANS[old.__class__][0]]
                         rebuilt[j] = renamed
@@ -744,18 +783,22 @@ class ScopedMap:
             elif shape in _EXPORTED:
                 continue  # bound by the enclosing Prefix
             else:
-                new, inner = self._bind(shape, old, env)
+                if mark is None:
+                    mark = len(env.journal)
+                new = self._bind(shape, old, env)
             if new is not old:
                 if vals is None:
                     vals = [getattr(node, a) for a in attrs]
                 vals[i] = new
+        if mark is not None and len(env.journal) > mark:
+            env.undo(mark)
         return node if vals is None else _rebuild(node, vals)
 
     def _bind(self, shape, value, env):
-        """Open a binder's scope: the binder, renamed or not, and its env."""
+        """Open a binder's scope in env; returns the binder, renamed or not."""
         if shape is RESTRICTED:
-            new, env = self.restrict(value, env)
-            return (value if new is None or new == value else new), env
+            new = self.restrict(value, env)
+            return value if new is None or new == value else new
         if shape is PATTERN:
             names = tuple((f.name, "loc" if f.__class__ is BindLoc else "data")
                           for f in value.fields)
@@ -763,15 +806,15 @@ class ScopedMap:
             names = tuple((name, _param_sort(ty)) for name, ty in value)
         else:  # TABLE_VAR
             names = ((value, "table"),)
-        new, env = self.bind(names, env)
+        new = self.bind(names, env)
         if new is None or new == tuple(name for name, _ in names):
-            return value, env
+            return value
         if shape is PATTERN:
             return Template(tuple(f.__class__(name, span=f.span)
-                                  for f, name in zip(value.fields, new)), span=value.span), env
+                                  for f, name in zip(value.fields, new)), span=value.span)
         if shape is PARAMS:
-            return tuple((name, ty) for name, (_, ty) in zip(new, value)), env
-        return new[0], env
+            return tuple((name, ty) for name, (_, ty) in zip(new, value))
+        return new[0]
 
 
 # -- renaming localities in values, shared by the traversals that rename
@@ -825,7 +868,8 @@ class _FreeVars(ScopedMap):
         self.out = set()
 
     def bind(self, names, env):
-        return None, env.union(name for name, _ in names)
+        for name, _ in names:
+            env.bind(name, True)
 
     def _occurrence(self, node, env):
         if node.name not in env:
@@ -838,63 +882,54 @@ class _FreeVars(ScopedMap):
 def free_vars(node) -> frozenset:
     """Free data/locality/table variables of any AST node."""
     fold = _FreeVars()
-    fold.map(node, frozenset())
+    fold.map(node, Scope())
     return frozenset(fold.out)
 
 
-def _locs_in_value(v, out: set) -> None:
-    if isinstance(v, VLoc):
-        out.add(v.name)
-    elif isinstance(v, VSet):
-        for e in v.elements.support():
-            _locs_in_value(e, out)
-
-
 class _Localities(ScopedMap):
-    """Locality names; with `free`, only those no restriction in scope binds."""
+    """Locality names: those no restriction in scope (env) binds, and the
+    restricted ones."""
 
-    def __init__(self, free: bool):
-        self.free = free
-        self.out = set()
+    def __init__(self, node):
+        self.free = set()
+        self.restricted = set()
+        self.map(node, Scope())
 
     def restrict(self, name, env):
-        if self.free:
-            return None, env | {name}
-        self.out.add(name)
-        return None, env
+        self.restricted.add(name)
+        env.bind(name, True)
 
     def site(self, name, env):
         if name not in env:
-            self.out.add(name)
+            self.free.add(name)
         return name
 
-    def _constant(self, node, env):
-        self.site(node.name, env)
-        return node
+    def _value(self, v, env):
+        if v.__class__ is VLoc:
+            self.site(v.name, env)
+        elif v.__class__ is VSet:
+            for e in v.elements.support():
+                self._value(e, env)
+        return v
 
     def _rows(self, node, env):
-        found = set()
         for row in node.rows.support():
             for v in row.components:
-                _locs_in_value(v, found)
-        self.out |= found - env
+                self._value(v, env)
         return node
 
-    hooks = {VLoc: _constant, TableLiteral: _rows, TableComp: _rows}
+    hooks = {VLoc: _value, TableLiteral: _rows, TableComp: _rows}
 
 
 def loc_names(node) -> frozenset:
     """All locality names occurring in the node, restricted ones included."""
-    fold = _Localities(free=False)
-    fold.map(node, frozenset())
-    return frozenset(fold.out)
+    fold = _Localities(node)
+    return frozenset(fold.free | fold.restricted)
 
 
 def free_locs(node) -> frozenset:
     """Locality names occurring free in a node (restriction binds)."""
-    fold = _Localities(free=True)
-    fold.map(node, frozenset())
-    return frozenset(fold.out)
+    return frozenset(_Localities(node).free)
 
 
 class _RenameLocalities(ScopedMap):
@@ -902,8 +937,7 @@ class _RenameLocalities(ScopedMap):
 
     def restrict(self, name, env):
         if name in env:
-            env = {k: v for k, v in env.items() if k != name}
-        return None, env
+            env.bind(name, name)
 
     def site(self, name, env):
         return env.get(name, name)
@@ -924,4 +958,4 @@ def rename_localities(node, mapping: dict):
     """Rename free locality occurrences; restriction binders shadow."""
     if not mapping:
         return node
-    return _RENAME_LOCALITIES.map(node, mapping)
+    return _RENAME_LOCALITIES.map(node, Scope(mapping))

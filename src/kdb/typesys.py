@@ -2,9 +2,11 @@
 
 Judgments follow the language's declarative rules; the checker adds error
 recovery (siblings keep getting checked after a failure, dependents are
-suppressed) and runs in time linear in the program text: environments are
-mutated in place with an undo journal, so extension is O(1) per binding and
-lookup is a dict hit.  A scope is a mark of the journal, the binder's
+suppressed) and runs in time linear in the program text.  Its environment
+is a `syntax.Scope`, which maps a name to its type, as `ProcDef.params`
+does: a data variable to its MType, a locality variable to `Loc`, which the
+binder-kind rule gives no data variable, and a table variable to its
+schema, a tuple.  A scope is a mark of the Scope's journal, the binder's
 bindings, and an undo to the mark after its body is checked, all in the
 frame that checks the binder; so checking a straight-line process costs one
 Python frame per action.
@@ -54,42 +56,6 @@ class Diagnostic:
         }
 
 
-class TypeEnv:
-    """Mutable scoped environment with O(1) extension and lookup.
-
-    A name is bound to its type, as in `ProcDef.params`: a data variable to
-    its MType, a locality variable to `Loc`, which the binder-kind rule gives
-    no data variable, and a table variable to its schema, a tuple.
-    """
-
-    def __init__(self, bindings=None):
-        self._map: dict = {}
-        self._journal: list = []
-        if bindings:
-            for name, ty in bindings:
-                self.bind(name, ty)
-
-    def lookup(self, name: str):
-        return self._map.get(name)
-
-    def bind(self, name: str, ty) -> None:
-        # Renaming apart means shadowing never happens for checked systems,
-        # but programmatic ASTs may shadow; the journal restores the old entry.
-        self._journal.append((name, self._map.get(name)))
-        self._map[name] = ty
-
-    def mark(self) -> int:
-        return len(self._journal)
-
-    def undo(self, mark: int) -> None:
-        while len(self._journal) > mark:
-            name, old = self._journal.pop()
-            if old is None:
-                self._map.pop(name, None)
-            else:
-                self._map[name] = old
-
-
 def _render_mtype(t) -> str:
     return "?" if t is None else s.render_mtype(t)
 
@@ -108,12 +74,12 @@ class Checker:
 
     # -- expressions
 
-    def type_expr(self, env: TypeEnv, e: s.Expr) -> Optional[s.MType]:
+    def type_expr(self, env: s.Scope, e: s.Expr) -> Optional[s.MType]:
         sort = literal_sort(e)
         if sort is not None:
             return sort
         if isinstance(e, (s.DataVar, s.LocVar)):
-            ty = env.lookup(e.name)
+            ty = env.get(e.name)
             if ty is None:
                 return self.error("unbound-variable", f"unbound variable {e.name!r}", e.span)
             if isinstance(e, s.LocVar) and ty != s.LOC:
@@ -173,7 +139,7 @@ class Checker:
 
     # -- predicates
 
-    def type_pred(self, env: TypeEnv, p: s.Pred) -> bool:
+    def type_pred(self, env: s.Scope, p: s.Pred) -> bool:
         if isinstance(p, s.TruePred):
             return True
         if isinstance(p, s.Cmp):
@@ -219,7 +185,7 @@ class Checker:
 
     # -- tuples, templates, tables
 
-    def type_tuple(self, env: TypeEnv, t: s.Tuple) -> Optional[s.Schema]:
+    def type_tuple(self, env: s.Scope, t: s.Tuple) -> Optional[s.Schema]:
         out = []
         for e in t.components:
             ty = self.type_expr(env, e)
@@ -253,7 +219,7 @@ class Checker:
                     f.span, expected="Loc", found=_render_mtype(ty))
         return [(f.name, ty) for f, ty in zip(template.fields, sk)]
 
-    def _check_loc(self, env: TypeEnv, loc: s.Expr) -> bool:
+    def _check_loc(self, env: s.Scope, loc: s.Expr) -> bool:
         t = self.type_expr(env, loc)
         if t is None:
             return False
@@ -270,13 +236,13 @@ class Checker:
             return self.error("unknown-table", f"no schema known for table {tid!r}", span)
         return sk
 
-    def type_table(self, env: TypeEnv, tb: s.TableRef) -> Optional[s.Schema]:
+    def type_table(self, env: s.Scope, tb: s.TableRef) -> Optional[s.Schema]:
         if isinstance(tb, s.TableByName):
             if not self._check_loc(env, tb.loc):
                 return None
             return self._schema_of(tb.tid, tb.span)
         if isinstance(tb, s.TableByVar):
-            sk = env.lookup(tb.name)
+            sk = env.get(tb.name)
             if sk is None:
                 return self.error("unbound-variable",
                                   f"unbound table variable {tb.name!r}", tb.span)
@@ -314,7 +280,7 @@ class Checker:
 
     # -- actions
 
-    def type_action(self, env: TypeEnv, a: s.Action):
+    def type_action(self, env: s.Scope, a: s.Action):
         """Returns the bindings the action exports to its continuation, or None."""
         if isinstance(a, s.Insert):
             sk = self._schema_of(a.tid, a.span)
@@ -406,11 +372,11 @@ class Checker:
             return [] if okp and okl else None
         raise TypeError(f"not an action: {a!r}")
 
-    def _bind(self, env: TypeEnv, binds) -> int:
+    def _bind(self, env: s.Scope, binds) -> int:
         """Opens the scope of `binds`; `env.undo` of the mark returned closes it."""
         mark = env.mark()
         for name, ty in binds:
-            if env.lookup(name) is not None:
+            if env.get(name) is not None:
                 # Renaming apart makes shadowing impossible in parsed systems.
                 self.error("shadowing", f"binder {name!r} shadows an existing binding")
             env.bind(name, ty)
@@ -418,7 +384,7 @@ class Checker:
 
     # -- processes, components, nets
 
-    def type_process(self, env: TypeEnv, p: s.Process) -> bool:
+    def type_process(self, env: s.Scope, p: s.Process) -> bool:
         if isinstance(p, s.NilProc):
             return True
         if isinstance(p, s.Prefix):
@@ -477,7 +443,7 @@ class Checker:
             return a and b
         raise TypeError(f"not a process: {p!r}")
 
-    def type_component(self, env: TypeEnv, c: s.Component) -> bool:
+    def type_component(self, env: s.Scope, c: s.Component) -> bool:
         if isinstance(c, s.ProcComp):
             return self.type_process(env, c.process)
         if isinstance(c, s.TableComp):
@@ -485,10 +451,8 @@ class Checker:
                 self.error("anonymous-table",
                            "a nameless table cannot stand as a component", c.span)
                 return False
-            sk = self.nabla.get(c.interface.tid)
+            sk = self._schema_of(c.interface.tid, c.span)
             if sk is None:
-                self.error("unknown-table",
-                           f"no schema known for table {c.interface.tid!r}", c.span)
                 return False
             if sk != c.interface.schema:
                 self.error("schema-conflict",
@@ -503,7 +467,7 @@ class Checker:
             return a and b
         raise TypeError(f"not a component: {c!r}")
 
-    def type_net(self, env: TypeEnv, n: s.Net) -> bool:
+    def type_net(self, env: s.Scope, n: s.Net) -> bool:
         if isinstance(n, s.NilNet):
             return True
         if isinstance(n, s.ErrNet):
@@ -555,10 +519,10 @@ def build_schema_map(system: s.System):
     shapes is a conflict.
     """
     net = _TableShapes()
-    net.map(system.main_net, None)
+    net.map(system.main_net, s.Scope())
     bodies = _TableShapes()
     for d in system.procedures.values():
-        bodies.map(d.body, None)
+        bodies.map(d.body, s.Scope())
     # The first shape seen wins: declarations, the net's tables, procedure
     # bodies, then the processes of the net.
     sources = [(tid, sk, None) for tid, sk in system.schema_decls]
@@ -583,9 +547,9 @@ def check_system(system: s.System) -> list:
     checker = Checker(nabla, system.procedures)
     checker.diags = diags
     for d in system.procedures.values():
-        env = TypeEnv(d.params)
+        env = s.Scope(d.params)
         checker.type_process(env, d.body)
-    checker.type_net(TypeEnv(), system.main_net)
+    checker.type_net(s.Scope(), system.main_net)
     leftover = s.free_vars(system.main_net)
     if leftover:
         names = ", ".join(sorted(leftover))
@@ -597,5 +561,5 @@ def check_system(system: s.System) -> list:
 def check_net(net: s.Net, nabla: dict, procedures: Optional[dict] = None) -> list:
     """Diagnostics for a bare net under a given schema map."""
     checker = Checker(nabla, procedures or {})
-    checker.type_net(TypeEnv(), net)
+    checker.type_net(s.Scope(), net)
     return checker.diags

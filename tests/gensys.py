@@ -405,7 +405,7 @@ def _subterms(node):
         elif shape == s.PROCS:
             for d in child.values():
                 yield from _subterms(d)
-        elif shape in (s.ONE, s.SCOPED, s.ACTION):
+        elif shape in (s.ONE, s.ACTION):
             yield from _subterms(child)
 
 
@@ -420,7 +420,7 @@ def _replace_node(node, target, new):
             changes[name] = tuple(_replace_node(x, target, new) for x in child)
         elif shape == s.PROCS:
             changes[name] = {k: _replace_node(d, target, new) for k, d in child.items()}
-        elif shape in (s.ONE, s.SCOPED, s.ACTION):
+        elif shape in (s.ONE, s.ACTION):
             changes[name] = _replace_node(child, target, new)
     return dataclasses.replace(node, **changes) if changes else node
 

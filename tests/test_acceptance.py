@@ -18,7 +18,7 @@ from kdb import syntax as s
 from kdb.net import canonicalize, dump_tables, lid, no_rep, to_net
 from kdb.parser import parse_system
 from kdb.semantics import run
-from kdb.typesys import Checker, TypeEnv, build_schema_map, check_net, check_system
+from kdb.typesys import Checker, build_schema_map, check_net, check_system
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
@@ -182,7 +182,7 @@ class TestCriterion7EvaluationAgreement:
             if shape == 0:
                 term = g.expr({}, depth=3)
                 checker = Checker({})
-                ty = checker.type_expr(TypeEnv(), term)
+                ty = checker.type_expr(s.Scope(), term)
                 val = k.eval_expr(term)
                 ok_static = ty is not None
                 ok_dynamic = not k.is_err(val)
@@ -193,14 +193,14 @@ class TestCriterion7EvaluationAgreement:
             elif shape == 1:
                 term = g.pred({}, depth=3)
                 checker = Checker({})
-                ok_static = checker.type_pred(TypeEnv(), term)
+                ok_static = checker.type_pred(s.Scope(), term)
                 ok_dynamic = not k.is_err(k.eval_pred(term))
                 if bool(ok_static) != ok_dynamic:
                     disagreements += 1
             else:
                 term = g.tuple_({})
                 checker = Checker({})
-                ty = checker.type_tuple(TypeEnv(), term)
+                ty = checker.type_tuple(s.Scope(), term)
                 val = k.eval_tuple(term)
                 ok_static = ty is not None
                 ok_dynamic = not k.is_err(val)

@@ -3,8 +3,9 @@
 Each pass over the syntax recurses once per action of a chain, so these
 lengths pin how many Python frames one level of the tree costs: the parser
 and its passes one, the checker one, and running or exploring two (the
-rendering in keys and dumps).  A traversal that spent one more frame per
-level would fail here.
+generated dataclass `__hash__` of a process body, which `canonicalize`
+calls when it first hashes the chain).  A traversal that spent one more
+frame per level would fail here.
 
 Wide nets pin the same for the `||` spine of a net: the parser's passes
 recurse once per node, and canonicalize must not recurse at all.
@@ -56,8 +57,9 @@ def test_wide_net_of_900():
 
 
 def test_explore_wide_net_of_900():
-    # Every successor's key renders every item, so exploring 900 enabled
-    # inserts costs about 900 x 1,800 renders; nodes with nothing left to do
-    # take the net through explore's canonicalize and key alone.
+    # Every successor costs passes over all 1,800 items (its `lid` check,
+    # inert units, table lookups and key), so exploring 900 enabled inserts
+    # costs about 900 x 1,800 item visits; nodes with nothing left to do take
+    # the net through explore's canonicalize and key alone.
     result = semantics.explore(parse_system(wide(900, "nil")), bound=3)
     assert (result.states, len(result.quiescent), result.truncated) == (1, 1, False)

@@ -1,6 +1,7 @@
 """Canonical form, structural-congruence invariance, state keys, table bookkeeping."""
 
 import copy
+import itertools
 import random
 
 import pytest
@@ -373,6 +374,42 @@ class TestStateKeys:
 
     def test_population_tells_a_faulty_keyer_apart(self):
         assert _disagreements(_AnyOrderKeys, _pairs())
+
+
+def _key_renaming_every_body(cn):
+    """canonical_key as it was first written: every body renamed and rendered
+    under every numbering of the restricted names."""
+    best = None
+    for perm in itertools.permutations(cn.restricted):
+        mapping = {name: f"ρ{i}" for i, name in enumerate(perm)}
+        cand = tuple(sorted((mapping.get(loc, loc), s.render(s.rename_localities(body, mapping)), n)
+                            for (loc, body), n in cn.items.items()))
+        if best is None or cand < best:
+            best = cand
+    return (cn.err, len(cn.restricted), best)
+
+
+class TestCanonicalKey:
+    def test_equals_renaming_every_body(self):
+        for a, b, _ in _pairs(range(60)):
+            for cn in (a, b):
+                assert canonical_key(cn) == _key_renaming_every_body(cn)
+
+    def test_renames_only_bodies_that_mention_a_restricted_name(self, monkeypatch):
+        calls = []
+        rename = s.rename_localities
+        monkeypatch.setattr(s, "rename_localities", lambda *args: calls.append(args) or rename(*args))
+        # Three restricted names; of the five bodies, only the insert at $b
+        # mentions one ($a).  The others sit at restricted or free names.
+        program = _restricted_program([
+            ("a", _TABLE), ("b", "insert(T@$a, (1)). nil"), ("c", "insert(T@$f, (2)). nil")])
+        program += "|| $f :: { table T : (Int) = {(3)} | insert(T@$f, (4)). nil }\n"
+        cn = canonicalize(parse_system(program).main_net)
+        calls.clear()
+        key = canonical_key(cn)
+        assert len(cn.restricted) == 3 and len(cn.items) == 5
+        assert len(calls) == 1 * 3 * 2  # one body, 3! numberings
+        assert key == _key_renaming_every_body(cn)
 
 
 class TestLid:

@@ -1,10 +1,12 @@
 """Parsing, diagnostics, renaming, and the parse/render round trip."""
 
+import time
+
 import pytest
 
 from gen import random_system
 from kdb import syntax as s
-from kdb.parser import ParseError, parse_system
+from kdb.parser import ParseError, parse_system, rename_apart
 from kdb.values import VInt, VLoc, VStr
 
 
@@ -249,6 +251,30 @@ class TestRenamingApart:
         walk(sys1.main_net.right.component.process)
         assert len(binders) == 4
         assert len(set(binders)) == 4
+
+
+def _aggr_chain(n: int) -> s.System:
+    """n chained aggrs, each binding two names of its own."""
+    p = s.NilProc()
+    for i in reversed(range(n)):
+        p = s.Prefix(s.Aggr("T", s.Template((s.BindData(f"a{i}"),)), s.TruePred(),
+                            s.AggrFn("count"), s.Template((s.BindData(f"r{i}"),)), VLoc("l")), p)
+    return s.System({}, (("T", (s.INT,)),), s.Node("l", s.ProcComp(p)))
+
+
+def test_rename_apart_time_grows_linearly_with_binders_in_scope():
+    # Linear work gives a ratio of about 4, work per binder that grows with
+    # the names in scope (an environment copied per binder) about 16.
+    def best_of_3(system):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            rename_apart(system)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    small, large = _aggr_chain(200), _aggr_chain(800)
+    assert best_of_3(large) < 8 * best_of_3(small)
 
 
 class TestRowParsing:

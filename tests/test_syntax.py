@@ -65,6 +65,82 @@ class TestFreeVars:
         assert s.free_vars(s.Prefix(action, cont)) == frozenset()
 
 
+def _rebinding(kind: str):
+    """A `kind` action at locality variable `u` whose template rebinds `u`."""
+    u, tpl = s.LocVar("u"), s.Template((s.BindLoc("u"),))
+    pred = s.Cmp("=", u, VLoc("m"))
+    if kind == "delete":
+        return s.Delete("T", tpl, pred, u)
+    if kind == "update":
+        return s.Update("T", tpl, pred, s.Tuple((u,)), u)
+    return s.Aggr("T", tpl, pred, s.AggrFn("count"), s.Template((s.BindData("n"),)), u)
+
+
+class TestRebindingTheTargetLocality:
+    """The locality of a delete, update or aggr is outside its template's
+    scope; the template's `u` scopes over the predicate (and payload) only."""
+
+    @pytest.mark.parametrize("kind", ["delete", "update", "aggr"])
+    def test_free_vars(self, kind):
+        assert s.free_vars(_rebinding(kind)) == frozenset(["u"])
+        cont = s.Prefix(s.Insert("T", s.Tuple((s.LocVar("u"),)), VLoc("m")), s.NilProc())
+        assert s.free_vars(s.Prefix(_rebinding(kind), cont)) == frozenset(["u"])
+
+    @pytest.mark.parametrize("kind", ["delete", "update", "aggr"])
+    def test_apply_subst(self, kind):
+        from kdb.kernel import apply_subst
+        cont = s.Prefix(s.Insert("T", s.Tuple((s.LocVar("u"),)), VLoc("m")), s.NilProc())
+        got = apply_subst({"u": VLoc("a")}, s.Prefix(_rebinding(kind), cont))
+        assert got.action.loc == VLoc("a")
+        assert got.action.pred == _rebinding(kind).pred
+        if kind == "update":
+            assert got.action.payload == s.Tuple((s.LocVar("u"),))
+        assert got.cont.action.payload == s.Tuple((VLoc("a"),))
+
+    @pytest.mark.parametrize("action, renamed", [
+        ("delete(T@u, (!@u), u = $m)", "delete(T@u, (!@u#1), u#1 = $m)"),
+        ("update(T@u, (!@u), u = $m, (u))", "update(T@u, (!@u#1), u#1 = $m, (u#1))"),
+        ("aggr(T@u, (!@u), u = $m, count, (!n))", "aggr(T@u, (!@u#1), u#1 = $m, count, (!n))"),
+    ])
+    def test_rename_apart(self, action, renamed):
+        from kdb.parser import parse_system
+        src = (f"schema T : (Loc)\nschema S : (Int)\n"
+               f"$m :: foreach(T@$m, (!@u), true, unordered): {action}. insert(T@u, (u)). nil")
+        got = s.render(parse_system(src).main_net)
+        assert got == (f"$m :: foreach(T@$m, (!@u), true, unordered): "
+                       f"{renamed}. insert(T@u, (u)). nil")
+
+
+class TestSiblingAfterABinder:
+    """A sibling after a `foreach` is outside the loop's scope: it sees the
+    binding the loop's template shadowed."""
+
+    def seq(self):
+        use = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
+        loop = s.Foreach(s.TableByVar("tv"), s.Template((s.BindData("x"),)),
+                         s.Cmp("=", s.DataVar("x"), VInt(1)), s.OrderSpec("unordered"), use)
+        return s.Seq(loop, use)
+
+    def test_free_vars(self):
+        assert s.free_vars(self.seq()) == frozenset(["tv", "x"])
+        assert s.free_vars(self.seq().first) == frozenset(["tv"])
+
+    def test_apply_subst(self):
+        from kdb.kernel import apply_subst
+        got = apply_subst({"x": VInt(5)}, self.seq())
+        assert got.first == self.seq().first
+        assert got.second.action.payload == s.Tuple((VInt(5),))
+
+    def test_rename_apart(self):
+        from kdb.parser import parse_system
+        src = ("schema T : (Int)\nlet f(x: Int) := "
+               "(foreach(T@$l, (!x), true, unordered): insert(T@$l, (x)). nil); "
+               "insert(T@$l, (x)). nil\nin $l :: f(1)")
+        got = s.render(parse_system(src).procedures["f"])
+        assert got == ("f(x: Int) := foreach(T@$l, (!x#1), true, unordered): "
+                       "insert(T@$l, (x#1)). nil; insert(T@$l, (x)). nil")
+
+
 class TestFreeLocs:
     def test_restriction_removes_its_name(self):
         net = s.ParNet(
@@ -84,12 +160,34 @@ class TestFreeLocs:
         assert s.free_locs(net) == frozenset(["l1", "l7"])
 
 
+# Each binder's scope, stated on its own: class -> {binder field: the fields
+# of the node it scopes over}.  What an action exports is a binder of its
+# Prefix, which `action` stands for; in its own node it scopes over nothing.
+BINDER_SCOPES = {
+    s.Delete: {"template": {"pred"}},
+    s.Select: {"template": {"pred", "payload"}, "bind": set()},
+    s.Update: {"template": {"pred", "payload"}},
+    s.Aggr: {"template": {"pred"}, "bind_template": set()},
+    s.Foreach: {"template": {"pred", "body"}},
+    s.Prefix: {"action": {"cont"}},
+    s.Restrict: {"loc": {"inner"}},
+    s.ProcDef: {"params": {"body"}},
+}
+BINDER_SHAPES = (s.PATTERN, s.PARAMS, s.RESTRICTED, s.TABLE_VAR, s.ACTION,
+                 s.EXPORTS_TABLE_VAR, s.EXPORTS_PATTERN)
+EXPORTED_SHAPES = (s.EXPORTS_TABLE_VAR, s.EXPORTS_PATTERN)
+
+
 class TestScopedMap:
-    def test_children_are_listed_in_dataclass_order(self):
+    def test_each_binder_scopes_over_the_fields_listed_after_it(self):
         for cls, children in s.CHILDREN.items():
-            order = [f.name for f in fields(cls)]
-            listed = [order.index(name) for name, _ in children]
-            assert listed == sorted(listed), cls.__name__
+            scopes = {}
+            for i, (name, shape) in enumerate(children):
+                if shape in BINDER_SHAPES:
+                    scopes[name] = {after for after, shape2 in children[i + 1:]
+                                    if shape2 not in EXPORTED_SHAPES}
+            assert scopes == BINDER_SCOPES.get(cls, {}), cls.__name__
+            assert {name for name, _ in children} <= {f.name for f in fields(cls)}
 
     def test_unchanged_node_is_returned_itself(self):
         p = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())

@@ -5,7 +5,7 @@ import pathlib
 from fixtures import KLD_SCHEMA, SEVEN_BINDERS, SSRESULT_SCHEMA, STORES_SCHEMA
 from kdb import syntax as s
 from kdb.parser import parse_system
-from kdb.typesys import Checker, TypeEnv, check_system
+from kdb.typesys import Checker, check_system
 from kdb.values import VInt, VLoc, VStr, VTid
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
@@ -21,8 +21,8 @@ def fresh_checker(nabla=None, procs=None) -> Checker:
     return Checker(nabla or NABLA_DC, procs or {})
 
 
-def env(*pairs) -> TypeEnv:
-    return TypeEnv(list(pairs))
+def env(*pairs) -> s.Scope:
+    return s.Scope(pairs)
 
 
 class TestExprTyping:
@@ -330,4 +330,4 @@ class TestEnvUndo:
         a = s.Delete("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), VStr("HB")),
                      VLoc("l1"))
         assert c.type_action(g, a) == []
-        assert g.lookup("tp") is None
+        assert "tp" not in g
