@@ -700,7 +700,7 @@ def _check_calls(calls: list, procedures: dict) -> None:
 def rename_apart(system: s.System) -> s.System:
     """Sort variables, rename binders apart and check calls (module docstring)."""
     # A procedure body restricts no name, so the free localities of the
-    # system are every name its bodies mention.
+    # system include every name a body mentions.
     walk = _Resolve(set(s.free_vars(system)), set(s.free_locs(system)))
     procedures = {name: walk.map(d, walk.variables) for name, d in system.procedures.items()}
     main_net = walk.map(system.main_net, walk.variables)
