@@ -4,16 +4,21 @@ All operations are total functions that report failures through the ERR
 sentinel rather than exceptions; the transition engine turns ERR outcomes
 into monitored error states.
 
-Expressions, predicates and tuples are evaluated under an environment, the
-substitution a template match produced: a variable evaluates to the value
-the environment binds it to.  So the engine evaluates an action's
-predicate and payload once per row without building substituted copies.
-`apply_subst` builds a substituted copy only for what runs on afterwards:
-the continuation of a select or aggr, a loop body and a procedure body.
-It is a `syntax.ScopedMap`, so it respects the binders CHILDREN declares.
-A scalar constant is its value, so evaluating one returns it and
-substitution puts a row's scalar value itself in place of a variable; only
-a multiset value becomes a `MultisetLit`, of its elements in value order.
+Expressions, predicates and tuples compile once into closures over a row's
+cells (`compile_expr`, `compile_pred`, `compile_tuple`): `slots` maps each
+variable to its cell, and each comparison picks its operator and its kind
+test when it is compiled.  The engine compiles an action's predicate and
+payload once per pass over a table, with the template's columns as slots,
+and runs them on each row's components: no environment, no substituted
+copy.  `eval_expr`, `eval_pred` and `eval_tuple` run a compiled term on an
+environment, the substitution a match produced, whose names are its slots
+and its cells.  `apply_subst` builds a substituted copy only for what runs
+on afterwards: the continuation of a select or aggr, a loop body and a
+procedure body.  It is a `syntax.ScopedMap`, so it respects the binders
+CHILDREN declares.  A scalar constant is its value, so evaluating one
+returns it and substitution puts a row's scalar value itself in place of a
+variable; only a multiset value becomes a `MultisetLit`, of its elements in
+value order.
 
 The kernel never looks a table up.  A join takes the row multisets of
 tables the engine has already found, and the joined schema is the engine's
@@ -76,61 +81,59 @@ _NO_ENV: Subst = {}  # never mutated
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def eval_expr(e: s.Expr, env: Subst = _NO_ENV) -> Union[Value, _EvalErr]:
-    """The value of an expression whose variables env binds to values."""
+def _constant(v):
+    return lambda cells: v
+
+
+def _div(a: int, b: int) -> int:
+    """Division truncating toward zero; by zero it yields zero."""
+    q = abs(a) // abs(b) if b else 0
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
+
+
+def compile_expr(e: s.Expr, slots: dict):
+    """A closure giving the expression's value, or ERR, from a row's cells."""
     if e.__class__ in KIND:
-        return e  # a scalar constant is its value
+        return _constant(e)  # a scalar constant is its value
     if isinstance(e, (s.DataVar, s.LocVar)):
-        # A variable env does not bind is an evaluation error.
-        return env.get(e.name, ERR)
+        slot = slots.get(e.name)
+        # A variable the slots do not bind is an evaluation error.
+        return _constant(ERR) if slot is None else operator.itemgetter(slot)
     if isinstance(e, s.Concat):
-        a = eval_expr(e.left, env)
-        b = eval_expr(e.right, env)
-        if isinstance(a, VStr) and isinstance(b, VStr):
-            return VStr(a.value + b.value)
-        return ERR
+        left, right = compile_expr(e.left, slots), compile_expr(e.right, slots)
+
+        def concat(cells):
+            a, b = left(cells), right(cells)
+            if a.__class__ is VStr and b.__class__ is VStr:
+                return VStr(a.value + b.value)
+            return ERR
+        return concat
     if isinstance(e, s.Arith):
-        a = eval_expr(e.left, env)
-        b = eval_expr(e.right, env)
-        if not (isinstance(a, VInt) and isinstance(b, VInt)):
+        op = _ARITH.get(e.op)
+        if op is None:
+            raise ValueError(f"unknown arithmetic operator {e.op!r}")
+        left, right = compile_expr(e.left, slots), compile_expr(e.right, slots)
+
+        def arith(cells):
+            a, b = left(cells), right(cells)
+            if a.__class__ is VInt and b.__class__ is VInt:
+                return VInt(op(a.value, b.value))
             return ERR
-        if e.op == "+":
-            return VInt(a.value + b.value)
-        if e.op == "-":
-            return VInt(a.value - b.value)
-        if e.op == "*":
-            return VInt(a.value * b.value)
-        if e.op == "/":
-            if b.value == 0:
-                return VInt(0)
-            q = abs(a.value) // abs(b.value)
-            return VInt(q if (a.value >= 0) == (b.value >= 0) else -q)
-        raise ValueError(f"unknown arithmetic operator {e.op!r}")
+        return arith
     if isinstance(e, s.MultisetLit):
-        vals = [eval_expr(el, env) for el in e.elements]
-        kinds = {scalar_kind(v) for v in vals}  # an error, like a multiset, has none
-        if None in kinds or len(kinds) > 1:
-            return ERR
-        return VSet(Multiset(vals))
+        parts = [compile_expr(el, slots) for el in e.elements]
+
+        def multiset(cells):
+            vals = [part(cells) for part in parts]
+            kinds = {KIND.get(v.__class__) for v in vals}  # an error, like a multiset, has none
+            if None in kinds or len(kinds) > 1:
+                return ERR
+            return VSet(Multiset(vals))
+        return multiset
     raise TypeError(f"not an expression: {e!r}")
-
-
-_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-def _cmp_scalars(op: str, a: Value, b: Value):
-    cls = type(a)
-    if cls is not type(b) or cls not in KIND:  # two scalars of one kind
-        return ERR
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    compare = _ORDER.get(op)
-    # Ordering exists for integers (numeric) and strings (lexicographic).
-    if compare is None or cls not in (VInt, VStr):
-        return ERR
-    return compare(a.value, b.value)
 
 
 def _proper_subset(a: VSet, b: VSet) -> Union[bool, _EvalErr]:
@@ -143,51 +146,100 @@ def _proper_subset(a: VSet, b: VSet) -> Union[bool, _EvalErr]:
     return a.elements != b.elements
 
 
-def eval_pred(p: s.Pred, env: Subst = _NO_ENV) -> Union[bool, _EvalErr]:
+# A comparison other than `sub` compares two scalars of one kind, and an
+# ordering exists for integers (numeric) and strings (lexicographic) only.
+_ORDERED = (VInt, VStr)
+_SCALAR_CMP = {
+    "=": (operator.eq, KIND), "!=": (operator.ne, KIND),
+    "<": (lambda a, b: a.value < b.value, _ORDERED),
+    "<=": (lambda a, b: a.value <= b.value, _ORDERED),
+    ">": (lambda a, b: a.value > b.value, _ORDERED),
+    ">=": (lambda a, b: a.value >= b.value, _ORDERED),
+}
+
+
+def compile_pred(p: s.Pred, slots: dict):
+    """A closure giving the predicate's truth, or ERR, from a row's cells."""
     if isinstance(p, s.TruePred):
-        return True
+        return _constant(True)
     if isinstance(p, s.Cmp):
-        a = eval_expr(p.left, env)
-        b = eval_expr(p.right, env)
-        if is_err(a) or is_err(b):
-            return ERR
+        left, right = compile_expr(p.left, slots), compile_expr(p.right, slots)
         if p.op == "sub":
-            if isinstance(a, VSet) and isinstance(b, VSet):
-                return _proper_subset(a, b)
-            return ERR
-        return _cmp_scalars(p.op, a, b)
+            def subset(cells):
+                a, b = left(cells), right(cells)
+                if a.__class__ is VSet and b.__class__ is VSet:
+                    return _proper_subset(a, b)
+                return ERR
+            return subset
+        compare, kinds = _SCALAR_CMP.get(p.op, (None, ()))  # no kind fits an unknown op
+
+        def scalars(cells):
+            a, b = left(cells), right(cells)
+            if a.__class__ is not b.__class__ or a.__class__ not in kinds:
+                return ERR  # an error has no kind
+            return compare(a, b)
+        return scalars
     if isinstance(p, s.Member):
-        a = eval_expr(p.elem, env)
-        b = eval_expr(p.container, env)
-        if is_err(a) or is_err(b):
-            return ERR
-        ka = scalar_kind(a)
-        if ka is None or not isinstance(b, VSet) or b.kind() not in (None, ka):
-            return ERR
-        return a in b.elements
+        elem, container = compile_expr(p.elem, slots), compile_expr(p.container, slots)
+
+        def member(cells):
+            a, b = elem(cells), container(cells)
+            kind = KIND.get(a.__class__)
+            if kind is None or b.__class__ is not VSet or b.kind() not in (None, kind):
+                return ERR
+            return a in b.elements
+        return member
     if isinstance(p, s.Not):
-        r = eval_pred(p.inner, env)
-        if is_err(r):
-            return ERR
-        return not r
+        inner = compile_pred(p.inner, slots)
+
+        def negation(cells):
+            r = inner(cells)
+            return r if r is ERR else not r
+        return negation
     if isinstance(p, s.And):
-        # Error-strict: an error on either side wins even if the other is false.
-        a = eval_pred(p.left, env)
-        b = eval_pred(p.right, env)
-        if is_err(a) or is_err(b):
-            return ERR
-        return a and b
+        left, right = compile_pred(p.left, slots), compile_pred(p.right, slots)
+
+        def conjunction(cells):
+            # Error-strict: an error on either side wins even if the other is false.
+            a, b = left(cells), right(cells)
+            if a is ERR or b is ERR:
+                return ERR
+            return a and b
+        return conjunction
     raise TypeError(f"not a predicate: {p!r}")
 
 
+def compile_tuple(t: s.Tuple, slots: dict):
+    """A closure giving the tuple's row, or ERR, from a row's cells; None
+    when that is the row itself: the i-th component is the variable of slot
+    i, for every slot."""
+    comps = t.components
+    if len(comps) == len(slots) and all(
+            isinstance(e, (s.DataVar, s.LocVar)) and slots.get(e.name) == i
+            for i, e in enumerate(comps)):
+        return None
+    parts = [compile_expr(e, slots) for e in comps]
+
+    def row(cells):
+        vals = tuple([part(cells) for part in parts])
+        # Every value is true and ERR is false.
+        return ValueTuple(vals) if all(vals) else ERR
+    return row
+
+
+def eval_expr(e: s.Expr, env: Subst = _NO_ENV) -> Union[Value, _EvalErr]:
+    """The value of an expression whose variables env binds to values."""
+    if e.__class__ in KIND:
+        return e  # a scalar constant is its value
+    return compile_expr(e, dict(zip(env, env)))(env)
+
+
+def eval_pred(p: s.Pred, env: Subst = _NO_ENV) -> Union[bool, _EvalErr]:
+    return compile_pred(p, dict(zip(env, env)))(env)
+
+
 def eval_tuple(t: s.Tuple, env: Subst = _NO_ENV) -> Union[ValueTuple, _EvalErr]:
-    vals = []
-    for e in t.components:
-        v = eval_expr(e, env)
-        if is_err(v):
-            return ERR
-        vals.append(v)
-    return ValueTuple(tuple(vals))
+    return compile_tuple(t, dict(zip(env, env)))(env)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +376,10 @@ def project_schema(sk: s.Schema, template: s.Template, t: s.Tuple) -> Optional[s
 # Joins
 
 def join_rows(tables) -> Multiset:
-    """Flattened Cartesian product of row multisets, multiplicities multiplying."""
+    """Flattened Cartesian product of row multisets, multiplicities
+    multiplying; one table joins to its own row multiset."""
+    if len(tables) == 1:
+        return tables[0]
     counts: dict = {}
     for combo in itertools.product(*(t.items() for t in tables)):
         parts = []
@@ -334,7 +389,7 @@ def join_rows(tables) -> Multiset:
             mult *= n
         key = ValueTuple(tuple(parts))
         counts[key] = counts.get(key, 0) + mult
-    return Multiset(counts)
+    return Multiset.of_counts(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ insert, delete, update, aggr and drop say only what they do to one table
 found there, a select joins the row multisets of the first table found for
 each source, and a create is skipped when one is found.
 
-The rows of a table action pass once through `_row_pass`: each row is
-matched against the template, and the predicate (with the payload of an
-update or select) is evaluated under the match.  The pass reports the first
-row that fails, and counts the hits and the misses.  Errors are monitored
+The rows of a table action pass once through `_row_pass`.  It compiles the
+predicate, and the payload of an update or select, once over the template's
+columns (`kernel.compile_pred`); each row whose width and locality columns
+fit the template runs them on its cells, with no match built.  The pass
+reports the first row that fails, and counts the hits and the misses.  Errors are monitored
 there and where an action meets a schema: a bad inserted row, a template that
 does not fit, a failing row, a new row or aggregate that breaks its schema,
 an unresolvable select source or payload, and a loop order naming a missing
@@ -113,33 +114,36 @@ class _RowPass(NamedTuple):
     failure: Optional[str]  # None, or "match" | "eval" for the first row that fails
     hits: dict  # row, or its payload value, -> count, where the predicate holds
     misses: dict  # row -> count, where it does not
-    envs: dict  # row -> its match, where the predicate holds
 
 
 def _row_pass(rows: Multiset, template: s.Template, pred: s.Pred, payload=None) -> _RowPass:
     """The monitored pass of an action over rows.
 
-    Each row is matched once, and the predicate, with the payload when one is
-    given, is evaluated under the match.  Every row is visited even after a
-    failure, so a loop still finds the rows it can iterate on.
+    A variable is read from the last template column of its name, where
+    `kernel.match` binds it.  Every row is visited even after a failure, so
+    a loop still finds the rows it can iterate on.
     """
+    slots = {f.name: i for i, f in enumerate(template.fields)}
+    locs = tuple(isinstance(f, s.BindLoc) for f in template.fields)
+    vlocs = (VLoc,) * len(locs)
+    test = k.compile_pred(pred, slots)
+    make = None if payload is None else k.compile_tuple(payload, slots)
     failure = None
-    hits, misses, envs = {}, {}, {}
+    hits, misses = {}, {}
     for row, n in rows.items():
-        sigma = k.match(row, template)
-        if k.is_err(sigma):
+        cells = row.components
+        if len(cells) != len(locs) or tuple(map(isinstance, cells, vlocs)) != locs:
             failure = failure or "match"
             continue
-        holds = k.eval_pred(pred, sigma)
-        hit = row if payload is None else k.eval_tuple(payload, sigma)
-        if k.is_err(holds) or k.is_err(hit):
+        holds = test(cells)
+        hit = row if make is None else make(cells)
+        if holds is k.ERR or hit is k.ERR:
             failure = failure or "eval"
         elif holds:
             hits[hit] = hits.get(hit, 0) + n
-            envs[row] = sigma
         else:
             misses[row] = n
-    return _RowPass(failure, hits, misses, envs)
+    return _RowPass(failure, hits, misses)
 
 
 def _write(loc: str, tab: s.TableComp, rows: Multiset, cont: s.Process) -> _Outcome:
@@ -274,7 +278,7 @@ def _foreach_outcomes(p: s.Foreach) -> list:
     for t0 in sorted(k.minimal(Multiset.of_counts(found.hits), p.order), key=row_sort_key):
         rest = s.TableLiteral(p.table.interface, rows.subtract(Multiset([t0])))
         succ = s.Seq(
-            k.apply_subst(found.envs[t0], p.body),
+            k.apply_subst(k.match(t0, p.template), p.body),
             s.Foreach(rest, p.template, p.pred, p.order, p.body),
         )
         out.append(("FOR_TT", f"iterate on {s.render_row(t0)}", _Outcome(succ)))

@@ -3,14 +3,17 @@
 This is the second route for checking the transition engine: it works on raw
 net terms, flattens them with its own traversal, applies each transition rule
 by direct case analysis over plain item lists, and normalizes successors with
-its own unit-absorption code.  It shares the AST and the expression-level
-kernel (evaluation, matching, joins) with the engine under test; redex
+its own unit-absorption code.  It evaluates and matches with the
+interpretive reference evaluator (`reference_eval`), not the engine's
+compiled one.  It shares the AST and the rest of the kernel (substitution,
+joins, loop orders, aggregation) with the engine under test; redex
 discovery, rule side conditions, successor construction, and congruence
 normalization are reimplemented here.
 """
 
 import itertools
 
+import reference_eval as ref
 from kdb import kernel as k
 from kdb import syntax as s
 from kdb.values import Multiset, VLoc
@@ -119,8 +122,8 @@ def _loc_literal(e):
 
 def _rows_scan_err(rows, template, pred):
     for row in rows.support():
-        sub = k.match(row, template)
-        if k.is_err(sub) or k.is_err(k.eval_pred(k.apply_subst(sub, pred))):
+        sub = ref.match(row, template)
+        if k.is_err(sub) or k.is_err(ref.eval_pred(k.apply_subst(sub, pred))):
             return True
     return False
 
@@ -128,8 +131,8 @@ def _rows_scan_err(rows, template, pred):
 def _keep_and_hit(rows, template, pred):
     keep, hit = {}, {}
     for row, n in rows.items():
-        sub = k.match(row, template)
-        if not k.is_err(sub) and k.eval_pred(k.apply_subst(sub, pred)) is True:
+        sub = ref.match(row, template)
+        if not k.is_err(sub) and ref.eval_pred(k.apply_subst(sub, pred)) is True:
             hit[row] = n
         else:
             keep[row] = n
@@ -153,7 +156,7 @@ def _steps(state, proc, sysdefs):
                 return out
             for ti in _tables(state, l2, a.tid):
                 table = state.items[ti][1]
-                row = k.eval_tuple(a.payload)
+                row = ref.eval_tuple(a.payload)
                 if k.is_err(row) or not k.well_sorted_value(row, table.interface.schema):
                     out.append(ERR_MARK)
                 else:
@@ -185,12 +188,12 @@ def _steps(state, proc, sysdefs):
                 failed = False
                 kept, fresh = {}, {}
                 for row, n in table.rows.items():
-                    sub = k.match(row, a.template)
+                    sub = ref.match(row, a.template)
                     if k.is_err(sub):
                         failed = True
                         break
-                    holds = k.eval_pred(k.apply_subst(sub, a.pred))
-                    image = k.eval_tuple(k.apply_subst(sub, a.payload))
+                    holds = ref.eval_pred(k.apply_subst(sub, a.pred))
+                    image = ref.eval_tuple(k.apply_subst(sub, a.payload))
                     if k.is_err(holds) or k.is_err(image):
                         failed = True
                         break
@@ -218,15 +221,15 @@ def _steps(state, proc, sysdefs):
                 sub2 = None
                 if not bad:
                     for row in table.rows.support():
-                        sub = k.match(row, a.template)
+                        sub = ref.match(row, a.template)
                         if (k.is_err(sub)
-                                or k.is_err(k.eval_pred(k.apply_subst(sub, a.pred)))
+                                or k.is_err(ref.eval_pred(k.apply_subst(sub, a.pred)))
                                 or not k.aggr_row_ok(a.fn, row)):
                             bad = True
                             break
                 if not bad:
                     _, hit = _keep_and_hit(table.rows, a.template, a.pred)
-                    sub2 = k.match(k.apply_aggr(a.fn, hit), a.bind_template)
+                    sub2 = ref.match(k.apply_aggr(a.fn, hit), a.bind_template)
                     bad = k.is_err(sub2)
                 if bad:
                     out.append(ERR_MARK)
@@ -254,11 +257,11 @@ def _steps(state, proc, sysdefs):
                 return [ERR_MARK]
             picked = {}
             for row, n in jrows.items():
-                sub = k.match(row, a.template)
+                sub = ref.match(row, a.template)
                 if k.is_err(sub):
                     return [ERR_MARK]
-                holds = k.eval_pred(k.apply_subst(sub, a.pred))
-                image = k.eval_tuple(k.apply_subst(sub, a.payload))
+                holds = ref.eval_pred(k.apply_subst(sub, a.pred))
+                image = ref.eval_tuple(k.apply_subst(sub, a.payload))
                 if k.is_err(holds) or k.is_err(image):
                     return [ERR_MARK]
                 if holds is True:
@@ -296,7 +299,7 @@ def _steps(state, proc, sysdefs):
         d = sysdefs.get(proc.name)
         if d is None:
             return out
-        vals = [k.eval_expr(e) for e in proc.args]
+        vals = [ref.eval_expr(e) for e in proc.args]
         if any(k.is_err(v) for v in vals):
             return out
         body = k.apply_subst({n: v for (n, _), v in zip(d.params, vals)}, d.body)
@@ -311,7 +314,7 @@ def _steps(state, proc, sysdefs):
                 if any(not 1 <= proc.order.col <= len(r) for r in hit.support()):
                     return [ERR_MARK]
             for row in sorted(k.minimal(hit, proc.order), key=s.render_row):
-                sub = k.match(row, proc.template)
+                sub = ref.match(row, proc.template)
                 rest = s.TableLiteral(proc.table.interface, rows.subtract(Multiset([row])))
                 follow = s.Seq(k.apply_subst(sub, proc.body),
                                s.Foreach(rest, proc.template, proc.pred,

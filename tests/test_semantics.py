@@ -1,6 +1,7 @@
 """Transition engine: per-rule goldens, scheduling, exploration."""
 
 import pathlib
+import random
 
 import pytest
 
@@ -12,17 +13,19 @@ from fixtures import (
     WHITE_ROW,
     srow,
 )
+import reference_eval as ref
 from kdb import syntax as s
 from kdb.net import canonical_key, canonicalize, dump_tables, find_tables, lid
 from kdb.parser import parse_system
 from kdb.semantics import (
     Trace,
+    _row_pass,
     enumerate_transitions,
     explore,
     run,
     step_interactive,
 )
-from kdb.values import Multiset, VInt, VLoc, VStr
+from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -746,3 +749,136 @@ class TestCaseStudyRun:
         trace = run(sys1, seed=3, max_steps=200)
         for _, cn in trace.steps:
             assert no_rep(lid(cn))
+
+
+class TestRowPassAgainstReference:
+    """The compiled row pass gives the reference pass's failure, hits and
+    misses, in the same order, on random templates, rows, predicates and
+    payloads; the reference matches each row and evaluates under the match."""
+
+    NAMES = ("a", "b", "c")
+    INT, STR, SET, LOC = range(4)
+
+    @staticmethod
+    def var(field):
+        return (s.LocVar if isinstance(field, s.BindLoc) else s.DataVar)(field.name)
+
+    def template(self, rng):
+        # Three names over up to four fields, so names often repeat.
+        return s.Template(tuple(
+            (s.BindLoc if rng.random() < 0.3 else s.BindData)(rng.choice(self.NAMES))
+            for _ in range(rng.randrange(1, 5))))
+
+    def cell(self, rng, kind):
+        if rng.random() < 0.05:  # the wrong sort: a locality in a data column, or back
+            return VInt(1) if kind == self.LOC else VLoc("l2")
+        if rng.random() < 0.05 and kind != self.LOC:
+            kind = rng.randrange(3)  # a column of mixed kinds, as an unchecked net has
+        if kind == self.INT:
+            return VInt(rng.randrange(-1, 3))
+        if kind == self.STR:
+            return VStr(rng.choice("xy"))
+        if kind == self.SET:
+            return VSet(Multiset([VInt(rng.randrange(2)) for _ in range(rng.randrange(3))]))
+        return VLoc(rng.choice(("l1", "l2")))
+
+    def rows(self, rng, kinds):
+        counts = {}
+        for _ in range(rng.randrange(6)):
+            cells = [self.cell(rng, kind) for kind in kinds]
+            if rng.random() < 0.05:  # the wrong width
+                cells = cells[:-1] if len(cells) > 1 and rng.random() < 0.5 else cells * 2
+            row = ValueTuple(tuple(cells))
+            counts[row] = counts.get(row, 0) + rng.randrange(1, 4)
+        return Multiset(counts)
+
+    def expr(self, rng, depth):
+        c = rng.random()
+        if depth == 0 or c < 0.5:
+            if c < 0.15:
+                return rng.choice((VInt(rng.randrange(3)), VStr("x"), VLoc("l1")))
+            # A name the template does not bind is an evaluation error.
+            name = "z" if rng.random() < 0.1 else rng.choice(self.NAMES)
+            return rng.choice((s.DataVar, s.LocVar))(name)
+        if c < 0.6:
+            return s.MultisetLit((self.expr(rng, 0), self.expr(rng, 0)))
+        if c < 0.9:
+            return s.Arith(rng.choice("+-*/"), self.expr(rng, depth - 1), self.expr(rng, depth - 1))
+        return s.Concat(self.expr(rng, depth - 1), VStr("y"))
+
+    def column_test(self, rng, template, kinds):
+        """A test that fits the column a name reads (its last), so that it
+        mostly evaluates."""
+        name = rng.choice(template.fields).name
+        i = max(j for j, f in enumerate(template.fields) if f.name == name)
+        x, kind = self.var(template.fields[i]), kinds[i]
+        if kind == self.INT:
+            if rng.random() < 0.3:
+                x = s.Arith(rng.choice("+-*/"), x, VInt(rng.randrange(-1, 3)))
+            return s.Cmp(rng.choice(s.CMP_OPS[:-1]), x, VInt(rng.randrange(-1, 3)))
+        if kind == self.STR:
+            if rng.random() < 0.3:
+                x = s.Concat(x, VStr("y"))
+            return s.Cmp(rng.choice(s.CMP_OPS[:-1]), x, VStr(rng.choice(("x", "xy"))))
+        if kind == self.SET:
+            if rng.random() < 0.5:
+                return s.Member(VInt(rng.randrange(2)), x)
+            return s.Cmp("sub", x, s.MultisetLit((VInt(0), VInt(1), VInt(1))))
+        return s.Cmp(rng.choice(("=", "!=")), x, VLoc("l1"))
+
+    def pred(self, rng, depth, template, kinds):
+        c = rng.random()
+        if c < 0.1:
+            return s.TruePred()
+        if depth == 0 or c < 0.6:
+            if rng.random() < 0.75:
+                return self.column_test(rng, template, kinds)
+            if rng.random() < 0.3:
+                return s.Member(self.expr(rng, 0), self.expr(rng, 1))
+            return s.Cmp(rng.choice(s.CMP_OPS), self.expr(rng, 1), self.expr(rng, 1))
+        if c < 0.75:
+            return s.Not(self.pred(rng, depth - 1, template, kinds))
+        return s.And(self.pred(rng, depth - 1, template, kinds),
+                     self.pred(rng, depth - 1, template, kinds))
+
+    def payload(self, rng, template):
+        fields = list(template.fields)
+        c = rng.random()
+        if c < 0.1:
+            return None
+        if c < 0.4:
+            return s.Tuple(tuple(map(self.var, fields)))  # the identity, if no name repeats
+        if c < 0.55:
+            rng.shuffle(fields)
+            return s.Tuple(tuple(map(self.var, fields)))
+        if c < 0.7:
+            return s.Tuple(tuple(map(self.var, rng.sample(fields, rng.randrange(1, len(fields) + 1)))))
+        if c < 0.85:
+            # Fails on a row whose column is not an integer, whatever the predicate says.
+            return s.Tuple((self.var(fields[0]), s.Arith("+", self.var(rng.choice(fields)), VInt(1))))
+        return s.Tuple(tuple(self.expr(rng, 1) for _ in range(rng.randrange(1, 3))))
+
+    def test_random_passes_agree_with_the_reference(self):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(3000):
+            template = self.template(rng)
+            kinds = [self.LOC if isinstance(f, s.BindLoc) else rng.choice((0, 0, 1, 2))
+                     for f in template.fields]
+            rows = self.rows(rng, kinds)
+            pred = self.pred(rng, 2, template, kinds)
+            payload = self.payload(rng, template)
+            got = _row_pass(rows, template, pred, payload)
+            failure, hits, misses = ref.row_pass(rows, template, pred, payload)
+            case = (template, rows, pred, payload)
+            assert got.failure == failure, case
+            assert list(got.hits.items()) == list(hits.items()), case
+            assert list(got.misses.items()) == list(misses.items()), case
+            repeats = len(set(template.names())) < len(template.fields)
+            seen.add((failure, bool(hits), bool(misses), repeats))
+        # Every failure, and every mix of hits and misses, on templates with
+        # and without a repeated name.
+        assert {(f, r) for f, _, _, r in seen} == {
+            (f, r) for f in (None, "match", "eval") for r in (False, True)}
+        assert {(h, m, r) for f, h, m, r in seen if f is None} == {
+            (h, m, r) for h in (False, True) for m in (False, True) for r in (False, True)}
