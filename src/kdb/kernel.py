@@ -112,9 +112,7 @@ def compile_expr(e: s.Expr, slots: dict):
             return ERR
         return concat
     if isinstance(e, s.Arith):
-        op = _ARITH.get(e.op)
-        if op is None:
-            raise ValueError(f"unknown arithmetic operator {e.op!r}")
+        op = _ARITH[e.op]
         left, right = compile_expr(e.left, slots), compile_expr(e.right, slots)
 
         def arith(cells):
@@ -218,6 +216,8 @@ def compile_tuple(t: s.Tuple, slots: dict):
             isinstance(e, (s.DataVar, s.LocVar)) and slots.get(e.name) == i
             for i, e in enumerate(comps)):
         return None
+    if all(e.__class__ in KIND for e in comps):
+        return _constant(ValueTuple(comps))  # a row of constants is its value
     parts = [compile_expr(e, slots) for e in comps]
 
     def row(cells):
