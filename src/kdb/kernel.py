@@ -208,23 +208,24 @@ def compile_pred(p: s.Pred, slots: dict):
 
 
 def compile_tuple(t: s.Tuple, slots: dict):
-    """A closure giving the tuple's row, or ERR, from a row's cells; None
-    when that is the row itself: the i-th component is the variable of slot
-    i, for every slot."""
+    """A closure giving the cells of the tuple's row, or ERR, from a row's
+    cells, so that a caller builds the row only when it keeps it; None when
+    that is the row itself: the i-th component is the variable of slot i,
+    for every slot."""
     comps = t.components
     if len(comps) == len(slots) and all(
             isinstance(e, (s.DataVar, s.LocVar)) and slots.get(e.name) == i
             for i, e in enumerate(comps)):
         return None
     if all(e.__class__ in KIND for e in comps):
-        return _constant(ValueTuple(comps))  # a row of constants is its value
+        return _constant(comps)  # a tuple of constants is its row's cells
     parts = [compile_expr(e, slots) for e in comps]
 
-    def row(cells):
+    def cells_of(cells):
         vals = tuple([part(cells) for part in parts])
         # Every value is true and ERR is false.
-        return ValueTuple(vals) if all(vals) else ERR
-    return row
+        return vals if all(vals) else ERR
+    return cells_of
 
 
 def eval_expr(e: s.Expr, env: Subst = _NO_ENV) -> Union[Value, _EvalErr]:
@@ -239,7 +240,8 @@ def eval_pred(p: s.Pred, env: Subst = _NO_ENV) -> Union[bool, _EvalErr]:
 
 
 def eval_tuple(t: s.Tuple, env: Subst = _NO_ENV) -> Union[ValueTuple, _EvalErr]:
-    return compile_tuple(t, dict(zip(env, env)))(env)
+    cells = compile_tuple(t, dict(zip(env, env)))(env)
+    return cells if cells is ERR else ValueTuple(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Small-step transition engine over canonical nets.
 
-Each enabled transition is computed whole: enumerate_transitions returns the
-successor nets themselves, so applying a transition is just picking one.
+`enumerate_transitions` returns each enabled transition as its label and its
+outcome; a `Transition` builds its successor net (`net.make_canonical`) only
+when asked for it.  `run` builds the one it picks, `explore` all of them.
 
 An outcome has one shape, `_Outcome(new_proc, remove, add)`: the acting
 process item becomes new_proc at its locality and the remove items give way
@@ -14,8 +15,9 @@ each source, and a create is skipped when one is found.
 The rows of a table action pass once through `_row_pass`.  It compiles the
 predicate, and the payload of an update or select, once over the template's
 columns (`kernel.compile_pred`); each row whose width and locality columns
-fit the template runs them on its cells, with no match built.  The pass
-reports the first row that fails, and counts the hits and the misses.  Errors are monitored
+fit the template runs them on its cells, with no match built, and only a
+hit builds its payload row.  The pass reports the first row that fails, and
+counts the hits and the misses.  Errors are monitored
 there and where an action meets a schema: a bad inserted row, a template that
 does not fit, a failing row, a new row or aggregate that breaks its schema,
 an unresolvable select source or payload, and a loop order naming a missing
@@ -23,11 +25,16 @@ column.  A loop iterates on the rows that hit; a failing row is an error
 only at loop exit.  A monitored error is `kernel.ERR` in place of an outcome; its successor is the
 collapsed error net, which has no transitions.
 
-A step's cost does not grow with tables it does not touch: a successor is
-the parent's item counts with the transition's items swapped
-(`net.make_canonical`), so untouched items are not rehashed; the rendering
-`canonical_key` is computed only for transitions that share a label; and
-tables are ordered by (locality, identifier), rendered only to break a tie.
+A step's cost does not grow with tables it does not touch.  The outcomes
+of a table action are a function of its prefix and the tables it found, and
+those of a loop of the loop alone, so one `_Reuse` per `run` or `explore`
+hands them back while those objects are unchanged: a successor keeps every
+untouched item as the same object.  A successor is the parent's item
+counts with the transition's items swapped (`net.make_canonical`), so
+untouched items are not rehashed; the rendering `canonical_key` is computed
+only for transitions that share a label; and tables are ordered by
+(locality, identifier), rendered only to break a tie.  The `lid` integrity
+check reads each outcome's tables against the parent's `lid`.
 `explore` deduplicates the states it reaches by one `net.StateKeys` per
 call, which renders nothing and works on a body only the first time it
 meets it.  Substitution builds new terms only for continuations: the process
@@ -37,6 +44,7 @@ after a select or aggr, a loop body and a procedure body.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -44,7 +52,7 @@ from kdb import kernel as k
 from kdb import net as netmod
 from kdb import syntax as s
 from kdb.net import ERR_NET, CanonicalNet, canonical_key, lid, make_canonical, no_rep
-from kdb.values import Multiset, VLoc, row_sort_key
+from kdb.values import Multiset, ValueTuple, VLoc, row_sort_key
 
 
 class IntegrityError(AssertionError):
@@ -136,10 +144,11 @@ def _row_pass(rows: Multiset, template: s.Template, pred: s.Pred, payload=None) 
             failure = failure or "match"
             continue
         holds = test(cells)
-        hit = row if make is None else make(cells)
-        if holds is k.ERR or hit is k.ERR:
+        image = None if make is None else make(cells)
+        if holds is k.ERR or image is k.ERR:
             failure = failure or "eval"
         elif holds:
+            hit = row if image is None else ValueTuple(image)
             hits[hit] = hits.get(hit, 0) + n
         else:
             misses[row] = n
@@ -201,17 +210,51 @@ _ON_TABLE = {s.Insert: _insert, s.Delete: _delete, s.Update: _update, s.Aggr: _a
              s.Drop: _drop}
 
 
-def _action_outcomes(cn: CanonicalNet, action: s.Action, cont: s.Process) -> list:
-    """All (rule, detail, outcome) triples for one action at its redex."""
+class _Reuse:
+    """The outcomes of table actions and loops, kept for one `run` or
+    `explore`.
+
+    A table action's outcomes are a function of its prefix and the tables
+    `find_tables` found for it, a loop's of the loop alone, so they are keyed
+    by those objects' identities, and an entry holds references to them, as
+    `net.StateKeys` does.  Entries live for two enumerations: a lookup tries
+    the current and the previous one, and only hits and new entries are
+    carried into the next.
+    """
+
+    def __init__(self):
+        self._current: dict = {}
+        self._previous: dict = {}
+
+    def next_enumeration(self) -> None:
+        self._previous, self._current = self._current, {}
+
+    def outcomes(self, proc, tables, compute) -> list:
+        key = (id(proc), *map(id, tables))
+        entry = self._current.get(key) or self._previous.get(key)
+        if entry is None:
+            entry = (proc, tables, compute())
+        self._current[key] = entry
+        return entry[2]
+
+
+def _reused(reuse: Optional[_Reuse], proc, tables, compute) -> list:
+    return compute() if reuse is None else reuse.outcomes(proc, tables, compute)
+
+
+def _action_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: Optional[_Reuse]) -> list:
+    """All (rule, detail, outcome) triples for the action of one prefix."""
+    action, cont = prefix.action, prefix.cont
     if isinstance(action, s.Select):
-        return _select_outcomes(cn, action, cont)
+        return _select_outcomes(cn, prefix, reuse)
     loc = _loc_of(action.loc)
     if loc is None:
         return []
     on_table = _ON_TABLE.get(type(action))
     if on_table is not None:
-        return [on_table(action, loc, tab, cont)
-                for tab in netmod.find_tables(cn, loc, action.tid)]
+        tables = netmod.find_tables(cn, loc, action.tid)
+        return _reused(reuse, prefix, tables,
+                       lambda: [on_table(action, loc, tab, cont) for tab in tables])
     if not _is_known_locality(cn, loc):
         return []
     if isinstance(action, s.Create):
@@ -232,7 +275,8 @@ _SELECT_FAILURE = {"match": "select: row fails to match the template",
                    "eval": "select: evaluation error"}
 
 
-def _select_outcomes(cn: CanonicalNet, action: s.Select, cont: s.Process) -> list:
+def _select_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: Optional[_Reuse]) -> list:
+    action = prefix.action
     sources = []
     for tb in action.tables:
         if isinstance(tb, s.TableLiteral):
@@ -245,6 +289,10 @@ def _select_outcomes(cn: CanonicalNet, action: s.Select, cont: s.Process) -> lis
         else:
             # An unresolvable source can never become resolvable: monitor it.
             return [("SEL", "select: unresolvable table source", k.ERR)]
+    return _reused(reuse, prefix, sources, lambda: _select(action, sources, prefix.cont))
+
+
+def _select(action: s.Select, sources: list, cont: s.Process) -> list:
     jsk = tuple(sort for tab in sources for sort in tab.interface.schema)
     jrows = k.join_rows([tab.rows for tab in sources])
     if not k.well_sorted_template(action.template, jsk):
@@ -285,11 +333,12 @@ def _foreach_outcomes(p: s.Foreach) -> list:
     return out
 
 
-def _proc_outcomes(cn: CanonicalNet, proc: s.Process, sys: s.System) -> list:
+def _proc_outcomes(cn: CanonicalNet, proc: s.Process, sys: s.System,
+                   reuse: Optional[_Reuse] = None) -> list:
     if isinstance(proc, s.NilProc):
         return []
     if isinstance(proc, s.Prefix):
-        return _action_outcomes(cn, proc.action, proc.cont)
+        return _action_outcomes(cn, proc, reuse)
     if isinstance(proc, s.CallProc):
         d = sys.procedures.get(proc.name)
         if d is None:
@@ -303,10 +352,10 @@ def _proc_outcomes(cn: CanonicalNet, proc: s.Process, sys: s.System) -> list:
         sigma = {name: v for (name, _), v in zip(d.params, vals)}
         return [("CALL", f"call {proc.name}", _Outcome(k.apply_subst(sigma, d.body)))]
     if isinstance(proc, s.Foreach):
-        return _foreach_outcomes(proc)
+        return _reused(reuse, proc, (), lambda: _foreach_outcomes(proc))
     if isinstance(proc, s.Seq):
         lifted = []
-        for rule, detail, oc in _proc_outcomes(cn, proc.first, sys):
+        for rule, detail, oc in _proc_outcomes(cn, proc.first, sys, reuse):
             if k.is_err(oc):
                 lifted.append((rule, detail, oc))
             elif isinstance(oc.new_proc, s.NilProc):
@@ -324,58 +373,111 @@ def _apply(cn: CanonicalNet, actor_item, oc) -> CanonicalNet:
     return make_canonical(cn, [actor_item, *oc.remove], [(actor_item[0], oc.new_proc), *oc.add])
 
 
-def enumerate_transitions(cn: CanonicalNet, sys: s.System) -> list:
-    """Every enabled transition as (label, successor), deterministically ordered.
+def _table_ids(items) -> Counter:
+    return Counter((loc, body.interface.tid) for loc, body in items
+                   if isinstance(body, s.TableComp))
+
+
+def _repeats_table(held: Multiset, oc) -> bool:
+    """Whether applying oc to a net whose `lid` is held, which repeats no
+    table identifier, makes one repeat: an identifier the outcome adds a
+    table under is still held after its removals."""
+    if k.is_err(oc):
+        return False
+    added = _table_ids(oc.add)
+    if not added:
+        return False
+    removed = _table_ids(oc.remove)
+    return any(held.count(key) - removed[key] + n > 1 for key, n in added.items())
+
+
+class Transition:
+    """One enabled transition: its label and the outcome its actor item has
+    in the net it was enumerated in.  The successor is built when it is first
+    asked for, and a transition unpacks as the pair (label, successor)."""
+
+    __slots__ = ("label", "outcome", "_parent", "_actor", "_succ")
+
+    def __init__(self, label: TransitionLabel, parent: CanonicalNet, actor_item, outcome):
+        self.label = label
+        self.outcome = outcome
+        self._parent = parent
+        self._actor = actor_item
+        self._succ = None
+
+    @property
+    def succ(self) -> CanonicalNet:
+        if self._succ is None:
+            self._succ = _apply(self._parent, self._actor, self.outcome)
+        return self._succ
+
+    def __iter__(self):
+        return iter((self.label, self.succ))
+
+
+def enumerate_transitions(cn: CanonicalNet, sys: s.System,
+                          reuse: Optional[_Reuse] = None) -> list:
+    """Every enabled transition as a `Transition`, deterministically ordered.
 
     Transitions are ordered by label (rule, actor, detail).  Transitions that
     share a label are ordered by the `str` of their successors'
     `canonical_key`, and those with equal keys are merged into the first one
-    found; a label held by one transition needs no key.  Every successor, not
-    only the one a scheduler picks, must keep table identifiers unique.
+    found, so only their successors are built here; a label held by one
+    transition needs no key and no successor.  Every transition, not only
+    the one a scheduler picks, must keep table identifiers unique; each
+    outcome is checked against the net's `lid`, taken once.  `reuse`, one per
+    `run` or `explore`, hands back the outcomes of unchanged actions; without
+    it every outcome is computed.
     """
     if cn.err:
         return []
-    before_ok = no_rep(lid(cn))
+    held = lid(cn)
+    check = no_rep(held)
+    if reuse is not None:
+        reuse.next_enumeration()
     by_label = {}
     for pair, _ in cn.items.items():
         loc, body = pair
         if isinstance(body, s.TableComp):
             continue
-        for rule, detail, oc in _proc_outcomes(cn, body, sys):
-            succ = _apply(cn, pair, oc)
-            if before_ok and not succ.err and not no_rep(lid(succ)):
+        for rule, detail, oc in _proc_outcomes(cn, body, sys, reuse):
+            if check and _repeats_table(held, oc):
                 raise IntegrityError(
                     f"transition {rule} at {loc} duplicated a table identifier")
-            by_label.setdefault(TransitionLabel(rule, loc, detail), []).append(succ)
+            label = TransitionLabel(rule, loc, detail)
+            by_label.setdefault(label, []).append(Transition(label, cn, pair, oc))
     out = []
     for label in sorted(by_label, key=lambda lb: (lb.rule, lb.actor, lb.detail)):
-        succs = by_label[label]
-        if len(succs) > 1:
+        tied = by_label[label]
+        if len(tied) > 1:
             keyed = {}
-            for succ in succs:
-                keyed.setdefault(canonical_key(succ), succ)
-            succs = [keyed[key] for key in sorted(keyed, key=str)]
-        out.extend((label, succ) for succ in succs)
+            for t in tied:
+                keyed.setdefault(canonical_key(t.succ), t)
+            tied = [keyed[key] for key in sorted(keyed, key=str)]
+        out.extend(tied)
     return out
 
 
 def step_interactive(cn: CanonicalNet, sys: s.System, chosen_index: int):
-    """Apply exactly the chosen enabled transition."""
+    """Apply exactly the chosen enabled transition: its (label, successor)."""
     transitions = enumerate_transitions(cn, sys)
     if not 0 <= chosen_index < len(transitions):
         raise IndexError(
             f"transition index {chosen_index} out of range ({len(transitions)} enabled)")
-    return transitions[chosen_index]
+    return tuple(transitions[chosen_index])
 
 
 def run(sys: s.System, seed: int = 0, max_steps: int = 10000) -> Trace:
-    """Drive a whole run under a seeded uniform scheduler."""
+    """Drive a whole run under a seeded uniform scheduler, building only the
+    successor each step picks (and those of a tied label, which
+    `enumerate_transitions` orders by key)."""
     initial = netmod.canonicalize(sys.main_net)
     cn = initial
     rng = random.Random(seed)
+    reuse = _Reuse()
     steps = []
     while True:
-        transitions = enumerate_transitions(cn, sys)
+        transitions = enumerate_transitions(cn, sys, reuse)
         if not transitions or len(steps) >= max_steps:
             terminal = "step-limit" if transitions else "quiescent"
             return Trace(initial=initial, steps=steps, terminal=terminal)
@@ -406,11 +508,12 @@ def explore(sys: s.System, bound: int = 10000) -> ExploreResult:
     err_reachable = start.err
     frontier = [0]
     truncated = False
+    reuse = _Reuse()
     while frontier:
         next_frontier = []
         for i in frontier:
             cn = states[i]
-            transitions = enumerate_transitions(cn, sys)
+            transitions = enumerate_transitions(cn, sys, reuse)
             if not transitions and not cn.err:
                 quiescent.append(cn)
                 continue

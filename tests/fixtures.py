@@ -1,5 +1,6 @@
 """Shared fixtures: the department-store tables used across the suite."""
 
+from kdb import semantics
 from kdb import syntax as s
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
 
@@ -44,3 +45,9 @@ SEVEN_BINDERS = s.Template((
     s.BindData("id"), s.BindData("tp"), s.BindData("yr"), s.BindData("cr"),
     s.BindData("sz"), s.BindData("is0"), s.BindData("ss"),
 ))
+
+
+def keeps_old_table(loc, tab, rows, cont):
+    """A faulty `semantics._write`: it adds the new table but keeps the old
+    one, so that the table's identifier repeats."""
+    return semantics._Outcome(cont, add=((loc, s.TableComp(tab.interface, rows)),))

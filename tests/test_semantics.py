@@ -11,13 +11,16 @@ from fixtures import (
     KLD_TABLE,
     SEVEN_BINDERS,
     WHITE_ROW,
+    keeps_old_table,
     srow,
 )
 import reference_eval as ref
+from kdb import semantics
 from kdb import syntax as s
 from kdb.net import canonical_key, canonicalize, dump_tables, find_tables, lid
 from kdb.parser import parse_system
 from kdb.semantics import (
+    IntegrityError,
     Trace,
     _row_pass,
     enumerate_transitions,
@@ -63,7 +66,7 @@ def kld_net(process: s.Process, at="l1") -> s.Net:
 def single_step(sys: s.System):
     cn = canonicalize(sys.main_net)
     transitions = enumerate_transitions(cn, sys)
-    assert len(transitions) == 1, [t[0] for t in transitions]
+    assert len(transitions) == 1, [t.label for t in transitions]
     return transitions[0]
 
 
@@ -352,7 +355,7 @@ class TestCreateAndDrop:
         proc = prefix_chain(s.Drop("Nope", VLoc("l1")))
         sys1 = empty_system(kld_net(proc))
         cn = canonicalize(sys1.main_net)
-        assert [t[0].rule for t in enumerate_transitions(cn, sys1)] == []
+        assert [t.label.rule for t in enumerate_transitions(cn, sys1)] == []
 
 
 class TestEvalAction:
@@ -601,6 +604,67 @@ class TestDuplicateTables:
         transitions = enumerate_transitions(cn, sys1)
         assert len(transitions) == 2
         assert all(label.rule == "INS" for label, _ in transitions)
+
+
+
+def keeps_old_t(real_write):
+    """A table write that is faulty only on tables named T."""
+    def write(loc, tab, rows, cont):
+        faulty = tab.interface.tid == "T"
+        return (keeps_old_table if faulty else real_write)(loc, tab, rows, cont)
+    return write
+
+
+class TestIntegrity:
+    WRITES = [
+        s.Insert("T", tup(3), VLoc("l1")),
+        s.Delete("T", s.Template((s.BindData("x"),)), s.TruePred(), VLoc("l1")),
+        s.Update("T", s.Template((s.BindData("x"),)), s.TruePred(),
+                 s.Tuple((s.Arith("+", s.DataVar("x"), VInt(1)),)), VLoc("l1")),
+    ]
+
+    @pytest.mark.parametrize("write", WRITES, ids=["insert", "delete", "update"])
+    def test_a_write_that_keeps_the_old_table_is_caught(self, write, monkeypatch):
+        net = s.ParNet(node("l1", s.ProcComp(prefix_chain(write))),
+                       node("l1", s.TableComp(s.Interface("T", (s.INT,)),
+                                              Multiset([srow(1), srow(2)]))))
+        sys1 = empty_system(net)
+        cn = canonicalize(net)
+        assert len(enumerate_transitions(cn, sys1)) == 1
+        monkeypatch.setattr(semantics, "_write", keeps_old_table)
+        with pytest.raises(IntegrityError, match=f"{write.__class__.__name__[:3].upper()} at l1"):
+            enumerate_transitions(cn, sys1)
+        with pytest.raises(IntegrityError):
+            run(sys1, seed=0)
+
+    def test_run_checks_the_transitions_it_does_not_pick(self, monkeypatch):
+        # An insert into T@l1 and one into U@l2; only writes to T are faulty.
+        # Under the chosen seed the scheduler picks the insert into U, and
+        # the run stops after that one step: the insert into T is never
+        # picked or built, yet its outcome is checked.
+        u = s.TableComp(s.Interface("U", (s.INT,)), Multiset())
+        net = s.ParNet(with_t(s.Insert("T", tup(3), AT_L1), srow(1)),
+                       s.ParNet(node("l2", s.ProcComp(prefix_chain(
+                           s.Insert("U", tup(4), VLoc("l2"))))), node("l2", u)))
+        sys1 = empty_system(net)
+        seed = next(seed for seed in range(50)
+                    if run(sys1, seed=seed, max_steps=1).steps[0][0].actor == "l2")
+        built = []
+        real_apply = semantics._apply
+        monkeypatch.setattr(semantics, "_apply",
+                            lambda cn, actor, oc: built.append(actor) or real_apply(cn, actor, oc))
+        monkeypatch.setattr(semantics, "_write", keeps_old_t(semantics._write))
+        with pytest.raises(IntegrityError, match="INS at l1"):
+            run(sys1, seed=seed, max_steps=1)
+        assert built == []
+
+    def test_a_net_that_already_repeats_an_identifier_is_not_checked(self, monkeypatch):
+        t1 = t_table(srow(1))
+        t2 = t_table(srow(2))
+        proc = prefix_chain(s.Insert("T", tup(9), AT_L1))
+        net = s.ParNet(s.ParNet(node("l1", s.ProcComp(proc)), node("l1", t1)), node("l1", t2))
+        monkeypatch.setattr(semantics, "_write", keeps_old_table)
+        assert len(enumerate_transitions(canonicalize(net), empty_system(net))) == 2
 
 
 X = s.Template((s.BindData("x"),))

@@ -11,11 +11,11 @@ import random
 import gensys
 import pytest
 import step_oracle
-from fixtures import srow
+from fixtures import keeps_old_table, srow
 from kdb import net as netmod
 from kdb import semantics
 from kdb import syntax as s
-from kdb.net import canonical_key, canonicalize, find_tables
+from kdb.net import canonical_key, canonicalize, find_tables, lid, no_rep
 from kdb.values import Multiset, VInt, VLoc, VStr
 
 
@@ -89,6 +89,11 @@ def visited(sys1, bound=40):
     return semantics.explore(sys1, bound=bound).state_list
 
 
+def pairs(transitions) -> list:
+    """Transitions as (label, successor) pairs, as the oracle gives them."""
+    return [tuple(t) for t in transitions]
+
+
 def label_key(transition):
     label, _ = transition
     return (label.rule, label.actor, label.detail)
@@ -104,7 +109,7 @@ class TestLabelFirstOrder:
         assert {label.detail for label, _ in tied} == {"select 3 row(s) into !t"}
         keys = [str(canonical_key(succ)) for _, succ in tied]
         assert keys == sorted(keys) and len(set(keys)) == 3
-        assert transitions == step_oracle.keyed_transitions(cn, sys1)
+        assert pairs(transitions) == step_oracle.keyed_transitions(cn, sys1)
 
     def test_successors_with_equal_keys_are_merged(self):
         # Two copies of one table: the insert has two redexes with the same
@@ -118,14 +123,14 @@ class TestLabelFirstOrder:
         assert len(list(step_oracle.outcomes(cn, sys1))) == 2
         transitions = semantics.enumerate_transitions(cn, sys1)
         assert len(transitions) == 1
-        assert transitions == step_oracle.keyed_transitions(cn, sys1)
+        assert pairs(transitions) == step_oracle.keyed_transitions(cn, sys1)
 
     def test_population_agrees_with_the_keyed_enumeration(self):
         compared = 0
         for sys1 in population():
             for cn in visited(sys1):
                 got = semantics.enumerate_transitions(cn, sys1)
-                assert got == step_oracle.keyed_transitions(cn, sys1)
+                assert pairs(got) == step_oracle.keyed_transitions(cn, sys1)
                 assert [label_key(t) for t in got] == sorted(label_key(t) for t in got)
                 compared += len(got)
         assert compared > 1000
@@ -151,6 +156,27 @@ class TestDeltaSuccessors:
                             == step_oracle.rebuild_apply(cn, pair, oc))
                     compared += 1
         assert compared > 1000
+
+    def test_integrity_check_agrees_with_the_successors_lid(self, monkeypatch):
+        # The check reads each outcome's tables against the parent's lid; it
+        # must say what the built successor's lid says, for sound writes and
+        # for writes that keep the old table.
+        states = [(sys1, cn) for sys1 in population() for cn in visited(sys1, bound=20)
+                  if no_rep(lid(cn))]
+        for faulty in (False, True):
+            if faulty:
+                monkeypatch.setattr(semantics, "_write", keeps_old_table)
+            repeats = compared = 0
+            for sys1, cn in states:
+                held = lid(cn)
+                for pair, _rule, _detail, oc in step_oracle.outcomes(cn, sys1):
+                    succ = step_oracle.rebuild_apply(cn, pair, oc)
+                    expected = not succ.err and not no_rep(lid(succ))
+                    assert semantics._repeats_table(held, oc) == expected
+                    repeats += expected
+                    compared += 1
+            assert compared > 1000
+            assert (repeats > 100) if faulty else repeats == 0
 
     def test_inert_units_are_absorbed_only_where_touched(self):
         # The finishing process leaves nil at l1, which also hosts a table;
@@ -219,3 +245,85 @@ class TestKnownLocalities:
         cn = canonicalize(s.Node("l1", table))
         assert semantics._is_known_locality(cn, "l9")
         assert not semantics._is_known_locality(cn, "l8")
+
+
+def count_row_passes(monkeypatch) -> list:
+    """Record the rows of every `_row_pass` the engine makes from now on."""
+    passes = []
+    real = semantics._row_pass
+
+    def counting(rows, *args):
+        passes.append(rows)
+        return real(rows, *args)
+
+    monkeypatch.setattr(semantics, "_row_pass", counting)
+    return passes
+
+
+class TestOutcomeReuse:
+    def test_an_unchanged_net_reruns_no_row_pass(self, monkeypatch):
+        sys1 = shared_site()
+        cn = canonicalize(sys1.main_net)
+        passes = count_row_passes(monkeypatch)
+        reuse = semantics._Reuse()
+        first = pairs(semantics.enumerate_transitions(cn, sys1, reuse))
+        assert len(passes) == 3  # the readers' selects
+        passes.clear()
+        assert pairs(semantics.enumerate_transitions(cn, sys1, reuse)) == first
+        assert passes == []
+
+    def test_a_write_reruns_only_the_actions_over_its_table(self, monkeypatch):
+        x = s.Template((s.BindData("x"),))
+        above_one = s.Cmp(">", s.DataVar("x"), VInt(1))
+        at = VLoc("l1")
+        actions = [
+            s.Insert("T", s.Tuple((VInt(3),)), at),
+            s.Delete("T", x, above_one, at),
+            s.Update("U", x, above_one, s.Tuple((s.Arith("+", s.DataVar("x"), VInt(5)),)), at),
+            s.Aggr("U", x, s.TruePred(), s.AggrFn("count"), s.Template((s.BindData("n"),)), at),
+        ]
+        comps = [*(s.TableComp(s.Interface(tid, (s.INT,)), Multiset([srow(1), srow(2)]))
+                   for tid in "TU"),
+                 *(s.ProcComp(s.Prefix(a, s.NilProc())) for a in actions)]
+        net = s.Node("l1", comps[0])
+        for comp in comps[1:]:
+            net = s.ParNet(net, s.Node("l1", comp))
+        sys1 = s.System(procedures={}, schema_decls=(), main_net=net)
+        cn = canonicalize(net)
+        passes = count_row_passes(monkeypatch)
+        reuse = semantics._Reuse()
+        transitions = semantics.enumerate_transitions(cn, sys1, reuse)
+        assert len(passes) == 3  # delete T, update U, aggr U
+        for rule, tid in (("INS", "T"), ("UPD", "U")):
+            (succ,) = [t.succ for t in transitions if t.label.rule == rule]
+            passes.clear()
+            transitions = semantics.enumerate_transitions(succ, sys1, reuse)
+            # Only the one action left over the written table reruns.
+            (table,) = find_tables(succ, "l1", tid)
+            assert len(passes) == 1 and passes[0] is table.rows
+            assert pairs(transitions) == pairs(semantics.enumerate_transitions(succ, sys1))
+
+    def test_population_runs_agree_with_fresh_enumerations(self, monkeypatch):
+        passes = count_row_passes(monkeypatch)
+        compared = reused = fresh = 0
+        for sys1 in population():
+            for seed in range(3):
+                rng = random.Random(seed)
+                cn = canonicalize(sys1.main_net)
+                reuse = semantics._Reuse()
+                for _ in range(20):
+                    passes.clear()
+                    got = pairs(semantics.enumerate_transitions(cn, sys1, reuse))
+                    reused += len(passes)
+                    passes.clear()
+                    assert got == pairs(semantics.enumerate_transitions(cn, sys1))
+                    fresh += len(passes)
+                    if not got:
+                        break
+                    compared += len(got)
+                    _, cn = rng.choice(got)
+                    if cn.err:
+                        break
+        assert compared > 1000
+        # Reuse happened: runs of the same states made fewer row passes.
+        assert 0 < reused < fresh
