@@ -238,11 +238,7 @@ class _Reuse:
         return entry[2]
 
 
-def _reused(reuse: Optional[_Reuse], proc, tables, compute) -> list:
-    return compute() if reuse is None else reuse.outcomes(proc, tables, compute)
-
-
-def _action_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: Optional[_Reuse]) -> list:
+def _action_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: _Reuse) -> list:
     """All (rule, detail, outcome) triples for the action of one prefix."""
     action, cont = prefix.action, prefix.cont
     if isinstance(action, s.Select):
@@ -253,8 +249,8 @@ def _action_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: Optional[_Reuse]
     on_table = _ON_TABLE.get(type(action))
     if on_table is not None:
         tables = netmod.find_tables(cn, loc, action.tid)
-        return _reused(reuse, prefix, tables,
-                       lambda: [on_table(action, loc, tab, cont) for tab in tables])
+        return reuse.outcomes(prefix, tables,
+                              lambda: [on_table(action, loc, tab, cont) for tab in tables])
     if not _is_known_locality(cn, loc):
         return []
     if isinstance(action, s.Create):
@@ -275,7 +271,7 @@ _SELECT_FAILURE = {"match": "select: row fails to match the template",
                    "eval": "select: evaluation error"}
 
 
-def _select_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: Optional[_Reuse]) -> list:
+def _select_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: _Reuse) -> list:
     action = prefix.action
     sources = []
     for tb in action.tables:
@@ -289,7 +285,7 @@ def _select_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: Optional[_Reuse]
         else:
             # An unresolvable source can never become resolvable: monitor it.
             return [("SEL", "select: unresolvable table source", k.ERR)]
-    return _reused(reuse, prefix, sources, lambda: _select(action, sources, prefix.cont))
+    return reuse.outcomes(prefix, sources, lambda: _select(action, sources, prefix.cont))
 
 
 def _select(action: s.Select, sources: list, cont: s.Process) -> list:
@@ -335,6 +331,8 @@ def _foreach_outcomes(p: s.Foreach) -> list:
 
 def _proc_outcomes(cn: CanonicalNet, proc: s.Process, sys: s.System,
                    reuse: Optional[_Reuse] = None) -> list:
+    if reuse is None:
+        reuse = _Reuse()
     if isinstance(proc, s.NilProc):
         return []
     if isinstance(proc, s.Prefix):
@@ -352,7 +350,7 @@ def _proc_outcomes(cn: CanonicalNet, proc: s.Process, sys: s.System,
         sigma = {name: v for (name, _), v in zip(d.params, vals)}
         return [("CALL", f"call {proc.name}", _Outcome(k.apply_subst(sigma, d.body)))]
     if isinstance(proc, s.Foreach):
-        return _reused(reuse, proc, (), lambda: _foreach_outcomes(proc))
+        return reuse.outcomes(proc, (), lambda: _foreach_outcomes(proc))
     if isinstance(proc, s.Seq):
         lifted = []
         for rule, detail, oc in _proc_outcomes(cn, proc.first, sys, reuse):
@@ -433,8 +431,9 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System,
         return []
     held = lid(cn)
     check = no_rep(held)
-    if reuse is not None:
-        reuse.next_enumeration()
+    if reuse is None:
+        reuse = _Reuse()
+    reuse.next_enumeration()
     by_label = {}
     for pair, _ in cn.items.items():
         loc, body = pair
