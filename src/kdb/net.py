@@ -213,19 +213,22 @@ def ok(cn: CanonicalNet) -> bool:
 # ---------------------------------------------------------------------------
 # Comparison keys and dumps
 
-def canonical_key(cn: CanonicalNet):
+def canonical_key(cn: CanonicalNet, texts=None):
     """A key identifying the net up to congruence and renaming of restrictions.
 
     Restricted names are anonymized positionally; with several restrictions
     the minimum over their permutations is taken, so the key costs n! renders
     of every body that mentions one of the n restricted names.  A body that
-    mentions none is rendered once per call, and only its locality is
-    renamed.  Its value is text, ordered the same on every run:
-    `semantics.enumerate_transitions` orders and merges the successors of
-    transitions that share a label by it, and nowhere else is it computed.
-    `explore` deduplicates states by `StateKeys`, which agrees with it on
-    which nets are equal.
+    mentions none is rendered only when `texts`, a map from a body's
+    identity to the body and its text, lacks it, and is added to it; only
+    its locality is renamed.  Its value is text, ordered the same on every
+    run: `semantics.enumerate_transitions` orders and merges the successors
+    of transitions that share a label by it, with the texts of one `run` or
+    `explore`, and nowhere else is it computed.  `explore` deduplicates
+    states by `StateKeys`, which agrees with it on which nets are equal.
     """
+    if texts is None:
+        texts = {}
     restricted = frozenset(cn.restricted)
     fixed = []  # (loc, text, count) of the items whose body mentions no restricted name
     held = []  # (loc, body, count) of the others
@@ -233,7 +236,10 @@ def canonical_key(cn: CanonicalNet):
         if restricted and not restricted.isdisjoint(s.loc_names(body)):
             held.append((loc, body, cnt))
         else:
-            fixed.append((loc, s.render(body), cnt))
+            entry = texts.get(id(body))
+            if entry is None:
+                entry = texts[id(body)] = (body, s.render(body))
+            fixed.append((loc, entry[1], cnt))
     best = None
     for perm in itertools.permutations(cn.restricted):  # no names: one empty perm
         mapping = {name: f"ρ{i}" for i, name in enumerate(perm)}

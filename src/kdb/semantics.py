@@ -12,12 +12,13 @@ insert, delete, update, aggr and drop say only what they do to one table
 found there, a select joins the row multisets of the first table found for
 each source, and a create is skipped when one is found.
 
-The rows of a table action pass once through `_row_pass`.  It compiles the
-predicate, and the payload of an update or select, once over the template's
-columns (`kernel.compile_pred`); each row whose width and locality columns
-fit the template runs them on its cells, with no match built, and only a
-hit builds its payload row.  The pass reports the first row that fails, and
-counts the hits and the misses.  Errors are monitored
+The rows of a table action pass once through `_row_pass`, which judges
+only the rows the acting process has not met (`_Reuse.verdicts`).  Judging
+compiles the predicate, and the payload of an update or select, once over
+the template's columns (`kernel.compile_pred`); a row whose width and
+locality columns fit the template runs them on its cells, with no match
+built, and only a hit builds its payload row.  The pass reports the first
+row that fails, and counts the hits and the misses.  Errors are monitored
 there and where an action meets a schema: a bad inserted row, a template that
 does not fit, a failing row, a new row or aggregate that breaks its schema,
 an unresolvable select source or payload, and a loop order naming a missing
@@ -25,16 +26,18 @@ column.  A loop iterates on the rows that hit; a failing row is an error
 only at loop exit.  A monitored error is `kernel.ERR` in place of an outcome; its successor is the
 collapsed error net, which has no transitions.
 
-A step's cost does not grow with tables it does not touch.  The outcomes
-of a table action are a function of its prefix and the tables it found, and
-those of a loop of the loop alone, so one `_Reuse` per `run` or `explore`
-hands them back while those objects are unchanged: a successor keeps every
-untouched item as the same object.  A successor is the parent's item
-counts with the transition's items swapped (`net.make_canonical`), so
+A step's cost does not grow with tables it does not touch, and of a table
+it touches only the rows not met before are judged or rendered.  The
+outcomes of a table action are a function of its prefix and the tables it
+found, and those of a loop of the loop alone, so one `_Reuse` per `run` or
+`explore` hands them back while those objects are unchanged: a successor
+keeps every untouched item as the same object.  A successor is the parent's
+item counts with the transition's items swapped (`net.make_canonical`), so
 untouched items are not rehashed; the rendering `canonical_key` is computed
-only for transitions that share a label; and tables are ordered by
-(locality, identifier), rendered only to break a tie.  The `lid` integrity
-check reads each outcome's tables against the parent's `lid`.
+only for transitions that share a label, from texts `_Reuse` keeps; and
+tables are ordered by (locality, identifier), rendered only to break a tie.
+The `lid` integrity check reads each outcome's tables against the parent's
+`lid`.
 `explore` deduplicates the states it reaches by one `net.StateKeys` per
 call, which renders nothing and works on a body only the first time it
 meets it.  Substitution builds new terms only for continuations: the process
@@ -124,42 +127,66 @@ class _RowPass(NamedTuple):
     misses: dict  # row -> count, where it does not
 
 
-def _row_pass(rows: Multiset, template: s.Template, pred: s.Pred, payload=None) -> _RowPass:
-    """The monitored pass of an action over rows.
+def _row_pass(rows: Multiset, template: s.Template, pred: s.Pred, payload=None,
+              seen=None) -> _RowPass:
+    """The monitored pass of an action over rows, in the rows' order.
 
     A variable is read from the last template column of its name, where
     `kernel.match` binds it.  Every row is visited even after a failure, so
-    a loop still finds the rows it can iterate on.
+    a loop still finds the rows it can iterate on.  `seen` maps each row the
+    action has met to its verdict (`_judge`), a function of the action and
+    the row's value alone; only rows it lacks are judged, and added to it.
     """
+    if seen is None:
+        seen = {}
+    judge = None
+    failure = None
+    hits, misses = {}, {}
+    for row, n in rows.items():
+        verdict = seen.get(row)
+        if verdict is None:
+            if judge is None:
+                judge = _judge(template, pred, payload)
+            verdict = seen[row] = judge(row)
+        if verdict is False:
+            misses[row] = n
+        elif verdict.__class__ is str:
+            failure = failure or verdict
+        else:
+            hits[verdict] = hits.get(verdict, 0) + n
+    return _RowPass(failure, hits, misses)
+
+
+def _judge(template: s.Template, pred: s.Pred, payload):
+    """The verdict of an action on one row: "match" or "eval" when the row
+    fails, False when the predicate does not hold, else the row or its
+    payload value."""
     slots = {f.name: i for i, f in enumerate(template.fields)}
     locs = tuple(isinstance(f, s.BindLoc) for f in template.fields)
     vlocs = (VLoc,) * len(locs)
     test = k.compile_pred(pred, slots)
     make = None if payload is None else k.compile_tuple(payload, slots)
-    failure = None
-    hits, misses = {}, {}
-    for row, n in rows.items():
+
+    def judge(row: ValueTuple):
         cells = row.components
         if len(cells) != len(locs) or tuple(map(isinstance, cells, vlocs)) != locs:
-            failure = failure or "match"
-            continue
+            return "match"
         holds = test(cells)
         image = None if make is None else make(cells)
         if holds is k.ERR or image is k.ERR:
-            failure = failure or "eval"
-        elif holds:
-            hit = row if image is None else ValueTuple(image)
-            hits[hit] = hits.get(hit, 0) + n
-        else:
-            misses[row] = n
-    return _RowPass(failure, hits, misses)
+            return "eval"
+        if not holds:
+            return False
+        return row if image is None else ValueTuple(image)
+
+    return judge
 
 
 def _write(loc: str, tab: s.TableComp, rows: Multiset, cont: s.Process) -> _Outcome:
     return _Outcome(cont, remove=((loc, tab),), add=((loc, s.TableComp(tab.interface, rows)),))
 
 
-def _insert(a: s.Insert, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
+def _insert(a: s.Insert, loc: str, tab: s.TableComp, cont: s.Process, seen) -> tuple:
     row = k.eval_tuple(a.payload)
     if k.is_err(row) or not k.well_sorted_value(row, tab.interface.schema):
         return "INS", f"insert into {a.tid}@{loc}: bad row format", k.ERR
@@ -167,20 +194,20 @@ def _insert(a: s.Insert, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
             _write(loc, tab, tab.rows.add(row), cont))
 
 
-def _delete(a: s.Delete, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
+def _delete(a: s.Delete, loc: str, tab: s.TableComp, cont: s.Process, seen) -> tuple:
     if k.well_sorted_template(a.template, tab.interface.schema):
-        found = _row_pass(tab.rows, a.template, a.pred)
+        found = _row_pass(tab.rows, a.template, a.pred, None, seen)
         if not found.failure:
             return ("DEL", f"delete {sum(found.hits.values())} row(s) from {a.tid}@{loc}",
                     _write(loc, tab, Multiset.of_counts(found.misses), cont))
     return "DEL", f"delete from {a.tid}@{loc}: format or evaluation error", k.ERR
 
 
-def _update(a: s.Update, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
+def _update(a: s.Update, loc: str, tab: s.TableComp, cont: s.Process, seen) -> tuple:
     schema = tab.interface.schema
     if not k.well_sorted_template(a.template, schema):
         return "UPD", f"update {a.tid}@{loc}: template mismatch", k.ERR
-    found = _row_pass(tab.rows, a.template, a.pred, a.payload)
+    found = _row_pass(tab.rows, a.template, a.pred, a.payload, seen)
     if found.failure or not all(k.well_sorted_value(row, schema) for row in found.hits):
         return "UPD", f"update {a.tid}@{loc}: format or evaluation error", k.ERR
     rows = Multiset.of_counts(found.misses).union(Multiset.of_counts(found.hits))
@@ -188,9 +215,9 @@ def _update(a: s.Update, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
             _write(loc, tab, rows, cont))
 
 
-def _aggr(a: s.Aggr, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
+def _aggr(a: s.Aggr, loc: str, tab: s.TableComp, cont: s.Process, seen) -> tuple:
     if k.well_sorted_template(a.template, tab.interface.schema):
-        found = _row_pass(tab.rows, a.template, a.pred)
+        found = _row_pass(tab.rows, a.template, a.pred, None, seen)
         if not found.failure and all(k.aggr_row_ok(a.fn, row)
                                      for row in [*found.hits, *found.misses]):
             result = k.apply_aggr(a.fn, Multiset.of_counts(found.hits))
@@ -201,33 +228,50 @@ def _aggr(a: s.Aggr, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
     return "AGR", f"aggregate over {a.tid}@{loc}: signature or evaluation error", k.ERR
 
 
-def _drop(a: s.Drop, loc: str, tab: s.TableComp, cont: s.Process) -> tuple:
+def _drop(a: s.Drop, loc: str, tab: s.TableComp, cont: s.Process, seen) -> tuple:
     return "DRP", f"drop {a.tid}@{loc}", _Outcome(cont, remove=((loc, tab),))
 
 
-# What an action naming `tid@loc` does to one table found there.
+# What an action naming `tid@loc` does to one table found there, given the
+# verdict store of its process; insert and drop pass over no row and get None.
 _ON_TABLE = {s.Insert: _insert, s.Delete: _delete, s.Update: _update, s.Aggr: _aggr,
              s.Drop: _drop}
+_PASSES_ROWS = (s.Delete, s.Update, s.Aggr)
 
 
 class _Reuse:
-    """The outcomes of table actions and loops, kept for one `run` or
-    `explore`.
+    """What one `run` or `explore` keeps from one enumeration to the next,
+    each entry keyed by the identities of the objects it is a function of
+    and holding references to them, as `net.StateKeys` does.
 
-    A table action's outcomes are a function of its prefix and the tables
-    `find_tables` found for it, a loop's of the loop alone, so they are keyed
-    by those objects' identities, and an entry holds references to them, as
-    `net.StateKeys` does.  Entries live for two enumerations: a lookup tries
-    the current and the previous one, and only hits and new entries are
-    carried into the next.
+    - Outcomes: a table action's are a function of its prefix and the tables
+      `find_tables` found for it, a loop's of the loop alone.  An entry lives
+      for two enumerations: a lookup tries the current and the previous one,
+      and only hits and new entries are carried into the next.
+    - Row verdicts: one store for each process that waits at a delete,
+      update, aggr or select, carried into the next enumeration whenever the
+      process is enumerated, whether its outcomes were kept or not, and so
+      dropped once it moves on.  A loop needs none: its outcomes are kept.
+    - Texts: `texts` maps an item body to its text for `canonical_key`; a
+      text is carried while its body is an item of the net enumerated.
     """
 
     def __init__(self):
         self._current: dict = {}
         self._previous: dict = {}
+        self._verdicts: dict = {}  # id(process) -> (process, {row: verdict})
+        self._verdicts_before: dict = {}
+        self.texts: dict = {}  # id(body) -> (body, text)
 
-    def next_enumeration(self) -> None:
+    def next_enumeration(self, cn: CanonicalNet) -> None:
         self._previous, self._current = self._current, {}
+        self._verdicts_before, self._verdicts = self._verdicts, {}
+        texts, self.texts = self.texts, {}
+        if texts:
+            for (_loc, body), _n in cn.items.items():
+                entry = texts.get(id(body))
+                if entry is not None:
+                    self.texts[id(body)] = entry
 
     def outcomes(self, proc, tables, compute) -> list:
         key = (id(proc), *map(id, tables))
@@ -236,6 +280,13 @@ class _Reuse:
             entry = (proc, tables, compute())
         self._current[key] = entry
         return entry[2]
+
+    def verdicts(self, proc) -> dict:
+        """The verdict store of proc, carried into this enumeration."""
+        key = id(proc)
+        entry = self._verdicts.get(key) or self._verdicts_before.get(key) or (proc, {})
+        self._verdicts[key] = entry
+        return entry[1]
 
 
 def _action_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: _Reuse) -> list:
@@ -249,8 +300,9 @@ def _action_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: _Reuse) -> list:
     on_table = _ON_TABLE.get(type(action))
     if on_table is not None:
         tables = netmod.find_tables(cn, loc, action.tid)
+        seen = reuse.verdicts(prefix) if isinstance(action, _PASSES_ROWS) else None
         return reuse.outcomes(prefix, tables,
-                              lambda: [on_table(action, loc, tab, cont) for tab in tables])
+                              lambda: [on_table(action, loc, tab, cont, seen) for tab in tables])
     if not _is_known_locality(cn, loc):
         return []
     if isinstance(action, s.Create):
@@ -285,15 +337,16 @@ def _select_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: _Reuse) -> list:
         else:
             # An unresolvable source can never become resolvable: monitor it.
             return [("SEL", "select: unresolvable table source", k.ERR)]
-    return reuse.outcomes(prefix, sources, lambda: _select(action, sources, prefix.cont))
+    seen = reuse.verdicts(prefix)
+    return reuse.outcomes(prefix, sources, lambda: _select(action, sources, prefix.cont, seen))
 
 
-def _select(action: s.Select, sources: list, cont: s.Process) -> list:
+def _select(action: s.Select, sources: list, cont: s.Process, seen: dict) -> list:
     jsk = tuple(sort for tab in sources for sort in tab.interface.schema)
     jrows = k.join_rows([tab.rows for tab in sources])
     if not k.well_sorted_template(action.template, jsk):
         return [("SEL", "select: template does not fit the joined schema", k.ERR)]
-    found = _row_pass(jrows, action.template, action.pred, action.payload)
+    found = _row_pass(jrows, action.template, action.pred, action.payload, seen)
     if found.failure:
         return [("SEL", _SELECT_FAILURE[found.failure], k.ERR)]
     proj = k.project_schema(jsk, action.template, action.payload)
@@ -433,7 +486,7 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System,
     check = no_rep(held)
     if reuse is None:
         reuse = _Reuse()
-    reuse.next_enumeration()
+    reuse.next_enumeration(cn)
     by_label = {}
     for pair, _ in cn.items.items():
         loc, body = pair
@@ -451,7 +504,7 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System,
         if len(tied) > 1:
             keyed = {}
             for t in tied:
-                keyed.setdefault(canonical_key(t.succ), t)
+                keyed.setdefault(canonical_key(t.succ, reuse.texts), t)
             tied = [keyed[key] for key in sorted(keyed, key=str)]
         out.extend(tied)
     return out

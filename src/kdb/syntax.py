@@ -480,6 +480,14 @@ def _join(nodes) -> str:
     return ", ".join([_FORMAT[x.__class__](x) for x in nodes])
 
 
+def _row(row: ValueTuple) -> str:
+    text = row._text
+    if text is None:
+        text = "(" + _join(row.components) + ")"
+        object.__setattr__(row, "_text", text)
+    return text
+
+
 def _table(t) -> str:
     tid = t.interface.tid if t.interface.tid is not None else "?"
     return f"table {tid} : {_r(t.interface.schema)} = {_r(t.rows)}"
@@ -508,7 +516,7 @@ _FORMAT = {
     VTid: lambda v: v.name,
     VLoc: lambda v: "$" + v.name,
     VSet: lambda v: "{" + ", ".join(sorted([_FORMAT[e.__class__](e) for e in v.elements])) + "}",
-    ValueTuple: lambda row: "(" + _join(row.components) + ")",
+    ValueTuple: _row,
     Multiset: lambda rows: "{" + _join(sorted_rows(rows)) + "}",
     DataVar: lambda e: e.name,
     LocVar: lambda e: e.name,

@@ -165,6 +165,11 @@ def scalar_kind(v) -> str | None:
 class ValueTuple:
     components: tuple
 
+    # The row's text (`syntax.render_row`) and `row_sort_key`, each computed
+    # the first time it is asked for and kept, as the hash is.
+    _text = None
+    _sort_key = None
+
     def __post_init__(self):
         if len(self.components) < 1:
             raise ValueError("rows must have at least one component")
@@ -198,7 +203,11 @@ def value_sort_key(v):
 
 
 def row_sort_key(row: ValueTuple):
-    return tuple(value_sort_key(v) for v in row.components)
+    key = row._sort_key
+    if key is None:
+        key = tuple(value_sort_key(v) for v in row.components)
+        object.__setattr__(row, "_sort_key", key)
+    return key
 
 
 def sorted_rows(rows: Multiset) -> list:

@@ -846,15 +846,29 @@ class TestRowPassAgainstReference:
             return VSet(Multiset([VInt(rng.randrange(2)) for _ in range(rng.randrange(3))]))
         return VLoc(rng.choice(("l1", "l2")))
 
+    def row(self, rng, kinds):
+        cells = [self.cell(rng, kind) for kind in kinds]
+        if rng.random() < 0.05:  # the wrong width
+            cells = cells[:-1] if len(cells) > 1 and rng.random() < 0.5 else cells * 2
+        return ValueTuple(tuple(cells))
+
     def rows(self, rng, kinds):
         counts = {}
         for _ in range(rng.randrange(6)):
-            cells = [self.cell(rng, kind) for kind in kinds]
-            if rng.random() < 0.05:  # the wrong width
-                cells = cells[:-1] if len(cells) > 1 and rng.random() < 0.5 else cells * 2
-            row = ValueTuple(tuple(cells))
+            row = self.row(rng, kinds)
             counts[row] = counts.get(row, 0) + rng.randrange(1, 4)
         return Multiset(counts)
+
+    def edit(self, rng, rows, kinds):
+        """rows after a random insert, update or delete of one row; the rows
+        it leaves alone stay the same objects."""
+        c = rng.random()
+        if rows and c < 0.6:
+            old = rng.choice([row for row, _ in rows.items()])
+            rows = rows.subtract(Multiset([old]))
+            if c < 0.3:
+                return rows
+        return rows.add(self.row(rng, kinds))
 
     def expr(self, rng, depth):
         c = rng.random()
@@ -946,3 +960,44 @@ class TestRowPassAgainstReference:
             (f, r) for f in (None, "match", "eval") for r in (False, True)}
         assert {(h, m, r) for f, h, m, r in seen if f is None} == {
             (h, m, r) for h in (False, True) for m in (False, True) for r in (False, True)}
+
+    def test_stores_kept_along_a_chain_of_tables_agree_with_the_reference(self):
+        """Two actions over the same columns pass over a chain of tables, each
+        the one before after a random insert, update or delete, and each keeps
+        one verdict store, from one `_Reuse`, for the whole chain, as a
+        waiting process does."""
+        rng = random.Random(31)
+        seen = set()
+        met = visited = 0
+        for _ in range(400):
+            template = self.template(rng)
+            kinds = [self.LOC if isinstance(f, s.BindLoc) else rng.choice((0, 0, 1, 2))
+                     for f in template.fields]
+            other = s.Template(tuple(f.__class__(rng.choice(self.NAMES)) for f in template.fields))
+            actions = [(tm, self.pred(rng, 2, tm, kinds), self.payload(rng, tm))
+                       for tm in (template, other)]
+            reuse = semantics._Reuse()
+            rows = self.rows(rng, kinds)
+            for _ in range(6):
+                for action in actions:
+                    store = reuse.verdicts(action)
+                    met += sum(row in store for row, _ in rows.items())
+                    visited += len(rows.items())
+                    got = _row_pass(rows, *action, store)
+                    failure, hits, misses = ref.row_pass(rows, *action)
+                    case = (action, rows)
+                    assert got.failure == failure, case
+                    assert list(got.hits.items()) == list(hits.items()), case
+                    assert list(got.misses.items()) == list(misses.items()), case
+                    # Two rows hit with one payload image.
+                    hit_rows = [row for row, _ in rows.items()
+                                if ref.row_pass(Multiset([row]), *action)[1]]
+                    repeats = len(set(action[0].names())) < len(action[0].fields)
+                    seen.add((failure, repeats, len(hits) < len(hit_rows)))
+                rows = self.edit(rng, rows, kinds)
+        # Most rows were met before, and every failure, repeated names and
+        # colliding payload images occurred.
+        assert met > visited // 2
+        assert {f for f, _, _ in seen} == {None, "match", "eval"}
+        assert {r for _, r, _ in seen} == {False, True}
+        assert any(c for f, _, c in seen if f is None)

@@ -16,7 +16,7 @@ from kdb import net as netmod
 from kdb import semantics
 from kdb import syntax as s
 from kdb.net import canonical_key, canonicalize, find_tables, lid, no_rep
-from kdb.values import Multiset, VInt, VLoc, VStr
+from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
 
 
 def _var_tuple(*names):
@@ -260,6 +260,44 @@ def count_row_passes(monkeypatch) -> list:
     return passes
 
 
+def count_judged(monkeypatch) -> dict:
+    """Count, by predicate, the rows a row pass computes a verdict for from
+    now on."""
+    judged = {}
+    real = semantics._judge
+
+    def counting(template, pred, payload):
+        judge = real(template, pred, payload)
+
+        def counted(row):
+            judged[pred] = judged.get(pred, 0) + 1
+            return judge(row)
+
+        return counted
+
+    monkeypatch.setattr(semantics, "_judge", counting)
+    return judged
+
+
+def count_renders(monkeypatch, *classes) -> dict:
+    """Count the renders of nodes of the classes from now on; a row's cells
+    are rendered only when the row itself is."""
+    renders = dict.fromkeys(classes, 0)
+    for cls in classes:
+        def counting(node, real=s._FORMAT[cls], cls=cls):
+            renders[cls] += 1
+            return real(node)
+        monkeypatch.setitem(s._FORMAT, cls, counting)
+    return renders
+
+
+def net_at_l1(*comps) -> s.Net:
+    net = s.Node("l1", comps[0])
+    for comp in comps[1:]:
+        net = s.ParNet(net, s.Node("l1", comp))
+    return net
+
+
 class TestOutcomeReuse:
     def test_an_unchanged_net_reruns_no_row_pass(self, monkeypatch):
         sys1 = shared_site()
@@ -327,3 +365,105 @@ class TestOutcomeReuse:
         assert compared > 1000
         # Reuse happened: runs of the same states made fewer row passes.
         assert 0 < reused < fresh
+
+
+class TestRowVerdicts:
+    """A process that waits at a table action keeps the verdicts of its row
+    pass, so after a write only the rows the write made are judged."""
+
+    IJ = s.Template((s.BindData("i"), s.BindData("j")))
+    I, J = s.DataVar("i"), s.DataVar("j")
+    AT = VLoc("l1")
+
+    def waiting(self) -> list:
+        """A delete, an update, an aggr and a select over T, none enabled to
+        change it in a way the tests step through."""
+        return [
+            s.Delete("T", self.IJ, s.Cmp("=", self.J, VInt(9)), self.AT),
+            s.Update("T", self.IJ, s.Cmp(">", self.J, VInt(3)), s.Tuple((self.I, VInt(0))),
+                     self.AT),
+            s.Aggr("T", self.IJ, s.Cmp("<", self.J, VInt(2)), s.AggrFn("sum", 2),
+                   s.Template((s.BindData("n"),)), self.AT),
+            s.Select((s.TableByName("T", self.AT),), self.IJ, s.Cmp("=", self.J, VInt(1)),
+                     s.Tuple((self.I,)), "t"),
+        ]
+
+    @pytest.mark.parametrize("write, changed, detail", [
+        (s.Update("T", IJ, s.Cmp("<", I, VInt(1)), s.Tuple((I, s.Arith("+", J, VInt(1)))), AT),
+         1, "update 1 row(s) of T@l1"),
+        (s.Update("T", IJ, s.Cmp("<", I, VInt(7)), s.Tuple((I, s.Arith("+", J, VInt(1)))), AT),
+         7, "update 7 row(s) of T@l1"),
+        (s.Insert("T", s.Tuple((VInt(500), VInt(1))), AT), 1, "insert (500, 1) into T@l1"),
+        (s.Delete("T", IJ, s.Cmp("<", I, VInt(5)), AT), 5, "delete 5 row(s) from T@l1"),
+    ])
+    def test_after_a_write_of_k_rows_each_waiting_action_judges_at_most_k(
+            self, write, changed, detail, monkeypatch):
+        table = s.TableComp(s.Interface("T", (s.INT, s.INT)),
+                            Multiset([srow(i, i % 5) for i in range(200)]))
+        u = s.TableComp(s.Interface("U", (s.INT,)), Multiset())
+        waiting = self.waiting()
+        procs = [s.ProcComp(s.Prefix(a, s.NilProc()))
+                 for a in [write, s.Insert("U", s.Tuple((VInt(1),)), self.AT), *waiting]]
+        sys1 = s.System(procedures={}, schema_decls=(), main_net=net_at_l1(table, u, *procs))
+        judged = count_judged(monkeypatch)
+        reuse = semantics._Reuse()
+        transitions = semantics.enumerate_transitions(canonicalize(sys1.main_net), sys1, reuse)
+        assert [judged.get(a.pred, 0) for a in waiting] == [200] * 4
+        # A step that leaves T alone, whose enumeration reuses every outcome
+        # over T, then the write.
+        (succ,) = [t.succ for t in transitions if t.label.detail == "insert (1) into U@l1"]
+        transitions = semantics.enumerate_transitions(succ, sys1, reuse)
+        (succ,) = [t.succ for t in transitions if t.label.detail == detail]
+        judged.clear()
+        got = pairs(semantics.enumerate_transitions(succ, sys1, reuse))
+        assert all(judged.get(a.pred, 0) <= changed for a in waiting), judged
+        judged.clear()
+        assert got == pairs(semantics.enumerate_transitions(succ, sys1))
+        assert [judged.get(a.pred, 0) for a in waiting] == [len(find_tables(succ, "l1", "T")[0]
+                                                            .rows.items())] * 4
+
+
+class TestTieTexts:
+    """The successors of a tie are keyed by text; a body met before, and a
+    row met before, is not rendered again."""
+
+    def test_a_tie_renders_only_the_rows_and_tables_it_has_not_met(self, monkeypatch):
+        # Two selects share a label and differ in their continuation, so
+        # their successors tie.  One writer inserts into U, which leaves T
+        # alone; another changes one row of T.  Only T's rows hold strings.
+        ab = s.Template((s.BindData("a"), s.BindData("b")))
+        b, at = s.DataVar("b"), VLoc("l1")
+
+        def select(n, cont):
+            return s.Prefix(s.Select((s.TableByName("T", at),), ab, s.Cmp("=", b, VInt(n)),
+                                     s.Tuple((b,)), "t"), cont)
+
+        big = s.TableComp(s.Interface("T", (s.STRING, s.INT)),
+                          Multiset([srow(f"r{i}", i) for i in range(200)]))
+        u = s.TableComp(s.Interface("U", (s.INT,)), Multiset())
+        to_u = s.Prefix(s.Insert("U", s.Tuple((VInt(1),)), at), s.NilProc())
+        to_t = s.Prefix(s.Update("T", ab, s.Cmp("=", b, VInt(0)),
+                                 s.Tuple((s.DataVar("a"), s.Arith("+", b, VInt(1000)))), at),
+                        s.NilProc())
+        procs = [select(3, s.NilProc()), select(4, s.Prefix(s.Drop("U", at), s.NilProc())),
+                 to_u, to_t]
+        sys1 = s.System(procedures={}, schema_decls=(),
+                        main_net=net_at_l1(big, u, *map(s.ProcComp, procs)))
+        renders = count_renders(monkeypatch, VStr, s.TableComp)
+        reuse = semantics._Reuse()
+
+        def enumerate_counting(cn):
+            renders.update(dict.fromkeys(renders, 0))
+            transitions = semantics.enumerate_transitions(cn, sys1, reuse)
+            assert [t.label.rule for t in transitions].count("SEL") == 2  # the tie
+            return dict(renders), {t.label.rule: t.succ for t in transitions}
+
+        # First meeting: every row of T once, and both tables.
+        counts, succ = enumerate_counting(canonicalize(sys1.main_net))
+        assert counts == {VStr: 200, s.TableComp: 2}
+        # The insert into U kept T: the tie renders no row, and only the new U.
+        counts, succ = enumerate_counting(succ["INS"])
+        assert counts == {VStr: 0, s.TableComp: 1}
+        # The update made one row of T: the tie renders that row and the new T.
+        counts, _ = enumerate_counting(succ["UPD"])
+        assert counts == {VStr: 1, s.TableComp: 1}
