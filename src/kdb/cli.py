@@ -18,6 +18,7 @@ EXIT_TYPE_ERRORS = 1
 EXIT_PARSE_ERROR = 2
 EXIT_ERR_NET = 3
 EXIT_STEP_LIMIT = 4
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a program that SIGPIPE ended
 
 MAX_EXPLORE_BOUND = 10**6
 
@@ -231,7 +232,18 @@ def main(argv=None) -> int:
     if getattr(args, "bound", 1) < 1:
         print("--bound must be at least 1", file=_sys.stderr)
         return EXIT_PARSE_ERROR
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        _sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader of stdout has gone, as in `kdb run ... | head -n 1`.
+        # Python flushes stdout again at exit: point it at devnull, as the
+        # `signal` module's documentation advises, so that no traceback follows.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -1,13 +1,17 @@
 """Command-line behavior: exit codes, determinism, output formats."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from kdb.cli import main
+from kdb.cli import EXIT_BROKEN_PIPE, main
 
-CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
+ROOT = pathlib.Path(__file__).parent.parent
+CORPUS = ROOT / "corpus"
 DEPT = str(CORPUS / "dept_stores.kdb")
 BAD = str(CORPUS / "bad_insert.kdb")
 
@@ -130,6 +134,22 @@ class TestRun:
         assert lines[0]["rule"] == "INS"
         assert lines[0]["ok"] is False
         assert lines[-1]["terminal"] == "err"
+
+    def test_a_closed_pipe_ends_the_run_without_a_traceback(self):
+        # The read end is closed before kdb starts, so its first write to
+        # stdout meets a broken pipe, as `kdb run ... | head -n 1` may.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "kdb.cli", "run", DEPT, "--max-steps", "0"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": path})
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == EXIT_BROKEN_PIPE
 
     def test_disabled_actions_reported(self, tmp_path, capsys):
         f = tmp_path / "stuck.kdb"
