@@ -12,8 +12,9 @@ engine rule that names a table, select and create included, asks it.
 
 Two keys identify a net up to congruence and renaming of its restricted
 names.  `canonical_key` renders every item that mentions one of those
-names under every numbering of them; it orders the successors of
-transitions that share a label.
+names under every numbering of them, and every other item once, keeping
+its text on the body; it orders the successors of transitions that share a
+label.
 `StateKeys`, by which `explore` deduplicates states, renders nothing and
 numbers the names by colour refinement.
 """
@@ -213,22 +214,19 @@ def ok(cn: CanonicalNet) -> bool:
 # ---------------------------------------------------------------------------
 # Comparison keys and dumps
 
-def canonical_key(cn: CanonicalNet, texts=None):
+def canonical_key(cn: CanonicalNet):
     """A key identifying the net up to congruence and renaming of restrictions.
 
     Restricted names are anonymized positionally; with several restrictions
     the minimum over their permutations is taken, so the key costs n! renders
     of every body that mentions one of the n restricted names.  A body that
-    mentions none is rendered only when `texts`, a map from a body's
-    identity to the body and its text, lacks it, and is added to it; only
-    its locality is renamed.  Its value is text, ordered the same on every
-    run: `semantics.enumerate_transitions` orders and merges the successors
-    of transitions that share a label by it, with the texts of one `run` or
-    `explore`, and nowhere else is it computed.  `explore` deduplicates
-    states by `StateKeys`, which agrees with it on which nets are equal.
+    mentions none is rendered once: it keeps its text on itself, as a row
+    does, and only its locality is renamed.  Its value is text, ordered the
+    same on every run: `semantics.enumerate_transitions` orders and merges
+    the successors of transitions that share a label by it, and nowhere else
+    is it computed.  `explore` deduplicates states by `StateKeys`, which
+    agrees with it on which nets are equal.
     """
-    if texts is None:
-        texts = {}
     restricted = frozenset(cn.restricted)
     fixed = []  # (loc, text, count) of the items whose body mentions no restricted name
     held = []  # (loc, body, count) of the others
@@ -236,10 +234,11 @@ def canonical_key(cn: CanonicalNet, texts=None):
         if restricted and not restricted.isdisjoint(s.loc_names(body)):
             held.append((loc, body, cnt))
         else:
-            entry = texts.get(id(body))
-            if entry is None:
-                entry = texts[id(body)] = (body, s.render(body))
-            fixed.append((loc, entry[1], cnt))
+            text = getattr(body, "_text", None)
+            if text is None:
+                text = s.render(body)
+                object.__setattr__(body, "_text", text)
+            fixed.append((loc, text, cnt))
     best = None
     for perm in itertools.permutations(cn.restricted):  # no names: one empty perm
         mapping = {name: f"ρ{i}" for i, name in enumerate(perm)}

@@ -13,29 +13,31 @@ found there, a select joins the row multisets of the first table found for
 each source, and a create is skipped when one is found.
 
 The rows of a table action pass once through `_row_pass`, which judges
-only the rows the acting process has not met (`_Reuse.verdicts`).  Judging
-compiles the predicate, and the payload of an update or select, once over
-the template's columns (`kernel.compile_pred`); a row whose width and
-locality columns fit the template runs them on its cells, with no match
-built, and only a hit builds its payload row.  The pass reports the first
-row that fails, and counts the hits and the misses.  Errors are monitored
-there and where an action meets a schema: a bad inserted row, a template that
-does not fit, a failing row, a new row or aggregate that breaks its schema,
-an unresolvable select source or payload, and a loop order naming a missing
-column.  A loop iterates on the rows that hit; a failing row is an error
-only at loop exit.  A monitored error is `kernel.ERR` in place of an outcome; its successor is the
-collapsed error net, which has no transitions.
+only the rows the acting process has not met (its `_Reuse` record's
+verdicts).  Judging compiles the predicate, and the payload of an update or
+select, once over the template's columns (`kernel.compile_pred`); a row
+whose width and locality columns fit the template runs them on its cells,
+with no match built, and only a hit builds its payload row.  The pass
+reports the first row that fails, and counts the hits and the misses.
+Errors are monitored there and where an action meets a schema: a bad
+inserted row, a template that does not fit, a failing row, a new row or
+aggregate that breaks its schema, an unresolvable select source or payload,
+and a loop order naming a missing column.  A loop iterates on the rows that
+hit; a failing row is an error only at loop exit.  A monitored error is
+`kernel.ERR` in place of an outcome; its successor is the collapsed error
+net, which has no transitions.
 
 A step's cost does not grow with tables it does not touch, and of a table
 it touches only the rows not met before are judged or rendered.  The
 outcomes of a table action are a function of its prefix and the tables it
 found, and those of a loop of the loop alone, so one `_Reuse` per `run` or
-`explore` hands them back while those objects are unchanged: a successor
-keeps every untouched item as the same object.  A successor is the parent's
-item counts with the transition's items swapped (`net.make_canonical`), so
-untouched items are not rehashed; the rendering `canonical_key` is computed
-only for transitions that share a label, from texts `_Reuse` keeps; and
-tables are ordered by (locality, identifier), rendered only to break a tie.
+`explore` keeps one record per waiting process and hands them back while
+those objects are unchanged: a successor keeps every untouched item as the
+same object.  A successor is the parent's item counts with the transition's
+items swapped (`net.make_canonical`), so untouched items are not rehashed;
+the rendering `canonical_key` is computed only for transitions that share a
+label, from the texts bodies and rows keep; and tables are ordered by
+(locality, identifier), rendered only to break a tie.
 The `lid` integrity check reads each outcome's tables against the parent's
 `lid`.
 `explore` deduplicates the states it reaches by one `net.StateKeys` per
@@ -49,6 +51,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import is_
 from typing import NamedTuple, Optional
 
 from kdb import kernel as k
@@ -99,22 +102,13 @@ class _Outcome:
     add: tuple = ()  # of item
 
 
-def known_localities(cn: CanonicalNet) -> frozenset:
-    """Sites that exist for execution: restricted names plus every locality
-    occurring anywhere in the current net."""
-    names = set(cn.restricted)
-    for (loc, body), _ in cn.items.items():
-        names.add(loc)
-        names |= s.loc_names(body)
-    return frozenset(names)
-
-
 def _is_known_locality(cn: CanonicalNet, loc: str) -> bool:
-    """`loc in known_localities(cn)`, answered from the restricted names and
-    the item localities before walking every item's body."""
-    if loc in cn.restricted or any(iloc == loc for (iloc, _), _n in cn.items.items()):
-        return True
-    return loc in known_localities(cn)
+    """Whether loc exists for execution: a restricted name, or a locality
+    occurring anywhere in the net.  The restricted names and the item
+    localities are tried before any item's body is walked."""
+    items = cn.items.items()
+    return (loc in cn.restricted or any(iloc == loc for (iloc, _), _n in items)
+            or any(loc in s.loc_names(body) for (_, body), _n in items))
 
 
 def _loc_of(e: s.Expr):
@@ -233,60 +227,44 @@ def _drop(a: s.Drop, loc: str, tab: s.TableComp, cont: s.Process, seen) -> tuple
 
 
 # What an action naming `tid@loc` does to one table found there, given the
-# verdict store of its process; insert and drop pass over no row and get None.
+# verdict store of its process's `_Reuse` record; insert and drop pass over
+# no row and leave it empty.
 _ON_TABLE = {s.Insert: _insert, s.Delete: _delete, s.Update: _update, s.Aggr: _aggr,
              s.Drop: _drop}
-_PASSES_ROWS = (s.Delete, s.Update, s.Aggr)
 
 
 class _Reuse:
-    """What one `run` or `explore` keeps from one enumeration to the next,
-    each entry keyed by the identities of the objects it is a function of
-    and holding references to them, as `net.StateKeys` does.
+    """What one `run` or `explore` keeps from one enumeration to the next: a
+    record `[process, tables, outcomes, verdicts]` for each process waiting
+    at a table action or a loop, keyed by the process's identity and holding
+    a reference to it, as `net.StateKeys` does.
 
-    - Outcomes: a table action's are a function of its prefix and the tables
-      `find_tables` found for it, a loop's of the loop alone.  An entry lives
-      for two enumerations: a lookup tries the current and the previous one,
-      and only hits and new entries are carried into the next.
-    - Row verdicts: one store for each process that waits at a delete,
-      update, aggr or select, carried into the next enumeration whenever the
-      process is enumerated, whether its outcomes were kept or not, and so
-      dropped once it moves on.  A loop needs none: its outcomes are kept.
-    - Texts: `texts` maps an item body to its text for `canonical_key`; a
-      text is carried while its body is an item of the net enumerated.
+    Within one net, the tables a table action finds are a function of its
+    prefix, and its outcomes of the prefix and those tables; a loop's are a
+    function of the loop alone, which finds no table.  A record is carried
+    into the next enumeration whenever its process is enumerated, and so
+    dropped once the process moves on.  Its outcomes are kept while its
+    process finds the same tables, the same objects in the same number, and
+    are otherwise recomputed through its verdicts: the verdict of a delete,
+    update, aggr or select on every row its pass has met (`_row_pass`).
     """
 
     def __init__(self):
-        self._current: dict = {}
+        self._current: dict = {}  # id(process) -> record
         self._previous: dict = {}
-        self._verdicts: dict = {}  # id(process) -> (process, {row: verdict})
-        self._verdicts_before: dict = {}
-        self.texts: dict = {}  # id(body) -> (body, text)
 
-    def next_enumeration(self, cn: CanonicalNet) -> None:
+    def next_enumeration(self) -> None:
         self._previous, self._current = self._current, {}
-        self._verdicts_before, self._verdicts = self._verdicts, {}
-        texts, self.texts = self.texts, {}
-        if texts:
-            for (_loc, body), _n in cn.items.items():
-                entry = texts.get(id(body))
-                if entry is not None:
-                    self.texts[id(body)] = entry
 
     def outcomes(self, proc, tables, compute) -> list:
-        key = (id(proc), *map(id, tables))
-        entry = self._current.get(key) or self._previous.get(key)
-        if entry is None:
-            entry = (proc, tables, compute())
-        self._current[key] = entry
-        return entry[2]
-
-    def verdicts(self, proc) -> dict:
-        """The verdict store of proc, carried into this enumeration."""
+        """The outcomes of proc over tables: those kept, or compute(verdicts)."""
         key = id(proc)
-        entry = self._verdicts.get(key) or self._verdicts_before.get(key) or (proc, {})
-        self._verdicts[key] = entry
-        return entry[1]
+        record = self._current.get(key) or self._previous.get(key) or [proc, (), None, {}]
+        kept = record[1]
+        if record[2] is None or len(kept) != len(tables) or not all(map(is_, kept, tables)):
+            record[1], record[2] = tables, compute(record[3])
+        self._current[key] = record
+        return record[2]
 
 
 def _action_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: _Reuse) -> list:
@@ -300,9 +278,8 @@ def _action_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: _Reuse) -> list:
     on_table = _ON_TABLE.get(type(action))
     if on_table is not None:
         tables = netmod.find_tables(cn, loc, action.tid)
-        seen = reuse.verdicts(prefix) if isinstance(action, _PASSES_ROWS) else None
-        return reuse.outcomes(prefix, tables,
-                              lambda: [on_table(action, loc, tab, cont, seen) for tab in tables])
+        return reuse.outcomes(prefix, tables, lambda seen: [on_table(action, loc, tab, cont, seen)
+                                                            for tab in tables])
     if not _is_known_locality(cn, loc):
         return []
     if isinstance(action, s.Create):
@@ -337,8 +314,7 @@ def _select_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: _Reuse) -> list:
         else:
             # An unresolvable source can never become resolvable: monitor it.
             return [("SEL", "select: unresolvable table source", k.ERR)]
-    seen = reuse.verdicts(prefix)
-    return reuse.outcomes(prefix, sources, lambda: _select(action, sources, prefix.cont, seen))
+    return reuse.outcomes(prefix, sources, lambda seen: _select(action, sources, prefix.cont, seen))
 
 
 def _select(action: s.Select, sources: list, cont: s.Process, seen: dict) -> list:
@@ -403,7 +379,7 @@ def _proc_outcomes(cn: CanonicalNet, proc: s.Process, sys: s.System,
         sigma = {name: v for (name, _), v in zip(d.params, vals)}
         return [("CALL", f"call {proc.name}", _Outcome(k.apply_subst(sigma, d.body)))]
     if isinstance(proc, s.Foreach):
-        return reuse.outcomes(proc, (), lambda: _foreach_outcomes(proc))
+        return reuse.outcomes(proc, (), lambda _: _foreach_outcomes(proc))
     if isinstance(proc, s.Seq):
         lifted = []
         for rule, detail, oc in _proc_outcomes(cn, proc.first, sys, reuse):
@@ -486,7 +462,7 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System,
     check = no_rep(held)
     if reuse is None:
         reuse = _Reuse()
-    reuse.next_enumeration(cn)
+    reuse.next_enumeration()
     by_label = {}
     for pair, _ in cn.items.items():
         loc, body = pair
@@ -504,7 +480,7 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System,
         if len(tied) > 1:
             keyed = {}
             for t in tied:
-                keyed.setdefault(canonical_key(t.succ, reuse.texts), t)
+                keyed.setdefault(canonical_key(t.succ), t)
             tied = [keyed[key] for key in sorted(keyed, key=str)]
         out.extend(tied)
     return out

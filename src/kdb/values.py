@@ -166,7 +166,8 @@ class ValueTuple:
     components: tuple
 
     # The row's text (`syntax.render_row`) and `row_sort_key`, each computed
-    # the first time it is asked for and kept, as the hash is.
+    # the first time it is asked for and kept, as the hash is.  An item body
+    # keeps its text for `net.canonical_key` the same way.
     _text = None
     _sort_key = None
 

@@ -964,8 +964,7 @@ class TestRowPassAgainstReference:
     def test_stores_kept_along_a_chain_of_tables_agree_with_the_reference(self):
         """Two actions over the same columns pass over a chain of tables, each
         the one before after a random insert, update or delete, and each keeps
-        one verdict store, from one `_Reuse`, for the whole chain, as a
-        waiting process does."""
+        one verdict store for the whole chain, as a waiting process does."""
         rng = random.Random(31)
         seen = set()
         met = visited = 0
@@ -976,11 +975,10 @@ class TestRowPassAgainstReference:
             other = s.Template(tuple(f.__class__(rng.choice(self.NAMES)) for f in template.fields))
             actions = [(tm, self.pred(rng, 2, tm, kinds), self.payload(rng, tm))
                        for tm in (template, other)]
-            reuse = semantics._Reuse()
+            stores = [{} for _ in actions]
             rows = self.rows(rng, kinds)
             for _ in range(6):
-                for action in actions:
-                    store = reuse.verdicts(action)
+                for action, store in zip(actions, stores):
                     met += sum(row in store for row, _ in rows.items())
                     visited += len(rows.items())
                     got = _row_pass(rows, *action, store)

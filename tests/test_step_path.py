@@ -232,11 +232,21 @@ class TestTableOrder:
         assert [rows for _, _, rows in got] == [[5], [2, 100], [30], [4], [7]]
 
 
+def known_localities(cn) -> frozenset:
+    """Sites that exist for execution: restricted names plus every locality
+    occurring anywhere in the net, found by walking every item's body."""
+    names = set(cn.restricted)
+    for (loc, body), _ in cn.items.items():
+        names.add(loc)
+        names |= s.loc_names(body)
+    return frozenset(names)
+
+
 class TestKnownLocalities:
     def test_agrees_with_the_full_walk(self):
         for sys1 in population():
             for cn in visited(sys1, bound=10):
-                known = semantics.known_localities(cn)
+                known = known_localities(cn)
                 for loc in known | {"l0", "l1", "l2", "l9", "nowhere"}:
                     assert semantics._is_known_locality(cn, loc) == (loc in known)
 
@@ -340,6 +350,32 @@ class TestOutcomeReuse:
             (table,) = find_tables(succ, "l1", tid)
             assert len(passes) == 1 and passes[0] is table.rows
             assert pairs(transitions) == pairs(semantics.enumerate_transitions(succ, sys1))
+
+    def test_a_drop_that_leaves_fewer_tables_reruns_the_actions_over_them(self):
+        # An unchecked net with two T@l1 tables: after each drop, a waiting
+        # delete finds fewer tables, once the first of the ones it found.
+        at = VLoc("l1")
+        delete = s.Delete("T", s.Template((s.BindData("x"),)), s.TruePred(), at)
+        drops = s.Prefix(s.Drop("T", at), s.Prefix(s.Drop("T", at), s.NilProc()))
+        comps = [*(s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(n)])) for n in (1, 2)),
+                 s.ProcComp(s.Prefix(delete, s.NilProc())), s.ProcComp(drops)]
+        sys1 = s.System(procedures={}, schema_decls=(), main_net=net_at_l1(*comps))
+        states = [canonicalize(sys1.main_net)]
+        found = []
+        while states:
+            cn = states.pop()
+            for t in semantics.enumerate_transitions(cn, sys1):
+                if t.label.rule != "DRP":
+                    continue
+                reuse = semantics._Reuse()
+                semantics.enumerate_transitions(cn, sys1, reuse)
+                got = pairs(semantics.enumerate_transitions(t.succ, sys1, reuse))
+                assert got == pairs(semantics.enumerate_transitions(t.succ, sys1))
+                found.append((find_tables(cn, "l1", "T"), find_tables(t.succ, "l1", "T")))
+                states.append(t.succ)
+        assert len(found) == 4
+        # Once the tables left are the first of those found before.
+        assert any(after and after == before[:len(after)] for before, after in found)
 
     def test_population_runs_agree_with_fresh_enumerations(self, monkeypatch):
         passes = count_row_passes(monkeypatch)
