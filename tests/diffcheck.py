@@ -17,13 +17,15 @@ The population:
   re-parse, an exploration of at most 40 states (each state's canonical key
   and each transition's label and ends) and two seeded runs of at most 20
   steps;
-- 1,000 `gen.random_system` programs, rendered and checked.
+- 1,000 `gen.random_system` programs, rendered and checked;
+- 1,000 `gen.clash_source` texts, whose names clash on purpose: the render
+  and `repr` of each parse (so row order too), or its ParseError text.
 
-Only text goes into the hash: renders, diagnostics, labels and the `str` of
-canonical keys, none of which depends on the string-hash seed.  CI runs it
-under PYTHONHASHSEED=0 and 7 and fails when the two lines differ, and fails
-when the line differs from `tests/diffcheck.expected`, the line of the
-committed code.
+Only text goes into the hash: renders, the `repr`s of parses, diagnostics,
+labels and the `str` of canonical keys, none of which depends on the
+string-hash seed.  CI runs it under PYTHONHASHSEED=0 and 7 and fails when
+the two lines differ, and fails when the line differs from
+`tests/diffcheck.expected`, the line of the committed code.
 """
 
 import hashlib
@@ -41,6 +43,7 @@ from kdb.typesys import check_system
 
 SEEDS = 400
 RANDOM_PROGRAMS = 1000
+CLASH_SOURCES = 1000
 EXPLORE_BOUND = 40
 RUN_STEPS = 20
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "corpus")
@@ -77,7 +80,7 @@ def render_and_check(sys1: s.System) -> list:
 
 def main() -> int:
     digest = hashlib.sha256()
-    counts = {"systems": 0, "states": 0, "transitions": 0, "random": 0}
+    counts = {"systems": 0, "states": 0, "transitions": 0, "random": 0, "clash": 0}
 
     def put(*lines) -> None:
         for line in lines:
@@ -104,6 +107,15 @@ def main() -> int:
     for seed in range(RANDOM_PROGRAMS):
         counts["random"] += 1
         put(f"== random {seed}", *render_and_check(gen.random_system(seed)))
+    for seed in range(CLASH_SOURCES):
+        counts["clash"] += 1
+        put(f"== clash {seed}")
+        try:
+            sys1 = parse_system(gen.clash_source(seed))
+        except ParseError as e:
+            put(f"parse error: {e}")
+        else:
+            put(s.render(sys1), repr(sys1))
     print(" ".join(f"{k}={v}" for k, v in counts.items()), digest.hexdigest())
     return 0
 

@@ -1,9 +1,11 @@
-"""Random AST generation for the parser round-trip property.
+"""Random programs for the parser's tests.
 
-Generated systems are scope-correct (every variable occurrence refers to an
-enclosing binder of the right kind) and use globally distinct binder names,
-so the parser's renaming pass is the identity on them and parse(render(x))
-must reproduce x exactly.
+`random_system` generates ASTs for the parse/render round trip.  They are
+scope-correct (every variable occurrence refers to an enclosing binder of
+the right kind) and use globally distinct binder names, so the parser's
+renaming is the identity on them and parse(render(x)) must reproduce x
+exactly.  `clash_source` generates source text whose names clash on
+purpose, for differentials of that renaming.
 """
 
 import random
@@ -290,3 +292,162 @@ class AstGen:
 
 def random_system(seed: int) -> s.System:
     return AstGen(random.Random(seed)).system()
+
+
+# ---------------------------------------------------------------------------
+# Clash-heavy source text
+#
+# Unlike `random_system`, these programs are text, and every name is drawn
+# from a pool of two or three: restrictions, templates, select and aggr
+# exports, parameters and loops reuse the names that also occur free, before
+# and after their binders, in every sort.  So binders clash with each other
+# and with free names, and the parser must rename them apart.  Some calls
+# name no procedure or pass the wrong number of arguments, and a few
+# templates bind a name twice, so some sources raise ParseError.
+
+class ClashGen:
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.vars = ["x", "y", "z"][:rng.choice((2, 3))]
+        self.locs = ["a", "b", "c"][:rng.choice((2, 3))]
+        self.procs = {}  # name -> arity
+
+    def var(self) -> str:
+        return self.rng.choice(self.vars)
+
+    def loc(self) -> str:
+        return "$" + self.rng.choice(self.locs)
+
+    def expr(self, depth=1) -> str:
+        rng = self.rng
+        c = rng.random()
+        if depth <= 0 or c < 0.6:
+            return rng.choice((self.var, self.var, self.loc, lambda: str(rng.randrange(-3, 4))))()
+        if c < 0.8:
+            return f"({self.expr(depth - 1)} + {self.expr(depth - 1)})"
+        return "{" + ", ".join(self.expr(0) for _ in range(rng.randrange(1, 3))) + "}"
+
+    def pred(self, depth=1) -> str:
+        rng = self.rng
+        c = rng.random()
+        if depth <= 0 or c < 0.5:
+            return rng.choice(("true", f"{self.expr()} = {self.expr()}",
+                               f"{self.expr()} in {self.expr()}", f"({self.expr()}) < 2"))
+        if c < 0.7:
+            return f"!({self.pred(depth - 1)})"
+        return f"({self.pred(depth - 1)}) && {self.pred(depth - 1)}"
+
+    def tuple_(self) -> str:
+        return "(" + ", ".join(self.expr() for _ in range(self.rng.randrange(1, 3))) + ")"
+
+    def template(self, most=2) -> str:
+        rng = self.rng
+        names = rng.sample(self.vars, rng.randrange(1, most + 1))
+        if rng.random() < 0.005:
+            names.append(names[0])  # not linear: a ParseError
+        return "(" + ", ".join(rng.choice(("!", "!", "!@")) + n for n in names) + ")"
+
+    def loc_expr(self) -> str:
+        return self.var() if self.rng.random() < 0.4 else self.loc()
+
+    def rows(self) -> str:
+        rng = self.rng
+        rows = []
+        for _ in range(rng.randrange(0, 4)):
+            locs = ", ".join(self.loc() for _ in range(rng.randrange(1, 3)))
+            rows.append(f"({self.loc()}, {rng.randrange(3)}, {{{locs}}})")
+        return "table T : (Loc, Int, {Loc}) = {" + ", ".join(rows) + "}"
+
+    def tableref(self) -> str:
+        c = self.rng.random()
+        if c < 0.3:
+            return self.var()
+        if c < 0.7:
+            return f"T@{self.loc_expr()}"
+        return self.rows()
+
+    def action(self, depth) -> str:
+        rng = self.rng
+        kind = rng.choice(("insert", "delete", "select", "update", "aggr",
+                           "create", "drop", "eval"))
+        at = f"T@{self.loc_expr()}"
+        if kind == "insert":
+            return f"insert({at}, {self.tuple_()})"
+        if kind == "delete":
+            return f"delete({at}, {self.template()}, {self.pred()})"
+        if kind == "select":
+            tables = ", ".join(self.tableref() for _ in range(rng.randrange(1, 3)))
+            return (f"select({tables}, {self.template()}, {self.pred()}, {self.tuple_()}, "
+                    f"!{self.var()})")
+        if kind == "update":
+            return f"update({at}, {self.template()}, {self.pred()}, {self.tuple_()})"
+        if kind == "aggr":
+            return f"aggr({at}, {self.template()}, {self.pred()}, count, {self.template(1)})"
+        if kind == "create":
+            return f"create({at}, (Int))"
+        if kind == "drop":
+            return f"drop({at})"
+        return f"eval({self.process(depth - 1)}, {self.loc_expr()})"
+
+    def call(self) -> str:
+        rng = self.rng
+        if not self.procs or rng.random() < 0.04:
+            return "q()"  # no such procedure: a ParseError
+        name = rng.choice(list(self.procs))
+        arity = self.procs[name]
+        if rng.random() < 0.04:
+            arity += 1  # a wrong number of arguments: a ParseError
+        return f"{name}(" + ", ".join(self.expr() for _ in range(arity)) + ")"
+
+    def process(self, depth) -> str:
+        rng = self.rng
+        c = rng.random()
+        if depth <= 0 or c < 0.2:
+            return self.call() if self.procs and rng.random() < 0.3 else "nil"
+        if c < 0.65:
+            return f"{self.action(depth)}. {self.process(depth - 1)}"
+        if c < 0.85:
+            return (f"foreach({self.tableref()}, {self.template()}, {self.pred()}, unordered): "
+                    f"{self.process(depth - 1)}")
+        return f"({self.process(depth - 1)}; {self.process(depth - 1)})"
+
+    def component(self, depth) -> str:
+        c = self.rng.random()
+        if c < 0.3:
+            return self.rows()
+        if depth <= 0 or c < 0.8:
+            return self.process(3)
+        return f"{{ {self.component(depth - 1)} | {self.component(depth - 1)} }}"
+
+    def net(self, depth) -> str:
+        rng = self.rng
+        c = rng.random()
+        if depth <= 0 or c < 0.4:
+            return f"{self.loc()} :: {self.component(1)}" if rng.random() < 0.9 else "nil"
+        if c < 0.75:
+            return f"(new {self.loc()}) {self.net(depth - 1)}"
+        return f"({self.net(depth - 1)} || {self.net(depth - 1)})"
+
+    def source(self) -> str:
+        rng = self.rng
+        defs = []
+        for i in range(rng.randrange(0, 3)):
+            arity = rng.randrange(0, 3)
+            self.procs[f"p{i}"] = arity
+            params = rng.sample(self.vars, arity)
+            if arity and rng.random() < 0.03:
+                params[-1] = params[0]  # a duplicate parameter: a ParseError
+            types = [rng.choice(("Int", "Loc", "(Int, Loc)")) for _ in params]
+            defs.append((f"p{i}", params, types))
+        lines = ["schema T : (Loc, Int, {Loc})"]
+        for i, (name, params, types) in enumerate(defs):
+            sig = ", ".join(f"{p}: {t}" for p, t in zip(params, types))
+            lines.append(("let " if i == 0 else "and ") + f"{name}({sig}) := {self.process(3)}")
+        if defs:
+            lines.append("in")
+        lines.append(" || ".join(self.net(2) for _ in range(rng.randrange(1, 4))))
+        return "\n".join(lines) + "\n"
+
+
+def clash_source(seed: int) -> str:
+    return ClashGen(random.Random(seed)).source()

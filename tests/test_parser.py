@@ -253,6 +253,40 @@ class TestRenamingApart:
         assert len(set(binders)) == 4
 
 
+class TestLateClashes:
+    """A free name that first occurs after a binder of the same name: the
+    binder is renamed as if every free name had been known from the start."""
+
+    def test_restriction_before_a_free_site_of_its_name(self):
+        src = "(new $a) $a :: nil || $a :: nil"
+        assert s.render(parse_system(src)) == "(new $a#1) $a#1 :: nil || $a :: nil"
+
+    def test_template_before_a_later_free_use_of_its_name(self):
+        src = "$l :: delete(T@$l, (!x), x = 1). nil || $l :: insert(T@$l, (x)). nil"
+        assert s.render(parse_system(src)) == (
+            "$l :: delete(T@$l, (!x#1), x#1 = 1). nil || $l :: insert(T@$l, (x)). nil")
+
+    def test_restriction_and_binder_share_the_counter(self):
+        src = ("(new $a) $a :: delete(T@$a, (!x), true). nil "
+               "|| $a :: insert(T@$a, (x)). nil")
+        assert s.render(parse_system(src)) == (
+            "(new $a#1) $a#1 :: delete(T@$a#1, (!x#2), true). nil "
+            "|| $a :: insert(T@$a, (x)). nil")
+
+    def test_renamed_rows_go_last(self):
+        # Renaming moves a row to the end of its table, and a row pass meets
+        # rows in that order.
+        src = "(new $a) $a :: table T : (Loc, Int) = { ($a, 1), ($b, 2), ($a, 3) } || $a :: nil"
+        table = parse_system(src).main_net.left.inner.component
+        assert [s.render(row) for row in table.rows] == ["($b, 2)", "($a#1, 1)", "($a#1, 3)"]
+
+    def test_first_bad_call_in_source_order(self):
+        src = "let f(x: Int) := nil in (new $a) $a :: f() || $a :: g(1)"
+        with pytest.raises(ParseError) as exc:
+            parse_system(src)
+        assert str(exc.value) == "1:40: procedure 'f' takes 1 argument(s), got 0"
+
+
 def _aggr_chain(n: int) -> s.System:
     """n chained aggrs, each binding two names of its own."""
     p = s.NilProc()
