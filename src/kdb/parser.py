@@ -11,24 +11,25 @@ computed from the offset only for spans and errors.  The list ends in one
 EOF token, which the parser never reads past.  Keyword and operator choices
 are table lookups on the kind.
 
-After building the AST, `rename_apart` makes one `syntax.ScopedMap` walk
-over the binders that `syntax.CHILDREN` declares, after two folds that
-collect the names already in use.  Its environment is two `syntax.Scope`s
-on one journal: one maps each variable in scope to its sort and its new
-name, the other each restricted locality to its new name.  The walk
+The descent resolves names as it meets them, so it builds the only tree.
+A binder scopes over the fields of its node written after it (the rule of
+`syntax.CHILDREN`), so it is bound when parsed and undone at its node's
+end, in two `syntax.Scope`s on one journal: variable -> (sort, new name)
+and restricted locality -> new name.  The descent
 
-- sorts variables: a bare name is a locality variable where a `!@u`
-  template field or a Loc parameter binds it, and a data variable otherwise
-  (the parser reads a bare name as data, or in a locality position as a
-  locality variable);
-- renames bound names apart so that no binder name is reused anywhere in
-  the system (fresh names use a `#k` suffix, which the lexer forbids in
-  source), numbered in visit order: procedures in declaration order, then
-  the main net;
-- collects the procedure calls.  After the walk every call must name a
-  declared procedure and pass it as many arguments as it has parameters.
-  Of several bad calls the first in source order is reported: the walk
-  visits the procedures before the main net, and each in source order.
+- sorts variables: outside a table position, a name bound by `!@u` or a
+  Loc parameter is a locality variable and any other bound name a data
+  variable; a free name keeps the sort its position reads;
+- renames binders apart from each other and from every free name, with a
+  `#k` suffix, which the lexer forbids in source, numbered in source order;
+- collects the calls.  Each must name a declared procedure and pass it as
+  many arguments as it has parameters; the first bad one in source order
+  is reported.
+
+A free name that first occurs after a binder took it, as in `(new $a) $a ::
+nil || $a :: nil`, makes `rename_apart` parse the tokens again with every
+free name reserved, which gives `(new $a#1) $a#1 :: nil || $a :: nil`.  The
+descent builds a net's `||` spine in a loop, so a wide net costs no frames.
 """
 
 from __future__ import annotations
@@ -149,10 +150,19 @@ _ACTION_KEYWORDS = ("insert", "delete", "select", "update", "aggr", "create", "d
 
 
 class _Parser:
-    def __init__(self, source: str, tokens: list):
+    """The `free_` sets hold the free names met so far or reserved, and the
+    `bound_` sets the binders' new names."""
+
+    def __init__(self, source: str, tokens: list, free_vars=(), free_locs=()):
         self.tokens = tokens
         self.pos = 0
         self.line_starts = _line_starts(source)
+        self.variables = s.Scope()
+        self.localities = s.Scope(journal=self.variables.journal)
+        self.free_vars, self.free_locs = set(free_vars), set(free_locs)
+        self.bound_vars, self.bound_locs = set(), set()
+        self.counter = itertools.count(1)
+        self.calls = []
 
     # -- token plumbing
 
@@ -207,6 +217,41 @@ class _Parser:
     def fail(self, message: str, expected=()):
         raise self.error(message, self.tokens[self.pos], expected)
 
+    # -- names
+
+    def fresh(self, name: str, free: set, bound: set) -> str:
+        """A binder's new name: its own, or else the first free `name#k`."""
+        new = name
+        while new in free or new in bound:
+            new = f"{name}#{next(self.counter)}"
+        bound.add(new)
+        return new
+
+    def bind(self, name: str, sort: str) -> str:
+        """Bind a variable until the journal is undone; returns its new name."""
+        new = self.fresh(name, self.free_vars, self.bound_vars)
+        self.variables.bind(name, (sort, new))
+        return new
+
+    def variable(self, t: tuple, cls):
+        """The variable the NAME token `t` reads, as `cls` reads it."""
+        bound = self.variables.get(t[1])
+        if bound is None:
+            self.free_vars.add(t[1])
+            return cls(t[1], span=self.span(t))
+        sort, name = bound
+        if cls is not s.TableByVar:
+            cls = s.LocVar if sort == "loc" else s.DataVar
+        return cls(name, span=self.span(t))
+
+    def locality(self, name: str) -> str:
+        """The new name of a locality occurrence."""
+        new = self.localities.get(name)
+        if new is None:
+            self.free_locs.add(name)
+            return name
+        return new
+
     # -- entry point
 
     def system(self) -> s.System:
@@ -236,10 +281,13 @@ class _Parser:
         params = [] if self.at(")") else self.separated(self.param)
         self.expect(")")
         self.expect(":=")
+        mark = self.variables.mark()
+        bound = tuple((self.bind(name, s.param_sort(ty)), ty) for name, ty in params)
         body = self.process()
+        self.variables.undo(mark)
         if len({n for n, _ in params}) != len(params):
             raise self.error(f"duplicate parameter name in {t[1]!r}", t)
-        return s.ProcDef(t[1], tuple(params), body, span=self.span(t))
+        return s.ProcDef(t[1], bound, body, span=self.span(t))
 
     def param(self) -> tuple:
         name = self.expect("NAME", "parameter name")[1]
@@ -276,15 +324,20 @@ class _Parser:
         if self.accept("ERR"):
             return s.ErrNet(span=self.span(t))
         if self.accept("$"):
-            loc = self.expect("NAME", "locality name")[1]
+            loc = self.locality(self.expect("NAME", "locality name")[1])
             self.expect("::")
             return s.Node(loc, self.component(), span=self.span(t))
         if self.accept("("):
             if self.accept("new"):
                 self.expect("$")
-                loc = self.expect("NAME", "locality name")[1]
+                name = self.expect("NAME", "locality name")[1]
                 self.expect(")")
-                return s.Restrict(loc, self.net_atom(), span=self.span(t))
+                mark = self.localities.mark()
+                loc = self.fresh(name, self.free_locs, self.bound_locs)
+                self.localities.bind(name, loc)
+                inner = self.net_atom()
+                self.localities.undo(mark)
+                return s.Restrict(loc, inner, span=self.span(t))
             inner = self.net()
             self.expect(")")
             return inner
@@ -314,9 +367,13 @@ class _Parser:
         sk = self.schema()
         self.expect("=")
         self.expect("{")
-        rows = [] if self.at("}") else self.separated(self.row)
+        rows = Multiset([] if self.at("}") else self.separated(self.row))
         self.expect("}")
-        return s.Interface(tid, sk), Multiset(rows)
+        if self.localities:
+            # Renamed whole, so a renamed row moves last: the order of rows
+            # decides which failing row a select reports.
+            rows = s.rename_rows(rows, self.localities)
+        return s.Interface(tid, sk), rows
 
     def row(self) -> ValueTuple:
         self.expect("(", "row")
@@ -326,8 +383,8 @@ class _Parser:
 
     def constant(self, t: tuple, what: str):
         """The constant the token `t`, just read, begins: an integer, a string,
-        a table identifier or a locality, in a row or an expression alike.
-        `what` is the error when `t` begins none."""
+        a table identifier or a locality, as a row holds it (an expression
+        reads a locality itself).  `what` is the error when `t` begins none."""
         kind = t[0]
         if kind == "INT":
             return VInt(int(t[1]))
@@ -338,7 +395,9 @@ class _Parser:
         if kind == "TID":
             return VTid(t[1])
         if kind == "$":
-            return VLoc(self.expect("NAME", "locality name")[1])
+            name = self.expect("NAME", "locality name")[1]
+            self.locality(name)  # noted if free; its table renames it
+            return VLoc(name)
         raise self.error(what, t)
 
     def value(self):
@@ -369,15 +428,20 @@ class _Parser:
         t = self.peek()
         kind = t[0]
         if kind in _ACTION_KEYWORDS:
+            mark = self.variables.mark()
             action = self.action()
             self.expect(".", "'.' and a continuation")
-            return s.Prefix(action, self.proc_atom(), span=action.span)
+            cont = self.proc_atom()
+            self.variables.undo(mark)
+            return s.Prefix(action, cont, span=action.span)
         if kind == "NAME":
             self.next()
             self.expect("(")
             args = [] if self.at(")") else self.separated(self.expr)
             self.expect(")")
-            return s.CallProc(t[1], tuple(args), span=self.span(t))
+            call = s.CallProc(t[1], tuple(args), span=self.span(t))
+            self.calls.append(call)
+            return call
         if kind == "nil":
             self.next()
             return s.NilProc(span=self.span(t))
@@ -391,6 +455,7 @@ class _Parser:
             self.expect("(")
             table = self.tableref()
             self.expect(",")
+            mark = self.variables.mark()
             template = self.template()
             self.expect(",")
             pred = self.pred()
@@ -399,6 +464,7 @@ class _Parser:
             self.expect(")")
             self.expect(":")
             body = self.proc_atom()
+            self.variables.undo(mark)
             return s.Foreach(table, template, pred, order, body, span=self.span(t))
         self.fail(
             "expected a process",
@@ -429,9 +495,9 @@ class _Parser:
     def loc_expr(self) -> s.Expr:
         t = self.peek()
         if self.accept("$"):
-            return VLoc(self.expect("NAME", "locality name")[1])
+            return VLoc(self.locality(self.expect("NAME", "locality name")[1]))
         if self.accept("NAME"):
-            return s.LocVar(t[1], span=self.span(t))
+            return self.variable(t, s.LocVar)
         self.fail("expected a locality", expected=("$", "a locality variable"))
 
     def action(self) -> s.Action:
@@ -439,6 +505,7 @@ class _Parser:
         kw = t[0]
         span = self.span(t)
         self.expect("(")
+        mark = self.variables.mark()  # a template's, undone before any export binds
         if kw == "select":
             tables = [self.tableref()]
             self.expect(",")
@@ -450,9 +517,10 @@ class _Parser:
             pred = self.pred()
             self.expect(",")
             payload = self.tuple_()
+            self.variables.undo(mark)
             self.expect(",")
             self.expect("!")
-            bind = self.expect("NAME", "table variable")[1]
+            bind = self.bind(self.expect("NAME", "table variable")[1], "table")
             self.expect(")")
             return s.Select(tuple(tables), template, pred, payload, bind, span=span)
         if kw == "eval":
@@ -479,14 +547,17 @@ class _Parser:
         template = self.template()
         self.expect(",")
         pred = self.pred()
+        if kw == "update":
+            self.expect(",")
+            payload = self.tuple_()
+        self.variables.undo(mark)
         if kw == "delete":
             self.expect(")")
             return s.Delete(tid, template, pred, loc, span=span)
-        self.expect(",")
         if kw == "update":
-            payload = self.tuple_()
             self.expect(")")
             return s.Update(tid, template, pred, payload, loc, span=span)
+        self.expect(",")
         fn = self.operator(s.AggrFn, _AGGREGATORS, "an aggregator")  # aggr
         self.expect(",")
         bind_template = self.template()
@@ -502,31 +573,33 @@ class _Parser:
             tid, loc = self.target()
             return s.TableByName(tid, loc, span=self.span(t))
         if self.accept("NAME"):
-            return s.TableByVar(t[1], span=self.span(t))
+            return self.variable(t, s.TableByVar)
         self.fail("expected a table", expected=("TID@loc", "a table variable", "table"))
 
     # -- templates, tuples, predicates, expressions
 
     def template(self) -> s.Template:
+        """A template, its fields bound until the journal is undone."""
         t = self.expect("(", "template")
         fields = self.separated(self.template_field)
         self.expect(")")
         seen = set()
-        for f in fields:
-            if f.name in seen:
-                raise ParseError(
-                    f"template binds {f.name!r} twice; binders must be linear",
-                    f.span.line, f.span.col,
-                )
-            seen.add(f.name)
-        return s.Template(tuple(fields), span=self.span(t))
+        for cls, name, where in fields:
+            if name in seen:
+                raise ParseError(f"template binds {name!r} twice; binders must be linear",
+                                 where.line, where.col)
+            seen.add(name)
+        return s.Template(tuple([cls(self.bind(name, "loc" if cls is s.BindLoc else "data"),
+                                     span=where) for cls, name, where in fields]),
+                          span=self.span(t))
 
-    def template_field(self):
+    def template_field(self) -> tuple:
+        """(class, name, span) of a template field."""
         t = self.peek()
         if self.accept("!@"):
-            return s.BindLoc(self.expect("NAME", "locality variable")[1], span=self.span(t))
+            return s.BindLoc, self.expect("NAME", "locality variable")[1], self.span(t)
         if self.accept("!"):
-            return s.BindData(self.expect("NAME", "data variable")[1], span=self.span(t))
+            return s.BindData, self.expect("NAME", "data variable")[1], self.span(t)
         self.fail("expected a template field", expected=("!x", "!@u"))
 
     def tuple_(self) -> s.Tuple:
@@ -581,8 +654,9 @@ class _Parser:
         t = self.next()
         kind = t[0]
         if kind == "NAME":
-            # Data vs locality variable is settled by `rename_apart`.
-            return s.DataVar(t[1], span=self.span(t))
+            return self.variable(t, s.DataVar)
+        if kind == "$":
+            return VLoc(self.locality(self.expect("NAME", "locality name")[1]))
         if kind == "{":
             elems = self.separated(self.multiset_elem)
             self.expect("}")
@@ -609,103 +683,29 @@ def _contains_multiset(e: s.Expr) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# Sorting variables, renaming binders apart and collecting calls, in one walk
-
-class _Resolve(s.ScopedMap):
-    """env maps each variable in scope to its sort ("data", "loc" or
-    "table") and its new name; `localities`, which shares env's journal,
-    maps each restricted locality in scope to its new name.
-
-    A binder keeps its name on first use and gets a `#k`-suffixed fresh name
-    on any reuse; `#` cannot appear in source names, so fresh names never
-    collide.  `calls` holds the calls mapped so far, in visit order.
-    """
-
-    def __init__(self, used_vars: set, used_locs: set):
-        self.used_vars = used_vars
-        self.used_locs = used_locs
-        self.counter = itertools.count(1)
-        self.calls = []
-        self.variables = s.Scope()
-        self.localities = s.Scope(journal=self.variables.journal)
-
-    def _fresh(self, name: str, used: set) -> str:
-        new = name
-        while new in used:
-            new = f"{name}#{next(self.counter)}"
-        used.add(new)
-        return new
-
-    def bind(self, names, env):
-        new = tuple(self._fresh(name, self.used_vars) for name, _ in names)
-        for (name, sort), fresh in zip(names, new):
-            env.bind(name, (sort, fresh))
-        return new
-
-    def restrict(self, name, env):
-        new = self._fresh(name, self.used_locs)
-        self.localities.bind(name, new)
-        return new
-
-    def site(self, name, env):
-        return self.localities.get(name, name)
-
-    def _var(self, node, env):
-        bound = env.get(node.name)
-        if bound is None:
-            return node
-        sort, name = bound
-        cls = node.__class__
-        if cls is not s.TableByVar:
-            cls = s.LocVar if sort == "loc" else s.DataVar
-        if cls is node.__class__ and name == node.name:
-            return node
-        return cls(name, span=node.span)
-
-    def _loc(self, node, env):
-        return s.rename_value(node, self.localities)
-
-    def _table(self, node, env):
-        return s.rename_table(node, self.localities) if self.localities else node
-
-    def _call(self, node, env):
-        # A call is a leaf process, so mapping its arguments here adds one
-        # frame at the bottom of the tree only.
-        self.calls.append(node)
-        args = tuple([self.map(a, env) for a in node.args])
-        if all(a is b for a, b in zip(args, node.args)):
-            return node
-        return s.CallProc(node.name, args, span=node.span)
-
-    hooks = {s.DataVar: _var, s.LocVar: _var, s.TableByVar: _var, s.CallProc: _call,
-             VLoc: _loc, s.TableLiteral: _table, s.TableComp: _table}
-
-
 def _check_calls(calls: list, procedures: dict) -> None:
     for p in calls:
         d = procedures.get(p.name)
-        where = p.span or s.Span(0, 0)
         if d is None:
-            raise ParseError(f"call to undefined procedure {p.name!r}",
-                             where.line, where.col)
-        if len(d.params) != len(p.args):
-            raise ParseError(
-                f"procedure {p.name!r} takes {len(d.params)} argument(s), "
-                f"got {len(p.args)}",
-                where.line, where.col,
-            )
+            message = f"call to undefined procedure {p.name!r}"
+        elif len(d.params) != len(p.args):
+            message = f"procedure {p.name!r} takes {len(d.params)} argument(s), got {len(p.args)}"
+        else:
+            continue
+        raise ParseError(message, p.span.line, p.span.col)
 
 
-def rename_apart(system: s.System) -> s.System:
-    """Sort variables, rename binders apart and check calls (module docstring)."""
-    # A procedure body restricts no name, so the free localities of the
-    # system include every name a body mentions.
-    walk = _Resolve(set(s.free_vars(system)), set(s.free_locs(system)))
-    procedures = {name: walk.map(d, walk.variables) for name, d in system.procedures.items()}
-    main_net = walk.map(system.main_net, walk.variables)
-    _check_calls(walk.calls, system.procedures)
-    return s.System(procedures, system.schema_decls, main_net)
+def rename_apart(source: str, tokens: list) -> s.System:
+    """Parse the tokens of `source` into a system with its variables sorted
+    and its binders renamed apart, and check its calls (module docstring)."""
+    parser = _Parser(source, tokens)
+    system = parser.system()
+    if parser.free_vars & parser.bound_vars or parser.free_locs & parser.bound_locs:
+        # A binder took a name that occurs free after it.
+        parser = _Parser(source, tokens, parser.free_vars, parser.free_locs)
+        system = parser.system()
+    _check_calls(parser.calls, system.procedures)
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +713,4 @@ def rename_apart(system: s.System) -> s.System:
 
 def parse_system(source: str) -> s.System:
     """Parse a full system; raises ParseError on malformed input."""
-    tokens = tokenize(source)
-    system = _Parser(source, tokens).system()
-    return rename_apart(system)
+    return rename_apart(source, tokenize(source))

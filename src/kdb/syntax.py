@@ -12,14 +12,16 @@ scopes over the fields of its node listed after it.  A template's `!x` and
 `!@u` scope over its action's predicate and payload and over a loop's body;
 a select's `!t` and an aggr's result template over the continuation of
 their prefix; procedure parameters over the body; `(new $l)` over its net.
-`ScopedMap` is the one traversal that table drives.  Like the type checker
-it binds in a `Scope`, in place, and undoes what a node bound when the node
-is done.  `free_vars`, `loc_names`, `free_locs` and `rename_localities`
-here, `kernel.apply_subst`, the parser's renaming walk and the checker's
-collection of table shapes are each a few hooks on it.  `render` is driven
-by a table too, `_FORMAT`, with one format function per class and the
-parenthesisation of tight positions as data; it and the type checker
-recurse on Python frames, as `ScopedMap` does.
+A binder's scope follows it in the source text too, so the parser resolves
+names by the same rule as it reads them.  `ScopedMap` is the one traversal
+of the tree that the table drives.  Like the type checker and the parser it
+binds in a `Scope`, in place, and undoes what a node bound when the node is
+done.  `free_vars`, `loc_names`, `free_locs` and `rename_localities` here,
+`kernel.apply_subst` and the checker's collection of table shapes are each
+a few hooks on it.  `render` is driven by a table too, `_FORMAT`, with one
+format function per class and the parenthesisation of tight positions as
+data; it and the type checker recurse on Python frames, as `ScopedMap`
+does.
 """
 
 from __future__ import annotations
@@ -639,10 +641,10 @@ def _plan(cls) -> tuple:
 
 # class -> (field names but span, ((index, field, shape), ...))
 _PLANS = {cls: _plan(cls) for cls in CHILDREN}
-# action class -> (index, field, binder shape) of the binder it exports
-_EXPORTS = {cls: (i, name, _EXPORTED[shape])
+# action class -> (field, binder shape) of the binder it exports
+_EXPORTS = {cls: (name, _EXPORTED[shape])
             for cls, (_, steps) in _PLANS.items()
-            for i, name, shape in steps if shape in _EXPORTED}
+            for _, name, shape in steps if shape in _EXPORTED}
 
 
 # The classes with children that hold expressions only: no process, table
@@ -689,17 +691,11 @@ class Scope(dict):
                 scope[name] = old
 
 
-def _param_sort(ty) -> str:
+def param_sort(ty) -> str:
     """The sort of variable a procedure parameter of type `ty` binds."""
     if isinstance(ty, tuple):
         return "table"
     return "loc" if ty == LOC else "data"
-
-
-def _rebuild(node, vals: list):
-    if node.__class__ is System:
-        return System(*vals)
-    return node.__class__(*vals, span=node.span)
 
 
 class ScopedMap:
@@ -709,19 +705,17 @@ class ScopedMap:
     lists them and rebuilds the node from the results; it returns the node
     itself when no child changed.  `env` is a `Scope`: the node's binders
     bind into it in place, and `map` undoes them when the node is done.  A
-    subclass says what happens at leaves and binders.  A fold is a map whose
-    hooks collect something and return their node.  The recursion is here
-    and costs one Python frame per level of the tree; a hook recurses only
-    below a leaf of the process tree, as the parser's does into a call's
-    arguments.
+    subclass says what happens at leaves and binders, which keep their
+    names.  A fold is a map whose hooks collect something and return their
+    node.  The recursion is here and costs one Python frame per level of
+    the tree; no hook maps further.
 
     - `hooks`: class -> function(self, node, env) -> node.  A hook takes
       over its node whole, whether a leaf or a node it need not enter.
     - `bind(names, env)`: variable binders, `names` = ((name, sort), ...)
       with sort "data", "loc" or "table".  Binds in env what their scope
-      needs; returns their new names (None keeps them).
-    - `restrict(name, env)`: a restricted locality, likewise; returns its
-      new name (None keeps it).
+      needs.
+    - `restrict(name, env)`: a restricted locality, likewise.
     - `site(name, env)`: the locality name of a Node; returns its new name.
     """
 
@@ -732,11 +726,11 @@ class ScopedMap:
         super().__init_subclass__(**kw)
         cls._dispatch = {**_PLANS, **cls.hooks}
 
-    def bind(self, names: tuple, env):
-        return None
+    def bind(self, names: tuple, env) -> None:
+        pass
 
-    def restrict(self, name: str, env):
-        return None
+    def restrict(self, name: str, env) -> None:
+        pass
 
     def site(self, name: str, env) -> str:
         return name
@@ -771,13 +765,7 @@ class ScopedMap:
                 if export is not None:
                     if mark is None:
                         mark = len(env.journal)
-                    j, field_name, binder = export
-                    bound = getattr(old, field_name)
-                    renamed = self._bind(binder, bound, env)
-                    if renamed is not bound:
-                        rebuilt = [getattr(new, f) for f in _PLANS[old.__class__][0]]
-                        rebuilt[j] = renamed
-                        new = _rebuild(new, rebuilt)
+                    self._bind(export[1], getattr(old, export[0]), env)
             elif shape is SITE:
                 new = self.site(old, env)
             elif shape is PROCS:
@@ -793,36 +781,29 @@ class ScopedMap:
             else:
                 if mark is None:
                     mark = len(env.journal)
-                new = self._bind(shape, old, env)
+                self._bind(shape, old, env)
+                continue
             if new is not old:
                 if vals is None:
                     vals = [getattr(node, a) for a in attrs]
                 vals[i] = new
         if mark is not None and len(env.journal) > mark:
             env.undo(mark)
-        return node if vals is None else _rebuild(node, vals)
+        if vals is None:
+            return node
+        return System(*vals) if node.__class__ is System else node.__class__(*vals, span=node.span)
 
-    def _bind(self, shape, value, env):
-        """Open a binder's scope in env; returns the binder, renamed or not."""
+    def _bind(self, shape, value, env) -> None:
+        """Open a binder's scope in env."""
         if shape is RESTRICTED:
-            new = self.restrict(value, env)
-            return value if new is None or new == value else new
-        if shape is PATTERN:
-            names = tuple((f.name, "loc" if f.__class__ is BindLoc else "data")
-                          for f in value.fields)
+            self.restrict(value, env)
+        elif shape is PATTERN:
+            self.bind(tuple((f.name, "loc" if f.__class__ is BindLoc else "data")
+                            for f in value.fields), env)
         elif shape is PARAMS:
-            names = tuple((name, _param_sort(ty)) for name, ty in value)
+            self.bind(tuple((name, param_sort(ty)) for name, ty in value), env)
         else:  # TABLE_VAR
-            names = ((value, "table"),)
-        new = self.bind(names, env)
-        if new is None or new == tuple(name for name, _ in names):
-            return value
-        if shape is PATTERN:
-            return Template(tuple(f.__class__(name, span=f.span)
-                                  for f, name in zip(value.fields, new)), span=value.span)
-        if shape is PARAMS:
-            return tuple((name, ty) for name, (_, ty) in zip(new, value))
-        return new[0]
+            self.bind(((value, "table"),), env)
 
 
 # -- renaming localities in values, shared by the traversals that rename

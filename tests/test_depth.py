@@ -7,8 +7,11 @@ generated dataclass `__hash__` of a process body, which `canonicalize`
 calls when it first hashes the chain).  A traversal that spent one more
 frame per level would fail here.
 
-Wide nets pin the same for the `||` spine of a net: the parser's passes
-recurse once per node, and canonicalize must not recurse at all.
+Wide nets pin the same for the `||` spine of a net.  The parser builds the
+spine in a loop, so it parses a net of any width, and canonicalize must
+not recurse at all.  The checker, the `free_vars` and `free_locs` folds and
+`render` still recurse once per node, so checking, running and exploring a
+wide net are pinned at 900 nodes.
 """
 
 from kdb import semantics
@@ -46,6 +49,10 @@ def test_explore_chain_of_450():
     result = semantics.explore(parse_system(chain(450)), bound=3)
     assert result.truncated
     assert result.states == 3
+
+
+def test_parse_wide_net_of_10000():
+    assert parse_system(wide(10_000)) is not None
 
 
 def test_wide_net_of_900():

@@ -6,7 +6,7 @@ import pytest
 
 from gen import random_system
 from kdb import syntax as s
-from kdb.parser import ParseError, parse_system, rename_apart
+from kdb.parser import ParseError, parse_system
 from kdb.values import VInt, VLoc, VStr
 
 
@@ -287,23 +287,20 @@ class TestLateClashes:
         assert str(exc.value) == "1:40: procedure 'f' takes 1 argument(s), got 0"
 
 
-def _aggr_chain(n: int) -> s.System:
+def _aggr_chain(n: int) -> str:
     """n chained aggrs, each binding two names of its own."""
-    p = s.NilProc()
-    for i in reversed(range(n)):
-        p = s.Prefix(s.Aggr("T", s.Template((s.BindData(f"a{i}"),)), s.TruePred(),
-                            s.AggrFn("count"), s.Template((s.BindData(f"r{i}"),)), VLoc("l")), p)
-    return s.System({}, (("T", (s.INT,)),), s.Node("l", s.ProcComp(p)))
+    steps = "".join(f"aggr(T@$l, (!a{i}), true, count, (!r{i})). " for i in range(n))
+    return f"schema T : (Int)\n$l :: {steps}nil\n"
 
 
 def test_rename_apart_time_grows_linearly_with_binders_in_scope():
     # Linear work gives a ratio of about 4, work per binder that grows with
     # the names in scope (an environment copied per binder) about 16.
-    def best_of_3(system):
+    def best_of_3(source):
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            rename_apart(system)
+            parse_system(source)
             best = min(best, time.perf_counter() - start)
         return best
 
