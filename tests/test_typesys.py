@@ -2,6 +2,8 @@
 
 import pathlib
 
+import pytest
+
 from fixtures import KLD_SCHEMA, SEVEN_BINDERS, SSRESULT_SCHEMA, STORES_SCHEMA
 from kdb import syntax as s
 from kdb.parser import parse_system
@@ -321,6 +323,34 @@ class TestSystemChecking:
                'insert(T@$l, (r)). nil)')
         diags = check_system(parse_system(src))
         assert any(d.kind == "unbound-variable" for d in diags)
+
+
+# Each program reaches one checker branch that no other test reaches, and the
+# diagnostics are pinned whole, in order.
+DIAGNOSTIC_TEXTS = [
+    ("schema T : (Int)\n$l :: table T : (Int) = {} || $l :: foreach(T@$l, (!x), true, asc[2]): nil",
+     ["2:37: loop order names a missing column"]),
+    ("schema T : (Int)\n$l :: table T : (String) = {}",
+     ["2:7: table 'T' is used with two different schemas (expected (Int), found (String))",
+      "2:7: table 'T' carries a different schema (expected (Int), found (String))"]),
+    ("schema T : (Int)\n$l :: select(T@$l, (!x), true, (x), !r). insert(T@$l, (r)). nil",
+     ["2:56: table variable 'r' used as data"]),
+    ("schema T : (Int)\n"
+     "$l :: aggr(T@$l, (!a), true, count, (!x)). foreach(x, (!y), true, unordered): nil",
+     ["2:52: 'x' is not a table variable"]),
+    ("$l :: foreach(t, (!y), true, unordered): nil",
+     ["1:15: unbound table variable 't'", "the net has free variables: t"]),
+    ("let f(t: (Int)) := foreach(t, (!y), true, unordered): nil\nin $l :: f(1)",
+     ["2:10: parameter 't' wants a table; expressions cannot supply one"]),
+    ('schema T : (Int)\n$l :: select(table T : (String) = {("a")}, (!x), true, (x), !r). nil',
+     ["2:14: table 'T' is used with two different schemas (expected (Int), found (String))",
+      "2:14: table 'T' declared with a different schema (expected (Int), found (String))"]),
+]
+
+
+@pytest.mark.parametrize("src, texts", DIAGNOSTIC_TEXTS)
+def test_diagnostic_text(src, texts):
+    assert [str(d) for d in check_system(parse_system(src))] == texts
 
 
 class TestEnvUndo:
