@@ -163,6 +163,7 @@ class _Parser:
         self.bound_vars, self.bound_locs = set(), set()
         self.counter = itertools.count(1)
         self.calls = []
+        self.parens = {}  # position after a "(" -> (expression, position after its ")")
 
     # -- token plumbing
 
@@ -662,8 +663,14 @@ class _Parser:
             self.expect("}")
             return s.MultisetLit(tuple(elems), span=self.span(t))
         if kind == "(":
-            inner = self.expr()
-            self.expect(")")
+            # Memoised: `pred_atom` reads it twice at every level of nesting,
+            # and a read binds nothing, so a second one gives the same.
+            start = self.pos
+            if start not in self.parens:
+                inner = self.expr()
+                self.expect(")")
+                self.parens[start] = inner, self.pos
+            inner, self.pos = self.parens[start]
             return inner
         return self.constant(t, "expected an expression")
 

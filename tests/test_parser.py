@@ -308,6 +308,32 @@ def test_rename_apart_time_grows_linearly_with_binders_in_scope():
     assert best_of_3(large) < 8 * best_of_3(small)
 
 
+@pytest.mark.parametrize("comparison", ["{} = 1", "{} + 1 = 2"])
+def test_nested_parentheses_parse_in_linear_work(monkeypatch, comparison):
+    # A parenthesized expression that starts a comparison is read as a
+    # predicate first; reading it again at every level of nesting made the
+    # calls quadratic: about 16 times as many at 200 levels as at 50.
+    from kdb.parser import _Parser
+    calls = 0
+    expr_atom = _Parser.expr_atom
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return expr_atom(self)
+
+    monkeypatch.setattr(_Parser, "expr_atom", counted)
+
+    def calls_at(levels):
+        nonlocal calls
+        calls = 0
+        nested = "(" * levels + "x" + ")" * levels
+        parse_system(f"$l :: delete(T@$l, (!x), {comparison.format(nested)}). nil")
+        return calls
+
+    assert calls_at(200) <= 8 * calls_at(50)
+
+
 class TestRowParsing:
     def test_table_rows_with_multisets_and_localities(self):
         net = parse_net(
