@@ -268,7 +268,6 @@ class TestCriterion8CheckerLinearity:
     def test_check_time_linear_in_program_size(self):
         sizes = [10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000, 10_000_000]
         points = []
-        max_time = 0.0
         for target in sizes:
             sys1 = synthetic_system(target)
             actual = len(s.render(sys1))
@@ -276,26 +275,27 @@ class TestCriterion8CheckerLinearity:
             gc.disable()
             try:
                 reps = 3 if target <= 100_000 else (2 if target < 10_000_000 else 1)
-                best = min(
-                    _timed_check(sys1) for _ in range(reps)
-                )
+                times = [_timed_check(sys1) for _ in range(reps)]
             finally:
                 gc.enable()
-            points.append((actual, best))
-            max_time = max(max_time, best)
+            # The fit is on CPU time, which another process on the machine
+            # does not inflate; the bound on the last, biggest program is on
+            # wall time.
+            wall = min(w for w, _ in times)
+            points.append((actual, min(cpu for _, cpu in times)))
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
         a, b, r2 = linear_fit(xs, ys)
-        biggest = points[-1]
-        assert biggest[1] < 5.0, f"checking {biggest[0]} chars took {biggest[1]:.2f}s"
+        assert wall < 5.0, f"checking {xs[-1]} chars took {wall:.2f}s"
         assert r2 >= 0.98, f"linear fit R^2 = {r2:.4f} over {points}"
-        report(8, f"R^2={r2:.4f}; {biggest[0]:,} chars checked in {biggest[1]*1000:.0f} ms")
+        report(8, f"R^2={r2:.4f}; {xs[-1]:,} chars checked in {wall*1000:.0f} ms")
 
 
-def _timed_check(sys1) -> float:
-    t0 = time.perf_counter()
+def _timed_check(sys1) -> tuple:
+    """(wall, CPU) seconds of one check."""
+    t0, c0 = time.perf_counter(), time.process_time()
     diags = check_system(sys1)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0, time.process_time() - c0
     assert diags == []
     return elapsed
 
