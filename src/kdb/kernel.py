@@ -48,14 +48,7 @@ from kdb.values import (
 
 
 class _EvalErr:
-    """Singleton marker for evaluation and matching failures."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The marker of evaluation and matching failures; ERR is its one instance."""
 
     def __repr__(self):
         return "ERR"

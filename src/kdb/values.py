@@ -17,11 +17,9 @@ class Multiset:
 
     __slots__ = ("_counts", "_hash")
 
-    def __init__(self, items: Union[Iterable[X], Mapping[X, int], "Multiset", None] = None):
+    def __init__(self, items: Union[Iterable[X], Mapping[X, int], None] = None):
         counts: dict = {}
-        if isinstance(items, Multiset):
-            counts = dict(items._counts)
-        elif isinstance(items, Mapping):
+        if isinstance(items, Mapping):
             for k, n in items.items():
                 if n < 0:
                     raise ValueError(f"negative multiplicity {n!r} for {k!r}")
