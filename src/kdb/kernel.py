@@ -295,7 +295,7 @@ class _Subst(s.ScopedMap):
     monitored error."""
 
     def bind(self, names, env):
-        for name, _ in names:
+        for name in names:
             if env.get(name) is not None:
                 env.bind(name, None)
 

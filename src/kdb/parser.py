@@ -283,7 +283,7 @@ class _Parser:
         self.expect(")")
         self.expect(":=")
         mark = self.variables.mark()
-        bound = tuple((self.bind(name, s.param_sort(ty)), ty) for name, ty in params)
+        bound = tuple((self.bind(name, _param_sort(ty)), ty) for name, ty in params)
         body = self.process()
         self.variables.undo(mark)
         if len({n for n, _ in params}) != len(params):
@@ -680,6 +680,11 @@ class _Parser:
         if _contains_multiset(e):
             raise self.error("multisets cannot nest", t)
         return e
+
+
+def _param_sort(ty) -> str:
+    """The sort of variable a procedure parameter of type `ty` binds."""
+    return "table" if isinstance(ty, tuple) else "loc" if ty == s.LOC else "data"
 
 
 def _contains_multiset(e: s.Expr) -> bool:

@@ -18,10 +18,10 @@ of the tree that the table drives.  Like the type checker and the parser it
 binds in a `Scope`, in place, and undoes what a node bound when the node is
 done.  `free_vars`, `loc_names`, `free_locs` and `rename_localities` here,
 `kernel.apply_subst` and the checker's collection of table shapes are each
-a few hooks on it.  `render` is driven by a table too, `_FORMAT`, with one
-format function per class and the parenthesisation of tight positions as
-data; it and the type checker recurse on Python frames, as `ScopedMap`
-does.
+a few hooks on it.  It costs a Python frame per level of the tree but none
+per node of a `||` or `|` spine.  `render` is driven by a table too,
+`_FORMAT`, with one format function per class and the parenthesisation of
+tight positions as data; it recurses on every level, a spine's included.
 """
 
 from __future__ import annotations
@@ -691,13 +691,6 @@ class Scope(dict):
                 scope[name] = old
 
 
-def param_sort(ty) -> str:
-    """The sort of variable a procedure parameter of type `ty` binds."""
-    if isinstance(ty, tuple):
-        return "table"
-    return "loc" if ty == LOC else "data"
-
-
 class ScopedMap:
     """The one traversal of the AST, driven by CHILDREN.
 
@@ -708,23 +701,39 @@ class ScopedMap:
     subclass says what happens at leaves and binders, which keep their
     names.  A fold is a map whose hooks collect something and return their
     node.  The recursion is here and costs one Python frame per level of
-    the tree; no hook maps further.
+    the tree, but none per node of a `||` or `|` spine nested on the left,
+    as the parser and `to_net` build one: `_spine` follows it in a loop.
 
     - `hooks`: class -> function(self, node, env) -> node.  A hook takes
       over its node whole, whether a leaf or a node it need not enter.
-    - `bind(names, env)`: variable binders, `names` = ((name, sort), ...)
-      with sort "data", "loc" or "table".  Binds in env what their scope
-      needs.
+    - `bind(names, env)`: variable binders, a tuple of their names.  Binds
+      in env what their scope needs.
     - `restrict(name, env)`: a restricted locality, likewise.
     - `site(name, env)`: the locality name of a Node; returns its new name.
     """
 
     hooks: dict = {}
-    _dispatch: dict = _PLANS  # class -> hook or plan
 
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
-        cls._dispatch = {**_PLANS, **cls.hooks}
+        cls._dispatch = {**ScopedMap._dispatch, **cls.hooks}
+
+    def _spine(self, node, env):
+        """A ParNet or ParComp: its left branches in a loop, then its right ones."""
+        cls = node.__class__
+        spine = []
+        while node.__class__ is cls:
+            spine.append(node)
+            node = node.left
+        new = self.map(node, env)
+        for par in reversed(spine):
+            right = self.map(par.right, env)
+            if new is not par.left or right is not par.right:
+                par = cls(new, right, span=par.span)
+            new = par
+        return new
+
+    _dispatch: dict = {**_PLANS, ParNet: _spine, ParComp: _spine}  # class -> hook or plan
 
     def bind(self, names: tuple, env) -> None:
         pass
@@ -798,12 +807,11 @@ class ScopedMap:
         if shape is RESTRICTED:
             self.restrict(value, env)
         elif shape is PATTERN:
-            self.bind(tuple((f.name, "loc" if f.__class__ is BindLoc else "data")
-                            for f in value.fields), env)
+            self.bind(value.names(), env)
         elif shape is PARAMS:
-            self.bind(tuple((name, param_sort(ty)) for name, ty in value), env)
+            self.bind(tuple([name for name, _ in value]), env)
         else:  # TABLE_VAR
-            self.bind(((value, "table"),), env)
+            self.bind((value,), env)
 
 
 # -- renaming localities in values, shared by the traversals that rename
@@ -857,7 +865,7 @@ class _FreeVars(ScopedMap):
         self.out = set()
 
     def bind(self, names, env):
-        for name, _ in names:
+        for name in names:
             env.bind(name, True)
 
     def _occurrence(self, node, env):

@@ -9,7 +9,8 @@ binder-kind rule gives no data variable, and a table variable to its
 schema, a tuple.  A scope is a mark of the Scope's journal, the binder's
 bindings, and an undo to the mark after its body is checked, all in the
 frame that checks the binder; so checking a straight-line process costs one
-Python frame per action.
+Python frame per action.  A net binds no variable, and `type_net` pops its
+parts off a stack, so a net's width costs none.
 
 The checker is its own walk, not a `syntax.ScopedMap` pass, for three
 reasons.  A binder's types come from a sibling's schema: a template is typed
@@ -266,16 +267,12 @@ class Checker:
 
     def _check_rows(self, interface: s.Interface, rows, span) -> bool:
         sk = interface.schema
-        bad = None
         for row in rows.support():
             if not well_sorted_value(row, sk):
-                bad = row
-                break
-        if bad is not None:
-            self.error("row-format",
-                       f"row {s.render_row(bad)} does not fit the table schema",
-                       span, expected=s.render_schema(sk), found=s.render_row(bad))
-            return False
+                self.error("row-format",
+                           f"row {s.render_row(row)} does not fit the table schema",
+                           span, expected=s.render_schema(sk), found=s.render_row(row))
+                return False
         return True
 
     # -- actions
@@ -443,45 +440,36 @@ class Checker:
             return a and b
         raise TypeError(f"not a process: {p!r}")
 
-    def type_component(self, env: s.Scope, c: s.Component) -> bool:
-        if isinstance(c, s.ProcComp):
-            return self.type_process(env, c.process)
-        if isinstance(c, s.TableComp):
-            if c.interface.tid is None:
+    def type_net(self, env: s.Scope, net: s.Net) -> None:
+        """Types a net's parts, which pop off a stack left ones first, as in
+        `net.canonicalize`; a restriction binds no variable."""
+        stack = [net]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, (s.ParNet, s.ParComp)):
+                stack += [n.right, n.left]
+            elif isinstance(n, s.Restrict):
+                stack.append(n.inner)
+            elif isinstance(n, s.Node):
+                stack.append(n.component)
+            elif isinstance(n, s.ProcComp):
+                self.type_process(env, n.process)
+            elif isinstance(n, s.TableComp) and n.interface.tid is None:
                 self.error("anonymous-table",
-                           "a nameless table cannot stand as a component", c.span)
-                return False
-            sk = self._schema_of(c.interface.tid, c.span)
-            if sk is None:
-                return False
-            if sk != c.interface.schema:
-                self.error("schema-conflict",
-                           f"table {c.interface.tid!r} carries a different schema",
-                           c.span, expected=s.render_schema(sk),
-                           found=s.render_schema(c.interface.schema))
-                return False
-            return self._check_rows(c.interface, c.rows, c.span)
-        if isinstance(c, s.ParComp):
-            a = self.type_component(env, c.left)
-            b = self.type_component(env, c.right)
-            return a and b
-        raise TypeError(f"not a component: {c!r}")
-
-    def type_net(self, env: s.Scope, n: s.Net) -> bool:
-        if isinstance(n, s.NilNet):
-            return True
-        if isinstance(n, s.ErrNet):
-            self.error("error-net", "the error net is never well-typed", n.span)
-            return False
-        if isinstance(n, s.ParNet):
-            a = self.type_net(env, n.left)
-            b = self.type_net(env, n.right)
-            return a and b
-        if isinstance(n, s.Restrict):
-            return self.type_net(env, n.inner)
-        if isinstance(n, s.Node):
-            return self.type_component(env, n.component)
-        raise TypeError(f"not a net: {n!r}")
+                           "a nameless table cannot stand as a component", n.span)
+            elif isinstance(n, s.TableComp):
+                sk = self._schema_of(n.interface.tid, n.span)
+                if sk == n.interface.schema:
+                    self._check_rows(n.interface, n.rows, n.span)
+                elif sk is not None:
+                    self.error("schema-conflict",
+                               f"table {n.interface.tid!r} carries a different schema",
+                               n.span, expected=s.render_schema(sk),
+                               found=s.render_schema(n.interface.schema))
+            elif isinstance(n, s.ErrNet):
+                self.error("error-net", "the error net is never well-typed", n.span)
+            elif not isinstance(n, s.NilNet):
+                raise TypeError(f"not a net or a component: {n!r}")
 
 
 def _projectable(e: s.Expr) -> bool:

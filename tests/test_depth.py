@@ -7,14 +7,18 @@ generated dataclass `__hash__` of a process body, which `canonicalize`
 calls when it first hashes the chain).  A traversal that spent one more
 frame per level would fail here.
 
-Wide nets pin the same for the `||` spine of a net.  The parser builds the
-spine in a loop, so it parses a net of any width, and canonicalize must
-not recurse at all.  The checker, the `free_vars` and `free_locs` folds and
-`render` still recurse once per node, so checking, running and exploring a
-wide net are pinned at 900 nodes.
+Wide nets pin the same for the `||` and `|` spines of a net.  The parser
+builds a spine in a loop, the checker and `canonicalize` pop its parts off
+a stack, and `ScopedMap` (behind `free_vars`, `free_locs` and the checker's
+table shapes) follows its left branches in a loop, so parsing, checking and
+exploring take a net of any width: 10,000 nodes are pinned.  `render` is
+the one walk that still recurses on width.  Running a wide net is pinned at
+900 nodes, because each step still costs passes over every item, so a run
+is quadratic in the width.
 """
 
 from kdb import semantics
+from kdb.net import canonicalize
 from kdb.parser import parse_system
 from kdb.typesys import check_system
 
@@ -70,3 +74,20 @@ def test_explore_wide_net_of_900():
     # the net through explore's canonicalize and key alone.
     result = semantics.explore(parse_system(wide(900, "nil")), bound=3)
     assert (result.states, len(result.quiescent), result.truncated) == (1, 1, False)
+
+
+def test_check_wide_net_of_10000():
+    assert check_system(parse_system(wide(10_000))) == []
+
+
+def test_explore_wide_net_of_10000():
+    result = semantics.explore(parse_system(wide(10_000, "nil")))
+    assert (result.states, len(result.quiescent)) == (1, 1)
+
+
+def test_explore_restricted_wide_net_of_10000():
+    nodes = wide(10_000, "nil").split("\n", 1)[1].strip()
+    sys1 = parse_system(f"schema T : (Int)\n(new $l0) ({nodes})\n")
+    assert semantics.explore(sys1).states == 1
+    canonical = canonicalize(sys1.main_net)
+    assert (len(canonical.items), canonical.restricted) == (10_000, ("l0",))
