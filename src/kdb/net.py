@@ -77,8 +77,8 @@ def canonicalize(net: s.Net) -> CanonicalNet:
     Subterms pop off an explicit stack, left ones first: no Python frame per
     level (`free_locs` costs one per level of a process, none per `||` or
     `|`).  A net is paired with the renaming of the restricted names in
-    scope, a renamed component with its node's locality.  Inert units are kept, last, only where their
-    locality holds nothing else.
+    scope, a renamed component with its node's locality.  Inert units are
+    kept, last, only where their locality holds nothing else.
     """
     used = set(s.free_locs(net))
     counter = itertools.count(1)

@@ -6,7 +6,7 @@ import pytest
 
 from gen import random_system
 from kdb import syntax as s
-from kdb.parser import ParseError, parse_system
+from kdb.parser import ParseError, _Parser, parse_system
 from kdb.values import VInt, VLoc, VStr
 
 
@@ -313,7 +313,6 @@ def test_nested_parentheses_parse_in_linear_work(monkeypatch, comparison):
     # A parenthesized expression that starts a comparison is read as a
     # predicate first; reading it again at every level of nesting made the
     # calls quadratic: about 16 times as many at 200 levels as at 50.
-    from kdb.parser import _Parser
     calls = 0
     expr_atom = _Parser.expr_atom
 
