@@ -349,8 +349,6 @@ def project_schema(sk: s.Schema, template: s.Template, t: s.Tuple) -> Optional[s
     """
     if len(template.fields) != len(sk):
         return None
-    if len(t.components) > len(template.fields):
-        return None
     by_name = {f.name: i for i, f in enumerate(template.fields)}
     out = []
     for e in t.components:

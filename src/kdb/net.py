@@ -231,7 +231,7 @@ def canonical_key(cn: CanonicalNet):
     fixed = []  # (loc, text, count) of the items whose body mentions no restricted name
     held = []  # (loc, body, count) of the others
     for (loc, body), cnt in cn.items.items():
-        if restricted and not restricted.isdisjoint(s.loc_names(body)):
+        if restricted and not restricted.isdisjoint(s.free_locs(body)):
             held.append((loc, body, cnt))
         else:
             text = getattr(body, "_text", None)
@@ -287,7 +287,7 @@ class StateKeys:
     def _body(self, body) -> tuple:
         names = ()
         if self._restricted:
-            names = tuple(sorted(s.loc_names(body) & self._restricted))
+            names = tuple(sorted(s.free_locs(body) & self._restricted))
         entry = self._bodies[id(body)] = (body, names, {} if names else {(): self._intern(body)})
         return entry
 

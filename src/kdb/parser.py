@@ -163,7 +163,7 @@ class _Parser:
         self.bound_vars, self.bound_locs = set(), set()
         self.counter = itertools.count(1)
         self.calls = []
-        self.parens = {}  # position after a "(" -> (expression, position after its ")")
+        self.parens = {}  # position after a "(" -> (expression, position after ")") or ParseError
 
     # -- token plumbing
 
@@ -663,14 +663,22 @@ class _Parser:
             self.expect("}")
             return s.MultisetLit(tuple(elems), span=self.span(t))
         if kind == "(":
-            # Memoised: `pred_atom` reads it twice at every level of nesting,
-            # and a read binds nothing, so a second one gives the same.
+            # Memoised, a failed read too: `pred_atom` reads it twice at every
+            # level of nesting, and a read binds nothing, so a second one
+            # gives the same.
             start = self.pos
-            if start not in self.parens:
-                inner = self.expr()
-                self.expect(")")
-                self.parens[start] = inner, self.pos
-            inner, self.pos = self.parens[start]
+            got = self.parens.get(start)
+            if got is None:
+                try:
+                    inner = self.expr()
+                    self.expect(")")
+                    got = inner, self.pos
+                except ParseError as e:
+                    got = e
+                self.parens[start] = got
+            if got.__class__ is not tuple:
+                raise got
+            inner, self.pos = got
             return inner
         return self.constant(t, "expected an expression")
 

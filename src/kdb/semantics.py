@@ -108,7 +108,7 @@ def _is_known_locality(cn: CanonicalNet, loc: str) -> bool:
     localities are tried before any item's body is walked."""
     items = cn.items.items()
     return (loc in cn.restricted or any(iloc == loc for (iloc, _), _n in items)
-            or any(loc in s.loc_names(body) for (_, body), _n in items))
+            or any(loc in s.free_locs(body) for (_, body), _n in items))
 
 
 def _loc_of(e: s.Expr):

@@ -7,21 +7,23 @@ equal regardless of layout.  A constant is its value: an expression holds
 the `VInt`, `VStr`, `VTid` or `VLoc` of `kdb.values` that a table row holds,
 with no span, and `rename_value` renames a locality wherever it occurs.
 
-The binding structure is declared once, in the table CHILDREN: a binder
-scopes over the fields of its node listed after it.  A template's `!x` and
-`!@u` scope over its action's predicate and payload and over a loop's body;
-a select's `!t` and an aggr's result template over the continuation of
-their prefix; procedure parameters over the body; `(new $l)` over its net.
-A binder's scope follows it in the source text too, so the parser resolves
-names by the same rule as it reads them.  `ScopedMap` is the one traversal
-of the tree that the table drives.  Like the type checker and the parser it
-binds in a `Scope`, in place, and undoes what a node bound when the node is
-done.  `free_vars`, `loc_names`, `free_locs` and `rename_localities` here,
-`kernel.apply_subst` and the checker's collection of table shapes are each
-a few hooks on it.  It costs a Python frame per level of the tree but none
-per node of a `||` or `|` spine.  `render` is driven by a table too,
-`_FORMAT`, with one format function per class and the parenthesisation of
-tight positions as data; it recurses on every level, a spine's included.
+The binding structure of processes and nets is declared once, in the table
+CHILDREN: a binder scopes over the fields of its node listed after it.  A
+template's `!x` and `!@u` scope over its action's predicate and payload and
+over a loop's body; a select's `!t` and an aggr's result template over the
+continuation of their prefix; `(new $l)` over its net.  A binder's scope
+follows it in the source text too, so the parser resolves names by the same
+rule as it reads them; procedure parameters, which scope over their body,
+the parser and the checker bind themselves.  `ScopedMap` is the one
+traversal of processes and nets that the table drives.  Like the type
+checker and the parser it binds in a `Scope`, in place, and undoes what a
+node bound when the node is done.  `free_vars`, `free_locs` and
+`rename_localities` here, `kernel.apply_subst` and the checker's collection
+of table shapes are each a few hooks on it.  It costs a Python frame per
+level of the tree but none per node of a `||` or `|` spine.  `render` is
+driven by a table too, `_FORMAT`, with one format function per class and the
+parenthesisation of tight positions as data; it recurses on every level, a
+spine's included.
 """
 
 from __future__ import annotations
@@ -573,23 +575,23 @@ _FORMAT = {
 # ---------------------------------------------------------------------------
 # Binding structure
 #
-# CHILDREN declares, once for the whole language, which fields of each AST
+# CHILDREN declares, once for processes and nets, which fields of each AST
 # class hold its children and how they are scoped, by one rule: a binder
 # scopes over the fields of its node listed after it (so a delete's,
 # update's and aggr's locality comes before its template).  A class that is
 # not listed has no children to visit: the constants, a VLoc an occurrence
 # of its locality; the variables DataVar, LocVar, TableByVar; and the
 # tables TableLiteral and TableComp, whose rows may hold localities.
+# Neither ProcDef nor System is listed: the parser and the checker scope a
+# procedure's parameters over its body themselves.
 #
 # Shapes of a child field:
 ONE = "one"  # one node
 MANY = "many"  # a tuple of nodes
 ACTION = "action"  # Prefix.action, whose exported binder is a binder of the Prefix
 SITE = "site"  # Node.loc: a locality occurrence
-PROCS = "procs"  # System.procedures: ProcDef by name
 # Shapes of a binder field:
 PATTERN = "pattern"  # a Template: `!x` binds data, `!@u` a locality variable
-PARAMS = "params"  # ProcDef.params: data, locality and table variables
 RESTRICTED = "restricted"  # Restrict.loc: a locality name
 TABLE_VAR = "table-var"  # a table variable
 # ... and of a binder that its action exports to the continuation of its
@@ -626,8 +628,6 @@ CHILDREN = {
     ParNet: (("left", ONE), ("right", ONE)),
     Restrict: (("loc", RESTRICTED), ("inner", ONE)),
     Node: (("loc", SITE), ("component", ONE)),
-    ProcDef: (("params", PARAMS), ("body", ONE)),
-    System: (("procedures", PROCS), ("main_net", ONE)),
 }
 
 _EXPORTED = {EXPORTS_TABLE_VAR: TABLE_VAR, EXPORTS_PATTERN: PATTERN}
@@ -692,7 +692,7 @@ class Scope(dict):
 
 
 class ScopedMap:
-    """The one traversal of the AST, driven by CHILDREN.
+    """The one traversal of processes and nets, driven by CHILDREN.
 
     `map(node, env)` maps every child of the node in the order CHILDREN
     lists them and rebuilds the node from the results; it returns the node
@@ -777,14 +777,6 @@ class ScopedMap:
                     self._bind(export[1], getattr(old, export[0]), env)
             elif shape is SITE:
                 new = self.site(old, env)
-            elif shape is PROCS:
-                new = old
-                for key, d in old.items():
-                    d2 = self.map(d, env)
-                    if d2 is not d:
-                        if new is old:
-                            new = dict(old)
-                        new[key] = d2
             elif shape in _EXPORTED:
                 continue  # bound by the enclosing Prefix
             else:
@@ -800,7 +792,7 @@ class ScopedMap:
             env.undo(mark)
         if vals is None:
             return node
-        return System(*vals) if node.__class__ is System else node.__class__(*vals, span=node.span)
+        return node.__class__(*vals, span=node.span)
 
     def _bind(self, shape, value, env) -> None:
         """Open a binder's scope in env."""
@@ -808,8 +800,6 @@ class ScopedMap:
             self.restrict(value, env)
         elif shape is PATTERN:
             self.bind(value.names(), env)
-        elif shape is PARAMS:
-            self.bind(tuple([name for name, _ in value]), env)
         else:  # TABLE_VAR
             self.bind((value,), env)
 
@@ -877,23 +867,21 @@ class _FreeVars(ScopedMap):
 
 
 def free_vars(node) -> frozenset:
-    """Free data/locality/table variables of any AST node."""
+    """Free data, locality and table variables of a process, a net, or a part
+    of one."""
     fold = _FreeVars()
     fold.map(node, Scope())
     return frozenset(fold.out)
 
 
-class _Localities(ScopedMap):
-    """Locality names: those no restriction in scope (env) binds, and the
-    restricted ones."""
+class _FreeLocs(ScopedMap):
+    """Locality names that no restriction in scope (env) binds."""
 
     def __init__(self, node):
         self.free = set()
-        self.restricted = set()
         self.map(node, Scope())
 
     def restrict(self, name, env):
-        self.restricted.add(name)
         env.bind(name, True)
 
     def site(self, name, env):
@@ -918,15 +906,10 @@ class _Localities(ScopedMap):
     hooks = {VLoc: _value, TableLiteral: _rows, TableComp: _rows}
 
 
-def loc_names(node) -> frozenset:
-    """All locality names occurring in the node, restricted ones included."""
-    fold = _Localities(node)
-    return frozenset(fold.free | fold.restricted)
-
-
 def free_locs(node) -> frozenset:
-    """Locality names occurring free in a node (restriction binds)."""
-    return frozenset(_Localities(node).free)
+    """Locality names occurring free in a process, a net, or a part of one
+    (a restriction binds its name)."""
+    return frozenset(_FreeLocs(node).free)
 
 
 class _RenameLocalities(ScopedMap):
@@ -952,7 +935,8 @@ _RENAME_LOCALITIES = _RenameLocalities()
 
 
 def rename_localities(node, mapping: dict):
-    """Rename free locality occurrences; restriction binders shadow."""
+    """A process, a net, or a part of one with its free locality occurrences
+    renamed by `mapping`; restriction binders shadow."""
     if not mapping:
         return node
     return _RENAME_LOCALITIES.map(node, Scope(mapping))

@@ -395,16 +395,19 @@ def corrupt(system: s.System, rng: random.Random):
 # Corruption of a select or a loop, wherever it sits
 
 def _subterms(node):
-    """Every node below `node`, itself included, in field order."""
+    """Every node below `node`, itself included, in field order.  A system's
+    procedure bodies come before its net."""
     yield node
+    if isinstance(node, s.System):
+        for d in node.procedures.values():
+            yield from _subterms(d.body)
+        yield from _subterms(node.main_net)
+        return
     for name, shape in s.CHILDREN.get(node.__class__, ()):
         child = getattr(node, name)
         if shape == s.MANY:
             for x in child:
                 yield from _subterms(x)
-        elif shape == s.PROCS:
-            for d in child.values():
-                yield from _subterms(d)
         elif shape in (s.ONE, s.ACTION):
             yield from _subterms(child)
 
@@ -413,13 +416,16 @@ def _replace_node(node, target, new):
     """`node` with every occurrence of the object `target` replaced by `new`."""
     if node is target:
         return new
+    if isinstance(node, s.System):
+        procs = {k: dataclasses.replace(d, body=_replace_node(d.body, target, new))
+                 for k, d in node.procedures.items()}
+        return dataclasses.replace(node, procedures=procs,
+                                   main_net=_replace_node(node.main_net, target, new))
     changes = {}
     for name, shape in s.CHILDREN.get(node.__class__, ()):
         child = getattr(node, name)
         if shape == s.MANY:
             changes[name] = tuple(_replace_node(x, target, new) for x in child)
-        elif shape == s.PROCS:
-            changes[name] = {k: _replace_node(d, target, new) for k, d in child.items()}
         elif shape in (s.ONE, s.ACTION):
             changes[name] = _replace_node(child, target, new)
     return dataclasses.replace(node, **changes) if changes else node

@@ -107,7 +107,7 @@ def _known_locs(state: NaiveState):
     names = set(state.restricted)
     for loc, body in state.items:
         names.add(loc)
-        names |= s.loc_names(body)
+        names |= s.free_locs(body)
     return names
 
 

@@ -431,6 +431,13 @@ class TestProjection:
         got = k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t)
         assert got == (s.INT, s.STRING)
 
+    def test_payload_longer_than_its_template(self):
+        # Every component still projects: a constant brings its own sort.
+        template = s.Template((s.BindData("x"),))
+        t = s.Tuple((s.DataVar("x"), VInt(1), VStr("a"), s.DataVar("x")))
+        got = k.project_schema((s.INT,), template, t)
+        assert got == (s.INT, s.INT, s.STRING, s.INT)
+
     def test_unbound_variable_is_undefined(self):
         t = s.Tuple((s.DataVar("nope"),))
         assert k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t) is None

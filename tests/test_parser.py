@@ -308,11 +308,19 @@ def test_rename_apart_time_grows_linearly_with_binders_in_scope():
     assert best_of_3(large) < 8 * best_of_3(small)
 
 
-@pytest.mark.parametrize("comparison", ["{} = 1", "{} + 1 = 2"])
-def test_nested_parentheses_parse_in_linear_work(monkeypatch, comparison):
+@pytest.mark.parametrize("comparison, innermost, error", [
+    pytest.param("{} = 1", "x", None, id="{} = 1"),
+    pytest.param("{} + 1 = 2", "x", None, id="{} + 1 = 2"),
+    # The error points just past the innermost "x +": column 79 at 50
+    # levels and 229 at 200.
+    pytest.param("{} = 2", "x +", {50: "1:79: expected an expression",
+                                   200: "1:229: expected an expression"}, id="({} +) = 2"),
+])
+def test_nested_parentheses_parse_in_linear_work(monkeypatch, comparison, innermost, error):
     # A parenthesized expression that starts a comparison is read as a
     # predicate first; reading it again at every level of nesting made the
-    # calls quadratic: about 16 times as many at 200 levels as at 50.
+    # calls quadratic: about 16 times as many at 200 levels as at 50.  An
+    # expression that fails to parse is read once too.
     calls = 0
     expr_atom = _Parser.expr_atom
 
@@ -326,8 +334,14 @@ def test_nested_parentheses_parse_in_linear_work(monkeypatch, comparison):
     def calls_at(levels):
         nonlocal calls
         calls = 0
-        nested = "(" * levels + "x" + ")" * levels
-        parse_system(f"$l :: delete(T@$l, (!x), {comparison.format(nested)}). nil")
+        nested = "(" * levels + innermost + ")" * levels
+        source = f"$l :: delete(T@$l, (!x), {comparison.format(nested)}). nil"
+        if error is None:
+            parse_system(source)
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_system(source)
+            assert str(info.value) == error[levels]
         return calls
 
     assert calls_at(200) <= 8 * calls_at(50)

@@ -19,6 +19,7 @@ from kdb import semantics
 from kdb import syntax as s
 from kdb.net import canonical_key, canonicalize, dump_tables, find_tables, lid
 from kdb.parser import parse_system
+from kdb.typesys import check_system
 from kdb.semantics import (
     IntegrityError,
     Trace,
@@ -813,6 +814,21 @@ class TestCaseStudyRun:
         trace = run(sys1, seed=3, max_steps=200)
         for _, cn in trace.steps:
             assert no_rep(lid(cn))
+
+
+def test_select_payload_longer_than_its_template_checks_and_runs():
+    # A checked select whose payload outgrows its template must not reach ERR.
+    text = ("schema T : (Int)\n"
+            "schema R : (Int, Int, Int)\n"
+            "$l :: { table T : (Int) = {(5)} | select(T@$l, (!x), true, (x, 1, 2), !t). "
+            "foreach(t, (!a, !b, !c), true, unordered): insert(R@$l, (a, b, c)). nil } "
+            "|| $l :: table R : (Int, Int, Int) = {}")
+    sys1 = parse_system(text)
+    assert check_system(sys1) == []
+    trace = run(sys1, seed=0, max_steps=50)
+    assert trace.terminal == "quiescent"
+    (table,) = find_tables(trace.final(), "l", "R")
+    assert table.rows == Multiset([srow(5, 1, 2)])
 
 
 class TestRowPassAgainstReference:

@@ -238,7 +238,7 @@ def known_localities(cn) -> frozenset:
     names = set(cn.restricted)
     for (loc, body), _ in cn.items.items():
         names.add(loc)
-        names |= s.loc_names(body)
+        names |= s.free_locs(body)
     return frozenset(names)
 
 

@@ -171,9 +171,8 @@ BINDER_SCOPES = {
     s.Foreach: {"template": {"pred", "body"}},
     s.Prefix: {"action": {"cont"}},
     s.Restrict: {"loc": {"inner"}},
-    s.ProcDef: {"params": {"body"}},
 }
-BINDER_SHAPES = (s.PATTERN, s.PARAMS, s.RESTRICTED, s.TABLE_VAR, s.ACTION,
+BINDER_SHAPES = (s.PATTERN, s.RESTRICTED, s.TABLE_VAR, s.ACTION,
                  s.EXPORTS_TABLE_VAR, s.EXPORTS_PATTERN)
 EXPORTED_SHAPES = (s.EXPORTS_TABLE_VAR, s.EXPORTS_PATTERN)
 

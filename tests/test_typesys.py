@@ -8,7 +8,7 @@ from fixtures import KLD_SCHEMA, SEVEN_BINDERS, SSRESULT_SCHEMA, STORES_SCHEMA
 from kdb import syntax as s
 from kdb.parser import parse_system
 from kdb.typesys import Checker, check_system
-from kdb.values import VInt, VLoc, VStr, VTid
+from kdb.values import Multiset, VInt, VLoc, VStr, VTid
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -352,6 +352,42 @@ DIAGNOSTIC_TEXTS = [
 def test_diagnostic_text(src, texts):
     assert [str(d) for d in check_system(parse_system(src))] == texts
 
+
+
+# Three diagnostics the parser cannot lead to, each on a built system of one
+# node at $l with a one-column table T declared, pinned whole.
+_AT_L = VLoc("l")
+
+
+def _count_into(name: str) -> s.Aggr:
+    """`aggr(T@$l, (!a), true, count, (!name))`."""
+    return s.Aggr("T", s.Template((s.BindData("a"),)), s.TruePred(), s.AggrFn("count"),
+                  s.Template((s.BindData(name),)), _AT_L)
+
+
+BUILT_DIAGNOSTIC_TEXTS = [
+    # A parse renames every binder apart, so none shadows another.
+    pytest.param(
+        s.ProcComp(s.Prefix(_count_into("x"), s.Prefix(
+            s.Delete("T", s.Template((s.BindData("x"),)), s.TruePred(), _AT_L), s.NilProc()))),
+        ["binder 'x' shadows an existing binding"], id="shadowing"),
+    # Only a selection's result is a nameless table, and it is never a component.
+    pytest.param(
+        s.TableComp(s.Interface(None, (s.INT,)), Multiset(), span=s.Span(1, 7)),
+        ["1:7: a nameless table cannot stand as a component"], id="anonymous-table"),
+    # The parser sorts `u` by its binder: bound by `!u`, it is a data variable.
+    pytest.param(
+        s.ProcComp(s.Prefix(_count_into("u"), s.Prefix(
+            s.Insert("T", s.Tuple((VInt(1),)), s.LocVar("u", span=s.Span(1, 40))),
+            s.NilProc()))),
+        ["1:40: 'u' is not a locality variable"], id="kind-mismatch"),
+]
+
+
+@pytest.mark.parametrize("component, texts", BUILT_DIAGNOSTIC_TEXTS)
+def test_diagnostic_text_of_a_built_system(component, texts):
+    system = s.System({}, (("T", (s.INT,)),), s.Node("l", component))
+    assert [str(d) for d in check_system(system)] == texts
 
 class TestEnvUndo:
     def test_bindings_do_not_leak(self):
