@@ -17,9 +17,16 @@ The population:
   re-parse, an exploration of at most 40 states (each state's canonical key
   and each transition's label and ends) and two seeded runs of at most 20
   steps;
+- 20 nets (`repeated_tables`) that hold two or three different tables
+  under one `T@l`, beside processes that insert, delete, update,
+  aggregate, select, create and drop there, each treated like the systems
+  above, so the order of tables that tie on (locality, identifier) is
+  covered by design, not by chance;
 - 1,000 `gen.random_system` programs, rendered and checked;
 - 1,000 `gen.clash_source` texts, whose names clash on purpose: the render
-  and `repr` of each parse (so row order too), or its ParseError text.
+  and `repr` of each parse (so row order too), or its ParseError text;
+- a 200-node wide net, each node an insert beside its own table, run for 40
+  steps: each step's label and the final tables.
 
 Only text goes into the hash: renders, the `repr`s of parses, diagnostics,
 labels and the `str` of canonical keys, none of which depends on the
@@ -36,7 +43,7 @@ import sys
 import gen
 import gensys
 from kdb import syntax as s
-from kdb.net import canonical_key
+from kdb.net import canonical_key, dump_json
 from kdb.parser import ParseError, parse_system
 from kdb.semantics import explore, run
 from kdb.typesys import check_system
@@ -44,6 +51,9 @@ from kdb.typesys import check_system
 SEEDS = 400
 RANDOM_PROGRAMS = 1000
 CLASH_SOURCES = 1000
+REPEATED_TABLES = 20
+WIDE_NODES = 200
+WIDE_STEPS = 40
 EXPLORE_BOUND = 40
 RUN_STEPS = 20
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "corpus")
@@ -53,6 +63,42 @@ def generated(seed: int) -> s.System:
     if seed % 2:
         return gensys.typed_system(seed, max_procs=3, max_steps=6, max_rows=4)
     return gensys.typed_system(seed)
+
+
+def repeated_tables(seed: int) -> str:
+    """A net with two or three different tables under T@$l, one of them
+    perhaps twice, and processes that act on T@$l."""
+    rng = random.Random(seed)
+
+    def rows() -> str:
+        return ", ".join(f"({rng.randrange(5)}, {rng.randrange(5)})"
+                         for _ in range(rng.randrange(4)))
+
+    tables = {f"table T : (Int, Int) = {{{rows()}}}" for _ in range(rng.randint(2, 3))}
+    if len(tables) < 2:
+        tables.add("table T : (Int, Int) = {(9, 9)}")
+    a = rng.randrange(5)
+    actions = [
+        f"insert(T@$l, ({a}, {rng.randrange(5)})). nil",
+        f"delete(T@$l, (!x, !y), x = {a}). nil",
+        f"update(T@$l, (!x, !y), y < {a}, (x, y + 1)). nil",
+        "aggr(T@$l, (!x, !y), true, sum[2], (!r)). insert(U@$l, (r, r)). nil",
+        f"select(T@$l, (!x, !y), x >= {a}, (x, y), !t). "
+        "foreach(t, (!p, !q), true, unordered): insert(U@$l, (p, q)). nil",
+        "create(T@$l, (Int, Int)). nil",
+        "drop(T@$l). nil",
+    ]
+    procs = rng.sample(actions, rng.randint(2, 4))
+    parts = sorted(tables) + ["table U : (Int, Int) = {}"] + procs
+    if rng.random() < 0.5:
+        parts.append(sorted(tables)[0])  # one table twice: a count of 2
+    return "$l :: { " + " | ".join(parts) + " }\n"
+
+
+def wide(n: int) -> str:
+    """n nodes side by side, each an insert beside its own table."""
+    return " || ".join(f"$l{i} :: {{ insert(T@$l{i}, ({i})). nil | table T : (Int) = {{}} }}"
+                       for i in range(n)) + "\n"
 
 
 def population() -> list:
@@ -66,6 +112,8 @@ def population() -> list:
             bad = corrupt(sys1, random.Random(seed))
             if bad is not None:
                 out.append((f"{name} {seed}", bad))
+    for seed in range(REPEATED_TABLES):
+        out.append((f"repeated tables {seed}", parse_system(repeated_tables(seed))))
     for fname in sorted(os.listdir(CORPUS)):
         if fname.endswith(".kdb"):
             with open(os.path.join(CORPUS, fname), encoding="utf-8") as f:
@@ -116,6 +164,9 @@ def main() -> int:
             put(f"parse error: {e}")
         else:
             put(s.render(sys1), repr(sys1))
+    trace = run(parse_system(wide(WIDE_NODES)), seed=0, max_steps=WIDE_STEPS)
+    put(f"== wide {WIDE_NODES} {trace.terminal}",
+        *(f"{lb.rule} {lb.actor} {lb.detail}" for lb, _ in trace.steps), dump_json(trace.final()))
     print(" ".join(f"{k}={v}" for k, v in counts.items()), digest.hexdigest())
     return 0
 
