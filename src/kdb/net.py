@@ -7,8 +7,11 @@ process or table, and inert-process units are absorbed.  Rule matching in
 the engine then becomes multiset lookup instead of congruence search.
 `canonicalize` is one loop over an explicit stack, not a recursion.
 
-`find_tables` is the one place that says where table `tid@loc` is: every
-engine rule that names a table, select and create included, asks it.
+`tables_by_id` says where every table `tid@loc` is, in one pass over the
+items: the engine builds that map once per enumeration and every rule that
+names a table, select and create included, reads it, as do the `lid`
+integrity check, `find_tables` and the dumps.  It holds the one tie rule:
+different tables under one (locality, identifier) are in render order.
 
 Two keys identify a net up to congruence and renaming of its restricted
 names.  `canonical_key` renders every item that mentions one of those
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 from kdb import syntax as s
@@ -164,47 +166,36 @@ def to_net(cn: CanonicalNet) -> s.Net:
 # ---------------------------------------------------------------------------
 # Table bookkeeping
 
+def tables_by_id(cn: CanonicalNet) -> dict:
+    """Every table of the net under its (locality, table identifier), each
+    repeated by its multiplicity, from one pass over the items.
+
+    Several different tables under one key, which only a net whose `lid`
+    repeats can hold, are in render order: the one tie rule.
+    """
+    tables: dict = {}
+    for (loc, body), n in cn.items.items():
+        if _is_table(body):
+            tables.setdefault((loc, body.interface.tid), []).extend([body] * n)
+    for found in tables.values():
+        if len(found) > 1:
+            found.sort(key=s.render)
+    return tables
+
+
+def find_tables(cn: CanonicalNet, loc: str, tid: str) -> list:
+    """All tables named tid at loc, in `tables_by_id`'s order."""
+    return tables_by_id(cn).get((loc, tid), [])
+
+
 def lid(cn: CanonicalNet) -> Multiset:
     """The multiset of (locality, table identifier) pairs of all tables."""
-    return Multiset((loc, body.interface.tid) for (loc, body), n in cn.items.items()
-                    if _is_table(body) for _ in range(n))
+    return Multiset.of_counts({key: len(found) for key, found in tables_by_id(cn).items()})
 
 
 def no_rep(pairs: Multiset) -> bool:
     """True when no (locality, table identifier) pair repeats."""
     return all(n == 1 for _, n in pairs.items())
-
-
-def table_entries(cn: CanonicalNet) -> list:
-    """(loc, table, count) for every distinct table item, in deterministic order.
-
-    The order is `_item_sort_key`'s without rendering every table: a table
-    renders as `table <tid> : ...`, so at one locality render order is tid
-    order.  Only tables that tie on (loc, tid), which only an unchecked net
-    can hold, are rendered to break the tie.
-    """
-    entries = [(loc, body, n) for (loc, body), n in cn.items.items() if _is_table(body)]
-    ties = Counter((loc, body.interface.tid) for loc, body, _ in entries)
-
-    def key(entry):
-        loc, body, _ = entry
-        tid = body.interface.tid
-        return (loc, tid, s.render(body) if ties[loc, tid] > 1 else "")
-
-    return sorted(entries, key=key)
-
-
-def find_tables(cn: CanonicalNet, loc: str, tid: str) -> list:
-    """All tables named tid at loc, in deterministic order.
-
-    They all tie on (loc, tid), so several different ones, which only an
-    unchecked net can hold, are ordered by render.
-    """
-    found = [(body, n) for (iloc, body), n in cn.items.items()
-             if iloc == loc and _is_table(body) and body.interface.tid == tid]
-    if len(found) > 1:
-        found.sort(key=lambda entry: s.render(entry[0]))
-    return [body for body, n in found for _ in range(n)]
 
 
 def ok(cn: CanonicalNet) -> bool:
@@ -426,20 +417,14 @@ def _groups(items: list, number: dict) -> tuple:
 
 
 def dump_tables(cn: CanonicalNet) -> list:
-    """JSON-ready dump of every table, deterministic order."""
-    out = []
-    for loc, body, n in table_entries(cn):
-        rows = [
-            [_json_value(v) for v in row.components]
-            for row in sorted_rows(body.rows)
-        ]
-        out.extend({
-            "loc": loc,
-            "tid": body.interface.tid,
-            "schema": s.render_schema(body.interface.schema),
-            "rows": rows,
-        } for _ in range(n))
-    return out
+    """JSON-ready dump of every table, in `tables_by_id`'s order under
+    sorted keys."""
+    return [{
+        "loc": loc,
+        "tid": tid,
+        "schema": s.render_schema(body.interface.schema),
+        "rows": [[_json_value(v) for v in row.components] for row in sorted_rows(body.rows)],
+    } for (loc, tid), found in sorted(tables_by_id(cn).items()) for body in found]
 
 
 def _json_value(v):

@@ -7,10 +7,11 @@ when asked for it.  `run` builds the one it picks, `explore` all of them.
 An outcome has one shape, `_Outcome(new_proc, remove, add)`: the acting
 process item becomes new_proc at its locality and the remove items give way
 to the add items.  A table write removes the old table and adds the new one.
-Every action finds its `tid@loc` tables in one place, `net.find_tables`:
-insert, delete, update, aggr and drop say only what they do to one table
-found there, a select joins the row multisets of the first table found for
-each source, and a create is skipped when one is found.
+An enumeration builds one map of the net's tables by (locality,
+identifier), `net.tables_by_id`, and every action finds its `tid@loc`
+tables there: insert, delete, update, aggr and drop say only what they do
+to one table found there, a select joins the row multisets of the first
+table found for each source, and a create is skipped when one is found.
 
 The rows of a table action pass once through `_row_pass`, which judges
 only the rows the acting process has not met (its `_Reuse` record's
@@ -38,8 +39,8 @@ items swapped (`net.make_canonical`), so untouched items are not rehashed;
 the rendering `canonical_key` is computed only for transitions that share a
 label, from the texts bodies and rows keep; and tables are ordered by
 (locality, identifier), rendered only to break a tie.
-The `lid` integrity check reads each outcome's tables against the parent's
-`lid`.
+The `lid` integrity check reads each outcome's tables against the same
+map.
 `explore` deduplicates the states it reaches by one `net.StateKeys` per
 call, which renders nothing and works on a body only the first time it
 meets it.  Substitution builds new terms only for continuations: the process
@@ -49,7 +50,6 @@ after a select or aggr, a loop body and a procedure body.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from operator import is_
 from typing import NamedTuple, Optional
@@ -57,7 +57,7 @@ from typing import NamedTuple, Optional
 from kdb import kernel as k
 from kdb import net as netmod
 from kdb import syntax as s
-from kdb.net import ERR_NET, CanonicalNet, canonical_key, lid, make_canonical, no_rep
+from kdb.net import ERR_NET, CanonicalNet, canonical_key, make_canonical
 from kdb.values import Multiset, ValueTuple, VLoc, row_sort_key
 
 
@@ -100,19 +100,6 @@ class _Outcome:
     new_proc: object
     remove: tuple = ()  # of item
     add: tuple = ()  # of item
-
-
-def _is_known_locality(cn: CanonicalNet, loc: str) -> bool:
-    """Whether loc exists for execution: a restricted name, or a locality
-    occurring anywhere in the net.  The restricted names and the item
-    localities are tried before any item's body is walked."""
-    items = cn.items.items()
-    return (loc in cn.restricted or any(iloc == loc for (iloc, _), _n in items)
-            or any(loc in s.free_locs(body) for (_, body), _n in items))
-
-
-def _loc_of(e: s.Expr):
-    return e.name if isinstance(e, VLoc) else None
 
 
 class _RowPass(NamedTuple):
@@ -267,23 +254,26 @@ class _Reuse:
         return record[2]
 
 
-def _action_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: _Reuse) -> list:
-    """All (rule, detail, outcome) triples for the action of one prefix."""
+def _action_outcomes(tables: dict, prefix: s.Prefix, reuse: _Reuse) -> list:
+    """All (rule, detail, outcome) triples for the action of one prefix, in
+    a net whose tables by (locality, identifier) are `tables`.
+
+    A create or eval needs no check that its locality exists: it names a
+    locality of its own process's body, and so of the net.
+    """
     action, cont = prefix.action, prefix.cont
     if isinstance(action, s.Select):
-        return _select_outcomes(cn, prefix, reuse)
-    loc = _loc_of(action.loc)
-    if loc is None:
+        return _select_outcomes(tables, prefix, reuse)
+    if not isinstance(action.loc, VLoc):
         return []
+    loc = action.loc.name
     on_table = _ON_TABLE.get(type(action))
     if on_table is not None:
-        tables = netmod.find_tables(cn, loc, action.tid)
-        return reuse.outcomes(prefix, tables, lambda seen: [on_table(action, loc, tab, cont, seen)
-                                                            for tab in tables])
-    if not _is_known_locality(cn, loc):
-        return []
+        found = tables.get((loc, action.tid), ())
+        return reuse.outcomes(prefix, found, lambda seen: [on_table(action, loc, tab, cont, seen)
+                                                           for tab in found])
     if isinstance(action, s.Create):
-        if netmod.find_tables(cn, loc, action.tid):
+        if (loc, action.tid) in tables:
             return [("CRT", f"create {action.tid}@{loc}: skipped, identifier taken",
                      _Outcome(cont))]
         table = s.TableComp(s.Interface(action.tid, action.schema), Multiset())
@@ -300,14 +290,14 @@ _SELECT_FAILURE = {"match": "select: row fails to match the template",
                    "eval": "select: evaluation error"}
 
 
-def _select_outcomes(cn: CanonicalNet, prefix: s.Prefix, reuse: _Reuse) -> list:
+def _select_outcomes(tables: dict, prefix: s.Prefix, reuse: _Reuse) -> list:
     action = prefix.action
     sources = []
     for tb in action.tables:
         if isinstance(tb, s.TableLiteral):
             sources.append(tb)
         elif isinstance(tb, s.TableByName) and isinstance(tb.loc, VLoc):
-            found = netmod.find_tables(cn, tb.loc.name, tb.tid)
+            found = tables.get((tb.loc.name, tb.tid))
             if not found:
                 return []  # premise fails; may become enabled later
             sources.append(found[0])
@@ -358,14 +348,11 @@ def _foreach_outcomes(p: s.Foreach) -> list:
     return out
 
 
-def _proc_outcomes(cn: CanonicalNet, proc: s.Process, sys: s.System,
-                   reuse: Optional[_Reuse] = None) -> list:
-    if reuse is None:
-        reuse = _Reuse()
+def _proc_outcomes(tables: dict, proc: s.Process, sys: s.System, reuse: _Reuse) -> list:
     if isinstance(proc, s.NilProc):
         return []
     if isinstance(proc, s.Prefix):
-        return _action_outcomes(cn, proc, reuse)
+        return _action_outcomes(tables, proc, reuse)
     if isinstance(proc, s.CallProc):
         d = sys.procedures.get(proc.name)
         if d is None:
@@ -382,7 +369,7 @@ def _proc_outcomes(cn: CanonicalNet, proc: s.Process, sys: s.System,
         return reuse.outcomes(proc, (), lambda _: _foreach_outcomes(proc))
     if isinstance(proc, s.Seq):
         lifted = []
-        for rule, detail, oc in _proc_outcomes(cn, proc.first, sys, reuse):
+        for rule, detail, oc in _proc_outcomes(tables, proc.first, sys, reuse):
             if k.is_err(oc):
                 lifted.append((rule, detail, oc))
             elif isinstance(oc.new_proc, s.NilProc):
@@ -400,22 +387,20 @@ def _apply(cn: CanonicalNet, actor_item, oc) -> CanonicalNet:
     return make_canonical(cn, [actor_item, *oc.remove], [(actor_item[0], oc.new_proc), *oc.add])
 
 
-def _table_ids(items) -> Counter:
-    return Counter((loc, body.interface.tid) for loc, body in items
-                   if isinstance(body, s.TableComp))
-
-
-def _repeats_table(held: Multiset, oc) -> bool:
-    """Whether applying oc to a net whose `lid` is held, which repeats no
-    table identifier, makes one repeat: an identifier the outcome adds a
-    table under is still held after its removals."""
+def _repeats_table(tables: dict, oc) -> bool:
+    """Whether applying oc to a net whose tables by (locality, identifier)
+    are `tables`, none of them repeated, makes one repeat: a key ends with
+    more than one table once the outcome's removals and additions are
+    counted."""
     if k.is_err(oc):
         return False
-    added = _table_ids(oc.add)
-    if not added:
-        return False
-    removed = _table_ids(oc.remove)
-    return any(held.count(key) - removed[key] + n > 1 for key, n in added.items())
+    change: dict = {}
+    for sign, items in ((-1, oc.remove), (1, oc.add)):
+        for loc, body in items:
+            if isinstance(body, s.TableComp):
+                key = loc, body.interface.tid
+                change[key] = change.get(key, 0) + sign
+    return any(len(tables.get(key, ())) + n > 1 for key, n in change.items())
 
 
 class Transition:
@@ -452,14 +437,15 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System,
     found, so only their successors are built here; a label held by one
     transition needs no key and no successor.  Every transition, not only
     the one a scheduler picks, must keep table identifiers unique; each
-    outcome is checked against the net's `lid`, taken once.  `reuse`, one per
-    `run` or `explore`, hands back the outcomes of unchanged actions; without
-    it every outcome is computed.
+    outcome is checked against the net's tables by (locality, identifier),
+    the one map (`net.tables_by_id`) every rule reads in this enumeration.
+    `reuse`, one per `run` or `explore`, hands back the outcomes of
+    unchanged actions; without it every outcome is computed.
     """
     if cn.err:
         return []
-    held = lid(cn)
-    check = no_rep(held)
+    tables = netmod.tables_by_id(cn)
+    check = all(len(found) == 1 for found in tables.values())
     if reuse is None:
         reuse = _Reuse()
     reuse.next_enumeration()
@@ -468,8 +454,8 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System,
         loc, body = pair
         if isinstance(body, s.TableComp):
             continue
-        for rule, detail, oc in _proc_outcomes(cn, body, sys, reuse):
-            if check and _repeats_table(held, oc):
+        for rule, detail, oc in _proc_outcomes(tables, body, sys, reuse):
+            if check and _repeats_table(tables, oc):
                 raise IntegrityError(
                     f"transition {rule} at {loc} duplicated a table identifier")
             label = TransitionLabel(rule, loc, detail)

@@ -10,7 +10,7 @@ label-first ordering, kept as the oracle for the faster step path.
 from kdb import kernel as k
 from kdb import semantics
 from kdb import syntax as s
-from kdb.net import ERR_NET, CanonicalNet, canonical_key
+from kdb.net import ERR_NET, CanonicalNet, canonical_key, tables_by_id
 from kdb.values import Multiset
 
 
@@ -39,12 +39,14 @@ def rebuild_apply(cn: CanonicalNet, actor_item, oc) -> CanonicalNet:
 
 
 def outcomes(cn: CanonicalNet, sys: s.System):
-    """Every (actor item, rule, detail, outcome) enabled in cn."""
+    """Every (actor item, rule, detail, outcome) enabled in cn, each actor's
+    computed afresh."""
+    tables = tables_by_id(cn)
     for pair, _ in cn.items.items():
         loc, body = pair
         if isinstance(body, s.TableComp):
             continue
-        for rule, detail, oc in semantics._proc_outcomes(cn, body, sys):
+        for rule, detail, oc in semantics._proc_outcomes(tables, body, sys, semantics._Reuse()):
             yield pair, rule, detail, oc
 
 

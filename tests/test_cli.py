@@ -110,6 +110,12 @@ class TestRun:
                      "in $l :: table T : (Int) = {} || $l :: loop()")
         assert main(["run", str(f), "--max-steps", "5"]) == 4
 
+    def test_negative_step_limit_is_rejected(self, capsys):
+        assert main(["run", DEPT, "--max-steps", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--max-steps must be nonnegative\n"
+
     def test_trace_is_deterministic(self, tmp_path):
         t1 = tmp_path / "a.jsonl"
         t2 = tmp_path / "b.jsonl"
@@ -194,6 +200,12 @@ class TestExplore:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--bound must be at least 1" in captured.err
+
+    def test_bound_above_the_cap_is_capped(self, tmp_path, capsys):
+        assert main(["explore", write(tmp_path, "nil"), "--bound", "1000001"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "bound capped at 1000000\n"
+        assert "states: 1\n" in captured.out
 
     def test_bound_one_truncates(self, capsys):
         assert main(["explore", DEPT, "--bound", "1"]) == 0

@@ -68,10 +68,10 @@ def test_wide_net_of_900():
 
 
 def test_explore_wide_net_of_10000():
-    # Every successor costs passes over all the items (its `lid` check,
-    # inert units, table lookups and key), so exploring n enabled inserts
-    # costs about n x 2n item visits; nodes with nothing left to do take
-    # the net through explore's canonicalize and key alone.
+    # Every successor costs passes over all the items (its map of tables,
+    # inert units and key), so exploring n enabled inserts costs about
+    # n x 2n item visits; nodes with nothing left to do take the net
+    # through explore's canonicalize and key alone.
     result = semantics.explore(parse_system(wide(10_000, "nil")), bound=3)
     assert (result.states, len(result.quiescent), result.truncated) == (1, 1, False)
 

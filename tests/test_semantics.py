@@ -500,6 +500,13 @@ class TestCall:
         rules = [l.rule for l, _ in trace.steps]
         assert rules == ["CALL", "INS", "CALL", "INS", "CALL", "INS", "CALL"]
 
+    def test_call_to_an_undefined_procedure_is_stuck(self):
+        # The parser rejects such a call, so only a built system has one.
+        sys1 = s.System({}, (), s.Node("l", s.ProcComp(s.CallProc("g", ()))))
+        trace = run(sys1)
+        assert (trace.terminal, trace.steps) == ("quiescent", [])
+        assert trace.disabled() == ["l :: g()"]
+
 
 class TestScheduling:
     def test_same_seed_same_trace(self):
@@ -829,6 +836,20 @@ def test_select_payload_longer_than_its_template_checks_and_runs():
     assert trace.terminal == "quiescent"
     (table,) = find_tables(trace.final(), "l", "R")
     assert table.rows == Multiset([srow(5, 1, 2)])
+
+
+def test_create_and_eval_at_a_locality_with_no_node():
+    # A create or eval names a locality of its own body, so the locality
+    # exists for the engine, though no node sits there.
+    text = ("$l :: create(T@$nowhere, (Int)). "
+            "eval(insert(T@$nowhere, (1)). nil, $elsewhere). nil")
+    sys1 = parse_system(text)
+    assert check_system(sys1) == []
+    trace = run(sys1, seed=0, max_steps=50)
+    assert trace.terminal == "quiescent"
+    assert [label.rule for label, _ in trace.steps] == ["CRT", "EVL", "INS"]
+    (table,) = find_tables(trace.final(), "nowhere", "T")
+    assert table.rows == Multiset([srow(1)])
 
 
 class TestRowPassAgainstReference:

@@ -2,8 +2,8 @@
 
 `step_oracle` keeps the step as it was computed before: a successor rebuilt
 from whole item multisets, and a canonical key for every transition.  These
-tests require the engine's delta successors, label-first order, table order
-and locality lookup to give exactly the same results.
+tests require the engine's delta successors, label-first order and table
+order to give exactly the same results.
 """
 
 import random
@@ -16,7 +16,9 @@ from kdb import net as netmod
 from kdb import semantics
 from kdb import syntax as s
 from kdb.net import canonical_key, canonicalize, find_tables, lid, no_rep
+from kdb.parser import parse_system
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
+from test_depth import wide
 
 
 def _var_tuple(*names):
@@ -168,11 +170,11 @@ class TestDeltaSuccessors:
                 monkeypatch.setattr(semantics, "_write", keeps_old_table)
             repeats = compared = 0
             for sys1, cn in states:
-                held = lid(cn)
+                tables = netmod.tables_by_id(cn)
                 for pair, _rule, _detail, oc in step_oracle.outcomes(cn, sys1):
                     succ = step_oracle.rebuild_apply(cn, pair, oc)
                     expected = not succ.err and not no_rep(lid(succ))
-                    assert semantics._repeats_table(held, oc) == expected
+                    assert semantics._repeats_table(tables, oc) == expected
                     repeats += expected
                     compared += 1
             assert compared > 1000
@@ -214,12 +216,14 @@ class TestTableOrder:
         assert [s.render(t) for t in found] == sorted(s.render(t) for t in found)
 
     def test_located_tables_keep_render_order(self, unchecked):
-        expected = [(loc, body, 1)
+        expected = [(loc, body)
                     for loc, body in sorted(unchecked.items.support(),
                                             key=netmod._item_sort_key)
                     if isinstance(body, s.TableComp)]
-        assert netmod.table_entries(unchecked) == expected
-        assert [loc for loc, _, _ in expected] == ["l1"] * 4 + ["l2"]
+        got = [(loc, body) for (loc, _), found in sorted(netmod.tables_by_id(unchecked).items())
+               for body in found]
+        assert got == expected
+        assert [loc for loc, _ in expected] == ["l1"] * 4 + ["l2"]
 
     def test_dump_keeps_render_order(self, unchecked):
         expected = [(loc, body.interface.tid, sorted(v.value for (v,) in
@@ -242,19 +246,50 @@ def known_localities(cn) -> frozenset:
     return frozenset(names)
 
 
+def waiting_action(body):
+    """The action a process body waits at, or None."""
+    while isinstance(body, s.Seq):
+        body = body.first
+    return body.action if isinstance(body, s.Prefix) else None
+
+
 class TestKnownLocalities:
-    def test_agrees_with_the_full_walk(self):
+    def test_creates_and_evals_name_a_known_locality(self):
+        # The engine runs a create or eval at a constant locality with no
+        # check that the locality exists: it occurs in the acting body.
+        checked = 0
         for sys1 in population():
             for cn in visited(sys1, bound=10):
                 known = known_localities(cn)
-                for loc in known | {"l0", "l1", "l2", "l9", "nowhere"}:
-                    assert semantics._is_known_locality(cn, loc) == (loc in known)
+                for (_, body), _ in cn.items.items():
+                    action = waiting_action(body)
+                    if isinstance(action, (s.Create, s.Eval)) and isinstance(action.loc, VLoc):
+                        assert action.loc.name in known
+                        checked += 1
+        assert checked > 100
 
-    def test_a_locality_named_only_in_a_row_is_known(self):
-        table = s.TableComp(s.Interface("T", (s.LOC,)), Multiset([srow(VLoc("l9"))]))
-        cn = canonicalize(s.Node("l1", table))
-        assert semantics._is_known_locality(cn, "l9")
-        assert not semantics._is_known_locality(cn, "l8")
+
+class TestEnumerationWork:
+    def test_one_table_map_per_enumeration(self, monkeypatch):
+        # n inserts, each beside its own table: one enumeration reads one
+        # map of the tables, and scans no item per action.
+        sys1 = parse_system(wide(60))
+        cn = canonicalize(sys1.main_net)
+        calls = dict.fromkeys(["tables_by_id", "find_tables", "lid", "free_locs"], 0)
+        for module, name in [(netmod, "tables_by_id"), (netmod, "find_tables"),
+                             (netmod, "lid"), (s, "free_locs")]:
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+            if getattr(semantics, name, None) is real:
+                monkeypatch.setattr(semantics, name, counting)
+        transitions = semantics.enumerate_transitions(cn, sys1)
+        assert len(transitions) == 60
+        assert calls == {"tables_by_id": 1, "find_tables": 0, "lid": 0, "free_locs": 0}
 
 
 def count_row_passes(monkeypatch) -> list:
