@@ -26,7 +26,13 @@ The population:
 - 1,000 `gen.clash_source` texts, whose names clash on purpose: the render
   and `repr` of each parse (so row order too), or its ParseError text;
 - a 200-node wide net, each node an insert beside its own table, run for 40
-  steps: each step's label and the final tables.
+  steps: each step's label and the final tables;
+- the programs in `corpus/` and the renders of 50 `gensys.corrupt` copies,
+  each laid out three more ways (a `//` comment and a blank line before
+  every line; a tab before every line and for every space outside a
+  string; `\r\n` line ends), whole and cut at two thirds: the text of each
+  one's diagnostics or ParseError, so the line:col of what is reported is
+  covered on layouts that renders never produce.
 
 Only text goes into the hash: renders, the `repr`s of parses, diagnostics,
 labels and the `str` of canonical keys, none of which depends on the
@@ -38,6 +44,7 @@ the two lines differ, and fails when the line differs from
 import hashlib
 import os
 import random
+import re
 import sys
 
 import gen
@@ -54,6 +61,7 @@ CLASH_SOURCES = 1000
 REPEATED_TABLES = 20
 WIDE_NODES = 200
 WIDE_STEPS = 40
+LAYOUT_CORRUPT = 50
 EXPLORE_BOUND = 40
 RUN_STEPS = 20
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "corpus")
@@ -101,6 +109,35 @@ def wide(n: int) -> str:
                        for i in range(n)) + "\n"
 
 
+def layouts(text: str) -> list:
+    """`text` laid out three more ways, with the same tokens."""
+    lines = text.splitlines(keepends=True)
+    return [
+        "".join(f"// line {i}\n\n{line}" for i, line in enumerate(lines)),
+        "".join("\t" + re.sub(r'("(?:\\.|[^"\\\n])*")| ', lambda m: m[1] or "\t", line)
+                for line in lines),
+        text.replace("\n", "\r\n"),
+    ]
+
+
+def layout_texts() -> list:
+    """(name, text) pairs: the corpus and 50 corrupt renders, each laid out
+    as `layouts` lays it out."""
+    texts = []
+    for fname in sorted(os.listdir(CORPUS)):
+        if fname.endswith(".kdb"):
+            with open(os.path.join(CORPUS, fname), encoding="utf-8") as f:
+                texts.append((fname, f.read()))
+    seed = 0
+    while len(texts) < LAYOUT_CORRUPT + 2:
+        bad = gensys.corrupt(generated(seed), random.Random(seed))
+        if bad is not None:
+            texts.append((f"corrupt {seed}", s.render(bad) + "\n"))
+        seed += 1
+    return [(f"{name} layout {k}", text)
+            for name, original in texts for k, text in enumerate(layouts(original))]
+
+
 def population() -> list:
     """(name, system) pairs, in a fixed order."""
     out = []
@@ -126,9 +163,18 @@ def render_and_check(sys1: s.System) -> list:
     return [text, *map(str, check_system(sys1))]
 
 
+def reported(text: str) -> list:
+    """The diagnostics of `text`, or its ParseError, as text."""
+    try:
+        return [str(d) for d in check_system(parse_system(text))]
+    except ParseError as e:
+        return [f"parse error: {e}"]
+
+
 def main() -> int:
     digest = hashlib.sha256()
-    counts = {"systems": 0, "states": 0, "transitions": 0, "random": 0, "clash": 0}
+    counts = {"systems": 0, "states": 0, "transitions": 0, "random": 0, "clash": 0,
+              "layouts": 0}
 
     def put(*lines) -> None:
         for line in lines:
@@ -167,6 +213,9 @@ def main() -> int:
     trace = run(parse_system(wide(WIDE_NODES)), seed=0, max_steps=WIDE_STEPS)
     put(f"== wide {WIDE_NODES} {trace.terminal}",
         *(f"{lb.rule} {lb.actor} {lb.detail}" for lb, _ in trace.steps), dump_json(trace.final()))
+    for name, text in layout_texts():
+        counts["layouts"] += 1
+        put(f"== {name}", *reported(text), "cut", *reported(text[:len(text) * 2 // 3]))
     print(" ".join(f"{k}={v}" for k, v in counts.items()), digest.hexdigest())
     return 0
 
