@@ -5,10 +5,11 @@ lowercase (`tp`, `tbv`), localities carry a `$` sigil (`$l1`).  Template
 fields bind data with `!x` and localities with `!@u`, so the parser can tell
 the two kinds of binders apart without type information.
 
-`tokenize` makes one regular-expression match and one list append per
-token.  A token is a (kind, text, offset) triple; its line and column are
-computed from the offset only for spans and errors.  The list ends in one
-EOF token, which the parser never reads past.  Keyword and operator choices
+`tokenize` takes one regular-expression match and one list append per
+token.  A token is a (kind, text, offset) triple, and a node's span is the
+offset of its first token.  A line and column are computed, against a line
+table built at most once per parse, only for a ParseError.  The list ends
+in one EOF token, which the parser never reads past.  Keyword and operator choices
 are table lookups on the kind.
 
 The descent resolves names as it meets them, so it builds the only tree.
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect_right
 
 from kdb import syntax as s
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
@@ -93,17 +93,8 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 
-def _line_starts(source: str) -> list:
-    return [0] + [m.end() for m in re.finditer("\n", source)]
-
-
-def _position(line_starts: list, offset: int) -> s.Span:
-    line = bisect_right(line_starts, offset)
-    return s.Span(line, offset - line_starts[line - 1] + 1)
-
-
 def _lex_error(message: str, source: str, offset: int) -> ParseError:
-    where = _position(_line_starts(source), offset)
+    where = s.Positions(source).position(offset)
     return ParseError(message, where.line, where.col)
 
 
@@ -123,9 +114,7 @@ def tokenize(source: str) -> list:
     INT, STRING (whose text is the unescaped body), TID and NAME.
     """
     tokens = []
-    pos = 0
-    while True:
-        m = _TOKEN_RE.match(source, pos)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
         text = m[kind]
         start = m.start(kind)
@@ -138,7 +127,6 @@ def tokenize(source: str) -> list:
         tokens.append((kind, text, start))
         if kind == "EOF":
             return tokens
-        pos = m.end()
 
 
 _BASE_TYPES = {kw: kw for kw in ("Int", "String", "Id", "Loc")}
@@ -153,10 +141,10 @@ class _Parser:
     """The `free_` sets hold the free names met so far or reserved, and the
     `bound_` sets the binders' new names."""
 
-    def __init__(self, source: str, tokens: list, free_vars=(), free_locs=()):
+    def __init__(self, positions: s.Positions, tokens: list, free_vars=(), free_locs=()):
         self.tokens = tokens
         self.pos = 0
-        self.line_starts = _line_starts(source)
+        self.positions = positions
         self.variables = s.Scope()
         self.localities = s.Scope(journal=self.variables.journal)
         self.free_vars, self.free_locs = set(free_vars), set(free_locs)
@@ -189,7 +177,7 @@ class _Parser:
         t = self.tokens[self.pos]
         if t[0] != kind:
             described = "end of input" if t[0] == "EOF" else repr(t[1])
-            raise self.error(f"unexpected {described}", t, expected=(what or kind,))
+            raise self.error(f"unexpected {described}", t[2], expected=(what or kind,))
         self.pos += 1
         return t
 
@@ -208,15 +196,12 @@ class _Parser:
             items.append(item())
         return items
 
-    def span(self, t: tuple) -> s.Span:
-        return _position(self.line_starts, t[2])
-
-    def error(self, message: str, t: tuple, expected=()) -> ParseError:
-        where = self.span(t)
+    def error(self, message: str, offset: int, expected=()) -> ParseError:
+        where = self.positions.position(offset)
         return ParseError(message, where.line, where.col, expected=expected)
 
     def fail(self, message: str, expected=()):
-        raise self.error(message, self.tokens[self.pos], expected)
+        raise self.error(message, self.tokens[self.pos][2], expected)
 
     # -- names
 
@@ -239,11 +224,11 @@ class _Parser:
         bound = self.variables.get(t[1])
         if bound is None:
             self.free_vars.add(t[1])
-            return cls(t[1], span=self.span(t))
+            return cls(t[1], span=t[2])
         sort, name = bound
         if cls is not s.TableByVar:
             cls = s.LocVar if sort == "loc" else s.DataVar
-        return cls(name, span=self.span(t))
+        return cls(name, span=t[2])
 
     def locality(self, name: str) -> str:
         """The new name of a locality occurrence."""
@@ -266,15 +251,15 @@ class _Parser:
             while True:
                 d = self.procdef()
                 if d.name in procedures:
-                    raise ParseError(f"procedure {d.name!r} defined twice",
-                                     d.span.line, d.span.col)
+                    raise self.error(f"procedure {d.name!r} defined twice", d.span)
                 procedures[d.name] = d
                 if not self.accept("and"):
                     break
             self.expect("in")
         net = self.net()
         self.expect("EOF", "end of input")
-        return s.System(procedures=procedures, schema_decls=tuple(decls), main_net=net)
+        return s.System(procedures=procedures, schema_decls=tuple(decls), main_net=net,
+                        source=self.positions.source)
 
     def procdef(self) -> s.ProcDef:
         t = self.expect("NAME", "procedure name")
@@ -287,8 +272,8 @@ class _Parser:
         body = self.process()
         self.variables.undo(mark)
         if len({n for n, _ in params}) != len(params):
-            raise self.error(f"duplicate parameter name in {t[1]!r}", t)
-        return s.ProcDef(t[1], bound, body, span=self.span(t))
+            raise self.error(f"duplicate parameter name in {t[1]!r}", t[2])
+        return s.ProcDef(t[1], bound, body, span=t[2])
 
     def param(self) -> tuple:
         name = self.expect("NAME", "parameter name")[1]
@@ -321,13 +306,13 @@ class _Parser:
     def net_atom(self) -> s.Net:
         t = self.peek()
         if self.accept("nil"):
-            return s.NilNet(span=self.span(t))
+            return s.NilNet(span=t[2])
         if self.accept("ERR"):
-            return s.ErrNet(span=self.span(t))
+            return s.ErrNet(span=t[2])
         if self.accept("$"):
             loc = self.locality(self.expect("NAME", "locality name")[1])
             self.expect("::")
-            return s.Node(loc, self.component(), span=self.span(t))
+            return s.Node(loc, self.component(), span=t[2])
         if self.accept("("):
             if self.accept("new"):
                 self.expect("$")
@@ -338,7 +323,7 @@ class _Parser:
                 self.localities.bind(name, loc)
                 inner = self.net_atom()
                 self.localities.undo(mark)
-                return s.Restrict(loc, inner, span=self.span(t))
+                return s.Restrict(loc, inner, span=t[2])
             inner = self.net()
             self.expect(")")
             return inner
@@ -354,12 +339,12 @@ class _Parser:
         t = self.peek()
         if t[0] == "table":
             interface, rows = self.table_literal()
-            return s.TableComp(interface, rows, span=self.span(t))
+            return s.TableComp(interface, rows, span=t[2])
         if self.accept("{"):
             inner = self.component()
             self.expect("}")
             return inner
-        return s.ProcComp(self.process(), span=self.span(t))
+        return s.ProcComp(self.process(), span=t[2])
 
     def table_literal(self):
         self.expect("table")
@@ -399,7 +384,7 @@ class _Parser:
             name = self.expect("NAME", "locality name")[1]
             self.locality(name)  # noted if free; its table renames it
             return VLoc(name)
-        raise self.error(what, t)
+        raise self.error(what, t[2])
 
     def value(self):
         t = self.next()
@@ -409,12 +394,12 @@ class _Parser:
             try:
                 return VSet(Multiset(elems))
             except ValueError as exc:
-                raise self.error(str(exc), t) from None
+                raise self.error(str(exc), t[2]) from None
         return self.constant(t, "expected a constant value")
 
     def scalar_value(self):
         if self.at("{"):
-            raise self.error("multisets cannot nest", self.peek())
+            raise self.error("multisets cannot nest", self.peek()[2])
         return self.value()
 
     # -- processes
@@ -440,12 +425,12 @@ class _Parser:
             self.expect("(")
             args = [] if self.at(")") else self.separated(self.expr)
             self.expect(")")
-            call = s.CallProc(t[1], tuple(args), span=self.span(t))
+            call = s.CallProc(t[1], tuple(args), span=t[2])
             self.calls.append(call)
             return call
         if kind == "nil":
             self.next()
-            return s.NilProc(span=self.span(t))
+            return s.NilProc(span=t[2])
         if kind == "(":
             self.next()
             inner = self.process()
@@ -466,7 +451,7 @@ class _Parser:
             self.expect(":")
             body = self.proc_atom()
             self.variables.undo(mark)
-            return s.Foreach(table, template, pred, order, body, span=self.span(t))
+            return s.Foreach(table, template, pred, order, body, span=t[2])
         self.fail(
             "expected a process",
             expected=("nil", "foreach", "a procedure call") + _ACTION_KEYWORDS,
@@ -482,7 +467,7 @@ class _Parser:
         self.expect("]")
         col = int(t[1])
         if col < 1:
-            raise self.error("column indices start at 1", t)
+            raise self.error("column indices start at 1", t[2])
         return cls(op, col)
 
     # -- actions
@@ -504,7 +489,7 @@ class _Parser:
     def action(self) -> s.Action:
         t = self.next()
         kw = t[0]
-        span = self.span(t)
+        span = t[2]
         self.expect("(")
         mark = self.variables.mark()  # a template's, undone before any export binds
         if kw == "select":
@@ -569,10 +554,10 @@ class _Parser:
         t = self.peek()
         if t[0] == "table":
             interface, rows = self.table_literal()
-            return s.TableLiteral(interface, rows, span=self.span(t))
+            return s.TableLiteral(interface, rows, span=t[2])
         if t[0] == "TID":
             tid, loc = self.target()
-            return s.TableByName(tid, loc, span=self.span(t))
+            return s.TableByName(tid, loc, span=t[2])
         if self.accept("NAME"):
             return self.variable(t, s.TableByVar)
         self.fail("expected a table", expected=("TID@loc", "a table variable", "table"))
@@ -587,27 +572,26 @@ class _Parser:
         seen = set()
         for cls, name, where in fields:
             if name in seen:
-                raise ParseError(f"template binds {name!r} twice; binders must be linear",
-                                 where.line, where.col)
+                raise self.error(f"template binds {name!r} twice; binders must be linear", where)
             seen.add(name)
         return s.Template(tuple([cls(self.bind(name, "loc" if cls is s.BindLoc else "data"),
                                      span=where) for cls, name, where in fields]),
-                          span=self.span(t))
+                          span=t[2])
 
     def template_field(self) -> tuple:
-        """(class, name, span) of a template field."""
+        """(class, name, offset) of a template field."""
         t = self.peek()
         if self.accept("!@"):
-            return s.BindLoc, self.expect("NAME", "locality variable")[1], self.span(t)
+            return s.BindLoc, self.expect("NAME", "locality variable")[1], t[2]
         if self.accept("!"):
-            return s.BindData, self.expect("NAME", "data variable")[1], self.span(t)
+            return s.BindData, self.expect("NAME", "data variable")[1], t[2]
         self.fail("expected a template field", expected=("!x", "!@u"))
 
     def tuple_(self) -> s.Tuple:
         t = self.expect("(", "tuple")
         comps = self.separated(self.expr)
         self.expect(")")
-        return s.Tuple(tuple(comps), span=self.span(t))
+        return s.Tuple(tuple(comps), span=t[2])
 
     def pred(self) -> s.Pred:
         left = self.pred_atom()
@@ -618,9 +602,9 @@ class _Parser:
     def pred_atom(self) -> s.Pred:
         t = self.peek()
         if self.accept("true"):
-            return s.TruePred(span=self.span(t))
+            return s.TruePred(span=t[2])
         if self.accept("!"):
-            return s.Not(self.pred_atom(), span=self.span(t))
+            return s.Not(self.pred_atom(), span=t[2])
         if self.at("("):
             # Could be a parenthesized predicate or a parenthesized expression
             # starting a comparison; try the former, fall back to the latter.
@@ -637,8 +621,8 @@ class _Parser:
         left = self.expr()
         op = self.keyword(_COMPARISONS, "a comparison")
         if op == "in":
-            return s.Member(left, self.expr(), span=self.span(t))
-        return s.Cmp(op, left, self.expr(), span=self.span(t))
+            return s.Member(left, self.expr(), span=t[2])
+        return s.Cmp(op, left, self.expr(), span=t[2])
 
     def expr(self) -> s.Expr:
         left = self.expr_atom()
@@ -646,9 +630,9 @@ class _Parser:
             t = self.next()
             right = self.expr_atom()
             if t[0] == "++":
-                left = s.Concat(left, right, span=self.span(t))
+                left = s.Concat(left, right, span=t[2])
             else:
-                left = s.Arith(t[0], left, right, span=self.span(t))
+                left = s.Arith(t[0], left, right, span=t[2])
         return left
 
     def expr_atom(self) -> s.Expr:
@@ -661,7 +645,7 @@ class _Parser:
         if kind == "{":
             elems = self.separated(self.multiset_elem)
             self.expect("}")
-            return s.MultisetLit(tuple(elems), span=self.span(t))
+            return s.MultisetLit(tuple(elems), span=t[2])
         if kind == "(":
             # Memoised, a failed read too: `pred_atom` reads it twice at every
             # level of nesting, and a read binds nothing, so a second one
@@ -686,7 +670,7 @@ class _Parser:
         t = self.peek()
         e = self.expr()
         if _contains_multiset(e):
-            raise self.error("multisets cannot nest", t)
+            raise self.error("multisets cannot nest", t[2])
         return e
 
 
@@ -703,8 +687,8 @@ def _contains_multiset(e: s.Expr) -> bool:
     return False
 
 
-def _check_calls(calls: list, procedures: dict) -> None:
-    for p in calls:
+def _check_calls(parser: _Parser, procedures: dict) -> None:
+    for p in parser.calls:
         d = procedures.get(p.name)
         if d is None:
             message = f"call to undefined procedure {p.name!r}"
@@ -712,19 +696,20 @@ def _check_calls(calls: list, procedures: dict) -> None:
             message = f"procedure {p.name!r} takes {len(d.params)} argument(s), got {len(p.args)}"
         else:
             continue
-        raise ParseError(message, p.span.line, p.span.col)
+        raise parser.error(message, p.span)
 
 
 def rename_apart(source: str, tokens: list) -> s.System:
     """Parse the tokens of `source` into a system with its variables sorted
     and its binders renamed apart, and check its calls (module docstring)."""
-    parser = _Parser(source, tokens)
+    positions = s.Positions(source)
+    parser = _Parser(positions, tokens)
     system = parser.system()
     if parser.free_vars & parser.bound_vars or parser.free_locs & parser.bound_locs:
         # A binder took a name that occurs free after it.
-        parser = _Parser(source, tokens, parser.free_vars, parser.free_locs)
+        parser = _Parser(positions, tokens, parser.free_vars, parser.free_locs)
         system = parser.system()
-    _check_calls(parser.calls, system.procedures)
+    _check_calls(parser, system.procedures)
     return system
 
 

@@ -1,9 +1,11 @@
 """Abstract syntax of the coordination language.
 
 AST nodes are frozen dataclasses with tuple-valued children, so every node is
-hashable and structural equality is cheap.  Source spans are carried on nodes
-but excluded from equality and hashing: two parses of the same text compare
-equal regardless of layout.  A constant is its value: an expression holds
+hashable and structural equality is cheap.  A node's span is the source
+offset of its first token, an `int`, excluded from equality and hashing: two
+parses of the same text compare equal regardless of layout.  `Positions`
+turns an offset into a line:col `Span`, only for what is reported; a parsed
+`System` keeps its source for that.  A constant is its value: an expression holds
 the `VInt`, `VStr`, `VTid` or `VLoc` of `kdb.values` that a table row holds,
 with no span, and `rename_value` renames a locality wherever it occurs.
 
@@ -28,6 +30,8 @@ spine's included.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
@@ -54,6 +58,30 @@ class Span:
 
 def span_field():
     return field(default=None, compare=False, repr=False)
+
+
+def line_starts(source: str) -> list:
+    """The offset at which each line of `source` starts."""
+    return [0, *(m.end() for m in re.finditer("\n", source))]
+
+
+class Positions:
+    """The line:col of offsets into one source text.  Its line table is
+    built on the first call, so a text that reports nothing builds none.
+    In a system built in code the source is "", and an offset reads as a
+    column of line 1."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.starts = None
+
+    def position(self, offset: Optional[int]) -> Optional[Span]:
+        if offset is None:
+            return None
+        if self.starts is None:
+            self.starts = line_starts(self.source)
+        line = bisect_right(self.starts, offset)
+        return Span(line, offset - self.starts[line - 1] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +112,20 @@ LOC = Base("Loc")
 @dataclass(frozen=True)
 class DataVar:
     name: str
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class LocVar:
     name: str
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class Concat:
     left: "Expr"
     right: "Expr"
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
@@ -105,13 +133,13 @@ class Arith:
     op: str  # + - * /
     left: "Expr"
     right: "Expr"
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class MultisetLit:
     elements: tuple  # of Expr, each multiset-free
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 Expr = Union[VInt, VStr, VTid, VLoc, DataVar, LocVar, Concat, Arith, MultisetLit]
@@ -122,7 +150,7 @@ Expr = Union[VInt, VStr, VTid, VLoc, DataVar, LocVar, Concat, Arith, MultisetLit
 
 @dataclass(frozen=True)
 class TruePred:
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
@@ -130,27 +158,27 @@ class Cmp:
     op: str  # = != < <= > >= sub
     left: Expr
     right: Expr
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class Member:
     elem: Expr
     container: Expr
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class Not:
     inner: "Pred"
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class And:
     left: "Pred"
     right: "Pred"
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 Pred = Union[TruePred, Cmp, Member, Not, And]
@@ -165,25 +193,25 @@ CMP_OPS = ("=", "!=") + ORDERED_CMP_OPS + ("sub",)
 @dataclass(frozen=True)
 class Tuple:
     components: tuple  # of Expr, length >= 1
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class BindData:
     name: str
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class BindLoc:
     name: str
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class Template:
     fields: tuple  # of BindData | BindLoc, length >= 1
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
     def names(self) -> tuple:
         return tuple(f.name for f in self.fields)
@@ -202,20 +230,20 @@ class Interface:
 class TableByName:
     tid: str
     loc: Expr  # VLoc or LocVar
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class TableByVar:
     name: str
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class TableLiteral:
     interface: Interface
     rows: Multiset  # of ValueTuple
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 TableRef = Union[TableByName, TableByVar, TableLiteral]
@@ -248,7 +276,7 @@ class Insert:
     tid: str
     payload: Tuple
     loc: Expr
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
@@ -257,7 +285,7 @@ class Delete:
     template: Template
     pred: Pred
     loc: Expr
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
@@ -267,7 +295,7 @@ class Select:
     pred: Pred
     payload: Tuple
     bind: str  # table variable bound in the continuation
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
@@ -277,7 +305,7 @@ class Update:
     pred: Pred
     payload: Tuple
     loc: Expr
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
@@ -288,7 +316,7 @@ class Aggr:
     fn: AggrFn
     bind_template: Template
     loc: Expr
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
@@ -296,21 +324,21 @@ class Create:
     tid: str
     loc: Expr
     schema: Schema
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class Drop:
     tid: str
     loc: Expr
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class Eval:
     process: "Process"
     loc: Expr
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 Action = Union[Insert, Delete, Select, Update, Aggr, Create, Drop, Eval]
@@ -321,21 +349,21 @@ Action = Union[Insert, Delete, Select, Update, Aggr, Create, Drop, Eval]
 
 @dataclass(frozen=True)
 class NilProc:
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class Prefix:
     action: Action
     cont: "Process"
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class CallProc:
     name: str
     args: tuple  # of Expr
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
@@ -345,14 +373,14 @@ class Foreach:
     pred: Pred
     order: OrderSpec
     body: "Process"
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class Seq:
     first: "Process"
     second: "Process"
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 Process = Union[NilProc, Prefix, CallProc, Foreach, Seq]
@@ -364,21 +392,21 @@ Process = Union[NilProc, Prefix, CallProc, Foreach, Seq]
 @dataclass(frozen=True)
 class ProcComp:
     process: Process
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class TableComp:
     interface: Interface
     rows: Multiset  # of ValueTuple
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class ParComp:
     left: "Component"
     right: "Component"
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 Component = Union[ProcComp, TableComp, ParComp]
@@ -386,33 +414,33 @@ Component = Union[ProcComp, TableComp, ParComp]
 
 @dataclass(frozen=True)
 class NilNet:
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class ErrNet:
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class ParNet:
     left: "Net"
     right: "Net"
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class Restrict:
     loc: str
     inner: "Net"
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass(frozen=True)
 class Node:
     loc: str
     component: Component
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 Net = Union[NilNet, ErrNet, ParNet, Restrict, Node]
@@ -423,7 +451,7 @@ class ProcDef:
     name: str
     params: tuple  # of (name, MType | Schema); Base("Loc") marks a locality parameter
     body: Process
-    span: Optional[Span] = span_field()
+    span: Optional[int] = span_field()
 
 
 @dataclass
@@ -431,6 +459,7 @@ class System:
     procedures: dict  # name -> ProcDef, in declaration order
     schema_decls: tuple  # of (tid, Schema), in declaration order; repeats kept
     main_net: Net
+    source: str = field(default="", compare=False, repr=False)  # the offsets' text
 
 
 # ---------------------------------------------------------------------------

@@ -62,15 +62,21 @@ def _render_mtype(t) -> str:
 
 
 class Checker:
-    def __init__(self, nabla: dict, procedures: Optional[dict] = None):
+    """Nodes carry source offsets; `positions` resolves the offset of a
+    diagnostic to its line:col when the diagnostic is recorded."""
+
+    def __init__(self, nabla: dict, procedures: Optional[dict] = None,
+                 positions: Optional[s.Positions] = None):
         self.nabla = nabla
         self.procedures = procedures or {}
+        self.positions = positions or s.Positions("")
         self.diags: list = []
 
     # -- diagnostics
 
     def error(self, kind: str, message: str, span=None, expected=None, found=None):
-        self.diags.append(Diagnostic(kind, message, span, expected, found))
+        self.diags.append(Diagnostic(kind, message, self.positions.position(span),
+                                     expected, found))
         return None
 
     # -- expressions
@@ -479,7 +485,7 @@ def _projectable(e: s.Expr) -> bool:
 
 
 class _TableShapes(s.ScopedMap):
-    """Every (tid, schema, span) asserted by a named table or a create
+    """Every (tid, schema, offset) asserted by a named table or a create
     action: tables of the net itself apart from those in its processes."""
 
     def __init__(self):
@@ -500,12 +506,13 @@ class _TableShapes(s.ScopedMap):
              **dict.fromkeys(s.EXPRESSION_NODES, s.keep)}
 
 
-def build_schema_map(system: s.System):
+def build_schema_map(system: s.System, positions: Optional[s.Positions] = None):
     """Union of schema declarations, table literals, and create actions.
 
     Returns (mapping, diagnostics); any tid asserted with two different
     shapes is a conflict.
     """
+    positions = positions or s.Positions(system.source)
     net = _TableShapes()
     net.map(system.main_net, s.Scope())
     bodies = _TableShapes()
@@ -525,14 +532,16 @@ def build_schema_map(system: s.System):
             diags.append(Diagnostic(
                 "schema-conflict",
                 f"table {tid!r} is used with two different schemas",
-                span, expected=s.render_schema(old), found=s.render_schema(sk)))
+                positions.position(span), expected=s.render_schema(old),
+                found=s.render_schema(sk)))
     return nabla, diags
 
 
 def check_system(system: s.System) -> list:
     """All diagnostics for a system; an empty list means well-typed."""
-    nabla, diags = build_schema_map(system)
-    checker = Checker(nabla, system.procedures)
+    positions = s.Positions(system.source)  # one line table per check
+    nabla, diags = build_schema_map(system, positions)
+    checker = Checker(nabla, system.procedures, positions)
     checker.diags = diags
     for d in system.procedures.values():
         env = s.Scope(d.params)

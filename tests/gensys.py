@@ -387,7 +387,7 @@ def corrupt(system: s.System, rng: random.Random):
 
         return s.System(procedures=system.procedures,
                         schema_decls=system.schema_decls,
-                        main_net=rebuild(system.main_net, list(path)))
+                        main_net=rebuild(system.main_net, list(path)), source=system.source)
     return None
 
 

@@ -38,10 +38,9 @@ class TestBasics:
         assert net == s.NilNet()
 
     def test_spans_recorded(self):
-        net = parse_net('$l1 ::\n  insert(KLD@$l1, (1)). nil')
-        action = net.component.process.action
-        assert action.span.line == 2
-        assert action.span.col == 3
+        src = '$l1 ::\n  insert(KLD@$l1, (1)). nil'
+        action = parse_net(src).component.process.action
+        assert s.Positions(src).position(action.span) == s.Span(2, 3)
 
     def test_negative_integer_literal(self):
         net = parse_net("$l :: insert(T@$l, (-5)). nil")

@@ -7,8 +7,12 @@ column of the first line, after comment lines and blank lines, after tabs
 and `\\r\\n` line ends, at the last token and at the end of input.
 """
 
+import dataclasses
+import pathlib
+
 import pytest
 
+from kdb import syntax as s
 from kdb.parser import ParseError, parse_system
 from kdb.typesys import check_system
 
@@ -72,3 +76,65 @@ DIAGNOSTICS = [
 @pytest.mark.parametrize("src, texts", DIAGNOSTICS)
 def test_diagnostic_position(src, texts):
     assert [str(d) for d in check_system(parse_system(src))] == texts
+
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _nodes(x):
+    """Every dataclass instance reachable from `x`."""
+    if dataclasses.is_dataclass(x):
+        yield x
+        for f in dataclasses.fields(x):
+            yield from _nodes(getattr(x, f.name))
+    elif isinstance(x, (tuple, list)):
+        for y in x:
+            yield from _nodes(y)
+    elif isinstance(x, dict):
+        for y in x.values():
+            yield from _nodes(y)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of the Spans and line tables built while the test runs."""
+    counts = {"spans": 0, "line tables": 0}
+    span_init, line_starts = s.Span.__init__, s.line_starts
+
+    def counted_span(self, *args):
+        counts["spans"] += 1
+        span_init(self, *args)
+
+    def counted_line_starts(source):
+        counts["line tables"] += 1
+        return line_starts(source)
+
+    monkeypatch.setattr(s.Span, "__init__", counted_span)
+    monkeypatch.setattr(s, "line_starts", counted_line_starts)
+    return counts
+
+
+@pytest.mark.parametrize("fname", ["dept_stores.kdb", "bad_insert.kdb"])
+def test_a_parse_builds_no_span(built, fname):
+    system = parse_system((CORPUS / fname).read_text(encoding="utf-8"))
+    assert built == {"spans": 0, "line tables": 0}
+    assert not any(isinstance(getattr(n, "span", None), s.Span) for n in _nodes(system))
+
+
+def test_a_check_builds_a_span_per_diagnostic_and_one_line_table(built):
+    src = ("$l :: insert(T@$l, (1)). nil\n|| ERR\n"
+           "|| $m :: { table V : (Int) = {} | insert(U@$m, (1)). nil }\n"
+           "|| $n :: table V : (String) = {}\n")
+    system = parse_system(src)
+    diags = check_system(system)
+    assert [str(d) for d in diags] == [
+        "4:10: table 'V' is used with two different schemas (expected (Int), found (String))",
+        "1:7: no schema known for table 'T'",
+        "2:4: the error net is never well-typed",
+        "3:35: no schema known for table 'U'",
+        "4:10: table 'V' carries a different schema (expected (Int), found (String))",
+    ]
+    assert built == {"spans": len(diags), "line tables": 1}
+    built.update(spans=0, **{"line tables": 0})
+    assert check_system(parse_system((CORPUS / "dept_stores.kdb").read_text())) == []
+    assert built == {"spans": 0, "line tables": 0}

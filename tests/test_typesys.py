@@ -287,7 +287,7 @@ class TestSystemChecking:
     # reaches the checker with them, which reports them before it pairs
     # parameters with arguments.
     def test_call_to_unknown_procedure_in_built_system(self):
-        call = s.CallProc("g", (VInt(1),), span=s.Span(1, 7))
+        call = s.CallProc("g", (VInt(1),), span=6)
         system = s.System({}, (), s.Node("l", s.ProcComp(call)))
         (diag,) = check_system(system)
         assert diag.kind == "unknown-procedure"
@@ -295,7 +295,7 @@ class TestSystemChecking:
 
     def test_call_arity_in_built_system(self):
         f = s.ProcDef("f", (("x", s.INT),), s.NilProc())
-        call = s.CallProc("f", (VInt(1), VStr("extra")), span=s.Span(1, 7))
+        call = s.CallProc("f", (VInt(1), VStr("extra")), span=6)
         system = s.System({"f": f}, (), s.Node("l", s.ProcComp(call)))
         (diag,) = check_system(system)
         assert diag.kind == "call-arity"
@@ -373,12 +373,12 @@ BUILT_DIAGNOSTIC_TEXTS = [
         ["binder 'x' shadows an existing binding"], id="shadowing"),
     # Only a selection's result is a nameless table, and it is never a component.
     pytest.param(
-        s.TableComp(s.Interface(None, (s.INT,)), Multiset(), span=s.Span(1, 7)),
+        s.TableComp(s.Interface(None, (s.INT,)), Multiset(), span=6),
         ["1:7: a nameless table cannot stand as a component"], id="anonymous-table"),
     # The parser sorts `u` by its binder: bound by `!u`, it is a data variable.
     pytest.param(
         s.ProcComp(s.Prefix(_count_into("u"), s.Prefix(
-            s.Insert("T", s.Tuple((VInt(1),)), s.LocVar("u", span=s.Span(1, 40))),
+            s.Insert("T", s.Tuple((VInt(1),)), s.LocVar("u", span=39)),
             s.NilProc()))),
         ["1:40: 'u' is not a locality variable"], id="kind-mismatch"),
 ]
