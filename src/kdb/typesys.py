@@ -448,16 +448,20 @@ class Checker:
 
     def type_net(self, env: s.Scope, net: s.Net) -> None:
         """Types a net's parts, which pop off a stack left ones first, as in
-        `net.canonicalize`; a restriction binds no variable."""
-        stack = [net]
+        `net.canonicalize`, each with the locality of its node; a restriction
+        binds no variable.  A table whose (locality, identifier) an earlier
+        table holds is reported: names are apart, as the parser leaves them,
+        so `lid` repeats exactly when the names do."""
+        stack = [(net, None)]
+        seen = set()
         while stack:
-            n = stack.pop()
+            n, loc = stack.pop()
             if isinstance(n, (s.ParNet, s.ParComp)):
-                stack += [n.right, n.left]
+                stack += [(n.right, loc), (n.left, loc)]
             elif isinstance(n, s.Restrict):
-                stack.append(n.inner)
+                stack.append((n.inner, loc))
             elif isinstance(n, s.Node):
-                stack.append(n.component)
+                stack.append((n.component, n.loc))
             elif isinstance(n, s.ProcComp):
                 self.type_process(env, n.process)
             elif isinstance(n, s.TableComp) and n.interface.tid is None:
@@ -472,6 +476,10 @@ class Checker:
                                f"table {n.interface.tid!r} carries a different schema",
                                n.span, expected=s.render_schema(sk),
                                found=s.render_schema(n.interface.schema))
+                if (loc, n.interface.tid) in seen:
+                    self.error("duplicate-table",
+                               f"table {n.interface.tid!r} already stands at ${loc}", n.span)
+                seen.add((loc, n.interface.tid))
             elif isinstance(n, s.ErrNet):
                 self.error("error-net", "the error net is never well-typed", n.span)
             elif not isinstance(n, s.NilNet):

@@ -80,6 +80,16 @@ class TestRun:
         assert main(["run", write(tmp_path, TABLE_AS_DATA), "--unchecked"]) == 3
         assert "terminal: err" in capsys.readouterr().out
 
+    def test_refuses_a_repeated_table_without_flag(self, tmp_path, capsys):
+        # Run unchecked, two tables T@l would switch off the `lid` check.
+        path = write(tmp_path, "$l :: table T : (Int) = {} || $l :: table T : (Int) = {(1)}")
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err == (
+            f"{path}:1:37: table 'T' already stands at $l\n"
+            f"{path}: refusing to run an ill-typed system (pass --unchecked to run anyway)\n")
+        assert main(["run", path, "--unchecked"]) == 0
+        assert "terminal: quiescent after 0 step(s)" in capsys.readouterr().out
+
     def test_unchecked_data_bound_to_a_table_variable_is_stuck(self, tmp_path, capsys):
         assert main(["run", write(tmp_path, DATA_AS_TABLE), "--unchecked"]) == 0
         out = capsys.readouterr().out

@@ -204,8 +204,9 @@ class TestSelection:
             srow(1, "a"): 2, srow(1, "b"): 6, srow(2, "a"): 1, srow(2, "b"): 3})
 
     def test_duplicate_source_reads_the_table_that_renders_first(self):
-        # Only an unchecked net can hold two tables T@l1; a select then reads
-        # the one that renders first, which is the order find_tables gives.
+        # The checker rejects two tables T@l1 (duplicate-table), so only a
+        # net run unchecked holds them; a select then reads the one that
+        # renders first, which is the order find_tables gives.
         tables = [t_table(srow(2)), t_table(srow(1), srow(1))]
         cont = s.Foreach(s.TableByVar("u"), X, s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
         proc = s.Prefix(select_t(X, s.TruePred(), X_PAYLOAD), cont)

@@ -202,7 +202,8 @@ def _table(tid, *values):
 class TestTableOrder:
     @pytest.fixture
     def unchecked(self):
-        # Three different T@l1 tables tie on (loc, tid); only render orders them.
+        # Three different T@l1 tables tie on (loc, tid); only render orders
+        # them.  The checker rejects such a net (duplicate-table).
         comps = [_table("T", 30), _table("T", 4), _table("T", 100, 2), _table("Ab", 5),
                  _table("T", 7)]
         net = s.Node("l2", comps[-1])
@@ -387,8 +388,10 @@ class TestOutcomeReuse:
             assert pairs(transitions) == pairs(semantics.enumerate_transitions(succ, sys1))
 
     def test_a_drop_that_leaves_fewer_tables_reruns_the_actions_over_them(self):
-        # An unchecked net with two T@l1 tables: after each drop, a waiting
-        # delete finds fewer tables, once the first of the ones it found.
+        # A net with two T@l1 tables, which the checker rejects
+        # (duplicate-table) and so only runs unchecked: after each drop, a
+        # waiting delete finds fewer tables, once the first of the ones it
+        # found.
         at = VLoc("l1")
         delete = s.Delete("T", s.Template((s.BindData("x"),)), s.TruePred(), at)
         drops = s.Prefix(s.Drop("T", at), s.Prefix(s.Drop("T", at), s.NilProc()))

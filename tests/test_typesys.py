@@ -348,6 +348,32 @@ DIAGNOSTIC_TEXTS = [
 ]
 
 
+# A locality holds one table per identifier.  Names are compared as the
+# parser leaves them, renamed apart, so two restrictions of `$l` are two
+# localities.
+DUPLICATE_TABLES = [
+    ("$l :: table T : (Int) = {} || $l :: table T : (Int) = {(1)}",
+     ["1:37: table 'T' already stands at $l"]),
+    ("$l :: { table T : (Int) = {} | table U : (Int) = {} | table T : (Int) = {(2)} }",
+     ["1:55: table 'T' already stands at $l"]),
+    ("$l :: table T : (Int) = {}\n|| $l :: table T : (Int) = {}\n|| $l :: table T : (Int) = {}",
+     ["2:10: table 'T' already stands at $l", "3:10: table 'T' already stands at $l"]),
+    ("(new $l) ($l :: table T : (Int) = {} || $l :: table T : (Int) = {})",
+     ["1:47: table 'T' already stands at $l"]),
+    ("(new $l) $l :: table T : (Int) = {} || (new $l) $l :: table T : (Int) = {}", []),
+    ("(new $l) $l :: table T : (Int) = {} || $l :: table T : (Int) = {}", []),
+    ("$l :: table T : (Int) = {} || $m :: table T : (Int) = {} || $l :: table U : (Int) = {}",
+     []),
+]
+
+
+@pytest.mark.parametrize("src, texts", DUPLICATE_TABLES)
+def test_duplicate_table(src, texts):
+    diags = check_system(parse_system(src))
+    assert [str(d) for d in diags] == texts
+    assert all(d.kind == "duplicate-table" for d in diags)
+
+
 @pytest.mark.parametrize("src, texts", DIAGNOSTIC_TEXTS)
 def test_diagnostic_text(src, texts):
     assert [str(d) for d in check_system(parse_system(src))] == texts
