@@ -7,10 +7,10 @@ the two kinds of binders apart without type information.
 
 `tokenize` takes one regular-expression match and one list append per
 token.  A token is a (kind, text, offset) triple, and a node's span is the
-offset of its first token.  A line and column are computed, against a line
-table built at most once per parse, only for a ParseError.  The list ends
-in one EOF token, which the parser never reads past.  Keyword and operator choices
-are table lookups on the kind.
+offset of its first token.  A line and column are computed only for a
+ParseError, against a line table built at most once per parse.  The list
+ends in one EOF token, which the parser never reads past.  Keyword and
+operator choices are table lookups on the kind.
 
 The descent resolves names as it meets them, so it builds the only tree.
 A binder scopes over the fields of its node written after it (the rule of

@@ -40,7 +40,8 @@ the rendering `canonical_key` is computed only for transitions that share a
 label, from the texts bodies and rows keep; and tables are ordered by
 (locality, identifier), rendered only to break a tie.
 The `lid` integrity check reads each outcome's tables against the same
-map.
+map.  It is off in a net whose `lid` already repeats, which the checker
+rejects (`duplicate-table`), so only an unchecked run holds one.
 `explore` deduplicates the states it reaches by one `net.StateKeys` per
 call, which renders nothing and works on a body only the first time it
 meets it.  Substitution builds new terms only for continuations: the process

@@ -4,10 +4,11 @@ AST nodes are frozen dataclasses with tuple-valued children, so every node is
 hashable and structural equality is cheap.  A node's span is the source
 offset of its first token, an `int`, excluded from equality and hashing: two
 parses of the same text compare equal regardless of layout.  `Positions`
-turns an offset into a line:col `Span`, only for what is reported; a parsed
-`System` keeps its source for that.  A constant is its value: an expression holds
-the `VInt`, `VStr`, `VTid` or `VLoc` of `kdb.values` that a table row holds,
-with no span, and `rename_value` renames a locality wherever it occurs.
+turns an offset into a line:col `Span` only for what is reported, against
+the source that a parsed `System` keeps.  A constant is its value: an
+expression holds the `VInt`, `VStr`, `VTid` or `VLoc` of `kdb.values` that a
+table row holds, with no span, and `rename_value` renames a locality
+wherever it occurs.
 
 The binding structure of processes and nets is declared once, in the table
 CHILDREN: a binder scopes over the fields of its node listed after it.  A
