@@ -1,4 +1,9 @@
-"""Command-line front end: check, run, explore, dump."""
+"""Command-line front end: check, run, explore, dump.
+
+`kdb check` needs only the parser and the checker, so the engine's modules,
+`kdb.semantics` and `kdb.net`, are imported by the commands that use them,
+when they run.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +12,6 @@ import json
 import os
 import sys as _sys
 
-from kdb import net as netmod
-from kdb import semantics
-from kdb import syntax as s
 from kdb.parser import ParseError, parse_system
 from kdb.typesys import check_system
 
@@ -101,6 +103,8 @@ def _write_lines(path: str, lines: list) -> bool:
 
 
 def _lid_json(cn) -> list:
+    from kdb import net as netmod
+
     pairs = []
     for (loc, tid), n in sorted(netmod.lid(cn).items()):
         pairs.extend([[loc, tid]] * n)
@@ -108,6 +112,8 @@ def _lid_json(cn) -> list:
 
 
 def _write_trace(path: str, trace: semantics.Trace) -> bool:
+    from kdb import net as netmod
+
     lines = []
     for i, (label, cn) in enumerate(trace.steps):
         lines.append(json.dumps({
@@ -127,6 +133,9 @@ def _write_trace(path: str, trace: semantics.Trace) -> bool:
 
 
 def cmd_run(args) -> int:
+    from kdb import net as netmod
+    from kdb import semantics
+
     system, code = _checked_system(args)
     if system is None:
         return code
@@ -161,6 +170,9 @@ def _write_dot(path: str, result: semantics.ExploreResult) -> bool:
 
 
 def cmd_explore(args) -> int:
+    from kdb import net as netmod
+    from kdb import semantics
+
     if args.bound > MAX_EXPLORE_BOUND:
         print(f"bound capped at {MAX_EXPLORE_BOUND}", file=_sys.stderr)
         args.bound = MAX_EXPLORE_BOUND
@@ -181,6 +193,8 @@ def cmd_explore(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    from kdb import net as netmod
+
     system, code = _load(args.file)
     if system is None:
         return code

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from kdb import syntax as s
 from kdb.values import Multiset, VInt, VLoc, VSet, VStr, VTid, sorted_rows
 
 
-@dataclass(frozen=True)
-class CanonicalNet:
+class CanonicalNet(NamedTuple):
     restricted: tuple  # locality names, outermost first
     items: Multiset  # of (loc, Process | TableComp)
     err: bool = False
@@ -44,19 +43,6 @@ def _is_table(body) -> bool:
 
 
 _NIL = s.NilProc()
-
-
-def _item_sort_key(pair):
-    loc, body = pair
-    return (loc, 0 if _is_table(body) else 1, s.render(body))
-
-
-def sorted_items(cn: CanonicalNet) -> list:
-    """Items repeated by multiplicity, in deterministic order."""
-    out = []
-    for pair, n in sorted(cn.items.items(), key=lambda kv: _item_sort_key(kv[0])):
-        out.extend([pair] * n)
-    return out
 
 
 def _absorb_nil(counts: dict, locs) -> None:
@@ -142,27 +128,6 @@ def make_canonical(parent: CanonicalNet, removed, added) -> CanonicalNet:
 ERR_NET = CanonicalNet((), Multiset(), True)
 
 
-def to_net(cn: CanonicalNet) -> s.Net:
-    """Expand back to a plain net term (restrictions outermost)."""
-    if cn.err and not cn.items:
-        return s.ErrNet()
-    parts = []
-    for loc, body in sorted_items(cn):
-        comp = body if isinstance(body, s.TableComp) else s.ProcComp(body)
-        parts.append(s.Node(loc, comp))
-    if cn.err:
-        parts.append(s.ErrNet())
-    if not parts:
-        net: s.Net = s.NilNet()
-    else:
-        net = parts[0]
-        for p in parts[1:]:
-            net = s.ParNet(net, p)
-    for loc in reversed(cn.restricted):
-        net = s.Restrict(loc, net)
-    return net
-
-
 # ---------------------------------------------------------------------------
 # Table bookkeeping
 
@@ -193,11 +158,6 @@ def lid(cn: CanonicalNet) -> Multiset:
     return Multiset.of_counts({key: len(found) for key, found in tables_by_id(cn).items()})
 
 
-def no_rep(pairs: Multiset) -> bool:
-    """True when no (locality, table identifier) pair repeats."""
-    return all(n == 1 for _, n in pairs.items())
-
-
 def ok(cn: CanonicalNet) -> bool:
     return not cn.err
 
@@ -225,7 +185,7 @@ def canonical_key(cn: CanonicalNet):
         if restricted and not restricted.isdisjoint(s.free_locs(body)):
             held.append((loc, body, cnt))
         else:
-            text = getattr(body, "_text", None)
+            text = body._text
             if text is None:
                 text = s.render(body)
                 object.__setattr__(body, "_text", text)

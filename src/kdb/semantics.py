@@ -51,7 +51,6 @@ after a select or aggr, a loop body and a procedure body.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from operator import is_
 from typing import NamedTuple, Optional
 
@@ -66,15 +65,13 @@ class IntegrityError(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class TransitionLabel:
+class TransitionLabel(NamedTuple):
     rule: str
     actor: str
     detail: str
 
 
-@dataclass
-class Trace:
+class Trace(NamedTuple):
     initial: CanonicalNet
     steps: list  # of (TransitionLabel, CanonicalNet)
     terminal: str  # "quiescent" | "err" | "step-limit"
@@ -93,8 +90,7 @@ class Trace:
         return [f"{loc} :: {text}" for loc, text in stuck]
 
 
-@dataclass(frozen=True)
-class _Outcome:
+class _Outcome(NamedTuple):
     """Effect of one transition: the acting process item becomes new_proc at
     its locality, and the remove items give way to the add items.  A
     monitored error is `kernel.ERR` in place of an outcome."""
@@ -374,10 +370,10 @@ def _proc_outcomes(tables: dict, proc: s.Process, sys: s.System, reuse: _Reuse) 
             if k.is_err(oc):
                 lifted.append((rule, detail, oc))
             elif isinstance(oc.new_proc, s.NilProc):
-                lifted.append(("SEQ_FF", f"[{rule}] {detail}", replace(oc, new_proc=proc.second)))
+                lifted.append(("SEQ_FF", f"[{rule}] {detail}", oc._replace(new_proc=proc.second)))
             else:
                 lifted.append(("SEQ_TT", f"[{rule}] {detail}",
-                               replace(oc, new_proc=s.Seq(oc.new_proc, proc.second))))
+                               oc._replace(new_proc=s.Seq(oc.new_proc, proc.second))))
         return lifted
     raise TypeError(f"not a process: {proc!r}")
 
@@ -462,7 +458,7 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System,
             label = TransitionLabel(rule, loc, detail)
             by_label.setdefault(label, []).append(Transition(label, cn, pair, oc))
     out = []
-    for label in sorted(by_label, key=lambda lb: (lb.rule, lb.actor, lb.detail)):
+    for label in sorted(by_label):  # by rule, actor and detail
         tied = by_label[label]
         if len(tied) > 1:
             keyed = {}
@@ -502,8 +498,7 @@ def run(sys: s.System, seed: int = 0, max_steps: int = 10000) -> Trace:
             return Trace(initial=initial, steps=steps, terminal="err")
 
 
-@dataclass
-class ExploreResult:
+class ExploreResult(NamedTuple):
     states: int
     err_reachable: bool
     quiescent: list  # of CanonicalNet

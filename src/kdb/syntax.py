@@ -1,41 +1,42 @@
 """Abstract syntax of the coordination language.
 
-AST nodes are frozen dataclasses with tuple-valued children, so every node is
-hashable and structural equality is cheap.  A node's span is the source
-offset of its first token, an `int`, excluded from equality and hashing: two
-parses of the same text compare equal regardless of layout.  `Positions`
-turns an offset into a line:col `Span` only for what is reported, against
-the source that a parsed `System` keeps.  A constant is its value: an
-expression holds the `VInt`, `VStr`, `VTid` or `VLoc` of `kdb.values` that a
-table row holds, with no span, and `rename_value` renames a locality
-wherever it occurs.
+AST nodes are node classes of `kdb.nodes`: immutable and slotted, with
+tuple-valued children, so every node is hashable and keeps its hash once it
+is computed.  Each class is declared once, by its fields and the shapes of
+its children.  A node's span is the source offset of its first token, an
+`int`, excluded from equality and hashing: two parses of the same text
+compare equal regardless of layout.  `Positions` turns an offset into a
+line:col `Span` only for what is reported, against the source that a parsed
+`System` keeps.  A constant is its value: an expression holds the `VInt`,
+`VStr`, `VTid` or `VLoc` of `kdb.values` that a table row holds, with no
+span, and `rename_value` renames a locality wherever it occurs.
 
-The binding structure of processes and nets is declared once, in the table
-CHILDREN: a binder scopes over the fields of its node listed after it.  A
-template's `!x` and `!@u` scope over its action's predicate and payload and
-over a loop's body; a select's `!t` and an aggr's result template over the
-continuation of their prefix; `(new $l)` over its net.  A binder's scope
-follows it in the source text too, so the parser resolves names by the same
-rule as it reads them; procedure parameters, which scope over their body,
-the parser and the checker bind themselves.  `ScopedMap` is the one
-traversal of processes and nets that the table drives.  Like the type
-checker and the parser it binds in a `Scope`, in place, and undoes what a
-node bound when the node is done.  `free_vars`, `free_locs` and
-`rename_localities` here, `kernel.apply_subst` and the checker's collection
-of table shapes are each a few hooks on it.  It costs a Python frame per
-level of the tree but none per node of a `||` or `|` spine.  `render` is
-driven by a table too, `_FORMAT`, with one format function per class and the
-parenthesisation of tight positions as data; it recurses on every level, a
-spine's included.
+The binding structure of processes and nets is declared with the classes
+and collected in the table CHILDREN: a binder scopes over the fields of its
+node listed after it.  A template's `!x` and `!@u` scope over its action's
+predicate and payload and over a loop's body; a select's `!t` and an aggr's
+result template over the continuation of their prefix; `(new $l)` over its
+net.  A binder's scope follows it in the source text too, so the parser
+resolves names by the same rule as it reads them; procedure parameters,
+which scope over their body, the parser and the checker bind themselves.
+`ScopedMap` is the one traversal of processes and nets that the table
+drives.  Like the type checker and the parser it binds in a `Scope`, in
+place, and undoes what a node bound when the node is done.  `free_vars`,
+`free_locs` and `rename_localities` here, `kernel.apply_subst` and the
+checker's collection of table shapes are each a few hooks on it.  It costs
+a Python frame per level of the tree but none per node of a `||` or `|`
+spine.  `render` is driven by a table too, `_FORMAT`, with one format
+function per class and the parenthesisation of tight positions as data; it
+recurses on every level, a spine's included.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
+from kdb.nodes import Record, build
 from kdb.values import (
     Multiset,
     ValueTuple,
@@ -48,17 +49,11 @@ from kdb.values import (
 )
 
 
-@dataclass(frozen=True)
-class Span:
-    line: int
-    col: int
+class Span(Record):
+    __slots__ = ("line", "col")
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
-
-
-def span_field():
-    return field(default=None, compare=False, repr=False)
 
 
 def line_starts(source: str) -> list:
@@ -86,61 +81,77 @@ class Positions:
 
 
 # ---------------------------------------------------------------------------
+# Binding structure
+#
+# Each node class below declares its fields, in order, as its `__slots__`,
+# and, as class keywords, which of them hold its children and how they are
+# scoped, by one rule: a binder scopes over the fields of its node listed
+# after it (so a delete's, update's and aggr's locality comes before its
+# template).  CHILDREN collects them for
+# processes and nets.  A class with none has no children to visit: the
+# constants, a VLoc an occurrence of its locality; the variables DataVar,
+# LocVar, TableByVar; and the tables TableLiteral and TableComp, whose rows
+# may hold localities.  Neither ProcDef nor System has any: the parser and
+# the checker scope a procedure's parameters over its body themselves.
+#
+# Shapes of a child field:
+ONE = "one"  # one node
+MANY = "many"  # a tuple of nodes
+ACTION = "action"  # Prefix.action, whose exported binder is a binder of the Prefix
+SITE = "site"  # Node.loc: a locality occurrence
+# Shapes of a binder field:
+PATTERN = "pattern"  # a Template: `!x` binds data, `!@u` a locality variable
+RESTRICTED = "restricted"  # Restrict.loc: a locality name
+TABLE_VAR = "table-var"  # a table variable
+# ... and of a binder that its action exports to the continuation of its
+# Prefix, where ACTION binds it; within its own node it scopes over nothing:
+EXPORTS_TABLE_VAR = "exports table-var"  # Select.bind
+EXPORTS_PATTERN = "exports pattern"  # Aggr.bind_template
+
+
+class ExpressionNode(Record):
+    """A node that holds expressions only: no process, table or binder
+    occurs below it, so a fold that looks for none of those need not enter
+    it (see `keep`)."""
+    __slots__ = ()
+
+
+# ---------------------------------------------------------------------------
 # Types (column sorts and schemas)
 
-@dataclass(frozen=True)
-class Base:
-    kind: str  # "Int" | "String" | "Id" | "Loc"
+class Base(Record):
+    __slots__ = ("kind",)  # "Int" | "String" | "Id" | "Loc"
 
 
-@dataclass(frozen=True)
-class MSet:
-    kind: str
+class MSet(Record):
+    __slots__ = ("kind",)
 
 
 MType = Union[Base, MSet]
 Schema = tuple  # tuple of MType, length >= 1
 
-INT = Base("Int")
-STRING = Base("String")
-ID = Base("Id")
-LOC = Base("Loc")
-
 
 # ---------------------------------------------------------------------------
 # Expressions
 
-@dataclass(frozen=True)
-class DataVar:
-    name: str
-    span: Optional[int] = span_field()
+class DataVar(ExpressionNode):
+    __slots__ = ("name", "span")
 
 
-@dataclass(frozen=True)
-class LocVar:
-    name: str
-    span: Optional[int] = span_field()
+class LocVar(ExpressionNode):
+    __slots__ = ("name", "span")
 
 
-@dataclass(frozen=True)
-class Concat:
-    left: "Expr"
-    right: "Expr"
-    span: Optional[int] = span_field()
+class Concat(ExpressionNode, left=ONE, right=ONE):
+    __slots__ = ("left", "right", "span")
 
 
-@dataclass(frozen=True)
-class Arith:
-    op: str  # + - * /
-    left: "Expr"
-    right: "Expr"
-    span: Optional[int] = span_field()
+class Arith(ExpressionNode, left=ONE, right=ONE):
+    __slots__ = ("op", "left", "right", "span")  # op: + - * /
 
 
-@dataclass(frozen=True)
-class MultisetLit:
-    elements: tuple  # of Expr, each multiset-free
-    span: Optional[int] = span_field()
+class MultisetLit(ExpressionNode, elements=MANY):
+    __slots__ = ("elements", "span")  # elements: Exprs, each multiset-free
 
 
 Expr = Union[VInt, VStr, VTid, VLoc, DataVar, LocVar, Concat, Arith, MultisetLit]
@@ -149,37 +160,24 @@ Expr = Union[VInt, VStr, VTid, VLoc, DataVar, LocVar, Concat, Arith, MultisetLit
 # ---------------------------------------------------------------------------
 # Predicates
 
-@dataclass(frozen=True)
-class TruePred:
-    span: Optional[int] = span_field()
+class TruePred(ExpressionNode):
+    __slots__ = ("span",)
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # = != < <= > >= sub
-    left: Expr
-    right: Expr
-    span: Optional[int] = span_field()
+class Cmp(ExpressionNode, left=ONE, right=ONE):
+    __slots__ = ("op", "left", "right", "span")  # op: = != < <= > >= sub
 
 
-@dataclass(frozen=True)
-class Member:
-    elem: Expr
-    container: Expr
-    span: Optional[int] = span_field()
+class Member(ExpressionNode, elem=ONE, container=ONE):
+    __slots__ = ("elem", "container", "span")
 
 
-@dataclass(frozen=True)
-class Not:
-    inner: "Pred"
-    span: Optional[int] = span_field()
+class Not(ExpressionNode, inner=ONE):
+    __slots__ = ("inner", "span")
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Pred"
-    right: "Pred"
-    span: Optional[int] = span_field()
+class And(ExpressionNode, left=ONE, right=ONE):
+    __slots__ = ("left", "right", "span")
 
 
 Pred = Union[TruePred, Cmp, Member, Not, And]
@@ -191,28 +189,20 @@ CMP_OPS = ("=", "!=") + ORDERED_CMP_OPS + ("sub",)
 # ---------------------------------------------------------------------------
 # Tuples and templates
 
-@dataclass(frozen=True)
-class Tuple:
-    components: tuple  # of Expr, length >= 1
-    span: Optional[int] = span_field()
+class Tuple(ExpressionNode, components=MANY):
+    __slots__ = ("components", "span")  # components: Exprs, at least one
 
 
-@dataclass(frozen=True)
-class BindData:
-    name: str
-    span: Optional[int] = span_field()
+class BindData(Record):
+    __slots__ = ("name", "span")
 
 
-@dataclass(frozen=True)
-class BindLoc:
-    name: str
-    span: Optional[int] = span_field()
+class BindLoc(Record):
+    __slots__ = ("name", "span")
 
 
-@dataclass(frozen=True)
-class Template:
-    fields: tuple  # of BindData | BindLoc, length >= 1
-    span: Optional[int] = span_field()
+class Template(Record):
+    __slots__ = ("fields", "span")  # fields: BindData | BindLoc, at least one
 
     def names(self) -> tuple:
         return tuple(f.name for f in self.fields)
@@ -221,30 +211,21 @@ class Template:
 # ---------------------------------------------------------------------------
 # Tables
 
-@dataclass(frozen=True)
-class Interface:
-    tid: Optional[str]  # None marks the anonymous interface of selection results
-    schema: Schema
+class Interface(Record):
+    # tid None marks the anonymous interface of selection results
+    __slots__ = ("tid", "schema")
 
 
-@dataclass(frozen=True)
-class TableByName:
-    tid: str
-    loc: Expr  # VLoc or LocVar
-    span: Optional[int] = span_field()
+class TableByName(ExpressionNode, loc=ONE):
+    __slots__ = ("tid", "loc", "span")  # loc: VLoc or LocVar
 
 
-@dataclass(frozen=True)
-class TableByVar:
-    name: str
-    span: Optional[int] = span_field()
+class TableByVar(Record):
+    __slots__ = ("name", "span")
 
 
-@dataclass(frozen=True)
-class TableLiteral:
-    interface: Interface
-    rows: Multiset  # of ValueTuple
-    span: Optional[int] = span_field()
+class TableLiteral(Record):
+    __slots__ = ("interface", "rows", "span")  # rows: a Multiset of ValueTuple
 
 
 TableRef = Union[TableByName, TableByVar, TableLiteral]
@@ -257,131 +238,79 @@ TableRef = Union[TableByName, TableByVar, TableLiteral]
 COLUMNLESS = frozenset(("count", "unordered", "lex"))
 
 
-@dataclass(frozen=True)
-class AggrFn:
-    op: str  # count sum avg min max
-    col: int = 0
+class AggrFn(Record):
+    __slots__ = ("op", "col")  # op: count sum avg min max
+    _defaults = {"col": 0}
 
 
-@dataclass(frozen=True)
-class OrderSpec:
-    op: str  # unordered lex asc desc
-    col: int = 0
+class OrderSpec(Record):
+    __slots__ = ("op", "col")  # op: unordered lex asc desc
+    _defaults = {"col": 0}
 
 
 # ---------------------------------------------------------------------------
 # Actions
 
-@dataclass(frozen=True)
-class Insert:
-    tid: str
-    payload: Tuple
-    loc: Expr
-    span: Optional[int] = span_field()
+class Insert(Record, payload=ONE, loc=ONE):
+    __slots__ = ("tid", "payload", "loc", "span")
 
 
-@dataclass(frozen=True)
-class Delete:
-    tid: str
-    template: Template
-    pred: Pred
-    loc: Expr
-    span: Optional[int] = span_field()
+class Delete(Record, loc=ONE, template=PATTERN, pred=ONE):
+    __slots__ = ("tid", "template", "pred", "loc", "span")
 
 
-@dataclass(frozen=True)
-class Select:
-    tables: tuple  # of TableRef, length >= 1
-    template: Template
-    pred: Pred
-    payload: Tuple
-    bind: str  # table variable bound in the continuation
-    span: Optional[int] = span_field()
+class Select(Record, tables=MANY, template=PATTERN, pred=ONE, payload=ONE,
+             bind=EXPORTS_TABLE_VAR):
+    # tables: TableRefs, at least one; bind: the table variable bound in
+    # the continuation
+    __slots__ = ("tables", "template", "pred", "payload", "bind", "span")
 
 
-@dataclass(frozen=True)
-class Update:
-    tid: str
-    template: Template
-    pred: Pred
-    payload: Tuple
-    loc: Expr
-    span: Optional[int] = span_field()
+class Update(Record, loc=ONE, template=PATTERN, pred=ONE, payload=ONE):
+    __slots__ = ("tid", "template", "pred", "payload", "loc", "span")
 
 
-@dataclass(frozen=True)
-class Aggr:
-    tid: str
-    template: Template
-    pred: Pred
-    fn: AggrFn
-    bind_template: Template
-    loc: Expr
-    span: Optional[int] = span_field()
+class Aggr(Record, loc=ONE, template=PATTERN, pred=ONE, bind_template=EXPORTS_PATTERN):
+    __slots__ = ("tid", "template", "pred", "fn", "bind_template", "loc", "span")
 
 
-@dataclass(frozen=True)
-class Create:
-    tid: str
-    loc: Expr
-    schema: Schema
-    span: Optional[int] = span_field()
+class Create(Record, loc=ONE):
+    __slots__ = ("tid", "loc", "schema", "span")
 
 
-@dataclass(frozen=True)
-class Drop:
-    tid: str
-    loc: Expr
-    span: Optional[int] = span_field()
+class Drop(Record, loc=ONE):
+    __slots__ = ("tid", "loc", "span")
 
 
-@dataclass(frozen=True)
-class Eval:
-    process: "Process"
-    loc: Expr
-    span: Optional[int] = span_field()
+class Eval(Record, process=ONE, loc=ONE):
+    __slots__ = ("process", "loc", "span")
 
 
 Action = Union[Insert, Delete, Select, Update, Aggr, Create, Drop, Eval]
 
 
 # ---------------------------------------------------------------------------
-# Processes
+# Processes.  A process, as a table component, is the body of an item of a
+# canonical net, and keeps its text for `net.canonical_key` in `_text`.
 
-@dataclass(frozen=True)
-class NilProc:
-    span: Optional[int] = span_field()
-
-
-@dataclass(frozen=True)
-class Prefix:
-    action: Action
-    cont: "Process"
-    span: Optional[int] = span_field()
+class NilProc(Record):
+    __slots__ = ("span", "_text")
 
 
-@dataclass(frozen=True)
-class CallProc:
-    name: str
-    args: tuple  # of Expr
-    span: Optional[int] = span_field()
+class Prefix(Record, action=ACTION, cont=ONE):
+    __slots__ = ("action", "cont", "span", "_text")
 
 
-@dataclass(frozen=True)
-class Foreach:
-    table: TableRef
-    template: Template
-    pred: Pred
-    order: OrderSpec
-    body: "Process"
-    span: Optional[int] = span_field()
+class CallProc(Record, args=MANY):
+    __slots__ = ("name", "args", "span", "_text")  # args: Exprs
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "Process"
-    second: "Process"
-    span: Optional[int] = span_field()
+class Foreach(Record, table=ONE, template=PATTERN, pred=ONE, body=ONE):
+    __slots__ = ("table", "template", "pred", "order", "body", "span", "_text")
+
+
+class Seq(Record, first=ONE, second=ONE):
+    __slots__ = ("first", "second", "span", "_text")
 
 
 Process = Union[NilProc, Prefix, CallProc, Foreach, Seq]
@@ -390,77 +319,62 @@ Process = Union[NilProc, Prefix, CallProc, Foreach, Seq]
 # ---------------------------------------------------------------------------
 # Components and nets
 
-@dataclass(frozen=True)
-class ProcComp:
-    process: Process
-    span: Optional[int] = span_field()
+class ProcComp(Record, process=ONE):
+    __slots__ = ("process", "span")
 
 
-@dataclass(frozen=True)
-class TableComp:
-    interface: Interface
-    rows: Multiset  # of ValueTuple
-    span: Optional[int] = span_field()
+class TableComp(Record):
+    __slots__ = ("interface", "rows", "span", "_text")  # rows: a Multiset of ValueTuple
 
 
-@dataclass(frozen=True)
-class ParComp:
-    left: "Component"
-    right: "Component"
-    span: Optional[int] = span_field()
+class ParComp(Record, left=ONE, right=ONE):
+    __slots__ = ("left", "right", "span")
 
 
 Component = Union[ProcComp, TableComp, ParComp]
 
 
-@dataclass(frozen=True)
-class NilNet:
-    span: Optional[int] = span_field()
+class NilNet(Record):
+    __slots__ = ("span",)
 
 
-@dataclass(frozen=True)
-class ErrNet:
-    span: Optional[int] = span_field()
+class ErrNet(Record):
+    __slots__ = ("span",)
 
 
-@dataclass(frozen=True)
-class ParNet:
-    left: "Net"
-    right: "Net"
-    span: Optional[int] = span_field()
+class ParNet(Record, left=ONE, right=ONE):
+    __slots__ = ("left", "right", "span")
 
 
-@dataclass(frozen=True)
-class Restrict:
-    loc: str
-    inner: "Net"
-    span: Optional[int] = span_field()
+class Restrict(Record, loc=RESTRICTED, inner=ONE):
+    __slots__ = ("loc", "inner", "span")
 
 
-@dataclass(frozen=True)
-class Node:
-    loc: str
-    component: Component
-    span: Optional[int] = span_field()
+class Node(Record, loc=SITE, component=ONE):
+    __slots__ = ("loc", "component", "span")
 
 
 Net = Union[NilNet, ErrNet, ParNet, Restrict, Node]
 
 
-@dataclass(frozen=True)
-class ProcDef:
-    name: str
-    params: tuple  # of (name, MType | Schema); Base("Loc") marks a locality parameter
-    body: Process
-    span: Optional[int] = span_field()
+class ProcDef(Record):
+    # params: (name, MType | Schema) pairs; Base("Loc") marks a locality parameter
+    __slots__ = ("name", "params", "body", "span")
 
 
-@dataclass
-class System:
-    procedures: dict  # name -> ProcDef, in declaration order
-    schema_decls: tuple  # of (tid, Schema), in declaration order; repeats kept
-    main_net: Net
-    source: str = field(default="", compare=False, repr=False)  # the offsets' text
+class System(Record):
+    # procedures: name -> ProcDef, in declaration order; schema_decls: (tid,
+    # Schema) pairs, in declaration order, repeats kept; source: the text
+    # the offsets point into
+    __slots__ = ("procedures", "schema_decls", "main_net", "source")
+
+
+_NODES = build(globals())
+
+INT = Base("Int")
+STRING = Base("String")
+ID = Base("Id")
+LOC = Base("Loc")
 
 
 # ---------------------------------------------------------------------------
@@ -603,84 +517,24 @@ _FORMAT = {
 
 
 # ---------------------------------------------------------------------------
-# Binding structure
-#
-# CHILDREN declares, once for processes and nets, which fields of each AST
-# class hold its children and how they are scoped, by one rule: a binder
-# scopes over the fields of its node listed after it (so a delete's,
-# update's and aggr's locality comes before its template).  A class that is
-# not listed has no children to visit: the constants, a VLoc an occurrence
-# of its locality; the variables DataVar, LocVar, TableByVar; and the
-# tables TableLiteral and TableComp, whose rows may hold localities.
-# Neither ProcDef nor System is listed: the parser and the checker scope a
-# procedure's parameters over its body themselves.
-#
-# Shapes of a child field:
-ONE = "one"  # one node
-MANY = "many"  # a tuple of nodes
-ACTION = "action"  # Prefix.action, whose exported binder is a binder of the Prefix
-SITE = "site"  # Node.loc: a locality occurrence
-# Shapes of a binder field:
-PATTERN = "pattern"  # a Template: `!x` binds data, `!@u` a locality variable
-RESTRICTED = "restricted"  # Restrict.loc: a locality name
-TABLE_VAR = "table-var"  # a table variable
-# ... and of a binder that its action exports to the continuation of its
-# Prefix, where ACTION binds it; within its own node it scopes over nothing:
-EXPORTS_TABLE_VAR = "exports table-var"  # Select.bind
-EXPORTS_PATTERN = "exports pattern"  # Aggr.bind_template
+# The traversal of the binding structure
 
-CHILDREN = {
-    Concat: (("left", ONE), ("right", ONE)),
-    Arith: (("left", ONE), ("right", ONE)),
-    MultisetLit: (("elements", MANY),),
-    Cmp: (("left", ONE), ("right", ONE)),
-    Member: (("elem", ONE), ("container", ONE)),
-    Not: (("inner", ONE),),
-    And: (("left", ONE), ("right", ONE)),
-    Tuple: (("components", MANY),),
-    TableByName: (("loc", ONE),),
-    Insert: (("payload", ONE), ("loc", ONE)),
-    Delete: (("loc", ONE), ("template", PATTERN), ("pred", ONE)),
-    Select: (("tables", MANY), ("template", PATTERN), ("pred", ONE), ("payload", ONE),
-             ("bind", EXPORTS_TABLE_VAR)),
-    Update: (("loc", ONE), ("template", PATTERN), ("pred", ONE), ("payload", ONE)),
-    Aggr: (("loc", ONE), ("template", PATTERN), ("pred", ONE),
-           ("bind_template", EXPORTS_PATTERN)),
-    Create: (("loc", ONE),),
-    Drop: (("loc", ONE),),
-    Eval: (("process", ONE), ("loc", ONE)),
-    Prefix: (("action", ACTION), ("cont", ONE)),
-    CallProc: (("args", MANY),),
-    Foreach: (("table", ONE), ("template", PATTERN), ("pred", ONE), ("body", ONE)),
-    Seq: (("first", ONE), ("second", ONE)),
-    ProcComp: (("process", ONE),),
-    ParComp: (("left", ONE), ("right", ONE)),
-    ParNet: (("left", ONE), ("right", ONE)),
-    Restrict: (("loc", RESTRICTED), ("inner", ONE)),
-    Node: (("loc", SITE), ("component", ONE)),
-}
+CHILDREN = {cls: cls._children for cls in _NODES if cls._children}
 
 _EXPORTED = {EXPORTS_TABLE_VAR: TABLE_VAR, EXPORTS_PATTERN: PATTERN}
 
 
-def _plan(cls) -> tuple:
-    attrs = tuple(f.name for f in fields(cls) if f.name != "span")
-    steps = tuple((attrs.index(name), name, shape) for name, shape in CHILDREN[cls])
-    return attrs, steps
-
-
-# class -> (field names but span, ((index, field, shape), ...))
-_PLANS = {cls: _plan(cls) for cls in CHILDREN}
+# class -> ((index among the fields but span, field, shape), ...)
+_PLANS = {cls: tuple((cls._compared.index(name), name, shape) for name, shape in children)
+          for cls, children in CHILDREN.items()}
 # action class -> (field, binder shape) of the binder it exports
 _EXPORTS = {cls: (name, _EXPORTED[shape])
-            for cls, (_, steps) in _PLANS.items()
+            for cls, steps in _PLANS.items()
             for _, name, shape in steps if shape in _EXPORTED}
 
 
-# The classes with children that hold expressions only: no process, table
-# or binder occurs below them.  A fold that looks for none of those need not
-# enter them (see `keep`).
-EXPRESSION_NODES = (Concat, Arith, MultisetLit, Cmp, Member, Not, And, Tuple, TableByName)
+# The expression nodes with children, which a fold need not enter (`keep`).
+EXPRESSION_NODES = tuple(cls for cls in CHILDREN if issubclass(cls, ExpressionNode))
 
 
 def keep(visitor, node, env):
@@ -780,10 +634,9 @@ class ScopedMap:
             return node
         if entry.__class__ is not tuple:
             return entry(self, node, env)
-        attrs, steps = entry
         vals = None
         mark = None  # the journal's length at the node's first binder
-        for i, name, shape in steps:
+        for i, name, shape in entry:
             old = getattr(node, name)
             if shape is ONE:
                 new = self.map(old, env)
@@ -816,7 +669,7 @@ class ScopedMap:
                 continue
             if new is not old:
                 if vals is None:
-                    vals = [getattr(node, a) for a in attrs]
+                    vals = list(node._key(node))  # the fields but span
                 vals[i] = new
         if mark is not None and len(env.journal) > mark:
             env.undo(mark)

@@ -24,16 +24,14 @@ create's locality before its table identifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from kdb import syntax as s
 from kdb.kernel import literal_sort, well_sorted_value
 from kdb.values import KIND
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     kind: str
     message: str
     span: Optional[s.Span] = None
@@ -562,9 +560,3 @@ def check_system(system: s.System) -> list:
             "open-system", f"the net has free variables: {names}"))
     return checker.diags
 
-
-def check_net(net: s.Net, nabla: dict, procedures: Optional[dict] = None) -> list:
-    """Diagnostics for a bare net under a given schema map."""
-    checker = Checker(nabla, procedures or {})
-    checker.type_net(s.Scope(), net)
-    return checker.diags

@@ -1,13 +1,17 @@
 """Runtime value domain: scalar values, rows, and counted multisets.
 
 Everything here is immutable and hashable so that tables and whole net
-snapshots can be used as dictionary keys and compared structurally.
+snapshots can be used as dictionary keys and compared structurally.  The
+values and rows are node classes of `kdb.nodes`, declared by their slots;
+a row computes its hash when it is built, and its text and sort key the
+first time they are asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, TypeVar, Union
+
+from kdb.nodes import Record, build
 
 X = TypeVar("X")
 
@@ -106,32 +110,27 @@ class Multiset:
 # ---------------------------------------------------------------------------
 # Values
 
-@dataclass(frozen=True)
-class VInt:
-    value: int
+class VInt(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class VStr:
-    value: str
+class VStr(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class VTid:
+class VTid(Record):
     """A table identifier as a first-class value."""
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class VLoc:
+class VLoc(Record):
     """A locality name as a first-class value."""
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class VSet:
+class VSet(Record):
     """A multiset of scalar values, all of one scalar kind."""
-    elements: Multiset
+    __slots__ = ("elements",)
 
     def __post_init__(self):
         kinds = {scalar_kind(v) for v in self.elements.support()}
@@ -159,31 +158,26 @@ def scalar_kind(v) -> str | None:
     return KIND.get(type(v))
 
 
-@dataclass(frozen=True)
-class ValueTuple:
-    components: tuple
-
+class ValueTuple(Record):
     # The row's text (`syntax.render_row`) and `row_sort_key`, each computed
-    # the first time it is asked for and kept, as the hash is.  An item body
-    # keeps its text for `net.canonical_key` the same way.
-    _text = None
-    _sort_key = None
+    # the first time it is asked for and kept, as an item body keeps its
+    # text for `net.canonical_key`.
+    __slots__ = ("components", "_text", "_sort_key")
 
     def __post_init__(self):
         if len(self.components) < 1:
             raise ValueError("rows must have at least one component")
-        # Computed once per row, as rows are hashed whenever a table is; it
-        # equals the hash the dataclass would generate.
+        # Computed once per row, as rows are hashed whenever a table is.
         object.__setattr__(self, "_hash", hash((self.components,)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __len__(self) -> int:
         return len(self.components)
 
     def __getitem__(self, i: int):
         return self.components[i]
+
+
+build(globals())
 
 
 def value_sort_key(v):

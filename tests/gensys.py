@@ -8,7 +8,6 @@ catch and a run is likely to trip over; `corrupt_select_or_loop` breaks a
 select or a loop anywhere in a process, which `corrupt` never does.
 """
 
-import dataclasses
 import random
 
 from kdb import syntax as s
@@ -417,10 +416,10 @@ def _replace_node(node, target, new):
     if node is target:
         return new
     if isinstance(node, s.System):
-        procs = {k: dataclasses.replace(d, body=_replace_node(d.body, target, new))
+        procs = {k: d.replace(body=_replace_node(d.body, target, new))
                  for k, d in node.procedures.items()}
-        return dataclasses.replace(node, procedures=procs,
-                                   main_net=_replace_node(node.main_net, target, new))
+        return node.replace(procedures=procs,
+                            main_net=_replace_node(node.main_net, target, new))
     changes = {}
     for name, shape in s.CHILDREN.get(node.__class__, ()):
         child = getattr(node, name)
@@ -428,7 +427,7 @@ def _replace_node(node, target, new):
             changes[name] = tuple(_replace_node(x, target, new) for x in child)
         elif shape in (s.ONE, s.ACTION):
             changes[name] = _replace_node(child, target, new)
-    return dataclasses.replace(node, **changes) if changes else node
+    return node.replace(**changes) if changes else node
 
 
 def corrupt_select_or_loop(system: s.System, rng: random.Random):
@@ -445,8 +444,8 @@ def corrupt_select_or_loop(system: s.System, rng: random.Random):
     target = rng.choice(sites)
     if isinstance(target, s.Select):
         fields = target.template.fields + (s.BindData("v0"),)  # generated names start at v1
-        bad = dataclasses.replace(target, template=s.Template(fields))
+        bad = target.replace(template=s.Template(fields))
     else:
         col = len(target.template.fields) + 1
-        bad = dataclasses.replace(target, order=s.OrderSpec("asc", col))
+        bad = target.replace(order=s.OrderSpec("asc", col))
     return _replace_node(system, target, bad)

@@ -15,11 +15,12 @@ import gensys
 import smallscope
 from kdb import kernel as k
 from kdb import syntax as s
-from kdb.net import canonicalize, dump_tables, lid, no_rep, to_net
+from kdb.net import canonicalize, dump_tables, lid
 from kdb.parser import parse_system
 from kdb.semantics import run
-from kdb.typesys import Checker, build_schema_map, check_net, check_system
+from kdb.typesys import Checker, build_schema_map, check_system
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
+from nets import check_net, no_rep, to_net
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 

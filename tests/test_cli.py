@@ -245,3 +245,34 @@ class TestDump:
         monkeypatch.setenv("KDB_COLOR", "0")
         assert main(["check", BAD]) == 1
         assert "\x1b[31m" not in capsys.readouterr().err
+
+
+def modules_loaded_by(code: str) -> set:
+    """The modules that running `code` in a fresh interpreter imports.
+
+    `-S` keeps `site` and whatever it imports out, so only the modules that
+    `code` pulls in are counted."""
+    probe = ("import json, sys\n"
+             f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+             "before = set(sys.modules)\n"
+             f"{code}\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          timeout=60, check=True)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+class TestImports:
+    def test_importing_the_cli_loads_no_dataclasses(self):
+        loaded = modules_loaded_by("import kdb.cli")
+        assert "kdb.cli" in loaded
+        assert "dataclasses" not in loaded
+
+    def test_check_loads_neither_the_engine_nor_canonical_nets(self):
+        loaded = modules_loaded_by(f"import kdb.cli\nkdb.cli.main(['check', {DEPT!r}])")
+        assert {"kdb.parser", "kdb.typesys"} <= loaded
+        assert not loaded & {"kdb.semantics", "kdb.net", "dataclasses"}
+
+    def test_run_loads_the_engine(self):
+        loaded = modules_loaded_by(f"import kdb.cli\nkdb.cli.main(['run', {DEPT!r}])")
+        assert {"kdb.semantics", "kdb.net"} <= loaded

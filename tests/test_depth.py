@@ -3,8 +3,8 @@
 Each pass over the syntax recurses once per action of a chain, so these
 lengths pin how many Python frames one level of the tree costs: the parser
 and its passes one, the checker one, and running or exploring two (the
-generated dataclass `__hash__` of a process body, which `canonicalize`
-calls when it first hashes the chain).  A traversal that spent one more
+`__hash__` that every node class shares, which `canonicalize` calls when it
+first hashes the chain).  A traversal that spent one more
 frame per level would fail here.
 
 Wide nets pin the same for the `||` and `|` spines of a net.  The parser

@@ -20,11 +20,10 @@ from kdb.net import (
     dump_tables,
     find_tables,
     lid,
-    no_rep,
     ok,
-    to_net,
 )
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet
+from nets import no_rep, to_net
 
 
 def node(loc, comp):

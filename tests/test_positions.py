@@ -7,12 +7,12 @@ column of the first line, after comment lines and blank lines, after tabs
 and `\\r\\n` line ends, at the last token and at the end of input.
 """
 
-import dataclasses
 import pathlib
 
 import pytest
 
 from kdb import syntax as s
+from kdb.nodes import Record
 from kdb.parser import ParseError, parse_system
 from kdb.typesys import check_system
 
@@ -82,11 +82,11 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _nodes(x):
-    """Every dataclass instance reachable from `x`."""
-    if dataclasses.is_dataclass(x):
+    """Every node reachable from `x`."""
+    if isinstance(x, Record):
         yield x
-        for f in dataclasses.fields(x):
-            yield from _nodes(getattr(x, f.name))
+        for name in x._fields:
+            yield from _nodes(getattr(x, name))
     elif isinstance(x, (tuple, list)):
         for y in x:
             yield from _nodes(y)

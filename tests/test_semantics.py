@@ -816,7 +816,7 @@ class TestCaseStudyRun:
         assert not any(d["tid"] == "SSResult" for d in dump_tables(trace.final()))
 
     def test_integrity_preserved_throughout(self):
-        from kdb.net import no_rep
+        from nets import no_rep
         text = (CORPUS / "dept_stores.kdb").read_text()
         sys1 = parse_system(text)
         trace = run(sys1, seed=3, max_steps=200)

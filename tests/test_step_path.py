@@ -15,9 +15,10 @@ from fixtures import keeps_old_table, srow
 from kdb import net as netmod
 from kdb import semantics
 from kdb import syntax as s
-from kdb.net import canonical_key, canonicalize, find_tables, lid, no_rep
+from kdb.net import canonical_key, canonicalize, find_tables, lid
 from kdb.parser import parse_system
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
+from nets import item_sort_key, no_rep, sorted_items
 from test_depth import wide
 
 
@@ -219,7 +220,7 @@ class TestTableOrder:
     def test_located_tables_keep_render_order(self, unchecked):
         expected = [(loc, body)
                     for loc, body in sorted(unchecked.items.support(),
-                                            key=netmod._item_sort_key)
+                                            key=item_sort_key)
                     if isinstance(body, s.TableComp)]
         got = [(loc, body) for (loc, _), found in sorted(netmod.tables_by_id(unchecked).items())
                for body in found]
@@ -229,7 +230,7 @@ class TestTableOrder:
     def test_dump_keeps_render_order(self, unchecked):
         expected = [(loc, body.interface.tid, sorted(v.value for (v,) in
                                                      (r.components for r in body.rows)))
-                    for loc, body in netmod.sorted_items(unchecked)
+                    for loc, body in sorted_items(unchecked)
                     if isinstance(body, s.TableComp)]
         got = [(d["loc"], d["tid"], [v for (v,) in d["rows"]])
                for d in netmod.dump_tables(unchecked)]

@@ -1,11 +1,14 @@
 """Binding structure and rendering."""
 
-from dataclasses import fields
+import copy
+import inspect
 
 import pytest
 
 from fixtures import SEVEN_BINDERS, srow
 from kdb import syntax as s
+from kdb import values
+from kdb.nodes import Record
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
 
 
@@ -186,7 +189,7 @@ class TestScopedMap:
                     scopes[name] = {after for after, shape2 in children[i + 1:]
                                     if shape2 not in EXPORTED_SHAPES}
             assert scopes == BINDER_SCOPES.get(cls, {}), cls.__name__
-            assert {name for name, _ in children} <= {f.name for f in fields(cls)}
+            assert {name for name, _ in children} <= set(cls._fields)
 
     def test_unchanged_node_is_returned_itself(self):
         p = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
@@ -374,3 +377,78 @@ RENDER_CASES = [
 @pytest.mark.parametrize("node, text", RENDER_CASES)
 def test_render_text(node, text):
     assert s.render(node) == text
+
+
+# ---------------------------------------------------------------------------
+# The contract every node class keeps
+
+NODE_CLASSES = [cls for module in (values, s) for cls in vars(module).values()
+                if isinstance(cls, type) and issubclass(cls, Record)
+                and cls.__module__ == module.__name__ and cls._fields]
+POSITION_FIELDS = ("span", "source")  # where a node stands in its source text
+
+
+def _field_value(cls, name: str, k: int):
+    """The k-th of some distinct values of a field."""
+    if name == "span":
+        return k
+    if cls is VSet:
+        return Multiset([VInt(k)])
+    if cls is ValueTuple:
+        return (VInt(k),)
+    return f"{name} {k}"
+
+
+def _sample(cls, position: int, changed: str = None):
+    return cls(**{name: _field_value(cls, name, position if name in POSITION_FIELDS
+                                     else 2 if name == changed else 1)
+                  for name in cls._fields})
+
+
+def test_every_node_class_is_covered():
+    assert len(NODE_CLASSES) == 52
+    assert {s.Prefix, s.System, s.Span, VInt, ValueTuple} <= set(NODE_CLASSES)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
+def test_node_contract(cls):
+    node, moved = _sample(cls, 1), _sample(cls, 2)
+    compared = tuple(getattr(node, name) for name in cls._fields if name not in POSITION_FIELDS)
+    # Equality, hashing and repr ignore where a node stands; the hash is the
+    # frozen dataclass's, which seeded outputs depend on.
+    assert node == moved and repr(node) == repr(moved)
+    assert hash(node) == hash(moved) == hash(compared)
+    assert list(inspect.signature(cls).parameters) == list(cls._fields)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, getattr(moved, name))
+    for twin in (copy.deepcopy(node), node.replace()):
+        assert twin == node and twin is not node
+        assert [getattr(twin, name) for name in cls._fields] == \
+            [getattr(node, name) for name in cls._fields]
+    for name in cls._fields:
+        other = node.replace(**{name: getattr(_sample(cls, 2, changed=name), name)})
+        assert getattr(other, name) == getattr(_sample(cls, 2, changed=name), name)
+        assert (other == node) is (name in POSITION_FIELDS)
+    with pytest.raises(TypeError):
+        node.replace(no_such_field=1)
+
+
+@pytest.mark.parametrize("node, text", [
+    pytest.param(s.Cmp("=", s.DataVar("x", span=3), VInt(1), span=0),
+                 "Cmp(op='=', left=DataVar(name='x'), right=VInt(value=1))", id="Cmp"),
+    pytest.param(s.Prefix(s.Insert("T", s.Tuple((VStr("a"), VTid("T"))), VLoc("l")), s.NilProc(span=9)),
+                 "Prefix(action=Insert(tid='T', payload=Tuple(components=(VStr(value='a'), "
+                 "VTid(name='T'))), loc=VLoc(name='l')), cont=NilProc())", id="Prefix"),
+    pytest.param(s.TableComp(s.Interface("T", (s.INT, s.MSet("Id"))),
+                             Multiset([ValueTuple((VInt(1), VSet(Multiset([VTid("A")]))))])),
+                 "TableComp(interface=Interface(tid='T', schema=(Base(kind='Int'), MSet(kind='Id'))), "
+                 "rows=Multiset({ValueTuple(components=(VInt(value=1), "
+                 "VSet(elements=Multiset({VTid(name='A'): 1})))): 1}))", id="TableComp"),
+    pytest.param(s.System({}, (("T", (s.INT,)),), s.NilNet(), source="nil"),
+                 "System(procedures={}, schema_decls=(('T', (Base(kind='Int'),)),), main_net=NilNet())",
+                 id="System"),
+    pytest.param(s.AggrFn("count"), "AggrFn(op='count', col=0)", id="AggrFn"),
+])
+def test_repr_is_the_dataclass_text(node, text):
+    assert repr(node) == text
