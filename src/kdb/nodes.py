@@ -27,19 +27,12 @@ from operator import attrgetter
 POSITIONAL = {"span": None, "source": ""}
 
 
-def _getter(names: tuple):
-    """The tuple of a node's values of `names`, as one callable."""
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda node: (get(node),)
-    return attrgetter(*names) if names else lambda node: ()
-
-
 class Record:
     __slots__ = ("_hash",)
     _fields: tuple = ()  # every field, in order
     _compared: tuple = ()  # the fields but the positional ones
     _children: tuple = ()  # (field, shape) of each child field, in visit order
+    _one: bool = False  # one compared field, which `_key` gives bare, not in a tuple
     _defaults: dict = {}  # field -> default, besides the positional ones
 
     def __init_subclass__(cls, **children):
@@ -47,23 +40,28 @@ class Record:
         cls._fields = tuple(name for name in cls.__dict__.get("__slots__", ())
                             if not name.startswith("_"))
         cls._compared = tuple(name for name in cls._fields if name not in POSITIONAL)
-        cls._key = staticmethod(_getter(cls._compared))
+        # The compared values, in one C call; `()` takes a Python one.
+        cls._key = staticmethod(attrgetter(*cls._compared) if cls._compared else lambda node: ())
+        cls._one = len(cls._compared) == 1
         cls._children = tuple(children.items())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {self.__class__.__name__}")
 
-    __delattr__ = __setattr__
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {self.__class__.__name__}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._key(self) == other._key(other)
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self._key(self))
+            key = self._key(self)
+            h = hash((key,) if self._one else key)
             _set_hash(self, h)
         return h
 

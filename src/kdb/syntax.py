@@ -669,7 +669,7 @@ class ScopedMap:
                 continue
             if new is not old:
                 if vals is None:
-                    vals = list(node._key(node))  # the fields but span
+                    vals = [getattr(node, a) for a in node._compared]
                 vals[i] = new
         if mark is not None and len(env.journal) > mark:
             env.undo(mark)

@@ -272,7 +272,3 @@ class TestImports:
         loaded = modules_loaded_by(f"import kdb.cli\nkdb.cli.main(['check', {DEPT!r}])")
         assert {"kdb.parser", "kdb.typesys"} <= loaded
         assert not loaded & {"kdb.semantics", "kdb.net", "dataclasses"}
-
-    def test_run_loads_the_engine(self):
-        loaded = modules_loaded_by(f"import kdb.cli\nkdb.cli.main(['run', {DEPT!r}])")
-        assert {"kdb.semantics", "kdb.net"} <= loaded
