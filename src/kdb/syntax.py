@@ -87,12 +87,12 @@ class Positions:
 # and, as class keywords, which of them hold its children and how they are
 # scoped, by one rule: a binder scopes over the fields of its node listed
 # after it (so a delete's, update's and aggr's locality comes before its
-# template).  CHILDREN collects them for
-# processes and nets.  A class with none has no children to visit: the
-# constants, a VLoc an occurrence of its locality; the variables DataVar,
-# LocVar, TableByVar; and the tables TableLiteral and TableComp, whose rows
-# may hold localities.  Neither ProcDef nor System has any: the parser and
-# the checker scope a procedure's parameters over its body themselves.
+# template).  CHILDREN collects them for processes and nets.  A class with
+# none has no children to visit: the constants, a VLoc an occurrence of its
+# locality; the variables DataVar, LocVar, TableByVar; and the tables
+# TableLiteral and TableComp, whose rows may hold localities.  Neither
+# ProcDef nor System has any: the parser and the checker scope a
+# procedure's parameters over its body themselves.
 #
 # Shapes of a child field:
 ONE = "one"  # one node
