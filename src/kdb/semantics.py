@@ -14,12 +14,12 @@ to one table found there, a select joins the row multisets of the first
 table found for each source, and a create is skipped when one is found.
 
 The rows of a table action pass once through `_row_pass`, which judges
-only the rows the acting process has not met (its `_Reuse` record's
-verdicts).  Judging compiles the predicate, and the payload of an update or
-select, once over the template's columns (`kernel.compile_pred`); a row
-whose width and locality columns fit the template runs them on its cells,
-with no match built, and only a hit builds its payload row.  The pass
-reports the first row that fails, and counts the hits and the misses.
+only the rows the acting process has not met (the verdicts it keeps).
+Judging compiles the predicate, and the payload of an update or select,
+once over the template's columns (`kernel.compile_pred`); a row whose width
+and locality columns fit the template runs them on its cells, with no match
+built, and only a hit builds its payload row.  The pass reports the first
+row that fails, and counts the hits and the misses.
 Errors are monitored there and where an action meets a schema: a bad
 inserted row, a template that does not fit, a failing row, a new row or
 aggregate that breaks its schema, an unresolvable select source or payload,
@@ -31,14 +31,15 @@ net, which has no transitions.
 A step's cost does not grow with tables it does not touch, and of a table
 it touches only the rows not met before are judged or rendered.  The
 outcomes of a table action are a function of its prefix and the tables it
-found, and those of a loop of the loop alone, so one `_Reuse` per `run` or
-`explore` keeps one record per waiting process and hands them back while
-those objects are unchanged: a successor keeps every untouched item as the
-same object.  A successor is the parent's item counts with the transition's
-items swapped (`net.make_canonical`), so untouched items are not rehashed;
-the rendering `canonical_key` is computed only for transitions that share a
-label, from the texts bodies and rows keep; and tables are ordered by
-(locality, identifier), rendered only to break a tie.
+found, and those of a loop of the loop alone, so a process waiting at one
+keeps them on its node (`_outcomes`) and hands them back while it finds
+the same objects: a successor keeps every untouched item as the same object,
+and the states `explore` reaches share them.  A successor is the parent's
+item counts with the transition's items swapped (`net.make_canonical`), so
+untouched items are not rehashed; the rendering `canonical_key` is computed
+only for transitions that share a label, from the texts bodies and rows
+keep; and tables are ordered by (locality, identifier), rendered only to
+break a tie.
 The `lid` integrity check reads each outcome's tables against the same
 map.  It is off in a net whose `lid` already repeats, which the checker
 rejects (`duplicate-table`), so only an unchecked run holds one.
@@ -211,47 +212,30 @@ def _drop(a: s.Drop, loc: str, tab: s.TableComp, cont: s.Process, seen) -> tuple
 
 
 # What an action naming `tid@loc` does to one table found there, given the
-# verdict store of its process's `_Reuse` record; insert and drop pass over
-# no row and leave it empty.
+# verdicts its process keeps (`_outcomes`); insert and drop pass over no row
+# and leave them empty.
 _ON_TABLE = {s.Insert: _insert, s.Delete: _delete, s.Update: _update, s.Aggr: _aggr,
              s.Drop: _drop}
 
 
-class _Reuse:
-    """What one `run` or `explore` keeps from one enumeration to the next: a
-    record `[process, tables, outcomes, verdicts]` for each process waiting
-    at a table action or a loop, keyed by the process's identity and holding
-    a reference to it, as `net.StateKeys` does.
-
-    Within one net, the tables a table action finds are a function of its
-    prefix, and its outcomes of the prefix and those tables; a loop's are a
-    function of the loop alone, which finds no table.  A record is carried
-    into the next enumeration whenever its process is enumerated, and so
-    dropped once the process moves on.  Its outcomes are kept while its
-    process finds the same tables, the same objects in the same number, and
-    are otherwise recomputed through its verdicts: the verdict of a delete,
-    update, aggr or select on every row its pass has met (`_row_pass`).
-    """
-
-    def __init__(self):
-        self._current: dict = {}  # id(process) -> record
-        self._previous: dict = {}
-
-    def next_enumeration(self) -> None:
-        self._previous, self._current = self._current, {}
-
-    def outcomes(self, proc, tables, compute) -> list:
-        """The outcomes of proc over tables: those kept, or compute(verdicts)."""
-        key = id(proc)
-        record = self._current.get(key) or self._previous.get(key) or [proc, (), None, {}]
-        kept = record[1]
-        if record[2] is None or len(kept) != len(tables) or not all(map(is_, kept, tables)):
-            record[1], record[2] = tables, compute(record[3])
-        self._current[key] = record
-        return record[2]
+def _outcomes(proc, tables, compute) -> list:
+    """The outcomes of proc, waiting at a table action or a loop, over the
+    tables it found: those proc keeps in `_kept` while it finds the same
+    tables, the same objects in the same number, else compute(verdicts), with
+    the verdicts it keeps on every row its passes have met (`_row_pass`)."""
+    kept = proc._kept
+    if kept is None:
+        verdicts = {}
+    else:
+        found, outcomes, verdicts = kept
+        if len(found) == len(tables) and all(map(is_, found, tables)):
+            return outcomes
+    outcomes = compute(verdicts)
+    object.__setattr__(proc, "_kept", (tables, outcomes, verdicts))
+    return outcomes
 
 
-def _action_outcomes(tables: dict, prefix: s.Prefix, reuse: _Reuse) -> list:
+def _action_outcomes(tables: dict, prefix: s.Prefix) -> list:
     """All (rule, detail, outcome) triples for the action of one prefix, in
     a net whose tables by (locality, identifier) are `tables`.
 
@@ -260,15 +244,15 @@ def _action_outcomes(tables: dict, prefix: s.Prefix, reuse: _Reuse) -> list:
     """
     action, cont = prefix.action, prefix.cont
     if isinstance(action, s.Select):
-        return _select_outcomes(tables, prefix, reuse)
+        return _select_outcomes(tables, prefix)
     if not isinstance(action.loc, VLoc):
         return []
     loc = action.loc.name
     on_table = _ON_TABLE.get(type(action))
     if on_table is not None:
         found = tables.get((loc, action.tid), ())
-        return reuse.outcomes(prefix, found, lambda seen: [on_table(action, loc, tab, cont, seen)
-                                                           for tab in found])
+        return _outcomes(prefix, found, lambda seen: [on_table(action, loc, tab, cont, seen)
+                                                      for tab in found])
     if isinstance(action, s.Create):
         if (loc, action.tid) in tables:
             return [("CRT", f"create {action.tid}@{loc}: skipped, identifier taken",
@@ -287,7 +271,7 @@ _SELECT_FAILURE = {"match": "select: row fails to match the template",
                    "eval": "select: evaluation error"}
 
 
-def _select_outcomes(tables: dict, prefix: s.Prefix, reuse: _Reuse) -> list:
+def _select_outcomes(tables: dict, prefix: s.Prefix) -> list:
     action = prefix.action
     sources = []
     for tb in action.tables:
@@ -301,7 +285,7 @@ def _select_outcomes(tables: dict, prefix: s.Prefix, reuse: _Reuse) -> list:
         else:
             # An unresolvable source can never become resolvable: monitor it.
             return [("SEL", "select: unresolvable table source", k.ERR)]
-    return reuse.outcomes(prefix, sources, lambda seen: _select(action, sources, prefix.cont, seen))
+    return _outcomes(prefix, sources, lambda seen: _select(action, sources, prefix.cont, seen))
 
 
 def _select(action: s.Select, sources: list, cont: s.Process, seen: dict) -> list:
@@ -345,11 +329,11 @@ def _foreach_outcomes(p: s.Foreach) -> list:
     return out
 
 
-def _proc_outcomes(tables: dict, proc: s.Process, sys: s.System, reuse: _Reuse) -> list:
+def _proc_outcomes(tables: dict, proc: s.Process, sys: s.System) -> list:
     if isinstance(proc, s.NilProc):
         return []
     if isinstance(proc, s.Prefix):
-        return _action_outcomes(tables, proc, reuse)
+        return _action_outcomes(tables, proc)
     if isinstance(proc, s.CallProc):
         d = sys.procedures.get(proc.name)
         if d is None:
@@ -363,10 +347,10 @@ def _proc_outcomes(tables: dict, proc: s.Process, sys: s.System, reuse: _Reuse) 
         sigma = {name: v for (name, _), v in zip(d.params, vals)}
         return [("CALL", f"call {proc.name}", _Outcome(k.apply_subst(sigma, d.body)))]
     if isinstance(proc, s.Foreach):
-        return reuse.outcomes(proc, (), lambda _: _foreach_outcomes(proc))
+        return _outcomes(proc, (), lambda _: _foreach_outcomes(proc))
     if isinstance(proc, s.Seq):
         lifted = []
-        for rule, detail, oc in _proc_outcomes(tables, proc.first, sys, reuse):
+        for rule, detail, oc in _proc_outcomes(tables, proc.first, sys):
             if k.is_err(oc):
                 lifted.append((rule, detail, oc))
             elif isinstance(oc.new_proc, s.NilProc):
@@ -424,8 +408,7 @@ class Transition:
         return iter((self.label, self.succ))
 
 
-def enumerate_transitions(cn: CanonicalNet, sys: s.System,
-                          reuse: Optional[_Reuse] = None) -> list:
+def enumerate_transitions(cn: CanonicalNet, sys: s.System) -> list:
     """Every enabled transition as a `Transition`, deterministically ordered.
 
     Transitions are ordered by label (rule, actor, detail).  Transitions that
@@ -436,22 +419,19 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System,
     the one a scheduler picks, must keep table identifiers unique; each
     outcome is checked against the net's tables by (locality, identifier),
     the one map (`net.tables_by_id`) every rule reads in this enumeration.
-    `reuse`, one per `run` or `explore`, hands back the outcomes of
-    unchanged actions; without it every outcome is computed.
+    A waiting process computes its outcomes only when the tables it finds
+    are not those it kept them for (`_outcomes`).
     """
     if cn.err:
         return []
     tables = netmod.tables_by_id(cn)
     check = all(len(found) == 1 for found in tables.values())
-    if reuse is None:
-        reuse = _Reuse()
-    reuse.next_enumeration()
     by_label = {}
     for pair, _ in cn.items.items():
         loc, body = pair
         if isinstance(body, s.TableComp):
             continue
-        for rule, detail, oc in _proc_outcomes(tables, body, sys, reuse):
+        for rule, detail, oc in _proc_outcomes(tables, body, sys):
             if check and _repeats_table(tables, oc):
                 raise IntegrityError(
                     f"transition {rule} at {loc} duplicated a table identifier")
@@ -481,21 +461,20 @@ def step_interactive(cn: CanonicalNet, sys: s.System, chosen_index: int):
 def run(sys: s.System, seed: int = 0, max_steps: int = 10000) -> Trace:
     """Drive a whole run under a seeded uniform scheduler, building only the
     successor each step picks (and those of a tied label, which
-    `enumerate_transitions` orders by key)."""
+    `enumerate_transitions` orders by key).  A run ends in "err" as soon as
+    its net is the error net, the initial one included."""
     initial = netmod.canonicalize(sys.main_net)
     cn = initial
     rng = random.Random(seed)
-    reuse = _Reuse()
     steps = []
-    while True:
-        transitions = enumerate_transitions(cn, sys, reuse)
+    while not cn.err:
+        transitions = enumerate_transitions(cn, sys)
         if not transitions or len(steps) >= max_steps:
             terminal = "step-limit" if transitions else "quiescent"
             return Trace(initial=initial, steps=steps, terminal=terminal)
         label, cn = transitions[rng.randrange(len(transitions))]
         steps.append((label, cn))
-        if cn.err:
-            return Trace(initial=initial, steps=steps, terminal="err")
+    return Trace(initial=initial, steps=steps, terminal="err")
 
 
 class ExploreResult(NamedTuple):
@@ -508,7 +487,9 @@ class ExploreResult(NamedTuple):
 
 
 def explore(sys: s.System, bound: int = 10000) -> ExploreResult:
-    """Bounded breadth-first exploration of the reachable state space."""
+    """Bounded breadth-first exploration of the reachable state space.  The
+    states share their untouched items, so a process waiting in many of
+    them computes its outcomes once for each set of tables it finds there."""
     start = netmod.canonicalize(sys.main_net)
     keys = netmod.StateKeys(start.restricted)
     index = {keys.key(start): 0}
@@ -518,12 +499,11 @@ def explore(sys: s.System, bound: int = 10000) -> ExploreResult:
     err_reachable = start.err
     frontier = [0]
     truncated = False
-    reuse = _Reuse()
     while frontier:
         next_frontier = []
         for i in frontier:
             cn = states[i]
-            transitions = enumerate_transitions(cn, sys, reuse)
+            transitions = enumerate_transitions(cn, sys)
             if not transitions and not cn.err:
                 quiescent.append(cn)
                 continue

@@ -291,14 +291,15 @@ Action = Union[Insert, Delete, Select, Update, Aggr, Create, Drop, Eval]
 
 # ---------------------------------------------------------------------------
 # Processes.  A process, as a table component, is the body of an item of a
-# canonical net, and keeps its text for `net.canonical_key` in `_text`.
+# canonical net, and keeps its text for `net.canonical_key` in `_text`.  A
+# prefix or a loop keeps its step in `_kept` (`semantics._outcomes`).
 
 class NilProc(Record):
     __slots__ = ("span", "_text")
 
 
 class Prefix(Record, action=ACTION, cont=ONE):
-    __slots__ = ("action", "cont", "span", "_text")
+    __slots__ = ("action", "cont", "span", "_text", "_kept")
 
 
 class CallProc(Record, args=MANY):
@@ -306,7 +307,7 @@ class CallProc(Record, args=MANY):
 
 
 class Foreach(Record, table=ONE, template=PATTERN, pred=ONE, body=ONE):
-    __slots__ = ("table", "template", "pred", "order", "body", "span", "_text")
+    __slots__ = ("table", "template", "pred", "order", "body", "span", "_text", "_kept")
 
 
 class Seq(Record, first=ONE, second=ONE):

@@ -1,5 +1,7 @@
 """Shared fixtures: the department-store tables used across the suite."""
 
+import copy
+
 from kdb import semantics
 from kdb import syntax as s
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
@@ -51,3 +53,10 @@ def keeps_old_table(loc, tab, rows, cont):
     """A faulty `semantics._write`: it adds the new table but keeps the old
     one, so that the table's identifier repeats."""
     return semantics._Outcome(cont, add=((loc, s.TableComp(tab.interface, rows)),))
+
+
+def fresh(x):
+    """A deep copy of x, whose nodes keep nothing computed: `copy` rebuilds a
+    node through its `__init__`, which starts every cache slot at None.  So
+    the engine computes every outcome of a copied net or system afresh."""
+    return copy.deepcopy(x)

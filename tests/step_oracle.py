@@ -7,6 +7,7 @@ label-first ordering, kept as the oracle for the faster step path.
   by (rule, actor, detail, str(key)), merging equal (label, key) pairs.
 """
 
+from fixtures import fresh
 from kdb import kernel as k
 from kdb import semantics
 from kdb import syntax as s
@@ -40,13 +41,13 @@ def rebuild_apply(cn: CanonicalNet, actor_item, oc) -> CanonicalNet:
 
 def outcomes(cn: CanonicalNet, sys: s.System):
     """Every (actor item, rule, detail, outcome) enabled in cn, each actor's
-    computed afresh."""
+    computed afresh on a copy of its body that keeps no outcome."""
     tables = tables_by_id(cn)
     for pair, _ in cn.items.items():
         loc, body = pair
         if isinstance(body, s.TableComp):
             continue
-        for rule, detail, oc in semantics._proc_outcomes(tables, body, sys, semantics._Reuse()):
+        for rule, detail, oc in semantics._proc_outcomes(tables, fresh(body), sys):
             yield pair, rule, detail, oc
 
 

@@ -17,7 +17,7 @@ from kdb import kernel as k
 from kdb import syntax as s
 from kdb.net import canonicalize, dump_tables, lid
 from kdb.parser import parse_system
-from kdb.semantics import run
+from kdb.semantics import explore, run
 from kdb.typesys import Checker, build_schema_map, check_system
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
 from nets import check_net, no_rep, to_net
@@ -67,6 +67,8 @@ class TestCriterion2WorkedExamples:
 
 POPULATION = 1000
 STEP_HORIZON = 20
+EXPLORED = 200  # systems of the population explored over every interleaving
+EXPLORE_BOUND = 3000
 
 
 def _stepped_population():
@@ -136,6 +138,23 @@ class TestCriteria3to5Metatheory:
         assert reached >= 30, f"only {reached}/100 ill-typed runs reached the error net"
         report(4, f"0/{POPULATION} well-typed runs err; "
                   f"{reached}/100 ill-typed runs trip the monitor")
+
+    def test_criterion_4_soundness_over_every_interleaving(self):
+        # A run follows one schedule; exploration follows them all, up to
+        # the bound, and no well-typed state reached may be the error net.
+        started = time.perf_counter()
+        states = truncated = 0
+        err_seeds = []
+        for seed, sys1, _ in self.population[:EXPLORED]:
+            result = explore(sys1, bound=EXPLORE_BOUND)
+            states += result.states
+            truncated += result.truncated
+            if result.err_reachable:
+                err_seeds.append(seed)
+        elapsed = time.perf_counter() - started
+        assert err_seeds == [], f"well-typed systems reach the error net: {err_seeds[:5]}"
+        report(4, f"0/{EXPLORED} well-typed systems reach ERR over {states} explored states "
+                  f"(bound {EXPLORE_BOUND}, {truncated} truncated) in {elapsed:.1f}s")
 
     def test_criterion_5_table_identifier_integrity(self):
         violations = 0

@@ -76,6 +76,11 @@ class TestRun:
     def test_unchecked_run_hits_the_monitor(self, capsys):
         assert main(["run", BAD, "--unchecked"]) == 3
 
+    @pytest.mark.parametrize("text", ["ERR", "$l :: nil || ERR"])
+    def test_unchecked_run_of_the_error_net_ends_in_err(self, tmp_path, capsys, text):
+        assert main(["run", write(tmp_path, text), "--unchecked"]) == 3
+        assert capsys.readouterr().out == "terminal: err after 0 step(s)\n[]\n"
+
     def test_unchecked_table_used_as_data_is_monitored(self, tmp_path, capsys):
         assert main(["run", write(tmp_path, TABLE_AS_DATA), "--unchecked"]) == 3
         assert "terminal: err" in capsys.readouterr().out

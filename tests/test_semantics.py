@@ -11,6 +11,7 @@ from fixtures import (
     KLD_TABLE,
     SEVEN_BINDERS,
     WHITE_ROW,
+    fresh,
     keeps_old_table,
     srow,
 )
@@ -640,11 +641,13 @@ class TestIntegrity:
         sys1 = empty_system(net)
         cn = canonicalize(net)
         assert len(enumerate_transitions(cn, sys1)) == 1
+        # The sound outcomes stay with the nodes that computed them, so the
+        # faulty write runs on copies that have computed none.
         monkeypatch.setattr(semantics, "_write", keeps_old_table)
         with pytest.raises(IntegrityError, match=f"{write.__class__.__name__[:3].upper()} at l1"):
-            enumerate_transitions(cn, sys1)
+            enumerate_transitions(fresh(cn), sys1)
         with pytest.raises(IntegrityError):
-            run(sys1, seed=0)
+            run(fresh(sys1), seed=0)
 
     def test_run_checks_the_transitions_it_does_not_pick(self, monkeypatch):
         # An insert into T@l1 and one into U@l2; only writes to T are faulty.
@@ -664,7 +667,7 @@ class TestIntegrity:
                             lambda cn, actor, oc: built.append(actor) or real_apply(cn, actor, oc))
         monkeypatch.setattr(semantics, "_write", keeps_old_t(semantics._write))
         with pytest.raises(IntegrityError, match="INS at l1"):
-            run(sys1, seed=seed, max_steps=1)
+            run(fresh(sys1), seed=seed, max_steps=1)
         assert built == []
 
     def test_a_net_that_already_repeats_an_identifier_is_not_checked(self, monkeypatch):
@@ -798,6 +801,14 @@ class TestRunTerminal:
         trace = run(empty_system(self.inserts(1, 2)), seed=0, max_steps=1)
         assert trace.terminal == "step-limit"
         assert len(trace.steps) == 1
+
+    @pytest.mark.parametrize("text", ["ERR", "$l :: nil || ERR"])
+    def test_a_net_that_starts_as_the_error_net_is_err(self, text):
+        # The error net has no transitions, yet it is no quiescent state.
+        trace = run(parse_system(text), seed=0)
+        assert (trace.terminal, trace.steps, trace.disabled()) == ("err", [], [])
+        result = explore(parse_system(text))
+        assert result.err_reachable and result.quiescent == []
 
 
 class TestCaseStudyRun:

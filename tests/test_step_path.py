@@ -6,12 +6,13 @@ tests require the engine's delta successors, label-first order and table
 order to give exactly the same results.
 """
 
+import pathlib
 import random
 
 import gensys
 import pytest
 import step_oracle
-from fixtures import keeps_old_table, srow
+from fixtures import fresh, keeps_old_table, srow
 from kdb import net as netmod
 from kdb import semantics
 from kdb import syntax as s
@@ -19,7 +20,10 @@ from kdb.net import canonical_key, canonicalize, find_tables, lid
 from kdb.parser import parse_system
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
 from nets import item_sort_key, no_rep, sorted_items
+from diffcheck import repeated_tables
 from test_depth import wide
+
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 
 def _var_tuple(*names):
@@ -350,11 +354,10 @@ class TestOutcomeReuse:
         sys1 = shared_site()
         cn = canonicalize(sys1.main_net)
         passes = count_row_passes(monkeypatch)
-        reuse = semantics._Reuse()
-        first = pairs(semantics.enumerate_transitions(cn, sys1, reuse))
+        first = pairs(semantics.enumerate_transitions(cn, sys1))
         assert len(passes) == 3  # the readers' selects
         passes.clear()
-        assert pairs(semantics.enumerate_transitions(cn, sys1, reuse)) == first
+        assert pairs(semantics.enumerate_transitions(cn, sys1)) == first
         assert passes == []
 
     def test_a_write_reruns_only_the_actions_over_its_table(self, monkeypatch):
@@ -376,17 +379,16 @@ class TestOutcomeReuse:
         sys1 = s.System(procedures={}, schema_decls=(), main_net=net)
         cn = canonicalize(net)
         passes = count_row_passes(monkeypatch)
-        reuse = semantics._Reuse()
-        transitions = semantics.enumerate_transitions(cn, sys1, reuse)
+        transitions = semantics.enumerate_transitions(cn, sys1)
         assert len(passes) == 3  # delete T, update U, aggr U
         for rule, tid in (("INS", "T"), ("UPD", "U")):
             (succ,) = [t.succ for t in transitions if t.label.rule == rule]
             passes.clear()
-            transitions = semantics.enumerate_transitions(succ, sys1, reuse)
+            transitions = semantics.enumerate_transitions(succ, sys1)
             # Only the one action left over the written table reruns.
             (table,) = find_tables(succ, "l1", tid)
             assert len(passes) == 1 and passes[0] is table.rows
-            assert pairs(transitions) == pairs(semantics.enumerate_transitions(succ, sys1))
+            assert pairs(transitions) == pairs(semantics.enumerate_transitions(fresh(succ), sys1))
 
     def test_a_drop_that_leaves_fewer_tables_reruns_the_actions_over_them(self):
         # A net with two T@l1 tables, which the checker rejects
@@ -406,10 +408,8 @@ class TestOutcomeReuse:
             for t in semantics.enumerate_transitions(cn, sys1):
                 if t.label.rule != "DRP":
                     continue
-                reuse = semantics._Reuse()
-                semantics.enumerate_transitions(cn, sys1, reuse)
-                got = pairs(semantics.enumerate_transitions(t.succ, sys1, reuse))
-                assert got == pairs(semantics.enumerate_transitions(t.succ, sys1))
+                got = pairs(semantics.enumerate_transitions(t.succ, sys1))
+                assert got == pairs(semantics.enumerate_transitions(fresh(t.succ), sys1))
                 found.append((find_tables(cn, "l1", "T"), find_tables(t.succ, "l1", "T")))
                 states.append(t.succ)
         assert len(found) == 4
@@ -418,19 +418,18 @@ class TestOutcomeReuse:
 
     def test_population_runs_agree_with_fresh_enumerations(self, monkeypatch):
         passes = count_row_passes(monkeypatch)
-        compared = reused = fresh = 0
+        compared = kept = recomputed = 0
         for sys1 in population():
             for seed in range(3):
                 rng = random.Random(seed)
                 cn = canonicalize(sys1.main_net)
-                reuse = semantics._Reuse()
                 for _ in range(20):
                     passes.clear()
-                    got = pairs(semantics.enumerate_transitions(cn, sys1, reuse))
-                    reused += len(passes)
+                    got = pairs(semantics.enumerate_transitions(cn, sys1))
+                    kept += len(passes)
                     passes.clear()
-                    assert got == pairs(semantics.enumerate_transitions(cn, sys1))
-                    fresh += len(passes)
+                    assert got == pairs(semantics.enumerate_transitions(fresh(cn), sys1))
+                    recomputed += len(passes)
                     if not got:
                         break
                     compared += len(got)
@@ -438,8 +437,59 @@ class TestOutcomeReuse:
                     if cn.err:
                         break
         assert compared > 1000
-        # Reuse happened: runs of the same states made fewer row passes.
-        assert 0 < reused < fresh
+        # Outcomes were kept: runs of the same states made fewer row passes.
+        assert 0 < kept < recomputed
+
+
+def insert_chains(k: int) -> str:
+    """k independent processes, each three inserts into its own table."""
+    return wide(k, "insert(T@$l{i}, (1)). insert(T@$l{i}, (2)). insert(T@$l{i}, (3)). nil")
+
+
+def parsed_texts() -> list:
+    """Texts of the corpus, of nets that repeat a table and of renders of
+    generated systems."""
+    return [(CORPUS / "dept_stores.kdb").read_text(), insert_chains(3),
+            *(repeated_tables(seed) for seed in range(6)),
+            *(s.render(generated(seed)) for seed in range(12))]
+
+
+def observed_run(sys1, seed: int) -> tuple:
+    """What a seeded run shows: its end, and each step's label, successor's
+    canonical key and tables."""
+    trace = semantics.run(sys1, seed=seed, max_steps=30)
+    return trace.terminal, [(label, str(canonical_key(cn)), netmod.dump_json(cn))
+                            for label, cn in trace.steps]
+
+
+class TestKeptOutcomes:
+    """The outcomes a process keeps on its node outlive the run or the
+    exploration that computed them, and change nothing another one sees."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_explore_computes_each_insert_once(self, k, monkeypatch):
+        # The states share each waiting prefix and, since the outcome that
+        # wrote it is kept, the table it finds: 3k outcomes over 4^k states.
+        calls = []
+        real = semantics._ON_TABLE[s.Insert]
+        monkeypatch.setitem(semantics._ON_TABLE, s.Insert,
+                            lambda *args: calls.append(args[0]) or real(*args))
+        result = semantics.explore(parse_system(insert_chains(k)))
+        assert (result.states, len(result.quiescent)) == (4 ** k, 1)
+        assert len(calls) == 3 * k
+
+    def test_runs_and_explorations_agree_with_a_fresh_parse(self):
+        compared = 0
+        for text in parsed_texts():
+            sys1 = parse_system(text)
+            for seed in range(3):
+                expected = observed_run(parse_system(text), seed)
+                assert observed_run(sys1, seed) == expected
+                assert observed_run(sys1, seed) == expected
+                compared += len(expected[1])
+            assert (semantics.explore(sys1, bound=100)
+                    == semantics.explore(parse_system(text), bound=100))
+        assert compared > 250
 
 
 class TestRowVerdicts:
@@ -481,19 +531,18 @@ class TestRowVerdicts:
                  for a in [write, s.Insert("U", s.Tuple((VInt(1),)), self.AT), *waiting]]
         sys1 = s.System(procedures={}, schema_decls=(), main_net=net_at_l1(table, u, *procs))
         judged = count_judged(monkeypatch)
-        reuse = semantics._Reuse()
-        transitions = semantics.enumerate_transitions(canonicalize(sys1.main_net), sys1, reuse)
+        transitions = semantics.enumerate_transitions(canonicalize(sys1.main_net), sys1)
         assert [judged.get(a.pred, 0) for a in waiting] == [200] * 4
-        # A step that leaves T alone, whose enumeration reuses every outcome
+        # A step that leaves T alone, whose enumeration keeps every outcome
         # over T, then the write.
         (succ,) = [t.succ for t in transitions if t.label.detail == "insert (1) into U@l1"]
-        transitions = semantics.enumerate_transitions(succ, sys1, reuse)
+        transitions = semantics.enumerate_transitions(succ, sys1)
         (succ,) = [t.succ for t in transitions if t.label.detail == detail]
         judged.clear()
-        got = pairs(semantics.enumerate_transitions(succ, sys1, reuse))
+        got = pairs(semantics.enumerate_transitions(succ, sys1))
         assert all(judged.get(a.pred, 0) <= changed for a in waiting), judged
         judged.clear()
-        assert got == pairs(semantics.enumerate_transitions(succ, sys1))
+        assert got == pairs(semantics.enumerate_transitions(fresh(succ), sys1))
         assert [judged.get(a.pred, 0) for a in waiting] == [len(find_tables(succ, "l1", "T")[0]
                                                             .rows.items())] * 4
 
@@ -525,11 +574,10 @@ class TestTieTexts:
         sys1 = s.System(procedures={}, schema_decls=(),
                         main_net=net_at_l1(big, u, *map(s.ProcComp, procs)))
         renders = count_renders(monkeypatch, VStr, s.TableComp)
-        reuse = semantics._Reuse()
 
         def enumerate_counting(cn):
             renders.update(dict.fromkeys(renders, 0))
-            transitions = semantics.enumerate_transitions(cn, sys1, reuse)
+            transitions = semantics.enumerate_transitions(cn, sys1)
             assert [t.label.rule for t in transitions].count("SEL") == 2  # the tie
             return dict(renders), {t.label.rule: t.succ for t in transitions}
 

@@ -409,10 +409,20 @@ def test_node_classes_are_found():
     assert {s.Prefix, s.System, s.Span, VInt, ValueTuple} <= set(NODE_CLASSES)
 
 
+CACHED = object()  # what a node may have computed and kept
+
+
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
 def test_node_contract(cls):
     node, moved = _sample(cls, 1), _sample(cls, 2)
     compared = tuple(getattr(node, name) for name in cls._fields if name not in POSITION_FIELDS)
+    # A cache slot (`_text`, `_sort_key`, `_kept`; `_hash` is the hash's
+    # own) is no field, and what a node has computed changes nothing below.
+    caches = [name for c in cls.__mro__ for name in c.__dict__.get("__slots__", ())
+              if name.startswith("_") and name != "_hash"]
+    assert not set(caches) & set(cls._fields)
+    for name in caches:
+        object.__setattr__(node, name, CACHED)
     # Equality, hashing and repr ignore where a node stands; the hash is the
     # frozen dataclass's, which seeded outputs depend on.
     assert node == moved and repr(node) == repr(moved)
@@ -424,6 +434,7 @@ def test_node_contract(cls):
         with pytest.raises(AttributeError):
             delattr(node, name)
     for twin in (copy.deepcopy(node), node.replace()):
+        assert [getattr(twin, name) for name in caches] == [None] * len(caches)
         assert twin == node and twin is not node
         assert [getattr(twin, name) for name in cls._fields] == \
             [getattr(node, name) for name in cls._fields]
