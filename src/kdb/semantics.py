@@ -489,7 +489,8 @@ class ExploreResult(NamedTuple):
 def explore(sys: s.System, bound: int = 10000) -> ExploreResult:
     """Bounded breadth-first exploration of the reachable state space.  The
     states share their untouched items, so a process waiting in many of
-    them computes its outcomes once for each set of tables it finds there."""
+    them recomputes its outcomes only where it finds other tables than in
+    the state it was last enumerated in (`_outcomes`)."""
     start = netmod.canonicalize(sys.main_net)
     keys = netmod.StateKeys(start.restricted)
     index = {keys.key(start): 0}

@@ -12,6 +12,7 @@ import random
 import gensys
 import pytest
 import step_oracle
+from diffcheck import repeated_tables
 from fixtures import fresh, keeps_old_table, srow
 from kdb import net as netmod
 from kdb import semantics
@@ -20,7 +21,6 @@ from kdb.net import canonical_key, canonicalize, find_tables, lid
 from kdb.parser import parse_system
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
 from nets import item_sort_key, no_rep, sorted_items
-from diffcheck import repeated_tables
 from test_depth import wide
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
