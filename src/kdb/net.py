@@ -5,7 +5,9 @@ extruded to a single outer prefix (renaming restricted localities apart when
 extrusion would capture), every node is split into one item per co-located
 process or table, and inert-process units are absorbed.  Rule matching in
 the engine then becomes multiset lookup instead of congruence search.
-`canonicalize` is one loop over an explicit stack, not a recursion.
+`make_canonical` is the one builder of that form: `canonicalize` walks a
+net, in one loop over an explicit stack, and hands it the items it found;
+the engine hands it a parent net and a transition's items.
 
 `tables_by_id` says where every table `tid@loc` is, in one pass over the
 items: the engine builds that map once per enumeration and every rule that
@@ -45,34 +47,20 @@ def _is_table(body) -> bool:
 _NIL = s.NilProc()
 
 
-def _absorb_nil(counts: dict, locs) -> None:
-    """At each of locs, localities that hold an inert unit, keep one unit if
-    the locality hosts nothing else and none if it does.  One scan of the
-    items serves every locality."""
-    if not locs:
-        return
-    busy = {loc for loc, body in counts if not isinstance(body, s.NilProc)}
-    for loc in locs:
-        if loc in busy:
-            counts.pop((loc, _NIL), None)
-        else:
-            counts[loc, _NIL] = 1
-
-
 def canonicalize(net: s.Net) -> CanonicalNet:
-    """Normal form under structural congruence.
+    """Normal form under structural congruence, built by `make_canonical`
+    from the items of the net, inert units last.
 
     Subterms pop off an explicit stack, left ones first: no Python frame per
     level (`free_locs` costs one per level of a process, none per `||` or
     `|`).  A net is paired with the renaming of the restricted names in
-    scope, a renamed component with its node's locality.  Inert units are
-    kept, last, only where their locality holds nothing else.
+    scope, a renamed component with its node's locality.
     """
     used = set(s.free_locs(net))
     counter = itertools.count(1)
     restricted: list = []
-    counts: dict = {}
-    nil_locs: dict = {}  # an ordered set
+    items: list = []  # (loc, body), in walk order
+    inert: list = []  # (loc, nil)
     err = False
     stack = [(net, {})]
     while stack:
@@ -91,25 +79,26 @@ def canonicalize(net: s.Net) -> CanonicalNet:
         elif isinstance(n, (s.ProcComp, s.TableComp)):
             body = n.process if isinstance(n, s.ProcComp) else n
             if isinstance(body, s.NilProc):
-                nil_locs[ctx] = None
+                inert.append((ctx, _NIL))
             else:
-                counts[ctx, body] = counts.get((ctx, body), 0) + 1
+                items.append((ctx, body))
         elif isinstance(n, s.ErrNet):
             err = True
         elif not isinstance(n, s.NilNet):
             raise TypeError(f"not a net or a component: {n!r}")
-    _absorb_nil(counts, nil_locs)
-    return CanonicalNet(tuple(restricted), Multiset.of_counts(counts), err)
+    return make_canonical(CanonicalNet(tuple(restricted), Multiset(), err), (), items + inert)
 
 
 def make_canonical(parent: CanonicalNet, removed, added) -> CanonicalNet:
-    """The canonical net `parent` becomes when `removed` items give way to `added`.
+    """The canonical net `parent` becomes when `removed` items give way to
+    `added`: the one builder of canonical nets.
 
     It starts from a copy of the parent's item counts, takes one copy of each
     removed item away (never below zero) and adds one of each added item, so
-    only the touched items are hashed.  Inert units are re-absorbed only at
-    the touched localities; every other locality is already absorbed in a
-    canonical parent.
+    only the touched items are hashed.  Inert units are absorbed only at the
+    touched localities, one scan of the items serving them all: a locality
+    keeps one unit if it hosts nothing else and none if it does.  Every
+    other locality is already absorbed in a canonical parent.
     """
     counts = parent.items.copy_counts()
     for item in removed:
@@ -121,7 +110,14 @@ def make_canonical(parent: CanonicalNet, removed, added) -> CanonicalNet:
     for item in added:
         counts[item] = counts.get(item, 0) + 1
     touched = {loc for loc, _ in removed} | {loc for loc, _ in added}
-    _absorb_nil(counts, [loc for loc in touched if (loc, _NIL) in counts])
+    inert = [loc for loc in touched if (loc, _NIL) in counts]
+    if inert:
+        busy = {loc for loc, body in counts if not isinstance(body, s.NilProc)}
+        for loc in inert:
+            if loc in busy:
+                del counts[loc, _NIL]
+            else:
+                counts[loc, _NIL] = 1
     return CanonicalNet(parent.restricted, Multiset.of_counts(counts), parent.err)
 
 

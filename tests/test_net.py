@@ -1,6 +1,7 @@
 """Canonical form, structural-congruence invariance, state keys, table bookkeeping."""
 
 import copy
+import functools
 import itertools
 import random
 
@@ -81,6 +82,17 @@ class TestCanonicalize:
         cn = canonicalize(s.ParNet(s.ParNet(node("x", proc(p1)), node("y", proc(p2))),
                                    node("x", proc(p3))))
         assert list(cn.items.items()) == [(("x", p1), 1), (("y", p2), 1), (("x", p3), 1)]
+
+    def test_inert_units_survive_last_where_nothing_else_stands(self):
+        p, q = s.CallProc("p", ()), s.CallProc("q", ())
+        parts = [node("i", proc(NIL)), node("b", proc(NIL)), node("b", proc(p)),
+                 s.Restrict("r", s.ParNet(node("r", proc(NIL)), node("r", proc(q)))),
+                 s.Restrict("z", node("z", proc(NIL))),
+                 node("j", s.ParComp(proc(NIL), proc(NIL))), node("b", proc(p))]
+        cn = canonicalize(functools.reduce(s.ParNet, parts))
+        assert cn.restricted == ("r", "z")
+        assert list(cn.items.items()) == [
+            (("b", p), 2), (("r", q), 1), (("i", NIL), 1), (("z", NIL), 1), (("j", NIL), 1)]
 
     def test_err_flag(self):
         cn = canonicalize(s.ParNet(s.ErrNet(), node("l1", proc(NIL))))

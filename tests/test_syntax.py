@@ -424,9 +424,10 @@ def test_node_contract(cls):
     for name in caches:
         object.__setattr__(node, name, CACHED)
     # Equality, hashing and repr ignore where a node stands; the hash is the
-    # frozen dataclass's, which seeded outputs depend on.
-    assert node == moved and repr(node) == repr(moved)
-    assert hash(node) == hash(moved) == hash(compared)
+    # frozen dataclass's, which seeded outputs depend on, kept once computed.
+    assert node == moved and not node != moved and repr(node) == repr(moved)
+    assert hash(node) == hash(moved) == hash(compared) == node._hash
+    assert node == node and node.__eq__(compared) is NotImplemented and node != compared
     assert list(inspect.signature(cls).parameters) == list(cls._fields)
     for name in cls._fields:
         with pytest.raises(AttributeError):
@@ -442,7 +443,9 @@ def test_node_contract(cls):
         new = getattr(_sample(cls, 2, changed=name), name)
         other = node.replace(**{name: new})
         assert getattr(other, name) == new
-        assert (other == node) is (name in POSITION_FIELDS)
+        fields = tuple(getattr(other, f) for f in cls._fields if f not in POSITION_FIELDS)
+        assert (other == node) is (node == other) is (fields == compared) is (name in POSITION_FIELDS)
+        assert (other != node) is (node != other) is (fields != compared)
     with pytest.raises(TypeError):
         node.replace(no_such_field=1)
 
