@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Optional, Union
+from typing import AbstractSet, Optional, Union
 
 from kdb import syntax as s
 from kdb.values import (
@@ -388,7 +388,7 @@ def join_rows(tables) -> Multiset:
 # ---------------------------------------------------------------------------
 # Loop orders and aggregation
 
-def minimal(rows: Multiset, order: s.OrderSpec) -> frozenset:
+def minimal(rows: Multiset, order: s.OrderSpec) -> AbstractSet:
     """Rows with no strictly preceding row; the support set when unordered.
 
     Every loop order is a total preorder on rows, so these are the rows of

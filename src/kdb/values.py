@@ -9,7 +9,7 @@ first time they are asked for.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, TypeVar, Union
+from typing import Iterable, Iterator, KeysView, Mapping, TypeVar, Union
 
 from kdb.nodes import Record, build
 
@@ -54,9 +54,10 @@ class Multiset:
             for _ in range(n):
                 yield k
 
-    def support(self) -> frozenset:
-        """The set of distinct elements."""
-        return frozenset(self._counts)
+    def support(self) -> KeysView:
+        """The distinct elements, as a set-like view of the count map made
+        without a copy: iterated in insertion order, not hash order."""
+        return self._counts.keys()
 
     def items(self):
         return self._counts.items()

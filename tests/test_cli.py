@@ -31,6 +31,12 @@ def write(tmp_path, text: str) -> str:
     return str(f)
 
 
+def kdb_env(**extra) -> dict:
+    """The environment of a `python -m kdb.cli` subprocess, with `src` on its path."""
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 class TestCheck:
     def test_well_typed_file(self, capsys):
         assert main(["check", DEPT]) == 0
@@ -61,6 +67,18 @@ class TestCheck:
         data = json.loads(capsys.readouterr().out)
         assert data[0]["kind"] == "payload-format"
         assert data[0]["span"]
+
+    def test_first_bad_row_in_row_order_under_every_hash_seed(self, tmp_path):
+        # Rows are checked in the order the table lists them, not in the
+        # hash order of strings, which the seed changes.
+        f = write(tmp_path, 'schema T : (Int)\n$l :: table T : (Int) = '
+                            '{("a"), ("b"), ("c"), ("d"), ("e"), ("f")}')
+        for seed in range(6):
+            done = subprocess.run([sys.executable, "-m", "kdb.cli", "check", f],
+                                  capture_output=True, text=True, timeout=60,
+                                  env=kdb_env(PYTHONHASHSEED=str(seed)))
+            assert (done.returncode, done.stderr) == \
+                (1, f'{f}:2:7: row ("a") does not fit the table schema\n'), seed
 
 
 class TestRun:
@@ -161,12 +179,10 @@ class TestRun:
         # stdout meets a broken pipe, as `kdb run ... | head -n 1` may.
         read_end, write_end = os.pipe()
         os.close(read_end)
-        path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "kdb.cli", "run", DEPT, "--max-steps", "0"],
-                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
-                env={**os.environ, "PYTHONPATH": path})
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=kdb_env())
         finally:
             os.close(write_end)
         assert done.stderr == b""

@@ -61,6 +61,13 @@ class TestExprTyping:
         assert c.type_expr(env(), s.MultisetLit(())) is None
         assert c.diags[0].kind == "empty-multiset"
 
+    def test_nested_multiset_reported_where_each_side_nests(self):
+        src = ("schema T : ({Int})\n"
+               "$l :: table T : ({Int}) = {} ||\n"
+               "$l :: delete(T@$l, (!x), {x} = {x}). nil")
+        assert [(d.kind, str(d.span)) for d in check_system(parse_system(src))] == \
+            [("nested-multiset", "3:26"), ("nested-multiset", "3:32")]
+
 
 class TestPredTyping:
     def test_membership_over_id_multiset(self):
@@ -282,6 +289,12 @@ class TestSystemChecking:
                'in $l :: table T : (Int) = {} || $l :: f("str")')
         diags = check_system(parse_system(src))
         assert any(d.kind == "call-argument" for d in diags)
+
+    def test_call_argument_that_fails_to_type_is_reported_once(self):
+        src = ('schema T : (Int)\n'
+               'let p(n: Int) := insert(T@$l, (n)). nil\n'
+               'in $l :: table T : (Int) = {} || $l :: p(1 + "a")')
+        assert [d.kind for d in check_system(parse_system(src))] == ["operand-type"]
 
     # The parser rejects bad calls in source text; a System built in code
     # reaches the checker with them, which reports them before it pairs
