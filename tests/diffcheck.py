@@ -32,7 +32,10 @@ The population:
   every line; a tab before every line and for every space outside a
   string; `\r\n` line ends), whole and cut at two thirds: the text of each
   one's diagnostics or ParseError, so the line:col of what is reported is
-  covered on layouts that renders never produce.
+  covered on layouts that renders never produce;
+- 20 texts (`bad_rows`) whose table and table literal each hold several
+  rows that do not fit the schema: the text of their diagnostics, so which
+  bad row is reported first is covered under both hash seeds.
 
 Only text goes into the hash: renders, the `repr`s of parses, diagnostics,
 labels and the `str` of canonical keys, none of which depends on the
@@ -62,6 +65,7 @@ REPEATED_TABLES = 20
 WIDE_NODES = 200
 WIDE_STEPS = 40
 LAYOUT_CORRUPT = 50
+BAD_ROW_TABLES = 20
 EXPLORE_BOUND = 40
 RUN_STEPS = 20
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "corpus")
@@ -101,6 +105,24 @@ def repeated_tables(seed: int) -> str:
     if rng.random() < 0.5:
         parts.append(sorted(tables)[0])  # one table twice: a count of 2
     return "$l :: { " + " | ".join(parts) + " }\n"
+
+
+def bad_rows(seed: int) -> str:
+    """A table and a table literal of (Int, String) rows, each with several
+    rows of other shapes among rows that fit."""
+    rng = random.Random(seed)
+
+    def rows() -> str:
+        out = []
+        for k in range(rng.randint(4, 8)):
+            word = f'"w{rng.randrange(100)}"'
+            out.append(rng.choice([f"({k}, {word})", f"({word}, {k})", f"({word})",
+                                   f"({k}, {word}, {k})", f"({k}, {k})"]))
+        return ", ".join(out)
+
+    return (f"schema T : (Int, String)\n$l :: table T : (Int, String) = {{{rows()}}}\n"
+            f"|| $m :: select(table U : (Int, String) = {{{rows()}}}, (!x, !y), true, (x, y), !t)."
+            " nil\n")
 
 
 def wide(n: int) -> str:
@@ -174,7 +196,7 @@ def reported(text: str) -> list:
 def main() -> int:
     digest = hashlib.sha256()
     counts = {"systems": 0, "states": 0, "transitions": 0, "random": 0, "clash": 0,
-              "layouts": 0}
+              "layouts": 0, "bad_rows": 0}
 
     def put(*lines) -> None:
         for line in lines:
@@ -216,6 +238,9 @@ def main() -> int:
     for name, text in layout_texts():
         counts["layouts"] += 1
         put(f"== {name}", *reported(text), "cut", *reported(text[:len(text) * 2 // 3]))
+    for seed in range(BAD_ROW_TABLES):
+        counts["bad_rows"] += 1
+        put(f"== bad rows {seed}", *reported(bad_rows(seed)))
     print(" ".join(f"{k}={v}" for k, v in counts.items()), digest.hexdigest())
     return 0
 
