@@ -3,21 +3,20 @@
 A node class is a `Record` that declares its fields, in order, as its
 `__slots__`; a slot whose name starts with `_` is a cache, not a field.
 Its class keywords give the shape of each child field, in the order a
-traversal visits them (`syntax.CHILDREN` is read off them).  After that a
-node is never assigned to: `__setattr__` raises, and only a cache is
-filled in, by `object.__setattr__`.
+traversal visits them (`syntax.CHILDREN` is read off them).
 
 `build` generates, in one `exec` for every node class of a module, the
-class's `__init__`, `__eq__` and `__hash__`, as a frozen dataclass has
-them.  `__init__` sets each field, starts each cache at None and calls
-`__post_init__` where a class has one.  `__eq__` and `__hash__` read the
-compared fields, one by one: every field but a node's `span` and a
-system's `source`, which say where it stands in the source text.  The hash
-is that of their tuple, computed on first use and kept in the `_hash`
-slot.  `repr` is one function for every class.  `replace` and `_fields`
-stand in for `dataclasses.replace` and `dataclasses.fields`, and
-`__reduce__` lets `copy` and `pickle` rebuild a node through its
-`__init__`.
+`__init__`, `__eq__` and `__hash__` a frozen dataclass would have.
+`__init__` sets each field, starts each cache at None and calls
+`__post_init__` where a class has one; after that a node is never assigned
+to: `__setattr__` raises, and only a cache is filled in, by
+`object.__setattr__`.  `__eq__` and `__hash__` read the compared fields one
+by one: every field but a node's `span` and a system's `source`, which say
+where it stands in the source text.  The hash is that of their tuple,
+computed on first use and kept in the `_hash` slot.  `repr` is one function
+for every class.  `replace` and `_fields` stand in for `dataclasses.replace`
+and `dataclasses.fields`, and `__reduce__` lets `copy` and `pickle` rebuild
+a node through its `__init__`.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ def build(namespace: dict) -> list:
         if hasattr(cls, "__post_init__"):
             source.append(" self.__post_init__()")
         # A node equals itself without a look at its fields, as a tuple's
-        # item does.
+        # item does, so comparing two nodes never walks a subtree they share.
         same = " and ".join(f"self.{f} == other.{f}" for f in cls._compared) or "True"
         source += [f"def {name}__eq__(self, other):",
                    " if other is self: return True",
