@@ -5,9 +5,8 @@ extruded to a single outer prefix (renaming restricted localities apart when
 extrusion would capture), every node is split into one item per co-located
 process or table, and inert-process units are absorbed.  Rule matching in
 the engine then becomes multiset lookup instead of congruence search.
-`make_canonical` is the one builder of that form: `canonicalize` walks a
-net, in one loop over an explicit stack, and hands it the items it found;
-the engine hands it a parent net and a transition's items.
+`make_canonical` builds every canonical net: from the items `canonicalize`
+finds in one loop over an explicit stack, or from a parent's and a delta.
 
 `tables_by_id` says where every table `tid@loc` is, in one pass over the
 items: the engine builds that map once per enumeration and every rule that
@@ -48,13 +47,13 @@ _NIL = s.NilProc()
 
 
 def canonicalize(net: s.Net) -> CanonicalNet:
-    """Normal form under structural congruence, built by `make_canonical`
-    from the items of the net, inert units last.
+    """Normal form under structural congruence.
 
     Subterms pop off an explicit stack, left ones first: no Python frame per
     level (`free_locs` costs one per level of a process, none per `||` or
     `|`).  A net is paired with the renaming of the restricted names in
-    scope, a renamed component with its node's locality.
+    scope, a renamed component with its node's locality.  `make_canonical`
+    makes the net of the items found, inert units last.
     """
     used = set(s.free_locs(net))
     counter = itertools.count(1)
@@ -90,8 +89,7 @@ def canonicalize(net: s.Net) -> CanonicalNet:
 
 
 def make_canonical(parent: CanonicalNet, removed, added) -> CanonicalNet:
-    """The canonical net `parent` becomes when `removed` items give way to
-    `added`: the one builder of canonical nets.
+    """The canonical net `parent` becomes when `removed` items give way to `added`.
 
     It starts from a copy of the parent's item counts, takes one copy of each
     removed item away (never below zero) and adds one of each added item, so

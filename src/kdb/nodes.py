@@ -68,12 +68,10 @@ def build(namespace: dict) -> list:
     """Give every node class defined in the module whose globals are
     `namespace` its `__init__`, `__eq__` and `__hash__`; return the classes.
 
-    One `exec` generates each class's `__init__`, and an `__eq__` and a
-    `__hash__` for each number of compared fields, which read stand-in
-    fields `_0`, `_1`, ...  A class gets a copy of those two with its own
-    fields' names put in the bytecode's names: compiling them per class
-    would cost more at import than all the rest of `syntax`.
-    """
+    One `exec` generates each `__init__`, and an `__eq__` and a `__hash__`
+    per number of compared fields over stand-ins `_0`, `_1`, ..., which each
+    class copies with its field names put in: compiling those two per class
+    would cost more at import than all the rest of `syntax`."""
     classes = [c for c in namespace.values()
                if isinstance(c, type) and issubclass(c, Record) and c._fields
                and c.__module__ == namespace["__name__"]]

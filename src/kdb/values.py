@@ -55,8 +55,7 @@ class Multiset:
                 yield k
 
     def support(self) -> KeysView:
-        """The distinct elements, as a set-like view of the count map made
-        without a copy: iterated in insertion order, not hash order."""
+        """The distinct elements, in insertion order: a view, not a copy."""
         return self._counts.keys()
 
     def items(self):
