@@ -108,10 +108,10 @@ def make_canonical(parent: CanonicalNet, removed, added) -> CanonicalNet:
     for item in added:
         counts[item] = counts.get(item, 0) + 1
     touched = {loc for loc, _ in removed} | {loc for loc, _ in added}
-    inert = [loc for loc in touched if (loc, _NIL) in counts]
-    if inert:
+    nil_locs = [loc for loc in touched if (loc, _NIL) in counts]
+    if nil_locs:
         busy = {loc for loc, body in counts if not isinstance(body, s.NilProc)}
-        for loc in inert:
+        for loc in nil_locs:
             if loc in busy:
                 del counts[loc, _NIL]
             else:
