@@ -20,7 +20,8 @@ names under every numbering of them, and every other item once, keeping
 its text on the body; it orders the successors of transitions that share a
 label.
 `StateKeys`, by which `explore` deduplicates states, renders nothing and
-numbers the names by colour refinement.
+numbers the names by colour refinement, once per configuration of the items
+that hold them.
 """
 
 from __future__ import annotations
@@ -219,12 +220,21 @@ class StateKeys:
     Graph Isomorphism II", J. Symb. Comput. 2014).  Names that no item
     links are certified apart, so like groups of names, such as the clients
     of one hub once the hub is numbered, never need to be told apart.
+
+    The certificate is memoized per configuration: the set of the held
+    items' (locality, body identity, count).  It is a function of that set,
+    as an item's restricted names come from its body and its locality.  A
+    body's identity stands for it while the keyer lives, because the keyer
+    keeps a reference to every body it meets, so no id is reused.  The
+    states `explore` reaches share their untouched bodies, so a
+    configuration recurs across states and is certified once.
     """
 
     def __init__(self, restricted: tuple):
         self._restricted = frozenset(restricted)
         self._bodies: dict = {}  # id(body) -> (body, its restricted names, {placeholders: form})
         self._ids: dict = {}  # free locality or renamed body -> small int
+        self._certified: dict = {}  # frozenset of held (loc, id(body), count) -> certificate
 
     def _intern(self, x) -> int:
         return self._ids.setdefault(x, len(self._ids))
@@ -258,7 +268,11 @@ class StateKeys:
                 held.append((loc, entry, n, names))
             else:
                 loose.append((loc, entry[2][()], n))
-        return cn.err, len(cn.restricted), frozenset(loose), self._certificate(held, {})
+        config = frozenset((loc, id(entry[0]), n) for loc, entry, n, _ in held)
+        cert = self._certified.get(config)
+        if cert is None:
+            cert = self._certified[config] = self._certificate(held, {})
+        return cn.err, len(cn.restricted), frozenset(loose), cert
 
     def _certificate(self, items: list, number: dict) -> tuple:
         """The items with the restricted names in `number` numbered by it and

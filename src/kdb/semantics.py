@@ -44,8 +44,9 @@ The `lid` integrity check reads each outcome's tables against the same
 map.  It is off in a net whose `lid` already repeats, which the checker
 rejects (`duplicate-table`), so only an unchecked run holds one.
 `explore` deduplicates the states it reaches by one `net.StateKeys` per
-call, which renders nothing and works on a body only the first time it
-meets it.  Substitution builds new terms only for continuations: the process
+call, which renders nothing, works on a body only the first time it meets
+it and certifies the restricted names once per configuration of the items
+that hold them.  Substitution builds new terms only for continuations: the process
 after a select or aggr, a loop body and a procedure body.
 """
 
@@ -490,7 +491,9 @@ def explore(sys: s.System, bound: int = 10000) -> ExploreResult:
     """Bounded breadth-first exploration of the reachable state space.  The
     states share their untouched items, so a process waiting in many of
     them recomputes its outcomes only where it finds other tables than in
-    the state it was last enumerated in (`_outcomes`)."""
+    the state it was last enumerated in (`_outcomes`), and the keyer
+    certifies the restricted names once per configuration of the bodies
+    that hold them, however many states share it (`net.StateKeys`)."""
     start = netmod.canonicalize(sys.main_net)
     keys = netmod.StateKeys(start.restricted)
     index = {keys.key(start): 0}

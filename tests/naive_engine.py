@@ -87,12 +87,15 @@ class NaiveState:
 
         if not self.restricted:
             return frozen((), self.items)
+        # Restrictions commute, so the names are numbered in any order and
+        # the numbers listed in one.
+        numbers = tuple(f"ρ{i}" for i in range(len(self.restricted)))
         best = None
         for perm in itertools.permutations(self.restricted):
-            ren = {name: f"ρ{i}" for i, name in enumerate(perm)}
+            ren = dict(zip(perm, numbers))
             items = [(ren.get(loc, loc), s.rename_localities(body, ren))
                      for loc, body in self.items]
-            cand = frozen(tuple(ren[r] for r in self.restricted), items)
+            cand = frozen(numbers, items)
             if best is None or cand < best:
                 best = cand
         return best

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import naive_engine
+import smallscope
 from fixtures import KLD_TABLE, srow
 from gen import AstGen
 from kdb import net as netmod
@@ -349,6 +350,38 @@ _WIDE = {
 }
 
 
+def _chains(restricted: tuple, shared: tuple) -> str:
+    """Insert chains of the given lengths: at restricted sites `$r<i>`, each
+    into a table T of its own, and at free sites `$f<j>` into the one table
+    S at `$h0`.  Every chain tags its rows with its index, so the states
+    are the product of the chains' progress, none equal to another."""
+    def chain(i, n, at):
+        return "".join(f"insert({at}, ({i}, {k})). " for k in range(n)) + "nil"
+    sites = [f"$r{i} :: {{ table T : (Int, Int) = {{}} | {chain(i, n, f'T@$r{i}')} }}"
+             for i, n in enumerate(restricted)]
+    free = [f"|| $f{j} :: {chain(len(restricted) + j, n, 'S@$h0')}" for j, n in enumerate(shared)]
+    restricts = "".join(f"(new $r{i}) " for i in range(len(restricted)))
+    return "\n".join(["schema T : (Int, Int)", "schema S : (Int, Int)",
+                      f"{restricts}( " + "\n   || ".join(sites) + " )",
+                      "|| $h0 :: table S : (Int, Int) = {}", *free]) + "\n"
+
+
+# Programs whose restricted names take few configurations, each reached by
+# many states and along many paths.
+_RECURRING = {
+    "chains": _chains((2, 1, 1), (2, 2)),
+    "ring": _restricted_program(
+        [(f"r{i}", f"{{ {_TABLE} | insert(T@$r{(i + 1) % 4}, (1)). nil }}") for i in range(4)]),
+    "pairs": _restricted_program(
+        [(f"c{i}", f"insert(T@$s{i}, (1)). nil") for i in range(2)]
+        + [(f"s{i}", _TABLE) for i in range(2)]),
+    # Two like processes at $a that change no other item: the first three
+    # states differ only in the count of one item.
+    "twins": _restricted_program(
+        [("a", "{ eval(nil, $b). nil | eval(nil, $b). nil }"), ("b", _TABLE)]),
+}
+
+
 class TestStateKeys:
     @pytest.mark.parametrize("name", sorted(_WIDE))
     def test_many_restrictions_cost_polynomial_work(self, name, monkeypatch):
@@ -377,6 +410,24 @@ class TestStateKeys:
         # canonicalize renames each site once, and the keyer each body once
         # per pattern of placeholders.
         assert counts["rename_localities"] <= n * n
+
+    def test_certifies_each_restricted_configuration_once(self, monkeypatch):
+        # The chains at $r0..$r2 take 3 * 2 * 2 configurations; the free
+        # chains multiply the states by 9 but leave the certificate alone.
+        calls = []
+        certificate = StateKeys._certificate
+        monkeypatch.setattr(StateKeys, "_certificate",
+                            lambda *args: calls.append(args) or certificate(*args))
+        result = explore(parse_system(_RECURRING["chains"]))
+        assert (result.states, len(result.edges)) == (108, 324)
+        assert len(calls) == 12
+
+    @pytest.mark.parametrize("name", sorted(_RECURRING))
+    def test_reachable_states_match_the_naive_engine(self, name):
+        system = parse_system(_RECURRING[name])
+        naive = smallscope.naive_reachable_keys(system)
+        assert smallscope.engine_reachable_keys(system) == naive
+        assert explore(system).states == len(naive)
 
     def test_agrees_with_canonical_key(self):
         pairs = list(_pairs())
