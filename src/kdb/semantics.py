@@ -46,8 +46,8 @@ rejects (`duplicate-table`), so only an unchecked run holds one.
 `explore` deduplicates the states it reaches by one `net.StateKeys` per
 call, which renders nothing, works on a body only the first time it meets
 it and certifies the restricted names once per configuration of the items
-that hold them.  Substitution builds new terms only for continuations: the process
-after a select or aggr, a loop body and a procedure body.
+that hold them.  Substitution builds new terms only for continuations: the
+process after a select or aggr, a loop body and a procedure body.
 """
 
 from __future__ import annotations

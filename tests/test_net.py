@@ -350,26 +350,22 @@ _WIDE = {
 }
 
 
-def _chains(restricted: tuple, shared: tuple) -> str:
-    """Insert chains of the given lengths: at restricted sites `$r<i>`, each
-    into a table T of its own, and at free sites `$f<j>` into the one table
-    S at `$h0`.  Every chain tags its rows with its index, so the states
-    are the product of the chains' progress, none equal to another."""
-    def chain(i, n, at):
-        return "".join(f"insert({at}, ({i}, {k})). " for k in range(n)) + "nil"
-    sites = [f"$r{i} :: {{ table T : (Int, Int) = {{}} | {chain(i, n, f'T@$r{i}')} }}"
-             for i, n in enumerate(restricted)]
-    free = [f"|| $f{j} :: {chain(len(restricted) + j, n, 'S@$h0')}" for j, n in enumerate(shared)]
-    restricts = "".join(f"(new $r{i}) " for i in range(len(restricted)))
-    return "\n".join(["schema T : (Int, Int)", "schema S : (Int, Int)",
-                      f"{restricts}( " + "\n   || ".join(sites) + " )",
-                      "|| $h0 :: table S : (Int, Int) = {}", *free]) + "\n"
-
-
 # Programs whose restricted names take few configurations, each reached by
 # many states and along many paths.
 _RECURRING = {
-    "chains": _chains((2, 1, 1), (2, 2)),
+    # perfbench's explore_restricted shape: insert chains at three restricted
+    # sites, each into a table of its own, and two at free sites into one
+    # table.  Each chain tags its rows, so no two of the 108 states are equal.
+    "chains": """schema T : (Int, Int)
+schema S : (Int, Int)
+(new $r0) (new $r1) (new $r2) (
+      $r0 :: { table T : (Int, Int) = {} | insert(T@$r0, (0, 0)). insert(T@$r0, (0, 1)). nil }
+   || $r1 :: { table T : (Int, Int) = {} | insert(T@$r1, (1, 0)). nil }
+   || $r2 :: { table T : (Int, Int) = {} | insert(T@$r2, (2, 0)). nil } )
+|| $h0 :: table S : (Int, Int) = {}
+|| $f0 :: insert(S@$h0, (3, 0)). insert(S@$h0, (3, 1)). nil
+|| $f1 :: insert(S@$h0, (4, 0)). insert(S@$h0, (4, 1)). nil
+""",
     "ring": _restricted_program(
         [(f"r{i}", f"{{ {_TABLE} | insert(T@$r{(i + 1) % 4}, (1)). nil }}") for i in range(4)]),
     "pairs": _restricted_program(
