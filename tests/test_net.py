@@ -14,7 +14,7 @@ from gen import AstGen
 from kdb import net as netmod
 from kdb import syntax as s
 from kdb.parser import parse_system
-from kdb.semantics import explore
+from kdb.semantics import enumerate_transitions, explore, run
 from kdb.net import (
     StateKeys,
     canonical_key,
@@ -452,6 +452,28 @@ class TestCanonicalKey:
         for a, b, _ in _pairs(range(60)):
             for cn in (a, b):
                 assert canonical_key(cn) == _key_renaming_every_body(cn)
+
+    def test_orders_a_tie_by_the_least_numbering(self):
+        # The two inserts at $a share a label; each successor holds two
+        # restricted names, and the least key numbers $r1 first, against
+        # the order in which the restrictions stand.
+        program = (
+            "schema T : (Int)\n(new $r0) (new $r1) ( $a :: { table T : (Int) = {} "
+            "| insert(T@$a, (1)). insert(T@$r1, (5)). nil "
+            "| insert(T@$a, (1)). insert(T@$r0, (6)). nil } "
+            "|| $r0 :: table T : (Int) = {} || $r1 :: table T : (Int) = {(7)} )\n")
+        system = parse_system(program)
+        tie = enumerate_transitions(canonicalize(system.main_net), system)
+        assert [t.label.rule for t in tie] == ["INS", "INS"]
+        keys = [_key_renaming_every_body(t.succ) for t in tie]
+        assert str(keys[0]) < str(keys[1])
+        assert ("ρ0", "table T : (Int) = {(7)}", 1) in keys[0][2]
+        # So the tie starts with the step of the second process.
+        rest = s.Prefix(s.Insert("T", s.Tuple((VInt(6),)), VLoc("r0")), NIL)
+        assert tie[0].succ.items.count(("a", rest)) == 1
+        labels = [label.detail for label, _ in run(system, seed=0).steps]
+        assert labels == ["insert (1) into T@a", "insert (5) into T@r1",
+                          "insert (1) into T@a", "insert (6) into T@r0"]
 
     def test_renames_only_bodies_that_mention_a_restricted_name(self, monkeypatch):
         calls = []
