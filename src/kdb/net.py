@@ -15,10 +15,8 @@ integrity check, `find_tables` and the dumps.  It holds the one tie rule:
 different tables under one (locality, identifier) are in render order.
 
 Two keys identify a net up to congruence and renaming of its restricted
-names.  `canonical_key` renders every item that mentions one of those
-names under every numbering of them, and every other item once, keeping
-its text on the body; it orders the successors of transitions that share a
-label.
+names.  `canonical_key` renders the items under every numbering of the
+names, and orders the successors of transitions that share a label.
 `StateKeys`, by which `explore` deduplicates states, renders nothing and
 numbers the names by colour refinement, once per configuration of the items
 that hold them.
@@ -38,10 +36,6 @@ class CanonicalNet(NamedTuple):
     restricted: tuple  # locality names, outermost first
     items: Multiset  # of (loc, Process | TableComp)
     err: bool = False
-
-
-def _is_table(body) -> bool:
-    return isinstance(body, s.TableComp)
 
 
 _NIL = s.NilProc()
@@ -135,7 +129,7 @@ def tables_by_id(cn: CanonicalNet) -> dict:
     """
     tables: dict = {}
     for (loc, body), n in cn.items.items():
-        if _is_table(body):
+        if isinstance(body, s.TableComp):
             tables.setdefault((loc, body.interface.tid), []).extend([body] * n)
     for found in tables.values():
         if len(found) > 1:
@@ -161,39 +155,20 @@ def ok(cn: CanonicalNet) -> bool:
 # Comparison keys and dumps
 
 def canonical_key(cn: CanonicalNet):
-    """A key identifying the net up to congruence and renaming of restrictions.
-
-    Restricted names are anonymized positionally; with several restrictions
-    the minimum over their permutations is taken, so the key costs n! renders
-    of every body that mentions one of the n restricted names.  A body that
-    mentions none is rendered once: it keeps its text on itself, as a row
-    does, and only its locality is renamed.  Its value is text, ordered the
-    same on every run: `semantics.enumerate_transitions` orders and merges
-    the successors of transitions that share a label by it, and nowhere else
-    is it computed.  `explore` deduplicates states by `StateKeys`, which
-    agrees with it on which nets are equal.
+    """A key identifying the net up to congruence and renaming of restrictions:
+    the least, over the numberings of the restricted names, of the sorted
+    (locality, text, count) rows of the items renamed by the numbering.  A
+    body that no numbering changes is rendered once, as `render` keeps its
+    text.  `semantics.enumerate_transitions` orders and merges the
+    successors of transitions that share a label by it; `explore`
+    deduplicates states by `StateKeys`, which agrees with it on which nets
+    are equal.
     """
-    restricted = frozenset(cn.restricted)
-    fixed = []  # (loc, text, count) of the items whose body mentions no restricted name
-    held = []  # (loc, body, count) of the others
-    for (loc, body), cnt in cn.items.items():
-        if restricted and not restricted.isdisjoint(s.free_locs(body)):
-            held.append((loc, body, cnt))
-        else:
-            text = body._text
-            if text is None:
-                text = s.render(body)
-                object.__setattr__(body, "_text", text)
-            fixed.append((loc, text, cnt))
-    best = None
-    for perm in itertools.permutations(cn.restricted):  # no names: one empty perm
-        mapping = {name: f"ρ{i}" for i, name in enumerate(perm)}
-        rows = [(mapping.get(loc, loc), text, cnt) for loc, text, cnt in fixed]
-        rows += [(mapping.get(loc, loc), s.render(s.rename_localities(body, mapping)), cnt)
-                 for loc, body, cnt in held]
-        cand = tuple(sorted(rows))
-        if best is None or cand < best:
-            best = cand
+    numberings = ({name: f"ρ{i}" for i, name in enumerate(perm)}
+                  for perm in itertools.permutations(cn.restricted))  # no names: one, empty
+    best = min(tuple(sorted((m.get(loc, loc), s.render(s.rename_localities(body, m)), n)
+                            for (loc, body), n in cn.items.items()))
+               for m in numberings)
     return (cn.err, len(cn.restricted), best)
 
 

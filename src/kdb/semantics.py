@@ -37,9 +37,9 @@ the same objects: a successor keeps every untouched item as the same object,
 and the states `explore` reaches share them.  A successor is the parent's
 item counts with the transition's items swapped (`net.make_canonical`), so
 untouched items are not rehashed; the rendering `canonical_key` is computed
-only for transitions that share a label, from the texts bodies and rows
-keep; and tables are ordered by (locality, identifier), rendered only to
-break a tie.
+only for transitions that share a label, from the texts that `render` keeps
+on bodies and rows; and tables are ordered by (locality, identifier),
+rendered only to break a tie.
 The `lid` integrity check reads each outcome's tables against the same
 map.  It is off in a net whose `lid` already repeats, which the checker
 rejects (`duplicate-table`), so only an unchecked run holds one.

@@ -25,9 +25,8 @@ place, and undoes what a node bound when the node is done.  `free_vars`,
 `free_locs` and `rename_localities` here, `kernel.apply_subst` and the
 checker's collection of table shapes are each a few hooks on it.  It costs
 a Python frame per level of the tree but none per node of a `||` or `|`
-spine.  `render` is driven by a table too, `_FORMAT`, with one format
-function per class and the parenthesisation of tight positions as data; it
-recurses on every level, a spine's included.
+spine.  `render` is driven by a table too, `_FORMAT`, and lays a tree out
+from one explicit stack, at no frame per level.
 """
 
 from __future__ import annotations
@@ -290,9 +289,8 @@ Action = Union[Insert, Delete, Select, Update, Aggr, Create, Drop, Eval]
 
 
 # ---------------------------------------------------------------------------
-# Processes.  A process, as a table component, is the body of an item of a
-# canonical net, and keeps its text for `net.canonical_key` in `_text`.  A
-# prefix or a loop keeps its step in `_kept` (`semantics._outcomes`).
+# Processes.  A process keeps the text of a top-level `render` in `_text`,
+# and a prefix or a loop its step in `_kept` (`semantics._outcomes`).
 
 class NilProc(Record):
     __slots__ = ("span", "_text")
@@ -381,41 +379,62 @@ LOC = Base("Loc")
 # ---------------------------------------------------------------------------
 # Rendering back to concrete syntax
 #
-# _FORMAT holds one format function per class.  A format function renders
-# its children through `_r`, passing the wrap table of the child's position:
-# the classes that bind too loosely there, with the delimiters that wrap
-# them.  `_r` and a format function are the two frames one tree level costs.
+# _FORMAT holds one format function per class.  A leaf's (a type, schema,
+# value, row, multiset of rows or table) returns its text; a node's, its
+# parts: strings, child nodes, and `_Tight` children in positions where the
+# classes of a wrap table take its delimiters.  `render` lays parts out
+# from one explicit stack.
 
 _PARENS = ("(", ")")
-_NO_WRAP: dict = {}
 _TIGHT_PROC = {Seq: _PARENS}  # a prefix's continuation, a loop body, a sequence's first half
 _TIGHT_PRED = {Cmp: _PARENS, Member: _PARENS, And: _PARENS}  # under ! and &&
 _TIGHT_COMP = {ParComp: ("{ ", " }")}  # under |
 _TIGHT_NET = {ParNet: _PARENS}  # under || and a restriction
 
 
-def _r(node, wrap=_NO_WRAP) -> str:
-    """The node's text, wrapped when its class is in `wrap`."""
-    cls = node.__class__
-    if cls in wrap:
-        left, right = wrap[cls]
-        return left + _FORMAT[cls](node) + right
-    return _FORMAT[cls](node)
+class _Tight(tuple):
+    """A part: (child, wrap table).  A schema is a tuple too."""
+    __slots__ = ()
 
 
 def render(node) -> str:
     """Render an AST node, type, schema, value, row or multiset of rows back
-    to concrete syntax."""
+    to concrete syntax.  A process or a table keeps its text in `_text`, as
+    a row does, and is rendered once."""
+    keeps = hasattr(node.__class__, "_text")
+    if keeps and node._text is not None:
+        return node._text
+    out, stack = [], [node]
     try:
-        return _r(node)
+        while stack:
+            part = stack.pop()
+            if part.__class__ is _Tight:
+                part, wrap = part
+                if part.__class__ in wrap:
+                    left, right = wrap[part.__class__]
+                    out.append(left)
+                    stack.append(right)
+            if part.__class__ is not str:
+                part = _FORMAT[part.__class__](part)
+            if part.__class__ is str:
+                out.append(part)
+            else:
+                stack += reversed(part)
     except KeyError as e:
         raise TypeError(f"cannot render {e.args[0].__name__}") from None
+    text = "".join(out)
+    if keeps:
+        object.__setattr__(node, "_text", text)
+    return text
 
 
-# The renderers of the pieces below a node are `_r` itself, not `render`, so
-# that wrapping `render` (as `perfbench/tracer.py` does) sees only top-level
-# renders.
-render_mtype = render_schema = render_value = render_row = render_rows = _r
+def _leaf(x) -> str:
+    return _FORMAT[x.__class__](x)
+
+
+# Leaves are rendered by `_leaf`, not `render`, so that wrapping `render`
+# (as `perfbench/tracer.py` does) sees only top-level renders.
+render_mtype = render_schema = render_value = render_row = render_rows = _leaf
 
 
 def _quote(s: str) -> str:
@@ -424,9 +443,12 @@ def _quote(s: str) -> str:
     return '"' + out + '"'
 
 
-def _join(nodes) -> str:
-    # No list position wraps, so the elements skip `_r`: rows are hot.
-    return ", ".join([_FORMAT[x.__class__](x) for x in nodes])
+def _join(leaves) -> str:
+    return ", ".join([_FORMAT[x.__class__](x) for x in leaves])
+
+
+def _commas(nodes) -> list:
+    return [part for x in nodes for part in (", ", x)][1:]
 
 
 def _row(row: ValueTuple) -> str:
@@ -439,21 +461,21 @@ def _row(row: ValueTuple) -> str:
 
 def _table(t) -> str:
     tid = t.interface.tid if t.interface.tid is not None else "?"
-    return f"table {tid} : {_r(t.interface.schema)} = {_r(t.rows)}"
+    return f"table {tid} : {_leaf(t.interface.schema)} = {_leaf(t.rows)}"
 
 
 def _operator(f) -> str:
     return f.op if f.op in COLUMNLESS else f"{f.op}[{f.col}]"
 
 
-def _system(system: System) -> str:
-    lines = [f"schema {tid} : {_r(sk)}" for tid, sk in system.schema_decls]
+def _system(system: System) -> list:
+    parts = [f"schema {tid} : {_leaf(sk)}\n" for tid, sk in system.schema_decls]
     for i, d in enumerate(system.procedures.values()):
-        lines.append(("let " if i == 0 else "and ") + _r(d))
+        parts += ("let " if i == 0 else "and ", d, "\n")
     if system.procedures:
-        lines.append("in")
-    lines.append(_r(system.main_net))
-    return "\n".join(lines)
+        parts.append("in\n")
+    parts.append(system.main_net)
+    return parts
 
 
 _FORMAT = {
@@ -469,50 +491,49 @@ _FORMAT = {
     Multiset: lambda rows: "{" + _join(sorted_rows(rows)) + "}",
     DataVar: lambda e: e.name,
     LocVar: lambda e: e.name,
-    Concat: lambda e: f"({_r(e.left)} ++ {_r(e.right)})",
-    Arith: lambda e: f"({_r(e.left)} {e.op} {_r(e.right)})",
-    MultisetLit: lambda e: "{" + _join(e.elements) + "}",
+    Concat: lambda e: ("(", e.left, " ++ ", e.right, ")"),
+    Arith: lambda e: ("(", e.left, f" {e.op} ", e.right, ")"),
+    MultisetLit: lambda e: ("{", *_commas(e.elements), "}"),
     TruePred: lambda p: "true",
-    Cmp: lambda p: f"{_r(p.left)} {p.op} {_r(p.right)}",
-    Member: lambda p: f"{_r(p.elem)} in {_r(p.container)}",
-    Not: lambda p: "!" + _r(p.inner, _TIGHT_PRED),
-    And: lambda p: f"{_r(p.left, _TIGHT_PRED)} && {_r(p.right, _TIGHT_PRED)}",
-    Tuple: lambda t: "(" + _join(t.components) + ")",
+    Cmp: lambda p: (p.left, f" {p.op} ", p.right),
+    Member: lambda p: (p.elem, " in ", p.container),
+    Not: lambda p: ("!", _Tight((p.inner, _TIGHT_PRED))),
+    And: lambda p: (_Tight((p.left, _TIGHT_PRED)), " && ", _Tight((p.right, _TIGHT_PRED))),
+    Tuple: lambda t: ("(", *_commas(t.components), ")"),
     BindData: lambda f: "!" + f.name,
     BindLoc: lambda f: "!@" + f.name,
-    Template: lambda t: "(" + _join(t.fields) + ")",
-    TableByName: lambda tb: f"{tb.tid}@{_r(tb.loc)}",
+    Template: lambda t: ("(", *_commas(t.fields), ")"),
+    TableByName: lambda tb: (tb.tid + "@", tb.loc),
     TableByVar: lambda tb: tb.name,
     TableLiteral: _table,
     AggrFn: _operator,
     OrderSpec: _operator,
-    Insert: lambda a: f"insert({a.tid}@{_r(a.loc)}, {_r(a.payload)})",
-    Delete: lambda a: f"delete({a.tid}@{_r(a.loc)}, {_r(a.template)}, {_r(a.pred)})",
-    Select: lambda a: (f"select({_join(a.tables)}, {_r(a.template)}, {_r(a.pred)}, "
-                       f"{_r(a.payload)}, !{a.bind})"),
-    Update: lambda a: (f"update({a.tid}@{_r(a.loc)}, {_r(a.template)}, {_r(a.pred)}, "
-                       f"{_r(a.payload)})"),
-    Aggr: lambda a: (f"aggr({a.tid}@{_r(a.loc)}, {_r(a.template)}, {_r(a.pred)}, "
-                     f"{_r(a.fn)}, {_r(a.bind_template)})"),
-    Create: lambda a: f"create({a.tid}@{_r(a.loc)}, {_r(a.schema)})",
-    Drop: lambda a: f"drop({a.tid}@{_r(a.loc)})",
-    Eval: lambda a: f"eval({_r(a.process)}, {_r(a.loc)})",
+    Insert: lambda a: (f"insert({a.tid}@", a.loc, ", ", a.payload, ")"),
+    Delete: lambda a: (f"delete({a.tid}@", *_commas((a.loc, a.template, a.pred)), ")"),
+    Select: lambda a: ("select(", *_commas((*a.tables, a.template, a.pred, a.payload)),
+                       f", !{a.bind})"),
+    Update: lambda a: (f"update({a.tid}@", *_commas((a.loc, a.template, a.pred, a.payload)), ")"),
+    Aggr: lambda a: (f"aggr({a.tid}@", *_commas((a.loc, a.template, a.pred, a.fn, a.bind_template)),
+                     ")"),
+    Create: lambda a: (f"create({a.tid}@", a.loc, ", ", a.schema, ")"),
+    Drop: lambda a: (f"drop({a.tid}@", a.loc, ")"),
+    Eval: lambda a: ("eval(", a.process, ", ", a.loc, ")"),
     NilProc: lambda p: "nil",
-    Prefix: lambda p: f"{_r(p.action)}. {_r(p.cont, _TIGHT_PROC)}",
-    CallProc: lambda p: f"{p.name}({_join(p.args)})",
-    Foreach: lambda p: (f"foreach({_r(p.table)}, {_r(p.template)}, {_r(p.pred)}, "
-                        f"{_r(p.order)}): {_r(p.body, _TIGHT_PROC)}"),
-    Seq: lambda p: f"{_r(p.first, _TIGHT_PROC)}; {_r(p.second)}",
-    ProcComp: lambda c: _r(c.process),
+    Prefix: lambda p: (p.action, ". ", _Tight((p.cont, _TIGHT_PROC))),
+    CallProc: lambda p: (p.name + "(", *_commas(p.args), ")"),
+    Foreach: lambda p: ("foreach(", *_commas((p.table, p.template, p.pred, p.order)), "): ",
+                        _Tight((p.body, _TIGHT_PROC))),
+    Seq: lambda p: (_Tight((p.first, _TIGHT_PROC)), "; ", p.second),
+    ProcComp: lambda c: (c.process,),
     TableComp: _table,
-    ParComp: lambda c: f"{_r(c.left, _TIGHT_COMP)} | {_r(c.right, _TIGHT_COMP)}",
+    ParComp: lambda c: (_Tight((c.left, _TIGHT_COMP)), " | ", _Tight((c.right, _TIGHT_COMP))),
     NilNet: lambda n: "nil",
     ErrNet: lambda n: "ERR",
-    Node: lambda n: f"${n.loc} :: {_r(n.component)}",
-    ParNet: lambda n: f"{_r(n.left, _TIGHT_NET)} || {_r(n.right, _TIGHT_NET)}",
-    Restrict: lambda n: f"(new ${n.loc}) {_r(n.inner, _TIGHT_NET)}",
-    ProcDef: lambda d: (d.name + "(" + ", ".join([f"{name}: {_r(ty)}" for name, ty in d.params])
-                        + ") := " + _r(d.body)),
+    Node: lambda n: (f"${n.loc} :: ", n.component),
+    ParNet: lambda n: (_Tight((n.left, _TIGHT_NET)), " || ", _Tight((n.right, _TIGHT_NET))),
+    Restrict: lambda n: (f"(new ${n.loc}) ", _Tight((n.inner, _TIGHT_NET))),
+    ProcDef: lambda d: (d.name + "(" + ", ".join([f"{name}: {_leaf(ty)}" for name, ty in d.params])
+                        + ") := ", d.body),
     System: _system,
 }
 

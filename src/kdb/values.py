@@ -159,9 +159,8 @@ def scalar_kind(v) -> str | None:
 
 
 class ValueTuple(Record):
-    # The row's text (`syntax.render_row`) and `row_sort_key`, each computed
-    # the first time it is asked for and kept, as an item body keeps its
-    # text for `net.canonical_key`.
+    # The row's text (`syntax.render_row`) and `row_sort_key`, each kept the
+    # first time it is asked for, as a process or a table keeps its `render`.
     __slots__ = ("components", "_text", "_sort_key")
 
     def __post_init__(self):

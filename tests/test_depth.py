@@ -1,26 +1,30 @@
 """Long straight-line processes stay within the interpreter's recursion limit.
 
-Each pass over the syntax recurses once per action of a chain, so these
-lengths pin how many Python frames one level of the tree costs: the parser
-and its passes one, the checker one, and running or exploring two (the
-`__hash__` that every node class shares, which `canonicalize` calls when it
-first hashes the chain).  A traversal that spent one more
-frame per level would fail here.
+Each pass over the syntax but `render` recurses once per action of a
+chain, so these lengths pin how many Python frames one level of the tree
+costs: the parser and its passes one, the checker one, and running or
+exploring two (a node's `__hash__`, which `canonicalize` calls when it
+first hashes the chain).  A traversal that spent one more frame per level
+would fail here.
 
 Wide nets pin the same for the `||` and `|` spines of a net.  The parser
 builds a spine in a loop, the checker and `canonicalize` pop its parts off
 a stack, and `ScopedMap` (behind `free_vars`, `free_locs` and the checker's
 table shapes) follows its left branches in a loop, so parsing, checking and
-exploring take a net of any width: 10,000 nodes are pinned.  `render` is
-the one walk that still recurses on width.  Running a wide net is pinned at
-900 nodes, because each step still costs passes over every item, so a run
-is quadratic in the width.
+exploring take a net of any width: 10,000 nodes are pinned.  `render` lays
+out every tree from one explicit stack, so it takes a net of any width and
+a chain of any length: 10,000 of each are pinned.  Running a wide net is
+pinned at 900 nodes, because each step still costs passes over every item,
+so a run is quadratic in the width.
 """
 
 from kdb import semantics
+from kdb import syntax as s
 from kdb.net import canonicalize
 from kdb.parser import parse_system
+from kdb.syntax import render
 from kdb.typesys import check_system
+from kdb.values import VInt, VLoc
 
 
 def chain(n: int) -> str:
@@ -86,3 +90,19 @@ def test_explore_restricted_wide_net_of_10000():
     assert semantics.explore(sys1).states == 1
     canonical = canonicalize(sys1.main_net)
     assert (len(canonical.items), canonical.restricted) == (10_000, ("l0",))
+
+
+def test_render_wide_net_of_10000():
+    # The parser nests the spine on the left, and a `||` under `||` is
+    # parenthesised.
+    text = render(parse_system(wide(10_000)).main_net)
+    node = "$l{i} :: insert(T@$l{i}, ({i})). nil | table T : (Int) = {{}}"
+    assert text == ("(" * 9_998 + node.format(i=0) + " || " + node.format(i=1)
+                    + "".join(") || " + node.format(i=i) for i in range(2, 10_000)))
+
+
+def test_render_chain_of_10000():
+    chain = s.NilProc()
+    for i in reversed(range(10_000)):
+        chain = s.Prefix(s.Insert("T", s.Tuple((VInt(i),)), VLoc("l")), chain)
+    assert render(chain) == "".join(f"insert(T@$l, ({i})). " for i in range(10_000)) + "nil"

@@ -475,21 +475,32 @@ class TestCanonicalKey:
         assert labels == ["insert (1) into T@a", "insert (5) into T@r1",
                           "insert (1) into T@a", "insert (6) into T@r0"]
 
-    def test_renames_only_bodies_that_mention_a_restricted_name(self, monkeypatch):
-        calls = []
-        rename = s.rename_localities
-        monkeypatch.setattr(s, "rename_localities", lambda *args: calls.append(args) or rename(*args))
-        # Three restricted names; of the five bodies, only the insert at $b
-        # mentions one ($a).  The others sit at restricted or free names.
+    @pytest.mark.parametrize("restricted", [True, False])
+    def test_renders_a_body_without_restricted_names_once(self, restricted, monkeypatch):
+        # Of the five bodies only the insert at $b mentions a name, $a, that
+        # may be restricted; the others sit at restricted or free names.
+        # Without restrictions, as in a run's ties, every body is rendered
+        # once however many keys read it; with three, so is every body but
+        # the insert at $b, whose renamings are rendered under each of the
+        # 3! numberings.
         program = _restricted_program([
             ("a", _TABLE), ("b", "insert(T@$a, (1)). nil"), ("c", "insert(T@$f, (2)). nil")])
         program += "|| $f :: { table T : (Int) = {(3)} | insert(T@$f, (4)). nil }\n"
+        if not restricted:
+            program = program.replace("(new $a) (new $b) (new $c) ", "")
         cn = canonicalize(parse_system(program).main_net)
-        calls.clear()
-        key = canonical_key(cn)
-        assert len(cn.restricted) == 3 and len(cn.items) == 5
-        assert len(calls) == 1 * 3 * 2  # one body, 3! numberings
-        assert key == _key_renaming_every_body(cn)
+        assert (len(cn.restricted), len(cn.items)) == (3 if restricted else 0, 5)
+        rendered = []
+        for cls in (s.Prefix, s.TableComp):
+            monkeypatch.setitem(s._FORMAT, cls, lambda node, real=s._FORMAT[cls]:
+                                rendered.append(node) or real(node))
+        keys = {canonical_key(cn) for _ in range(3)}
+        renamed = 3 * 6 if restricted else 0
+        assert len(rendered) == (4 if restricted else 5) + renamed
+        for loc, body in cn.items:
+            once = not restricted or loc != "b"
+            assert sum(x is body for x in rendered) == (1 if once else 0)
+        assert keys == {_key_renaming_every_body(cn)}
 
 
 class TestLid:
