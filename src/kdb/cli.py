@@ -2,7 +2,7 @@
 
 `kdb check` needs only the parser and the checker, so the engine's modules,
 `kdb.semantics` and `kdb.net`, are imported by the commands that use them,
-when they run.
+when they run, and for a type checker.
 """
 
 from __future__ import annotations
@@ -11,9 +11,13 @@ import argparse
 import json
 import os
 import sys as _sys
+from typing import TYPE_CHECKING
 
 from kdb.parser import ParseError, parse_system
 from kdb.typesys import check_system
+
+if TYPE_CHECKING:
+    from kdb import semantics
 
 EXIT_OK = 0
 EXIT_TYPE_ERRORS = 1

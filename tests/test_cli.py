@@ -289,6 +289,16 @@ class TestImports:
         assert "kdb.cli" in loaded
         assert "dataclasses" not in loaded
 
+    def test_type_hints_resolve_for_a_type_checker(self):
+        # The engine's module is imported for a type checker only; where
+        # TYPE_CHECKING holds, the writers' hints name its classes.
+        loaded = modules_loaded_by(
+            "import typing\ntyping.TYPE_CHECKING = True\nimport kdb.cli, kdb.semantics as m\n"
+            "hints = typing.get_type_hints\n"
+            "assert hints(kdb.cli._write_trace)['trace'] is m.Trace\n"
+            "assert hints(kdb.cli._write_dot)['result'] is m.ExploreResult")
+        assert "kdb.semantics" in loaded
+
     def test_check_loads_neither_the_engine_nor_canonical_nets(self):
         loaded = modules_loaded_by(f"import kdb.cli\nkdb.cli.main(['check', {DEPT!r}])")
         assert {"kdb.parser", "kdb.typesys"} <= loaded
