@@ -5,6 +5,7 @@ lines as they complete.
 """
 
 import gc
+import os
 import pathlib
 import random
 import sys as _sys
@@ -302,12 +303,16 @@ class TestCriterion8CheckerLinearity:
             # does not inflate; the bound on the last, biggest program is on
             # wall time.
             wall = min(w for w, _ in times)
-            points.append((actual, min(cpu for _, cpu in times)))
+            points.append((actual, min(cpu for _, cpu in times), wall))
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
         a, b, r2 = linear_fit(xs, ys)
-        assert wall < 5.0, f"checking {xs[-1]} chars took {wall:.2f}s"
-        assert r2 >= 0.98, f"linear fit R^2 = {r2:.4f} over {points}"
+        # Every size's times and the load averages, to tell load apart from
+        # a regression.
+        detail = ("; ".join(f"{n:,} chars: wall {w:.3f}s, CPU {c:.3f}s" for n, c, w in points)
+                  + "; load averages (1, 5, 15 min) %.2f %.2f %.2f" % os.getloadavg())
+        assert wall < 5.0, f"checking {xs[-1]:,} chars took {wall:.2f}s; {detail}"
+        assert r2 >= 0.98, f"linear fit R^2 = {r2:.4f}; {detail}"
         report(8, f"R^2={r2:.4f}; {xs[-1]:,} chars checked in {wall*1000:.0f} ms")
 
 
