@@ -156,16 +156,16 @@ def ok(cn: CanonicalNet) -> bool:
 
 def canonical_key(cn: CanonicalNet):
     """A key identifying the net up to congruence and renaming of restrictions:
-    the least, over the numberings of the restricted names, of the sorted
-    (locality, text, count) rows of the items renamed by the numbering.  A
-    body that no numbering changes is rendered once, as `render` keeps its
-    text.  `semantics.enumerate_transitions` orders and merges the
-    successors of transitions that share a label by it; `explore`
+    the least, over the n! numberings of its n restricted names, of the
+    sorted (locality, text, count) rows of the items renamed by the
+    numbering.  A body that no numbering changes is rendered once, as
+    `render` keeps its text.  `semantics.enumerate_transitions` orders and
+    merges the successors of transitions that share a label by it; `explore`
     deduplicates states by `StateKeys`, which agrees with it on which nets
     are equal.
     """
     numberings = ({name: f"ρ{i}" for i, name in enumerate(perm)}
-                  for perm in itertools.permutations(cn.restricted))  # no names: one, empty
+                  for perm in itertools.permutations(cn.restricted))  # no names: one, {}
     best = min(tuple(sorted((m.get(loc, loc), s.render(s.rename_localities(body, m)), n)
                             for (loc, body), n in cn.items.items()))
                for m in numberings)

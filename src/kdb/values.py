@@ -160,7 +160,7 @@ def scalar_kind(v) -> str | None:
 
 class ValueTuple(Record):
     # The row's text (`syntax.render_row`) and `row_sort_key`, each kept the
-    # first time it is asked for, as a process or a table keeps its `render`.
+    # first time it is asked for, as a process or a table keeps its text.
     __slots__ = ("components", "_text", "_sort_key")
 
     def __post_init__(self):
