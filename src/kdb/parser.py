@@ -5,12 +5,14 @@ lowercase (`tp`, `tbv`), localities carry a `$` sigil (`$l1`).  Template
 fields bind data with `!x` and localities with `!@u`, so the parser can tell
 the two kinds of binders apart without type information.
 
-`tokenize` takes one regular-expression match and one list append per
-token.  A token is a (kind, text, offset) triple, and a node's span is the
-offset of its first token.  A line and column are computed only for a
-ParseError, against a line table built at most once per parse.  The list
-ends in one EOF token, which the parser never reads past.  Keyword and
-operator choices are table lookups on the kind.
+`tokenize` takes one regular-expression match per token and keeps the
+tokens in a `Tokens` store of three parallel sequences: kinds, texts and
+char offsets.  The parser names a token by its index and reads
+`kinds[i]`, `texts[i]` and `offsets[i]`; a node's span is the offset of its
+first token.  A line and column are computed only for a ParseError, against
+a line table built at most once per parse.  The store ends in one EOF
+token, which the parser never reads past.  Keyword and operator choices are
+table lookups on the kind.
 
 The descent resolves names as it meets them, so it builds the only tree.
 A binder scopes over the fields of its node written after it (the rule of
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 
 from kdb import syntax as s
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
@@ -107,26 +110,49 @@ def _unescape(body: str, source: str, offset: int) -> str:
     return _ESCAPE_RE.sub(escape, body) if "\\" in body else body
 
 
-def tokenize(source: str) -> list:
-    """(kind, text, offset) per token, ending in EOF.
+class Tokens:
+    """The tokens of one source as three parallel sequences, read by index:
+    `kinds[i]` and `texts[i]` are strings and `offsets[i]` an int.
 
     The kind of a keyword or an operator is its text; the other kinds are
-    INT, STRING (whose text is the unescaped body), TID and NAME.
+    INT, STRING (whose text is the unescaped body), TID and NAME.  Equal
+    texts are one object, and the offsets are 4-byte ints in a bytearray.
     """
-    tokens = []
+
+    __slots__ = ("kinds", "texts", "offsets")
+
+    def __init__(self, kinds: list, texts: list, offsets: memoryview):
+        self.kinds = kinds
+        self.texts = texts
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+
+def tokenize(source: str) -> Tokens:
+    """The tokens of `source`, ending in EOF."""
+    kinds, texts, offsets = [], [], bytearray()
+    add_kind, add_text = kinds.append, texts.append
+    shared = {}  # a text -> its one object, freed with the parse
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
         text = m[kind]
         start = m.start(kind)
-        if kind == "STRING":
-            text = _unescape(text[1:-1], source, start)
+        own = _OWN_KIND.get(text)
+        if own is not None:
+            kind = text = own
         else:
-            kind = _OWN_KIND.get(text, kind)
-            if kind == "BAD":
+            if kind == "STRING":
+                text = _unescape(text[1:-1], source, start)
+            elif kind == "BAD":
                 raise _lex_error(f"unexpected character {text!r}", source, start)
-        tokens.append((kind, text, start))
+            text = shared.setdefault(text, text)
+        add_kind(kind)
+        add_text(text)
+        offsets += start.to_bytes(4, sys.byteorder)
         if kind == "EOF":
-            return tokens
+            return Tokens(kinds, texts, memoryview(offsets).cast("I"))
 
 
 _BASE_TYPES = {kw: kw for kw in ("Int", "String", "Id", "Loc")}
@@ -139,10 +165,10 @@ _ACTION_KEYWORDS = ("insert", "delete", "select", "update", "aggr", "create", "d
 
 class _Parser:
     """The `free_` sets hold the free names met so far or reserved, and the
-    `bound_` sets the binders' new names."""
+    `bound_` sets the binders' new names.  A token is its index in `tokens`."""
 
-    def __init__(self, positions: s.Positions, tokens: list, free_vars=(), free_locs=()):
-        self.tokens = tokens
+    def __init__(self, positions: s.Positions, tokens: Tokens, free_vars=(), free_locs=()):
+        self.kinds, self.texts, self.offsets = tokens.kinds, tokens.texts, tokens.offsets
         self.pos = 0
         self.positions = positions
         self.variables = s.Scope()
@@ -155,35 +181,34 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> tuple:
-        return self.tokens[self.pos + ahead]
+    def peek(self, ahead: int = 0) -> int:
+        return self.pos + ahead
 
-    def next(self) -> tuple:
-        t = self.tokens[self.pos]
+    def next(self) -> int:
         self.pos += 1
-        return t
+        return self.pos - 1
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.pos][0] == kind
+        return self.kinds[self.pos] == kind
 
-    def accept(self, kind: str):
-        t = self.tokens[self.pos]
-        if t[0] != kind:
-            return None
+    def accept(self, kind: str) -> bool:
+        """Whether the next token is of `kind`; it is read if so."""
+        if self.kinds[self.pos] != kind:
+            return False
         self.pos += 1
-        return t
+        return True
 
-    def expect(self, kind: str, what=None) -> tuple:
-        t = self.tokens[self.pos]
-        if t[0] != kind:
-            described = "end of input" if t[0] == "EOF" else repr(t[1])
-            raise self.error(f"unexpected {described}", t[2], expected=(what or kind,))
-        self.pos += 1
+    def expect(self, kind: str, what=None) -> int:
+        t = self.pos
+        if self.kinds[t] != kind:
+            described = "end of input" if self.kinds[t] == "EOF" else repr(self.texts[t])
+            raise self.error(f"unexpected {described}", self.offsets[t], expected=(what or kind,))
+        self.pos = t + 1
         return t
 
     def keyword(self, table: dict, what: str):
         """The table's entry for the next token, which must be one of its keys."""
-        entry = table.get(self.tokens[self.pos][0])
+        entry = table.get(self.kinds[self.pos])
         if entry is None:
             self.fail(f"expected {what}", expected=table)
         self.pos += 1
@@ -201,7 +226,7 @@ class _Parser:
         return ParseError(message, where.line, where.col, expected=expected)
 
     def fail(self, message: str, expected=()):
-        raise self.error(message, self.tokens[self.pos][2], expected)
+        raise self.error(message, self.offsets[self.pos], expected)
 
     # -- names
 
@@ -219,16 +244,17 @@ class _Parser:
         self.variables.bind(name, (sort, new))
         return new
 
-    def variable(self, t: tuple, cls):
+    def variable(self, t: int, cls):
         """The variable the NAME token `t` reads, as `cls` reads it."""
-        bound = self.variables.get(t[1])
+        name = self.texts[t]
+        bound = self.variables.get(name)
         if bound is None:
-            self.free_vars.add(t[1])
-            return cls(t[1], span=t[2])
+            self.free_vars.add(name)
+            return cls(name, span=self.offsets[t])
         sort, name = bound
         if cls is not s.TableByVar:
             cls = s.LocVar if sort == "loc" else s.DataVar
-        return cls(name, span=t[2])
+        return cls(name, span=self.offsets[t])
 
     def locality(self, name: str) -> str:
         """The new name of a locality occurrence."""
@@ -243,7 +269,7 @@ class _Parser:
     def system(self) -> s.System:
         decls = []
         while self.accept("schema"):
-            tid = self.expect("TID", "table identifier")[1]
+            tid = self.texts[self.expect("TID", "table identifier")]
             self.expect(":")
             decls.append((tid, self.schema()))
         procedures = {}
@@ -272,11 +298,11 @@ class _Parser:
         body = self.process()
         self.variables.undo(mark)
         if len({n for n, _ in params}) != len(params):
-            raise self.error(f"duplicate parameter name in {t[1]!r}", t[2])
-        return s.ProcDef(t[1], bound, body, span=t[2])
+            raise self.error(f"duplicate parameter name in {self.texts[t]!r}", self.offsets[t])
+        return s.ProcDef(self.texts[t], bound, body, span=self.offsets[t])
 
     def param(self) -> tuple:
-        name = self.expect("NAME", "parameter name")[1]
+        name = self.texts[self.expect("NAME", "parameter name")]
         self.expect(":")
         return name, (self.schema() if self.at("(") else self.mtype())
 
@@ -304,26 +330,26 @@ class _Parser:
         return left
 
     def net_atom(self) -> s.Net:
-        t = self.peek()
+        span = self.offsets[self.pos]
         if self.accept("nil"):
-            return s.NilNet(span=t[2])
+            return s.NilNet(span=span)
         if self.accept("ERR"):
-            return s.ErrNet(span=t[2])
+            return s.ErrNet(span=span)
         if self.accept("$"):
-            loc = self.locality(self.expect("NAME", "locality name")[1])
+            loc = self.locality(self.texts[self.expect("NAME", "locality name")])
             self.expect("::")
-            return s.Node(loc, self.component(), span=t[2])
+            return s.Node(loc, self.component(), span=span)
         if self.accept("("):
             if self.accept("new"):
                 self.expect("$")
-                name = self.expect("NAME", "locality name")[1]
+                name = self.texts[self.expect("NAME", "locality name")]
                 self.expect(")")
                 mark = self.localities.mark()
                 loc = self.fresh(name, self.free_locs, self.bound_locs)
                 self.localities.bind(name, loc)
                 inner = self.net_atom()
                 self.localities.undo(mark)
-                return s.Restrict(loc, inner, span=t[2])
+                return s.Restrict(loc, inner, span=span)
             inner = self.net()
             self.expect(")")
             return inner
@@ -336,19 +362,19 @@ class _Parser:
         return left
 
     def comp_atom(self) -> s.Component:
-        t = self.peek()
-        if t[0] == "table":
+        span = self.offsets[self.pos]
+        if self.at("table"):
             interface, rows = self.table_literal()
-            return s.TableComp(interface, rows, span=t[2])
+            return s.TableComp(interface, rows, span=span)
         if self.accept("{"):
             inner = self.component()
             self.expect("}")
             return inner
-        return s.ProcComp(self.process(), span=t[2])
+        return s.ProcComp(self.process(), span=span)
 
     def table_literal(self):
         self.expect("table")
-        tid = self.expect("TID", "table identifier")[1]
+        tid = self.texts[self.expect("TID", "table identifier")]
         self.expect(":")
         sk = self.schema()
         self.expect("=")
@@ -367,39 +393,39 @@ class _Parser:
         self.expect(")")
         return ValueTuple(tuple(vals))
 
-    def constant(self, t: tuple, what: str):
+    def constant(self, t: int, what: str):
         """The constant the token `t`, just read, begins: an integer, a string,
         a table identifier or a locality, as a row holds it (an expression
         reads a locality itself).  `what` is the error when `t` begins none."""
-        kind = t[0]
+        kind = self.kinds[t]
         if kind == "INT":
-            return VInt(int(t[1]))
+            return VInt(int(self.texts[t]))
         if kind == "-" and self.at("INT"):
-            return VInt(-int(self.next()[1]))
+            return VInt(-int(self.texts[self.next()]))
         if kind == "STRING":
-            return VStr(t[1])
+            return VStr(self.texts[t])
         if kind == "TID":
-            return VTid(t[1])
+            return VTid(self.texts[t])
         if kind == "$":
-            name = self.expect("NAME", "locality name")[1]
+            name = self.texts[self.expect("NAME", "locality name")]
             self.locality(name)  # noted if free; its table renames it
             return VLoc(name)
-        raise self.error(what, t[2])
+        raise self.error(what, self.offsets[t])
 
     def value(self):
         t = self.next()
-        if t[0] == "{":
+        if self.kinds[t] == "{":
             elems = self.separated(self.scalar_value)
             self.expect("}")
             try:
                 return VSet(Multiset(elems))
             except ValueError as exc:
-                raise self.error(str(exc), t[2]) from None
+                raise self.error(str(exc), self.offsets[t]) from None
         return self.constant(t, "expected a constant value")
 
     def scalar_value(self):
         if self.at("{"):
-            raise self.error("multisets cannot nest", self.peek()[2])
+            raise self.error("multisets cannot nest", self.offsets[self.pos])
         return self.value()
 
     # -- processes
@@ -411,8 +437,8 @@ class _Parser:
         return first
 
     def proc_atom(self) -> s.Process:
-        t = self.peek()
-        kind = t[0]
+        t = self.pos
+        kind = self.kinds[t]
         if kind in _ACTION_KEYWORDS:
             mark = self.variables.mark()
             action = self.action()
@@ -425,12 +451,12 @@ class _Parser:
             self.expect("(")
             args = [] if self.at(")") else self.separated(self.expr)
             self.expect(")")
-            call = s.CallProc(t[1], tuple(args), span=t[2])
+            call = s.CallProc(self.texts[t], tuple(args), span=self.offsets[t])
             self.calls.append(call)
             return call
         if kind == "nil":
             self.next()
-            return s.NilProc(span=t[2])
+            return s.NilProc(span=self.offsets[t])
         if kind == "(":
             self.next()
             inner = self.process()
@@ -451,7 +477,7 @@ class _Parser:
             self.expect(":")
             body = self.proc_atom()
             self.variables.undo(mark)
-            return s.Foreach(table, template, pred, order, body, span=t[2])
+            return s.Foreach(table, template, pred, order, body, span=self.offsets[t])
         self.fail(
             "expected a process",
             expected=("nil", "foreach", "a procedure call") + _ACTION_KEYWORDS,
@@ -465,37 +491,37 @@ class _Parser:
         self.expect("[")
         t = self.expect("INT", "column index")
         self.expect("]")
-        col = int(t[1])
+        col = int(self.texts[t])
         if col < 1:
-            raise self.error("column indices start at 1", t[2])
+            raise self.error("column indices start at 1", self.offsets[t])
         return cls(op, col)
 
     # -- actions
 
     def target(self):
         """`TID@loc` with loc a locality literal or variable."""
-        tid = self.expect("TID", "table identifier")[1]
+        tid = self.texts[self.expect("TID", "table identifier")]
         self.expect("@")
         return tid, self.loc_expr()
 
     def loc_expr(self) -> s.Expr:
-        t = self.peek()
+        t = self.pos
         if self.accept("$"):
-            return VLoc(self.locality(self.expect("NAME", "locality name")[1]))
+            return VLoc(self.locality(self.texts[self.expect("NAME", "locality name")]))
         if self.accept("NAME"):
             return self.variable(t, s.LocVar)
         self.fail("expected a locality", expected=("$", "a locality variable"))
 
     def action(self) -> s.Action:
         t = self.next()
-        kw = t[0]
-        span = t[2]
+        kw = self.kinds[t]
+        span = self.offsets[t]
         self.expect("(")
         mark = self.variables.mark()  # a template's, undone before any export binds
         if kw == "select":
             tables = [self.tableref()]
             self.expect(",")
-            while not (self.at("(") and self.peek(1)[0] in ("!", "!@")):
+            while not (self.at("(") and self.kinds[self.peek(1)] in ("!", "!@")):
                 tables.append(self.tableref())
                 self.expect(",")
             template = self.template()
@@ -506,7 +532,7 @@ class _Parser:
             self.variables.undo(mark)
             self.expect(",")
             self.expect("!")
-            bind = self.bind(self.expect("NAME", "table variable")[1], "table")
+            bind = self.bind(self.texts[self.expect("NAME", "table variable")], "table")
             self.expect(")")
             return s.Select(tuple(tables), template, pred, payload, bind, span=span)
         if kw == "eval":
@@ -551,13 +577,13 @@ class _Parser:
         return s.Aggr(tid, template, pred, fn, bind_template, loc, span=span)
 
     def tableref(self) -> s.TableRef:
-        t = self.peek()
-        if t[0] == "table":
+        t = self.pos
+        if self.at("table"):
             interface, rows = self.table_literal()
-            return s.TableLiteral(interface, rows, span=t[2])
-        if t[0] == "TID":
+            return s.TableLiteral(interface, rows, span=self.offsets[t])
+        if self.at("TID"):
             tid, loc = self.target()
-            return s.TableByName(tid, loc, span=t[2])
+            return s.TableByName(tid, loc, span=self.offsets[t])
         if self.accept("NAME"):
             return self.variable(t, s.TableByVar)
         self.fail("expected a table", expected=("TID@loc", "a table variable", "table"))
@@ -566,7 +592,7 @@ class _Parser:
 
     def template(self) -> s.Template:
         """A template, its fields bound until the journal is undone."""
-        t = self.expect("(", "template")
+        span = self.offsets[self.expect("(", "template")]
         fields = self.separated(self.template_field)
         self.expect(")")
         seen = set()
@@ -576,22 +602,22 @@ class _Parser:
             seen.add(name)
         return s.Template(tuple([cls(self.bind(name, "loc" if cls is s.BindLoc else "data"),
                                      span=where) for cls, name, where in fields]),
-                          span=t[2])
+                          span=span)
 
     def template_field(self) -> tuple:
         """(class, name, offset) of a template field."""
-        t = self.peek()
+        span = self.offsets[self.pos]
         if self.accept("!@"):
-            return s.BindLoc, self.expect("NAME", "locality variable")[1], t[2]
+            return s.BindLoc, self.texts[self.expect("NAME", "locality variable")], span
         if self.accept("!"):
-            return s.BindData, self.expect("NAME", "data variable")[1], t[2]
+            return s.BindData, self.texts[self.expect("NAME", "data variable")], span
         self.fail("expected a template field", expected=("!x", "!@u"))
 
     def tuple_(self) -> s.Tuple:
-        t = self.expect("(", "tuple")
+        span = self.offsets[self.expect("(", "tuple")]
         comps = self.separated(self.expr)
         self.expect(")")
-        return s.Tuple(tuple(comps), span=t[2])
+        return s.Tuple(tuple(comps), span=span)
 
     def pred(self) -> s.Pred:
         left = self.pred_atom()
@@ -600,11 +626,11 @@ class _Parser:
         return left
 
     def pred_atom(self) -> s.Pred:
-        t = self.peek()
+        span = self.offsets[self.pos]
         if self.accept("true"):
-            return s.TruePred(span=t[2])
+            return s.TruePred(span=span)
         if self.accept("!"):
-            return s.Not(self.pred_atom(), span=t[2])
+            return s.Not(self.pred_atom(), span=span)
         if self.at("("):
             # Could be a parenthesized predicate or a parenthesized expression
             # starting a comparison; try the former, fall back to the latter.
@@ -613,7 +639,7 @@ class _Parser:
                 self.next()
                 inner = self.pred()
                 self.expect(")")
-                if self.peek()[0] not in _COMPARISONS:
+                if self.kinds[self.pos] not in _COMPARISONS:
                     return inner
             except ParseError:
                 pass
@@ -621,31 +647,31 @@ class _Parser:
         left = self.expr()
         op = self.keyword(_COMPARISONS, "a comparison")
         if op == "in":
-            return s.Member(left, self.expr(), span=t[2])
-        return s.Cmp(op, left, self.expr(), span=t[2])
+            return s.Member(left, self.expr(), span=span)
+        return s.Cmp(op, left, self.expr(), span=span)
 
     def expr(self) -> s.Expr:
         left = self.expr_atom()
-        while self.peek()[0] in _BINOPS:
+        while self.kinds[self.pos] in _BINOPS:
             t = self.next()
             right = self.expr_atom()
-            if t[0] == "++":
-                left = s.Concat(left, right, span=t[2])
+            if self.kinds[t] == "++":
+                left = s.Concat(left, right, span=self.offsets[t])
             else:
-                left = s.Arith(t[0], left, right, span=t[2])
+                left = s.Arith(self.kinds[t], left, right, span=self.offsets[t])
         return left
 
     def expr_atom(self) -> s.Expr:
         t = self.next()
-        kind = t[0]
+        kind = self.kinds[t]
         if kind == "NAME":
             return self.variable(t, s.DataVar)
         if kind == "$":
-            return VLoc(self.locality(self.expect("NAME", "locality name")[1]))
+            return VLoc(self.locality(self.texts[self.expect("NAME", "locality name")]))
         if kind == "{":
             elems = self.separated(self.multiset_elem)
             self.expect("}")
-            return s.MultisetLit(tuple(elems), span=t[2])
+            return s.MultisetLit(tuple(elems), span=self.offsets[t])
         if kind == "(":
             # Memoised, a failed read too: `pred_atom` reads it twice at every
             # level of nesting, and a read binds nothing, so a second one
@@ -667,10 +693,10 @@ class _Parser:
         return self.constant(t, "expected an expression")
 
     def multiset_elem(self) -> s.Expr:
-        t = self.peek()
+        span = self.offsets[self.pos]
         e = self.expr()
         if _contains_multiset(e):
-            raise self.error("multisets cannot nest", t[2])
+            raise self.error("multisets cannot nest", span)
         return e
 
 
@@ -699,7 +725,7 @@ def _check_calls(parser: _Parser, procedures: dict) -> None:
         raise parser.error(message, p.span)
 
 
-def rename_apart(source: str, tokens: list) -> s.System:
+def rename_apart(source: str, tokens: Tokens) -> s.System:
     """Parse the tokens of `source` into a system with its variables sorted
     and its binders renamed apart, and check its calls (module docstring)."""
     positions = s.Positions(source)

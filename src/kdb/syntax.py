@@ -447,8 +447,10 @@ def _join(leaves) -> str:
     return ", ".join([_FORMAT[x.__class__](x) for x in leaves])
 
 
-def _commas(nodes) -> list:
-    return [part for x in nodes for part in (", ", x)][1:]
+def _commas(nodes: tuple) -> list:
+    parts = [", "] * (2 * len(nodes) - 1)
+    parts[::2] = nodes
+    return parts
 
 
 def _row(row: ValueTuple) -> str:
