@@ -181,9 +181,6 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> int:
-        return self.pos + ahead
-
     def next(self) -> int:
         self.pos += 1
         return self.pos - 1
@@ -521,7 +518,7 @@ class _Parser:
         if kw == "select":
             tables = [self.tableref()]
             self.expect(",")
-            while not (self.at("(") and self.kinds[self.peek(1)] in ("!", "!@")):
+            while not (self.at("(") and self.kinds[self.pos + 1] in ("!", "!@")):
                 tables.append(self.tableref())
                 self.expect(",")
             template = self.template()
