@@ -165,7 +165,8 @@ _ACTION_KEYWORDS = ("insert", "delete", "select", "update", "aggr", "create", "d
 
 class _Parser:
     """The `free_` sets hold the free names met so far or reserved, and the
-    `bound_` sets the binders' new names.  A token is its index in `tokens`."""
+    `bound_` sets the binders' new names.  A token is named by its index
+    into `kinds`, `texts` and `offsets`."""
 
     def __init__(self, positions: s.Positions, tokens: Tokens, free_vars=(), free_locs=()):
         self.kinds, self.texts, self.offsets = tokens.kinds, tokens.texts, tokens.offsets

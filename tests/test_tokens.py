@@ -39,7 +39,7 @@ def reference_tokenize(source: str) -> list:
             return tokens
 
 
-def assert_same_tokens(source: str) -> int:
+def assert_same_tokens(source: str) -> None:
     tokens = tokenize(source)
     reference = reference_tokenize(source)
     assert len(tokens) == len(reference)
@@ -49,7 +49,6 @@ def assert_same_tokens(source: str) -> int:
     assert tokens.offsets.tolist() == list(offsets)
     # Equal texts are one object.
     assert len({id(t) for t in tokens.texts}) == len(set(tokens.texts))
-    return len(tokens)
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "corpus").glob("*.kdb")), ids=lambda p: p.name)
