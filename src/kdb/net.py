@@ -5,8 +5,8 @@ extruded to a single outer prefix (renaming restricted localities apart when
 extrusion would capture), every node is split into one item per co-located
 process or table, and inert-process units are absorbed.  Rule matching in
 the engine then becomes multiset lookup instead of congruence search.
-`make_canonical` builds every canonical net: from the items `canonicalize`
-finds in one loop over an explicit stack, or from a parent's and a delta.
+`make_canonical` builds every canonical net: from a net's parts, which
+`syntax.net_parts` finds for the checker too, or from a parent's and a delta.
 
 `tables_by_id` says where every table `tid@loc` is, in one pass over the
 items: the engine builds that map once per enumeration and every rule that
@@ -42,45 +42,14 @@ _NIL = s.NilProc()
 
 
 def canonicalize(net: s.Net) -> CanonicalNet:
-    """Normal form under structural congruence.
-
-    Subterms pop off an explicit stack, left ones first: no Python frame per
-    level (`free_locs` costs one per level of a process, none per `||` or
-    `|`).  A net is paired with the renaming of the restricted names in
-    scope, a renamed component with its node's locality.  `make_canonical`
-    makes the net of the items found, inert units last.
-    """
-    used = set(s.free_locs(net))
-    counter = itertools.count(1)
-    restricted: list = []
-    items: list = []  # (loc, body), in walk order
-    inert: list = []  # (loc, nil)
-    err = False
-    stack = [(net, {})]
-    while stack:
-        n, ctx = stack.pop()
-        if isinstance(n, (s.ParNet, s.ParComp)):
-            stack += [(n.right, ctx), (n.left, ctx)]
-        elif isinstance(n, s.Restrict):
-            name = n.loc
-            while name in used:
-                name = f"{n.loc}#{next(counter)}"
-            used.add(name)
-            restricted.append(name)
-            stack.append((n.inner, {**ctx, n.loc: name}))
-        elif isinstance(n, s.Node):
-            stack.append((s.rename_localities(n.component, ctx), ctx.get(n.loc, n.loc)))
-        elif isinstance(n, (s.ProcComp, s.TableComp)):
-            body = n.process if isinstance(n, s.ProcComp) else n
-            if isinstance(body, s.NilProc):
-                inert.append((ctx, _NIL))
-            else:
-                items.append((ctx, body))
-        elif isinstance(n, s.ErrNet):
-            err = True
-        elif not isinstance(n, s.NilNet):
-            raise TypeError(f"not a net or a component: {n!r}")
-    return make_canonical(CanonicalNet(tuple(restricted), Multiset(), err), (), items + inert)
+    """Normal form under structural congruence: `make_canonical` of the
+    parts `syntax.net_parts` finds, inert units last."""
+    restricted, parts = s.net_parts(net)
+    err = any(isinstance(body, s.ErrNet) for _, body in parts)
+    items = sorted(((loc, _NIL) if isinstance(body, s.NilProc) else (loc, body)
+                    for loc, body in parts if not isinstance(body, s.ErrNet)),
+                   key=lambda item: item[1] is _NIL)
+    return make_canonical(CanonicalNet(restricted, Multiset(), err), (), items)
 
 
 def make_canonical(parent: CanonicalNet, removed, added) -> CanonicalNet:

@@ -26,7 +26,8 @@ place, and undoes what a node bound when the node is done.  `free_vars`,
 checker's collection of table shapes are each a few hooks on it.  It costs
 a Python frame per level of the tree but none per node of a `||` or `|`
 spine.  `render` is driven by a table too, `_FORMAT`, and lays a tree out
-from one explicit stack, at no frame per level.
+from one explicit stack, at no frame per level.  The engine and the checker
+read a net through `net_parts`, one walk of its `||`, `|`, `new` and nodes.
 """
 
 from __future__ import annotations
@@ -847,3 +848,43 @@ def rename_localities(node, mapping: dict):
     if not mapping:
         return node
     return _RENAME_LOCALITIES.map(node, Scope(mapping))
+
+
+# -- the parts of a net
+
+def net_parts(net) -> tuple:
+    """The restricted names of a net, outermost first, and its parts, left
+    first: (locality, process), (locality, TableComp) or (None, ErrNet).
+
+    A restricted name that clashes with a free name or an earlier one
+    becomes `name#k` in its scope.  Only a clash costs a renaming walk, and
+    only a net with a restriction a walk for its free names.
+    """
+    restricted: list = []
+    parts: list = []
+    used = None  # every name taken, once a restriction is met
+    clashes = 0
+    stack = [(net, {})]  # a net with the renaming in scope, a component with its locality
+    while stack:
+        n, ctx = stack.pop()
+        if isinstance(n, (ParNet, ParComp)):
+            stack += [(n.right, ctx), (n.left, ctx)]
+        elif isinstance(n, Restrict):
+            if used is None:
+                used = set(free_locs(net))
+            name = n.loc
+            while name in used:
+                clashes += 1
+                name = f"{n.loc}#{clashes}"
+            used.add(name)
+            restricted.append(name)
+            stack.append((n.inner, ctx if name == n.loc else {**ctx, n.loc: name}))
+        elif isinstance(n, Node):
+            stack.append((rename_localities(n.component, ctx), ctx.get(n.loc, n.loc)))
+        elif isinstance(n, (ProcComp, TableComp)):
+            parts.append((ctx, n.process if isinstance(n, ProcComp) else n))
+        elif isinstance(n, ErrNet):
+            parts.append((None, n))
+        elif not isinstance(n, NilNet):
+            raise TypeError(f"not a net or a component: {n!r}")
+    return tuple(restricted), parts

@@ -9,8 +9,8 @@ binder-kind rule gives no data variable, and a table variable to its
 schema, a tuple.  A scope is a mark of the Scope's journal, the binder's
 bindings, and an undo to the mark after its body is checked, all in the
 frame that checks the binder; so checking a straight-line process costs one
-Python frame per action.  A net binds no variable, and `type_net` pops its
-parts off a stack, so a net's width costs none.
+Python frame per action.  A net binds no variable; its parts are those
+`syntax.net_parts` gives the engine too, so a net's width costs no frame.
 
 The checker is its own walk, not a `syntax.ScopedMap` pass, for three
 reasons.  A binder's types come from a sibling's schema: a template is typed
@@ -445,24 +445,16 @@ class Checker:
         raise TypeError(f"not a process: {p!r}")
 
     def type_net(self, env: s.Scope, net: s.Net) -> None:
-        """Types a net's parts, which pop off a stack left ones first, as in
-        `net.canonicalize`, each with the locality of its node; a restriction
-        binds no variable.  A table whose (locality, identifier) an earlier
-        table holds is reported: names are apart, as the parser leaves them,
-        so `lid` repeats exactly when the names do."""
-        stack = [(net, None)]
+        """Types a net: `type_parts` of its `syntax.net_parts`."""
+        self.type_parts(env, s.net_parts(net)[1])
+
+    def type_parts(self, env: s.Scope, parts: list) -> None:
+        """Types a net's parts (`syntax.net_parts`) in order.  A table whose
+        (locality, identifier) an earlier one holds is reported: restricted
+        names are apart by construction, so exactly when `lid` repeats."""
         seen = set()
-        while stack:
-            n, loc = stack.pop()
-            if isinstance(n, (s.ParNet, s.ParComp)):
-                stack += [(n.right, loc), (n.left, loc)]
-            elif isinstance(n, s.Restrict):
-                stack.append((n.inner, loc))
-            elif isinstance(n, s.Node):
-                stack.append((n.component, n.loc))
-            elif isinstance(n, s.ProcComp):
-                self.type_process(env, n.process)
-            elif isinstance(n, s.TableComp) and n.interface.tid is None:
+        for loc, n in parts:
+            if isinstance(n, s.TableComp) and n.interface.tid is None:
                 self.error("anonymous-table",
                            "a nameless table cannot stand as a component", n.span)
             elif isinstance(n, s.TableComp):
@@ -480,8 +472,8 @@ class Checker:
                 seen.add((loc, n.interface.tid))
             elif isinstance(n, s.ErrNet):
                 self.error("error-net", "the error net is never well-typed", n.span)
-            elif not isinstance(n, s.NilNet):
-                raise TypeError(f"not a net or a component: {n!r}")
+            else:
+                self.type_process(env, n)
 
 
 def _projectable(e: s.Expr) -> bool:
@@ -491,46 +483,43 @@ def _projectable(e: s.Expr) -> bool:
 
 
 class _TableShapes(s.ScopedMap):
-    """Every (tid, schema, offset) asserted by a named table or a create
-    action: tables of the net itself apart from those in its processes."""
+    """Every (tid, schema, offset) a named table literal or a create asserts."""
 
     def __init__(self):
-        self.net_tables = []
-        self.in_processes = []
+        self.found = []
 
     def _table(self, node, env):
         if node.interface.tid is not None:
-            found = self.net_tables if isinstance(node, s.TableComp) else self.in_processes
-            found.append((node.interface.tid, node.interface.schema, node.span))
+            self.found.append((node.interface.tid, node.interface.schema, node.span))
         return node
 
     def _create(self, node, env):
-        self.in_processes.append((node.tid, node.schema, node.span))
+        self.found.append((node.tid, node.schema, node.span))
         return node
 
-    hooks = {s.TableComp: _table, s.TableLiteral: _table, s.Create: _create,
+    hooks = {s.TableLiteral: _table, s.Create: _create,
              **dict.fromkeys(s.EXPRESSION_NODES, s.keep)}
 
 
 def build_schema_map(system: s.System, positions: Optional[s.Positions] = None):
-    """Union of schema declarations, table literals, and create actions.
+    """The schema map `check_system` builds: (mapping, diagnostics)."""
+    return _schema_map(system, s.net_parts(system.main_net)[1],
+                       positions or s.Positions(system.source))
 
-    Returns (mapping, diagnostics); any tid asserted with two different
-    shapes is a conflict.
-    """
-    positions = positions or s.Positions(system.source)
-    net = _TableShapes()
-    net.map(system.main_net, s.Scope())
-    bodies = _TableShapes()
-    for d in system.procedures.values():
-        bodies.map(d.body, s.Scope())
-    # The first shape seen wins: declarations, the net's tables, procedure
-    # bodies, then the processes of the net.
+
+def _schema_map(system: s.System, parts: list, positions: s.Positions):
+    """Union of the declared schemas, the net's tables, then the table
+    literals and creates of procedure bodies and of the net's processes:
+    the first shape seen wins, and another shape is a conflict."""
     sources = [(tid, sk, None) for tid, sk in system.schema_decls]
-    sources += net.net_tables + bodies.in_processes + net.in_processes
+    sources += [(n.interface.tid, n.interface.schema, n.span) for _, n in parts
+                if isinstance(n, s.TableComp) and n.interface.tid is not None]
+    shapes = _TableShapes()
+    for body in [*(d.body for d in system.procedures.values()), *(n for _, n in parts)]:
+        shapes.map(body, s.Scope())
     nabla: dict = {}
     diags: list = []
-    for tid, sk, span in sources:
+    for tid, sk, span in sources + shapes.found:
         old = nabla.get(tid)
         if old is None:
             nabla[tid] = sk
@@ -546,13 +535,14 @@ def build_schema_map(system: s.System, positions: Optional[s.Positions] = None):
 def check_system(system: s.System) -> list:
     """All diagnostics for a system; an empty list means well-typed."""
     positions = s.Positions(system.source)  # one line table per check
-    nabla, diags = build_schema_map(system, positions)
+    parts = s.net_parts(system.main_net)[1]  # one walk of the net per check
+    nabla, diags = _schema_map(system, parts, positions)
     checker = Checker(nabla, system.procedures, positions)
     checker.diags = diags
     for d in system.procedures.values():
         env = s.Scope(d.params)
         checker.type_process(env, d.body)
-    checker.type_net(s.Scope(), system.main_net)
+    checker.type_parts(s.Scope(), parts)
     leftover = s.free_vars(system.main_net)
     if leftover:
         names = ", ".join(sorted(leftover))

@@ -8,10 +8,11 @@ first hashes the chain).  A traversal that spent one more frame per level
 would fail here.
 
 Wide nets pin the same for the `||` and `|` spines of a net.  The parser
-builds a spine in a loop, the checker and `canonicalize` pop its parts off
-a stack, and `ScopedMap` (behind `free_vars`, `free_locs` and the checker's
-table shapes) follows its left branches in a loop, so parsing, checking and
-exploring take a net of any width: 10,000 nodes are pinned.  `render` lays
+builds a spine in a loop, `syntax.net_parts`, through which the checker and
+`canonicalize` read a net's parts, pops them off a stack, and `ScopedMap`
+(behind `free_vars`, `free_locs` and the checker's table shapes) follows
+its left branches in a loop, so parsing, checking and exploring take a net
+of any width: 10,000 nodes are pinned.  `render` lays
 out every tree from one explicit stack, so it takes a net of any width and
 a chain of any length: 10,000 of each are pinned.  Running a wide net is
 pinned at 900 nodes, because each step still costs passes over every item,

@@ -3,6 +3,7 @@
 import copy
 import functools
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from kdb import net as netmod
 from kdb import syntax as s
 from kdb.parser import parse_system
 from kdb.semantics import enumerate_transitions, explore, run
+from kdb.typesys import check_system
 from kdb.net import (
     StateKeys,
     canonical_key,
@@ -432,6 +434,44 @@ class TestStateKeys:
 
     def test_population_tells_a_faulty_keyer_apart(self):
         assert _disagreements(_AnyOrderKeys, _pairs())
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """The arguments of every call of `syntax.<name>` from now on."""
+    calls = []
+    real = getattr(s, name)
+    monkeypatch.setattr(s, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestNetPartsWork:
+    # Work is counted, not timed: the engine and the checker read a net
+    # through `syntax.net_parts`, which renames only a restricted name that
+    # clashes and walks for free names only once it meets a restriction.
+    def test_names_apart_cost_no_renaming(self, monkeypatch):
+        system = parse_system(_RECURRING["chains"])
+        renames = _counting(monkeypatch, "rename_localities")
+        assert len(canonicalize(system.main_net).restricted) == 3
+        assert check_system(system) == []
+        assert [mapping for _, mapping in renames if mapping] == []
+
+    def test_a_clash_renames_the_nodes_in_its_scope(self, monkeypatch):
+        # The counters above count: `(new $a) $a :: P || (new $a) $a :: Q`.
+        p, q = s.CallProc("p", ()), s.CallProc("q", ())
+        net = s.ParNet(s.Restrict("a", node("a", proc(p))), s.Restrict("a", node("a", proc(q))))
+        renames = _counting(monkeypatch, "rename_localities")
+        walks = _counting(monkeypatch, "free_locs")
+        assert canonicalize(net).restricted == ("a", "a#1")
+        assert [mapping for _, mapping in renames if mapping] == [{"a": "a#1"}]
+        assert len(walks) == 1
+
+    def test_no_restriction_costs_no_walk_for_free_names(self, monkeypatch):
+        system = parse_system((pathlib.Path(__file__).parent.parent / "corpus"
+                               / "dept_stores.kdb").read_text())
+        walks = _counting(monkeypatch, "free_locs")
+        assert canonicalize(system.main_net).restricted == ()
+        assert check_system(system) == []
+        assert walks == []
 
 
 def _key_renaming_every_body(cn):

@@ -160,6 +160,10 @@ ERRORS = [
      "1:16: expected a locality (expected $ or a locality variable)"),
     ("$l :: delete(T@$l, (!x, !x), true). nil",
      "1:25: template binds 'x' twice; binders must be linear"),
+    ("$l :: delete(T@$l, (x), true). nil",
+     "1:21: expected a template field (expected !@u or !x)"),
+    ("$l :: select(1, (!x), true, (x), !t). nil",
+     "1:14: expected a table (expected TID@loc or a table variable or table)"),
     ("$l :: foreach(T@$l, (!x), true, asc[0]): nil", "1:37: column indices start at 1"),
     ("$l :: insert(T@$l, ({1, {2}})). nil", "1:25: multisets cannot nest"),
     ("$l :: table T : ({Int}) = { ({1, {2}}) }", "1:34: multisets cannot nest"),

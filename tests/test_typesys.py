@@ -4,11 +4,16 @@ import pathlib
 
 import pytest
 
+import gen
+import gensys
+from diffcheck import repeated_tables
 from fixtures import KLD_SCHEMA, SEVEN_BINDERS, SSRESULT_SCHEMA, STORES_SCHEMA
 from kdb import syntax as s
+from kdb.net import canonicalize, lid
 from kdb.parser import parse_system
 from kdb.typesys import Checker, check_system
 from kdb.values import Multiset, VInt, VLoc, VStr, VTid
+from nets import no_rep
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -358,11 +363,24 @@ DIAGNOSTIC_TEXTS = [
     ('schema T : (Int)\n$l :: select(table T : (String) = {("a")}, (!x), true, (x), !r). nil',
      ["2:14: table 'T' is used with two different schemas (expected (Int), found (String))",
       "2:14: table 'T' declared with a different schema (expected (Int), found (String))"]),
+    # A select or create that fails is reported once: its continuation, which
+    # would report `t` or `u` again, is not checked.
+    ("schema T : (Int)\n$l :: select(T@u, (!x), true, (x), !t). "
+     "foreach(t, (!y), true, unordered): nil",
+     ["2:16: unbound variable 'u'", "the net has free variables: u"]),
+    ("schema T : (Int)\n$l :: select(T@$l, (!a, !b), a = b, (a), !t). "
+     "foreach(t, (!y), true, unordered): nil",
+     ["2:20: template has 2 field(s), schema has 1 (expected (Int), found (!a, !b))"]),
+    ('schema T : (Int)\n$l :: select(T@$l, (!a), a = "s", (a), !t). '
+     "foreach(t, (!y), true, unordered): nil",
+     ["2:26: '=' compares two values of one scalar type (expected None, found Int = String)"]),
+    ("schema T : (Int)\n$l :: create(T@u, (Int)). insert(T@u, (1)). nil",
+     ["2:16: unbound variable 'u'", "the net has free variables: u"]),
 ]
 
 
-# A locality holds one table per identifier.  Names are compared as the
-# parser leaves them, renamed apart, so two restrictions of `$l` are two
+# A locality holds one table per identifier.  Restricted names are renamed
+# apart, as `canonicalize` renames them, so two restrictions of `$l` are two
 # localities.
 DUPLICATE_TABLES = [
     ("$l :: table T : (Int) = {} || $l :: table T : (Int) = {(1)}",
@@ -390,6 +408,42 @@ def test_duplicate_table(src, texts):
 @pytest.mark.parametrize("src, texts", DIAGNOSTIC_TEXTS)
 def test_diagnostic_text(src, texts):
     assert [str(d) for d in check_system(parse_system(src))] == texts
+
+
+# Built nets keep the names they are built with: the checker reads them
+# renamed apart, as the engine runs them, so it reports a repeated table
+# exactly when `lid` repeats.
+def _table_at(loc: str) -> s.Node:
+    return s.Node(loc, s.TableComp(s.Interface("T", (s.INT,)), Multiset()))
+
+
+BUILT_DUPLICATE_TABLES = [
+    pytest.param(s.ParNet(s.Restrict("a", _table_at("a")), s.Restrict("a", _table_at("a"))),
+                 [], id="two-restrictions-of-one-name"),
+    pytest.param(s.ParNet(s.Restrict("a", _table_at("a")), _table_at("a")),
+                 [], id="restricted-beside-free"),
+    pytest.param(s.Restrict("a", s.ParNet(_table_at("a"), _table_at("a"))),
+                 ["table 'T' already stands at $a"], id="one-restriction"),
+]
+
+
+@pytest.mark.parametrize("net, texts", BUILT_DUPLICATE_TABLES)
+def test_duplicate_table_of_a_built_net_agrees_with_lid(net, texts):
+    diags = check_system(s.System({}, (("T", (s.INT,)),), net))
+    assert [str(d) for d in diags] == texts
+    assert no_rep(lid(canonicalize(net))) == (not texts)
+
+
+def test_duplicate_table_reported_exactly_when_lid_repeats():
+    systems = [gensys.typed_system(seed) for seed in range(200)]
+    systems += [gen.random_system(seed) for seed in range(300)]
+    systems += [parse_system(repeated_tables(seed)) for seed in range(20)]
+    repeats = 0
+    for system in systems:
+        reported = any(d.kind == "duplicate-table" for d in check_system(system))
+        assert reported == (not no_rep(lid(canonicalize(system.main_net))))
+        repeats += reported
+    assert repeats == 20
 
 
 
