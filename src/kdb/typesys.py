@@ -40,9 +40,9 @@ class Diagnostic(NamedTuple):
 
     def __str__(self) -> str:
         where = f"{self.span}: " if self.span else ""
-        extra = ""
-        if self.expected is not None or self.found is not None:
-            extra = f" (expected {self.expected}, found {self.found})"
+        halves = [f"{label} {value}" for label, value in
+                  (("expected", self.expected), ("found", self.found)) if value is not None]
+        extra = f" ({', '.join(halves)})" if halves else ""
         return f"{where}{self.message}{extra}"
 
     def to_json(self) -> dict:

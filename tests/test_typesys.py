@@ -11,7 +11,7 @@ from fixtures import KLD_SCHEMA, SEVEN_BINDERS, SSRESULT_SCHEMA, STORES_SCHEMA
 from kdb import syntax as s
 from kdb.net import canonicalize, lid
 from kdb.parser import parse_system
-from kdb.typesys import Checker, check_system
+from kdb.typesys import Checker, Diagnostic, check_system
 from kdb.values import Multiset, VInt, VLoc, VStr, VTid
 from nets import no_rep
 
@@ -373,7 +373,7 @@ DIAGNOSTIC_TEXTS = [
      ["2:20: template has 2 field(s), schema has 1 (expected (Int), found (!a, !b))"]),
     ('schema T : (Int)\n$l :: select(T@$l, (!a), a = "s", (a), !t). '
      "foreach(t, (!y), true, unordered): nil",
-     ["2:26: '=' compares two values of one scalar type (expected None, found Int = String)"]),
+     ["2:26: '=' compares two values of one scalar type (found Int = String)"]),
     ("schema T : (Int)\n$l :: create(T@u, (Int)). insert(T@u, (1)). nil",
      ["2:16: unbound variable 'u'", "the net has free variables: u"]),
 ]
@@ -481,6 +481,16 @@ BUILT_DIAGNOSTIC_TEXTS = [
 def test_diagnostic_text_of_a_built_system(component, texts):
     system = s.System({}, (("T", (s.INT,)),), s.Node("l", component))
     assert [str(d) for d in check_system(system)] == texts
+
+@pytest.mark.parametrize("expected, found, text", [
+    ("Int", "String", "1:2: m (expected Int, found String)"),
+    (None, "Int = String", "1:2: m (found Int = String)"),
+    ("Loc", None, "1:2: m (expected Loc)"),
+    (None, None, "1:2: m"),
+])
+def test_diagnostic_prints_only_the_halves_it_has(expected, found, text):
+    assert str(Diagnostic("operand-type", "m", s.Span(1, 2), expected, found)) == text
+
 
 class TestEnvUndo:
     def test_bindings_do_not_leak(self):
