@@ -11,23 +11,24 @@ line:col `Span` only for what is reported, against the source that a parsed
 `VStr`, `VTid` or `VLoc` of `kdb.values` that a table row holds, with no
 span, and `rename_value` renames a locality wherever it occurs.
 
-The binding structure of processes and nets is declared with the classes
-and collected in the table CHILDREN: a binder scopes over the fields of its
-node listed after it.  A template's `!x` and `!@u` scope over its action's
+The binding structure of processes is declared with the classes and
+collected in the table CHILDREN: a binder scopes over the fields of its node
+listed after it.  A template's `!x` and `!@u` scope over its action's
 predicate and payload and over a loop's body; a select's `!t` and an aggr's
-result template over the continuation of their prefix; `(new $l)` over its
-net.  A binder's scope follows it in the source text too, so the parser
-resolves names by the same rule as it reads them; procedure parameters,
-which scope over their body, the parser and the checker bind themselves.
-`ScopedMap` is the one traversal of processes and nets that the table
-drives.  Like the type checker and the parser it binds in a `Scope`, in
-place, and undoes what a node bound when the node is done.  `free_vars`,
-`free_locs` and `rename_localities` here, `kernel.apply_subst` and the
-checker's collection of table shapes are each a few hooks on it.  It costs
-a Python frame per level of the tree but none per node of a `||` or `|`
-spine.  `render` is driven by a table too, `_FORMAT`, and lays a tree out
-from one explicit stack, at no frame per level.  The engine and the checker
-read a net through `net_parts`, one walk of its `||`, `|`, `new` and nodes.
+result template over the continuation of their prefix.  A binder's scope
+follows it in the source text too, so the parser resolves names by the same
+rule as it reads them; procedure parameters, which scope over their body,
+the parser and the checker bind themselves.  `ScopedMap` is the one
+traversal of processes and tables that the table drives.  Like the type
+checker and the parser it binds in a `Scope`, in place, and undoes what a
+node bound when the node is done.  `free_vars`, `free_locs` and
+`rename_localities` here, `kernel.apply_subst` and the checker's collection
+of table shapes are each a few hooks on it.  It costs a Python frame per
+level of a process.  `net_parts` is the one walk of a net's `||`, `|`,
+nodes and restrictions, whose `(new $l)` scopes over its net: it decides
+restriction scope, on one explicit stack, at no frame per level, and the
+engine and the checker read a net through it.  `render` is driven by a
+table too, `_FORMAT`, and lays any tree out from one explicit stack.
 """
 
 from __future__ import annotations
@@ -87,21 +88,21 @@ class Positions:
 # and, as class keywords, which of them hold its children and how they are
 # scoped, by one rule: a binder scopes over the fields of its node listed
 # after it (so a delete's, update's and aggr's locality comes before its
-# template).  CHILDREN collects them for processes and nets.  A class with
-# none has no children to visit: the constants, a VLoc an occurrence of its
-# locality; the variables DataVar, LocVar, TableByVar; and the tables
-# TableLiteral and TableComp, whose rows may hold localities.  Neither
-# ProcDef nor System has any: the parser and the checker scope a
-# procedure's parameters over its body themselves.
+# template).  CHILDREN collects them.  A class with none has no children to
+# visit: the constants, a VLoc an occurrence of its locality; the variables
+# DataVar, LocVar, TableByVar; and the tables TableLiteral and TableComp,
+# whose rows may hold localities.  Neither ProcDef nor System has any: the
+# parser and the checker scope a procedure's parameters over its body
+# themselves.  The net classes list their subnets, components and
+# processes, so that a walk of the whole tree reaches them, but no binder:
+# a restriction's scope and a node's locality are `net_parts`' to read.
 #
 # Shapes of a child field:
 ONE = "one"  # one node
 MANY = "many"  # a tuple of nodes
 ACTION = "action"  # Prefix.action, whose exported binder is a binder of the Prefix
-SITE = "site"  # Node.loc: a locality occurrence
 # Shapes of a binder field:
 PATTERN = "pattern"  # a Template: `!x` binds data, `!@u` a locality variable
-RESTRICTED = "restricted"  # Restrict.loc: a locality name
 TABLE_VAR = "table-var"  # a table variable
 # ... and of a binder that its action exports to the continuation of its
 # Prefix, where ACTION binds it; within its own node it scopes over nothing:
@@ -346,11 +347,11 @@ class ParNet(Record, left=ONE, right=ONE):
     __slots__ = ("left", "right", "span")
 
 
-class Restrict(Record, loc=RESTRICTED, inner=ONE):
+class Restrict(Record, inner=ONE):
     __slots__ = ("loc", "inner", "span")
 
 
-class Node(Record, loc=SITE, component=ONE):
+class Node(Record, component=ONE):
     __slots__ = ("loc", "component", "span")
 
 
@@ -601,7 +602,7 @@ class Scope(dict):
 
 
 class ScopedMap:
-    """The one traversal of processes and nets, driven by CHILDREN.
+    """The one traversal of processes and tables, driven by CHILDREN.
 
     `map(node, env)` maps every child of the node in the order CHILDREN
     lists them and rebuilds the node from the results; it returns the node
@@ -610,15 +611,13 @@ class ScopedMap:
     subclass says what happens at leaves and binders, which keep their
     names.  A fold is a map whose hooks collect something and return their
     node.  The recursion is here and costs one Python frame per level of
-    the tree, but none per node of a `||` or `|` spine nested on the left,
-    as the parser and `to_net` build one: `_spine` follows it in a loop.
+    the tree.  A net or a component raises TypeError: a restriction's scope
+    is `net_parts`' to decide, so a net is mapped part by part.
 
     - `hooks`: class -> function(self, node, env) -> node.  A hook takes
       over its node whole, whether a leaf or a node it need not enter.
     - `bind(names, env)`: variable binders, a tuple of their names.  Binds
       in env what their scope needs.
-    - `restrict(name, env)`: a restricted locality, likewise.
-    - `site(name, env)`: the locality name of a Node; returns its new name.
     """
 
     hooks: dict = {}
@@ -627,31 +626,14 @@ class ScopedMap:
         super().__init_subclass__(**kw)
         cls._dispatch = {**ScopedMap._dispatch, **cls.hooks}
 
-    def _spine(self, node, env):
-        """A ParNet or ParComp: its left branches in a loop, then its right ones."""
-        cls = node.__class__
-        spine = []
-        while node.__class__ is cls:
-            spine.append(node)
-            node = node.left
-        new = self.map(node, env)
-        for par in reversed(spine):
-            right = self.map(par.right, env)
-            if new is not par.left or right is not par.right:
-                par = cls(new, right, span=par.span)
-            new = par
-        return new
+    def _net(self, node, env):
+        raise TypeError(f"not a process or a table: {node.__class__.__name__}")
 
-    _dispatch: dict = {**_PLANS, ParNet: _spine, ParComp: _spine}  # class -> hook or plan
+    # class -> hook or plan
+    _dispatch: dict = {**_PLANS, **dict.fromkeys((ParNet, ParComp, Restrict, Node, ProcComp), _net)}
 
     def bind(self, names: tuple, env) -> None:
         pass
-
-    def restrict(self, name: str, env) -> None:
-        pass
-
-    def site(self, name: str, env) -> str:
-        return name
 
     def map(self, node, env):
         entry = self._dispatch.get(node.__class__)
@@ -683,8 +665,6 @@ class ScopedMap:
                     if mark is None:
                         mark = len(env.journal)
                     self._bind(export[1], getattr(old, export[0]), env)
-            elif shape is SITE:
-                new = self.site(old, env)
             elif shape in _EXPORTED:
                 continue  # bound by the enclosing Prefix
             else:
@@ -704,9 +684,7 @@ class ScopedMap:
 
     def _bind(self, shape, value, env) -> None:
         """Open a binder's scope in env."""
-        if shape is RESTRICTED:
-            self.restrict(value, env)
-        elif shape is PATTERN:
+        if shape is PATTERN:
             self.bind(value.names(), env)
         else:  # TABLE_VAR
             self.bind((value,), env)
@@ -775,31 +753,22 @@ class _FreeVars(ScopedMap):
 
 
 def free_vars(node) -> frozenset:
-    """Free data, locality and table variables of a process, a net, or a part
-    of one."""
+    """Free data, locality and table variables of a process or a table."""
     fold = _FreeVars()
     fold.map(node, Scope())
     return frozenset(fold.out)
 
 
 class _FreeLocs(ScopedMap):
-    """Locality names that no restriction in scope (env) binds."""
+    """Locality names in the constants and table rows below a node."""
 
     def __init__(self, node):
         self.free = set()
         self.map(node, Scope())
 
-    def restrict(self, name, env):
-        env.bind(name, True)
-
-    def site(self, name, env):
-        if name not in env:
-            self.free.add(name)
-        return name
-
     def _value(self, v, env):
         if v.__class__ is VLoc:
-            self.site(v.name, env)
+            self.free.add(v.name)
         elif v.__class__ is VSet:
             for e in v.elements.support():
                 self._value(e, env)
@@ -815,20 +784,16 @@ class _FreeLocs(ScopedMap):
 
 
 def free_locs(node) -> frozenset:
-    """Locality names occurring free in a process, a net, or a part of one
-    (a restriction binds its name)."""
+    """Locality names occurring free in a process, a table or a net: a net's
+    are its parts' (`net_parts`) but the restricted names."""
+    if node.__class__ in (ParNet, Restrict, Node):
+        restricted, parts = net_parts(node)
+        return frozenset().union(*[free_locs(body) | {loc} for loc, body in parts]) - {None, *restricted}
     return frozenset(_FreeLocs(node).free)
 
 
 class _RenameLocalities(ScopedMap):
-    """Free locality occurrences renamed by env; restriction binders shadow."""
-
-    def restrict(self, name, env):
-        if name in env:
-            env.bind(name, name)
-
-    def site(self, name, env):
-        return env.get(name, name)
+    """Locality occurrences renamed by env."""
 
     def _constant(self, node, env):
         return rename_value(node, env)
@@ -843,8 +808,8 @@ _RENAME_LOCALITIES = _RenameLocalities()
 
 
 def rename_localities(node, mapping: dict):
-    """A process, a net, or a part of one with its free locality occurrences
-    renamed by `mapping`; restriction binders shadow."""
+    """A process or a table with its locality occurrences renamed by
+    `mapping`.  A net is renamed part by part, as `net_parts` does."""
     if not mapping:
         return node
     return _RENAME_LOCALITIES.map(node, Scope(mapping))
@@ -856,35 +821,48 @@ def net_parts(net) -> tuple:
     """The restricted names of a net, outermost first, and its parts, left
     first: (locality, process), (locality, TableComp) or (None, ErrNet).
 
-    A restricted name that clashes with a free name or an earlier one
-    becomes `name#k` in its scope.  Only a clash costs a renaming walk, and
-    only a net with a restriction a walk for its free names.
+    The one walk of a net's `||`, `|`, restrictions and nodes, on one
+    explicit stack, so a net of any shape costs no frame.  It lists each
+    part with the restrictions around it.  A restricted name that clashes
+    with a free name or an earlier one becomes `name#k` in its scope,
+    numbered in walk order (pre-order, left first): of same-name
+    restrictions only the outermost can keep its name, so an inner one
+    shadows it.  Each part's body and locality are then renamed by the
+    renamings around it.  Only a net with a restriction costs a walk of its
+    bodies for free names, and only a clash a renaming walk.
     """
-    restricted: list = []
-    parts: list = []
-    used = None  # every name taken, once a restriction is met
-    clashes = 0
-    stack = [(net, {})]  # a net with the renaming in scope, a component with its locality
+    scopes = [("", 0)]  # (name, enclosing scope) of each restriction; 0 is the net's top
+    parts = []  # (scope, locality, body)
+    stack = [(net, 0, None)]  # a net or a component, its scope and its node's locality
     while stack:
-        n, ctx = stack.pop()
+        n, scope, loc = stack.pop()
         if isinstance(n, (ParNet, ParComp)):
-            stack += [(n.right, ctx), (n.left, ctx)]
+            stack += [(n.right, scope, loc), (n.left, scope, loc)]
         elif isinstance(n, Restrict):
-            if used is None:
-                used = set(free_locs(net))
-            name = n.loc
-            while name in used:
-                clashes += 1
-                name = f"{n.loc}#{clashes}"
-            used.add(name)
-            restricted.append(name)
-            stack.append((n.inner, ctx if name == n.loc else {**ctx, n.loc: name}))
+            scopes.append((n.loc, scope))
+            stack.append((n.inner, len(scopes) - 1, loc))
         elif isinstance(n, Node):
-            stack.append((rename_localities(n.component, ctx), ctx.get(n.loc, n.loc)))
-        elif isinstance(n, (ProcComp, TableComp)):
-            parts.append((ctx, n.process if isinstance(n, ProcComp) else n))
-        elif isinstance(n, ErrNet):
-            parts.append((None, n))
+            stack.append((n.component, scope, n.loc))
+        elif isinstance(n, (ProcComp, TableComp, ErrNet)):
+            parts.append((scope, loc, n.process if isinstance(n, ProcComp) else n))
         elif not isinstance(n, NilNet):
             raise TypeError(f"not a net or a component: {n!r}")
-    return tuple(restricted), parts
+    if len(scopes) == 1:
+        return (), [(loc, body) for _, loc, body in parts]
+    around = [frozenset()]  # the names restricted around each scope
+    for name, outer in scopes[1:]:
+        around.append(around[outer] | {name})
+    used = set()  # the net's free names, then every restricted name taken
+    for scope, loc, body in parts:
+        used |= free_locs(body).union((loc,)) - around[scope]
+    restricted, renamings, clashes = [], [{}], 0  # renamings: the renaming in each scope
+    for name, outer in scopes[1:]:
+        new = name
+        while new in used:
+            clashes += 1
+            new = f"{name}#{clashes}"
+        used.add(new)
+        restricted.append(new)
+        renamings.append(renamings[outer] if new == name else {**renamings[outer], name: new})
+    return tuple(restricted), [(renamings[scope].get(loc, loc), rename_localities(body, renamings[scope]))
+                               for scope, loc, body in parts]

@@ -543,7 +543,7 @@ def check_system(system: s.System) -> list:
         env = s.Scope(d.params)
         checker.type_process(env, d.body)
     checker.type_parts(s.Scope(), parts)
-    leftover = s.free_vars(system.main_net)
+    leftover = set().union(*[s.free_vars(body) for _, body in parts])
     if leftover:
         names = ", ".join(sorted(leftover))
         checker.diags.append(Diagnostic(

@@ -23,6 +23,10 @@ TABLE_AS_DATA = ("schema T : (Int)\nschema U : (Int)\n"
                  "|| $l :: table T : (Int) = {(1)} | table U : (Int) = {}")
 DATA_AS_TABLE = ("let p(t: Int) := foreach(t, (!y), true, unordered): nil\n"
                  "in $l :: p(1) || $m :: select(table T : (Int) = {(1)}, (!x), true, (x), !t). p(t)")
+# A payload multiset of two sorts, which the checker rejects and which,
+# unchecked, the monitor of a select's schema projection stops.
+MIXED_PAYLOAD = ("schema T : (Int)\n"
+                 '$l :: select(T@$l, (!x), true, ({1, "a"}), !t). nil || $l :: table T : (Int) = {}\n')
 
 
 def write(tmp_path, text: str) -> str:
@@ -81,6 +85,13 @@ class TestCheck:
                 (1, f'{f}:2:7: row ("a") does not fit the table schema\n'), seed
 
 
+@pytest.mark.parametrize("command", ["run", "explore", "dump"])
+def test_a_parse_error_exits_before_the_command_runs(tmp_path, capsys, command):
+    path = write(tmp_path, "schema T : (Int)\n$l :: insert(T@$l, (1). nil\n")
+    assert main([command, path]) == 2
+    assert capsys.readouterr() == ("", f"{path}:2:23: unexpected '.' (expected ))\n")
+
+
 class TestRun:
     def test_case_study_quiescent(self, capsys):
         assert main(["run", DEPT]) == 0
@@ -98,6 +109,17 @@ class TestRun:
     def test_unchecked_run_of_the_error_net_ends_in_err(self, tmp_path, capsys, text):
         assert main(["run", write(tmp_path, text), "--unchecked"]) == 3
         assert capsys.readouterr().out == "terminal: err after 0 step(s)\n[]\n"
+
+    def test_unchecked_malformed_payload_is_monitored(self, tmp_path, capsys):
+        path = write(tmp_path, MIXED_PAYLOAD)
+        assert main(["check", path]) == 1
+        assert capsys.readouterr().err == f"{path}:2:33: multiset elements must share one type\n"
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", path, "--unchecked", "--trace", str(trace)]) == 3
+        assert "terminal: err after 1 step(s)\n" in capsys.readouterr().out
+        first = json.loads(trace.read_text().splitlines()[0])
+        assert (first["rule"], first["detail"]) == \
+            ("SEL", "select: malformed payload for schema projection")
 
     def test_unchecked_table_used_as_data_is_monitored(self, tmp_path, capsys):
         assert main(["run", write(tmp_path, TABLE_AS_DATA), "--unchecked"]) == 3

@@ -8,16 +8,19 @@ first hashes the chain).  A traversal that spent one more frame per level
 would fail here.
 
 Wide nets pin the same for the `||` and `|` spines of a net.  The parser
-builds a spine in a loop, `syntax.net_parts`, through which the checker and
-`canonicalize` read a net's parts, pops them off a stack, and `ScopedMap`
-(behind `free_vars`, `free_locs` and the checker's table shapes) follows
-its left branches in a loop, so parsing, checking and exploring take a net
-of any width: 10,000 nodes are pinned.  `render` lays
-out every tree from one explicit stack, so it takes a net of any width and
-a chain of any length: 10,000 of each are pinned.  Running a wide net is
-pinned at 900 nodes, because each step still costs passes over every item,
-so a run is quadratic in the width.
+builds a spine in a loop, and `syntax.net_parts`, the one walk of a net,
+through which the checker, `canonicalize` and `free_locs` read a net's
+parts, pops them off a stack; `ScopedMap` maps only the processes and
+tables it finds.  So parsing, checking and exploring take a net of any
+width, 10,000 nodes are pinned, and a net built in code of any shape: a
+3,000-node spine nested on the right is pinned.  `render` lays out every
+tree from one explicit stack, so it takes a net of any width and a chain
+of any length: 10,000 of each are pinned.  Running a wide net is pinned at
+900 nodes, because each step still costs passes over every item, so a run
+is quadratic in the width.
 """
+
+import functools
 
 from kdb import semantics
 from kdb import syntax as s
@@ -25,7 +28,7 @@ from kdb.net import canonicalize
 from kdb.parser import parse_system
 from kdb.syntax import render
 from kdb.typesys import check_system
-from kdb.values import VInt, VLoc
+from kdb.values import Multiset, VInt, VLoc
 
 
 def chain(n: int) -> str:
@@ -107,3 +110,36 @@ def test_render_chain_of_10000():
     for i in reversed(range(10_000)):
         chain = s.Prefix(s.Insert("T", s.Tuple((VInt(i),)), VLoc("l")), chain)
     assert render(chain) == "".join(f"insert(T@$l, ({i})). " for i in range(10_000)) + "nil"
+
+
+def restricted_net(n: int, nest) -> s.Net:
+    """`(new $a)` around n nodes, each an insert beside its own table, and
+    a node at `$a` of n inserts beside a table; a free `$a :: nil` beside
+    it.  `nest` joins a list of nets or components."""
+    def insert(loc, i):
+        return s.ProcComp(s.Prefix(s.Insert("T", s.Tuple((VInt(i),)), VLoc(loc)), s.NilProc()))
+
+    table = s.TableComp(s.Interface("T", (s.INT,)), Multiset())
+    nodes = [s.Node(f"l{i}", nest(s.ParComp, [insert(f"l{i}", i), table])) for i in range(n)]
+    at_a = s.Node("a", nest(s.ParComp, [insert("a", i) for i in range(n)] + [table]))
+    return s.ParNet(s.Restrict("a", nest(s.ParNet, nodes + [at_a])),
+                    s.Node("a", s.ProcComp(s.NilProc())))
+
+
+def nest_right(cls, parts):
+    return functools.reduce(lambda right, left: cls(left, right), reversed(parts))
+
+
+def nest_left(cls, parts):
+    return functools.reduce(cls, parts)
+
+
+def test_built_net_nested_on_the_right_of_3000():
+    net = restricted_net(3_000, nest_right)
+    system = s.System({}, (("T", (s.INT,)),), net)
+    assert check_system(system) == []
+    canonical = canonicalize(net)
+    assert (canonical.restricted, len(canonical.items)) == (("a#1",), 9_002)
+    assert canonical == canonicalize(restricted_net(3_000, nest_left))
+    assert len(s.free_locs(net)) == 3_001
+    assert semantics.run(system, seed=0, max_steps=1).terminal == "step-limit"

@@ -112,6 +112,21 @@ class TestCanonicalize:
             rng.random()
 
 
+def rename_net(net, mapping: dict):
+    """A net or a component with its free localities renamed by `mapping`;
+    a restriction shadows its name."""
+    if isinstance(net, (s.ParNet, s.ParComp)):
+        return net.__class__(rename_net(net.left, mapping), rename_net(net.right, mapping))
+    if isinstance(net, s.Restrict):
+        inner = {k: v for k, v in mapping.items() if k != net.loc}
+        return s.Restrict(net.loc, rename_net(net.inner, inner))
+    if isinstance(net, s.Node):
+        return s.Node(mapping.get(net.loc, net.loc), rename_net(net.component, mapping))
+    if isinstance(net, s.ProcComp):
+        return s.ProcComp(s.rename_localities(net.process, mapping))
+    return s.rename_localities(net, mapping)  # a table, nil or ERR
+
+
 def scramble(net: s.Net, rng: random.Random, fresh: list) -> s.Net:
     """One random congruence-preserving rewrite."""
     choice = rng.randrange(8)
@@ -128,8 +143,7 @@ def scramble(net: s.Net, rng: random.Random, fresh: list) -> s.Net:
                         s.Node(net.loc, net.component.right))
     if choice == 5 and isinstance(net, s.Restrict):
         new = fresh.pop()
-        renamed = s.rename_localities(net.inner, {net.loc: new})
-        return s.Restrict(new, renamed)
+        return s.Restrict(new, rename_net(net.inner, {net.loc: new}))
     if choice == 6 and isinstance(net, s.ParNet) and isinstance(net.right, s.Restrict):
         if net.right.loc not in s.free_locs(net.left):
             return s.Restrict(net.right.loc, s.ParNet(net.left, net.right.inner))
@@ -463,7 +477,7 @@ class TestNetPartsWork:
         walks = _counting(monkeypatch, "free_locs")
         assert canonicalize(net).restricted == ("a", "a#1")
         assert [mapping for _, mapping in renames if mapping] == [{"a": "a#1"}]
-        assert len(walks) == 1
+        assert len(walks) == 2  # one per body
 
     def test_no_restriction_costs_no_walk_for_free_names(self, monkeypatch):
         system = parse_system((pathlib.Path(__file__).parent.parent / "corpus"

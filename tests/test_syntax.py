@@ -173,9 +173,8 @@ BINDER_SCOPES = {
     s.Aggr: {"template": {"pred"}, "bind_template": set()},
     s.Foreach: {"template": {"pred", "body"}},
     s.Prefix: {"action": {"cont"}},
-    s.Restrict: {"loc": {"inner"}},
 }
-BINDER_SHAPES = (s.PATTERN, s.RESTRICTED, s.TABLE_VAR, s.ACTION,
+BINDER_SHAPES = (s.PATTERN, s.TABLE_VAR, s.ACTION,
                  s.EXPORTS_TABLE_VAR, s.EXPORTS_PATTERN)
 EXPORTED_SHAPES = (s.EXPORTS_TABLE_VAR, s.EXPORTS_PATTERN)
 
@@ -200,17 +199,28 @@ class TestScopedMap:
     def test_renaming_a_locality_to_itself_keeps_the_node(self):
         rows = Multiset([ValueTuple((VLoc("l"),)), ValueTuple((VInt(1),)),
                          ValueTuple((VSet(Multiset([VLoc("l")])),))])
-        comp = s.ParComp(s.TableComp(s.Interface("T", (s.LOC,)), rows), s.ProcComp(
-            s.Prefix(s.Insert("T", s.Tuple((VLoc("l"),)), VLoc("l")), s.NilProc())))
-        assert s.rename_localities(comp, {"l": "l"}) is comp
+        table = s.TableComp(s.Interface("T", (s.LOC,)), rows)
+        p = s.Prefix(s.Insert("T", s.Tuple((VLoc("l"),)), VLoc("l")), s.NilProc())
+        assert s.rename_localities(table, {"l": "l"}) is table
+        assert s.rename_localities(p, {"l": "l"}) is p
+
+    def test_a_net_or_a_component_is_mapped_part_by_part(self):
+        p = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
+        for node in (s.ProcComp(p), s.ParComp(s.ProcComp(p), s.ProcComp(p)),
+                     s.Node("l", s.ProcComp(p)), s.Restrict("l", s.Node("l", s.ProcComp(p))),
+                     s.ParNet(s.Node("l", s.ProcComp(p)), s.NilNet())):
+            for walk in (s.free_vars, lambda n: s.rename_localities(n, {"l": "m"})):
+                with pytest.raises(TypeError):
+                    walk(node)
 
     def test_restriction_shadows_a_renamed_locality(self):
+        # A restricted name that clashes is renamed in its scope only.
         inner = s.Node("l", s.ProcComp(s.Prefix(
             s.Insert("T", s.Tuple((VLoc("l"),)), VLoc("m")), s.NilProc())))
-        net = s.ParNet(s.Restrict("l", inner), inner)
-        got = s.rename_localities(net, {"l": "a", "m": "b"})
-        assert s.render(got) == ("(new $l) $l :: insert(T@$b, ($l)). nil"
-                                 " || $a :: insert(T@$b, ($a)). nil")
+        restricted, parts = s.net_parts(s.ParNet(s.Restrict("l", inner), inner))
+        assert restricted == ("l#1",)
+        assert [(loc, s.render(body)) for loc, body in parts] == [
+            ("l#1", "insert(T@$m, ($l#1)). nil"), ("l", "insert(T@$m, ($l)). nil")]
 
     def test_renamed_rows_keep_their_multiplicities(self):
         rows = Multiset({ValueTuple((VLoc("a"),)): 2, ValueTuple((VLoc("b"),)): 1,
