@@ -6,19 +6,20 @@ into monitored error states.
 
 Expressions, predicates and tuples compile once into closures over a row's
 cells (`compile_expr`, `compile_pred`, `compile_tuple`): `slots` maps each
-variable to its cell, and each comparison picks its operator and its kind
-test when it is compiled.  The engine compiles an action's predicate and
-payload once per pass over a table, with the template's columns as slots,
-and runs them on each row's components: no environment, no substituted
-copy.  `eval_expr`, `eval_pred` and `eval_tuple` run a compiled term on an
-environment, the substitution a match produced, whose names are its slots
-and its cells.  `apply_subst` builds a substituted copy only for what runs
-on afterwards: the continuation of a select or aggr, a loop body and a
-procedure body.  It is a `syntax.ScopedMap`, so it respects the binders
-CHILDREN declares.  A scalar constant is its value, so evaluating one
-returns it and substitution puts a row's scalar value itself in place of a
-variable; only a multiset value becomes a `MultisetLit`, of its elements in
-value order.
+variable to its cell, and each operator, which its node keeps as data,
+picks its function and its kind test when it is compiled: an `Arith`'s
+from the table `_BINARY`, a `Cmp`'s by its op.  The engine compiles an
+action's predicate and payload once per pass over a table, with the
+template's columns as slots, and runs them on each row's components: no
+environment, no substituted copy.  `eval_expr`, `eval_pred` and
+`eval_tuple` run a compiled term on an environment, the substitution a
+match produced, whose names are its slots and its cells.  `apply_subst`
+builds a substituted copy only for what runs on afterwards: the
+continuation of a select or aggr, a loop body and a procedure body.  It is
+a `syntax.ScopedMap`, so it respects the binders CHILDREN declares.  A
+scalar constant is its value, so evaluating one returns it and
+substitution puts a row's scalar value itself in place of a variable; only
+a multiset value becomes a `MultisetLit`, of its elements in value order.
 
 The kernel never looks a table up.  A join takes the row multisets of
 tables the engine has already found, and the joined schema is the engine's
@@ -84,7 +85,9 @@ def _div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
+# op -> (the class of both operands and of the value, function of their payloads)
+_BINARY = {"+": (VInt, operator.add), "-": (VInt, operator.sub), "*": (VInt, operator.mul),
+           "/": (VInt, _div), "++": (VStr, operator.add)}
 
 
 def compile_expr(e: s.Expr, slots: dict):
@@ -95,25 +98,16 @@ def compile_expr(e: s.Expr, slots: dict):
         slot = slots.get(e.name)
         # A variable the slots do not bind is an evaluation error.
         return _constant(ERR) if slot is None else operator.itemgetter(slot)
-    if isinstance(e, s.Concat):
-        left, right = compile_expr(e.left, slots), compile_expr(e.right, slots)
-
-        def concat(cells):
-            a, b = left(cells), right(cells)
-            if a.__class__ is VStr and b.__class__ is VStr:
-                return VStr(a.value + b.value)
-            return ERR
-        return concat
     if isinstance(e, s.Arith):
-        op = _ARITH[e.op]
+        cls, op = _BINARY[e.op]
         left, right = compile_expr(e.left, slots), compile_expr(e.right, slots)
 
-        def arith(cells):
+        def binary(cells):
             a, b = left(cells), right(cells)
-            if a.__class__ is VInt and b.__class__ is VInt:
-                return VInt(op(a.value, b.value))
+            if a.__class__ is cls and b.__class__ is cls:
+                return cls(op(a.value, b.value))
             return ERR
-        return arith
+        return binary
     if isinstance(e, s.MultisetLit):
         parts = [compile_expr(el, slots) for el in e.elements]
 
@@ -155,6 +149,14 @@ def compile_pred(p: s.Pred, slots: dict):
         return _constant(True)
     if isinstance(p, s.Cmp):
         left, right = compile_expr(p.left, slots), compile_expr(p.right, slots)
+        if p.op == "in":
+            def member(cells):
+                a, b = left(cells), right(cells)
+                kind = KIND.get(a.__class__)
+                if kind is None or b.__class__ is not VSet or b.kind() not in (None, kind):
+                    return ERR
+                return a in b.elements
+            return member
         if p.op == "sub":
             def subset(cells):
                 a, b = left(cells), right(cells)
@@ -170,16 +172,6 @@ def compile_pred(p: s.Pred, slots: dict):
                 return ERR  # an error has no kind
             return compare(a, b)
         return scalars
-    if isinstance(p, s.Member):
-        elem, container = compile_expr(p.elem, slots), compile_expr(p.container, slots)
-
-        def member(cells):
-            a, b = elem(cells), container(cells)
-            kind = KIND.get(a.__class__)
-            if kind is None or b.__class__ is not VSet or b.kind() not in (None, kind):
-                return ERR
-            return a in b.elements
-        return member
     if isinstance(p, s.Not):
         inner = compile_pred(p.inner, slots)
 

@@ -644,19 +644,13 @@ class _Parser:
             self.pos = mark
         left = self.expr()
         op = self.keyword(_COMPARISONS, "a comparison")
-        if op == "in":
-            return s.Member(left, self.expr(), span=span)
         return s.Cmp(op, left, self.expr(), span=span)
 
     def expr(self) -> s.Expr:
         left = self.expr_atom()
         while self.kinds[self.pos] in _BINOPS:
             t = self.next()
-            right = self.expr_atom()
-            if self.kinds[t] == "++":
-                left = s.Concat(left, right, span=self.offsets[t])
-            else:
-                left = s.Arith(self.kinds[t], left, right, span=self.offsets[t])
+            left = s.Arith(self.kinds[t], left, self.expr_atom(), span=self.offsets[t])
         return left
 
     def expr_atom(self) -> s.Expr:
@@ -706,7 +700,7 @@ def _param_sort(ty) -> str:
 def _contains_multiset(e: s.Expr) -> bool:
     if isinstance(e, s.MultisetLit):
         return True
-    if isinstance(e, (s.Concat, s.Arith)):
+    if isinstance(e, s.Arith):
         return _contains_multiset(e.left) or _contains_multiset(e.right)
     return False
 

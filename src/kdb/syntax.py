@@ -143,19 +143,15 @@ class LocVar(ExpressionNode):
     __slots__ = ("name", "span")
 
 
-class Concat(ExpressionNode, left=ONE, right=ONE):
-    __slots__ = ("left", "right", "span")
-
-
 class Arith(ExpressionNode, left=ONE, right=ONE):
-    __slots__ = ("op", "left", "right", "span")  # op: + - * /
+    __slots__ = ("op", "left", "right", "span")  # op: + - * / on integers, ++ on strings
 
 
 class MultisetLit(ExpressionNode, elements=MANY):
     __slots__ = ("elements", "span")  # elements: Exprs, each multiset-free
 
 
-Expr = Union[VInt, VStr, VTid, VLoc, DataVar, LocVar, Concat, Arith, MultisetLit]
+Expr = Union[VInt, VStr, VTid, VLoc, DataVar, LocVar, Arith, MultisetLit]
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +162,7 @@ class TruePred(ExpressionNode):
 
 
 class Cmp(ExpressionNode, left=ONE, right=ONE):
-    __slots__ = ("op", "left", "right", "span")  # op: = != < <= > >= sub
-
-
-class Member(ExpressionNode, elem=ONE, container=ONE):
-    __slots__ = ("elem", "container", "span")
+    __slots__ = ("op", "left", "right", "span")  # op: = != < <= > >= sub, or in (left in right)
 
 
 class Not(ExpressionNode, inner=ONE):
@@ -181,10 +173,10 @@ class And(ExpressionNode, left=ONE, right=ONE):
     __slots__ = ("left", "right", "span")
 
 
-Pred = Union[TruePred, Cmp, Member, Not, And]
+Pred = Union[TruePred, Cmp, Not, And]
 
 ORDERED_CMP_OPS = ("<", "<=", ">", ">=")
-CMP_OPS = ("=", "!=") + ORDERED_CMP_OPS + ("sub",)
+CMP_OPS = ("=", "!=") + ORDERED_CMP_OPS + ("sub",)  # every Cmp op but "in"
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +381,7 @@ LOC = Base("Loc")
 
 _PARENS = ("(", ")")
 _TIGHT_PROC = {Seq: _PARENS}  # a prefix's continuation, a loop body, a sequence's first half
-_TIGHT_PRED = {Cmp: _PARENS, Member: _PARENS, And: _PARENS}  # under ! and &&
+_TIGHT_PRED = {Cmp: _PARENS, And: _PARENS}  # under ! and &&
 _TIGHT_COMP = {ParComp: ("{ ", " }")}  # under |
 _TIGHT_NET = {ParNet: _PARENS}  # under || and a restriction
 
@@ -495,12 +487,10 @@ _FORMAT = {
     Multiset: lambda rows: "{" + _join(sorted_rows(rows)) + "}",
     DataVar: lambda e: e.name,
     LocVar: lambda e: e.name,
-    Concat: lambda e: ("(", e.left, " ++ ", e.right, ")"),
     Arith: lambda e: ("(", e.left, f" {e.op} ", e.right, ")"),
     MultisetLit: lambda e: ("{", *_commas(e.elements), "}"),
     TruePred: lambda p: "true",
     Cmp: lambda p: (p.left, f" {p.op} ", p.right),
-    Member: lambda p: (p.elem, " in ", p.container),
     Not: lambda p: ("!", _Tight((p.inner, _TIGHT_PRED))),
     And: lambda p: (_Tight((p.left, _TIGHT_PRED)), " && ", _Tight((p.right, _TIGHT_PRED))),
     Tuple: lambda t: ("(", *_commas(t.components), ")"),
@@ -817,52 +807,65 @@ def rename_localities(node, mapping: dict):
 
 # -- the parts of a net
 
+_CLOSE = object()  # where a restriction's scope closes, on net_parts' stack
+
+
 def net_parts(net) -> tuple:
     """The restricted names of a net, outermost first, and its parts, left
     first: (locality, process), (locality, TableComp) or (None, ErrNet).
 
     The one walk of a net's `||`, `|`, restrictions and nodes, on one
-    explicit stack, so a net of any shape costs no frame.  It lists each
-    part with the restrictions around it.  A restricted name that clashes
-    with a free name or an earlier one becomes `name#k` in its scope,
-    numbered in walk order (pre-order, left first): of same-name
+    explicit stack, so a net of any shape costs no frame.  A restricted name
+    that clashes with a free name or an earlier one becomes `name#k` in its
+    scope, numbered in walk order (pre-order, left first): of same-name
     restrictions only the outermost can keep its name, so an inner one
-    shadows it.  Each part's body and locality are then renamed by the
-    renamings around it.  Only a net with a restriction costs a walk of its
-    bodies for free names, and only a clash a renaming walk.
+    shadows it.  The walk records parts and scopes; two passes over the
+    record, binding names in `Scope`s at O(1) a restriction, find the net's
+    free names, then number and rename.  Only a net with a restriction walks
+    its bodies for free names, and only a part with a clash in scope renames.
     """
-    scopes = [("", 0)]  # (name, enclosing scope) of each restriction; 0 is the net's top
-    parts = []  # (scope, locality, body)
-    stack = [(net, 0, None)]  # a net or a component, its scope and its node's locality
+    events = []  # a part's (locality, body); a restricted name as its scope opens, None as it closes
+    stack = [(net, None)]  # a net or a component, and its node's locality
     while stack:
-        n, scope, loc = stack.pop()
+        n, loc = stack.pop()
         if isinstance(n, (ParNet, ParComp)):
-            stack += [(n.right, scope, loc), (n.left, scope, loc)]
+            stack += [(n.right, loc), (n.left, loc)]
         elif isinstance(n, Restrict):
-            scopes.append((n.loc, scope))
-            stack.append((n.inner, len(scopes) - 1, loc))
+            events.append(n.loc)
+            stack += [(_CLOSE, None), (n.inner, loc)]
         elif isinstance(n, Node):
-            stack.append((n.component, scope, n.loc))
+            stack.append((n.component, n.loc))
         elif isinstance(n, (ProcComp, TableComp, ErrNet)):
-            parts.append((scope, loc, n.process if isinstance(n, ProcComp) else n))
+            events.append((loc, n.process if isinstance(n, ProcComp) else n))
+        elif n is _CLOSE:
+            events.append(None)
         elif not isinstance(n, NilNet):
             raise TypeError(f"not a net or a component: {n!r}")
-    if len(scopes) == 1:
-        return (), [(loc, body) for _, loc, body in parts]
-    around = [frozenset()]  # the names restricted around each scope
-    for name, outer in scopes[1:]:
-        around.append(around[outer] | {name})
-    used = set()  # the net's free names, then every restricted name taken
-    for scope, loc, body in parts:
-        used |= free_locs(body).union((loc,)) - around[scope]
-    restricted, renamings, clashes = [], [{}], 0  # renamings: the renaming in each scope
-    for name, outer in scopes[1:]:
-        new = name
-        while new in used:
-            clashes += 1
-            new = f"{name}#{clashes}"
-        used.add(new)
-        restricted.append(new)
-        renamings.append(renamings[outer] if new == name else {**renamings[outer], name: new})
-    return tuple(restricted), [(renamings[scope].get(loc, loc), rename_localities(body, renamings[scope]))
-                               for scope, loc, body in parts]
+    if None not in events:
+        return (), events
+    around, used = Scope(), set()  # the restricted names in scope; the net's free names
+    for e in events:
+        if e is None:
+            around.undo(around.mark() - 1)
+        elif e.__class__ is str:
+            around.bind(e, e)
+        else:
+            used.update([name for name in free_locs(e[1]).union((e[0],)) if name not in around])
+    renaming = Scope()  # the clashing names in scope to their new ones; the rest in `kept`
+    kept, restricted, parts, clashes = Scope(journal=renaming.journal), [], [], 0
+    for e in events:
+        if e is None:
+            renaming.undo(renaming.mark() - 1)
+        elif e.__class__ is str:
+            new = e
+            while new in used:  # the free names, then every restricted name taken
+                clashes += 1
+                new = f"{e}#{clashes}"
+            used.add(new)
+            restricted.append(new)
+            (kept if new == e else renaming).bind(e, new)
+        elif renaming:
+            parts.append((renaming.get(e[0], e[0]), rename_localities(e[1], dict(renaming))))
+        else:
+            parts.append(e)
+    return tuple(restricted), parts

@@ -97,26 +97,18 @@ class Checker:
                 return self.error("kind-mismatch",
                                   f"table variable {e.name!r} used as data", e.span)
             return ty
-        if isinstance(e, s.Concat):
-            lt = self.type_expr(env, e.left)
-            rt = self.type_expr(env, e.right)
-            if lt is None or rt is None:
-                return None
-            if lt != s.STRING or rt != s.STRING:
-                return self.error("operand-type", "concatenation needs two strings",
-                                  e.span, expected="String",
-                                  found=f"{_render_mtype(lt)} ++ {_render_mtype(rt)}")
-            return s.STRING
         if isinstance(e, s.Arith):
             lt = self.type_expr(env, e.left)
             rt = self.type_expr(env, e.right)
             if lt is None or rt is None:
                 return None
-            if lt != s.INT or rt != s.INT:
-                return self.error("operand-type", f"'{e.op}' needs two integers",
-                                  e.span, expected="Int",
+            want = s.STRING if e.op == "++" else s.INT
+            if lt != want or rt != want:
+                message = ("concatenation needs two strings" if e.op == "++"
+                           else f"'{e.op}' needs two integers")
+                return self.error("operand-type", message, e.span, expected=want.kind,
                                   found=f"{_render_mtype(lt)} {e.op} {_render_mtype(rt)}")
-            return s.INT
+            return want
         if isinstance(e, s.MultisetLit):
             if not e.elements:
                 return self.error("empty-multiset",
@@ -152,6 +144,13 @@ class Checker:
             rt = self.type_expr(env, p.right)
             if lt is None or rt is None:
                 return False
+            if p.op == "in":
+                if not isinstance(lt, s.Base) or rt != s.MSet(lt.kind):
+                    self.error("operand-type", "'in' needs a scalar and a multiset of its type",
+                               p.span, expected=f"{{{_render_mtype(lt)}}}",
+                               found=_render_mtype(rt))
+                    return False
+                return True
             if p.op == "sub":
                 if not (isinstance(lt, s.MSet) and lt == rt):
                     self.error("operand-type", "'sub' compares two multisets of one type",
@@ -167,17 +166,6 @@ class Checker:
                 self.error("operand-type",
                            f"no ordering on {lt.kind} values", p.span,
                            expected="Int or String", found=lt.kind)
-                return False
-            return True
-        if isinstance(p, s.Member):
-            lt = self.type_expr(env, p.elem)
-            rt = self.type_expr(env, p.container)
-            if lt is None or rt is None:
-                return False
-            if not isinstance(lt, s.Base) or rt != s.MSet(lt.kind):
-                self.error("operand-type", "'in' needs a scalar and a multiset of its type",
-                           p.span, expected=f"{{{_render_mtype(lt)}}}",
-                           found=_render_mtype(rt))
                 return False
             return True
         if isinstance(p, s.Not):
@@ -443,10 +431,6 @@ class Checker:
             b = self.type_process(env, p.second)
             return a and b
         raise TypeError(f"not a process: {p!r}")
-
-    def type_net(self, env: s.Scope, net: s.Net) -> None:
-        """Types a net: `type_parts` of its `syntax.net_parts`."""
-        self.type_parts(env, s.net_parts(net)[1])
 
     def type_parts(self, env: s.Scope, parts: list) -> None:
         """Types a net's parts (`syntax.net_parts`) in order.  A table whose

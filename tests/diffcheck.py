@@ -39,9 +39,9 @@ The population:
 
 Only text goes into the hash: renders, the `repr`s of parses, diagnostics,
 labels and the `str` of canonical keys, none of which depends on the
-string-hash seed.  CI runs it under PYTHONHASHSEED=0 and 7 and fails when
-the two lines differ, and fails when the line differs from
-`tests/diffcheck.expected`, the line of the committed code.
+string-hash seed.  CI runs it under PYTHONHASHSEED=0 and 7 and fails
+unless both print the line in `tests/diffcheck.expected`, the line of the
+committed code.
 """
 
 import hashlib

@@ -98,7 +98,7 @@ class AstGen:
             return s.LocVar(rng.choice(loc_vars))
         c = rng.random()
         if c < 0.35:
-            return s.Concat(self.expr(env, depth - 1), self.expr(env, depth - 1))
+            return s.Arith("++", self.expr(env, depth - 1), self.expr(env, depth - 1))
         if c < 0.75:
             op = rng.choice(["+", "-", "*", "/"])
             return s.Arith(op, self.expr(env, depth - 1), self.expr(env, depth - 1))
@@ -122,7 +122,7 @@ class AstGen:
                 return s.Cmp(op, self.expr(env, 1), self.expr(env, 1))
             if c < 0.85:
                 return s.Cmp("sub", self.expr(env, 1), self.expr(env, 1))
-            return s.Member(self.expr(env, 1), self.expr(env, 1))
+            return s.Cmp("in", self.expr(env, 1), self.expr(env, 1))
         if rng.random() < 0.4:
             return s.Not(self.pred(env, depth - 1))
         return s.And(self.pred(env, depth - 1), self.pred(env, depth - 1))

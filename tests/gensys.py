@@ -99,7 +99,7 @@ class TypedGen:
             return s.Arith(op, self.expr_of(env, s.INT, depth - 1),
                            self.expr_of(env, s.INT, depth - 1))
         if depth > 0 and t == s.STRING and rng.random() < 0.25:
-            return s.Concat(self.expr_of(env, s.STRING, depth - 1),
+            return s.Arith("++", self.expr_of(env, s.STRING, depth - 1),
                             self.expr_of(env, s.STRING, depth - 1))
         return self.literal_of(t)
 
@@ -124,7 +124,7 @@ class TypedGen:
         msets = [(n, ty) for n, ty in env.items() if isinstance(ty, s.MSet)]
         if msets and rng.random() < 0.3:
             name, ty = rng.choice(msets)
-            return s.Member(self.literal_of(s.Base(ty.kind)), s.DataVar(name))
+            return s.Cmp("in", self.literal_of(s.Base(ty.kind)), s.DataVar(name))
         if scalars:
             name, ty = rng.choice(scalars)
             var = s.LocVar(name) if ty == s.LOC else s.DataVar(name)
@@ -333,7 +333,7 @@ def _corrupt_action(a: s.Action, rng: random.Random):
     if isinstance(a, s.Update):
         comps = list(a.payload.components)
         i = rng.randrange(len(comps))
-        comps[i] = s.Concat(VStr("a"), VInt(1))
+        comps[i] = s.Arith("++", VStr("a"), VInt(1))
         return s.Update(a.tid, a.template, a.pred, s.Tuple(tuple(comps)), a.loc)
     if isinstance(a, (s.Delete, s.Aggr)) and len(a.template.fields) > 1:
         fields = a.template.fields[:-1]

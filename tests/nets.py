@@ -53,5 +53,5 @@ def no_rep(pairs: Multiset) -> bool:
 def check_net(net: s.Net, nabla: dict, procedures: Optional[dict] = None) -> list:
     """Diagnostics for a bare net under a given schema map."""
     checker = Checker(nabla, procedures or {})
-    checker.type_net(s.Scope(), net)
+    checker.type_parts(s.Scope(), s.net_parts(net)[1])
     return checker.diags

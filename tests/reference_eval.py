@@ -25,7 +25,7 @@ def eval_expr(e, env=_NO_ENV):
     if isinstance(e, (s.DataVar, s.LocVar)):
         # A variable env does not bind is an evaluation error.
         return env.get(e.name, ERR)
-    if isinstance(e, s.Concat):
+    if isinstance(e, s.Arith) and e.op == "++":
         a = eval_expr(e.left, env)
         b = eval_expr(e.right, env)
         if isinstance(a, VStr) and isinstance(b, VStr):
@@ -88,6 +88,15 @@ def _proper_subset(a, b):
 def eval_pred(p, env=_NO_ENV):
     if isinstance(p, s.TruePred):
         return True
+    if isinstance(p, s.Cmp) and p.op == "in":
+        a = eval_expr(p.left, env)
+        b = eval_expr(p.right, env)
+        if is_err(a) or is_err(b):
+            return ERR
+        ka = scalar_kind(a)
+        if ka is None or not isinstance(b, VSet) or b.kind() not in (None, ka):
+            return ERR
+        return a in b.elements
     if isinstance(p, s.Cmp):
         a = eval_expr(p.left, env)
         b = eval_expr(p.right, env)
@@ -98,15 +107,6 @@ def eval_pred(p, env=_NO_ENV):
                 return _proper_subset(a, b)
             return ERR
         return _cmp_scalars(p.op, a, b)
-    if isinstance(p, s.Member):
-        a = eval_expr(p.elem, env)
-        b = eval_expr(p.container, env)
-        if is_err(a) or is_err(b):
-            return ERR
-        ka = scalar_kind(a)
-        if ka is None or not isinstance(b, VSet) or b.kind() not in (None, ka):
-            return ERR
-        return a in b.elements
     if isinstance(p, s.Not):
         r = eval_pred(p.inner, env)
         if is_err(r):

@@ -13,7 +13,9 @@ through which the checker, `canonicalize` and `free_locs` read a net's
 parts, pops them off a stack; `ScopedMap` maps only the processes and
 tables it finds.  So parsing, checking and exploring take a net of any
 width, 10,000 nodes are pinned, and a net built in code of any shape: a
-3,000-node spine nested on the right is pinned.  `render` lays out every
+3,000-node spine nested on the right is pinned.  Restrictions nested one
+in another cost `net_parts` O(1) each however deep they nest, which the
+growth of its time from 500 to 4,000 levels pins.  `render` lays out every
 tree from one explicit stack, so it takes a net of any width and a chain
 of any length: 10,000 of each are pinned.  Running a wide net is pinned at
 900 nodes, because each step still costs passes over every item, so a run
@@ -21,6 +23,9 @@ is quadratic in the width.
 """
 
 import functools
+import time
+
+import pytest
 
 from kdb import semantics
 from kdb import syntax as s
@@ -143,3 +148,34 @@ def test_built_net_nested_on_the_right_of_3000():
     assert canonical == canonicalize(restricted_net(3_000, nest_left))
     assert len(s.free_locs(net)) == 3_001
     assert semantics.run(system, seed=0, max_steps=1).terminal == "step-limit"
+
+
+def nested_restrictions(n: int, beside: str) -> s.Net:
+    """n restrictions nested one in another, the i-th around a node at
+    `beside.format(i=i)` and the next."""
+    nil = s.ProcComp(s.NilProc())
+    net = s.Node("z", nil)
+    for i in reversed(range(n)):
+        net = s.Restrict(f"r{i}", s.ParNet(s.Node(beside.format(i=i), nil), net))
+    return net
+
+
+def least_process_time(f, *args) -> float:
+    best = float("inf")
+    for _ in range(3):
+        start = time.process_time()
+        f(*args)
+        best = min(best, time.process_time() - start)
+    return best
+
+
+@pytest.mark.parametrize("beside", ["r{i}", "f{i}"], ids=["own-name", "free-name"])
+def test_net_parts_linear_in_restriction_nesting(beside):
+    # A restriction costs net_parts O(1) however deep it nests, so 8 times
+    # the levels take about 8 times the time, where a cost per restriction
+    # that grew with the depth would take about 64.
+    small, large = nested_restrictions(500, beside), nested_restrictions(4_000, beside)
+    restricted, parts = s.net_parts(large)
+    assert restricted == tuple(f"r{i}" for i in range(4_000)) and len(parts) == 4_001
+    times = [least_process_time(s.net_parts, net) for net in (small, large)]
+    assert times[1] / times[0] < 24, f"500 levels {times[0]:.4f} s, 4,000 levels {times[1]:.4f} s"

@@ -8,9 +8,11 @@ import pytest
 import reference_eval as ref
 from fixtures import KLD_ROWS, KLD_SCHEMA, KLD_TABLE, SEVEN_BINDERS, srow
 from kdb import kernel as k
+from kdb import parser
 from kdb import syntax as s
 from kdb.net import canonicalize, find_tables
 from kdb.semantics import enumerate_transitions
+from kdb.typesys import Checker
 from kdb.values import (
     Multiset,
     ValueTuple,
@@ -55,14 +57,14 @@ class TestEvalExpr:
         assert eval_expr(s.Arith("/", intlit(-7), intlit(2))) == VInt(-3)
 
     def test_concat(self):
-        e = s.Concat(VStr("ab"), VStr("cd"))
+        e = s.Arith("++", VStr("ab"), VStr("cd"))
         assert eval_expr(e) == VStr("abcd")
 
     def test_arith_on_string_errs(self):
         assert k.is_err(eval_expr(s.Arith("+", VStr("a"), intlit(1))))
 
     def test_concat_on_int_errs(self):
-        assert k.is_err(eval_expr(s.Concat(intlit(1), intlit(2))))
+        assert k.is_err(eval_expr(s.Arith("++", intlit(1), intlit(2))))
 
     def test_mixed_multiset_errs(self):
         e = s.MultisetLit((intlit(1), VStr("x")))
@@ -107,15 +109,15 @@ class TestEvalPred:
 
     def test_membership(self):
         container = s.MultisetLit((VTid("KLD"), VTid("SH")))
-        assert eval_pred(s.Member(VTid("KLD"), container)) is True
-        assert eval_pred(s.Member(VTid("LAM"), container)) is False
+        assert eval_pred(s.Cmp("in", VTid("KLD"), container)) is True
+        assert eval_pred(s.Cmp("in", VTid("LAM"), container)) is False
 
     def test_membership_wrong_kind_errs(self):
         container = s.MultisetLit((VTid("KLD"),))
-        assert k.is_err(eval_pred(s.Member(intlit(1), container)))
+        assert k.is_err(eval_pred(s.Cmp("in", intlit(1), container)))
 
     def test_membership_needs_a_multiset(self):
-        assert k.is_err(eval_pred(s.Member(intlit(1), intlit(2))))
+        assert k.is_err(eval_pred(s.Cmp("in", intlit(1), intlit(2))))
 
     def test_proper_subset(self):
         small = s.MultisetLit((intlit(1),))
@@ -129,6 +131,26 @@ class TestEvalPred:
         two = s.MultisetLit((intlit(1), intlit(1)))
         assert eval_pred(s.Cmp("sub", one, two)) is True
         assert eval_pred(s.Cmp("sub", two, one)) is False
+
+
+# Well-typed operands of each comparison: `sub` takes two multisets, `in` a
+# scalar and a multiset of its type, the rest two scalars of one type.
+COMPARISON_OPERANDS = {"sub": (s.MultisetLit((intlit(1),)), s.MultisetLit((intlit(1), intlit(2)))),
+                       "in": (intlit(1), s.MultisetLit((intlit(1),)))}
+
+
+class TestOperatorFamilies:
+    # An operator family is one node class whose operator is data, so every
+    # operator the parser reads must be one the kernel and the checker know.
+    def test_every_binary_operator_is_in_the_kernel_table(self):
+        assert parser._BINOPS <= k._BINARY.keys()
+
+    @pytest.mark.parametrize("op", sorted(parser._COMPARISONS))
+    def test_every_comparison_evaluates_and_types(self, op):
+        pred = s.Cmp(op, *COMPARISON_OPERANDS.get(op, (intlit(1), intlit(2))))
+        assert not k.is_err(eval_pred(pred))
+        checker = Checker({})
+        assert checker.type_pred(s.Scope(), pred) and checker.diags == []
 
 
 class TestEvalUnderEnvironment:
@@ -152,13 +174,13 @@ class TestEvalUnderEnvironment:
                 return s.MultisetLit((expr(0), expr(0)))
             if c < 0.95:
                 return s.Arith(rng.choice("+-*/"), expr(depth - 1), expr(depth - 1))
-            return s.Concat(expr(depth - 1), VStr("b"))
+            return s.Arith("++", expr(depth - 1), VStr("b"))
 
         def pred(depth):
             c = rng.random()
             if depth == 0 or c < 0.5:
                 if c < 0.1:
-                    return s.Member(expr(1), expr(1))
+                    return s.Cmp("in", expr(1), expr(1))
                 return s.Cmp(rng.choice(s.CMP_OPS), expr(1), expr(1))
             if c < 0.7:
                 return s.Not(pred(depth - 1))
@@ -182,7 +204,7 @@ class TestEvalUnderEnvironment:
 class TestEvalTuple:
     def test_componentwise(self):
         t = s.Tuple((s.Arith("+", intlit(1), intlit(1)),
-                     s.Concat(VStr("a"), VStr("b"))))
+                     s.Arith("++", VStr("a"), VStr("b"))))
         assert eval_tuple(t) == ValueTuple((VInt(2), VStr("ab")))
 
     def test_any_component_error_propagates(self):
@@ -299,8 +321,6 @@ def naive_subst_with_indices(proc, name, value):
     def walk_expr(e, env):
         if isinstance(e, s.DataVar):
             return value if e.name not in env and e.name == name else e
-        if isinstance(e, s.Concat):
-            return s.Concat(walk_expr(e.left, env), walk_expr(e.right, env))
         if isinstance(e, s.Arith):
             return s.Arith(e.op, walk_expr(e.left, env), walk_expr(e.right, env))
         if isinstance(e, s.MultisetLit):
@@ -310,8 +330,6 @@ def naive_subst_with_indices(proc, name, value):
     def walk_pred(p, env):
         if isinstance(p, s.Cmp):
             return s.Cmp(p.op, walk_expr(p.left, env), walk_expr(p.right, env))
-        if isinstance(p, s.Member):
-            return s.Member(walk_expr(p.elem, env), walk_expr(p.container, env))
         if isinstance(p, s.Not):
             return s.Not(walk_pred(p.inner, env))
         if isinstance(p, s.And):

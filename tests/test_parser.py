@@ -54,6 +54,12 @@ class TestBasics:
         (row,) = net.component.left.rows
         assert row.components[0] == net.component.right.process.action.payload.components[0]
 
+    def test_an_operator_is_data_of_its_family_class(self):
+        net = parse_net('$l :: update(T@$l, (!x, !w), x in w, ("a" ++ "b", w)). nil')
+        action = net.component.process.action
+        assert action.pred == s.Cmp("in", s.DataVar("x"), s.DataVar("w"))
+        assert action.payload.components[0] == s.Arith("++", VStr("a"), VStr("b"))
+
     def test_restriction(self):
         net = parse_net("(new $priv) $priv :: nil")
         assert isinstance(net, s.Restrict)

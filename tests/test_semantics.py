@@ -243,7 +243,7 @@ class TestUpdate:
 
     def test_update_breaking_the_schema_is_an_error(self):
         payload = s.Tuple(tuple(s.DataVar(n) for n in SEVEN_BINDERS.names()[:6])
-                          + (s.Concat(s.DataVar("cr"), lit("x")),))
+                          + (s.Arith("++", s.DataVar("cr"), lit("x")),))
         proc = prefix_chain(s.Update("KLD", SEVEN_BINDERS, s.TruePred(), payload,
                                      VLoc("l1")))
         sys1 = empty_system(kld_net(proc))
@@ -717,7 +717,7 @@ MONITORED = [
                  "DEL", "delete from T@l1: format or evaluation error", True, id="del-eval"),
     pytest.param(with_t(s.Update("T", XY, s.TruePred(), tup(1, 2), AT_L1), srow(1)),
                  "UPD", "update T@l1: template mismatch", True, id="upd-template"),
-    pytest.param(with_t(s.Update("T", X, NO_ROW, s.Tuple((s.Concat(s.DataVar("x"), lit("a")),)),
+    pytest.param(with_t(s.Update("T", X, NO_ROW, s.Tuple((s.Arith("++", s.DataVar("x"), lit("a")),)),
                                  AT_L1), srow(1)),
                  "UPD", "update T@l1: format or evaluation error", True,
                  id="upd-payload-fails-on-rejected-row"),
@@ -931,7 +931,7 @@ class TestRowPassAgainstReference:
             return s.MultisetLit((self.expr(rng, 0), self.expr(rng, 0)))
         if c < 0.9:
             return s.Arith(rng.choice("+-*/"), self.expr(rng, depth - 1), self.expr(rng, depth - 1))
-        return s.Concat(self.expr(rng, depth - 1), VStr("y"))
+        return s.Arith("++", self.expr(rng, depth - 1), VStr("y"))
 
     def column_test(self, rng, template, kinds):
         """A test that fits the column a name reads (its last), so that it
@@ -945,11 +945,11 @@ class TestRowPassAgainstReference:
             return s.Cmp(rng.choice(s.CMP_OPS[:-1]), x, VInt(rng.randrange(-1, 3)))
         if kind == self.STR:
             if rng.random() < 0.3:
-                x = s.Concat(x, VStr("y"))
+                x = s.Arith("++", x, VStr("y"))
             return s.Cmp(rng.choice(s.CMP_OPS[:-1]), x, VStr(rng.choice(("x", "xy"))))
         if kind == self.SET:
             if rng.random() < 0.5:
-                return s.Member(VInt(rng.randrange(2)), x)
+                return s.Cmp("in", VInt(rng.randrange(2)), x)
             return s.Cmp("sub", x, s.MultisetLit((VInt(0), VInt(1), VInt(1))))
         return s.Cmp(rng.choice(("=", "!=")), x, VLoc("l1"))
 
@@ -961,7 +961,7 @@ class TestRowPassAgainstReference:
             if rng.random() < 0.75:
                 return self.column_test(rng, template, kinds)
             if rng.random() < 0.3:
-                return s.Member(self.expr(rng, 0), self.expr(rng, 1))
+                return s.Cmp("in", self.expr(rng, 0), self.expr(rng, 1))
             return s.Cmp(rng.choice(s.CMP_OPS), self.expr(rng, 1), self.expr(rng, 1))
         if c < 0.75:
             return s.Not(self.pred(rng, depth - 1, template, kinds))

@@ -258,7 +258,7 @@ L = VLoc("l")
 ONE = VInt(1)
 NIL = s.NilProc()
 X_EQ_1 = s.Cmp("=", X, ONE)
-X_IN_Y = s.Member(X, Y)
+X_IN_Y = s.Cmp("in", X, Y)
 TRUE = s.TruePred()
 NOT_TRUE = s.Not(TRUE)
 BOTH = s.And(TRUE, TRUE)
@@ -285,12 +285,12 @@ RENDER_CASES = [
     pytest.param(L, "$l", id="VLoc"),
     pytest.param(X, "x", id="DataVar"),
     pytest.param(U, "u", id="LocVar"),
-    pytest.param(s.Concat(X, VStr("s")), '(x ++ "s")', id="Concat"),
+    pytest.param(s.Arith("++", X, VStr("s")), '(x ++ "s")', id="Concat"),
     pytest.param(s.Arith("+", ONE, s.Arith("*", X, VInt(2))), "(1 + (x * 2))", id="Arith"),
     pytest.param(s.MultisetLit((VTid("KLD"), VTid("SH"))), "{KLD, SH}", id="MultisetLit"),
     pytest.param(TRUE, "true", id="TruePred"),
     pytest.param(s.Cmp("<=", X, ONE), "x <= 1", id="Cmp"),
-    pytest.param(s.Member(X, s.MultisetLit((ONE,))), "x in {1}", id="Member"),
+    pytest.param(s.Cmp("in", X, s.MultisetLit((ONE,))), "x in {1}", id="Member"),
     pytest.param(s.Not(X_EQ_1), "!(x = 1)", id="Cmp-under-Not"),
     pytest.param(s.Not(X_IN_Y), "!(x in y)", id="Member-under-Not"),
     pytest.param(s.Not(BOTH), "!(true && true)", id="And-under-Not"),

@@ -41,7 +41,7 @@ class TestExprTyping:
 
     def test_concat_of_strings(self):
         c = fresh_checker()
-        got = c.type_expr(env(), s.Concat(VStr("a"), VStr("b")))
+        got = c.type_expr(env(), s.Arith("++", VStr("a"), VStr("b")))
         assert got == s.STRING
 
     def test_unbound_variable(self):
@@ -78,7 +78,7 @@ class TestPredTyping:
     def test_membership_over_id_multiset(self):
         c = fresh_checker()
         g = env(("w", s.MSet("Id")))
-        assert c.type_pred(g, s.Member(VTid("KLD"), s.DataVar("w")))
+        assert c.type_pred(g, s.Cmp("in", VTid("KLD"), s.DataVar("w")))
 
     def test_cross_type_compare_rejected(self):
         c = fresh_checker()
@@ -153,7 +153,7 @@ class TestActionTyping:
     def select_action(self):
         template = s.Template((s.BindData("x"), s.BindData("y"), s.BindData("z"),
                                s.BindData("w"), s.BindLoc("p")))
-        pred = s.And(s.Member(VTid("KLD"), s.DataVar("w")),
+        pred = s.And(s.Cmp("in", VTid("KLD"), s.DataVar("w")),
                      s.Cmp("=", s.DataVar("x"), VStr("CPH")))
         payload = s.Tuple((s.DataVar("z"), s.LocVar("p")))
         return s.Select((s.TableByName("Stores", VLoc("l0")),),
@@ -408,6 +408,28 @@ def test_duplicate_table(src, texts):
 @pytest.mark.parametrize("src, texts", DIAGNOSTIC_TEXTS)
 def test_diagnostic_text(src, texts):
     assert [str(d) for d in check_system(parse_system(src))] == texts
+
+
+# The operator diagnostics of parsed programs, whole: `++` and the
+# arithmetic operators are typed in one branch, `in` with the comparisons.
+OPERATOR_DIAGNOSTICS = [
+    ("update(T@$l, (!x, !y, !z), true, (x, y ++ x, z))",
+     ("3:49", "operand-type", "concatenation needs two strings", "String", "String ++ Int")),
+    ("update(T@$l, (!x, !y, !z), true, (x + y, y, z))",
+     ("3:46", "operand-type", "'+' needs two integers", "Int", "Int + String")),
+    ("delete(T@$l, (!x, !y, !z), y in z)",
+     ("3:37", "operand-type", "'in' needs a scalar and a multiset of its type", "{String}",
+      "{Int}")),
+]
+
+
+@pytest.mark.parametrize("action, want", OPERATOR_DIAGNOSTICS, ids=["++", "+", "in"])
+def test_operator_diagnostic(action, want):
+    src = ("schema T : (Int, String, {Int})\n"
+           "$l :: table T : (Int, String, {Int}) = {}\n"
+           f"|| $l :: {action}. nil")
+    (d,) = check_system(parse_system(src))
+    assert (str(d.span), d.kind, d.message, d.expected, d.found) == want
 
 
 # Built nets keep the names they are built with: the checker reads them
