@@ -317,10 +317,13 @@ def apply_subst(sigma: Subst, target):
 # ---------------------------------------------------------------------------
 # Schema projection
 
+# One shared sort per scalar constant class: nodes are never assigned to.
+_LITERAL_SORT = {cls: s.Base(kind) for cls, kind in KIND.items()}
+
+
 def literal_sort(e: s.Expr) -> Optional[s.Base]:
     """The sort of a scalar constant; None for any other expression."""
-    kind = KIND.get(e.__class__)
-    return None if kind is None else s.Base(kind)
+    return _LITERAL_SORT.get(e.__class__)
 
 
 def _const_sort(e: s.Expr) -> Optional[s.MType]:

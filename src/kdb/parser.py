@@ -5,14 +5,15 @@ lowercase (`tp`, `tbv`), localities carry a `$` sigil (`$l1`).  Template
 fields bind data with `!x` and localities with `!@u`, so the parser can tell
 the two kinds of binders apart without type information.
 
-`tokenize` takes one regular-expression match per token and keeps the
-tokens in a `Tokens` store of three parallel sequences: kinds, texts and
-char offsets.  The parser names a token by its index and reads
-`kinds[i]`, `texts[i]` and `offsets[i]`; a node's span is the offset of its
-first token.  A line and column are computed only for a ParseError, against
-a line table built at most once per parse.  The store ends in one EOF
-token, which the parser never reads past.  Keyword and operator choices are
-table lookups on the kind.
+`tokenize` splits the source at its tokens with one regular expression, a
+chunk of lines at a time, and decides the kind and text of each distinct
+token text once.  It keeps the tokens in a `Tokens` store of three parallel
+sequences: kinds, texts and char offsets.  The parser names a token by its
+index and reads `kinds[i]`, `texts[i]` and `offsets[i]`; a node's span is
+the offset of its first token.  A line and column are computed only for a
+ParseError, against a line table built at most once per parse.  The store
+ends in one EOF token, which the parser never reads past.  Keyword and
+operator choices are table lookups on the kind.
 
 The descent resolves names as it meets them, so it builds the only tree.
 A binder scopes over the fields of its node written after it (the rule of
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import re
-import sys
+import struct
 
 from kdb import syntax as s
 from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
@@ -74,20 +75,23 @@ OPERATORS = ("||", "::", ":=", "!=", "<=", ">=", "++", "&&", "!@",
              "(", ")", "[", "]", "{", "}", ",", ".", ";", "@", "$", "!",
              "<", ">", "=", "+", "-", "*", "/", "|", ":")
 
-# Layout, then one token: the name of the group that matched is its kind.
+# One raw token: a word, an operator, a comment, an integer, a string or
+# any other character but layout, which is bad.  Each alternative begins
+# with a character that is not layout, so a search steps over layout.  No
+# token holds a newline.  Two-character operators come before the rest,
+# and a comment before "/".
 _TOKEN_RE = re.compile(
-    r"""\s*(?://[^\n]*\s*)*
-    (?:
-        (?P<INT>\d+)
-      | (?P<STRING>"(?:\\.|[^"\\\n])*")
-      | (?P<TID>[A-Z][A-Za-z0-9_]*)
-      | (?P<NAME>[a-z_][A-Za-z0-9_]*)
-      | (?P<OP>""" + "|".join(map(re.escape, OPERATORS)) + r""")
-      | (?P<EOF>\Z)
-      | (?P<BAD>.)
-    )""",
-    re.VERBOSE,
-)
+    r"""([A-Za-z_][A-Za-z0-9_]*|"""
+    + "|".join(re.escape(op) for op in OPERATORS if len(op) == 2)
+    + r"""|//[^\n]*|["""
+    + "".join(re.escape(op) for op in OPERATORS if len(op) == 1)
+    + r"""]|\d+|"(?:\\.|[^"\\\n])*"|\S)""")
+
+# The characters `tokenize` splits at once; each chunk but the last ends
+# just after a newline.  A chunk's offsets live as int objects until they
+# are packed, about 40 bytes a token: chunks of 8 KB would double the
+# parse's memory peak on a program of a few KB.
+_CHUNK = 2048
 
 # A keyword or an operator is a kind of its own.
 _OWN_KIND = {text: text for text in (*KEYWORDS, *OPERATORS)}
@@ -101,13 +105,28 @@ def _lex_error(message: str, source: str, offset: int) -> ParseError:
     return ParseError(message, where.line, where.col)
 
 
-def _unescape(body: str, source: str, offset: int) -> str:
-    def escape(m):
-        if m[1] not in _ESCAPES:
-            raise _lex_error(f"unknown escape \\{m[1]}", source, offset)
-        return _ESCAPES[m[1]]
-
-    return _ESCAPE_RE.sub(escape, body) if "\\" in body else body
+def _classify(raw: str) -> tuple:
+    """The kind and text of a raw token that is no keyword or operator.  A
+    comment's kind is None; a bad token's kind is BAD and its text the
+    error message."""
+    first = raw[0]
+    if first == '"' and len(raw) > 1:
+        body = raw[1:-1]
+        if "\\" not in body:
+            return "STRING", body
+        for escape in _ESCAPE_RE.findall(body):
+            if escape not in _ESCAPES:
+                return "BAD", f"unknown escape \\{escape}"
+        return "STRING", _ESCAPE_RE.sub(lambda m: _ESCAPES[m[1]], body)
+    if first.isdecimal():  # what \d matches
+        return "INT", raw
+    if "A" <= first <= "Z":
+        return "TID", raw
+    if "a" <= first <= "z" or first == "_":
+        return "NAME", raw
+    if raw.startswith("//"):
+        return None, raw
+    return "BAD", f"unexpected character {raw!r}"
 
 
 class Tokens:
@@ -131,28 +150,48 @@ class Tokens:
 
 
 def tokenize(source: str) -> Tokens:
-    """The tokens of `source`, ending in EOF."""
+    """The tokens of `source`, ending in EOF.
+
+    The regular expression does the work per token: splitting a chunk of
+    about `_CHUNK` characters at its tokens gives layout, token, layout,
+    ..., layout, and a token's offset is the running sum of the lengths
+    before it.  The kind and text of each distinct raw token are decided
+    once per call, and of a chunk's bad tokens the first is reported."""
     kinds, texts, offsets = [], [], bytearray()
-    add_kind, add_text = kinds.append, texts.append
+    kind_of, text_of = {}, {}  # a raw token -> its kind, its text
     shared = {}  # a text -> its one object, freed with the parse
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        text = m[kind]
-        start = m.start(kind)
-        own = _OWN_KIND.get(text)
-        if own is not None:
-            kind = text = own
-        else:
-            if kind == "STRING":
-                text = _unescape(text[1:-1], source, start)
-            elif kind == "BAD":
-                raise _lex_error(f"unexpected character {text!r}", source, start)
-            text = shared.setdefault(text, text)
-        add_kind(kind)
-        add_text(text)
-        offsets += start.to_bytes(4, sys.byteorder)
-        if kind == "EOF":
-            return Tokens(kinds, texts, memoryview(offsets).cast("I"))
+    start, size = 0, len(source)
+    while start < size:
+        end = source.find("\n", start + _CHUNK) + 1 or size
+        chunk = source[start:end]
+        pieces = _TOKEN_RE.split(chunk)
+        raws = pieces[1::2]
+        at = list(itertools.accumulate(map(len, pieces), initial=start))[1:-1:2]
+        bad = []
+        for raw in set(raws).difference(kind_of):
+            kind = text = _OWN_KIND.get(raw)
+            if kind is None:
+                kind, text = _classify(raw)
+                if kind == "BAD":
+                    bad.append(raw)
+            kind_of[raw] = kind
+            text_of[raw] = shared.setdefault(text, text)
+        if bad:
+            i = min(map(raws.index, bad))
+            raise _lex_error(text_of[raws[i]], source, at[i])
+        chunk_kinds = list(map(kind_of.__getitem__, raws))
+        if "//" in chunk:  # drop the comments, whose kind is None
+            raws = list(itertools.compress(raws, chunk_kinds))
+            at = list(itertools.compress(at, chunk_kinds))
+            chunk_kinds = list(filter(None, chunk_kinds))
+        kinds += chunk_kinds
+        texts += map(text_of.__getitem__, raws)
+        offsets += struct.pack(f"{len(at)}I", *at)
+        start = end
+    kinds.append("EOF")
+    texts.append("")
+    offsets += struct.pack("I", size)
+    return Tokens(kinds, texts, memoryview(offsets).cast("I"))
 
 
 _BASE_TYPES = {kw: kw for kw in ("Int", "String", "Id", "Loc")}

@@ -145,10 +145,15 @@ class Checker:
             if lt is None or rt is None:
                 return False
             if p.op == "in":
-                if not isinstance(lt, s.Base) or rt != s.MSet(lt.kind):
-                    self.error("operand-type", "'in' needs a scalar and a multiset of its type",
-                               p.span, expected=f"{{{_render_mtype(lt)}}}",
-                               found=_render_mtype(rt))
+                message = "'in' needs a scalar and a multiset of its type"
+                if not isinstance(lt, s.Base):  # the left side needs a scalar
+                    scalar = rt.kind if isinstance(rt, s.MSet) else "Int, String, Id or Loc"
+                    self.error("operand-type", message, p.span, expected=scalar,
+                               found=_render_mtype(lt))
+                    return False
+                if rt != s.MSet(lt.kind):
+                    self.error("operand-type", message, p.span,
+                               expected=f"{{{lt.kind}}}", found=_render_mtype(rt))
                     return False
                 return True
             if p.op == "sub":

@@ -420,10 +420,19 @@ OPERATOR_DIAGNOSTICS = [
     ("delete(T@$l, (!x, !y, !z), y in z)",
      ("3:37", "operand-type", "'in' needs a scalar and a multiset of its type", "{String}",
       "{Int}")),
+    # A multiset on the left: it needs the scalar of the right multiset, as
+    # multisets do not nest.
+    ("delete(T@$l, (!x, !y, !z), z in z)",
+     ("3:37", "operand-type", "'in' needs a scalar and a multiset of its type", "Int",
+      "{Int}")),
+    ("delete(T@$l, (!x, !y, !z), z in x)",
+     ("3:37", "operand-type", "'in' needs a scalar and a multiset of its type",
+      "Int, String, Id or Loc", "{Int}")),
 ]
 
 
-@pytest.mark.parametrize("action, want", OPERATOR_DIAGNOSTICS, ids=["++", "+", "in"])
+@pytest.mark.parametrize("action, want", OPERATOR_DIAGNOSTICS,
+                         ids=["++", "+", "in", "in-multiset-left", "in-no-multiset"])
 def test_operator_diagnostic(action, want):
     src = ("schema T : (Int, String, {Int})\n"
            "$l :: table T : (Int, String, {Int}) = {}\n"
