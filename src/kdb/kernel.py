@@ -38,10 +38,8 @@ from kdb.values import (
     Multiset,
     Value,
     ValueTuple,
-    VInt,
     VLoc,
     VSet,
-    VStr,
     row_sort_key,
     scalar_kind,
     value_sort_key,
@@ -85,9 +83,9 @@ def _div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-# op -> (the class of both operands and of the value, function of their payloads)
-_BINARY = {"+": (VInt, operator.add), "-": (VInt, operator.sub), "*": (VInt, operator.mul),
-           "/": (VInt, _div), "++": (VStr, operator.add)}
+# op -> (the class of both operands and of the value, its function)
+_BINARY = {"+": (int, operator.add), "-": (int, operator.sub), "*": (int, operator.mul),
+           "/": (int, _div), "++": (str, operator.add)}
 
 
 def compile_expr(e: s.Expr, slots: dict):
@@ -105,7 +103,7 @@ def compile_expr(e: s.Expr, slots: dict):
         def binary(cells):
             a, b = left(cells), right(cells)
             if a.__class__ is cls and b.__class__ is cls:
-                return cls(op(a.value, b.value))
+                return op(a, b)
             return ERR
         return binary
     if isinstance(e, s.MultisetLit):
@@ -133,13 +131,11 @@ def _proper_subset(a: VSet, b: VSet) -> Union[bool, _EvalErr]:
 
 # A comparison other than `sub` compares two scalars of one kind, and an
 # ordering exists for integers (numeric) and strings (lexicographic) only.
-_ORDERED = (VInt, VStr)
+_ORDERED = (int, str)
 _SCALAR_CMP = {
     "=": (operator.eq, KIND), "!=": (operator.ne, KIND),
-    "<": (lambda a, b: a.value < b.value, _ORDERED),
-    "<=": (lambda a, b: a.value <= b.value, _ORDERED),
-    ">": (lambda a, b: a.value > b.value, _ORDERED),
-    ">=": (lambda a, b: a.value >= b.value, _ORDERED),
+    "<": (operator.lt, _ORDERED), "<=": (operator.le, _ORDERED),
+    ">": (operator.gt, _ORDERED), ">=": (operator.ge, _ORDERED),
 }
 
 
@@ -208,8 +204,7 @@ def compile_tuple(t: s.Tuple, slots: dict):
 
     def cells_of(cells):
         vals = tuple([part(cells) for part in parts])
-        # Every value is true and ERR is false.
-        return vals if all(vals) else ERR
+        return ERR if ERR in vals else vals
     return cells_of
 
 
@@ -237,7 +232,7 @@ def match(et: ValueTuple, template: s.Template) -> Union[Subst, _EvalErr]:
     if len(et) != len(template.fields):
         return ERR
     out: Subst = {}
-    for v, f in zip(et.components, template.fields):
+    for v, f in zip(et, template.fields):
         # Localities bind exactly the locality fields; everything else binds data.
         if isinstance(f, s.BindLoc) != isinstance(v, VLoc):
             return ERR
@@ -253,7 +248,7 @@ def well_sorted_value(v, sort) -> bool:
     if isinstance(sort, tuple):
         if not isinstance(v, ValueTuple) or len(v) != len(sort):
             return False
-        return all(well_sorted_value(c, t) for c, t in zip(v.components, sort))
+        return all(well_sorted_value(c, t) for c, t in zip(v, sort))
     if isinstance(sort, s.Base):
         return scalar_kind(v) == sort.kind
     if isinstance(sort, s.MSet):
@@ -373,7 +368,7 @@ def join_rows(tables) -> Multiset:
         parts = []
         mult = 1
         for row, n in combo:
-            parts.extend(row.components)
+            parts.extend(row)
             mult *= n
         key = ValueTuple(tuple(parts))
         counts[key] = counts.get(key, 0) + mult
@@ -387,17 +382,25 @@ def minimal(rows: Multiset, order: s.OrderSpec) -> AbstractSet:
     """Rows with no strictly preceding row; the support set when unordered.
 
     Every loop order is a total preorder on rows, so these are the rows of
-    least key, or of greatest key under `desc`.
+    least key, or of greatest key under `desc`.  Rows and cells are compared
+    in C, as `values.sorted_rows` compares them, and only when that raises
+    are their keys computed.
     """
     support = rows.support()
     if order.op == "unordered":
         return support
     if order.op == "lex":
-        keys = {row: row_sort_key(row) for row in support}
+        value, key = (lambda row: row), row_sort_key
     else:
-        keys = {row: value_sort_key(row[order.col - 1]) for row in support}
-    best = (max if order.op == "desc" else min)(keys.values(), default=None)
-    return frozenset(row for row, key in keys.items() if key == best)
+        value = cell = operator.itemgetter(order.col - 1)
+        key = lambda row: value_sort_key(cell(row))  # noqa: E731
+    pick = max if order.op == "desc" else min
+    try:
+        best = pick(map(value, support), default=None)
+    except TypeError:
+        value = key
+        best = pick(map(value, support), default=None)
+    return frozenset(row for row in support if value(row) == best)
 
 
 def aggr_row_ok(fn: s.AggrFn, row: ValueTuple) -> bool:
@@ -405,7 +408,7 @@ def aggr_row_ok(fn: s.AggrFn, row: ValueTuple) -> bool:
     if fn.op == "count":
         return True
     i = fn.col - 1
-    return 0 <= i < len(row) and isinstance(row[i], VInt)
+    return 0 <= i < len(row) and row[i].__class__ is int
 
 
 def apply_aggr(fn: s.AggrFn, rows: Multiset) -> ValueTuple:
@@ -416,18 +419,16 @@ def apply_aggr(fn: s.AggrFn, rows: Multiset) -> ValueTuple:
     average is the floor of the integer division.
     """
     if fn.op == "count":
-        return ValueTuple((VInt(len(rows)),))
+        return ValueTuple((len(rows),))
     i = fn.col - 1
     if fn.op == "sum":
-        total = sum(row[i].value * n for row, n in rows.items())
-        return ValueTuple((VInt(total),))
+        return ValueTuple((sum(row[i] * n for row, n in rows.items()),))
     if fn.op == "avg":
         size = len(rows)
         if size == 0:
-            return ValueTuple((VInt(0),))
-        total = sum(row[i].value * n for row, n in rows.items())
-        return ValueTuple((VInt(total // size),))
-    vals = [row[i].value for row in rows.support()]
+            return ValueTuple((0,))
+        return ValueTuple((sum(row[i] * n for row, n in rows.items()) // size,))
+    vals = [row[i] for row in rows.support()]
     if not vals:
-        return ValueTuple((VInt(0),))
-    return ValueTuple((VInt(min(vals) if fn.op == "min" else max(vals)),))
+        return ValueTuple((0,))
+    return ValueTuple((min(vals) if fn.op == "min" else max(vals),))

@@ -29,7 +29,7 @@ import json
 from typing import NamedTuple
 
 from kdb import syntax as s
-from kdb.values import Multiset, VInt, VLoc, VSet, VStr, VTid, sorted_rows
+from kdb.values import Multiset, VLoc, VSet, VTid, sorted_rows
 
 
 class CanonicalNet(NamedTuple):
@@ -335,15 +335,13 @@ def dump_tables(cn: CanonicalNet) -> list:
         "loc": loc,
         "tid": tid,
         "schema": s.render_schema(body.interface.schema),
-        "rows": [[_json_value(v) for v in row.components] for row in sorted_rows(body.rows)],
+        "rows": [[_json_value(v) for v in row] for row in sorted_rows(body.rows)],
     } for (loc, tid), found in sorted(tables_by_id(cn).items()) for body in found]
 
 
 def _json_value(v):
-    if isinstance(v, VInt):
-        return v.value
-    if isinstance(v, VStr):
-        return v.value
+    if v.__class__ in (int, str):
+        return v
     if isinstance(v, (VTid, VLoc)):
         return v.name
     if isinstance(v, VSet):

@@ -43,7 +43,7 @@ import re
 import struct
 
 from kdb import syntax as s
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
+from kdb.values import Multiset, ValueTuple, VLoc, VSet, VTid
 
 
 class ParseError(Exception):
@@ -436,11 +436,11 @@ class _Parser:
         reads a locality itself).  `what` is the error when `t` begins none."""
         kind = self.kinds[t]
         if kind == "INT":
-            return VInt(int(self.texts[t]))
+            return int(self.texts[t])
         if kind == "-" and self.at("INT"):
-            return VInt(-int(self.texts[self.next()]))
+            return -int(self.texts[self.next()])
         if kind == "STRING":
-            return VStr(self.texts[t])
+            return self.texts[t]
         if kind == "TID":
             return VTid(self.texts[t])
         if kind == "$":

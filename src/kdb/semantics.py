@@ -60,7 +60,7 @@ from kdb import kernel as k
 from kdb import net as netmod
 from kdb import syntax as s
 from kdb.net import ERR_NET, CanonicalNet, canonical_key, make_canonical
-from kdb.values import Multiset, ValueTuple, VLoc, row_sort_key
+from kdb.values import Multiset, ValueTuple, VLoc, sorted_rows
 
 
 class IntegrityError(AssertionError):
@@ -148,11 +148,10 @@ def _judge(template: s.Template, pred: s.Pred, payload):
     make = None if payload is None else k.compile_tuple(payload, slots)
 
     def judge(row: ValueTuple):
-        cells = row.components
-        if len(cells) != len(locs) or tuple(map(isinstance, cells, vlocs)) != locs:
+        if len(row) != len(locs) or tuple(map(isinstance, row, vlocs)) != locs:
             return "match"
-        holds = test(cells)
-        image = None if make is None else make(cells)
+        holds = test(row)
+        image = None if make is None else make(row)
         if holds is k.ERR or image is k.ERR:
             return "eval"
         if not holds:
@@ -320,7 +319,7 @@ def _foreach_outcomes(p: s.Foreach) -> list:
             and not 1 <= p.order.col <= min(len(row) for row in found.hits)):
         return [("FOR_TT", "loop order names a missing column", k.ERR)]
     out = []
-    for t0 in sorted(k.minimal(Multiset.of_counts(found.hits), p.order), key=row_sort_key):
+    for t0 in sorted_rows(k.minimal(Multiset.of_counts(found.hits), p.order)):
         rest = s.TableLiteral(p.table.interface, rows.subtract(Multiset([t0])))
         succ = s.Seq(
             k.apply_subst(k.match(t0, p.template), p.body),

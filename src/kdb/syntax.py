@@ -7,9 +7,9 @@ its children.  A node's span is the source offset of its first token, an
 `int`, excluded from equality and hashing: two parses of the same text
 compare equal regardless of layout.  `Positions` turns an offset into a
 line:col `Span` only for what is reported, against the source that a parsed
-`System` keeps.  A constant is its value: an expression holds the `VInt`,
-`VStr`, `VTid` or `VLoc` of `kdb.values` that a table row holds, with no
-span, and `rename_value` renames a locality wherever it occurs.
+`System` keeps.  A constant is its value: an expression holds the `int`,
+`str`, `VTid` or `VLoc` that a table row holds (`kdb.values`), with no span,
+and `rename_value` renames a locality wherever it occurs.
 
 The binding structure of processes is declared with the classes and
 collected in the table CHILDREN: a binder scopes over the fields of its node
@@ -38,16 +38,7 @@ from bisect import bisect_right
 from typing import Optional, Union
 
 from kdb.nodes import Record, build
-from kdb.values import (
-    Multiset,
-    ValueTuple,
-    VInt,
-    VLoc,
-    VSet,
-    VStr,
-    VTid,
-    sorted_rows,
-)
+from kdb.values import Multiset, ValueTuple, VLoc, VSet, VTid, sorted_rows
 
 
 class Span(Record):
@@ -151,7 +142,7 @@ class MultisetLit(ExpressionNode, elements=MANY):
     __slots__ = ("elements", "span")  # elements: Exprs, each multiset-free
 
 
-Expr = Union[VInt, VStr, VTid, VLoc, DataVar, LocVar, Arith, MultisetLit]
+Expr = Union[int, str, VTid, VLoc, DataVar, LocVar, Arith, MultisetLit]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +368,8 @@ LOC = Base("Loc")
 # value, row, multiset of rows or table) returns its text; a node's, its
 # parts: strings, child nodes, and `_Tight` children in positions where the
 # classes of a wrap table take its delimiters.  `render` lays parts out
-# from one explicit stack.
+# from one explicit stack, on which every `str` is finished text, so a
+# String constant is quoted before it is pushed (`_operands`, `_commas`).
 
 _PARENS = ("(", ")")
 _TIGHT_PROC = {Seq: _PARENS}  # a prefix's continuation, a loop body, a sequence's first half
@@ -398,7 +390,7 @@ def render(node) -> str:
     keeps = hasattr(node.__class__, "_text")
     if keeps and node._text is not None:
         return node._text
-    out, stack = [], [node]
+    out, stack = [], [_quote(node) if node.__class__ is str else node]
     try:
         while stack:
             part = stack.pop()
@@ -437,22 +429,30 @@ def _quote(s: str) -> str:
     return '"' + out + '"'
 
 
+def _operands(e) -> tuple:
+    """The parts of a binary operator's operands around it."""
+    left, right = e.left, e.right
+    return (_quote(left) if left.__class__ is str else left, f" {e.op} ",
+            _quote(right) if right.__class__ is str else right)
+
+
 def _join(leaves) -> str:
     return ", ".join([_FORMAT[x.__class__](x) for x in leaves])
 
 
 def _commas(nodes: tuple) -> list:
     parts = [", "] * (2 * len(nodes) - 1)
-    parts[::2] = nodes
+    parts[::2] = [_quote(x) if x.__class__ is str else x for x in nodes]
     return parts
 
 
 def _row(row: ValueTuple) -> str:
-    text = row._text
-    if text is None:
-        text = "(" + _join(row.components) + ")"
-        object.__setattr__(row, "_text", text)
-    return text
+    """A row's text, which the row keeps the first time it is asked for."""
+    try:
+        return row._text
+    except AttributeError:
+        row._text = text = "(" + _join(row) + ")"
+        return text
 
 
 def _table(t) -> str:
@@ -478,8 +478,8 @@ _FORMAT = {
     Base: lambda t: t.kind,
     MSet: lambda t: "{" + t.kind + "}",
     tuple: lambda sk: "(" + _join(sk) + ")",  # a schema
-    VInt: lambda v: str(v.value),
-    VStr: lambda v: _quote(v.value),
+    int: str,
+    str: _quote,
     VTid: lambda v: v.name,
     VLoc: lambda v: "$" + v.name,
     VSet: lambda v: "{" + ", ".join(sorted([_FORMAT[e.__class__](e) for e in v.elements])) + "}",
@@ -487,10 +487,10 @@ _FORMAT = {
     Multiset: lambda rows: "{" + _join(sorted_rows(rows)) + "}",
     DataVar: lambda e: e.name,
     LocVar: lambda e: e.name,
-    Arith: lambda e: ("(", e.left, f" {e.op} ", e.right, ")"),
+    Arith: lambda e: ("(", *_operands(e), ")"),
     MultisetLit: lambda e: ("{", *_commas(e.elements), "}"),
     TruePred: lambda p: "true",
-    Cmp: lambda p: (p.left, f" {p.op} ", p.right),
+    Cmp: _operands,
     Not: lambda p: ("!", _Tight((p.inner, _TIGHT_PRED))),
     And: lambda p: (_Tight((p.left, _TIGHT_PRED)), " && ", _Tight((p.right, _TIGHT_PRED))),
     Tuple: lambda t: ("(", *_commas(t.components), ")"),
@@ -699,8 +699,8 @@ def rename_rows(rows: Multiset, mapping: dict) -> Multiset:
     """Rows with their locality values mapped; `rows` itself if none is."""
     counts = None
     for row, n in rows.items():
-        comps = tuple(rename_value(v, mapping) for v in row.components)
-        if all(a is b for a, b in zip(comps, row.components)):
+        comps = tuple([rename_value(v, mapping) for v in row])
+        if all(a is b for a, b in zip(comps, row)):
             continue
         if counts is None:
             counts = rows.copy_counts()
@@ -766,7 +766,7 @@ class _FreeLocs(ScopedMap):
 
     def _rows(self, node, env):
         for row in node.rows.support():
-            for v in row.components:
+            for v in row:
                 self._value(v, env)
         return node
 
@@ -799,10 +799,11 @@ _RENAME_LOCALITIES = _RenameLocalities()
 
 def rename_localities(node, mapping: dict):
     """A process or a table with its locality occurrences renamed by
-    `mapping`.  A net is renamed part by part, as `net_parts` does."""
+    `mapping`.  A net is renamed part by part, as `net_parts` does.  A
+    `Scope` is used as it is, not copied: the renaming binds nothing."""
     if not mapping:
         return node
-    return _RENAME_LOCALITIES.map(node, Scope(mapping))
+    return _RENAME_LOCALITIES.map(node, mapping if mapping.__class__ is Scope else Scope(mapping))
 
 
 # -- the parts of a net
@@ -822,7 +823,9 @@ def net_parts(net) -> tuple:
     shadows it.  The walk records parts and scopes; two passes over the
     record, binding names in `Scope`s at O(1) a restriction, find the net's
     free names, then number and rename.  Only a net with a restriction walks
-    its bodies for free names, and only a part with a clash in scope renames.
+    its bodies for free names, and only a part with a clash in scope renames,
+    by the renaming `Scope` itself, so however many clashes are in scope a
+    part costs no copy of them.
     """
     events = []  # a part's (locality, body); a restricted name as its scope opens, None as it closes
     stack = [(net, None)]  # a net or a component, and its node's locality
@@ -865,7 +868,7 @@ def net_parts(net) -> tuple:
             restricted.append(new)
             (kept if new == e else renaming).bind(e, new)
         elif renaming:
-            parts.append((renaming.get(e[0], e[0]), rename_localities(e[1], dict(renaming))))
+            parts.append((renaming.get(e[0], e[0]), rename_localities(e[1], renaming)))
         else:
             parts.append(e)
     return tuple(restricted), parts

@@ -490,12 +490,6 @@ class _TableShapes(s.ScopedMap):
              **dict.fromkeys(s.EXPRESSION_NODES, s.keep)}
 
 
-def build_schema_map(system: s.System, positions: Optional[s.Positions] = None):
-    """The schema map `check_system` builds: (mapping, diagnostics)."""
-    return _schema_map(system, s.net_parts(system.main_net)[1],
-                       positions or s.Positions(system.source))
-
-
 def _schema_map(system: s.System, parts: list, positions: s.Positions):
     """Union of the declared schemas, the net's tables, then the table
     literals and creates of procedure bodies and of the net's processes:

@@ -1,10 +1,14 @@
 """Runtime value domain: scalar values, rows, and counted multisets.
 
 Everything here is immutable and hashable so that tables and whole net
-snapshots can be used as dictionary keys and compared structurally.  The
-values and rows are node classes of `kdb.nodes`, declared by their slots;
-a row computes its hash when it is built, and its text and sort key the
-first time they are asked for.
+snapshots can be used as dictionary keys and compared structurally.  An
+`Int` cell is a Python `int` and a `String` cell a `str`; an `Id`, a `Loc`
+and a multiset value are node classes of `kdb.nodes`, so none of them
+equals a string of the same text.  A row is a `ValueTuple`, a `tuple` with
+no hash or equality of its own, so rows hash, compare and serve as
+dictionary keys in C code.  A row keeps its text the first time it is
+rendered (`syntax._row`), and rows sort in their cells' own order, which
+needs no key unless cells of other kinds decide (`sorted_rows`).
 """
 
 from __future__ import annotations
@@ -110,14 +114,6 @@ class Multiset:
 # ---------------------------------------------------------------------------
 # Values
 
-class VInt(Record):
-    __slots__ = ("value",)
-
-
-class VStr(Record):
-    __slots__ = ("value",)
-
-
 class VTid(Record):
     """A table identifier as a first-class value."""
     __slots__ = ("name",)
@@ -146,62 +142,63 @@ class VSet(Record):
         return None
 
 
-Value = Union[VInt, VStr, VTid, VLoc, VSet]
+build(globals())
+
+Value = Union[int, str, VTid, VLoc, VSet]
 
 
-# The column kind of each scalar value class.
-KIND = {VInt: "Int", VStr: "String", VTid: "Id", VLoc: "Loc"}
+# The column kind of each scalar value class.  A `bool` is no cell: no
+# expression yields one.
+KIND = {int: "Int", str: "String", VTid: "Id", VLoc: "Loc"}
 
 
 def scalar_kind(v) -> str | None:
     """Kind tag for scalar values; None for multisets and non-values."""
-    return KIND.get(type(v))
+    return KIND.get(v.__class__)
 
 
-class ValueTuple(Record):
-    # The row's text (`syntax.render_row`) and `row_sort_key`, each kept the
-    # first time it is asked for, as a process or a table keeps its text.
-    __slots__ = ("components", "_text", "_sort_key")
+class ValueTuple(tuple):
+    """A row: a tuple of at least one cell.  It defines no hash and no
+    equality of its own, so a row is hashed and compared by `tuple`'s.  Its
+    `__dict__` is made only when `syntax` keeps the row's text in it."""
 
-    def __post_init__(self):
-        if len(self.components) < 1:
+    def __new__(cls, cells):
+        row = tuple.__new__(cls, cells)
+        if not row:
             raise ValueError("rows must have at least one component")
-        # Computed once per row, as rows are hashed whenever a table is.
-        object.__setattr__(self, "_hash", hash((self.components,)))
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __getitem__(self, i: int):
-        return self.components[i]
-
-
-build(globals())
+        return row
 
 
 def value_sort_key(v):
-    """A total order on values, used only to make output deterministic."""
-    if isinstance(v, VInt):
-        return (0, v.value)
-    if isinstance(v, VStr):
-        return (1, v.value)
-    if isinstance(v, VTid):
+    """A total order on values, used only to make output deterministic:
+    integers, then strings, identifiers, localities and multisets, each
+    kind in its own order (strings by code point)."""
+    cls = v.__class__
+    if cls is int:
+        return (0, v)
+    if cls is str:
+        return (1, v)
+    if cls is VTid:
         return (2, v.name)
-    if isinstance(v, VLoc):
+    if cls is VLoc:
         return (3, v.name)
-    if isinstance(v, VSet):
-        return (4, tuple(sorted((value_sort_key(e) for e in v.elements), )))
+    if cls is VSet:
+        return (4, tuple(sorted(value_sort_key(e) for e in v.elements)))
     raise TypeError(f"not a value: {v!r}")
 
 
-def row_sort_key(row: ValueTuple):
-    key = row._sort_key
-    if key is None:
-        key = tuple(value_sort_key(v) for v in row.components)
-        object.__setattr__(row, "_sort_key", key)
-    return key
+def row_sort_key(row: ValueTuple) -> tuple:
+    return tuple([value_sort_key(v) for v in row])
 
 
-def sorted_rows(rows: Multiset) -> list:
-    """Rows repeated by multiplicity, in deterministic order."""
-    return sorted(rows, key=row_sort_key)
+def sorted_rows(rows) -> list:
+    """Rows, each as often as `rows` yields it, in `row_sort_key` order.
+
+    Rows compare in C, as tuples: two rows first differ in the same column
+    under both orders, and two integers or two strings compare as their
+    keys do.  Any other two cells raise `TypeError`, and only then are the
+    keys computed."""
+    try:
+        return sorted(rows)
+    except TypeError:
+        return sorted(rows, key=row_sort_key)

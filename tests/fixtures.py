@@ -4,7 +4,7 @@ import copy
 
 from kdb import semantics
 from kdb import syntax as s
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
+from kdb.values import Multiset, ValueTuple, VLoc, VSet, VTid
 
 KLD_SCHEMA = (s.STRING, s.STRING, s.STRING, s.STRING, s.STRING, s.INT, s.INT)
 STORES_SCHEMA = (s.STRING, s.STRING, s.STRING, s.MSet("Id"), s.LOC)
@@ -12,15 +12,7 @@ SSRESULT_SCHEMA = (s.STRING, s.STRING, s.INT)
 
 
 def srow(*parts) -> ValueTuple:
-    vals = []
-    for p in parts:
-        if isinstance(p, int):
-            vals.append(VInt(p))
-        elif isinstance(p, str):
-            vals.append(VStr(p))
-        else:
-            vals.append(p)
-    return ValueTuple(tuple(vals))
+    return ValueTuple(parts)
 
 
 KLD_ROWS = Multiset([

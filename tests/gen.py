@@ -11,7 +11,7 @@ purpose, for differentials of that renaming.
 import random
 
 from kdb import syntax as s
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
+from kdb.values import Multiset, ValueTuple, VLoc, VSet, VTid
 
 KINDS = ["Int", "String", "Id", "Loc"]
 
@@ -46,9 +46,9 @@ class AstGen:
         rng = self.rng
         kind = kind or rng.choice(KINDS)
         if kind == "Int":
-            return VInt(rng.randrange(-50, 50))
+            return rng.randrange(-50, 50)
         if kind == "String":
-            return VStr("".join(rng.choice("abc xyz") for _ in range(rng.randrange(0, 5))))
+            return "".join(rng.choice("abc xyz") for _ in range(rng.randrange(0, 5)))
         if kind == "Id":
             return VTid(rng.choice(["KLD", "SH", "LAM"]))
         return VLoc(self.loc_name())
@@ -86,9 +86,9 @@ class AstGen:
         if depth == 0 or rng.random() < 0.55:
             c = rng.choice(leaves)
             if c == "int":
-                return VInt(rng.randrange(-99, 100))
+                return rng.randrange(-99, 100)
             if c == "str":
-                return VStr("".join(rng.choice('ab"\\n ') for _ in range(rng.randrange(0, 4))))
+                return "".join(rng.choice('ab"\\n ') for _ in range(rng.randrange(0, 4)))
             if c == "tid":
                 return VTid(self.fresh_tid())
             if c == "loc":

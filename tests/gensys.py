@@ -11,7 +11,7 @@ select or a loop anywhere in a process, which `corrupt` never does.
 import random
 
 from kdb import syntax as s
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
+from kdb.values import Multiset, ValueTuple, VLoc, VSet, VTid
 
 STRING_POOL = ["red", "black", "white", "HB", "SB", "x", "y"]
 ID_POOL = ["KLD", "SH", "LAM", "IMK"]
@@ -57,9 +57,9 @@ class TypedGen:
     def value_of(self, t: s.MType):
         rng = self.rng
         if t == s.INT:
-            return VInt(rng.randrange(-9, 10))
+            return rng.randrange(-9, 10)
         if t == s.STRING:
-            return VStr(rng.choice(STRING_POOL))
+            return rng.choice(STRING_POOL)
         if t == s.LOC:
             return VLoc(rng.choice(self.locs))
         if t == s.ID:
@@ -73,9 +73,9 @@ class TypedGen:
     def literal_of(self, t: s.MType) -> s.Expr:
         rng = self.rng
         if t == s.INT:
-            return VInt(rng.randrange(-9, 10))
+            return rng.randrange(-9, 10)
         if t == s.STRING:
-            return VStr(rng.choice(STRING_POOL))
+            return rng.choice(STRING_POOL)
         if t == s.LOC:
             return VLoc(rng.choice(self.locs))
         if t == s.ID:
@@ -133,7 +133,7 @@ class TypedGen:
             else:
                 op = rng.choice(["=", "!="])
             return s.Cmp(op, var, self.expr_of(env, ty, 0))
-        return s.Cmp("=", VInt(1), VInt(1))
+        return s.Cmp("=", 1, 1)
 
     def template_for(self, sk: tuple):
         fields = []
@@ -183,7 +183,7 @@ class TypedGen:
                 if rng.random() < 0.6:
                     var = s.LocVar(names[i]) if t == s.LOC else s.DataVar(names[i])
                     if t == s.INT and rng.random() < 0.5:
-                        payload.append(s.Arith(rng.choice(["+", "-"]), var, VInt(rng.randrange(1, 4))))
+                        payload.append(s.Arith(rng.choice(["+", "-"]), var, rng.randrange(1, 4)))
                     else:
                         payload.append(var)
                 else:
@@ -328,12 +328,12 @@ def _corrupt_action(a: s.Action, rng: random.Random):
         comps.pop(rng.randrange(len(comps)))
         return s.Insert(a.tid, s.Tuple(tuple(comps)), a.loc)
     if isinstance(a, s.Insert):
-        swapped = VStr("oops") if not isinstance(a.payload.components[0], VStr) else VInt(0)
+        swapped = "oops" if not isinstance(a.payload.components[0], str) else 0
         return s.Insert(a.tid, s.Tuple((swapped,) + a.payload.components[1:]), a.loc)
     if isinstance(a, s.Update):
         comps = list(a.payload.components)
         i = rng.randrange(len(comps))
-        comps[i] = s.Arith("++", VStr("a"), VInt(1))
+        comps[i] = s.Arith("++", "a", 1)
         return s.Update(a.tid, a.template, a.pred, s.Tuple(tuple(comps)), a.loc)
     if isinstance(a, (s.Delete, s.Aggr)) and len(a.template.fields) > 1:
         fields = a.template.fields[:-1]

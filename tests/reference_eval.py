@@ -13,7 +13,7 @@ import operator
 
 from kdb import syntax as s
 from kdb.kernel import ERR, is_err
-from kdb.values import KIND, Multiset, ValueTuple, VInt, VLoc, VSet, VStr, scalar_kind
+from kdb.values import KIND, Multiset, ValueTuple, VLoc, VSet, scalar_kind
 
 _NO_ENV = {}  # never mutated
 
@@ -28,25 +28,25 @@ def eval_expr(e, env=_NO_ENV):
     if isinstance(e, s.Arith) and e.op == "++":
         a = eval_expr(e.left, env)
         b = eval_expr(e.right, env)
-        if isinstance(a, VStr) and isinstance(b, VStr):
-            return VStr(a.value + b.value)
+        if isinstance(a, str) and isinstance(b, str):
+            return a + b
         return ERR
     if isinstance(e, s.Arith):
         a = eval_expr(e.left, env)
         b = eval_expr(e.right, env)
-        if not (isinstance(a, VInt) and isinstance(b, VInt)):
+        if not (isinstance(a, int) and isinstance(b, int)):
             return ERR
         if e.op == "+":
-            return VInt(a.value + b.value)
+            return a + b
         if e.op == "-":
-            return VInt(a.value - b.value)
+            return a - b
         if e.op == "*":
-            return VInt(a.value * b.value)
+            return a * b
         if e.op == "/":
-            if b.value == 0:
-                return VInt(0)
-            q = abs(a.value) // abs(b.value)
-            return VInt(q if (a.value >= 0) == (b.value >= 0) else -q)
+            if b == 0:
+                return 0
+            q = abs(a) // abs(b)
+            return q if (a >= 0) == (b >= 0) else -q
         raise ValueError(f"unknown arithmetic operator {e.op!r}")
     if isinstance(e, s.MultisetLit):
         vals = [eval_expr(el, env) for el in e.elements]
@@ -70,9 +70,9 @@ def _cmp_scalars(op, a, b):
         return a != b
     compare = _ORDER.get(op)
     # Ordering exists for integers (numeric) and strings (lexicographic).
-    if compare is None or cls not in (VInt, VStr):
+    if compare is None or cls not in (int, str):
         return ERR
-    return compare(a.value, b.value)
+    return compare(a, b)
 
 
 def _proper_subset(a, b):
@@ -137,7 +137,7 @@ def match(et, template):
     if len(et) != len(template.fields):
         return ERR
     out = {}
-    for v, f in zip(et.components, template.fields):
+    for v, f in zip(et, template.fields):
         # Localities bind exactly the locality fields; everything else binds data.
         if isinstance(f, s.BindLoc) != isinstance(v, VLoc):
             return ERR

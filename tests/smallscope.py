@@ -10,7 +10,7 @@ import random
 import naive_engine
 from kdb import semantics, syntax as s
 from kdb.net import canonicalize
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
+from kdb.values import Multiset, ValueTuple, VLoc
 
 LOCS = ["l0", "l1"]
 TIDS = ["A", "B"]
@@ -32,8 +32,8 @@ class SmallGen:
 
     def value(self, t):
         if t == s.INT:
-            return VInt(self.rng.randrange(0, 3))
-        return VStr(self.rng.choice("ab"))
+            return self.rng.randrange(0, 3)
+        return self.rng.choice("ab")
 
     def expr(self, t=None):
         rng = self.rng
@@ -44,10 +44,10 @@ class SmallGen:
             t = s.STRING if t == s.INT else s.INT
         if t == s.INT:
             if rng.random() < 0.3:
-                return s.Arith(rng.choice(["+", "-"]), VInt(rng.randrange(3)),
-                               VInt(rng.randrange(3)))
-            return VInt(rng.randrange(3))
-        return VStr(rng.choice("ab"))
+                return s.Arith(rng.choice(["+", "-"]), rng.randrange(3),
+                               rng.randrange(3))
+            return rng.randrange(3)
+        return rng.choice("ab")
 
     def template_for(self, sk):
         n = len(sk) if self.rng.random() < 0.8 else self.rng.randrange(1, 4)

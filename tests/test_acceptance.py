@@ -16,14 +16,20 @@ import gensys
 import smallscope
 from kdb import kernel as k
 from kdb import syntax as s
+from kdb import typesys
 from kdb.net import canonicalize, dump_tables, lid
 from kdb.parser import parse_system
 from kdb.semantics import explore, run
-from kdb.typesys import Checker, build_schema_map, check_system
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
+from kdb.typesys import Checker, check_system
+from kdb.values import Multiset, ValueTuple, VLoc
 from nets import check_net, no_rep, to_net
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
+
+
+def build_schema_map(system: s.System):
+    """The schema map `check_system` builds: (mapping, diagnostics)."""
+    return typesys._schema_map(system, s.net_parts(system.main_net)[1], s.Positions(system.source))
 
 
 def report(n: int, text: str):
@@ -252,7 +258,7 @@ def synthetic_system(target_chars: int) -> s.System:
     row_cost = len('("w00000000", 10000, 20000), ')
     n_rows = max(1, int(target_chars * 0.8) // row_cost)
     rows = Multiset([
-        ValueTuple((VStr(f"w{i:08d}"), VInt(i), VInt(i * 7)))
+        ValueTuple((f"w{i:08d}", i, i * 7))
         for i in range(n_rows)
     ])
     action_cost = len('insert(Big@$l0, ("w00000000", 1, 2)). ')
@@ -263,7 +269,7 @@ def synthetic_system(target_chars: int) -> s.System:
     while made < n_actions:
         proc: s.Process = s.NilProc()
         for _ in range(min(chain, n_actions - made)):
-            payload = s.Tuple((VStr(f"w{made:08d}"), VInt(made), VInt(made * 3)))
+            payload = s.Tuple((f"w{made:08d}", made, made * 3))
             proc = s.Prefix(s.Insert("Big", payload, VLoc("l0")), proc)
             made += 1
         parts.append(s.Node("l0", s.ProcComp(proc)))

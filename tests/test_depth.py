@@ -14,8 +14,9 @@ parts, pops them off a stack; `ScopedMap` maps only the processes and
 tables it finds.  So parsing, checking and exploring take a net of any
 width, 10,000 nodes are pinned, and a net built in code of any shape: a
 3,000-node spine nested on the right is pinned.  Restrictions nested one
-in another cost `net_parts` O(1) each however deep they nest, which the
-growth of its time from 500 to 4,000 levels pins.  `render` lays out every
+in another cost `net_parts` O(1) each however deep they nest, even when
+every restricted name clashes with a free one, which the growth of its
+time from 500 to 4,000 levels pins.  `render` lays out every
 tree from one explicit stack, so it takes a net of any width and a chain
 of any length: 10,000 of each are pinned.  Running a wide net is pinned at
 900 nodes, because each step still costs passes over every item, so a run
@@ -33,7 +34,7 @@ from kdb.net import canonicalize
 from kdb.parser import parse_system
 from kdb.syntax import render
 from kdb.typesys import check_system
-from kdb.values import Multiset, VInt, VLoc
+from kdb.values import Multiset, VLoc
 
 
 def chain(n: int) -> str:
@@ -113,7 +114,7 @@ def test_render_wide_net_of_10000():
 def test_render_chain_of_10000():
     chain = s.NilProc()
     for i in reversed(range(10_000)):
-        chain = s.Prefix(s.Insert("T", s.Tuple((VInt(i),)), VLoc("l")), chain)
+        chain = s.Prefix(s.Insert("T", s.Tuple((i,)), VLoc("l")), chain)
     assert render(chain) == "".join(f"insert(T@$l, ({i})). " for i in range(10_000)) + "nil"
 
 
@@ -122,7 +123,7 @@ def restricted_net(n: int, nest) -> s.Net:
     a node at `$a` of n inserts beside a table; a free `$a :: nil` beside
     it.  `nest` joins a list of nets or components."""
     def insert(loc, i):
-        return s.ProcComp(s.Prefix(s.Insert("T", s.Tuple((VInt(i),)), VLoc(loc)), s.NilProc()))
+        return s.ProcComp(s.Prefix(s.Insert("T", s.Tuple((i,)), VLoc(loc)), s.NilProc()))
 
     table = s.TableComp(s.Interface("T", (s.INT,)), Multiset())
     nodes = [s.Node(f"l{i}", nest(s.ParComp, [insert(f"l{i}", i), table])) for i in range(n)]
@@ -150,13 +151,16 @@ def test_built_net_nested_on_the_right_of_3000():
     assert semantics.run(system, seed=0, max_steps=1).terminal == "step-limit"
 
 
-def nested_restrictions(n: int, beside: str) -> s.Net:
+def nested_restrictions(n: int, beside: str, free: bool = False) -> s.Net:
     """n restrictions nested one in another, the i-th around a node at
-    `beside.format(i=i)` and the next."""
+    `beside.format(i=i)` and the next; with `free`, beside a node at each
+    restricted name outside them all, so that every restricted name clashes."""
     nil = s.ProcComp(s.NilProc())
     net = s.Node("z", nil)
     for i in reversed(range(n)):
         net = s.Restrict(f"r{i}", s.ParNet(s.Node(beside.format(i=i), nil), net))
+    for i in range(n if free else 0):
+        net = s.ParNet(net, s.Node(f"r{i}", nil))
     return net
 
 
@@ -169,13 +173,20 @@ def least_process_time(f, *args) -> float:
     return best
 
 
-@pytest.mark.parametrize("beside", ["r{i}", "f{i}"], ids=["own-name", "free-name"])
-def test_net_parts_linear_in_restriction_nesting(beside):
+@pytest.mark.parametrize("beside, free", [("r{i}", False), ("f{i}", False), ("r{i}", True)],
+                         ids=["own-name", "free-name", "every-level-clashes"])
+def test_net_parts_linear_in_restriction_nesting(beside, free):
     # A restriction costs net_parts O(1) however deep it nests, so 8 times
     # the levels take about 8 times the time, where a cost per restriction
-    # that grew with the depth would take about 64.
-    small, large = nested_restrictions(500, beside), nested_restrictions(4_000, beside)
+    # that grew with the depth would take about 64.  When every name
+    # clashes, each part is renamed under all the clashes in scope.
+    small, large = nested_restrictions(500, beside, free), nested_restrictions(4_000, beside, free)
     restricted, parts = s.net_parts(large)
-    assert restricted == tuple(f"r{i}" for i in range(4_000)) and len(parts) == 4_001
+    if free:
+        assert restricted == tuple(f"r{i}#{i + 1}" for i in range(4_000))
+        assert parts[:2] == [("r0#1", s.NilProc()), ("r1#2", s.NilProc())]
+    else:
+        assert restricted == tuple(f"r{i}" for i in range(4_000))
+    assert len(parts) == (8_001 if free else 4_001)
     times = [least_process_time(s.net_parts, net) for net in (small, large)]
     assert times[1] / times[0] < 24, f"500 levels {times[0]:.4f} s, 4,000 levels {times[1]:.4f} s"

@@ -16,10 +16,8 @@ from kdb.typesys import Checker
 from kdb.values import (
     Multiset,
     ValueTuple,
-    VInt,
     VLoc,
     VSet,
-    VStr,
     VTid,
     row_sort_key,
     value_sort_key,
@@ -27,7 +25,7 @@ from kdb.values import (
 
 
 def intlit(n):
-    return VInt(n)
+    return n
 
 
 def agreed(got, want):
@@ -50,36 +48,36 @@ def eval_tuple(t, *env):
 
 class TestEvalExpr:
     def test_division_by_zero_yields_zero(self):
-        assert eval_expr(s.Arith("/", intlit(6), intlit(0))) == VInt(0)
+        assert eval_expr(s.Arith("/", intlit(6), intlit(0))) == 0
 
     def test_division_truncates_toward_zero(self):
-        assert eval_expr(s.Arith("/", intlit(7), intlit(2))) == VInt(3)
-        assert eval_expr(s.Arith("/", intlit(-7), intlit(2))) == VInt(-3)
+        assert eval_expr(s.Arith("/", intlit(7), intlit(2))) == 3
+        assert eval_expr(s.Arith("/", intlit(-7), intlit(2))) == -3
 
     def test_concat(self):
-        e = s.Arith("++", VStr("ab"), VStr("cd"))
-        assert eval_expr(e) == VStr("abcd")
+        e = s.Arith("++", "ab", "cd")
+        assert eval_expr(e) == "abcd"
 
     def test_arith_on_string_errs(self):
-        assert k.is_err(eval_expr(s.Arith("+", VStr("a"), intlit(1))))
+        assert k.is_err(eval_expr(s.Arith("+", "a", intlit(1))))
 
     def test_concat_on_int_errs(self):
         assert k.is_err(eval_expr(s.Arith("++", intlit(1), intlit(2))))
 
     def test_mixed_multiset_errs(self):
-        e = s.MultisetLit((intlit(1), VStr("x")))
+        e = s.MultisetLit((intlit(1), "x"))
         assert k.is_err(eval_expr(e))
 
     def test_homogeneous_multiset(self):
         e = s.MultisetLit((intlit(1), intlit(1), intlit(2)))
-        assert eval_expr(e) == VSet(Multiset([VInt(1), VInt(1), VInt(2)]))
+        assert eval_expr(e) == VSet(Multiset([1, 1, 2]))
 
     def test_free_variable_errs(self):
         assert k.is_err(eval_expr(s.DataVar("x")))
 
     def test_huge_arithmetic_is_exact(self):
         e = s.Arith("*", intlit(2**70), intlit(3**40))
-        assert eval_expr(e) == VInt(2**70 * 3**40)
+        assert eval_expr(e) == 2**70 * 3**40
 
 
 class TestEvalPred:
@@ -89,10 +87,10 @@ class TestEvalPred:
         assert eval_pred(p) is True
 
     def test_cross_type_compare_errs(self):
-        assert k.is_err(eval_pred(s.Cmp("<", VStr("a"), intlit(1))))
+        assert k.is_err(eval_pred(s.Cmp("<", "a", intlit(1))))
 
     def test_and_is_error_strict_even_when_other_side_false(self):
-        bad = s.Cmp("=", VStr("a"), intlit(1))
+        bad = s.Cmp("=", "a", intlit(1))
         p = s.And(s.Cmp("=", intlit(1), intlit(2)), bad)
         assert k.is_err(eval_pred(p))
 
@@ -105,7 +103,7 @@ class TestEvalPred:
         assert k.is_err(eval_pred(s.Cmp("<=", VTid("A"), VTid("B"))))
 
     def test_string_ordering_is_lexicographic(self):
-        assert eval_pred(s.Cmp("<", VStr("abc"), VStr("abd"))) is True
+        assert eval_pred(s.Cmp("<", "abc", "abd")) is True
 
     def test_membership(self):
         container = s.MultisetLit((VTid("KLD"), VTid("SH")))
@@ -160,21 +158,21 @@ class TestEvalUnderEnvironment:
 
     def test_random_terms_agree_with_substitution(self):
         rng = random.Random(5)
-        values = [VInt(7), VStr("a"), VLoc("l"),
-                  VSet(Multiset([VInt(2), VInt(2), VInt(3)])), VSet(Multiset())]
+        values = [7, "a", VLoc("l"),
+                  VSet(Multiset([2, 2, 3])), VSet(Multiset())]
         names = ["x", "y", "z"]
 
         def expr(depth):
             c = rng.random()
             if depth == 0 or c < 0.5:
                 if rng.random() < 0.3:
-                    return VInt(rng.randrange(4))
+                    return rng.randrange(4)
                 return rng.choice([s.DataVar, s.DataVar, s.LocVar])(rng.choice(names))
             if c < 0.6:
                 return s.MultisetLit((expr(0), expr(0)))
             if c < 0.95:
                 return s.Arith(rng.choice("+-*/"), expr(depth - 1), expr(depth - 1))
-            return s.Arith("++", expr(depth - 1), VStr("b"))
+            return s.Arith("++", expr(depth - 1), "b")
 
         def pred(depth):
             c = rng.random()
@@ -189,7 +187,7 @@ class TestEvalUnderEnvironment:
         outcomes = set()
         for _ in range(1000):
             # x and y are integers; z is anything, or unbound.
-            env = {"x": VInt(rng.randrange(4)), "y": VInt(rng.randrange(4))}
+            env = {"x": rng.randrange(4), "y": rng.randrange(4)}
             if rng.random() < 0.8:
                 env["z"] = rng.choice(values)
             p = pred(2)
@@ -204,16 +202,16 @@ class TestEvalUnderEnvironment:
 class TestEvalTuple:
     def test_componentwise(self):
         t = s.Tuple((s.Arith("+", intlit(1), intlit(1)),
-                     s.Arith("++", VStr("a"), VStr("b"))))
-        assert eval_tuple(t) == ValueTuple((VInt(2), VStr("ab")))
+                     s.Arith("++", "a", "b")))
+        assert eval_tuple(t) == ValueTuple((2, "ab"))
 
     def test_any_component_error_propagates(self):
-        t = s.Tuple((intlit(1), s.Arith("+", VStr("a"), intlit(1))))
+        t = s.Tuple((intlit(1), s.Arith("+", "a", intlit(1))))
         assert k.is_err(eval_tuple(t))
 
     def test_constant_row_evaluates_to_itself(self):
         t = s.Tuple(tuple(
-            VStr(x) if isinstance(x, str) else intlit(x)
+            x if isinstance(x, str) else intlit(x)
             for x in ("001", "HB", "2015", "white", "37", 6, 0)
         ))
         assert eval_tuple(t) == srow("001", "HB", "2015", "white", "37", 6, 0)
@@ -221,12 +219,12 @@ class TestEvalTuple:
 
 class TestMatch:
     def test_pairs_bind_in_order(self):
-        et = ValueTuple((VInt(5), VInt(7)))
+        et = ValueTuple((5, 7))
         tpl = s.Template((s.BindData("x"), s.BindData("y")))
-        assert k.match(et, tpl) == {"x": VInt(5), "y": VInt(7)}
+        assert k.match(et, tpl) == {"x": 5, "y": 7}
 
     def test_arity_mismatch_errs(self):
-        et = ValueTuple((VInt(5), VInt(7)))
+        et = ValueTuple((5, 7))
         tpl = s.Template((s.BindData("x"), s.BindData("y"), s.BindData("z")))
         assert k.is_err(k.match(et, tpl))
 
@@ -234,7 +232,7 @@ class TestMatch:
         assert k.is_err(k.match(ValueTuple((VLoc("l1"),)), s.Template((s.BindData("x"),))))
 
     def test_scalar_does_not_bind_locality_field(self):
-        assert k.is_err(k.match(ValueTuple((VInt(1),)), s.Template((s.BindLoc("u"),))))
+        assert k.is_err(k.match(ValueTuple((1,)), s.Template((s.BindLoc("u"),))))
 
     def test_multiset_binds_data_field(self):
         v = VSet(Multiset([VLoc("l1")]))
@@ -270,9 +268,9 @@ class TestWellSorted:
 
 class TestSubstitution:
     def test_predicate_substitution(self):
-        p = s.Cmp("=", s.DataVar("tp"), VStr("HB"))
-        got = k.apply_subst({"tp": VStr("SB")}, p)
-        assert got == s.Cmp("=", VStr("SB"), VStr("HB"))
+        p = s.Cmp("=", s.DataVar("tp"), "HB")
+        got = k.apply_subst({"tp": "SB"}, p)
+        assert got == s.Cmp("=", "SB", "HB")
 
     def test_inner_binder_shadows(self):
         # x is rebound by the loop template, so inner occurrences stay put.
@@ -289,8 +287,8 @@ class TestSubstitution:
             s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l1")), s.NilProc()),
             loop,
         )
-        got = k.apply_subst({"x": VInt(5)}, outer)
-        assert got.first.action.payload == s.Tuple((VInt(5),))
+        got = k.apply_subst({"x": 5}, outer)
+        assert got.first.action.payload == s.Tuple((5,))
         assert got.second.body.action.payload == s.Tuple((s.DataVar("x"),))
 
     def test_table_variable_substitution(self):
@@ -367,7 +365,7 @@ class TestSubstAgainstScopeOracle:
 
         def rand_expr(depth=2):
             if depth == 0 or rng.random() < 0.5:
-                return rng.choice([VInt(rng.randrange(5)), s.DataVar(rng.choice(names))])
+                return rng.choice([rng.randrange(5), s.DataVar(rng.choice(names))])
             return s.Arith("+", rand_expr(depth - 1), rand_expr(depth - 1))
 
         def rand_pred():
@@ -394,8 +392,8 @@ class TestSubstAgainstScopeOracle:
 
         for _ in range(300):
             proc = rand_proc(3)
-            got = k.apply_subst({"x": VInt(9)}, proc)
-            want = naive_subst_with_indices(proc, "x", VInt(9))
+            got = k.apply_subst({"x": 9}, proc)
+            want = naive_subst_with_indices(proc, "x", 9)
             assert got == want
 
 
@@ -418,15 +416,15 @@ class TestMatchTotalityOnSortedInputs:
             vals = []
             for t in sk:
                 if t == s.INT:
-                    vals.append(VInt(rng.randrange(5)))
+                    vals.append(rng.randrange(5))
                 elif t == s.STRING:
-                    vals.append(VStr(rng.choice("ab")))
+                    vals.append(rng.choice("ab"))
                 elif t == s.ID:
                     vals.append(VTid("K"))
                 elif t == s.LOC:
                     vals.append(VLoc("l1"))
                 elif t == s.MSet("Int"):
-                    vals.append(VSet(Multiset([VInt(rng.randrange(3))])))
+                    vals.append(VSet(Multiset([rng.randrange(3)])))
                 else:
                     vals.append(VSet(Multiset([VLoc("l2")])))
             row = ValueTuple(tuple(vals))
@@ -445,14 +443,14 @@ class TestProjection:
         assert k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t) == KLD_SCHEMA
 
     def test_constant_component_contributes_its_own_sort(self):
-        t = s.Tuple((VInt(42), s.DataVar("cr")))
+        t = s.Tuple((42, s.DataVar("cr")))
         got = k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t)
         assert got == (s.INT, s.STRING)
 
     def test_payload_longer_than_its_template(self):
         # Every component still projects: a constant brings its own sort.
         template = s.Template((s.BindData("x"),))
-        t = s.Tuple((s.DataVar("x"), VInt(1), VStr("a"), s.DataVar("x")))
+        t = s.Tuple((s.DataVar("x"), 1, "a", s.DataVar("x")))
         got = k.project_schema((s.INT,), template, t)
         assert got == (s.INT, s.INT, s.STRING, s.INT)
 
@@ -461,7 +459,7 @@ class TestProjection:
         assert k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t) is None
 
     def test_operator_component_is_undefined(self):
-        t = s.Tuple((s.Arith("+", VInt(1), VInt(1)),))
+        t = s.Tuple((s.Arith("+", 1, 1),))
         assert k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t) is None
 
     def test_identity_projection_on_random_schemas(self):
@@ -522,7 +520,7 @@ class TestJoins:
             for _ in range(rng.randrange(1, 4)):
                 arity = rng.randrange(1, 3)
                 rows = [
-                    ValueTuple(tuple(VInt(rng.randrange(3)) for _ in range(arity)))
+                    ValueTuple(tuple(rng.randrange(3) for _ in range(arity)))
                     for _ in range(rng.randrange(0, 5))
                 ]
                 tables.append(Multiset(rows))
@@ -531,7 +529,7 @@ class TestJoins:
             expanded = [list(t) for t in tables]
             combos = list(itertools.product(*expanded))
             want = Multiset([
-                ValueTuple(tuple(v for row in combo for v in row.components))
+                ValueTuple(tuple(v for row in combo for v in row))
                 for combo in combos
             ])
             assert got == want
@@ -590,11 +588,11 @@ class TestMinimal:
         # Rows of up to three columns, each drawing from every value kind, so
         # that a column can mix kinds as an unchecked net's can.
         pools = [
-            [VInt(n) for n in range(-1, 2)],
-            [VStr(c) for c in "ab"],
+            [n for n in range(-1, 2)],
+            [c for c in "ab"],
             [VTid("K"), VTid("T")],
             [VLoc("l1"), VLoc("l2")],
-            [VSet(Multiset()), VSet(Multiset([VInt(1), VInt(1)])), VSet(Multiset([VStr("a")]))],
+            [VSet(Multiset()), VSet(Multiset([1, 1])), VSet(Multiset(["a"]))],
         ]
         rng = random.Random(11)
         for trial in range(300):
@@ -618,7 +616,7 @@ class TestAggregation:
     def _sales_matching(self, pred_col, pred_val):
         out = {}
         for row, n in KLD_ROWS.items():
-            if row[pred_col].value == pred_val:
+            if row[pred_col] == pred_val:
                 out[row] = n
         return Multiset(out)
 

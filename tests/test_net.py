@@ -26,7 +26,7 @@ from kdb.net import (
     lid,
     ok,
 )
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet
+from kdb.values import Multiset, ValueTuple, VLoc, VSet
 from nets import no_rep, to_net
 
 
@@ -47,7 +47,7 @@ class TestCanonicalize:
         assert canonical_key(canonicalize(n)) == canonical_key(canonicalize(node("l1", proc(NIL))))
 
     def test_co_located_nil_process_absorbed(self):
-        p = s.Prefix(s.Insert("T", s.Tuple((VInt(1),)), VLoc("l1")), NIL)
+        p = s.Prefix(s.Insert("T", s.Tuple((1,)), VLoc("l1")), NIL)
         merged = node("l1", s.ParComp(proc(p), proc(NIL)))
         plain = node("l1", proc(p))
         assert canonical_key(canonicalize(merged)) == canonical_key(canonicalize(plain))
@@ -239,12 +239,12 @@ def _build(k: int, items: list, naming: list) -> s.Net:
     for item in items:
         if item[0] == "P":
             _, site, target, tid, n, v = item
-            action = s.Insert(tid, s.Tuple((VInt(n), value(v))), VLoc(name(target)))
+            action = s.Insert(tid, s.Tuple((n, value(v))), VLoc(name(target)))
             comp = s.ProcComp(s.Prefix(action, NIL))
         else:
             tid, site, rows = item
             comp = s.TableComp(_INTERFACES[tid], Multiset(
-                ValueTuple((VInt(n), value(v))) for n, v in rows))
+                ValueTuple((n, value(v))) for n, v in rows))
         nodes.append(s.Node(name(site), comp))
     out = nodes[0]
     for part in nodes[1:]:
@@ -451,10 +451,16 @@ class TestStateKeys:
 
 
 def _counting(monkeypatch, name: str) -> list:
-    """The arguments of every call of `syntax.<name>` from now on."""
+    """The arguments of every call of `syntax.<name>` from now on, each
+    mapping as a copy of what it held at the call: `net_parts` renames by
+    its live `Scope`, which it undoes later."""
     calls = []
     real = getattr(s, name)
-    monkeypatch.setattr(s, name, lambda *args: calls.append(args) or real(*args))
+
+    def counting(*args):
+        calls.append(tuple(dict(a) if isinstance(a, dict) else a for a in args))
+        return real(*args)
+    monkeypatch.setattr(s, name, counting)
     return calls
 
 
@@ -523,7 +529,7 @@ class TestCanonicalKey:
         assert str(keys[0]) < str(keys[1])
         assert ("ρ0", "table T : (Int) = {(7)}", 1) in keys[0][2]
         # So the tie starts with the step of the second process.
-        rest = s.Prefix(s.Insert("T", s.Tuple((VInt(6),)), VLoc("r0")), NIL)
+        rest = s.Prefix(s.Insert("T", s.Tuple((6,)), VLoc("r0")), NIL)
         assert tie[0].succ.items.count(("a", rest)) == 1
         labels = [label.detail for label, _ in run(system, seed=0).steps]
         assert labels == ["insert (1) into T@a", "insert (5) into T@r1",

@@ -7,7 +7,7 @@ import pytest
 from gen import random_system
 from kdb import syntax as s
 from kdb.parser import ParseError, _Parser, parse_system
-from kdb.values import VInt, VLoc, VStr
+from kdb.values import VLoc
 
 
 def parse_net(src: str) -> s.Net:
@@ -22,7 +22,7 @@ class TestBasics:
         assert action.tid == "KLD"
         assert action.loc == VLoc("l1")
         assert len(action.payload.components) == 7
-        assert action.payload.components[5] == VInt(6)
+        assert action.payload.components[5] == 6
 
     def test_bare_nil_is_the_empty_net(self):
         assert parse_net("nil") == s.NilNet()
@@ -44,7 +44,7 @@ class TestBasics:
 
     def test_negative_integer_literal(self):
         net = parse_net("$l :: insert(T@$l, (-5)). nil")
-        assert net.component.process.action.payload.components[0] == VInt(-5)
+        assert net.component.process.action.payload.components[0] == -5
 
     @pytest.mark.parametrize("constant, sort", [("0", "Int"), ("-7", "Int"), ('"a\\"b"', "String"),
                                                 ("KLD", "Id"), ("$m", "Loc")])
@@ -52,13 +52,13 @@ class TestBasics:
         net = parse_net(f"$l :: {{ table T : ({sort}) = {{ ({constant}) }}"
                         f" | insert(T@$l, ({constant})). nil }}")
         (row,) = net.component.left.rows
-        assert row.components[0] == net.component.right.process.action.payload.components[0]
+        assert row[0] == net.component.right.process.action.payload.components[0]
 
     def test_an_operator_is_data_of_its_family_class(self):
         net = parse_net('$l :: update(T@$l, (!x, !w), x in w, ("a" ++ "b", w)). nil')
         action = net.component.process.action
         assert action.pred == s.Cmp("in", s.DataVar("x"), s.DataVar("w"))
-        assert action.payload.components[0] == s.Arith("++", VStr("a"), VStr("b"))
+        assert action.payload.components[0] == s.Arith("++", "a", "b")
 
     def test_restriction(self):
         net = parse_net("(new $priv) $priv :: nil")
@@ -363,8 +363,8 @@ class TestRowParsing:
             '{ ("CPH", {KLD, SH}, $l1), ("AAL", {LAM}, $l4) }')
         comp = net.component
         assert len(comp.rows) == 2
-        (row1, row2) = sorted(comp.rows, key=lambda r: r.components[0].value)
-        assert row2.components[0] == VStr("CPH")
+        (row1, row2) = sorted(comp.rows, key=lambda r: r[0])
+        assert row2[0] == "CPH"
 
     def test_duplicate_rows_keep_multiplicity(self):
         net = parse_net("$l :: table T : (Int) = { (1), (1) }")

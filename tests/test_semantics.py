@@ -30,7 +30,7 @@ from kdb.semantics import (
     run,
     step_interactive,
 )
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr
+from kdb.values import Multiset, ValueTuple, VLoc, VSet
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -51,7 +51,7 @@ def prefix_chain(*actions) -> s.Process:
 
 
 def lit(x) -> s.Expr:
-    return VInt(x) if isinstance(x, int) else VStr(x)
+    return x if isinstance(x, int) else x
 
 
 def tup(*xs) -> s.Tuple:
@@ -228,8 +228,8 @@ class TestUpdate:
         payload = s.Tuple((
             s.DataVar("id"), s.DataVar("tp"), s.DataVar("yr"), s.DataVar("cr"),
             s.DataVar("sz"),
-            s.Arith("-", s.DataVar("is0"), VInt(2)),
-            s.Arith("+", s.DataVar("ss"), VInt(2)),
+            s.Arith("-", s.DataVar("is0"), 2),
+            s.Arith("+", s.DataVar("ss"), 2),
         ))
         proc = prefix_chain(s.Update("KLD", SEVEN_BINDERS, pred, payload, VLoc("l1")))
         sys1 = empty_system(kld_net(proc))
@@ -425,7 +425,7 @@ class TestForeach:
         table = s.TableLiteral(s.Interface("T", (s.INT,)),
                                Multiset([srow(1), srow(2), srow(3)]))
         loop = s.Foreach(table, s.Template((s.BindData("x"),)),
-                         s.Cmp(">", s.DataVar("x"), VInt(1)), s.OrderSpec("asc", 1),
+                         s.Cmp(">", s.DataVar("x"), 1), s.OrderSpec("asc", 1),
                          prefix_chain(s.Insert("Out", s.Tuple((s.DataVar("x"),)),
                                                VLoc("l1"))))
         sys1 = empty_system(s.ParNet(node("l1", s.ProcComp(loop)),
@@ -545,7 +545,7 @@ class TestInterleaving:
         table = s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(1)]))
         bump = lambda amount: prefix_chain(s.Update(  # noqa: E731
             "T", s.Template((s.BindData("x"),)), s.TruePred(),
-            s.Tuple((s.Arith("*", s.DataVar("x"), VInt(amount)),)), VLoc("l1")))
+            s.Tuple((s.Arith("*", s.DataVar("x"), amount),)), VLoc("l1")))
         net = s.ParNet(s.ParNet(node("l1", s.ProcComp(bump(2))),
                                 node("l1", s.ProcComp(bump(3)))),
                        node("l1", table))
@@ -561,7 +561,7 @@ class TestInterleaving:
         table = s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(1)]))
         setter = lambda v: prefix_chain(s.Update(  # noqa: E731
             "T", s.Template((s.BindData("x"),)), s.TruePred(),
-            s.Tuple((VInt(v),)), VLoc("l1")))
+            s.Tuple((v,)), VLoc("l1")))
         net = s.ParNet(s.ParNet(node("l1", s.ProcComp(setter(7))),
                                 node("l1", s.ProcComp(setter(9)))),
                        node("l1", table))
@@ -569,8 +569,7 @@ class TestInterleaving:
         rows = set()
         for cn in result.quiescent:
             (t,) = find_tables(cn, "l1", "T")
-            rows.add(tuple(sorted(v.value for (v,) in
-                                  (r.components for r in t.rows))))
+            rows.add(tuple(sorted(v for (v,) in t.rows)))
         assert rows == {(7,), (9,)}
 
     def test_selection_is_atomic_against_a_concurrent_update(self):
@@ -586,7 +585,7 @@ class TestInterleaving:
                                             VLoc("l2")))))
         writer = prefix_chain(s.Update(
             "T", s.Template((s.BindData("z"),)), s.TruePred(),
-            s.Tuple((s.Arith("+", s.DataVar("z"), VInt(10)),)), VLoc("l1")))
+            s.Tuple((s.Arith("+", s.DataVar("z"), 10),)), VLoc("l1")))
         net = s.ParNet(s.ParNet(node("l1", s.ProcComp(reader)),
                                 node("l1", s.ProcComp(writer))),
                        s.ParNet(node("l1", table), node("l2", out)))
@@ -594,8 +593,7 @@ class TestInterleaving:
         snapshots = set()
         for cn in result.quiescent:
             (t,) = find_tables(cn, "l2", "Out")
-            snapshots.add(tuple(sorted(v.value for (v,) in
-                                       (r.components for r in t.rows))))
+            snapshots.add(tuple(sorted(v for (v,) in t.rows)))
         # the selection sees the table wholly before or wholly after the update
         assert snapshots == {(1, 2), (11, 12)}
 
@@ -630,7 +628,7 @@ class TestIntegrity:
         s.Insert("T", tup(3), VLoc("l1")),
         s.Delete("T", s.Template((s.BindData("x"),)), s.TruePred(), VLoc("l1")),
         s.Update("T", s.Template((s.BindData("x"),)), s.TruePred(),
-                 s.Tuple((s.Arith("+", s.DataVar("x"), VInt(1)),)), VLoc("l1")),
+                 s.Tuple((s.Arith("+", s.DataVar("x"), 1),)), VLoc("l1")),
     ]
 
     @pytest.mark.parametrize("write", WRITES, ids=["insert", "delete", "update"])
@@ -684,7 +682,7 @@ XY = s.Template((s.BindData("x"), s.BindData("y")))
 AT_L1 = VLoc("l1")
 # Comparing an Int with a String is an evaluation error.
 BAD_CMP = s.Cmp("=", s.DataVar("x"), lit("a"))
-NO_ROW = s.Cmp(">", s.DataVar("x"), VInt(5))
+NO_ROW = s.Cmp(">", s.DataVar("x"), 5)
 
 
 def t_table(*rows, schema=(s.INT,)) -> s.TableComp:
@@ -748,7 +746,7 @@ MONITORED = [
     pytest.param(with_t(select_t(X, BAD_CMP, X_PAYLOAD), srow(1), srow(1, 2)),
                  "SEL", "select: evaluation error", True, id="sel-first-failing-row-decides"),
     pytest.param(with_t(select_t(X, s.TruePred(),
-                                 s.Tuple((s.Arith("+", s.DataVar("x"), VInt(1)),))),
+                                 s.Tuple((s.Arith("+", s.DataVar("x"), 1),))),
                         srow(1)),
                  "SEL", "select: malformed payload for schema projection", True,
                  id="sel-payload"),
@@ -761,7 +759,7 @@ MONITORED = [
                  "FOR_FF", "loop exit: format or evaluation error", True, id="for-exit-error"),
     pytest.param(loop_at_l1(s.TruePred(), s.OrderSpec("unordered"), srow(1, 2), template=X),
                  "FOR_FF", "loop exit: format or evaluation error", True, id="for-exit-mismatch"),
-    pytest.param(loop_at_l1(s.Cmp(">", s.DataVar("x"), VInt(0)), s.OrderSpec("unordered"),
+    pytest.param(loop_at_l1(s.Cmp(">", s.DataVar("x"), 0), s.OrderSpec("unordered"),
                             srow("a"), srow(1)),
                  "FOR_TT", "iterate on (1)", False, id="for-iterates-past-a-failing-row"),
 ]
@@ -884,15 +882,15 @@ class TestRowPassAgainstReference:
 
     def cell(self, rng, kind):
         if rng.random() < 0.05:  # the wrong sort: a locality in a data column, or back
-            return VInt(1) if kind == self.LOC else VLoc("l2")
+            return 1 if kind == self.LOC else VLoc("l2")
         if rng.random() < 0.05 and kind != self.LOC:
             kind = rng.randrange(3)  # a column of mixed kinds, as an unchecked net has
         if kind == self.INT:
-            return VInt(rng.randrange(-1, 3))
+            return rng.randrange(-1, 3)
         if kind == self.STR:
-            return VStr(rng.choice("xy"))
+            return rng.choice("xy")
         if kind == self.SET:
-            return VSet(Multiset([VInt(rng.randrange(2)) for _ in range(rng.randrange(3))]))
+            return VSet(Multiset([rng.randrange(2) for _ in range(rng.randrange(3))]))
         return VLoc(rng.choice(("l1", "l2")))
 
     def row(self, rng, kinds):
@@ -923,7 +921,7 @@ class TestRowPassAgainstReference:
         c = rng.random()
         if depth == 0 or c < 0.5:
             if c < 0.15:
-                return rng.choice((VInt(rng.randrange(3)), VStr("x"), VLoc("l1")))
+                return rng.choice((rng.randrange(3), "x", VLoc("l1")))
             # A name the template does not bind is an evaluation error.
             name = "z" if rng.random() < 0.1 else rng.choice(self.NAMES)
             return rng.choice((s.DataVar, s.LocVar))(name)
@@ -931,7 +929,7 @@ class TestRowPassAgainstReference:
             return s.MultisetLit((self.expr(rng, 0), self.expr(rng, 0)))
         if c < 0.9:
             return s.Arith(rng.choice("+-*/"), self.expr(rng, depth - 1), self.expr(rng, depth - 1))
-        return s.Arith("++", self.expr(rng, depth - 1), VStr("y"))
+        return s.Arith("++", self.expr(rng, depth - 1), "y")
 
     def column_test(self, rng, template, kinds):
         """A test that fits the column a name reads (its last), so that it
@@ -941,16 +939,16 @@ class TestRowPassAgainstReference:
         x, kind = self.var(template.fields[i]), kinds[i]
         if kind == self.INT:
             if rng.random() < 0.3:
-                x = s.Arith(rng.choice("+-*/"), x, VInt(rng.randrange(-1, 3)))
-            return s.Cmp(rng.choice(s.CMP_OPS[:-1]), x, VInt(rng.randrange(-1, 3)))
+                x = s.Arith(rng.choice("+-*/"), x, rng.randrange(-1, 3))
+            return s.Cmp(rng.choice(s.CMP_OPS[:-1]), x, rng.randrange(-1, 3))
         if kind == self.STR:
             if rng.random() < 0.3:
-                x = s.Arith("++", x, VStr("y"))
-            return s.Cmp(rng.choice(s.CMP_OPS[:-1]), x, VStr(rng.choice(("x", "xy"))))
+                x = s.Arith("++", x, "y")
+            return s.Cmp(rng.choice(s.CMP_OPS[:-1]), x, rng.choice(("x", "xy")))
         if kind == self.SET:
             if rng.random() < 0.5:
-                return s.Cmp("in", VInt(rng.randrange(2)), x)
-            return s.Cmp("sub", x, s.MultisetLit((VInt(0), VInt(1), VInt(1))))
+                return s.Cmp("in", rng.randrange(2), x)
+            return s.Cmp("sub", x, s.MultisetLit((0, 1, 1)))
         return s.Cmp(rng.choice(("=", "!=")), x, VLoc("l1"))
 
     def pred(self, rng, depth, template, kinds):
@@ -982,7 +980,7 @@ class TestRowPassAgainstReference:
             return s.Tuple(tuple(map(self.var, rng.sample(fields, rng.randrange(1, len(fields) + 1)))))
         if c < 0.85:
             # Fails on a row whose column is not an integer, whatever the predicate says.
-            return s.Tuple((self.var(fields[0]), s.Arith("+", self.var(rng.choice(fields)), VInt(1))))
+            return s.Tuple((self.var(fields[0]), s.Arith("+", self.var(rng.choice(fields)), 1)))
         return s.Tuple(tuple(self.expr(rng, 1) for _ in range(rng.randrange(1, 3))))
 
     def test_random_passes_agree_with_the_reference(self):

@@ -19,7 +19,7 @@ from kdb import semantics
 from kdb import syntax as s
 from kdb.net import canonical_key, canonicalize, find_tables, lid
 from kdb.parser import parse_system
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VStr
+from kdb.values import Multiset, ValueTuple, VLoc
 from nets import item_sort_key, no_rep, sorted_items
 from test_depth import wide
 
@@ -40,8 +40,8 @@ def _reader(r: int, lo: int) -> s.Process:
     Built directly, not parsed, so every reader binds the same name and the
     readers' selects share one label, as parsed readers can after renaming.
     """
-    in_range = s.And(s.Cmp(">=", s.DataVar("b"), VInt(lo)),
-                     s.Cmp("<", s.DataVar("b"), VInt(lo + 3)))
+    in_range = s.And(s.Cmp(">=", s.DataVar("b"), lo),
+                     s.Cmp("<", s.DataVar("b"), lo + 3))
     copy = s.Prefix(s.Insert(f"R{r}", _var_tuple("x", "y", "z"), VLoc("l0")), s.NilProc())
     return s.Prefix(
         s.Select((s.TableByName("Big", VLoc("l0")),), _binders("a", "b", "c"), in_range,
@@ -55,7 +55,7 @@ def shared_site() -> s.System:
     schema = (s.STRING, s.INT, s.INT)
     big = s.TableComp(s.Interface("Big", schema), Multiset(
         [srow(f"o{i}", 1000 + i, i % 7) for i in range(12)]))
-    writer = s.Prefix(s.Insert("Big", s.Tuple((VStr("w"), VInt(1), VInt(2))),
+    writer = s.Prefix(s.Insert("Big", s.Tuple(("w", 1, 2)),
                                VLoc("l0")), s.NilProc())
     comps = [big, *(s.TableComp(s.Interface(f"R{r}", schema), Multiset()) for r in range(3)),
              *(s.ProcComp(_reader(r, 1000 + 3 * r)) for r in range(3)), s.ProcComp(writer)]
@@ -122,7 +122,7 @@ class TestLabelFirstOrder:
         # Two copies of one table: the insert has two redexes with the same
         # label and the same successor, which count as one transition.
         table = s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(1)]))
-        proc = s.Prefix(s.Insert("T", s.Tuple((VInt(9),)), VLoc("l1")), s.NilProc())
+        proc = s.Prefix(s.Insert("T", s.Tuple((9,)), VLoc("l1")), s.NilProc())
         net = s.ParNet(s.Node("l1", s.ProcComp(proc)),
                        s.ParNet(s.Node("l1", table), s.Node("l1", table)))
         sys1 = s.System(procedures={}, schema_decls=(), main_net=net)
@@ -189,7 +189,7 @@ class TestDeltaSuccessors:
         # The finishing process leaves nil at l1, which also hosts a table;
         # l2 keeps its lone nil.
         table = s.TableComp(s.Interface("T", (s.INT,)), Multiset())
-        proc = s.Prefix(s.Insert("T", s.Tuple((VInt(1),)), VLoc("l1")), s.NilProc())
+        proc = s.Prefix(s.Insert("T", s.Tuple((1,)), VLoc("l1")), s.NilProc())
         net = s.ParNet(s.ParNet(s.Node("l1", s.ProcComp(proc)), s.Node("l1", table)),
                        s.Node("l2", s.ProcComp(s.NilProc())))
         sys1 = s.System(procedures={}, schema_decls=(), main_net=net)
@@ -232,8 +232,7 @@ class TestTableOrder:
         assert [loc for loc, _ in expected] == ["l1"] * 4 + ["l2"]
 
     def test_dump_keeps_render_order(self, unchecked):
-        expected = [(loc, body.interface.tid, sorted(v.value for (v,) in
-                                                     (r.components for r in body.rows)))
+        expected = [(loc, body.interface.tid, sorted(v for (v,) in body.rows))
                     for loc, body in sorted_items(unchecked)
                     if isinstance(body, s.TableComp)]
         got = [(d["loc"], d["tid"], [v for (v,) in d["rows"]])
@@ -362,12 +361,12 @@ class TestOutcomeReuse:
 
     def test_a_write_reruns_only_the_actions_over_its_table(self, monkeypatch):
         x = s.Template((s.BindData("x"),))
-        above_one = s.Cmp(">", s.DataVar("x"), VInt(1))
+        above_one = s.Cmp(">", s.DataVar("x"), 1)
         at = VLoc("l1")
         actions = [
-            s.Insert("T", s.Tuple((VInt(3),)), at),
+            s.Insert("T", s.Tuple((3,)), at),
             s.Delete("T", x, above_one, at),
-            s.Update("U", x, above_one, s.Tuple((s.Arith("+", s.DataVar("x"), VInt(5)),)), at),
+            s.Update("U", x, above_one, s.Tuple((s.Arith("+", s.DataVar("x"), 5),)), at),
             s.Aggr("U", x, s.TruePred(), s.AggrFn("count"), s.Template((s.BindData("n"),)), at),
         ]
         comps = [*(s.TableComp(s.Interface(tid, (s.INT,)), Multiset([srow(1), srow(2)]))
@@ -504,22 +503,22 @@ class TestRowVerdicts:
         """A delete, an update, an aggr and a select over T, none enabled to
         change it in a way the tests step through."""
         return [
-            s.Delete("T", self.IJ, s.Cmp("=", self.J, VInt(9)), self.AT),
-            s.Update("T", self.IJ, s.Cmp(">", self.J, VInt(3)), s.Tuple((self.I, VInt(0))),
+            s.Delete("T", self.IJ, s.Cmp("=", self.J, 9), self.AT),
+            s.Update("T", self.IJ, s.Cmp(">", self.J, 3), s.Tuple((self.I, 0)),
                      self.AT),
-            s.Aggr("T", self.IJ, s.Cmp("<", self.J, VInt(2)), s.AggrFn("sum", 2),
+            s.Aggr("T", self.IJ, s.Cmp("<", self.J, 2), s.AggrFn("sum", 2),
                    s.Template((s.BindData("n"),)), self.AT),
-            s.Select((s.TableByName("T", self.AT),), self.IJ, s.Cmp("=", self.J, VInt(1)),
+            s.Select((s.TableByName("T", self.AT),), self.IJ, s.Cmp("=", self.J, 1),
                      s.Tuple((self.I,)), "t"),
         ]
 
     @pytest.mark.parametrize("write, changed, detail", [
-        (s.Update("T", IJ, s.Cmp("<", I, VInt(1)), s.Tuple((I, s.Arith("+", J, VInt(1)))), AT),
+        (s.Update("T", IJ, s.Cmp("<", I, 1), s.Tuple((I, s.Arith("+", J, 1))), AT),
          1, "update 1 row(s) of T@l1"),
-        (s.Update("T", IJ, s.Cmp("<", I, VInt(7)), s.Tuple((I, s.Arith("+", J, VInt(1)))), AT),
+        (s.Update("T", IJ, s.Cmp("<", I, 7), s.Tuple((I, s.Arith("+", J, 1))), AT),
          7, "update 7 row(s) of T@l1"),
-        (s.Insert("T", s.Tuple((VInt(500), VInt(1))), AT), 1, "insert (500, 1) into T@l1"),
-        (s.Delete("T", IJ, s.Cmp("<", I, VInt(5)), AT), 5, "delete 5 row(s) from T@l1"),
+        (s.Insert("T", s.Tuple((500, 1)), AT), 1, "insert (500, 1) into T@l1"),
+        (s.Delete("T", IJ, s.Cmp("<", I, 5), AT), 5, "delete 5 row(s) from T@l1"),
     ])
     def test_after_a_write_of_k_rows_each_waiting_action_judges_at_most_k(
             self, write, changed, detail, monkeypatch):
@@ -528,7 +527,7 @@ class TestRowVerdicts:
         u = s.TableComp(s.Interface("U", (s.INT,)), Multiset())
         waiting = self.waiting()
         procs = [s.ProcComp(s.Prefix(a, s.NilProc()))
-                 for a in [write, s.Insert("U", s.Tuple((VInt(1),)), self.AT), *waiting]]
+                 for a in [write, s.Insert("U", s.Tuple((1,)), self.AT), *waiting]]
         sys1 = s.System(procedures={}, schema_decls=(), main_net=net_at_l1(table, u, *procs))
         judged = count_judged(monkeypatch)
         transitions = semantics.enumerate_transitions(canonicalize(sys1.main_net), sys1)
@@ -559,21 +558,21 @@ class TestTieTexts:
         b, at = s.DataVar("b"), VLoc("l1")
 
         def select(n, cont):
-            return s.Prefix(s.Select((s.TableByName("T", at),), ab, s.Cmp("=", b, VInt(n)),
+            return s.Prefix(s.Select((s.TableByName("T", at),), ab, s.Cmp("=", b, n),
                                      s.Tuple((b,)), "t"), cont)
 
         big = s.TableComp(s.Interface("T", (s.STRING, s.INT)),
                           Multiset([srow(f"r{i}", i) for i in range(200)]))
         u = s.TableComp(s.Interface("U", (s.INT,)), Multiset())
-        to_u = s.Prefix(s.Insert("U", s.Tuple((VInt(1),)), at), s.NilProc())
-        to_t = s.Prefix(s.Update("T", ab, s.Cmp("=", b, VInt(0)),
-                                 s.Tuple((s.DataVar("a"), s.Arith("+", b, VInt(1000)))), at),
+        to_u = s.Prefix(s.Insert("U", s.Tuple((1,)), at), s.NilProc())
+        to_t = s.Prefix(s.Update("T", ab, s.Cmp("=", b, 0),
+                                 s.Tuple((s.DataVar("a"), s.Arith("+", b, 1000))), at),
                         s.NilProc())
         procs = [select(3, s.NilProc()), select(4, s.Prefix(s.Drop("U", at), s.NilProc())),
                  to_u, to_t]
         sys1 = s.System(procedures={}, schema_decls=(),
                         main_net=net_at_l1(big, u, *map(s.ProcComp, procs)))
-        renders = count_renders(monkeypatch, VStr, s.TableComp)
+        renders = count_renders(monkeypatch, str, s.TableComp)
 
         def enumerate_counting(cn):
             renders.update(dict.fromkeys(renders, 0))
@@ -583,10 +582,10 @@ class TestTieTexts:
 
         # First meeting: every row of T once, and both tables.
         counts, succ = enumerate_counting(canonicalize(sys1.main_net))
-        assert counts == {VStr: 200, s.TableComp: 2}
+        assert counts == {str: 200, s.TableComp: 2}
         # The insert into U kept T: the tie renders no row, and only the new U.
         counts, succ = enumerate_counting(succ["INS"])
-        assert counts == {VStr: 0, s.TableComp: 1}
+        assert counts == {str: 0, s.TableComp: 1}
         # The update made one row of T: the tie renders that row and the new T.
         counts, _ = enumerate_counting(succ["UPD"])
-        assert counts == {VStr: 1, s.TableComp: 1}
+        assert counts == {str: 1, s.TableComp: 1}

@@ -9,7 +9,7 @@ from fixtures import SEVEN_BINDERS, srow
 from kdb import syntax as s
 from kdb import values
 from kdb.nodes import Record
-from kdb.values import Multiset, ValueTuple, VInt, VLoc, VSet, VStr, VTid
+from kdb.values import Multiset, ValueTuple, VLoc, VSet, VTid
 
 
 def seven_var_tuple():
@@ -24,13 +24,13 @@ class TestFreeVars:
         payload = s.Tuple((
             s.DataVar("id"), s.DataVar("tp"), s.DataVar("yr"), s.DataVar("cr"),
             s.DataVar("sz"),
-            s.Arith("-", s.DataVar("is0"), VInt(2)),
-            s.Arith("+", s.DataVar("ss"), VInt(2)),
+            s.Arith("-", s.DataVar("is0"), 2),
+            s.Arith("+", s.DataVar("ss"), 2),
         ))
         pred = s.And(
-            s.Cmp("=", s.DataVar("tp"), VStr("HB")),
-            s.And(s.Cmp("=", s.DataVar("cr"), VStr("red")),
-                  s.Cmp("=", s.DataVar("sz"), VStr("37"))),
+            s.Cmp("=", s.DataVar("tp"), "HB"),
+            s.And(s.Cmp("=", s.DataVar("cr"), "red"),
+                  s.Cmp("=", s.DataVar("sz"), "37")),
         )
         action = s.Update("KLD", SEVEN_BINDERS, pred, payload, VLoc("l1"))
         assert s.free_vars(action) == frozenset()
@@ -38,7 +38,7 @@ class TestFreeVars:
 
     def test_prefix_with_no_templates_binds_nothing(self):
         cont = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
-        p = s.Prefix(s.Insert("T", s.Tuple((VInt(1),)), VLoc("l")), cont)
+        p = s.Prefix(s.Insert("T", s.Tuple((1,)), VLoc("l")), cont)
         assert s.free_vars(p) == frozenset(["x"])
 
     def test_select_binds_its_table_variable_in_the_continuation(self):
@@ -121,7 +121,7 @@ class TestSiblingAfterABinder:
     def seq(self):
         use = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
         loop = s.Foreach(s.TableByVar("tv"), s.Template((s.BindData("x"),)),
-                         s.Cmp("=", s.DataVar("x"), VInt(1)), s.OrderSpec("unordered"), use)
+                         s.Cmp("=", s.DataVar("x"), 1), s.OrderSpec("unordered"), use)
         return s.Seq(loop, use)
 
     def test_free_vars(self):
@@ -130,9 +130,9 @@ class TestSiblingAfterABinder:
 
     def test_apply_subst(self):
         from kdb.kernel import apply_subst
-        got = apply_subst({"x": VInt(5)}, self.seq())
+        got = apply_subst({"x": 5}, self.seq())
         assert got.first == self.seq().first
-        assert got.second.action.payload == s.Tuple((VInt(5),))
+        assert got.second.action.payload == s.Tuple((5,))
 
     def test_rename_apart(self):
         from kdb.parser import parse_system
@@ -153,7 +153,7 @@ class TestFreeLocs:
         assert s.free_locs(net) == frozenset(["l1"])
 
     def test_locality_literals_in_actions_are_free(self):
-        p = s.Prefix(s.Insert("T", s.Tuple((VInt(1),)), VLoc("l9")), s.NilProc())
+        p = s.Prefix(s.Insert("T", s.Tuple((1,)), VLoc("l9")), s.NilProc())
         net = s.Node("l1", s.ProcComp(p))
         assert s.free_locs(net) == frozenset(["l1", "l9"])
 
@@ -194,10 +194,10 @@ class TestScopedMap:
         p = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
         assert s.rename_localities(p, {"m": "n"}) is p
         from kdb.kernel import apply_subst
-        assert apply_subst({"y": VInt(1)}, p) is p
+        assert apply_subst({"y": 1}, p) is p
 
     def test_renaming_a_locality_to_itself_keeps_the_node(self):
-        rows = Multiset([ValueTuple((VLoc("l"),)), ValueTuple((VInt(1),)),
+        rows = Multiset([ValueTuple((VLoc("l"),)), ValueTuple((1,)),
                          ValueTuple((VSet(Multiset([VLoc("l")])),))])
         table = s.TableComp(s.Interface("T", (s.LOC,)), rows)
         p = s.Prefix(s.Insert("T", s.Tuple((VLoc("l"),)), VLoc("l")), s.NilProc())
@@ -224,15 +224,15 @@ class TestScopedMap:
 
     def test_renamed_rows_keep_their_multiplicities(self):
         rows = Multiset({ValueTuple((VLoc("a"),)): 2, ValueTuple((VLoc("b"),)): 1,
-                         ValueTuple((VInt(1),)): 1})
+                         ValueTuple((1,)): 1})
         table = s.TableComp(s.Interface("T", (s.LOC,)), rows)
         swapped = s.rename_localities(table, {"a": "b", "b": "a"})
         assert swapped.rows == Multiset({ValueTuple((VLoc("b"),)): 2,
                                          ValueTuple((VLoc("a"),)): 1,
-                                         ValueTuple((VInt(1),)): 1})
+                                         ValueTuple((1,)): 1})
         merged = s.rename_localities(table, {"a": "b"})
         assert merged.rows == Multiset({ValueTuple((VLoc("b"),)): 3,
-                                        ValueTuple((VInt(1),)): 1})
+                                        ValueTuple((1,)): 1})
         assert s.rename_localities(table, {"c": "d"}) is table
 
 
@@ -249,13 +249,13 @@ class TestRender:
         assert s.render(a) == "delete(KLD@$l1, (!x), true)"
 
     def test_string_escapes(self):
-        assert s.render(VStr('a"b\\c\n')) == '"a\\"b\\\\c\\n"'
+        assert s.render('a"b\\c\n') == '"a\\"b\\\\c\\n"'
 
 
 # Pieces of the render table below.
 X, Y, U = s.DataVar("x"), s.DataVar("y"), s.LocVar("u")
 L = VLoc("l")
-ONE = VInt(1)
+ONE = 1
 NIL = s.NilProc()
 X_EQ_1 = s.Cmp("=", X, ONE)
 X_IN_Y = s.Cmp("in", X, Y)
@@ -280,13 +280,13 @@ PARAMS = (("x", s.INT), ("u", s.LOC), ("i", s.ID), ("s", s.STRING), ("m", s.MSet
 # texts pin the parenthesisation.
 RENDER_CASES = [
     pytest.param(ONE, "1", id="VInt"),
-    pytest.param(VStr('a"b\\c\n\t\r'), '"a\\"b\\\\c\\n\\t\\r"', id="VStr-escapes"),
+    pytest.param('a"b\\c\n\t\r', '"a\\"b\\\\c\\n\\t\\r"', id="VStr-escapes"),
     pytest.param(VTid("KLD"), "KLD", id="VTid"),
     pytest.param(L, "$l", id="VLoc"),
     pytest.param(X, "x", id="DataVar"),
     pytest.param(U, "u", id="LocVar"),
-    pytest.param(s.Arith("++", X, VStr("s")), '(x ++ "s")', id="Concat"),
-    pytest.param(s.Arith("+", ONE, s.Arith("*", X, VInt(2))), "(1 + (x * 2))", id="Arith"),
+    pytest.param(s.Arith("++", X, "s"), '(x ++ "s")', id="Concat"),
+    pytest.param(s.Arith("+", ONE, s.Arith("*", X, 2)), "(1 + (x * 2))", id="Arith"),
     pytest.param(s.MultisetLit((VTid("KLD"), VTid("SH"))), "{KLD, SH}", id="MultisetLit"),
     pytest.param(TRUE, "true", id="TruePred"),
     pytest.param(s.Cmp("<=", X, ONE), "x <= 1", id="Cmp"),
@@ -403,9 +403,7 @@ def _field_value(cls, name: str, k: int):
     if name == "span":
         return k
     if cls is VSet:
-        return Multiset([VInt(k)])
-    if cls is ValueTuple:
-        return (VInt(k),)
+        return Multiset([k])
     return f"{name} {k}"
 
 
@@ -416,7 +414,7 @@ def _sample(cls, position: int, changed: str = None):
 
 
 def test_node_classes_are_found():
-    assert {s.Prefix, s.System, s.Span, VInt, ValueTuple} <= set(NODE_CLASSES)
+    assert {s.Prefix, s.System, s.Span, VSet} <= set(NODE_CLASSES)
 
 
 CACHED = object()  # what a node may have computed and kept
@@ -426,7 +424,7 @@ CACHED = object()  # what a node may have computed and kept
 def test_node_contract(cls):
     node, moved = _sample(cls, 1), _sample(cls, 2)
     compared = tuple(getattr(node, name) for name in cls._fields if name not in POSITION_FIELDS)
-    # A cache slot (`_text`, `_sort_key`, `_kept`; `_hash` is the hash's
+    # A cache slot (`_text`, `_kept`; `_hash` is the hash's
     # own) is no field, and what a node has computed changes nothing below.
     caches = [name for c in cls.__mro__ for name in c.__dict__.get("__slots__", ())
               if name.startswith("_") and name != "_hash"]
@@ -461,16 +459,16 @@ def test_node_contract(cls):
 
 
 @pytest.mark.parametrize("node, text", [
-    pytest.param(s.Cmp("=", s.DataVar("x", span=3), VInt(1), span=0),
-                 "Cmp(op='=', left=DataVar(name='x'), right=VInt(value=1))", id="Cmp"),
-    pytest.param(s.Prefix(s.Insert("T", s.Tuple((VStr("a"), VTid("T"))), VLoc("l")), s.NilProc(span=9)),
-                 "Prefix(action=Insert(tid='T', payload=Tuple(components=(VStr(value='a'), "
+    pytest.param(s.Cmp("=", s.DataVar("x", span=3), 1, span=0),
+                 "Cmp(op='=', left=DataVar(name='x'), right=1)", id="Cmp"),
+    pytest.param(s.Prefix(s.Insert("T", s.Tuple(("a", VTid("T"))), VLoc("l")), s.NilProc(span=9)),
+                 "Prefix(action=Insert(tid='T', payload=Tuple(components=('a', "
                  "VTid(name='T'))), loc=VLoc(name='l')), cont=NilProc())", id="Prefix"),
     pytest.param(s.TableComp(s.Interface("T", (s.INT, s.MSet("Id"))),
-                             Multiset([ValueTuple((VInt(1), VSet(Multiset([VTid("A")]))))])),
+                             Multiset([ValueTuple((1, VSet(Multiset([VTid("A")]))))])),
                  "TableComp(interface=Interface(tid='T', schema=(Base(kind='Int'), MSet(kind='Id'))), "
-                 "rows=Multiset({ValueTuple(components=(VInt(value=1), "
-                 "VSet(elements=Multiset({VTid(name='A'): 1})))): 1}))", id="TableComp"),
+                 "rows=Multiset({(1, VSet(elements=Multiset({VTid(name='A'): 1}))): 1}))",
+                 id="TableComp"),
     pytest.param(s.System({}, (("T", (s.INT,)),), s.NilNet(), source="nil"),
                  "System(procedures={}, schema_decls=(('T', (Base(kind='Int'),)),), main_net=NilNet())",
                  id="System"),

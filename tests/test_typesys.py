@@ -12,7 +12,7 @@ from kdb import syntax as s
 from kdb.net import canonicalize, lid
 from kdb.parser import parse_system
 from kdb.typesys import Checker, Diagnostic, check_system
-from kdb.values import Multiset, VInt, VLoc, VStr, VTid
+from kdb.values import Multiset, VLoc, VTid
 from nets import no_rep
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
@@ -36,12 +36,12 @@ class TestExprTyping:
     def test_arithmetic_under_int_binding(self):
         c = fresh_checker()
         g = env(("is0", s.INT))
-        assert c.type_expr(g, s.Arith("-", s.DataVar("is0"), VInt(2))) == s.INT
+        assert c.type_expr(g, s.Arith("-", s.DataVar("is0"), 2)) == s.INT
         assert not c.diags
 
     def test_concat_of_strings(self):
         c = fresh_checker()
-        got = c.type_expr(env(), s.Arith("++", VStr("a"), VStr("b")))
+        got = c.type_expr(env(), s.Arith("++", "a", "b"))
         assert got == s.STRING
 
     def test_unbound_variable(self):
@@ -57,7 +57,7 @@ class TestExprTyping:
 
     def test_heterogeneous_multiset(self):
         c = fresh_checker()
-        got = c.type_expr(env(), s.MultisetLit((VInt(1), VStr("x"))))
+        got = c.type_expr(env(), s.MultisetLit((1, "x")))
         assert got is None
         assert c.diags[0].kind == "heterogeneous-multiset"
 
@@ -82,7 +82,7 @@ class TestPredTyping:
 
     def test_cross_type_compare_rejected(self):
         c = fresh_checker()
-        assert not c.type_pred(env(), s.Cmp("=", VInt(1), VStr("a")))
+        assert not c.type_pred(env(), s.Cmp("=", 1, "a"))
 
     def test_ordering_on_ids_rejected(self):
         c = fresh_checker()
@@ -94,7 +94,7 @@ class TestPredTyping:
         c = fresh_checker()
         g = env(("a", s.MSet("Id")), ("b", s.MSet("Id")))
         assert c.type_pred(g, s.Cmp("sub", s.DataVar("a"), s.DataVar("b")))
-        assert not c.type_pred(g, s.Cmp("sub", s.DataVar("a"), VInt(1)))
+        assert not c.type_pred(g, s.Cmp("sub", s.DataVar("a"), 1))
 
 
 class TestTupleTyping:
@@ -154,7 +154,7 @@ class TestActionTyping:
         template = s.Template((s.BindData("x"), s.BindData("y"), s.BindData("z"),
                                s.BindData("w"), s.BindLoc("p")))
         pred = s.And(s.Cmp("in", VTid("KLD"), s.DataVar("w")),
-                     s.Cmp("=", s.DataVar("x"), VStr("CPH")))
+                     s.Cmp("=", s.DataVar("x"), "CPH"))
         payload = s.Tuple((s.DataVar("z"), s.LocVar("p")))
         return s.Select((s.TableByName("Stores", VLoc("l0")),),
                         template, pred, payload, "tbv")
@@ -168,7 +168,7 @@ class TestActionTyping:
     def test_aggr_yields_int_binding(self):
         c = fresh_checker()
         g = env(("tbv", (s.STRING, s.LOC)), ("q", s.STRING), ("u", s.LOC))
-        a = s.Aggr("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), VStr("HB")),
+        a = s.Aggr("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), "HB"),
                    s.AggrFn("sum", 7), s.Template((s.BindData("res"),)), s.LocVar("u"))
         assert c.type_action(g, a) == [("res", s.INT)]
         assert not c.diags
@@ -192,7 +192,7 @@ class TestActionTyping:
 
     def test_truncated_insert_rejected(self):
         c = fresh_checker()
-        a = s.Insert("KLD", s.Tuple((VStr("001"), VStr("HB"), VStr("2015"))),
+        a = s.Insert("KLD", s.Tuple(("001", "HB", "2015")),
                      VLoc("l1"))
         assert c.type_action(env(), a) is None
         assert c.diags[0].kind == "payload-format"
@@ -207,7 +207,7 @@ class TestActionTyping:
     def test_update_payload_must_fit(self):
         c = fresh_checker()
         payload = s.Tuple(tuple(s.DataVar(n) for n in SEVEN_BINDERS.names()[:-1])
-                          + (VStr("oops"),))
+                          + ("oops",))
         a = s.Update("KLD", SEVEN_BINDERS, s.TruePred(), payload, VLoc("l1"))
         assert c.type_action(env(), a) is None
         assert c.diags[0].kind == "payload-format"
@@ -224,7 +224,7 @@ class TestActionTyping:
         a = s.Select((s.TableByName("SSResult", VLoc("l0")),),
                      s.Template((s.BindData("a"), s.BindData("b"), s.BindData("n"))),
                      s.TruePred(),
-                     s.Tuple((s.Arith("+", s.DataVar("n"), VInt(1)),)), "tbv")
+                     s.Tuple((s.Arith("+", s.DataVar("n"), 1),)), "tbv")
         assert template is not None
         assert c.type_action(env(), a) is None
         assert c.diags[0].kind == "select-payload"
@@ -232,7 +232,7 @@ class TestActionTyping:
     def test_eval_checks_spawned_process_under_same_env(self):
         c = fresh_checker()
         inner = s.Prefix(s.Insert("SSResult",
-                                  s.Tuple((s.DataVar("q"), VStr("HB"), VInt(1))),
+                                  s.Tuple((s.DataVar("q"), "HB", 1)),
                                   VLoc("l0")), s.NilProc())
         a = s.Eval(inner, VLoc("l1"))
         assert c.type_action(env(("q", s.STRING)), a) == []
@@ -305,7 +305,7 @@ class TestSystemChecking:
     # reaches the checker with them, which reports them before it pairs
     # parameters with arguments.
     def test_call_to_unknown_procedure_in_built_system(self):
-        call = s.CallProc("g", (VInt(1),), span=6)
+        call = s.CallProc("g", (1,), span=6)
         system = s.System({}, (), s.Node("l", s.ProcComp(call)))
         (diag,) = check_system(system)
         assert diag.kind == "unknown-procedure"
@@ -313,7 +313,7 @@ class TestSystemChecking:
 
     def test_call_arity_in_built_system(self):
         f = s.ProcDef("f", (("x", s.INT),), s.NilProc())
-        call = s.CallProc("f", (VInt(1), VStr("extra")), span=6)
+        call = s.CallProc("f", (1, "extra"), span=6)
         system = s.System({"f": f}, (), s.Node("l", s.ProcComp(call)))
         (diag,) = check_system(system)
         assert diag.kind == "call-arity"
@@ -321,7 +321,7 @@ class TestSystemChecking:
 
     def test_constant_in_a_locality_position_of_a_built_system(self):
         # A constant carries no span, so the diagnostic has none.
-        c = VInt(1)
+        c = 1
         insert = s.Prefix(s.Insert("T", s.Tuple((c,)), c), s.NilProc())
         system = s.System({}, (("T", (s.INT,)),), s.Node("l", s.ProcComp(insert)))
         assert [str(d) for d in check_system(system)] == [
@@ -502,7 +502,7 @@ BUILT_DIAGNOSTIC_TEXTS = [
     # The parser sorts `u` by its binder: bound by `!u`, it is a data variable.
     pytest.param(
         s.ProcComp(s.Prefix(_count_into("u"), s.Prefix(
-            s.Insert("T", s.Tuple((VInt(1),)), s.LocVar("u", span=39)),
+            s.Insert("T", s.Tuple((1,)), s.LocVar("u", span=39)),
             s.NilProc()))),
         ["1:40: 'u' is not a locality variable"], id="kind-mismatch"),
 ]
@@ -527,7 +527,7 @@ class TestEnvUndo:
     def test_bindings_do_not_leak(self):
         c = fresh_checker()
         g = env()
-        a = s.Delete("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), VStr("HB")),
+        a = s.Delete("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), "HB"),
                      VLoc("l1"))
         assert c.type_action(g, a) == []
         assert "tp" not in g

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from kdb.values import (
     Multiset,
     ValueTuple,
-    VInt,
     VLoc,
     VSet,
-    VStr,
+    VTid,
+    row_sort_key,
     sorted_rows,
 )
+from kdb.syntax import render_row
 
 
 def ms(d):
@@ -62,14 +63,14 @@ class TestMultisetLaws:
 class TestValues:
     def test_vset_rejects_mixed_kinds(self):
         with pytest.raises(ValueError):
-            VSet(Multiset([VInt(1), VStr("x")]))
+            VSet(Multiset([1, "x"]))
 
     def test_vset_rejects_nested_sets(self):
         with pytest.raises(ValueError):
-            VSet(Multiset([VSet(Multiset([VInt(1)]))]))
+            VSet(Multiset([VSet(Multiset([1]))]))
 
     def test_vset_kind(self):
-        assert VSet(Multiset([VStr("a")])).kind() == "String"
+        assert VSet(Multiset(["a"])).kind() == "String"
         assert VSet(Multiset([VLoc("l1"), VLoc("l2")])).kind() == "Loc"
         assert VSet(Multiset()).kind() is None
 
@@ -77,8 +78,31 @@ class TestValues:
         with pytest.raises(ValueError):
             ValueTuple(())
 
+    def test_row_is_its_tuple_of_cells(self):
+        # A row hashes and compares as the tuple of its cells, in C: its
+        # class defines neither, and the text it keeps changes nothing.
+        assert "__hash__" not in vars(ValueTuple) and "__eq__" not in vars(ValueTuple)
+        cells = (1, "a", VTid("a"), VSet(Multiset([0])))
+        row = ValueTuple(cells)
+        assert render_row(row) == '(1, "a", a, {0})'
+        assert row == cells and hash(row) == hash(cells) and row == ValueTuple(cells)
+        assert row[1] == "a" and len(row) == 4
+        # An Id or a Loc never equals a String of the same text.
+        kinds = {ValueTuple(("a",)), ValueTuple((VTid("a"),)), ValueTuple((VLoc("a"),))}
+        assert len(kinds) == 3
+
+    @given(st.lists(st.lists(st.one_of(
+        st.integers(-3, 3), st.text("ab\u00e9\U0001f600", max_size=2),
+        st.sampled_from([VTid("a"), VTid("b"), VLoc("a"), VLoc("b")]),
+        st.lists(st.integers(0, 2), max_size=2).map(lambda xs: VSet(Multiset(xs)))),
+        min_size=1, max_size=3), max_size=8))
+    def test_sorted_rows_is_the_key_order(self, rows):
+        # Rows that compare in C, rows that need the keys, and both mixed.
+        rows = Multiset([ValueTuple(cells) for cells in rows])
+        assert sorted_rows(rows) == sorted(rows, key=row_sort_key)
+
     def test_sorted_rows_repeats_by_multiplicity(self):
-        r1 = ValueTuple((VInt(1),))
-        r2 = ValueTuple((VInt(2),))
+        r1 = ValueTuple((1,))
+        r2 = ValueTuple((2,))
         rows = Multiset({r2: 1, r1: 2})
         assert sorted_rows(rows) == [r1, r1, r2]
