@@ -126,7 +126,7 @@ def _write_trace(path: str, trace: semantics.Trace) -> bool:
             "actor": label.actor,
             "detail": label.detail,
             "lid": _lid_json(cn),
-            "ok": netmod.ok(cn),
+            "ok": not cn.err,
         }, sort_keys=True))
     lines.append(json.dumps({
         "terminal": trace.terminal,

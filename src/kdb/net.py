@@ -116,10 +116,6 @@ def lid(cn: CanonicalNet) -> Multiset:
     return Multiset.of_counts({key: len(found) for key, found in tables_by_id(cn).items()})
 
 
-def ok(cn: CanonicalNet) -> bool:
-    return not cn.err
-
-
 # ---------------------------------------------------------------------------
 # Comparison keys and dumps
 

@@ -22,13 +22,13 @@ the parser and the checker bind themselves.  `ScopedMap` is the one
 traversal of processes and tables that the table drives.  Like the type
 checker and the parser it binds in a `Scope`, in place, and undoes what a
 node bound when the node is done.  `free_vars`, `free_locs` and
-`rename_localities` here, `kernel.apply_subst` and the checker's collection
-of table shapes are each a few hooks on it.  It costs a Python frame per
-level of a process.  `net_parts` is the one walk of a net's `||`, `|`,
-nodes and restrictions, whose `(new $l)` scopes over its net: it decides
-restriction scope, on one explicit stack, at no frame per level, and the
-engine and the checker read a net through it.  `render` is driven by a
-table too, `_FORMAT`, and lays any tree out from one explicit stack.
+`rename_localities` here and `kernel.apply_subst` are each a few hooks on
+it.  It costs a Python frame per level of a process.  `net_parts` is the
+one walk of a net's `||`, `|`, nodes and restrictions, whose `(new $l)`
+scopes over its net: it decides restriction scope, on one explicit stack,
+at no frame per level, and the engine and the checker read a net through
+it.  `render` is driven by a table too, `_FORMAT`, and lays any tree out
+from one explicit stack.
 """
 
 from __future__ import annotations
@@ -101,13 +101,6 @@ EXPORTS_TABLE_VAR = "exports table-var"  # Select.bind
 EXPORTS_PATTERN = "exports pattern"  # Aggr.bind_template
 
 
-class ExpressionNode(Record):
-    """A node that holds expressions only: no process, table or binder
-    occurs below it, so a fold that looks for none of those need not enter
-    it (see `keep`)."""
-    __slots__ = ()
-
-
 # ---------------------------------------------------------------------------
 # Types (column sorts and schemas)
 
@@ -126,19 +119,19 @@ Schema = tuple  # tuple of MType, length >= 1
 # ---------------------------------------------------------------------------
 # Expressions
 
-class DataVar(ExpressionNode):
+class DataVar(Record):
     __slots__ = ("name", "span")
 
 
-class LocVar(ExpressionNode):
+class LocVar(Record):
     __slots__ = ("name", "span")
 
 
-class Arith(ExpressionNode, left=ONE, right=ONE):
+class Arith(Record, left=ONE, right=ONE):
     __slots__ = ("op", "left", "right", "span")  # op: + - * / on integers, ++ on strings
 
 
-class MultisetLit(ExpressionNode, elements=MANY):
+class MultisetLit(Record, elements=MANY):
     __slots__ = ("elements", "span")  # elements: Exprs, each multiset-free
 
 
@@ -148,19 +141,19 @@ Expr = Union[int, str, VTid, VLoc, DataVar, LocVar, Arith, MultisetLit]
 # ---------------------------------------------------------------------------
 # Predicates
 
-class TruePred(ExpressionNode):
+class TruePred(Record):
     __slots__ = ("span",)
 
 
-class Cmp(ExpressionNode, left=ONE, right=ONE):
+class Cmp(Record, left=ONE, right=ONE):
     __slots__ = ("op", "left", "right", "span")  # op: = != < <= > >= sub, or in (left in right)
 
 
-class Not(ExpressionNode, inner=ONE):
+class Not(Record, inner=ONE):
     __slots__ = ("inner", "span")
 
 
-class And(ExpressionNode, left=ONE, right=ONE):
+class And(Record, left=ONE, right=ONE):
     __slots__ = ("left", "right", "span")
 
 
@@ -173,7 +166,7 @@ CMP_OPS = ("=", "!=") + ORDERED_CMP_OPS + ("sub",)  # every Cmp op but "in"
 # ---------------------------------------------------------------------------
 # Tuples and templates
 
-class Tuple(ExpressionNode, components=MANY):
+class Tuple(Record, components=MANY):
     __slots__ = ("components", "span")  # components: Exprs, at least one
 
 
@@ -200,7 +193,7 @@ class Interface(Record):
     __slots__ = ("tid", "schema")
 
 
-class TableByName(ExpressionNode, loc=ONE):
+class TableByName(Record, loc=ONE):
     __slots__ = ("tid", "loc", "span")  # loc: VLoc or LocVar
 
 
@@ -547,15 +540,6 @@ _PLANS = {cls: tuple((cls._compared.index(name), name, shape) for name, shape in
 _EXPORTS = {cls: (name, _EXPORTED[shape])
             for cls, steps in _PLANS.items()
             for _, name, shape in steps if shape in _EXPORTED}
-
-
-# The expression nodes with children, which a fold need not enter (`keep`).
-EXPRESSION_NODES = tuple(cls for cls in CHILDREN if issubclass(cls, ExpressionNode))
-
-
-def keep(visitor, node, env):
-    """A hook that returns its node as it is, without visiting its children."""
-    return node
 
 
 _UNBOUND = object()  # the journal's mark of a name a binding did not shadow

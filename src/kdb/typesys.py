@@ -12,14 +12,20 @@ frame that checks the binder; so checking a straight-line process costs one
 Python frame per action.  A net binds no variable; its parts are those
 `syntax.net_parts` gives the engine too, so a net's width costs no frame.
 
-The checker is its own walk, not a `syntax.ScopedMap` pass, for three
-reasons.  A binder's types come from a sibling's schema: a template is typed
-against the table its action names, which the binding table CHILDREN does
-not see.  A failed action suppresses the checks of what depends on it (its
-predicate, payload and continuation), which a traversal that visits every
-child cannot skip.  And the order of diagnostics is pinned, and it is not
-field order: a delete's locality is checked before its predicate, and a
-create's locality before its table identifier.
+The checker is its own walk, not a pass of the traversal that the binding
+table `syntax.CHILDREN` drives, for three reasons.  A binder's types come
+from a sibling's schema: a template is typed against the table its action
+names, which CHILDREN does not see.  A failed action suppresses the checks
+of what depends on it (its predicate, payload and continuation), which a
+traversal that visits every child cannot skip.  And the order of
+diagnostics is pinned, and it is not field order: a delete's locality is
+checked before its predicate, and a create's locality before its table
+identifier.
+
+The schema map, which the checker needs whole before it types because the
+first shape seen wins, reads the bodies' shapes with `_shapes`: a walk from
+an explicit stack that follows only the nodes that can hold a shape, so it
+never enters an expression and costs no frame per action.
 """
 
 from __future__ import annotations
@@ -471,23 +477,29 @@ def _projectable(e: s.Expr) -> bool:
     return isinstance(e, (s.DataVar, s.LocVar)) or e.__class__ in KIND
 
 
-class _TableShapes(s.ScopedMap):
-    """Every (tid, schema, offset) a named table literal or a create asserts."""
-
-    def __init__(self):
-        self.found = []
-
-    def _table(self, node, env):
-        if node.interface.tid is not None:
-            self.found.append((node.interface.tid, node.interface.schema, node.span))
-        return node
-
-    def _create(self, node, env):
-        self.found.append((node.tid, node.schema, node.span))
-        return node
-
-    hooks = {s.TableLiteral: _table, s.Create: _create,
-             **dict.fromkeys(s.EXPRESSION_NODES, s.keep)}
+def _shapes(body, found: list) -> None:
+    """Append every (tid, schema, offset) that a named table literal or a
+    create in `body` asserts, in text order: a prefix's action before its
+    continuation, a loop's table before its body, a select's sources in
+    order and an eval's process."""
+    stack = [body]
+    while stack:
+        n = stack.pop()
+        cls = n.__class__
+        if cls is s.Prefix:
+            stack += (n.cont, n.action)
+        elif cls is s.Seq:
+            stack += (n.second, n.first)
+        elif cls is s.Foreach:
+            stack += (n.body, n.table)
+        elif cls is s.Select:
+            stack += reversed(n.tables)
+        elif cls is s.Eval:
+            stack.append(n.process)
+        elif cls is s.Create:
+            found.append((n.tid, n.schema, n.span))
+        elif cls is s.TableLiteral and n.interface.tid is not None:
+            found.append((n.interface.tid, n.interface.schema, n.span))
 
 
 def _schema_map(system: s.System, parts: list, positions: s.Positions):
@@ -497,12 +509,11 @@ def _schema_map(system: s.System, parts: list, positions: s.Positions):
     sources = [(tid, sk, None) for tid, sk in system.schema_decls]
     sources += [(n.interface.tid, n.interface.schema, n.span) for _, n in parts
                 if isinstance(n, s.TableComp) and n.interface.tid is not None]
-    shapes = _TableShapes()
     for body in [*(d.body for d in system.procedures.values()), *(n for _, n in parts)]:
-        shapes.map(body, s.Scope())
+        _shapes(body, sources)
     nabla: dict = {}
     diags: list = []
-    for tid, sk, span in sources + shapes.found:
+    for tid, sk, span in sources:
         old = nabla.get(tid)
         if old is None:
             nabla[tid] = sk

@@ -1,11 +1,11 @@
 """Long straight-line processes stay within the interpreter's recursion limit.
 
-Each pass over the syntax but `render` recurses once per action of a
-chain, so these lengths pin how many Python frames one level of the tree
-costs: the parser and its passes one, the checker one, and running or
-exploring two (a node's `__hash__`, which `canonicalize` calls when it
-first hashes the chain).  A traversal that spent one more frame per level
-would fail here.
+Each pass over the syntax but `render` and the checker's schema map
+recurses once per action of a chain, so these lengths pin how many Python
+frames one level of the tree costs: the parser and its passes one, the
+checker one, and running or exploring two (a node's `__hash__`, which
+`canonicalize` calls when it first hashes the chain).  A traversal that
+spent one more frame per level would fail here.
 
 Wide nets pin the same for the `||` and `|` spines of a net.  The parser
 builds a spine in a loop, and `syntax.net_parts`, the one walk of a net,
@@ -16,11 +16,12 @@ width, 10,000 nodes are pinned, and a net built in code of any shape: a
 3,000-node spine nested on the right is pinned.  Restrictions nested one
 in another cost `net_parts` O(1) each however deep they nest, even when
 every restricted name clashes with a free one, which the growth of its
-time from 500 to 4,000 levels pins.  `render` lays out every
-tree from one explicit stack, so it takes a net of any width and a chain
-of any length: 10,000 of each are pinned.  Running a wide net is pinned at
-900 nodes, because each step still costs passes over every item, so a run
-is quadratic in the width.
+time from 500 to 4,000 levels pins.  `render` lays out every tree from one
+explicit stack, so it takes a net of any width and a chain of any length:
+10,000 of each are pinned.  The schema map follows a chain from a stack
+too, and a 10,000-action chain built in code is pinned.  Running a wide
+net is pinned at 900 nodes, because each step still costs passes over
+every item, so a run is quadratic in the width.
 """
 
 import functools
@@ -30,6 +31,7 @@ import pytest
 
 from kdb import semantics
 from kdb import syntax as s
+from kdb import typesys
 from kdb.net import canonicalize
 from kdb.parser import parse_system
 from kdb.syntax import render
@@ -116,6 +118,17 @@ def test_render_chain_of_10000():
     for i in reversed(range(10_000)):
         chain = s.Prefix(s.Insert("T", s.Tuple((i,)), VLoc("l")), chain)
     assert render(chain) == "".join(f"insert(T@$l, ({i})). " for i in range(10_000)) + "nil"
+
+
+def test_schema_map_of_a_built_chain_of_10000():
+    chain = s.NilProc()
+    for i in reversed(range(10_000)):
+        chain = s.Prefix(s.Create(f"T{i % 7}", VLoc("l"), (s.INT,)), chain)
+    system = s.System({}, (), s.Node("l", s.ProcComp(chain)))
+    parts = s.net_parts(system.main_net)[1]
+    nabla, diags = typesys._schema_map(system, parts, s.Positions(system.source))
+    assert nabla == {f"T{i}": (s.INT,) for i in range(7)}
+    assert diags == []
 
 
 def restricted_net(n: int, nest) -> s.Net:

@@ -24,7 +24,6 @@ from kdb.net import (
     dump_tables,
     find_tables,
     lid,
-    ok,
 )
 from kdb.values import Multiset, ValueTuple, VLoc, VSet
 from nets import no_rep, to_net
@@ -99,8 +98,8 @@ class TestCanonicalize:
 
     def test_err_flag(self):
         cn = canonicalize(s.ParNet(s.ErrNet(), node("l1", proc(NIL))))
-        assert cn.err and not ok(cn)
-        assert ok(canonicalize(s.NilNet()))
+        assert cn.err
+        assert not canonicalize(s.NilNet()).err
 
     def test_idempotent_through_expansion(self):
         rng = random.Random(0)
@@ -599,7 +598,7 @@ class TestFindTables:
 
     def test_err_net_not_ok(self):
         cn = canonicalize(s.ParNet(s.ErrNet(), node("l", proc(NIL))))
-        assert not ok(cn)
+        assert cn.err
 
 
 class TestDump:

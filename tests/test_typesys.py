@@ -274,6 +274,34 @@ class TestSystemChecking:
         diags = check_system(parse_system(src))
         assert any(d.kind == "schema-conflict" for d in diags)
 
+    def test_first_shape_seen_wins_in_text_order(self):
+        # The first shape the schema map meets wins, so the order it visits
+        # an action and its continuation, a select's sources, a loop's table
+        # and body, a sequence's halves and an eval's process is the order
+        # of every conflict reported here: each reads (Int) then (String).
+        src = ('$l :: create(T@$l, (Int)). create(T@$l, (String)). nil\n'
+               '|| $l :: select(table U : (Int) = {(1)}, table U : (String) = {("a")}, '
+               '(!a, !b), true, (a), !t). nil\n'
+               '|| $l :: foreach(table V : (Int) = {(1)}, (!x), true, unordered): '
+               'create(V@$l, (String)). nil\n'
+               '|| $l :: (create(W@$l, (Int)). nil; create(W@$l, (String)). nil)\n'
+               '|| $l :: eval(create(X@$l, (Int)). nil, $l). create(X@$l, (String)). nil\n')
+        diags = check_system(parse_system(src))
+        assert all(d.kind == "schema-conflict" for d in diags)
+        clash = " (expected (Int), found (String))"
+        assert [str(d) for d in diags] == [
+            "1:28: table 'T' is used with two different schemas" + clash,
+            "2:42: table 'U' is used with two different schemas" + clash,
+            "3:67: table 'V' is used with two different schemas" + clash,
+            "4:37: table 'W' is used with two different schemas" + clash,
+            "5:46: table 'X' is used with two different schemas" + clash,
+            "1:28: create declares a different schema for 'T'" + clash,
+            "2:42: table 'U' declared with a different schema" + clash,
+            "3:67: create declares a different schema for 'V'" + clash,
+            "4:37: create declares a different schema for 'W'" + clash,
+            "5:46: create declares a different schema for 'X'" + clash,
+        ]
+
     def test_multiple_independent_errors_all_reported(self):
         src = ('schema T : (Int)\n'
                '$l :: insert(T@$l, ("a")). nil '
