@@ -202,7 +202,7 @@ def cmd_dump(args) -> int:
     system, code = _load(args.file)
     if system is None:
         return code
-    cn = netmod.canonicalize(system.main_net)
+    cn = netmod.canonicalize(system.main_net, system.procedures)
     print(netmod.dump_json(cn))
     return EXIT_OK
 

@@ -41,10 +41,11 @@ class CanonicalNet(NamedTuple):
 _NIL = s.NilProc()
 
 
-def canonicalize(net: s.Net) -> CanonicalNet:
+def canonicalize(net: s.Net, procedures=None) -> CanonicalNet:
     """Normal form under structural congruence: `make_canonical` of the
-    parts `syntax.net_parts` finds, inert units last."""
-    restricted, parts = s.net_parts(net)
+    parts `syntax.net_parts` finds, inert units last.  Pass the system's
+    `procedures`, whose free localities no restricted name may take."""
+    restricted, parts = s.net_parts(net, procedures)
     err = any(isinstance(body, s.ErrNet) for _, body in parts)
     items = sorted(((loc, _NIL) if isinstance(body, s.NilProc) else (loc, body)
                     for loc, body in parts if not isinstance(body, s.ErrNet)),

@@ -1,9 +1,10 @@
 """Lexer and parser for the `.kdb` concrete syntax.
 
 Lexical conventions: table identifiers are capitalized (`KLD`), variables are
-lowercase (`tp`, `tbv`), localities carry a `$` sigil (`$l1`).  Template
-fields bind data with `!x` and localities with `!@u`, so the parser can tell
-the two kinds of binders apart without type information.
+lowercase (`tp`, `tbv`), locality names carry a `$` sigil (`$l1`).
+Template fields bind data with `!x` and locality variables with `!@u`, so
+the parser can tell the two kinds of binders apart without type
+information.
 
 `tokenize` splits the source at its tokens with one regular expression, a
 chunk of lines at a time, and decides the kind and text of each distinct
@@ -15,25 +16,28 @@ ParseError, against a line table built at most once per parse.  The store
 ends in one EOF token, which the parser never reads past.  Keyword and
 operator choices are table lookups on the kind.
 
-The descent resolves names as it meets them, so it builds the only tree.
-A binder scopes over the fields of its node written after it (the rule of
-`syntax.CHILDREN`), so it is bound when parsed and undone at its node's
-end, in two `syntax.Scope`s on one journal: variable -> (sort, new name)
-and restricted locality -> new name.  The descent
+The descent resolves variables as it meets them, so it builds the only
+tree.  A binder scopes over the fields of its node written after it (the
+rule of `syntax.CHILDREN`), so it is bound when parsed and undone at its
+node's end, in one `syntax.Scope`: variable -> (sort, new name).  The
+descent
 
 - sorts variables: outside a table position, a name bound by `!@u` or a
   Loc parameter is a locality variable and any other bound name a data
   variable; a free name keeps the sort its position reads;
-- renames binders apart from each other and from every free name, with a
-  `#k` suffix, which the lexer forbids in source, numbered in source order;
+- renames variable binders apart from each other and from every free
+  variable, with a `#k` suffix, which the lexer forbids in source, numbered
+  in source order;
 - collects the calls.  Each must name a declared procedure and pass it as
   many arguments as it has parameters; the first bad one in source order
   is reported.
 
-A free name that first occurs after a binder took it, as in `(new $a) $a ::
-nil || $a :: nil`, makes `rename_apart` parse the tokens again with every
-free name reserved, which gives `(new $a#1) $a#1 :: nil || $a :: nil`.  The
-descent builds a net's `||` spine in a loop, so a wide net costs no frames.
+Localities are read as written, `(new $l)` included: restriction scope is
+`syntax.net_parts`' to decide.  A free variable that first occurs after a
+binder took its name, as in `$l :: delete(T@$l, (!x), true). nil || $l ::
+insert(T@$l, (x)). nil`, makes `rename_apart` parse the tokens again with
+every free variable reserved, which renames the binder `x#1`.  The descent
+builds a net's `||` spine in a loop, so a wide net costs no frames.
 """
 
 from __future__ import annotations
@@ -203,18 +207,16 @@ _ACTION_KEYWORDS = ("insert", "delete", "select", "update", "aggr", "create", "d
 
 
 class _Parser:
-    """The `free_` sets hold the free names met so far or reserved, and the
-    `bound_` sets the binders' new names.  A token is named by its index
-    into `kinds`, `texts` and `offsets`."""
+    """`free_vars` holds the free variable names met so far or reserved, and
+    `bound_vars` the binders' new names.  A token is named by its index into
+    `kinds`, `texts` and `offsets`."""
 
-    def __init__(self, positions: s.Positions, tokens: Tokens, free_vars=(), free_locs=()):
+    def __init__(self, positions: s.Positions, tokens: Tokens, free_vars=()):
         self.kinds, self.texts, self.offsets = tokens.kinds, tokens.texts, tokens.offsets
         self.pos = 0
         self.positions = positions
         self.variables = s.Scope()
-        self.localities = s.Scope(journal=self.variables.journal)
-        self.free_vars, self.free_locs = set(free_vars), set(free_locs)
-        self.bound_vars, self.bound_locs = set(), set()
+        self.free_vars, self.bound_vars = set(free_vars), set()
         self.counter = itertools.count(1)
         self.calls = []
         self.parens = {}  # position after a "(" -> (expression, position after ")") or ParseError
@@ -267,17 +269,13 @@ class _Parser:
 
     # -- names
 
-    def fresh(self, name: str, free: set, bound: set) -> str:
-        """A binder's new name: its own, or else the first free `name#k`."""
-        new = name
-        while new in free or new in bound:
-            new = f"{name}#{next(self.counter)}"
-        bound.add(new)
-        return new
-
     def bind(self, name: str, sort: str) -> str:
-        """Bind a variable until the journal is undone; returns its new name."""
-        new = self.fresh(name, self.free_vars, self.bound_vars)
+        """Bind a variable until the journal is undone; returns its new name:
+        its own, or else the first `name#k` that is neither free nor bound."""
+        new = name
+        while new in self.free_vars or new in self.bound_vars:
+            new = f"{name}#{next(self.counter)}"
+        self.bound_vars.add(new)
         self.variables.bind(name, (sort, new))
         return new
 
@@ -292,14 +290,6 @@ class _Parser:
         if cls is not s.TableByVar:
             cls = s.LocVar if sort == "loc" else s.DataVar
         return cls(name, span=self.offsets[t])
-
-    def locality(self, name: str) -> str:
-        """The new name of a locality occurrence."""
-        new = self.localities.get(name)
-        if new is None:
-            self.free_locs.add(name)
-            return name
-        return new
 
     # -- entry point
 
@@ -373,20 +363,15 @@ class _Parser:
         if self.accept("ERR"):
             return s.ErrNet(span=span)
         if self.accept("$"):
-            loc = self.locality(self.texts[self.expect("NAME", "locality name")])
+            loc = self.texts[self.expect("NAME", "locality name")]
             self.expect("::")
             return s.Node(loc, self.component(), span=span)
         if self.accept("("):
             if self.accept("new"):
                 self.expect("$")
-                name = self.texts[self.expect("NAME", "locality name")]
+                loc = self.texts[self.expect("NAME", "locality name")]
                 self.expect(")")
-                mark = self.localities.mark()
-                loc = self.fresh(name, self.free_locs, self.bound_locs)
-                self.localities.bind(name, loc)
-                inner = self.net_atom()
-                self.localities.undo(mark)
-                return s.Restrict(loc, inner, span=span)
+                return s.Restrict(loc, self.net_atom(), span=span)
             inner = self.net()
             self.expect(")")
             return inner
@@ -418,10 +403,6 @@ class _Parser:
         self.expect("{")
         rows = Multiset([] if self.at("}") else self.separated(self.row))
         self.expect("}")
-        if self.localities:
-            # Renamed whole, so a renamed row moves last: the order of rows
-            # decides which failing row a select reports.
-            rows = s.rename_rows(rows, self.localities)
         return s.Interface(tid, sk), rows
 
     def row(self) -> ValueTuple:
@@ -432,8 +413,8 @@ class _Parser:
 
     def constant(self, t: int, what: str):
         """The constant the token `t`, just read, begins: an integer, a string,
-        a table identifier or a locality, as a row holds it (an expression
-        reads a locality itself).  `what` is the error when `t` begins none."""
+        a table identifier or a locality, as a row and an expression hold
+        it.  `what` is the error when `t` begins none."""
         kind = self.kinds[t]
         if kind == "INT":
             return int(self.texts[t])
@@ -444,9 +425,7 @@ class _Parser:
         if kind == "TID":
             return VTid(self.texts[t])
         if kind == "$":
-            name = self.texts[self.expect("NAME", "locality name")]
-            self.locality(name)  # noted if free; its table renames it
-            return VLoc(name)
+            return VLoc(self.texts[self.expect("NAME", "locality name")])
         raise self.error(what, self.offsets[t])
 
     def value(self):
@@ -544,7 +523,7 @@ class _Parser:
     def loc_expr(self) -> s.Expr:
         t = self.pos
         if self.accept("$"):
-            return VLoc(self.locality(self.texts[self.expect("NAME", "locality name")]))
+            return VLoc(self.texts[self.expect("NAME", "locality name")])
         if self.accept("NAME"):
             return self.variable(t, s.LocVar)
         self.fail("expected a locality", expected=("$", "a locality variable"))
@@ -697,8 +676,6 @@ class _Parser:
         kind = self.kinds[t]
         if kind == "NAME":
             return self.variable(t, s.DataVar)
-        if kind == "$":
-            return VLoc(self.locality(self.texts[self.expect("NAME", "locality name")]))
         if kind == "{":
             elems = self.separated(self.multiset_elem)
             self.expect("}")
@@ -762,9 +739,9 @@ def rename_apart(source: str, tokens: Tokens) -> s.System:
     positions = s.Positions(source)
     parser = _Parser(positions, tokens)
     system = parser.system()
-    if parser.free_vars & parser.bound_vars or parser.free_locs & parser.bound_locs:
+    if parser.free_vars & parser.bound_vars:
         # A binder took a name that occurs free after it.
-        parser = _Parser(positions, tokens, parser.free_vars, parser.free_locs)
+        parser = _Parser(positions, tokens, parser.free_vars)
         system = parser.system()
     _check_calls(parser, system.procedures)
     return system

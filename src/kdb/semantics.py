@@ -463,7 +463,7 @@ def run(sys: s.System, seed: int = 0, max_steps: int = 10000) -> Trace:
     successor each step picks (and those of a tied label, which
     `enumerate_transitions` orders by key).  A run ends in "err" as soon as
     its net is the error net, the initial one included."""
-    initial = netmod.canonicalize(sys.main_net)
+    initial = netmod.canonicalize(sys.main_net, sys.procedures)
     cn = initial
     rng = random.Random(seed)
     steps = []
@@ -493,7 +493,7 @@ def explore(sys: s.System, bound: int = 10000) -> ExploreResult:
     the state it was last enumerated in (`_outcomes`), and the keyer
     certifies the restricted names once per configuration of the bodies
     that hold them, however many states share it (`net.StateKeys`)."""
-    start = netmod.canonicalize(sys.main_net)
+    start = netmod.canonicalize(sys.main_net, sys.procedures)
     keys = netmod.StateKeys(start.restricted)
     index = {keys.key(start): 0}
     states = [start]

@@ -795,21 +795,24 @@ def rename_localities(node, mapping: dict):
 _CLOSE = object()  # where a restriction's scope closes, on net_parts' stack
 
 
-def net_parts(net) -> tuple:
+def net_parts(net, procedures=None) -> tuple:
     """The restricted names of a net, outermost first, and its parts, left
     first: (locality, process), (locality, TableComp) or (None, ErrNet).
 
     The one walk of a net's `||`, `|`, restrictions and nodes, on one
-    explicit stack, so a net of any shape costs no frame.  A restricted name
-    that clashes with a free name or an earlier one becomes `name#k` in its
-    scope, numbered in walk order (pre-order, left first): of same-name
-    restrictions only the outermost can keep its name, so an inner one
-    shadows it.  The walk records parts and scopes; two passes over the
-    record, binding names in `Scope`s at O(1) a restriction, find the net's
-    free names, then number and rename.  Only a net with a restriction walks
-    its bodies for free names, and only a part with a clash in scope renames,
-    by the renaming `Scope` itself, so however many clashes are in scope a
-    part costs no copy of them.
+    explicit stack, so a net of any shape costs no frame, and the one place
+    that decides restriction scope.  A restricted name that clashes with a
+    free name of the net, a free locality of a body in `procedures` (name ->
+    `ProcDef`, whose calls may unfold in its scope) or an earlier restricted
+    name becomes `name#k` in its scope, numbered in walk order (pre-order,
+    left first): of same-name restrictions only the outermost can keep its
+    name, so an inner one shadows it.  The walk records parts and scopes;
+    two passes over the record, binding names in `Scope`s at O(1) a
+    restriction, find the free names, then number and rename.  Only a net
+    with a restriction walks its bodies and the procedures for free names,
+    and only a part with a clash in scope renames, by the renaming `Scope`
+    itself, so however many clashes are in scope a part costs no copy of
+    them.
     """
     events = []  # a part's (locality, body); a restricted name as its scope opens, None as it closes
     stack = [(net, None)]  # a net or a component, and its node's locality
@@ -830,7 +833,9 @@ def net_parts(net) -> tuple:
             raise TypeError(f"not a net or a component: {n!r}")
     if None not in events:
         return (), events
-    around, used = Scope(), set()  # the restricted names in scope; the net's free names
+    around, used = Scope(), set()  # the restricted names in scope; the free names
+    for d in (procedures or {}).values():
+        used |= free_locs(d.body)
     for e in events:
         if e is None:
             around.undo(around.mark() - 1)

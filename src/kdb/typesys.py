@@ -529,7 +529,7 @@ def _schema_map(system: s.System, parts: list, positions: s.Positions):
 def check_system(system: s.System) -> list:
     """All diagnostics for a system; an empty list means well-typed."""
     positions = s.Positions(system.source)  # one line table per check
-    parts = s.net_parts(system.main_net)[1]  # one walk of the net per check
+    parts = s.net_parts(system.main_net, system.procedures)[1]  # one walk of the net per check
     nabla, diags = _schema_map(system, parts, positions)
     checker = Checker(nabla, system.procedures, positions)
     checker.diags = diags

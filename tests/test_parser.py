@@ -6,6 +6,7 @@ import pytest
 
 from gen import random_system
 from kdb import syntax as s
+from kdb.net import canonicalize
 from kdb.parser import ParseError, _Parser, parse_system
 from kdb.values import VLoc
 
@@ -217,12 +218,10 @@ class TestRenamingApart:
         assert len(set(binders)) == 3
 
     def test_restricted_locality_renamed_on_collision(self):
-        src = "$a :: nil || (new $a) $a :: nil"
-        sys1 = parse_system(src)
-        net = sys1.main_net
-        restricted = net.right.loc
-        assert restricted != "a"
-        assert net.right.inner.loc == restricted
+        # The parse keeps the name; `net_parts` renames it apart.
+        net = parse_net("$a :: nil || (new $a) $a :: nil")
+        assert net.right.loc == net.right.inner.loc == "a"
+        assert s.net_parts(net) == (("a#1",), [("a", s.NilProc()), ("a#1", s.NilProc())])
 
     def test_binders_renamed_consistently_with_occurrences(self):
         src = ("$l :: delete(T@$l, (!x), x = 1). nil "
@@ -264,29 +263,35 @@ class TestRenamingApart:
 
 class TestLateClashes:
     """A free name that first occurs after a binder of the same name: the
-    binder is renamed as if every free name had been known from the start."""
+    binder is renamed as if every free name had been known from the start.
+    A restriction is read as written and renamed by `net_parts`."""
 
     def test_restriction_before_a_free_site_of_its_name(self):
         src = "(new $a) $a :: nil || $a :: nil"
-        assert s.render(parse_system(src)) == "(new $a#1) $a#1 :: nil || $a :: nil"
+        system = parse_system(src)
+        assert s.render(system) == src
+        assert canonicalize(system.main_net, system.procedures).restricted == ("a#1",)
 
     def test_template_before_a_later_free_use_of_its_name(self):
         src = "$l :: delete(T@$l, (!x), x = 1). nil || $l :: insert(T@$l, (x)). nil"
         assert s.render(parse_system(src)) == (
             "$l :: delete(T@$l, (!x#1), x#1 = 1). nil || $l :: insert(T@$l, (x)). nil")
 
-    def test_restriction_and_binder_share_the_counter(self):
+    def test_restriction_and_binder_count_apart(self):
         src = ("(new $a) $a :: delete(T@$a, (!x), true). nil "
                "|| $a :: insert(T@$a, (x)). nil")
-        assert s.render(parse_system(src)) == (
-            "(new $a#1) $a#1 :: delete(T@$a#1, (!x#2), true). nil "
+        system = parse_system(src)
+        assert s.render(system) == (
+            "(new $a) $a :: delete(T@$a, (!x#1), true). nil "
             "|| $a :: insert(T@$a, (x)). nil")
+        assert s.net_parts(system.main_net)[0] == ("a#1",)
 
     def test_renamed_rows_go_last(self):
         # Renaming moves a row to the end of its table, and a row pass meets
         # rows in that order.
         src = "(new $a) $a :: table T : (Loc, Int) = { ($a, 1), ($b, 2), ($a, 3) } || $a :: nil"
-        table = parse_system(src).main_net.left.inner.component
+        (loc, table), _ = s.net_parts(parse_net(src))[1]
+        assert loc == "a#1"
         assert [s.render(row) for row in table.rows] == ["($b, 2)", "($a#1, 1)", "($a#1, 3)"]
 
     def test_first_bad_call_in_source_order(self):
