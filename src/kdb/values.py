@@ -89,11 +89,15 @@ class Multiset:
         return Multiset.of_counts(out)
 
     def subtract(self, other: "Multiset") -> "Multiset":
-        out = {}
-        for k, n in self._counts.items():
-            m = n - other.count(k)
+        """A copy of the counts, less `other`'s: the work is `other`'s size,
+        and what is left keeps its order."""
+        out = dict(self._counts)
+        for k, n in other._counts.items():
+            m = out.get(k, 0) - n
             if m > 0:
                 out[k] = m
+            else:
+                out.pop(k, None)
         return Multiset.of_counts(out)
 
     def __eq__(self, other) -> bool:

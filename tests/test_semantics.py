@@ -502,6 +502,33 @@ class TestCall:
         rules = [l.rule for l, _ in trace.steps]
         assert rules == ["CALL", "INS", "CALL", "INS", "CALL", "INS", "CALL"]
 
+    def test_a_call_does_not_capture_a_restricted_name(self, monkeypatch):
+        # `p` names the free `$a`, so the restriction beside its call is
+        # renamed apart from it, built in code as when parsed: the insert
+        # waits for a table at the free `$a` and the private T stays empty.
+        insert = s.Prefix(s.Insert("T", tup(1), VLoc("a")), s.NilProc())
+        table = s.TableComp(s.Interface("T", (s.INT,)), Multiset())
+        built = s.System({"p": s.ProcDef("p", (), insert)}, (), s.Restrict("a", s.ParNet(
+            node("a", table), node("l", s.ProcComp(s.CallProc("p", ()))))))
+        parsed = parse_system("let p() := insert(T@$a, (1)). nil in "
+                              "(new $a) ($a :: table T : (Int) = {} || $l :: p())")
+        read = []
+        net_parts = s.net_parts
+        monkeypatch.setattr(s, "net_parts", lambda *a: read.append(net_parts(*a)) or read[-1])
+        for sys1 in (built, parsed):
+            trace = run(sys1, seed=0)
+            assert [label.rule for label, _ in trace.steps] == ["CALL"]
+            assert trace.terminal == "quiescent"
+            assert trace.disabled() == ["l :: insert(T@$a, (1)). nil"]
+            assert dump_tables(trace.final()) == [
+                {"loc": "a#1", "tid": "T", "schema": "(Int)", "rows": []}]
+            cn = canonicalize(sys1.main_net, sys1.procedures)
+            assert cn.restricted == ("a#1",)
+            read.clear()
+            assert check_system(sys1) == []
+            assert read == [(cn.restricted, [("a#1", table), ("l", s.CallProc("p", ()))])]
+        assert parsed.procedures == built.procedures and parsed.main_net == built.main_net
+
     def test_call_to_an_undefined_procedure_is_stuck(self):
         # The parser rejects such a call, so only a built system has one.
         sys1 = s.System({}, (), s.Node("l", s.ProcComp(s.CallProc("g", ()))))

@@ -54,6 +54,8 @@ class TestMultisetLaws:
     @given(small_multisets, small_multisets, st.sampled_from("abcde"))
     def test_subtract_pointwise(self, a, b, x):
         assert a.subtract(b).count(x) == max(a.count(x) - b.count(x), 0)
+        # What is left keeps the minuend's order.
+        assert list(a.subtract(b).support()) == [k for k in a.support() if a.count(k) > b.count(k)]
 
     @given(small_multisets, small_multisets)
     def test_union_commutes(self, a, b):
