@@ -16,19 +16,21 @@ collected in the table CHILDREN: a binder scopes over the fields of its node
 listed after it.  A template's `!x` and `!@u` scope over its action's
 predicate and payload and over a loop's body; a select's `!t` and an aggr's
 result template over the continuation of their prefix.  A binder's scope
-follows it in the source text too, so the parser resolves names by the same
-rule as it reads them; procedure parameters, which scope over their body,
-the parser and the checker bind themselves.  `ScopedMap` is the one
+follows it in the source text too, so the parser resolves variables by the
+same rule as it reads them; procedure parameters, which scope over their
+body, the parser and the checker bind themselves.  `ScopedMap` is the one
 traversal of processes and tables that the table drives.  Like the type
 checker and the parser it binds in a `Scope`, in place, and undoes what a
 node bound when the node is done.  `free_vars`, `free_locs` and
 `rename_localities` here and `kernel.apply_subst` are each a few hooks on
 it.  It costs a Python frame per level of a process.  `net_parts` is the
 one walk of a net's `||`, `|`, nodes and restrictions, whose `(new $l)`
-scopes over its net: it decides restriction scope, on one explicit stack,
-at no frame per level, and the engine and the checker read a net through
-it.  `render` is driven by a table too, `_FORMAT`, and lays any tree out
-from one explicit stack.
+scopes over its net: it alone decides restriction scope, keeping a
+restricted name apart from the net's free names and from the free
+localities of the system's procedures, on one explicit stack, at no frame
+per level, and the engine and the checker read a net through it.
+`render` is driven by a table too, `_FORMAT`, and lays any tree out from
+one explicit stack.
 """
 
 from __future__ import annotations

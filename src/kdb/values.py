@@ -89,8 +89,7 @@ class Multiset:
         return Multiset.of_counts(out)
 
     def subtract(self, other: "Multiset") -> "Multiset":
-        """A copy of the counts, less `other`'s: the work is `other`'s size,
-        and what is left keeps its order."""
+        """The counts less `other`'s, in their order, in `other`'s size of work."""
         out = dict(self._counts)
         for k, n in other._counts.items():
             m = out.get(k, 0) - n

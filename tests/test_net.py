@@ -488,7 +488,8 @@ class TestNetPartsWork:
         system = parse_system((pathlib.Path(__file__).parent.parent / "corpus"
                                / "dept_stores.kdb").read_text())
         walks = _counting(monkeypatch, "free_locs")
-        assert canonicalize(system.main_net).restricted == ()
+        assert system.procedures  # nor a walk of their bodies
+        assert canonicalize(system.main_net, system.procedures).restricted == ()
         assert check_system(system) == []
         assert walks == []
 
