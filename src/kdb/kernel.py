@@ -92,7 +92,7 @@ def compile_expr(e: s.Expr, slots: dict):
     """A closure giving the expression's value, or ERR, from a row's cells."""
     if e.__class__ in KIND:
         return _constant(e)  # a scalar constant is its value
-    if isinstance(e, (s.DataVar, s.LocVar)):
+    if isinstance(e, s.Var):
         slot = slots.get(e.name)
         # A variable the slots do not bind is an evaluation error.
         return _constant(ERR) if slot is None else operator.itemgetter(slot)
@@ -195,7 +195,7 @@ def compile_tuple(t: s.Tuple, slots: dict):
     for every slot."""
     comps = t.components
     if len(comps) == len(slots) and all(
-            isinstance(e, (s.DataVar, s.LocVar)) and slots.get(e.name) == i
+            isinstance(e, s.Var) and slots.get(e.name) == i
             for i, e in enumerate(comps)):
         return None
     if all(e.__class__ in KIND for e in comps):
@@ -296,7 +296,7 @@ class _Subst(s.ScopedMap):
         v = env.get(node.name)
         return v if isinstance(v, s.TableLiteral) else node
 
-    hooks = {s.DataVar: _var, s.LocVar: _var, s.TableByVar: _table_var}
+    hooks = {s.Var: _var, s.TableByVar: _table_var}
 
 
 _SUBST = _Subst()
@@ -342,7 +342,7 @@ def project_schema(sk: s.Schema, template: s.Template, t: s.Tuple) -> Optional[s
     by_name = {f.name: i for i, f in enumerate(template.fields)}
     out = []
     for e in t.components:
-        if isinstance(e, (s.DataVar, s.LocVar)):
+        if isinstance(e, s.Var):
             i = by_name.get(e.name)
             if i is None:
                 return None

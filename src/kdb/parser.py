@@ -19,12 +19,10 @@ operator choices are table lookups on the kind.
 The descent resolves variables as it meets them, so it builds the only
 tree.  A binder scopes over the fields of its node written after it (the
 rule of `syntax.CHILDREN`), so it is bound when parsed and undone at its
-node's end, in one `syntax.Scope`: variable -> (sort, new name).  The
-descent
+node's end, in one `syntax.Scope`: variable -> new name.  A use is a
+`syntax.Var`, or a `TableByVar` in a table position; what it holds is its
+binder's to say, and the checker's to read.  The descent
 
-- sorts variables: outside a table position, a name bound by `!@u` or a
-  Loc parameter is a locality variable and any other bound name a data
-  variable; a free name keeps the sort its position reads;
 - renames variable binders apart from each other and from every free
   variable, with a `#k` suffix, which the lexer forbids in source, numbered
   in source order;
@@ -269,27 +267,23 @@ class _Parser:
 
     # -- names
 
-    def bind(self, name: str, sort: str) -> str:
+    def bind(self, name: str) -> str:
         """Bind a variable until the journal is undone; returns its new name:
         its own, or else the first `name#k` that is neither free nor bound."""
         new = name
         while new in self.free_vars or new in self.bound_vars:
             new = f"{name}#{next(self.counter)}"
         self.bound_vars.add(new)
-        self.variables.bind(name, (sort, new))
+        self.variables.bind(name, new)
         return new
 
     def variable(self, t: int, cls):
         """The variable the NAME token `t` reads, as `cls` reads it."""
         name = self.texts[t]
-        bound = self.variables.get(name)
-        if bound is None:
+        new = self.variables.get(name)
+        if new is None:
             self.free_vars.add(name)
-            return cls(name, span=self.offsets[t])
-        sort, name = bound
-        if cls is not s.TableByVar:
-            cls = s.LocVar if sort == "loc" else s.DataVar
-        return cls(name, span=self.offsets[t])
+        return cls(new or name, span=self.offsets[t])
 
     # -- entry point
 
@@ -321,7 +315,7 @@ class _Parser:
         self.expect(")")
         self.expect(":=")
         mark = self.variables.mark()
-        bound = tuple((self.bind(name, _param_sort(ty)), ty) for name, ty in params)
+        bound = tuple((self.bind(name), ty) for name, ty in params)
         body = self.process()
         self.variables.undo(mark)
         if len({n for n, _ in params}) != len(params):
@@ -525,7 +519,7 @@ class _Parser:
         if self.accept("$"):
             return VLoc(self.texts[self.expect("NAME", "locality name")])
         if self.accept("NAME"):
-            return self.variable(t, s.LocVar)
+            return self.variable(t, s.Var)
         self.fail("expected a locality", expected=("$", "a locality variable"))
 
     def action(self) -> s.Action:
@@ -548,7 +542,7 @@ class _Parser:
             self.variables.undo(mark)
             self.expect(",")
             self.expect("!")
-            bind = self.bind(self.texts[self.expect("NAME", "table variable")], "table")
+            bind = self.bind(self.texts[self.expect("NAME", "table variable")])
             self.expect(")")
             return s.Select(tuple(tables), template, pred, payload, bind, span=span)
         if kw == "eval":
@@ -616,9 +610,8 @@ class _Parser:
             if name in seen:
                 raise self.error(f"template binds {name!r} twice; binders must be linear", where)
             seen.add(name)
-        return s.Template(tuple([cls(self.bind(name, "loc" if cls is s.BindLoc else "data"),
-                                     span=where) for cls, name, where in fields]),
-                          span=span)
+        return s.Template(tuple([cls(self.bind(name), span=where)
+                                 for cls, name, where in fields]), span=span)
 
     def template_field(self) -> tuple:
         """(class, name, offset) of a template field."""
@@ -675,7 +668,7 @@ class _Parser:
         t = self.next()
         kind = self.kinds[t]
         if kind == "NAME":
-            return self.variable(t, s.DataVar)
+            return self.variable(t, s.Var)
         if kind == "{":
             elems = self.separated(self.multiset_elem)
             self.expect("}")
@@ -708,11 +701,6 @@ class _Parser:
         return e
 
 
-def _param_sort(ty) -> str:
-    """The sort of variable a procedure parameter of type `ty` binds."""
-    return "table" if isinstance(ty, tuple) else "loc" if ty == s.LOC else "data"
-
-
 def _contains_multiset(e: s.Expr) -> bool:
     if isinstance(e, s.MultisetLit):
         return True
@@ -734,8 +722,8 @@ def _check_calls(parser: _Parser, procedures: dict) -> None:
 
 
 def rename_apart(source: str, tokens: Tokens) -> s.System:
-    """Parse the tokens of `source` into a system with its variables sorted
-    and its binders renamed apart, and check its calls (module docstring)."""
+    """Parse the tokens of `source` into a system with its binders renamed
+    apart, and check its calls (module docstring)."""
     positions = s.Positions(source)
     parser = _Parser(positions, tokens)
     system = parser.system()

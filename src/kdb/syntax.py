@@ -83,7 +83,7 @@ class Positions:
 # after it (so a delete's, update's and aggr's locality comes before its
 # template).  CHILDREN collects them.  A class with none has no children to
 # visit: the constants, a VLoc an occurrence of its locality; the variables
-# DataVar, LocVar, TableByVar; and the tables TableLiteral and TableComp,
+# Var, TableByVar; and the tables TableLiteral and TableComp,
 # whose rows may hold localities.  Neither ProcDef nor System has any: the
 # parser and the checker scope a procedure's parameters over its body
 # themselves.  The net classes list their subnets, components and
@@ -121,12 +121,8 @@ Schema = tuple  # tuple of MType, length >= 1
 # ---------------------------------------------------------------------------
 # Expressions
 
-class DataVar(Record):
-    __slots__ = ("name", "span")
-
-
-class LocVar(Record):
-    __slots__ = ("name", "span")
+class Var(Record):
+    __slots__ = ("name", "span")  # data or locality: its binder says which
 
 
 class Arith(Record, left=ONE, right=ONE):
@@ -137,7 +133,7 @@ class MultisetLit(Record, elements=MANY):
     __slots__ = ("elements", "span")  # elements: Exprs, each multiset-free
 
 
-Expr = Union[int, str, VTid, VLoc, DataVar, LocVar, Arith, MultisetLit]
+Expr = Union[int, str, VTid, VLoc, Var, Arith, MultisetLit]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +192,7 @@ class Interface(Record):
 
 
 class TableByName(Record, loc=ONE):
-    __slots__ = ("tid", "loc", "span")  # loc: VLoc or LocVar
+    __slots__ = ("tid", "loc", "span")  # loc: VLoc or Var
 
 
 class TableByVar(Record):
@@ -480,8 +476,7 @@ _FORMAT = {
     VSet: lambda v: "{" + ", ".join(sorted([_FORMAT[e.__class__](e) for e in v.elements])) + "}",
     ValueTuple: _row,
     Multiset: lambda rows: "{" + _join(sorted_rows(rows)) + "}",
-    DataVar: lambda e: e.name,
-    LocVar: lambda e: e.name,
+    Var: lambda e: e.name,
     Arith: lambda e: ("(", *_operands(e), ")"),
     MultisetLit: lambda e: ("{", *_commas(e.elements), "}"),
     TruePred: lambda p: "true",
@@ -725,7 +720,7 @@ class _FreeVars(ScopedMap):
             self.out.add(node.name)
         return node
 
-    hooks = {DataVar: _occurrence, LocVar: _occurrence, TableByVar: _occurrence}
+    hooks = {Var: _occurrence, TableByVar: _occurrence}
 
 
 def free_vars(node) -> frozenset:

@@ -4,13 +4,17 @@ Judgments follow the language's declarative rules; the checker adds error
 recovery (siblings keep getting checked after a failure, dependents are
 suppressed) and runs in time linear in the program text.  Its environment
 is a `syntax.Scope`, which maps a name to its type, as `ProcDef.params`
-does: a data variable to its MType, a locality variable to `Loc`, which the
-binder-kind rule gives no data variable, and a table variable to its
-schema, a tuple.  A scope is a mark of the Scope's journal, the binder's
-bindings, and an undo to the mark after its body is checked, all in the
-frame that checks the binder; so checking a straight-line process costs one
-Python frame per action.  A net binds no variable; its parts are those
-`syntax.net_parts` gives the engine too, so a net's width costs no frame.
+does: a data variable to its MType, a locality variable to `Loc` and a
+table variable to its schema, a tuple.  A variable's type comes from its
+binder alone: a parameter's from its declaration, a template field's from
+the column or aggregate it binds (`!@u` binds only a Loc, `!x` anything
+else) and a select's from its result schema.  A use, a `syntax.Var` or a
+`TableByVar`, reads it from the environment.  A scope is a mark of the
+Scope's journal, the binder's bindings, and an undo to the mark after its
+body is checked, all in the frame that checks the binder; so checking a
+straight-line process costs one Python frame per action.  A net binds no
+variable; its parts are those `syntax.net_parts` gives the engine too, so a
+net's width costs no frame.
 
 The checker is its own walk, not a pass of the traversal that the binding
 table `syntax.CHILDREN` drives, for three reasons.  A binder's types come
@@ -89,16 +93,10 @@ class Checker:
         sort = literal_sort(e)
         if sort is not None:
             return sort
-        if isinstance(e, (s.DataVar, s.LocVar)):
+        if isinstance(e, s.Var):
             ty = env.get(e.name)
             if ty is None:
                 return self.error("unbound-variable", f"unbound variable {e.name!r}", e.span)
-            if isinstance(e, s.LocVar) and ty != s.LOC:
-                return self.error("kind-mismatch",
-                                  f"{e.name!r} is not a locality variable", e.span)
-            if isinstance(e, s.DataVar) and ty == s.LOC:
-                return self.error("kind-mismatch",
-                                  f"locality variable {e.name!r} used as data", e.span)
             if isinstance(ty, tuple):
                 return self.error("kind-mismatch",
                                   f"table variable {e.name!r} used as data", e.span)
@@ -474,7 +472,7 @@ class Checker:
 def _projectable(e: s.Expr) -> bool:
     if isinstance(e, s.MultisetLit):
         return all(x.__class__ in KIND for x in e.elements)
-    return isinstance(e, (s.DataVar, s.LocVar)) or e.__class__ in KIND
+    return isinstance(e, s.Var) or e.__class__ in KIND
 
 
 def _shapes(body, found: list) -> None:

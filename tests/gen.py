@@ -94,8 +94,8 @@ class AstGen:
             if c == "loc":
                 return VLoc(self.loc_name())
             if c == "dvar":
-                return s.DataVar(rng.choice(data_vars))
-            return s.LocVar(rng.choice(loc_vars))
+                return s.Var(rng.choice(data_vars))
+            return s.Var(rng.choice(loc_vars))
         c = rng.random()
         if c < 0.35:
             return s.Arith("++", self.expr(env, depth - 1), self.expr(env, depth - 1))
@@ -167,7 +167,7 @@ class AstGen:
         if c < 0.75:
             loc_vars = [n for n, kd in env.items() if kd == "loc"]
             if loc_vars and rng.random() < 0.3:
-                loc = s.LocVar(rng.choice(loc_vars))
+                loc = s.Var(rng.choice(loc_vars))
             else:
                 loc = VLoc(self.loc_name())
             return s.TableByName(self.fresh_tid(), loc)
@@ -178,7 +178,7 @@ class AstGen:
     def loc_expr(self, env) -> s.Expr:
         loc_vars = [n for n, kd in env.items() if kd == "loc"]
         if loc_vars and self.rng.random() < 0.3:
-            return s.LocVar(self.rng.choice(loc_vars))
+            return s.Var(self.rng.choice(loc_vars))
         return VLoc(self.loc_name())
 
     def action(self, env, depth):

@@ -92,8 +92,7 @@ class TypedGen:
         rng = self.rng
         candidates = [n for n, ty in env.items() if ty == t]
         if candidates and rng.random() < 0.5:
-            base = s.LocVar if t == s.LOC else s.DataVar
-            return base(rng.choice(candidates))
+            return s.Var(rng.choice(candidates))
         if depth > 0 and t == s.INT and rng.random() < 0.4:
             op = rng.choice(["+", "-", "*", "/"])
             return s.Arith(op, self.expr_of(env, s.INT, depth - 1),
@@ -108,8 +107,7 @@ class TypedGen:
         rng = self.rng
         candidates = [n for n, ty in env.items() if ty == t]
         if candidates and rng.random() < 0.7:
-            base = s.LocVar if t == s.LOC else s.DataVar
-            return base(rng.choice(candidates))
+            return s.Var(rng.choice(candidates))
         return self.literal_of(t)
 
     def pred_over(self, env: dict, depth=1) -> s.Pred:
@@ -124,10 +122,10 @@ class TypedGen:
         msets = [(n, ty) for n, ty in env.items() if isinstance(ty, s.MSet)]
         if msets and rng.random() < 0.3:
             name, ty = rng.choice(msets)
-            return s.Cmp("in", self.literal_of(s.Base(ty.kind)), s.DataVar(name))
+            return s.Cmp("in", self.literal_of(s.Base(ty.kind)), s.Var(name))
         if scalars:
             name, ty = rng.choice(scalars)
-            var = s.LocVar(name) if ty == s.LOC else s.DataVar(name)
+            var = s.Var(name) if ty == s.LOC else s.Var(name)
             if ty.kind in ("Int", "String"):
                 op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
             else:
@@ -181,7 +179,7 @@ class TypedGen:
             payload = []
             for i, t in enumerate(sk):
                 if rng.random() < 0.6:
-                    var = s.LocVar(names[i]) if t == s.LOC else s.DataVar(names[i])
+                    var = s.Var(names[i]) if t == s.LOC else s.Var(names[i])
                     if t == s.INT and rng.random() < 0.5:
                         payload.append(s.Arith(rng.choice(["+", "-"]), var, rng.randrange(1, 4)))
                     else:
@@ -219,7 +217,7 @@ class TypedGen:
             for i in picked:
                 t = joined[i]
                 if rng.random() < 0.8:
-                    payload.append(s.LocVar(names[i]) if t == s.LOC else s.DataVar(names[i]))
+                    payload.append(s.Var(names[i]) if t == s.LOC else s.Var(names[i]))
                     out_schema.append(t)
                 else:
                     comp = self.payload_component(env, t)

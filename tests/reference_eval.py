@@ -22,7 +22,7 @@ def eval_expr(e, env=_NO_ENV):
     """The value of an expression whose variables env binds to values."""
     if e.__class__ in KIND:
         return e  # a scalar constant is its value
-    if isinstance(e, (s.DataVar, s.LocVar)):
+    if isinstance(e, s.Var):
         # A variable env does not bind is an evaluation error.
         return env.get(e.name, ERR)
     if isinstance(e, s.Arith) and e.op == "++":

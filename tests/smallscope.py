@@ -60,7 +60,7 @@ class SmallGen:
         names = template.names()
         i = rng.randrange(len(names))
         want = sk[i] if i < len(sk) else rng.choice([s.INT, s.STRING])
-        return s.Cmp(rng.choice(["=", "!=", "<"]), s.DataVar(names[i]), self.expr(want))
+        return s.Cmp(rng.choice(["=", "!=", "<"]), s.Var(names[i]), self.expr(want))
 
     def action(self, depth):
         rng = self.rng
@@ -79,7 +79,7 @@ class SmallGen:
             tpl = self.template_for(sk)
             names = tpl.names()
             payload = s.Tuple(tuple(
-                s.DataVar(rng.choice(names)) if rng.random() < 0.5 else self.expr(t)
+                s.Var(rng.choice(names)) if rng.random() < 0.5 else self.expr(t)
                 for t in sk))
             return s.Update(tid, tpl, self.pred_over(tpl, sk), payload, loc)
         if kind == "aggr":
@@ -91,7 +91,7 @@ class SmallGen:
         if kind == "select":
             tpl = self.template_for(sk)
             names = tpl.names()
-            payload = s.Tuple((s.DataVar(rng.choice(names)),))
+            payload = s.Tuple((s.Var(rng.choice(names)),))
             bind = self.fresh()
             cont = s.Foreach(s.TableByVar(bind),
                              s.Template((s.BindData(self.fresh()),)),

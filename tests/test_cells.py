@@ -67,7 +67,7 @@ class TestFalseValues:
 
 
 class TestStringConstantsRender:
-    X = s.DataVar("x")
+    X = s.Var("x")
 
     @pytest.mark.parametrize("node, text", [
         pytest.param("a b", '"a b"', id="top-level"),

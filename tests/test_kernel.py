@@ -73,7 +73,7 @@ class TestEvalExpr:
         assert eval_expr(e) == VSet(Multiset([1, 1, 2]))
 
     def test_free_variable_errs(self):
-        assert k.is_err(eval_expr(s.DataVar("x")))
+        assert k.is_err(eval_expr(s.Var("x")))
 
     def test_huge_arithmetic_is_exact(self):
         e = s.Arith("*", intlit(2**70), intlit(3**40))
@@ -167,7 +167,7 @@ class TestEvalUnderEnvironment:
             if depth == 0 or c < 0.5:
                 if rng.random() < 0.3:
                     return rng.randrange(4)
-                return rng.choice([s.DataVar, s.DataVar, s.LocVar])(rng.choice(names))
+                return s.Var(rng.choice(names))
             if c < 0.6:
                 return s.MultisetLit((expr(0), expr(0)))
             if c < 0.95:
@@ -268,14 +268,14 @@ class TestWellSorted:
 
 class TestSubstitution:
     def test_predicate_substitution(self):
-        p = s.Cmp("=", s.DataVar("tp"), "HB")
+        p = s.Cmp("=", s.Var("tp"), "HB")
         got = k.apply_subst({"tp": "SB"}, p)
         assert got == s.Cmp("=", "SB", "HB")
 
     def test_inner_binder_shadows(self):
         # x is rebound by the loop template, so inner occurrences stay put.
         body = s.Prefix(
-            s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l1")), s.NilProc())
+            s.Insert("T", s.Tuple((s.Var("x"),)), VLoc("l1")), s.NilProc())
         loop = s.Foreach(
             s.TableByVar("tv"),
             s.Template((s.BindData("x"),)),
@@ -284,12 +284,12 @@ class TestSubstitution:
             body,
         )
         outer = s.Seq(
-            s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l1")), s.NilProc()),
+            s.Prefix(s.Insert("T", s.Tuple((s.Var("x"),)), VLoc("l1")), s.NilProc()),
             loop,
         )
         got = k.apply_subst({"x": 5}, outer)
         assert got.first.action.payload == s.Tuple((5,))
-        assert got.second.body.action.payload == s.Tuple((s.DataVar("x"),))
+        assert got.second.body.action.payload == s.Tuple((s.Var("x"),))
 
     def test_table_variable_substitution(self):
         table = s.TableLiteral(s.Interface(None, (s.INT,)), Multiset([srow(1)]))
@@ -301,7 +301,7 @@ class TestSubstitution:
     def test_continuation_stops_at_select_rebind(self):
         inner = s.Prefix(
             s.Select((s.TableByVar("tv"),), s.Template((s.BindData("y"),)),
-                     s.TruePred(), s.Tuple((s.DataVar("y"),)), "w"),
+                     s.TruePred(), s.Tuple((s.Var("y"),)), "w"),
             s.Foreach(s.TableByVar("w"), s.Template((s.BindData("z"),)),
                       s.TruePred(), s.OrderSpec("unordered"), s.NilProc()),
         )
@@ -317,7 +317,7 @@ def naive_subst_with_indices(proc, name, value):
     counter = itertools.count()
 
     def walk_expr(e, env):
-        if isinstance(e, s.DataVar):
+        if isinstance(e, s.Var):
             return value if e.name not in env and e.name == name else e
         if isinstance(e, s.Arith):
             return s.Arith(e.op, walk_expr(e.left, env), walk_expr(e.right, env))
@@ -365,7 +365,7 @@ class TestSubstAgainstScopeOracle:
 
         def rand_expr(depth=2):
             if depth == 0 or rng.random() < 0.5:
-                return rng.choice([rng.randrange(5), s.DataVar(rng.choice(names))])
+                return rng.choice([rng.randrange(5), s.Var(rng.choice(names))])
             return s.Arith("+", rand_expr(depth - 1), rand_expr(depth - 1))
 
         def rand_pred():
@@ -434,28 +434,28 @@ class TestMatchTotalityOnSortedInputs:
 
 class TestProjection:
     def test_three_column_projection(self):
-        t = s.Tuple((s.DataVar("cr"), s.DataVar("sz"), s.DataVar("ss")))
+        t = s.Tuple((s.Var("cr"), s.Var("sz"), s.Var("ss")))
         got = k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t)
         assert got == (s.STRING, s.STRING, s.INT)
 
     def test_identity_projection(self):
-        t = s.Tuple(tuple(s.DataVar(n) for n in SEVEN_BINDERS.names()))
+        t = s.Tuple(tuple(s.Var(n) for n in SEVEN_BINDERS.names()))
         assert k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t) == KLD_SCHEMA
 
     def test_constant_component_contributes_its_own_sort(self):
-        t = s.Tuple((42, s.DataVar("cr")))
+        t = s.Tuple((42, s.Var("cr")))
         got = k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t)
         assert got == (s.INT, s.STRING)
 
     def test_payload_longer_than_its_template(self):
         # Every component still projects: a constant brings its own sort.
         template = s.Template((s.BindData("x"),))
-        t = s.Tuple((s.DataVar("x"), 1, "a", s.DataVar("x")))
+        t = s.Tuple((s.Var("x"), 1, "a", s.Var("x")))
         got = k.project_schema((s.INT,), template, t)
         assert got == (s.INT, s.INT, s.STRING, s.INT)
 
     def test_unbound_variable_is_undefined(self):
-        t = s.Tuple((s.DataVar("nope"),))
+        t = s.Tuple((s.Var("nope"),))
         assert k.project_schema(KLD_SCHEMA, SEVEN_BINDERS, t) is None
 
     def test_operator_component_is_undefined(self):
@@ -481,7 +481,7 @@ class TestProjection:
                     fields.append(s.BindData(f"v{i}"))
             template = s.Template(tuple(fields))
             payload = s.Tuple(tuple(
-                (s.LocVar if isinstance(f, s.BindLoc) else s.DataVar)(f.name)
+                s.Var(f.name)
                 for f in fields
             ))
             assert k.project_schema(tuple(sk), template, payload) == tuple(sk)
@@ -499,7 +499,7 @@ class TestJoins:
         # KLD@l9 names no table when KLD is only at l1: there is nothing to
         # join, so the select has no transition.
         select = s.Select((s.TableByName("KLD", VLoc("l9")),), SEVEN_BINDERS,
-                          s.TruePred(), s.Tuple((s.DataVar("id"),)), "tbv")
+                          s.TruePred(), s.Tuple((s.Var("id"),)), "tbv")
         net = s.ParNet(s.Node("l0", s.ProcComp(s.Prefix(select, s.NilProc()))),
                        s.Node("l1", KLD_TABLE))
         cn = canonicalize(net)

@@ -58,7 +58,7 @@ class TestBasics:
     def test_an_operator_is_data_of_its_family_class(self):
         net = parse_net('$l :: update(T@$l, (!x, !w), x in w, ("a" ++ "b", w)). nil')
         action = net.component.process.action
-        assert action.pred == s.Cmp("in", s.DataVar("x"), s.DataVar("w"))
+        assert action.pred == s.Cmp("in", s.Var("x"), s.Var("w"))
         assert action.payload.components[0] == s.Arith("++", "a", "b")
 
     def test_restriction(self):
@@ -76,8 +76,8 @@ class TestVariableClassification:
             "$l :: select(T@$l, (!x, !@p), true, (x, p), !tv). nil")
         action = net.component.process.action
         x, p = action.payload.components
-        assert isinstance(x, s.DataVar)
-        assert isinstance(p, s.LocVar)
+        assert isinstance(x, s.Var)
+        assert isinstance(p, s.Var)
 
     def test_aggr_target_uses_loop_bound_locality(self):
         net = parse_net(
@@ -86,15 +86,15 @@ class TestVariableClassification:
             "aggr(K@w, (!a), true, count, (!r)). nil")
         loop = net.component.process.cont
         aggr = loop.body.action
-        assert aggr.loc == s.LocVar("w")
+        assert aggr.loc == s.Var("w")
 
     def test_param_kinds(self):
         sys1 = parse_system(
             "let go(x: Int, u: Loc, tv: (Int, Loc)) := insert(T@u, (x)). nil in nil")
         d = sys1.procedures["go"]
         body_action = d.body.action
-        assert isinstance(body_action.loc, s.LocVar)
-        assert isinstance(body_action.payload.components[0], s.DataVar)
+        assert isinstance(body_action.loc, s.Var)
+        assert isinstance(body_action.payload.components[0], s.Var)
         assert d.params[1][1] == s.LOC
         assert d.params[2][1] == (s.INT, s.LOC)
 
@@ -230,7 +230,7 @@ class TestRenamingApart:
         for node in (sys1.main_net.left, sys1.main_net.right):
             action = node.component.process.action
             (binder,) = action.template.names()
-            assert action.pred.left == s.DataVar(binder)
+            assert action.pred.left == s.Var(binder)
 
     def test_no_renaming_when_already_distinct(self):
         src = "$l :: delete(T@$l, (!x), x = 1). delete(T@$l, (!y), y = 2). nil"

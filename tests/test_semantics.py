@@ -98,9 +98,9 @@ class TestInsertion:
 
 class TestDeletion:
     def test_delete_restores_the_original_table(self):
-        pred = s.And(s.Cmp("=", s.DataVar("tp"), lit("HB")),
-                     s.And(s.Cmp("=", s.DataVar("cr"), lit("white")),
-                           s.Cmp("=", s.DataVar("sz"), lit("37"))))
+        pred = s.And(s.Cmp("=", s.Var("tp"), lit("HB")),
+                     s.And(s.Cmp("=", s.Var("cr"), lit("white")),
+                           s.Cmp("=", s.Var("sz"), lit("37"))))
         proc = prefix_chain(
             s.Insert("KLD", WHITE_TUPLE, VLoc("l1")),
             s.Delete("KLD", SEVEN_BINDERS, pred, VLoc("l1")),
@@ -124,11 +124,11 @@ class TestDeletion:
 
 
 SELECT_PRED = s.And(
-    s.Cmp("=", s.DataVar("id"), lit("001")),
-    s.And(s.Cmp("=", s.DataVar("tp"), lit("HB")),
-          s.Cmp("!=", s.DataVar("cr"), lit("red"))),
+    s.Cmp("=", s.Var("id"), lit("001")),
+    s.And(s.Cmp("=", s.Var("tp"), lit("HB")),
+          s.Cmp("!=", s.Var("cr"), lit("red"))),
 )
-SELECT_PAYLOAD = s.Tuple((s.DataVar("cr"), s.DataVar("sz"), s.DataVar("ss")))
+SELECT_PAYLOAD = s.Tuple((s.Var("cr"), s.Var("sz"), s.Var("ss")))
 
 
 class TestSelection:
@@ -171,8 +171,8 @@ class TestSelection:
             [s.BindData(n) for n in SEVEN_BINDERS.names()] + [s.BindData("k")]))
         action = s.Select(
             (s.TableByName("KLD", VLoc("l1")), s.TableByName("W", VLoc("l2"))),
-            template, s.Cmp("=", s.DataVar("id"), lit("002")),
-            s.Tuple((s.DataVar("cr"), s.DataVar("k"))), "tbv")
+            template, s.Cmp("=", s.Var("id"), lit("002")),
+            s.Tuple((s.Var("cr"), s.Var("k"))), "tbv")
         cont = s.Foreach(s.TableByVar("tbv"),
                          s.Template((s.BindData("a"), s.BindData("b"))),
                          s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
@@ -192,7 +192,7 @@ class TestSelection:
         named = s.TableComp(s.Interface("T", (s.STRING,)),
                             Multiset({srow("a"): 1, srow("b"): 3}))
         action = s.Select((literal, s.TableByName("T", VLoc("l1"))),
-                          XY, s.TruePred(), s.Tuple((s.DataVar("x"), s.DataVar("y"))), "tbv")
+                          XY, s.TruePred(), s.Tuple((s.Var("x"), s.Var("y"))), "tbv")
         cont = s.Foreach(s.TableByVar("tbv"), XY, s.TruePred(), s.OrderSpec("unordered"),
                          s.NilProc())
         net = s.ParNet(node("l0", s.ProcComp(s.Prefix(action, cont))), node("l1", named))
@@ -222,14 +222,14 @@ class TestSelection:
 
 class TestUpdate:
     def test_red_size37_high_boots_updated(self):
-        pred = s.And(s.Cmp("=", s.DataVar("tp"), lit("HB")),
-                     s.And(s.Cmp("=", s.DataVar("cr"), lit("red")),
-                           s.Cmp("=", s.DataVar("sz"), lit("37"))))
+        pred = s.And(s.Cmp("=", s.Var("tp"), lit("HB")),
+                     s.And(s.Cmp("=", s.Var("cr"), lit("red")),
+                           s.Cmp("=", s.Var("sz"), lit("37"))))
         payload = s.Tuple((
-            s.DataVar("id"), s.DataVar("tp"), s.DataVar("yr"), s.DataVar("cr"),
-            s.DataVar("sz"),
-            s.Arith("-", s.DataVar("is0"), 2),
-            s.Arith("+", s.DataVar("ss"), 2),
+            s.Var("id"), s.Var("tp"), s.Var("yr"), s.Var("cr"),
+            s.Var("sz"),
+            s.Arith("-", s.Var("is0"), 2),
+            s.Arith("+", s.Var("ss"), 2),
         ))
         proc = prefix_chain(s.Update("KLD", SEVEN_BINDERS, pred, payload, VLoc("l1")))
         sys1 = empty_system(kld_net(proc))
@@ -242,8 +242,8 @@ class TestUpdate:
         assert table.rows == want
 
     def test_update_breaking_the_schema_is_an_error(self):
-        payload = s.Tuple(tuple(s.DataVar(n) for n in SEVEN_BINDERS.names()[:6])
-                          + (s.Arith("++", s.DataVar("cr"), lit("x")),))
+        payload = s.Tuple(tuple(s.Var(n) for n in SEVEN_BINDERS.names()[:6])
+                          + (s.Arith("++", s.Var("cr"), lit("x")),))
         proc = prefix_chain(s.Update("KLD", SEVEN_BINDERS, s.TruePred(), payload,
                                      VLoc("l1")))
         sys1 = empty_system(kld_net(proc))
@@ -253,9 +253,9 @@ class TestUpdate:
 
 class TestAggregation:
     def test_total_sales_of_one_shoe_id(self):
-        action = s.Aggr("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("id"), lit("001")),
+        action = s.Aggr("KLD", SEVEN_BINDERS, s.Cmp("=", s.Var("id"), lit("001")),
                         s.AggrFn("sum", 7), s.Template((s.BindData("res"),)), VLoc("l1"))
-        cont = prefix_chain(s.Insert("Out", s.Tuple((s.DataVar("res"),)), VLoc("l1")))
+        cont = prefix_chain(s.Insert("Out", s.Tuple((s.Var("res"),)), VLoc("l1")))
         out_table = s.TableComp(s.Interface("Out", (s.INT,)), Multiset())
         net = s.ParNet(kld_net(s.Prefix(action, cont)), node("l1", out_table))
         sys1 = empty_system(net)
@@ -284,12 +284,12 @@ class TestAvgGuidedPipeline:
     def test_aggregate_then_select_above_average(self):
         t0 = SEVEN_BINDERS
         primed = s.Template(tuple(s.BindData(n + "2") for n in SEVEN_BINDERS.names()))
-        aggr = s.Aggr("KLD", t0, s.Cmp("=", s.DataVar("tp"), lit("HB")),
+        aggr = s.Aggr("KLD", t0, s.Cmp("=", s.Var("tp"), lit("HB")),
                       s.AggrFn("avg", 7), s.Template((s.BindData("res"),)), VLoc("l1"))
         select = s.Select(
             (s.TableByName("KLD", VLoc("l1")),), primed,
-            s.Cmp(">=", s.DataVar("ss2"), s.DataVar("res")),
-            s.Tuple((s.DataVar("cr2"), s.DataVar("sz2"), s.DataVar("ss2"))), "tbv")
+            s.Cmp(">=", s.Var("ss2"), s.Var("res")),
+            s.Tuple((s.Var("cr2"), s.Var("sz2"), s.Var("ss2"))), "tbv")
         cont = s.Foreach(s.TableByVar("tbv"),
                          s.Template((s.BindData("a"), s.BindData("b"), s.BindData("c"))),
                          s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
@@ -342,7 +342,7 @@ class TestCreateAndDrop:
 
     def test_create_at_unknown_locality_is_stuck(self):
         # the target locality never occurs: the action stays disabled
-        action = s.Create("T", s.LocVar("u"), (s.INT,))
+        action = s.Create("T", s.Var("u"), (s.INT,))
         sys1 = empty_system(node("l1", s.ProcComp(prefix_chain(action))))
         cn = canonicalize(sys1.main_net)
         assert enumerate_transitions(cn, sys1) == []
@@ -373,7 +373,7 @@ class TestEvalAction:
         assert spawned == [inner]
 
     def test_open_process_cannot_be_spawned(self):
-        inner = prefix_chain(s.Insert("KLD", s.Tuple((s.DataVar("x"),)), VLoc("l1")))
+        inner = prefix_chain(s.Insert("KLD", s.Tuple((s.Var("x"),)), VLoc("l1")))
         proc = prefix_chain(s.Eval(inner, VLoc("l1")))
         sys1 = empty_system(s.ParNet(node("l0", s.ProcComp(proc)), node("l1", KLD_TABLE)))
         cn = canonicalize(sys1.main_net)
@@ -387,7 +387,7 @@ class TestForeach:
     def loop(self, rows, order, body=None):
         table = s.TableLiteral(s.Interface("T", (s.INT,)), Multiset(rows))
         body = body or prefix_chain(
-            s.Insert("Out", s.Tuple((s.DataVar("x"),)), VLoc("l1")))
+            s.Insert("Out", s.Tuple((s.Var("x"),)), VLoc("l1")))
         return s.Foreach(table, s.Template((s.BindData("x"),)), s.TruePred(),
                          order, body)
 
@@ -425,8 +425,8 @@ class TestForeach:
         table = s.TableLiteral(s.Interface("T", (s.INT,)),
                                Multiset([srow(1), srow(2), srow(3)]))
         loop = s.Foreach(table, s.Template((s.BindData("x"),)),
-                         s.Cmp(">", s.DataVar("x"), 1), s.OrderSpec("asc", 1),
-                         prefix_chain(s.Insert("Out", s.Tuple((s.DataVar("x"),)),
+                         s.Cmp(">", s.Var("x"), 1), s.OrderSpec("asc", 1),
+                         prefix_chain(s.Insert("Out", s.Tuple((s.Var("x"),)),
                                                VLoc("l1"))))
         sys1 = empty_system(s.ParNet(node("l1", s.ProcComp(loop)),
                                      node("l1", self.out_table())))
@@ -478,8 +478,8 @@ class TestSequencing:
 class TestCall:
     def test_call_substitutes_evaluated_arguments(self):
         body = prefix_chain(s.Insert("KLD", s.Tuple((
-            s.DataVar("a"), lit("HB"), lit("2015"), lit("white"), lit("37"),
-            s.DataVar("n"), lit(0))), s.LocVar("u")))
+            s.Var("a"), lit("HB"), lit("2015"), lit("white"), lit("37"),
+            s.Var("n"), lit(0))), s.Var("u")))
         sysdef = s.ProcDef("go", (("a", s.STRING), ("n", s.INT), ("u", s.LOC)), body)
         proc = s.CallProc("go", (lit("001"), s.Arith("+", lit(2), lit(4)), VLoc("l1")))
         sys1 = s.System(procedures={"go": sysdef}, schema_decls=(),
@@ -572,7 +572,7 @@ class TestInterleaving:
         table = s.TableComp(s.Interface("T", (s.INT,)), Multiset([srow(1)]))
         bump = lambda amount: prefix_chain(s.Update(  # noqa: E731
             "T", s.Template((s.BindData("x"),)), s.TruePred(),
-            s.Tuple((s.Arith("*", s.DataVar("x"), amount),)), VLoc("l1")))
+            s.Tuple((s.Arith("*", s.Var("x"), amount),)), VLoc("l1")))
         net = s.ParNet(s.ParNet(node("l1", s.ProcComp(bump(2))),
                                 node("l1", s.ProcComp(bump(3)))),
                        node("l1", table))
@@ -605,14 +605,14 @@ class TestInterleaving:
         reader = s.Prefix(
             s.Select((s.TableByName("T", VLoc("l1")),),
                      s.Template((s.BindData("x"),)), s.TruePred(),
-                     s.Tuple((s.DataVar("x"),)), "tbv"),
+                     s.Tuple((s.Var("x"),)), "tbv"),
             s.Foreach(s.TableByVar("tbv"), s.Template((s.BindData("y"),)),
                       s.TruePred(), s.OrderSpec("unordered"),
-                      prefix_chain(s.Insert("Out", s.Tuple((s.DataVar("y"),)),
+                      prefix_chain(s.Insert("Out", s.Tuple((s.Var("y"),)),
                                             VLoc("l2")))))
         writer = prefix_chain(s.Update(
             "T", s.Template((s.BindData("z"),)), s.TruePred(),
-            s.Tuple((s.Arith("+", s.DataVar("z"), 10),)), VLoc("l1")))
+            s.Tuple((s.Arith("+", s.Var("z"), 10),)), VLoc("l1")))
         net = s.ParNet(s.ParNet(node("l1", s.ProcComp(reader)),
                                 node("l1", s.ProcComp(writer))),
                        s.ParNet(node("l1", table), node("l2", out)))
@@ -655,7 +655,7 @@ class TestIntegrity:
         s.Insert("T", tup(3), VLoc("l1")),
         s.Delete("T", s.Template((s.BindData("x"),)), s.TruePred(), VLoc("l1")),
         s.Update("T", s.Template((s.BindData("x"),)), s.TruePred(),
-                 s.Tuple((s.Arith("+", s.DataVar("x"), 1),)), VLoc("l1")),
+                 s.Tuple((s.Arith("+", s.Var("x"), 1),)), VLoc("l1")),
     ]
 
     @pytest.mark.parametrize("write", WRITES, ids=["insert", "delete", "update"])
@@ -708,8 +708,8 @@ X = s.Template((s.BindData("x"),))
 XY = s.Template((s.BindData("x"), s.BindData("y")))
 AT_L1 = VLoc("l1")
 # Comparing an Int with a String is an evaluation error.
-BAD_CMP = s.Cmp("=", s.DataVar("x"), lit("a"))
-NO_ROW = s.Cmp(">", s.DataVar("x"), 5)
+BAD_CMP = s.Cmp("=", s.Var("x"), lit("a"))
+NO_ROW = s.Cmp(">", s.Var("x"), 5)
 
 
 def t_table(*rows, schema=(s.INT,)) -> s.TableComp:
@@ -731,7 +731,7 @@ def loop_at_l1(pred, order, *rows, template=X) -> s.Net:
     return node("l1", s.ProcComp(s.Foreach(table, template, pred, order, s.NilProc())))
 
 
-X_PAYLOAD = s.Tuple((s.DataVar("x"),))
+X_PAYLOAD = s.Tuple((s.Var("x"),))
 
 MONITORED = [
     pytest.param(with_t(s.Insert("T", tup("a"), AT_L1), srow(1)),
@@ -742,7 +742,7 @@ MONITORED = [
                  "DEL", "delete from T@l1: format or evaluation error", True, id="del-eval"),
     pytest.param(with_t(s.Update("T", XY, s.TruePred(), tup(1, 2), AT_L1), srow(1)),
                  "UPD", "update T@l1: template mismatch", True, id="upd-template"),
-    pytest.param(with_t(s.Update("T", X, NO_ROW, s.Tuple((s.Arith("++", s.DataVar("x"), lit("a")),)),
+    pytest.param(with_t(s.Update("T", X, NO_ROW, s.Tuple((s.Arith("++", s.Var("x"), lit("a")),)),
                                  AT_L1), srow(1)),
                  "UPD", "update T@l1: format or evaluation error", True,
                  id="upd-payload-fails-on-rejected-row"),
@@ -760,7 +760,7 @@ MONITORED = [
     pytest.param(with_t(select_t(X, s.TruePred(), X_PAYLOAD, source=s.TableByVar("t"))),
                  "SEL", "select: unresolvable table source", True, id="sel-unresolvable"),
     pytest.param(with_t(select_t(X, s.TruePred(), X_PAYLOAD,
-                                 source=s.TableByName("T", s.LocVar("u"))), srow(1)),
+                                 source=s.TableByName("T", s.Var("u"))), srow(1)),
                  "SEL", "select: unresolvable table source", True,
                  id="sel-variable-locality"),
     pytest.param(with_t(select_t(XY, s.TruePred(), X_PAYLOAD), srow(1)),
@@ -773,7 +773,7 @@ MONITORED = [
     pytest.param(with_t(select_t(X, BAD_CMP, X_PAYLOAD), srow(1), srow(1, 2)),
                  "SEL", "select: evaluation error", True, id="sel-first-failing-row-decides"),
     pytest.param(with_t(select_t(X, s.TruePred(),
-                                 s.Tuple((s.Arith("+", s.DataVar("x"), 1),))),
+                                 s.Tuple((s.Arith("+", s.Var("x"), 1),))),
                         srow(1)),
                  "SEL", "select: malformed payload for schema projection", True,
                  id="sel-payload"),
@@ -786,7 +786,7 @@ MONITORED = [
                  "FOR_FF", "loop exit: format or evaluation error", True, id="for-exit-error"),
     pytest.param(loop_at_l1(s.TruePred(), s.OrderSpec("unordered"), srow(1, 2), template=X),
                  "FOR_FF", "loop exit: format or evaluation error", True, id="for-exit-mismatch"),
-    pytest.param(loop_at_l1(s.Cmp(">", s.DataVar("x"), 0), s.OrderSpec("unordered"),
+    pytest.param(loop_at_l1(s.Cmp(">", s.Var("x"), 0), s.OrderSpec("unordered"),
                             srow("a"), srow(1)),
                  "FOR_TT", "iterate on (1)", False, id="for-iterates-past-a-failing-row"),
 ]
@@ -899,7 +899,7 @@ class TestRowPassAgainstReference:
 
     @staticmethod
     def var(field):
-        return (s.LocVar if isinstance(field, s.BindLoc) else s.DataVar)(field.name)
+        return s.Var(field.name)
 
     def template(self, rng):
         # Three names over up to four fields, so names often repeat.
@@ -951,7 +951,7 @@ class TestRowPassAgainstReference:
                 return rng.choice((rng.randrange(3), "x", VLoc("l1")))
             # A name the template does not bind is an evaluation error.
             name = "z" if rng.random() < 0.1 else rng.choice(self.NAMES)
-            return rng.choice((s.DataVar, s.LocVar))(name)
+            return s.Var(name)
         if c < 0.6:
             return s.MultisetLit((self.expr(rng, 0), self.expr(rng, 0)))
         if c < 0.9:

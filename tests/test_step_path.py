@@ -27,7 +27,7 @@ CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 
 def _var_tuple(*names):
-    return s.Tuple(tuple(s.DataVar(n) for n in names))
+    return s.Tuple(tuple(s.Var(n) for n in names))
 
 
 def _binders(*names):
@@ -40,8 +40,8 @@ def _reader(r: int, lo: int) -> s.Process:
     Built directly, not parsed, so every reader binds the same name and the
     readers' selects share one label, as parsed readers can after renaming.
     """
-    in_range = s.And(s.Cmp(">=", s.DataVar("b"), lo),
-                     s.Cmp("<", s.DataVar("b"), lo + 3))
+    in_range = s.And(s.Cmp(">=", s.Var("b"), lo),
+                     s.Cmp("<", s.Var("b"), lo + 3))
     copy = s.Prefix(s.Insert(f"R{r}", _var_tuple("x", "y", "z"), VLoc("l0")), s.NilProc())
     return s.Prefix(
         s.Select((s.TableByName("Big", VLoc("l0")),), _binders("a", "b", "c"), in_range,
@@ -361,12 +361,12 @@ class TestOutcomeReuse:
 
     def test_a_write_reruns_only_the_actions_over_its_table(self, monkeypatch):
         x = s.Template((s.BindData("x"),))
-        above_one = s.Cmp(">", s.DataVar("x"), 1)
+        above_one = s.Cmp(">", s.Var("x"), 1)
         at = VLoc("l1")
         actions = [
             s.Insert("T", s.Tuple((3,)), at),
             s.Delete("T", x, above_one, at),
-            s.Update("U", x, above_one, s.Tuple((s.Arith("+", s.DataVar("x"), 5),)), at),
+            s.Update("U", x, above_one, s.Tuple((s.Arith("+", s.Var("x"), 5),)), at),
             s.Aggr("U", x, s.TruePred(), s.AggrFn("count"), s.Template((s.BindData("n"),)), at),
         ]
         comps = [*(s.TableComp(s.Interface(tid, (s.INT,)), Multiset([srow(1), srow(2)]))
@@ -496,7 +496,7 @@ class TestRowVerdicts:
     pass, so after a write only the rows the write made are judged."""
 
     IJ = s.Template((s.BindData("i"), s.BindData("j")))
-    I, J = s.DataVar("i"), s.DataVar("j")
+    I, J = s.Var("i"), s.Var("j")
     AT = VLoc("l1")
 
     def waiting(self) -> list:
@@ -555,7 +555,7 @@ class TestTieTexts:
         # their successors tie.  One writer inserts into U, which leaves T
         # alone; another changes one row of T.  Only T's rows hold strings.
         ab = s.Template((s.BindData("a"), s.BindData("b")))
-        b, at = s.DataVar("b"), VLoc("l1")
+        b, at = s.Var("b"), VLoc("l1")
 
         def select(n, cont):
             return s.Prefix(s.Select((s.TableByName("T", at),), ab, s.Cmp("=", b, n),
@@ -566,7 +566,7 @@ class TestTieTexts:
         u = s.TableComp(s.Interface("U", (s.INT,)), Multiset())
         to_u = s.Prefix(s.Insert("U", s.Tuple((1,)), at), s.NilProc())
         to_t = s.Prefix(s.Update("T", ab, s.Cmp("=", b, 0),
-                                 s.Tuple((s.DataVar("a"), s.Arith("+", b, 1000))), at),
+                                 s.Tuple((s.Var("a"), s.Arith("+", b, 1000))), at),
                         s.NilProc())
         procs = [select(3, s.NilProc()), select(4, s.Prefix(s.Drop("U", at), s.NilProc())),
                  to_u, to_t]

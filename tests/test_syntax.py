@@ -14,7 +14,7 @@ from kdb.values import Multiset, ValueTuple, VLoc, VSet, VTid
 
 def seven_var_tuple():
     return s.Tuple(tuple(
-        s.DataVar(n) if n not in ("is0",) else s.DataVar(n)
+        s.Var(n) if n not in ("is0",) else s.Var(n)
         for n in SEVEN_BINDERS.names()
     ))
 
@@ -22,22 +22,22 @@ def seven_var_tuple():
 class TestFreeVars:
     def test_update_payload_vars_all_bound_by_its_template(self):
         payload = s.Tuple((
-            s.DataVar("id"), s.DataVar("tp"), s.DataVar("yr"), s.DataVar("cr"),
-            s.DataVar("sz"),
-            s.Arith("-", s.DataVar("is0"), 2),
-            s.Arith("+", s.DataVar("ss"), 2),
+            s.Var("id"), s.Var("tp"), s.Var("yr"), s.Var("cr"),
+            s.Var("sz"),
+            s.Arith("-", s.Var("is0"), 2),
+            s.Arith("+", s.Var("ss"), 2),
         ))
         pred = s.And(
-            s.Cmp("=", s.DataVar("tp"), "HB"),
-            s.And(s.Cmp("=", s.DataVar("cr"), "red"),
-                  s.Cmp("=", s.DataVar("sz"), "37")),
+            s.Cmp("=", s.Var("tp"), "HB"),
+            s.And(s.Cmp("=", s.Var("cr"), "red"),
+                  s.Cmp("=", s.Var("sz"), "37")),
         )
         action = s.Update("KLD", SEVEN_BINDERS, pred, payload, VLoc("l1"))
         assert s.free_vars(action) == frozenset()
         assert s.free_vars(payload) == frozenset(SEVEN_BINDERS.names())
 
     def test_prefix_with_no_templates_binds_nothing(self):
-        cont = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
+        cont = s.Prefix(s.Insert("T", s.Tuple((s.Var("x"),)), VLoc("l")), s.NilProc())
         p = s.Prefix(s.Insert("T", s.Tuple((1,)), VLoc("l")), cont)
         assert s.free_vars(p) == frozenset(["x"])
 
@@ -46,7 +46,7 @@ class TestFreeVars:
                          s.TruePred(), s.OrderSpec("unordered"), s.NilProc())
         action = s.Select((s.TableByName("T", VLoc("l")),),
                           s.Template((s.BindData("a"),)), s.TruePred(),
-                          s.Tuple((s.DataVar("a"),)), "tbv")
+                          s.Tuple((s.Var("a"),)), "tbv")
         p = s.Prefix(action, cont)
         assert "tbv" not in s.free_vars(p)
         assert "tbv" in s.free_vars(cont)
@@ -56,21 +56,21 @@ class TestFreeVars:
             s.Aggr("T", s.Template((s.BindData("a"),)), s.TruePred(),
                    s.AggrFn("count"), s.Template((s.BindData("r"),)), VLoc("l")),
             s.NilProc())
-        second = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("r"),)), VLoc("l")),
+        second = s.Prefix(s.Insert("T", s.Tuple((s.Var("r"),)), VLoc("l")),
                           s.NilProc())
         assert "r" in s.free_vars(s.Seq(first, second))
 
     def test_prefix_scope_does_extend(self):
         action = s.Aggr("T", s.Template((s.BindData("a"),)), s.TruePred(),
                         s.AggrFn("count"), s.Template((s.BindData("r"),)), VLoc("l"))
-        cont = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("r"),)), VLoc("l")),
+        cont = s.Prefix(s.Insert("T", s.Tuple((s.Var("r"),)), VLoc("l")),
                         s.NilProc())
         assert s.free_vars(s.Prefix(action, cont)) == frozenset()
 
 
 def _rebinding(kind: str):
     """A `kind` action at locality variable `u` whose template rebinds `u`."""
-    u, tpl = s.LocVar("u"), s.Template((s.BindLoc("u"),))
+    u, tpl = s.Var("u"), s.Template((s.BindLoc("u"),))
     pred = s.Cmp("=", u, VLoc("m"))
     if kind == "delete":
         return s.Delete("T", tpl, pred, u)
@@ -86,18 +86,18 @@ class TestRebindingTheTargetLocality:
     @pytest.mark.parametrize("kind", ["delete", "update", "aggr"])
     def test_free_vars(self, kind):
         assert s.free_vars(_rebinding(kind)) == frozenset(["u"])
-        cont = s.Prefix(s.Insert("T", s.Tuple((s.LocVar("u"),)), VLoc("m")), s.NilProc())
+        cont = s.Prefix(s.Insert("T", s.Tuple((s.Var("u"),)), VLoc("m")), s.NilProc())
         assert s.free_vars(s.Prefix(_rebinding(kind), cont)) == frozenset(["u"])
 
     @pytest.mark.parametrize("kind", ["delete", "update", "aggr"])
     def test_apply_subst(self, kind):
         from kdb.kernel import apply_subst
-        cont = s.Prefix(s.Insert("T", s.Tuple((s.LocVar("u"),)), VLoc("m")), s.NilProc())
+        cont = s.Prefix(s.Insert("T", s.Tuple((s.Var("u"),)), VLoc("m")), s.NilProc())
         got = apply_subst({"u": VLoc("a")}, s.Prefix(_rebinding(kind), cont))
         assert got.action.loc == VLoc("a")
         assert got.action.pred == _rebinding(kind).pred
         if kind == "update":
-            assert got.action.payload == s.Tuple((s.LocVar("u"),))
+            assert got.action.payload == s.Tuple((s.Var("u"),))
         assert got.cont.action.payload == s.Tuple((VLoc("a"),))
 
     @pytest.mark.parametrize("action, renamed", [
@@ -119,9 +119,9 @@ class TestSiblingAfterABinder:
     binding the loop's template shadowed."""
 
     def seq(self):
-        use = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
+        use = s.Prefix(s.Insert("T", s.Tuple((s.Var("x"),)), VLoc("l")), s.NilProc())
         loop = s.Foreach(s.TableByVar("tv"), s.Template((s.BindData("x"),)),
-                         s.Cmp("=", s.DataVar("x"), 1), s.OrderSpec("unordered"), use)
+                         s.Cmp("=", s.Var("x"), 1), s.OrderSpec("unordered"), use)
         return s.Seq(loop, use)
 
     def test_free_vars(self):
@@ -191,7 +191,7 @@ class TestScopedMap:
             assert {name for name, _ in children} <= set(cls._fields)
 
     def test_unchanged_node_is_returned_itself(self):
-        p = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
+        p = s.Prefix(s.Insert("T", s.Tuple((s.Var("x"),)), VLoc("l")), s.NilProc())
         assert s.rename_localities(p, {"m": "n"}) is p
         from kdb.kernel import apply_subst
         assert apply_subst({"y": 1}, p) is p
@@ -205,7 +205,7 @@ class TestScopedMap:
         assert s.rename_localities(p, {"l": "l"}) is p
 
     def test_a_net_or_a_component_is_mapped_part_by_part(self):
-        p = s.Prefix(s.Insert("T", s.Tuple((s.DataVar("x"),)), VLoc("l")), s.NilProc())
+        p = s.Prefix(s.Insert("T", s.Tuple((s.Var("x"),)), VLoc("l")), s.NilProc())
         for node in (s.ProcComp(p), s.ParComp(s.ProcComp(p), s.ProcComp(p)),
                      s.Node("l", s.ProcComp(p)), s.Restrict("l", s.Node("l", s.ProcComp(p))),
                      s.ParNet(s.Node("l", s.ProcComp(p)), s.NilNet())):
@@ -253,7 +253,7 @@ class TestRender:
 
 
 # Pieces of the render table below.
-X, Y, U = s.DataVar("x"), s.DataVar("y"), s.LocVar("u")
+X, Y, U = s.Var("x"), s.Var("y"), s.Var("u")
 L = VLoc("l")
 ONE = 1
 NIL = s.NilProc()
@@ -283,8 +283,7 @@ RENDER_CASES = [
     pytest.param('a"b\\c\n\t\r', '"a\\"b\\\\c\\n\\t\\r"', id="VStr-escapes"),
     pytest.param(VTid("KLD"), "KLD", id="VTid"),
     pytest.param(L, "$l", id="VLoc"),
-    pytest.param(X, "x", id="DataVar"),
-    pytest.param(U, "u", id="LocVar"),
+    pytest.param(X, "x", id="Var"),
     pytest.param(s.Arith("++", X, "s"), '(x ++ "s")', id="Concat"),
     pytest.param(s.Arith("+", ONE, s.Arith("*", X, 2)), "(1 + (x * 2))", id="Arith"),
     pytest.param(s.MultisetLit((VTid("KLD"), VTid("SH"))), "{KLD, SH}", id="MultisetLit"),
@@ -459,8 +458,8 @@ def test_node_contract(cls):
 
 
 @pytest.mark.parametrize("node, text", [
-    pytest.param(s.Cmp("=", s.DataVar("x", span=3), 1, span=0),
-                 "Cmp(op='=', left=DataVar(name='x'), right=1)", id="Cmp"),
+    pytest.param(s.Cmp("=", s.Var("x", span=3), 1, span=0),
+                 "Cmp(op='=', left=Var(name='x'), right=1)", id="Cmp"),
     pytest.param(s.Prefix(s.Insert("T", s.Tuple(("a", VTid("T"))), VLoc("l")), s.NilProc(span=9)),
                  "Prefix(action=Insert(tid='T', payload=Tuple(components=('a', "
                  "VTid(name='T'))), loc=VLoc(name='l')), cont=NilProc())", id="Prefix"),

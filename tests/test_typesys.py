@@ -9,10 +9,11 @@ import gensys
 from diffcheck import repeated_tables
 from fixtures import KLD_SCHEMA, SEVEN_BINDERS, SSRESULT_SCHEMA, STORES_SCHEMA
 from kdb import syntax as s
-from kdb.net import canonicalize, lid
+from kdb.net import canonicalize, find_tables, lid
 from kdb.parser import parse_system
+from kdb.semantics import run
 from kdb.typesys import Checker, Diagnostic, check_system
-from kdb.values import Multiset, VLoc, VTid
+from kdb.values import Multiset, ValueTuple, VLoc, VTid
 from nets import no_rep
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
@@ -36,7 +37,7 @@ class TestExprTyping:
     def test_arithmetic_under_int_binding(self):
         c = fresh_checker()
         g = env(("is0", s.INT))
-        assert c.type_expr(g, s.Arith("-", s.DataVar("is0"), 2)) == s.INT
+        assert c.type_expr(g, s.Arith("-", s.Var("is0"), 2)) == s.INT
         assert not c.diags
 
     def test_concat_of_strings(self):
@@ -46,14 +47,23 @@ class TestExprTyping:
 
     def test_unbound_variable(self):
         c = fresh_checker()
-        assert c.type_expr(env(), s.DataVar("x")) is None
+        assert c.type_expr(env(), s.Var("x")) is None
         assert c.diags[0].kind == "unbound-variable"
 
     def test_locality_variable_used_as_data(self):
-        c = fresh_checker()
-        g = env(("u", s.LOC))
-        assert c.type_expr(g, s.DataVar("u")) is None
-        assert c.diags[0].kind == "kind-mismatch"
+        # A variable holds what its binder binds: `u: Loc` in a payload is a
+        # Loc, in a system built in code as in its parsed text.
+        src = "let f(u: Loc) := insert(T@$l, (u)). nil in $l :: { table T : (Loc) = {} | f($l) }"
+        insert = s.Prefix(s.Insert("T", s.Tuple((s.Var("u"),)), VLoc("l")), s.NilProc())
+        table = s.TableComp(s.Interface("T", (s.LOC,)), Multiset())
+        built = s.System({"f": s.ProcDef("f", (("u", s.LOC),), insert)}, (), s.Node(
+            "l", s.ParComp(table, s.ProcComp(s.CallProc("f", (VLoc("l"),))))))
+        assert built == parse_system(src)
+        assert check_system(built) == []
+        trace = run(built, seed=0, max_steps=10)
+        assert trace.terminal == "quiescent"
+        (t,) = find_tables(trace.final(), "l", "T")
+        assert t.rows == Multiset([ValueTuple((VLoc("l"),))])
 
     def test_heterogeneous_multiset(self):
         c = fresh_checker()
@@ -78,7 +88,7 @@ class TestPredTyping:
     def test_membership_over_id_multiset(self):
         c = fresh_checker()
         g = env(("w", s.MSet("Id")))
-        assert c.type_pred(g, s.Cmp("in", VTid("KLD"), s.DataVar("w")))
+        assert c.type_pred(g, s.Cmp("in", VTid("KLD"), s.Var("w")))
 
     def test_cross_type_compare_rejected(self):
         c = fresh_checker()
@@ -93,15 +103,15 @@ class TestPredTyping:
     def test_subset_needs_matching_multisets(self):
         c = fresh_checker()
         g = env(("a", s.MSet("Id")), ("b", s.MSet("Id")))
-        assert c.type_pred(g, s.Cmp("sub", s.DataVar("a"), s.DataVar("b")))
-        assert not c.type_pred(g, s.Cmp("sub", s.DataVar("a"), 1))
+        assert c.type_pred(g, s.Cmp("sub", s.Var("a"), s.Var("b")))
+        assert not c.type_pred(g, s.Cmp("sub", s.Var("a"), 1))
 
 
 class TestTupleTyping:
     def test_select_payload_schema(self):
         c = fresh_checker()
         g = env(("cr", s.STRING), ("sz", s.STRING), ("ss", s.INT))
-        t = s.Tuple((s.DataVar("cr"), s.DataVar("sz"), s.DataVar("ss")))
+        t = s.Tuple((s.Var("cr"), s.Var("sz"), s.Var("ss")))
         assert c.type_tuple(g, t) == (s.STRING, s.STRING, s.INT)
 
 
@@ -153,9 +163,9 @@ class TestActionTyping:
     def select_action(self):
         template = s.Template((s.BindData("x"), s.BindData("y"), s.BindData("z"),
                                s.BindData("w"), s.BindLoc("p")))
-        pred = s.And(s.Cmp("in", VTid("KLD"), s.DataVar("w")),
-                     s.Cmp("=", s.DataVar("x"), "CPH"))
-        payload = s.Tuple((s.DataVar("z"), s.LocVar("p")))
+        pred = s.And(s.Cmp("in", VTid("KLD"), s.Var("w")),
+                     s.Cmp("=", s.Var("x"), "CPH"))
+        payload = s.Tuple((s.Var("z"), s.Var("p")))
         return s.Select((s.TableByName("Stores", VLoc("l0")),),
                         template, pred, payload, "tbv")
 
@@ -168,8 +178,8 @@ class TestActionTyping:
     def test_aggr_yields_int_binding(self):
         c = fresh_checker()
         g = env(("tbv", (s.STRING, s.LOC)), ("q", s.STRING), ("u", s.LOC))
-        a = s.Aggr("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), "HB"),
-                   s.AggrFn("sum", 7), s.Template((s.BindData("res"),)), s.LocVar("u"))
+        a = s.Aggr("KLD", SEVEN_BINDERS, s.Cmp("=", s.Var("tp"), "HB"),
+                   s.AggrFn("sum", 7), s.Template((s.BindData("res"),)), s.Var("u"))
         assert c.type_action(g, a) == [("res", s.INT)]
         assert not c.diags
 
@@ -206,7 +216,7 @@ class TestActionTyping:
 
     def test_update_payload_must_fit(self):
         c = fresh_checker()
-        payload = s.Tuple(tuple(s.DataVar(n) for n in SEVEN_BINDERS.names()[:-1])
+        payload = s.Tuple(tuple(s.Var(n) for n in SEVEN_BINDERS.names()[:-1])
                           + ("oops",))
         a = s.Update("KLD", SEVEN_BINDERS, s.TruePred(), payload, VLoc("l1"))
         assert c.type_action(env(), a) is None
@@ -224,7 +234,7 @@ class TestActionTyping:
         a = s.Select((s.TableByName("SSResult", VLoc("l0")),),
                      s.Template((s.BindData("a"), s.BindData("b"), s.BindData("n"))),
                      s.TruePred(),
-                     s.Tuple((s.Arith("+", s.DataVar("n"), 1),)), "tbv")
+                     s.Tuple((s.Arith("+", s.Var("n"), 1),)), "tbv")
         assert template is not None
         assert c.type_action(env(), a) is None
         assert c.diags[0].kind == "select-payload"
@@ -232,7 +242,7 @@ class TestActionTyping:
     def test_eval_checks_spawned_process_under_same_env(self):
         c = fresh_checker()
         inner = s.Prefix(s.Insert("SSResult",
-                                  s.Tuple((s.DataVar("q"), "HB", 1)),
+                                  s.Tuple((s.Var("q"), "HB", 1)),
                                   VLoc("l0")), s.NilProc())
         a = s.Eval(inner, VLoc("l1"))
         assert c.type_action(env(("q", s.STRING)), a) == []
@@ -506,7 +516,7 @@ def test_duplicate_table_reported_exactly_when_lid_repeats():
 
 
 
-# Three diagnostics the parser cannot lead to, each on a built system of one
+# Two diagnostics the parser cannot lead to, each on a built system of one
 # node at $l with a one-column table T declared, pinned whole.
 _AT_L = VLoc("l")
 
@@ -527,12 +537,6 @@ BUILT_DIAGNOSTIC_TEXTS = [
     pytest.param(
         s.TableComp(s.Interface(None, (s.INT,)), Multiset(), span=6),
         ["1:7: a nameless table cannot stand as a component"], id="anonymous-table"),
-    # The parser sorts `u` by its binder: bound by `!u`, it is a data variable.
-    pytest.param(
-        s.ProcComp(s.Prefix(_count_into("u"), s.Prefix(
-            s.Insert("T", s.Tuple((1,)), s.LocVar("u", span=39)),
-            s.NilProc()))),
-        ["1:40: 'u' is not a locality variable"], id="kind-mismatch"),
 ]
 
 
@@ -540,6 +544,22 @@ BUILT_DIAGNOSTIC_TEXTS = [
 def test_diagnostic_text_of_a_built_system(component, texts):
     system = s.System({}, (("T", (s.INT,)),), s.Node("l", component))
     assert [str(d) for d in check_system(system)] == texts
+
+
+def test_data_variable_at_a_locality_of_a_built_system_as_of_its_text():
+    # `!u` binds an Int, so `T@u` wants a Loc and finds it, built or parsed.
+    src = ("$l :: { table T : (Int) = {(1)} | "
+           "aggr(T@$l, (!a), true, count, (!u)). insert(T@u, (1)). nil }")
+    table = s.TableComp(s.Interface("T", (s.INT,)), Multiset([ValueTuple((1,))]))
+    insert = s.Prefix(s.Insert("T", s.Tuple((1,)), s.Var("u")), s.NilProc())
+    built = s.System({}, (), s.Node("l", s.ParComp(
+        table, s.ProcComp(s.Prefix(_count_into("u"), insert)))))
+    parsed = parse_system(src)
+    assert built == parsed
+    want = [("operand-type", "a locality is required here", "Loc", "Int")]
+    for system in (built, parsed):
+        assert [(d.kind, d.message, d.expected, d.found)
+                for d in check_system(system)] == want
 
 @pytest.mark.parametrize("expected, found, text", [
     ("Int", "String", "1:2: m (expected Int, found String)"),
@@ -555,7 +575,7 @@ class TestEnvUndo:
     def test_bindings_do_not_leak(self):
         c = fresh_checker()
         g = env()
-        a = s.Delete("KLD", SEVEN_BINDERS, s.Cmp("=", s.DataVar("tp"), "HB"),
+        a = s.Delete("KLD", SEVEN_BINDERS, s.Cmp("=", s.Var("tp"), "HB"),
                      VLoc("l1"))
         assert c.type_action(g, a) == []
         assert "tp" not in g
