@@ -99,7 +99,7 @@ class Checker:
                 return self.error("unbound-variable", f"unbound variable {e.name!r}", e.span)
             if isinstance(ty, tuple):
                 return self.error("kind-mismatch",
-                                  f"table variable {e.name!r} used as data", e.span)
+                                  f"table variable {_written(e.name)!r} used as data", e.span)
             return ty
         if isinstance(e, s.Arith):
             lt = self.type_expr(env, e.left)
@@ -210,14 +210,14 @@ class Checker:
         for f, ty in zip(template.fields, sk):
             if isinstance(f, s.BindData):
                 if ty == s.LOC:
+                    name = _written(f.name)
                     return self.error(
-                        "binder-kind",
-                        f"!{f.name} cannot bind a locality column; use !@{f.name}",
+                        "binder-kind", f"!{name} cannot bind a locality column; use !@{name}",
                         f.span)
             elif ty != s.LOC:
                 return self.error(
                     "binder-kind",
-                    f"!@{f.name} can only bind a locality column",
+                    f"!@{_written(f.name)} can only bind a locality column",
                     f.span, expected="Loc", found=_render_mtype(ty))
         return [(f.name, ty) for f, ty in zip(template.fields, sk)]
 
@@ -250,7 +250,7 @@ class Checker:
                                   f"unbound table variable {tb.name!r}", tb.span)
             if not isinstance(sk, tuple):
                 return self.error("kind-mismatch",
-                                  f"{tb.name!r} is not a table variable", tb.span)
+                                  f"{_written(tb.name)!r} is not a table variable", tb.span)
             return sk
         if isinstance(tb, s.TableLiteral):
             if self._check_rows(tb.interface, tb.rows, tb.span):
@@ -376,7 +376,8 @@ class Checker:
         for name, ty in binds:
             if env.get(name) is not None:
                 # Renaming apart makes shadowing impossible in parsed systems.
-                self.error("shadowing", f"binder {name!r} shadows an existing binding")
+                self.error("shadowing",
+                           f"binder {_written(name)!r} shadows an existing binding")
             env.bind(name, ty)
         return mark
 
@@ -412,12 +413,12 @@ class Checker:
                     continue
                 if isinstance(ty, tuple):
                     self.error("call-argument",
-                               f"parameter {pname!r} wants a table; expressions cannot supply one",
-                               p.span)
+                               f"parameter {_written(pname)!r} wants a table; "
+                               "expressions cannot supply one", p.span)
                     ok = False
                 elif at != ty:
                     self.error("call-argument",
-                               f"argument for {pname!r} has the wrong type", p.span,
+                               f"argument for {_written(pname)!r} has the wrong type", p.span,
                                expected=_render_mtype(ty), found=_render_mtype(at))
                     ok = False
             return ok
@@ -461,12 +462,20 @@ class Checker:
                                found=s.render_schema(n.interface.schema))
                 if (loc, n.interface.tid) in seen:
                     self.error("duplicate-table",
-                               f"table {n.interface.tid!r} already stands at ${loc}", n.span)
+                               f"table {n.interface.tid!r} already stands at ${_written(loc)}",
+                               n.span)
                 seen.add((loc, n.interface.tid))
             elif isinstance(n, s.ErrNet):
                 self.error("error-net", "the error net is never well-typed", n.span)
             else:
                 self.type_process(env, n)
+
+
+def _written(name: str) -> str:
+    """A binder's, parameter's or restricted locality's name as the source
+    wrote it: without the `#k` that renaming apart adds, which no source
+    name holds."""
+    return name.partition("#")[0]
 
 
 def _projectable(e: s.Expr) -> bool:

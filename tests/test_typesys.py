@@ -10,7 +10,7 @@ from diffcheck import repeated_tables
 from fixtures import KLD_SCHEMA, SEVEN_BINDERS, SSRESULT_SCHEMA, STORES_SCHEMA
 from kdb import syntax as s
 from kdb.net import canonicalize, find_tables, lid
-from kdb.parser import parse_system
+from kdb.parser import ParseError, parse_system
 from kdb.semantics import run
 from kdb.typesys import Checker, Diagnostic, check_system
 from kdb.values import Multiset, ValueTuple, VLoc, VTid
@@ -446,6 +446,41 @@ def test_duplicate_table(src, texts):
 @pytest.mark.parametrize("src, texts", DIAGNOSTIC_TEXTS)
 def test_diagnostic_text(src, texts):
     assert [str(d) for d in check_system(parse_system(src))] == texts
+
+
+# A diagnostic names a binder, parameter or restricted locality as the
+# source wrote it: renaming apart adds a `#k` that the lexer rejects.  In
+# each text here, the name it reports was renamed.
+WRITTEN_NAMES = [
+    pytest.param(
+        "(new $a) ($a :: table T : (Int) = {} || $a :: table T : (Int) = {}) || $a :: nil",
+        ["1:47: table 'T' already stands at $a"], id="duplicate-table"),
+    pytest.param(
+        "$l :: { table V : (Int) = {} | table U : (Loc) = {} | "
+        "delete(V@$l, (!x), true). delete(U@$l, (!x), true). nil }",
+        ["1:95: !x cannot bind a locality column; use !@x"], id="binder-kind"),
+    pytest.param(
+        'let p(x: Int) := nil and q(x: Int) := nil in $l :: { p(1) | q("a") }',
+        ["1:61: argument for 'x' has the wrong type (expected Int, found String)"],
+        id="call-argument"),
+]
+
+
+@pytest.mark.parametrize("src, texts", WRITTEN_NAMES)
+def test_diagnostic_names_what_the_source_wrote(src, texts):
+    assert [str(d) for d in check_system(parse_system(src))] == texts
+
+
+def test_no_diagnostic_of_a_clashing_text_names_a_renamed_name():
+    messages = []
+    for seed in range(300):
+        try:
+            system = parse_system(gen.clash_source(seed))
+        except ParseError:
+            continue
+        messages += [d.message for d in check_system(system)]
+    assert len(messages) > 1000
+    assert [m for m in messages if "#" in m] == []
 
 
 # The operator diagnostics of parsed programs, whole: `++` and the
