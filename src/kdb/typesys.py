@@ -472,9 +472,7 @@ class Checker:
 
 
 def _written(name: str) -> str:
-    """A binder's, parameter's or restricted locality's name as the source
-    wrote it: without the `#k` that renaming apart adds, which no source
-    name holds."""
+    """A name as the source wrote it: no source name holds the `#k` of renaming."""
     return name.partition("#")[0]
 
 

@@ -75,9 +75,9 @@ class TestVariableClassification:
         net = parse_net(
             "$l :: select(T@$l, (!x, !@p), true, (x, p), !tv). nil")
         action = net.component.process.action
-        x, p = action.payload.components
-        assert isinstance(x, s.Var)
-        assert isinstance(p, s.Var)
+        # A use is a Var either way: the binder holds the kind.
+        assert action.template.fields == (s.BindData("x"), s.BindLoc("p"))
+        assert action.payload.components == (s.Var("x"), s.Var("p"))
 
     def test_aggr_target_uses_loop_bound_locality(self):
         net = parse_net(
@@ -93,8 +93,8 @@ class TestVariableClassification:
             "let go(x: Int, u: Loc, tv: (Int, Loc)) := insert(T@u, (x)). nil in nil")
         d = sys1.procedures["go"]
         body_action = d.body.action
-        assert isinstance(body_action.loc, s.Var)
-        assert isinstance(body_action.payload.components[0], s.Var)
+        assert body_action.loc == s.Var("u")
+        assert body_action.payload.components == (s.Var("x"),)
         assert d.params[1][1] == s.LOC
         assert d.params[2][1] == (s.INT, s.LOC)
 
