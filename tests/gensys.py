@@ -125,7 +125,7 @@ class TypedGen:
             return s.Cmp("in", self.literal_of(s.Base(ty.kind)), s.Var(name))
         if scalars:
             name, ty = rng.choice(scalars)
-            var = s.Var(name) if ty == s.LOC else s.Var(name)
+            var = s.Var(name)
             if ty.kind in ("Int", "String"):
                 op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
             else:
@@ -179,7 +179,7 @@ class TypedGen:
             payload = []
             for i, t in enumerate(sk):
                 if rng.random() < 0.6:
-                    var = s.Var(names[i]) if t == s.LOC else s.Var(names[i])
+                    var = s.Var(names[i])
                     if t == s.INT and rng.random() < 0.5:
                         payload.append(s.Arith(rng.choice(["+", "-"]), var, rng.randrange(1, 4)))
                     else:
@@ -217,7 +217,7 @@ class TypedGen:
             for i in picked:
                 t = joined[i]
                 if rng.random() < 0.8:
-                    payload.append(s.Var(names[i]) if t == s.LOC else s.Var(names[i]))
+                    payload.append(s.Var(names[i]))
                     out_schema.append(t)
                 else:
                     comp = self.payload_component(env, t)

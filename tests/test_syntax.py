@@ -13,10 +13,7 @@ from kdb.values import Multiset, ValueTuple, VLoc, VSet, VTid
 
 
 def seven_var_tuple():
-    return s.Tuple(tuple(
-        s.Var(n) if n not in ("is0",) else s.Var(n)
-        for n in SEVEN_BINDERS.names()
-    ))
+    return s.Tuple(tuple(s.Var(n) for n in SEVEN_BINDERS.names()))
 
 
 class TestFreeVars:
