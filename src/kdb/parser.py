@@ -16,26 +16,19 @@ ParseError, against a line table built at most once per parse.  The store
 ends in one EOF token, which the parser never reads past.  Keyword and
 operator choices are table lookups on the kind.
 
-The descent resolves variables as it meets them, so it builds the only
-tree.  A binder scopes over the fields of its node written after it (the
-rule of `syntax.CHILDREN`), so it is bound when parsed and undone at its
-node's end, in one `syntax.Scope`: variable -> new name.  A use is a
-`syntax.Var`, or a `TableByVar` in a table position; what it holds is its
-binder's to say, and the checker's to read.  The descent
-
-- renames variable binders apart from each other and from every free
-  variable, with a `#k` suffix, which the lexer forbids in source, numbered
-  in source order;
-- collects the calls.  Each must name a declared procedure and pass it as
-  many arguments as it has parameters; the first bad one in source order
-  is reported.
-
-Localities are read as written, `(new $l)` included: restriction scope is
-`syntax.net_parts`' to decide.  A free variable that first occurs after a
-binder took its name, as in `$l :: delete(T@$l, (!x), true). nil || $l ::
-insert(T@$l, (x)). nil`, makes `rename_apart` parse the tokens again with
-every free variable reserved, which renames the binder `x#1`.  The descent
-builds a net's `||` spine in a loop, so a wide net costs no frames.
+The descent reads every name as written, variables and localities alike,
+so it builds the only tree.  A variable use is a `syntax.Var`, or a
+`TableByVar` in a table position, and a binder keeps its text.  Which binder
+a use reads is the rule of `syntax.CHILDREN`: the nearest one whose scope
+holds it, as an inner binder hides an outer one of the same name.  The
+checker, `syntax.free_vars` and `kernel.apply_subst` each apply that rule
+in their own `syntax.Scope`; a binding action substitutes only values,
+which hold no variable, so no substitution can capture a name and no binder
+needs renaming apart.  Restriction scope is `syntax.net_parts`' to decide.
+The descent collects the calls: each must name a declared procedure and
+pass it as many arguments as it has parameters, and the first bad one in
+source order is reported.  It builds a net's `||` spine in a loop, so a
+wide net costs no frames.
 """
 
 from __future__ import annotations
@@ -205,17 +198,12 @@ _ACTION_KEYWORDS = ("insert", "delete", "select", "update", "aggr", "create", "d
 
 
 class _Parser:
-    """`free_vars` holds the free variable names met so far or reserved, and
-    `bound_vars` the binders' new names.  A token is named by its index into
-    `kinds`, `texts` and `offsets`."""
+    """A token is named by its index into `kinds`, `texts` and `offsets`."""
 
-    def __init__(self, positions: s.Positions, tokens: Tokens, free_vars=()):
+    def __init__(self, positions: s.Positions, tokens: Tokens):
         self.kinds, self.texts, self.offsets = tokens.kinds, tokens.texts, tokens.offsets
         self.pos = 0
         self.positions = positions
-        self.variables = s.Scope()
-        self.free_vars, self.bound_vars = set(free_vars), set()
-        self.counter = itertools.count(1)
         self.calls = []
         self.parens = {}  # position after a "(" -> (expression, position after ")") or ParseError
 
@@ -265,26 +253,6 @@ class _Parser:
     def fail(self, message: str, expected=()):
         raise self.error(message, self.offsets[self.pos], expected)
 
-    # -- names
-
-    def bind(self, name: str) -> str:
-        """Bind a variable until the journal is undone; returns its new name:
-        its own, or else the first `name#k` that is neither free nor bound."""
-        new = name
-        while new in self.free_vars or new in self.bound_vars:
-            new = f"{name}#{next(self.counter)}"
-        self.bound_vars.add(new)
-        self.variables.bind(name, new)
-        return new
-
-    def variable(self, t: int, cls):
-        """The variable the NAME token `t` reads, as `cls` reads it."""
-        name = self.texts[t]
-        new = self.variables.get(name)
-        if new is None:
-            self.free_vars.add(name)
-        return cls(new or name, span=self.offsets[t])
-
     # -- entry point
 
     def system(self) -> s.System:
@@ -314,13 +282,10 @@ class _Parser:
         params = [] if self.at(")") else self.separated(self.param)
         self.expect(")")
         self.expect(":=")
-        mark = self.variables.mark()
-        bound = tuple((self.bind(name), ty) for name, ty in params)
         body = self.process()
-        self.variables.undo(mark)
         if len({n for n, _ in params}) != len(params):
             raise self.error(f"duplicate parameter name in {self.texts[t]!r}", self.offsets[t])
-        return s.ProcDef(self.texts[t], bound, body, span=self.offsets[t])
+        return s.ProcDef(self.texts[t], tuple(params), body, span=self.offsets[t])
 
     def param(self) -> tuple:
         name = self.texts[self.expect("NAME", "parameter name")]
@@ -450,12 +415,9 @@ class _Parser:
         t = self.pos
         kind = self.kinds[t]
         if kind in _ACTION_KEYWORDS:
-            mark = self.variables.mark()
             action = self.action()
             self.expect(".", "'.' and a continuation")
-            cont = self.proc_atom()
-            self.variables.undo(mark)
-            return s.Prefix(action, cont, span=action.span)
+            return s.Prefix(action, self.proc_atom(), span=action.span)
         if kind == "NAME":
             self.next()
             self.expect("(")
@@ -477,7 +439,6 @@ class _Parser:
             self.expect("(")
             table = self.tableref()
             self.expect(",")
-            mark = self.variables.mark()
             template = self.template()
             self.expect(",")
             pred = self.pred()
@@ -486,7 +447,6 @@ class _Parser:
             self.expect(")")
             self.expect(":")
             body = self.proc_atom()
-            self.variables.undo(mark)
             return s.Foreach(table, template, pred, order, body, span=self.offsets[t])
         self.fail(
             "expected a process",
@@ -519,7 +479,7 @@ class _Parser:
         if self.accept("$"):
             return VLoc(self.texts[self.expect("NAME", "locality name")])
         if self.accept("NAME"):
-            return self.variable(t, s.Var)
+            return s.Var(self.texts[t], span=self.offsets[t])
         self.fail("expected a locality", expected=("$", "a locality variable"))
 
     def action(self) -> s.Action:
@@ -527,7 +487,6 @@ class _Parser:
         kw = self.kinds[t]
         span = self.offsets[t]
         self.expect("(")
-        mark = self.variables.mark()  # a template's, undone before any export binds
         if kw == "select":
             tables = [self.tableref()]
             self.expect(",")
@@ -539,10 +498,9 @@ class _Parser:
             pred = self.pred()
             self.expect(",")
             payload = self.tuple_()
-            self.variables.undo(mark)
             self.expect(",")
             self.expect("!")
-            bind = self.bind(self.texts[self.expect("NAME", "table variable")])
+            bind = self.texts[self.expect("NAME", "table variable")]
             self.expect(")")
             return s.Select(tuple(tables), template, pred, payload, bind, span=span)
         if kw == "eval":
@@ -572,7 +530,6 @@ class _Parser:
         if kw == "update":
             self.expect(",")
             payload = self.tuple_()
-        self.variables.undo(mark)
         if kw == "delete":
             self.expect(")")
             return s.Delete(tid, template, pred, loc, span=span)
@@ -595,31 +552,29 @@ class _Parser:
             tid, loc = self.target()
             return s.TableByName(tid, loc, span=self.offsets[t])
         if self.accept("NAME"):
-            return self.variable(t, s.TableByVar)
+            return s.TableByVar(self.texts[t], span=self.offsets[t])
         self.fail("expected a table", expected=("TID@loc", "a table variable", "table"))
 
     # -- templates, tuples, predicates, expressions
 
     def template(self) -> s.Template:
-        """A template, its fields bound until the journal is undone."""
         span = self.offsets[self.expect("(", "template")]
         fields = self.separated(self.template_field)
         self.expect(")")
         seen = set()
-        for cls, name, where in fields:
-            if name in seen:
-                raise self.error(f"template binds {name!r} twice; binders must be linear", where)
-            seen.add(name)
-        return s.Template(tuple([cls(self.bind(name), span=where)
-                                 for cls, name, where in fields]), span=span)
+        for f in fields:
+            if f.name in seen:
+                raise self.error(f"template binds {f.name!r} twice; binders must be linear",
+                                 f.span)
+            seen.add(f.name)
+        return s.Template(tuple(fields), span=span)
 
-    def template_field(self) -> tuple:
-        """(class, name, offset) of a template field."""
+    def template_field(self) -> s.BindData | s.BindLoc:
         span = self.offsets[self.pos]
         if self.accept("!@"):
-            return s.BindLoc, self.texts[self.expect("NAME", "locality variable")], span
+            return s.BindLoc(self.texts[self.expect("NAME", "locality variable")], span=span)
         if self.accept("!"):
-            return s.BindData, self.texts[self.expect("NAME", "data variable")], span
+            return s.BindData(self.texts[self.expect("NAME", "data variable")], span=span)
         self.fail("expected a template field", expected=("!x", "!@u"))
 
     def tuple_(self) -> s.Tuple:
@@ -668,15 +623,14 @@ class _Parser:
         t = self.next()
         kind = self.kinds[t]
         if kind == "NAME":
-            return self.variable(t, s.Var)
+            return s.Var(self.texts[t], span=self.offsets[t])
         if kind == "{":
             elems = self.separated(self.multiset_elem)
             self.expect("}")
             return s.MultisetLit(tuple(elems), span=self.offsets[t])
         if kind == "(":
             # Memoised, a failed read too: `pred_atom` reads it twice at every
-            # level of nesting, and a read binds nothing, so a second one
-            # gives the same.
+            # level of nesting, and a second read gives the same.
             start = self.pos
             got = self.parens.get(start)
             if got is None:
@@ -722,15 +676,11 @@ def _check_calls(parser: _Parser, procedures: dict) -> None:
 
 
 def rename_apart(source: str, tokens: Tokens) -> s.System:
-    """Parse the tokens of `source` into a system with its binders renamed
-    apart, and check its calls (module docstring)."""
-    positions = s.Positions(source)
-    parser = _Parser(positions, tokens)
+    """Parse the tokens of `source` into a system, names as written, and
+    check its calls.  Nothing is renamed apart any more; the name stays
+    because `perfbench/tracer.py` times this stage of the parse by it."""
+    parser = _Parser(s.Positions(source), tokens)
     system = parser.system()
-    if parser.free_vars & parser.bound_vars:
-        # A binder took a name that occurs free after it.
-        parser = _Parser(positions, tokens, parser.free_vars)
-        system = parser.system()
     _check_calls(parser, system.procedures)
     return system
 

@@ -9,12 +9,13 @@ table variable to its schema, a tuple.  A variable's type comes from its
 binder alone: a parameter's from its declaration, a template field's from
 the column or aggregate it binds (`!@u` binds only a Loc, `!x` anything
 else) and a select's from its result schema.  A use, a `syntax.Var` or a
-`TableByVar`, reads it from the environment.  A scope is a mark of the
-Scope's journal, the binder's bindings, and an undo to the mark after its
-body is checked, all in the frame that checks the binder; so checking a
-straight-line process costs one Python frame per action.  A net binds no
-variable; its parts are those `syntax.net_parts` gives the engine too, so a
-net's width costs no frame.
+`TableByVar`, reads it from the environment, where an inner binder hides an
+outer one of the same name, as in `kernel.apply_subst`.  A scope is a mark
+of the Scope's journal, the binder's bindings, and an undo to the mark
+after its body is checked, all in the frame that checks the binder; so
+checking a straight-line process costs one Python frame per action.  A net
+binds no variable; its parts are those `syntax.net_parts` gives the engine
+too, so a net's width costs no frame.
 
 The checker is its own walk, not a pass of the traversal that the binding
 table `syntax.CHILDREN` drives, for three reasons.  A binder's types come
@@ -99,7 +100,7 @@ class Checker:
                 return self.error("unbound-variable", f"unbound variable {e.name!r}", e.span)
             if isinstance(ty, tuple):
                 return self.error("kind-mismatch",
-                                  f"table variable {_written(e.name)!r} used as data", e.span)
+                                  f"table variable {e.name!r} used as data", e.span)
             return ty
         if isinstance(e, s.Arith):
             lt = self.type_expr(env, e.left)
@@ -210,14 +211,13 @@ class Checker:
         for f, ty in zip(template.fields, sk):
             if isinstance(f, s.BindData):
                 if ty == s.LOC:
-                    name = _written(f.name)
                     return self.error(
-                        "binder-kind", f"!{name} cannot bind a locality column; use !@{name}",
-                        f.span)
+                        "binder-kind",
+                        f"!{f.name} cannot bind a locality column; use !@{f.name}", f.span)
             elif ty != s.LOC:
                 return self.error(
                     "binder-kind",
-                    f"!@{_written(f.name)} can only bind a locality column",
+                    f"!@{f.name} can only bind a locality column",
                     f.span, expected="Loc", found=_render_mtype(ty))
         return [(f.name, ty) for f, ty in zip(template.fields, sk)]
 
@@ -250,7 +250,7 @@ class Checker:
                                   f"unbound table variable {tb.name!r}", tb.span)
             if not isinstance(sk, tuple):
                 return self.error("kind-mismatch",
-                                  f"{_written(tb.name)!r} is not a table variable", tb.span)
+                                  f"{tb.name!r} is not a table variable", tb.span)
             return sk
         if isinstance(tb, s.TableLiteral):
             if self._check_rows(tb.interface, tb.rows, tb.span):
@@ -371,13 +371,10 @@ class Checker:
         raise TypeError(f"not an action: {a!r}")
 
     def _bind(self, env: s.Scope, binds) -> int:
-        """Opens the scope of `binds`; `env.undo` of the mark returned closes it."""
+        """Opens the scope of `binds`, where each hides an outer binding of
+        its name; `env.undo` of the mark returned closes it."""
         mark = env.mark()
         for name, ty in binds:
-            if env.get(name) is not None:
-                # Renaming apart makes shadowing impossible in parsed systems.
-                self.error("shadowing",
-                           f"binder {_written(name)!r} shadows an existing binding")
             env.bind(name, ty)
         return mark
 
@@ -413,12 +410,12 @@ class Checker:
                     continue
                 if isinstance(ty, tuple):
                     self.error("call-argument",
-                               f"parameter {_written(pname)!r} wants a table; "
+                               f"parameter {pname!r} wants a table; "
                                "expressions cannot supply one", p.span)
                     ok = False
                 elif at != ty:
                     self.error("call-argument",
-                               f"argument for {_written(pname)!r} has the wrong type", p.span,
+                               f"argument for {pname!r} has the wrong type", p.span,
                                expected=_render_mtype(ty), found=_render_mtype(at))
                     ok = False
             return ok
@@ -472,7 +469,8 @@ class Checker:
 
 
 def _written(name: str) -> str:
-    """A name as the source wrote it: no source name holds the `#k` of renaming."""
+    """A restricted locality as the source wrote it, without the `#k` that
+    `syntax.net_parts` gives it to keep it apart."""
     return name.partition("#")[0]
 
 

@@ -139,7 +139,7 @@ class TestRun:
         assert main(["run", write(tmp_path, DATA_AS_TABLE), "--unchecked"]) == 0
         out = capsys.readouterr().out
         assert "disabled: l :: foreach(t, (!y), true, unordered): nil" in out
-        assert "disabled: m :: p(t#" in out
+        assert "disabled: m :: p(t)\n" in out
 
     @pytest.mark.parametrize("prefix", ["", "(new $l) "])
     def test_restriction_keeps_the_failure_reported(self, tmp_path, prefix):

@@ -1,14 +1,21 @@
 """Parsing, diagnostics, renaming, and the parse/render round trip."""
 
+import os
+import pathlib
 import time
 
 import pytest
 
-from gen import random_system
+import gen
+from diffcheck import population
 from kdb import syntax as s
+from kdb.kernel import apply_subst
 from kdb.net import canonicalize
 from kdb.parser import ParseError, _Parser, parse_system
+from kdb.typesys import check_system
 from kdb.values import VLoc
+
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 
 def parse_net(src: str) -> s.Net:
@@ -199,23 +206,25 @@ def test_parse_error_text(src, message):
 
 
 class TestRenamingApart:
-    def test_reused_binder_names_get_distinct(self):
+    """A variable binder keeps the name the source wrote, and a use reads the
+    nearest binder whose scope holds it.  Only a restricted locality that
+    clashes is renamed apart, by `net_parts`."""
+
+    def test_reused_binder_names_are_kept(self):
         src = ("$l :: delete(T@$l, (!x), x = 1). delete(T@$l, (!x), x = 2). nil "
                "|| $l :: delete(T@$l, (!x), x = 3). nil")
         sys1 = parse_system(src)
-        binders = []
+        assert s.render(sys1) == src
 
-        def collect(p):
-            if isinstance(p, s.Prefix):
-                if isinstance(p.action, s.Delete):
-                    binders.extend(p.action.template.names())
-                collect(p.cont)
+        def delete(n, cont):
+            pred = s.Cmp("=", s.Var("x"), n)
+            return s.Prefix(s.Delete("T", s.Template((s.BindData("x"),)), pred, VLoc("l")), cont)
 
-        net = sys1.main_net
-        collect(net.left.component.process)
-        collect(net.right.component.process)
-        assert len(binders) == 3
-        assert len(set(binders)) == 3
+        def node(p):
+            return s.Node("l", s.ProcComp(p))
+
+        assert sys1.main_net == s.ParNet(node(delete(1, delete(2, s.NilProc()))),
+                                         node(delete(3, s.NilProc())))
 
     def test_restricted_locality_renamed_on_collision(self):
         # The parse keeps the name; `net_parts` renames it apart.
@@ -237,34 +246,39 @@ class TestRenamingApart:
         rendered = s.render(parse_system(src))
         assert "#" not in rendered
 
-    def test_all_binder_kinds_made_globally_distinct(self):
-        src = ("let f(x: Int) := insert(T@$l, (x)). nil\n"
-               "in $l :: select(T@$l, (!x), x = 1, (x), !x). nil\n"
-               "|| $l :: delete(T@$l, (!x), x = 2). f(3)")
+    def test_every_binder_kind_keeps_its_name(self):
+        # A parameter, templates, a select's result and an aggr's, all x.
+        # The loop reads the select's table, the call in it the loop's Int,
+        # and the call after the delete the aggr's sum: it checks clean.
+        src = ("schema T : (Int)\n"
+               "let f(x: Int) := insert(T@$l, (x)). nil\n"
+               "in\n($l :: select(T@$l, (!x), x = 1, (x), !x). "
+               "foreach(x, (!x), true, unordered): f(x) "
+               "|| $l :: aggr(T@$l, (!x), x > 0, sum[1], (!x)). delete(T@$l, (!x), x = 2). f(x)) "
+               "|| $l :: table T : (Int) = {(1), (2)}")
         sys1 = parse_system(src)
-        binders = []
-        binders.extend(n for n, _ in sys1.procedures["f"].params)
-
-        def walk(p):
-            if isinstance(p, s.Prefix):
-                a = p.action
-                if isinstance(a, s.Select):
-                    binders.extend(a.template.names())
-                    binders.append(a.bind)
-                if isinstance(a, s.Delete):
-                    binders.extend(a.template.names())
-                walk(p.cont)
-
-        walk(sys1.main_net.left.component.process)
-        walk(sys1.main_net.right.component.process)
-        assert len(binders) == 4
-        assert len(set(binders)) == 4
+        assert s.render(sys1) == src
+        assert check_system(sys1) == []
+        select, aggr = (node.component.process for node in
+                        (sys1.main_net.left.left, sys1.main_net.left.right))
+        loop = select.cont
+        binders = [*(n for n, _ in sys1.procedures["f"].params),
+                   *select.action.template.names(), select.action.bind,
+                   *loop.template.names(), *aggr.action.template.names(),
+                   *aggr.action.bind_template.names(), *aggr.cont.action.template.names()]
+        assert binders == ["x"] * 7
+        assert loop.table == s.TableByVar("x")
+        assert loop.body == s.CallProc("f", (s.Var("x"),))
+        # Substituting the aggr's sum reaches the call, not the delete's x.
+        got = apply_subst({"x": 3}, aggr.cont)
+        assert got.action == aggr.cont.action
+        assert got.cont == s.CallProc("f", (3,))
 
 
 class TestLateClashes:
-    """A free name that first occurs after a binder of the same name: the
-    binder is renamed as if every free name had been known from the start.
-    A restriction is read as written and renamed by `net_parts`."""
+    """A free name that first occurs after a binder of the same name.  A
+    variable binder keeps its name; a restriction is read as written and
+    renamed by `net_parts`."""
 
     def test_restriction_before_a_free_site_of_its_name(self):
         src = "(new $a) $a :: nil || $a :: nil"
@@ -273,17 +287,20 @@ class TestLateClashes:
         assert canonicalize(system.main_net, system.procedures).restricted == ("a#1",)
 
     def test_template_before_a_later_free_use_of_its_name(self):
+        # The binder keeps its name, and the later use stays free.
         src = "$l :: delete(T@$l, (!x), x = 1). nil || $l :: insert(T@$l, (x)). nil"
-        assert s.render(parse_system(src)) == (
-            "$l :: delete(T@$l, (!x#1), x#1 = 1). nil || $l :: insert(T@$l, (x)). nil")
+        system = parse_system(src)
+        assert s.render(system) == src
+        assert system.main_net.left.component.process.action.pred.left == s.Var("x")
+        assert [d.message for d in check_system(system)][-1] == (
+            "the net has free variables: x")
 
     def test_restriction_and_binder_count_apart(self):
+        # The restriction is renamed apart from the free $a; the binder is not.
         src = ("(new $a) $a :: delete(T@$a, (!x), true). nil "
                "|| $a :: insert(T@$a, (x)). nil")
         system = parse_system(src)
-        assert s.render(system) == (
-            "(new $a) $a :: delete(T@$a, (!x#1), true). nil "
-            "|| $a :: insert(T@$a, (x)). nil")
+        assert s.render(system) == src
         assert s.net_parts(system.main_net)[0] == ("a#1",)
 
     def test_renamed_rows_go_last(self):
@@ -384,17 +401,35 @@ class TestRowParsing:
 class TestRoundTrip:
     def test_generated_systems_round_trip(self):
         for seed in range(300):
-            sys1 = random_system(seed)
+            sys1 = gen.random_system(seed)
             text = s.render(sys1)
             sys2 = parse_system(text)
             assert sys2 == sys1, f"seed {seed}:\n{text}"
 
     def test_corpus_round_trips(self):
-        import pathlib
         for name in ("dept_stores.kdb", "bad_insert.kdb"):
-            text = (pathlib.Path(__file__).parent.parent / "corpus" / name).read_text()
-            sys1 = parse_system(text)
+            sys1 = parse_system((CORPUS / name).read_text())
             assert parse_system(s.render(sys1)) == sys1
+
+    def test_parsed_texts_round_trip(self):
+        # Reused binder names render as written, so every parse renders a
+        # text that parses back to it: the corpus, the clash texts that
+        # parse, and the renders of the differential check's population.
+        texts = [(name, (CORPUS / name).read_text()) for name in sorted(os.listdir(CORPUS))]
+        texts += [(f"clash {seed}", gen.clash_source(seed)) for seed in range(1000)]
+        texts += [(name, s.render(system)) for name, system in population()]
+        parsed = 0
+        for name, text in texts:
+            try:
+                sys1 = parse_system(text)
+            except ParseError:
+                assert name.startswith("clash"), name
+                continue
+            parsed += 1
+            sys2 = parse_system(s.render(sys1))
+            assert (sys2.procedures, sys2.schema_decls, sys2.main_net) == (
+                sys1.procedures, sys1.schema_decls, sys1.main_net), name
+        assert parsed == 2 + 887 + 815
 
     @pytest.mark.parametrize("src", [
         pytest.param("(new $a) $a :: nil || $a :: nil", id="a free site after"),

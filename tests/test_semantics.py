@@ -624,6 +624,16 @@ class TestInterleaving:
         # the selection sees the table wholly before or wholly after the update
         assert snapshots == {(1, 2), (11, 12)}
 
+    def test_alpha_equivalent_copies_are_one_item(self):
+        # Binders keep their written names, so two copies of one process
+        # are one item of count 2, and their interleavings one set of states.
+        copy = "aggr(T@$l, (!x), true, sum[1], (!y)). insert(U@$l, (y)). nil"
+        result = explore(parse_system(
+            f"$l :: {{ table T : (Int) = {{(1), (2)}} | table U : (Int) = {{}} "
+            f"| {copy} | {copy} }}"), bound=100)
+        assert (result.states, len(result.edges)) == (6, 6)
+        assert not result.err_reachable
+
 
 class TestDuplicateTables:
     def test_one_transition_per_matching_table(self):

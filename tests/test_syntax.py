@@ -97,18 +97,25 @@ class TestRebindingTheTargetLocality:
             assert got.action.payload == s.Tuple((s.Var("u"),))
         assert got.cont.action.payload == s.Tuple((VLoc("a"),))
 
-    @pytest.mark.parametrize("action, renamed", [
-        ("delete(T@u, (!@u), u = $m)", "delete(T@u, (!@u#1), u#1 = $m)"),
-        ("update(T@u, (!@u), u = $m, (u))", "update(T@u, (!@u#1), u#1 = $m, (u#1))"),
-        ("aggr(T@u, (!@u), u = $m, count, (!n))", "aggr(T@u, (!@u#1), u#1 = $m, count, (!n))"),
+    @pytest.mark.parametrize("action, substituted", [
+        ("delete(T@u, (!@u), u = $m)", "delete(T@$a, (!@u), u = $m)"),
+        ("update(T@u, (!@u), u = $m, (u))", "update(T@$a, (!@u), u = $m, (u))"),
+        ("aggr(T@u, (!@u), u = $m, count, (!n))", "aggr(T@$a, (!@u), u = $m, count, (!n))"),
     ])
-    def test_rename_apart(self, action, renamed):
+    def test_rename_apart(self, action, substituted):
+        # The parse keeps the template's `u` as written, and it equals the
+        # action built in code.  Substituting the loop's `u` reaches the
+        # target and the continuation, not the template's uses.
+        from kdb.kernel import apply_subst
         from kdb.parser import parse_system
-        src = (f"schema T : (Loc)\nschema S : (Int)\n"
-               f"$m :: foreach(T@$m, (!@u), true, unordered): {action}. insert(T@u, (u)). nil")
-        got = s.render(parse_system(src).main_net)
-        assert got == (f"$m :: foreach(T@$m, (!@u), true, unordered): "
-                       f"{renamed}. insert(T@u, (u)). nil")
+        kind = action.partition("(")[0]
+        net = f"$m :: foreach(T@$m, (!@u), true, unordered): {action}. insert(T@u, (u)). nil"
+        parsed = parse_system(f"schema T : (Loc)\nschema S : (Int)\n{net}").main_net
+        assert s.render(parsed) == net
+        body = parsed.component.process.body
+        assert body.action == _rebinding(kind)
+        assert s.render(apply_subst({"u": VLoc("a")}, body)) == (
+            f"{substituted}. insert(T@$a, ($a)). nil")
 
 
 class TestSiblingAfterABinder:
@@ -132,13 +139,19 @@ class TestSiblingAfterABinder:
         assert got.second.action.payload == s.Tuple((5,))
 
     def test_rename_apart(self):
+        # The loop's `!x` keeps the parameter's name and hides it in the
+        # loop only: substituting the parameter reaches the sibling alone.
+        from kdb.kernel import apply_subst
         from kdb.parser import parse_system
         src = ("schema T : (Int)\nlet f(x: Int) := "
                "(foreach(T@$l, (!x), true, unordered): insert(T@$l, (x)). nil); "
                "insert(T@$l, (x)). nil\nin $l :: f(1)")
-        got = s.render(parse_system(src).procedures["f"])
-        assert got == ("f(x: Int) := foreach(T@$l, (!x#1), true, unordered): "
-                       "insert(T@$l, (x#1)). nil; insert(T@$l, (x)). nil")
+        proc = parse_system(src).procedures["f"]
+        assert s.render(proc) == ("f(x: Int) := foreach(T@$l, (!x), true, unordered): "
+                                  "insert(T@$l, (x)). nil; insert(T@$l, (x)). nil")
+        got = apply_subst({"x": 5}, proc.body)
+        assert got.first == proc.body.first
+        assert got.second.action.payload == s.Tuple((5,))
 
 
 class TestFreeLocs:

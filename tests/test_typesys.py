@@ -9,7 +9,7 @@ import gensys
 from diffcheck import repeated_tables
 from fixtures import KLD_SCHEMA, SEVEN_BINDERS, SSRESULT_SCHEMA, STORES_SCHEMA
 from kdb import syntax as s
-from kdb.net import canonicalize, find_tables, lid
+from kdb.net import canonicalize, dump_tables, find_tables, lid
 from kdb.parser import ParseError, parse_system
 from kdb.semantics import run
 from kdb.typesys import Checker, Diagnostic, check_system
@@ -551,8 +551,8 @@ def test_duplicate_table_reported_exactly_when_lid_repeats():
 
 
 
-# Two diagnostics the parser cannot lead to, each on a built system of one
-# node at $l with a one-column table T declared, pinned whole.
+# A diagnostic the parser cannot lead to, on a built system of one node at
+# $l with a one-column table T declared, pinned whole.
 _AT_L = VLoc("l")
 
 
@@ -563,11 +563,6 @@ def _count_into(name: str) -> s.Aggr:
 
 
 BUILT_DIAGNOSTIC_TEXTS = [
-    # A parse renames every binder apart, so none shadows another.
-    pytest.param(
-        s.ProcComp(s.Prefix(_count_into("x"), s.Prefix(
-            s.Delete("T", s.Template((s.BindData("x"),)), s.TruePred(), _AT_L), s.NilProc()))),
-        ["binder 'x' shadows an existing binding"], id="shadowing"),
     # Only a selection's result is a nameless table, and it is never a component.
     pytest.param(
         s.TableComp(s.Interface(None, (s.INT,)), Multiset(), span=6),
@@ -579,6 +574,28 @@ BUILT_DIAGNOSTIC_TEXTS = [
 def test_diagnostic_text_of_a_built_system(component, texts):
     system = s.System({}, (("T", (s.INT,)),), s.Node("l", component))
     assert [str(d) for d in check_system(system)] == texts
+
+
+def test_a_shadowing_binder_checks_clean_and_runs_alike_built_and_parsed():
+    # The delete's `!x` hides the aggr's `x` in its predicate only, so the
+    # insert after it reads the count: an inner binder is lexical scope.
+    src = ("$l :: { table T : (Int) = {(1), (2)} | aggr(T@$l, (!a), true, count, (!x)). "
+           "delete(T@$l, (!x), x = 1). insert(T@$l, (x)). nil }")
+    table = s.TableComp(s.Interface("T", (s.INT,)), Multiset([ValueTuple((1,)), ValueTuple((2,))]))
+    delete = s.Delete("T", s.Template((s.BindData("x"),)), s.Cmp("=", s.Var("x"), 1), _AT_L)
+    insert = s.Prefix(s.Insert("T", s.Tuple((s.Var("x"),)), _AT_L), s.NilProc())
+    built = s.System({}, (), s.Node("l", s.ParComp(
+        table, s.ProcComp(s.Prefix(_count_into("x"), s.Prefix(delete, insert))))))
+    parsed = parse_system(src)
+    assert built == parsed
+    runs = []
+    for system in (built, parsed):
+        assert check_system(system) == []
+        trace = run(system, seed=0)
+        runs.append(([(lb.rule, lb.detail) for lb, _ in trace.steps], trace.terminal,
+                     dump_tables(trace.final())))
+    assert runs[0] == runs[1]
+    assert runs[0][2] == [{"loc": "l", "tid": "T", "schema": "(Int)", "rows": [[2], [2]]}]
 
 
 def test_data_variable_at_a_locality_of_a_built_system_as_of_its_text():
