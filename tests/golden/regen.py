@@ -22,9 +22,8 @@ of transitions cannot pass unnoticed.
   `SHARED_SITE`, `BINDER_REUSE` (every binder form, reused names, reused
   restrictions, locality values under a restriction), `CREATE_BEFORE_TABLE`
   and `TWO_BAD_CALLS`: the render of `parse_system`'s result, which shows
-  every fresh `#k` name of a variable binder and every restriction as
-  written, or its parse error, and the stdout and exit code of
-  `kdb check --json`.  Then one line per `gensys.typed_system` seed with the
+  every variable binder and every restriction as written, or its parse
+  error, and the stdout and exit code of `kdb check --json`.  Then one line per `gensys.typed_system` seed with the
   `check_system` diagnostics of its `gensys.corrupt` copy.
 
 Regenerate only when a change of engine behaviour is intended, and record
