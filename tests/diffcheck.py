@@ -23,8 +23,9 @@ The population:
   above, so the order of tables that tie on (locality, identifier) is
   covered by design, not by chance;
 - 1,000 `gen.random_system` programs, rendered and checked;
-- 1,000 `gen.clash_source` texts, whose names clash on purpose: the render
-  and `repr` of each parse (so row order too), or its ParseError text;
+- 1,000 `gen.clash_source` texts, whose names clash on purpose: the render,
+  `repr` (so row order too) and diagnostics of each parse, or its
+  ParseError text;
 - a 200-node wide net, each node an insert beside its own table, run for 40
   steps: each step's label and the final tables;
 - the programs in `corpus/` and the renders of 50 `gensys.corrupt` copies,
@@ -231,7 +232,7 @@ def main() -> int:
         except ParseError as e:
             put(f"parse error: {e}")
         else:
-            put(s.render(sys1), repr(sys1))
+            put(s.render(sys1), repr(sys1), *map(str, check_system(sys1)))
     trace = run(parse_system(wide(WIDE_NODES)), seed=0, max_steps=WIDE_STEPS)
     put(f"== wide {WIDE_NODES} {trace.terminal}",
         *(f"{lb.rule} {lb.actor} {lb.detail}" for lb, _ in trace.steps), dump_json(trace.final()))
