@@ -15,13 +15,13 @@ The binding structure of processes is declared with the classes and
 collected in the table CHILDREN: a binder scopes over the fields of its node
 listed after it.  A template's `!x` and `!@u` scope over its action's
 predicate and payload and over a loop's body; a select's `!t` and an aggr's
-result template over the continuation of their prefix.  A binder's scope
-follows it in the source text too, so the parser resolves variables by the
-same rule as it reads them; procedure parameters, which scope over their
-body, the parser and the checker bind themselves.  `ScopedMap` is the one
+result template over the continuation of their prefix.  Names are as the
+source wrote them, so a use reads the nearest binder of its name: an inner
+binder hides an outer one in its scope.  Procedure parameters, which scope
+over their body, the checker binds itself.  `ScopedMap` is the one
 traversal of processes and tables that the table drives.  Like the type
-checker and the parser it binds in a `Scope`, in place, and undoes what a
-node bound when the node is done.  `free_vars`, `free_locs` and
+checker it binds in a `Scope`, in place, and undoes what a node bound when
+the node is done.  `free_vars`, `free_locs` and
 `rename_localities` here and `kernel.apply_subst` are each a few hooks on
 it.  It costs a Python frame per level of a process.  `net_parts` is the
 one walk of a net's `||`, `|`, nodes and restrictions, whose `(new $l)`
@@ -85,8 +85,8 @@ class Positions:
 # visit: the constants, a VLoc an occurrence of its locality; the variables
 # Var, TableByVar; and the tables TableLiteral and TableComp,
 # whose rows may hold localities.  Neither ProcDef nor System has any: the
-# parser and the checker scope a procedure's parameters over its body
-# themselves.  The net classes list their subnets, components and
+# checker and a call's substitution scope a procedure's parameters over its
+# body themselves.  The net classes list their subnets, components and
 # processes, so that a walk of the whole tree reaches them, but no binder:
 # a restriction's scope and a node's locality are `net_parts`' to read.
 #
