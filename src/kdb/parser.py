@@ -676,8 +676,8 @@ def _check_calls(parser: _Parser, procedures: dict) -> None:
 
 
 def rename_apart(source: str, tokens: Tokens) -> s.System:
-    """Parse the tokens of `source` into a system, names as written, and
-    check its calls.  Nothing is renamed apart any more; the name stays
+    """Parse the tokens of `source` into a system, every name as written,
+    and check its calls.  Nothing is renamed: the function keeps its name
     because `perfbench/tracer.py` times this stage of the parse by it."""
     parser = _Parser(s.Positions(source), tokens)
     system = parser.system()
