@@ -5,21 +5,26 @@ extruded to a single outer prefix (renaming restricted localities apart when
 extrusion would capture), every node is split into one item per co-located
 process or table, and inert-process units are absorbed.  Rule matching in
 the engine then becomes multiset lookup instead of congruence search.
-`make_canonical` builds every canonical net: from a net's parts, which
-`syntax.net_parts` finds for the checker too, or from a parent's and a delta.
+`make_canonical` builds every canonical net, from a parent and a `Delta`:
+the items a transition removes and adds, exact, inert units absorbed
+(`item_delta`).  `canonicalize` hands it the empty net and a net's parts,
+which `syntax.net_parts` finds for the checker too.
 
 `tables_by_id` says where every table `tid@loc` is, in one pass over the
 items: the engine builds that map once per enumeration and every rule that
 names a table, select and create included, reads it, as do the `lid`
 integrity check, `find_tables` and the dumps.  It holds the one tie rule:
-different tables under one (locality, identifier) are in render order.
+different tables under one (locality, identifier) are in render order.  The
+same pass counts the items that are not nil at each locality, from which
+`item_delta` absorbs inert units without a scan of the items.
 
 Two keys identify a net up to congruence and renaming of its restricted
 names.  `canonical_key` renders the items under every numbering of the
 names, and orders the successors of transitions that share a label.
 `StateKeys`, by which `explore` deduplicates states, renders nothing and
 numbers the names by colour refinement, once per configuration of the items
-that hold them.
+that hold them; it keys a successor from its parent's key parts and the
+transition's delta, so `explore` builds only the states it has not met.
 """
 
 from __future__ import annotations
@@ -50,37 +55,66 @@ def canonicalize(net: s.Net, procedures=None) -> CanonicalNet:
     items = sorted(((loc, _NIL) if isinstance(body, s.NilProc) else (loc, body)
                     for loc, body in parts if not isinstance(body, s.ErrNet)),
                    key=lambda item: item[1] is _NIL)
-    return make_canonical(CanonicalNet(restricted, Multiset(), err), (), items)
+    empty = CanonicalNet(restricted, Multiset(), err)
+    return make_canonical(empty, item_delta(empty, {}, (), tuple(items)))
 
 
-def make_canonical(parent: CanonicalNet, removed, added) -> CanonicalNet:
-    """The canonical net `parent` becomes when `removed` items give way to `added`.
+class Delta(NamedTuple):
+    """The exact change of a net's items that one transition makes: one copy
+    of each removed item goes, then one of each added item comes."""
+    removed: tuple  # of item
+    added: tuple  # of item
 
-    It starts from a copy of the parent's item counts, takes one copy of each
-    removed item away (never below zero) and adds one of each added item, so
-    only the touched items are hashed.  Inert units are absorbed only at the
-    touched localities, one scan of the items serving them all: a locality
-    keeps one unit if it hosts nothing else and none if it does.  Every
-    other locality is already absorbed in a canonical parent.
+
+def item_delta(parent: CanonicalNet, busy: dict, removed: tuple, added: tuple) -> Delta:
+    """The delta of `parent` when `removed` items give way to `added`, with
+    inert units absorbed at the touched localities: a locality keeps one
+    unit if it then hosts nothing else and none if it does.  Every other
+    locality is already absorbed in a canonical parent.
+
+    The removed items are the parent's and none is an inert unit, which
+    takes part in no transition.  `busy` counts the parent's items that are
+    not nil at each locality (`tables_by_id`), so the work is the delta's:
+    the parent holds a unit at a locality only where it counts none.
     """
+    count = {}  # touched loc -> its count of items that are not nil, after
+    for loc, _ in removed:
+        count[loc] = count.get(loc, busy.get(loc, 0)) - 1
+    nil_added = False
+    for loc, body in added:
+        n = count.get(loc, busy.get(loc, 0))
+        if body.__class__ is s.NilProc:
+            count[loc], nil_added = n, True
+        else:
+            count[loc] = n + 1
+    had = [loc for loc in count if not busy.get(loc) and (loc, _NIL) in parent.items]
+    if had or nil_added:
+        units = set(had)
+        kept = []
+        for item in added:
+            loc, body = item
+            if body.__class__ is s.NilProc:
+                if count[loc] or loc in units:
+                    continue
+                units.add(loc)
+            kept.append(item)
+        removed += tuple((loc, _NIL) for loc in had if count[loc])
+        added = tuple(kept)
+    return Delta(removed, added)
+
+
+def make_canonical(parent: CanonicalNet, delta: Delta) -> CanonicalNet:
+    """The canonical net the delta makes of `parent`: a copy of its item
+    counts with the delta applied, so only the touched items are hashed."""
     counts = parent.items.copy_counts()
-    for item in removed:
-        n = counts.get(item, 0)
+    for item in delta.removed:
+        n = counts[item]
         if n > 1:
             counts[item] = n - 1
         else:
-            counts.pop(item, None)
-    for item in added:
+            del counts[item]
+    for item in delta.added:
         counts[item] = counts.get(item, 0) + 1
-    touched = {loc for loc, _ in removed} | {loc for loc, _ in added}
-    nil_locs = [loc for loc in touched if (loc, _NIL) in counts]
-    if nil_locs:
-        busy = {loc for loc, body in counts if not isinstance(body, s.NilProc)}
-        for loc in nil_locs:
-            if loc in busy:
-                del counts[loc, _NIL]
-            else:
-                counts[loc, _NIL] = 1
     return CanonicalNet(parent.restricted, Multiset.of_counts(counts), parent.err)
 
 
@@ -90,9 +124,11 @@ ERR_NET = CanonicalNet((), Multiset(), True)
 # ---------------------------------------------------------------------------
 # Table bookkeeping
 
-def tables_by_id(cn: CanonicalNet) -> dict:
+def tables_by_id(cn: CanonicalNet, busy=None) -> dict:
     """Every table of the net under its (locality, table identifier), each
-    repeated by its multiplicity, from one pass over the items.
+    repeated by its multiplicity, from one pass over the items.  The same
+    pass counts into a given dict `busy` the items that are not nil at each
+    locality, which `item_delta` reads.
 
     Several different tables under one key, which only a net whose `lid`
     repeats can hold, are in render order: the one tie rule.
@@ -101,6 +137,8 @@ def tables_by_id(cn: CanonicalNet) -> dict:
     for (loc, body), n in cn.items.items():
         if isinstance(body, s.TableComp):
             tables.setdefault((loc, body.interface.tid), []).extend([body] * n)
+        if busy is not None and body.__class__ is not s.NilProc:
+            busy[loc] = busy.get(loc, 0) + n
     for found in tables.values():
         if len(found) > 1:
             found.sort(key=s.render)
@@ -139,6 +177,15 @@ def canonical_key(cn: CanonicalNet):
 
 
 _SELF, _OTHER = "ρ1", "ρ"  # placeholders for restricted names; no source name has a ρ
+_COUNT = 1 << 40  # an item's tally: its place + its count × _COUNT
+
+
+class KeyParts(NamedTuple):
+    """What `StateKeys` reads of a net: each item's tally by its place."""
+    err: bool
+    restricted: int  # how many restricted names the net has
+    loose: dict  # place -> tally, of the items that hold no restricted name
+    held: dict  # place -> tally, of the others
 
 
 class StateKeys:
@@ -148,44 +195,65 @@ class StateKeys:
     they occur, so it serves any nets whose restricted names are among them
     and whose free names are not.  Keys from two keyers do not compare.
 
-    Each body is remembered by identity, with a reference to it, for the life
-    of the keyer: which restricted names it mentions, and its forms with
-    those names renamed to placeholders, each interned to a small int.  A
-    successor shares every body but the one or two its transition made with
-    its parent, so its key renames and hashes only those.
+    A key is read off a net's parts (`KeyParts`), apart for the items that
+    hold a restricted name: each item as one int, its tally, which holds its
+    count and its place, a number for its locality and the int interned for
+    its body.  `parts` reads a whole net; `after` applies a transition's
+    `Delta` to a parent's parts, so `explore` keys a successor at the cost
+    of its delta and of copying the parts, without building it.  Each body
+    is remembered by identity, with a reference to it, for the life of the
+    keyer: its int, which equal bodies share, which restricted names it
+    mentions, and its forms with those names renamed to placeholders, each
+    interned to a small int.
 
-    A key is the set of the items that hold no restricted name and a
-    certificate of the others (`_certificate`): the items with every
+    A key is the set of the loose tallies and a certificate of the held
+    ones, interned to an int (`_certificate`): the items with every
     restricted name replaced by a number, the names numbered canonically by
     colour refinement with individualisation (McKay & Piperno, "Practical
-    Graph Isomorphism II", J. Symb. Comput. 2014).  Names that no item
-    links are certified apart, so like groups of names, such as the clients
-    of one hub once the hub is numbered, never need to be told apart.
+    Graph Isomorphism II", J. Symb. Comput. 2014).  Names that no item links
+    are certified apart, so like groups of names, such as the clients of one
+    hub once the hub is numbered, never need to be told apart.
 
-    The certificate is memoized per configuration: the set of the held
-    items' (locality, body identity, count).  It is a function of that set,
-    as an item's restricted names come from its body and its locality.  A
-    body's identity stands for it while the keyer lives, because the keyer
-    keeps a reference to every body it meets, so no id is reused.  The
-    states `explore` reaches share their untouched bodies, so a
-    configuration recurs across states and is certified once.
+    The certificate is memoized per configuration, the held part: it is a
+    function of it, as an item's restricted names come from its body and its
+    locality.  A configuration recurs across the states `explore` reaches,
+    and is certified once.
     """
 
     def __init__(self, restricted: tuple):
         self._restricted = frozenset(restricted)
-        self._bodies: dict = {}  # id(body) -> (body, its restricted names, {placeholders: form})
-        self._ids: dict = {}  # free locality or renamed body -> small int
-        self._certified: dict = {}  # frozenset of held (loc, id(body), count) -> certificate
+        self._bodies: dict = {}  # id(body) -> (body, whether it holds a restricted name,
+        #                                      its int, {loc: its place there})
+        self._entries: dict = {}  # body int -> (body, its restricted names, {placeholders: form})
+        self._ids: dict = {}  # free locality, body, renamed body or certificate -> small int
+        self._places: dict = {}  # (loc, body int) -> place, its index in `_sites`
+        self._sites: list = []
+        self._certified: dict = {}  # set of held tallies -> its certificate's int
 
     def _intern(self, x) -> int:
         return self._ids.setdefault(x, len(self._ids))
 
-    def _body(self, body) -> tuple:
-        names = ()
-        if self._restricted:
-            names = tuple(sorted(s.free_locs(body) & self._restricted))
-        entry = self._bodies[id(body)] = (body, names, {} if names else {(): self._intern(body)})
-        return entry
+    def _locate(self, loose: dict, held: dict, item) -> tuple:
+        """The item's part, held if it holds a restricted name and else
+        loose, and its place."""
+        loc, body = item
+        known = self._bodies.get(id(body))
+        if known is None:
+            names = ()
+            if self._restricted:
+                names = tuple(sorted(s.free_locs(body) & self._restricted))
+            ident = self._intern(body)
+            self._entries.setdefault(ident, (body, names, {(): ident}))
+            known = self._bodies[id(body)] = (body, bool(names), ident, {})
+        place = known[3].get(loc)
+        if place is None:
+            site = loc, known[2]
+            place = self._places.get(site)
+            if place is None:
+                place = self._places[site] = len(self._sites)
+                self._sites.append(site)
+            known[3][loc] = place
+        return held if known[1] or loc in self._restricted else loose, place
 
     def _form(self, entry: tuple, placeholders: tuple) -> int:
         """The body with its restricted names, in the entry's order, renamed
@@ -197,23 +265,44 @@ class StateKeys:
                 s.rename_localities(body, dict(zip(names, placeholders))))
         return form
 
-    def key(self, cn: CanonicalNet):
-        loose = []  # items that hold no restricted name
-        held = []  # (loc, body entry, count, restricted names) of the others
-        for (loc, body), n in cn.items.items():
-            entry = self._bodies.get(id(body)) or self._body(body)
-            names = entry[1]
-            if loc in self._restricted and loc not in names:
-                names = (*names, loc)
-            if names:
-                held.append((loc, entry, n, names))
+    def parts(self, cn: CanonicalNet) -> KeyParts:
+        loose, held = {}, {}
+        for item, n in cn.items.items():
+            part, place = self._locate(loose, held, item)
+            part[place] = place + n * _COUNT
+        return KeyParts(cn.err, len(cn.restricted), loose, held)
+
+    def after(self, parts: KeyParts, delta: Delta) -> KeyParts:
+        """The parts of the net that `delta` makes of the net of `parts`."""
+        loose, held = dict(parts.loose), dict(parts.held)
+        for item in delta.removed:
+            part, place = self._locate(loose, held, item)
+            tally = part[place] - _COUNT
+            if tally >= _COUNT:
+                part[place] = tally
             else:
-                loose.append((loc, entry[2][()], n))
-        config = frozenset((loc, id(entry[0]), n) for loc, entry, n, _ in held)
+                del part[place]
+        for item in delta.added:
+            part, place = self._locate(loose, held, item)
+            part[place] = part.get(place, place) + _COUNT
+        return KeyParts(parts.err, parts.restricted, loose, held)
+
+    def key(self, net):
+        """The key of `net`, a canonical net or the parts of one."""
+        parts = self.parts(net) if isinstance(net, CanonicalNet) else net
+        config = frozenset(parts.held.values())
         cert = self._certified.get(config)
         if cert is None:
-            cert = self._certified[config] = self._certificate(held, {})
-        return cn.err, len(cn.restricted), frozenset(loose), cert
+            held = []
+            for tally in sorted(config):
+                loc, ident = self._sites[tally % _COUNT]
+                entry = self._entries[ident]
+                names = entry[1]
+                if loc in self._restricted and loc not in names:
+                    names = (*names, loc)
+                held.append((loc, entry, tally // _COUNT, names))
+            cert = self._certified[config] = self._intern(self._certificate(held, {}))
+        return parts.err, parts.restricted, frozenset(parts.loose.values()), cert
 
     def _certificate(self, items: list, number: dict) -> tuple:
         """The items with the restricted names in `number` numbered by it and

@@ -1,8 +1,11 @@
 """Small-step transition engine over canonical nets.
 
 `enumerate_transitions` returns each enabled transition as its label and its
-outcome; a `Transition` builds its successor net (`net.make_canonical`) only
-when asked for it.  `run` builds the one it picks, `explore` all of them.
+outcome; a `Transition` makes its exact item delta (`net.item_delta`) and
+builds its successor net from it (`net.make_canonical`) only when asked.
+`run` builds the successor it picks; `explore` keys every successor from
+its parent's key parts and its delta (`net.StateKeys`), and builds only
+those it has not met.
 
 An outcome has one shape, `_Outcome(new_proc, remove, add)`: the acting
 process item becomes new_proc at its locality and the remove items give way
@@ -35,19 +38,23 @@ found, and those of a loop of the loop alone, so a process waiting at one
 keeps them on its node (`_outcomes`) and hands them back while it finds
 the same objects: a successor keeps every untouched item as the same object,
 and the states `explore` reaches share them.  A successor is the parent's
-item counts with the transition's items swapped (`net.make_canonical`), so
-untouched items are not rehashed; the rendering `canonical_key` is computed
-only for transitions that share a label, from the texts that `render` keeps
-on bodies and rows; and tables are ordered by (locality, identifier),
-rendered only to break a tie.
+item counts with the transition's delta applied (`net.make_canonical`), so
+untouched items are not rehashed; a table write's rows are the old rows and
+the change, with the old rows' hash carried (`values.Multiset.changed`);
+the rendering `canonical_key` is computed only for transitions that share a
+label, from the texts that `render` keeps on bodies and rows; and tables are
+ordered by (locality, identifier), rendered only to break a tie.
 The `lid` integrity check reads each outcome's tables against the same
-map.  It is off in a net whose `lid` already repeats, which the checker
-rejects (`duplicate-table`), so only an unchecked run holds one.
+map, and counts only for an outcome that adds an item and is no write: a
+write swaps one table for another under its key.  It is off in a net whose
+`lid` already repeats, which the checker rejects (`duplicate-table`), so
+only an unchecked run holds one.
 `explore` deduplicates the states it reaches by one `net.StateKeys` per
 call, which renders nothing, works on a body only the first time it meets
 it and certifies the restricted names once per configuration of the items
-that hold them.  Substitution builds new terms only for continuations: the
-process after a select or aggr, a loop body and a procedure body.
+that hold them; it keeps key parts only for the states of its frontier.
+Substitution builds new terms only for continuations: the process after a
+select or aggr, a loop body and a procedure body.
 """
 
 from __future__ import annotations
@@ -105,6 +112,7 @@ class _RowPass(NamedTuple):
     failure: Optional[str]  # None, or "match" | "eval" for the first row that fails
     hits: dict  # row, or its payload value, -> count, where the predicate holds
     misses: dict  # row -> count, where it does not
+    taken: dict  # row -> count, where it holds: the rows a write replaces
 
 
 def _row_pass(rows: Multiset, template: s.Template, pred: s.Pred, payload=None,
@@ -121,7 +129,7 @@ def _row_pass(rows: Multiset, template: s.Template, pred: s.Pred, payload=None,
         seen = {}
     judge = None
     failure = None
-    hits, misses = {}, {}
+    hits, misses, taken = {}, {}, {}
     for row, n in rows.items():
         verdict = seen.get(row)
         if verdict is None:
@@ -134,7 +142,8 @@ def _row_pass(rows: Multiset, template: s.Template, pred: s.Pred, payload=None,
             failure = failure or verdict
         else:
             hits[verdict] = hits.get(verdict, 0) + n
-    return _RowPass(failure, hits, misses)
+            taken[row] = n
+    return _RowPass(failure, hits, misses, taken)
 
 
 def _judge(template: s.Template, pred: s.Pred, payload):
@@ -178,7 +187,7 @@ def _delete(a: s.Delete, loc: str, tab: s.TableComp, cont: s.Process, seen) -> t
         found = _row_pass(tab.rows, a.template, a.pred, None, seen)
         if not found.failure:
             return ("DEL", f"delete {sum(found.hits.values())} row(s) from {a.tid}@{loc}",
-                    _write(loc, tab, Multiset.of_counts(found.misses), cont))
+                    _write(loc, tab, tab.rows.changed(found.taken), cont))
     return "DEL", f"delete from {a.tid}@{loc}: format or evaluation error", k.ERR
 
 
@@ -189,16 +198,14 @@ def _update(a: s.Update, loc: str, tab: s.TableComp, cont: s.Process, seen) -> t
     found = _row_pass(tab.rows, a.template, a.pred, a.payload, seen)
     if found.failure or not all(k.well_sorted_value(row, schema) for row in found.hits):
         return "UPD", f"update {a.tid}@{loc}: format or evaluation error", k.ERR
-    rows = Multiset.of_counts(found.misses).union(Multiset.of_counts(found.hits))
     return ("UPD", f"update {sum(found.hits.values())} row(s) of {a.tid}@{loc}",
-            _write(loc, tab, rows, cont))
+            _write(loc, tab, tab.rows.changed(found.taken, found.hits), cont))
 
 
 def _aggr(a: s.Aggr, loc: str, tab: s.TableComp, cont: s.Process, seen) -> tuple:
     if k.well_sorted_template(a.template, tab.interface.schema):
         found = _row_pass(tab.rows, a.template, a.pred, None, seen)
-        if not found.failure and all(k.aggr_row_ok(a.fn, row)
-                                     for row in [*found.hits, *found.misses]):
+        if not found.failure and all(k.aggr_row_ok(a.fn, row) for row in tab.rows.support()):
             result = k.apply_aggr(a.fn, Multiset.of_counts(found.hits))
             sigma = k.match(result, a.bind_template)
             if not k.is_err(sigma):
@@ -362,46 +369,67 @@ def _proc_outcomes(tables: dict, proc: s.Process, sys: s.System) -> list:
     raise TypeError(f"not a process: {proc!r}")
 
 
-def _apply(cn: CanonicalNet, actor_item, oc) -> CanonicalNet:
-    if k.is_err(oc):
-        return ERR_NET
-    return make_canonical(cn, [actor_item, *oc.remove], [(actor_item[0], oc.new_proc), *oc.add])
+def _apply(cn: CanonicalNet, delta) -> CanonicalNet:
+    """The successor a transition's delta makes of cn: the error net for None."""
+    return ERR_NET if delta is None else make_canonical(cn, delta)
+
+
+def _table_key(item):
+    """The (locality, identifier) of a table item; None for a process."""
+    loc, body = item
+    return (loc, body.interface.tid) if isinstance(body, s.TableComp) else None
 
 
 def _repeats_table(tables: dict, oc) -> bool:
     """Whether applying oc to a net whose tables by (locality, identifier)
     are `tables`, none of them repeated, makes one repeat: a key ends with
     more than one table once the outcome's removals and additions are
-    counted."""
-    if k.is_err(oc):
+    counted.  Only an outcome that adds an item can, and a write, which
+    swaps one table for another under the same key, changes no count."""
+    if k.is_err(oc) or not oc.add:
+        return False
+    if len(oc.remove) == len(oc.add) == 1 and _table_key(oc.remove[0]) == _table_key(oc.add[0]):
         return False
     change: dict = {}
     for sign, items in ((-1, oc.remove), (1, oc.add)):
-        for loc, body in items:
-            if isinstance(body, s.TableComp):
-                key = loc, body.interface.tid
+        for item in items:
+            key = _table_key(item)
+            if key is not None:
                 change[key] = change.get(key, 0) + sign
     return any(len(tables.get(key, ())) + n > 1 for key, n in change.items())
 
 
 class Transition:
     """One enabled transition: its label and the outcome its actor item has
-    in the net it was enumerated in.  The successor is built when it is first
-    asked for, and a transition unpacks as the pair (label, successor)."""
+    in the net it was enumerated in, whose count of items that are not nil
+    at each locality is `busy`.  Its delta (`net.item_delta`) and its
+    successor are made when first asked for, and a transition unpacks as
+    the pair (label, successor)."""
 
-    __slots__ = ("label", "outcome", "_parent", "_actor", "_succ")
+    __slots__ = ("label", "outcome", "_parent", "_actor", "_busy", "_delta", "_succ")
 
-    def __init__(self, label: TransitionLabel, parent: CanonicalNet, actor_item, outcome):
+    def __init__(self, label: TransitionLabel, parent: CanonicalNet, actor_item, outcome,
+                 busy: dict):
         self.label = label
         self.outcome = outcome
         self._parent = parent
         self._actor = actor_item
-        self._succ = None
+        self._busy = busy
+        self._delta = self._succ = None
+
+    @property
+    def delta(self):
+        """The exact change of the parent's items; None for a monitored error."""
+        if self._delta is None and self.outcome is not k.ERR:
+            actor, oc = self._actor, self.outcome
+            self._delta = netmod.item_delta(self._parent, self._busy, (actor, *oc.remove),
+                                            ((actor[0], oc.new_proc), *oc.add))
+        return self._delta
 
     @property
     def succ(self) -> CanonicalNet:
         if self._succ is None:
-            self._succ = _apply(self._parent, self._actor, self.outcome)
+            self._succ = _apply(self._parent, self.delta)
         return self._succ
 
     def __iter__(self):
@@ -424,7 +452,8 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System) -> list:
     """
     if cn.err:
         return []
-    tables = netmod.tables_by_id(cn)
+    busy: dict = {}
+    tables = netmod.tables_by_id(cn, busy)
     check = all(len(found) == 1 for found in tables.values())
     by_label = {}
     for pair, _ in cn.items.items():
@@ -436,7 +465,7 @@ def enumerate_transitions(cn: CanonicalNet, sys: s.System) -> list:
                 raise IntegrityError(
                     f"transition {rule} at {loc} duplicated a table identifier")
             label = TransitionLabel(rule, loc, detail)
-            by_label.setdefault(label, []).append(Transition(label, cn, pair, oc))
+            by_label.setdefault(label, []).append(Transition(label, cn, pair, oc, busy))
     out = []
     for label in sorted(by_label):  # by rule, actor and detail
         tied = by_label[label]
@@ -487,31 +516,36 @@ class ExploreResult(NamedTuple):
 
 
 def explore(sys: s.System, bound: int = 10000) -> ExploreResult:
-    """Bounded breadth-first exploration of the reachable state space.  The
-    states share their untouched items, so a process waiting in many of
-    them recomputes its outcomes only where it finds other tables than in
-    the state it was last enumerated in (`_outcomes`), and the keyer
-    certifies the restricted names once per configuration of the bodies
-    that hold them, however many states share it (`net.StateKeys`)."""
+    """Bounded breadth-first exploration of the reachable state space.  Each
+    successor is keyed from its parent's key parts and its transition's
+    delta (`net.StateKeys.after`), and built only when its key is new; key
+    parts are kept for the frontier alone.  The states share their untouched
+    items, so a process waiting in many of them recomputes its outcomes only
+    where it finds other tables than in the state it was last enumerated in
+    (`_outcomes`), and the keyer certifies the restricted names once per
+    configuration of the bodies that hold them, however many states share it."""
     start = netmod.canonicalize(sys.main_net, sys.procedures)
     keys = netmod.StateKeys(start.restricted)
-    index = {keys.key(start): 0}
+    start_parts = keys.parts(start)
+    index = {keys.key(start_parts): 0}
     states = [start]
     edges = []
     quiescent = []
     err_reachable = start.err
-    frontier = [0]
+    frontier = [(0, start_parts)]
     truncated = False
     while frontier:
         next_frontier = []
-        for i in frontier:
+        for i, parts in frontier:
             cn = states[i]
             transitions = enumerate_transitions(cn, sys)
             if not transitions and not cn.err:
                 quiescent.append(cn)
                 continue
-            for label, succ in transitions:
-                key = keys.key(succ)
+            for t in transitions:
+                delta = t.delta
+                succ_parts = keys.parts(ERR_NET) if delta is None else keys.after(parts, delta)
+                key = keys.key(succ_parts)
                 j = index.get(key)
                 if j is None:
                     if len(states) >= bound:
@@ -519,11 +553,11 @@ def explore(sys: s.System, bound: int = 10000) -> ExploreResult:
                         continue
                     j = len(states)
                     index[key] = j
-                    states.append(succ)
-                    next_frontier.append(j)
-                    if succ.err:
+                    states.append(t.succ)
+                    next_frontier.append((j, succ_parts))
+                    if succ_parts.err:
                         err_reachable = True
-                edges.append((i, label, j))
+                edges.append((i, t.label, j))
         frontier = next_frontier
     return ExploreResult(
         states=len(states),

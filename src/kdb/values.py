@@ -8,22 +8,46 @@ equals a string of the same text.  A row is a `ValueTuple`, a `tuple` with
 no hash or equality of its own, so rows hash, compare and serve as
 dictionary keys in C code.  A row keeps its text the first time it is
 rendered (`syntax._row`), and rows sort in their cells' own order, which
-needs no key unless cells of other kinds decide (`sorted_rows`).
+needs no key unless cells of other kinds decide (`sorted_rows`).  A table's
+rows are a `Multiset`, whose hash and size a change carries from the old
+table's and the change's, so a step that changes a few rows of a big table
+costs those rows.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Iterator, KeysView, Mapping, TypeVar, Union
 
 from kdb.nodes import Record, build
 
 X = TypeVar("X")
+_NONE: Mapping = {}
+_MASK = (1 << 64) - 1
+
+
+def _sum_hash(counts: Mapping) -> int:
+    """The sum of count × hash(element) over a map of counts, in C."""
+    return sum(map(mul, map(hash, counts), counts.values()))
 
 
 class Multiset:
-    """Immutable multiset: a map from elements to strictly positive counts."""
+    """Immutable multiset: a map from elements to strictly positive counts.
 
-    __slots__ = ("_counts", "_hash")
+    `changed` makes a multiset from another and a delta without copying the
+    other's map: the map is made when it is first read, from the nearest
+    multiset up the chain that has one and the deltas since.  So small
+    changes to a big multiset cost their size until a reader needs the whole.
+    The hash is additive, the sum of count × hash(element) mod 2^64 (Clarke
+    et al., "Incremental Multiset Hash Functions", ASIACRYPT 2003), and the
+    size is kept: each is computed in C the first time it is asked for, and
+    `changed` carries it from then on.  Equality stays structural, so a
+    collision costs time, never a wrong answer.
+    """
+
+    # `_map` is the element-to-count dict or, until it is first read, the
+    # (multiset, removed, added) that `changed` makes it from.
+    __slots__ = ("_map", "_hash", "_size")
 
     def __init__(self, items: Union[Iterable[X], Mapping[X, int], None] = None):
         counts: dict = {}
@@ -36,8 +60,28 @@ class Multiset:
         elif items is not None:
             for k in items:
                 counts[k] = counts.get(k, 0) + 1
-        self._counts = counts
-        self._hash = None
+        self._map = counts
+        self._hash = self._size = None
+
+    @property
+    def _counts(self) -> dict:
+        if self._map.__class__ is not dict:
+            deltas = []
+            ms = self
+            while ms._map.__class__ is not dict:
+                ms, removed, added = ms._map
+                deltas.append((removed, added))
+            counts = dict(ms._map)
+            for removed, added in reversed(deltas):
+                for k, n in removed.items():
+                    if counts[k] > n:
+                        counts[k] -= n
+                    else:
+                        del counts[k]
+                for k, n in added.items():
+                    counts[k] = counts.get(k, 0) + n
+            self._map = counts
+        return self._map
 
     def count(self, elem) -> int:
         return self._counts.get(elem, 0)
@@ -47,10 +91,12 @@ class Multiset:
 
     def __len__(self) -> int:
         """Total number of elements, counting multiplicity."""
-        return sum(self._counts.values())
+        if self._size is None:
+            self._size = sum(self._counts.values())
+        return self._size
 
     def __bool__(self) -> bool:
-        return bool(self._counts)
+        return bool(self._counts) if self._size is None else self._size > 0
 
     def __iter__(self) -> Iterator:
         """Iterate elements with multiplicity (insertion order of the map)."""
@@ -73,31 +119,41 @@ class Multiset:
     def of_counts(cls, counts: dict) -> "Multiset":
         """Take over a map of positive counts without copying or rehashing it."""
         ms = cls.__new__(cls)
-        ms._counts = counts
-        ms._hash = None
+        ms._map = counts
+        ms._hash = ms._size = None
         return ms
 
+    def changed(self, removed: Mapping = _NONE, added: Mapping = _NONE) -> "Multiset":
+        """The multiset less the counts in `removed` (never below zero), then
+        plus those in `added`, which it keeps: once made, an element keeps
+        its place in the map unless it goes, and a new one comes last.  The
+        work is the delta's, and a known hash and size are carried."""
+        taken = {}
+        if removed:
+            counts = self._counts
+            for k, n in removed.items():
+                m = counts.get(k, 0)
+                if m:
+                    taken[k] = min(m, n)
+        out = Multiset.of_counts((self, taken, added))
+        if self._size is not None:
+            out._size = self._size - sum(taken.values()) + sum(added.values())
+        if self._hash is not None:
+            out._hash = (self._hash - _sum_hash(taken) + _sum_hash(added)) & _MASK
+        return out
+
     def add(self, elem) -> "Multiset":
-        out = dict(self._counts)
-        out[elem] = out.get(elem, 0) + 1
-        return Multiset.of_counts(out)
+        return self.changed(added={elem: 1})
 
     def union(self, other: "Multiset") -> "Multiset":
-        out = dict(self._counts)
-        for k, n in other._counts.items():
-            out[k] = out.get(k, 0) + n
-        return Multiset.of_counts(out)
+        return self.changed(added=other._counts)
 
     def subtract(self, other: "Multiset") -> "Multiset":
         """The counts less `other`'s, in their order, in `other`'s size of work."""
-        out = dict(self._counts)
-        for k, n in other._counts.items():
-            m = out.get(k, 0) - n
-            if m > 0:
-                out[k] = m
-            else:
-                out.pop(k, None)
-        return Multiset.of_counts(out)
+        return self.changed(removed=other._counts)
+
+    def __reduce__(self):
+        return Multiset.of_counts, (self._counts,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multiset):
@@ -106,7 +162,7 @@ class Multiset:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._counts.items()))
+            self._hash = _sum_hash(self._counts) & _MASK
         return self._hash
 
     def __repr__(self) -> str:

@@ -5,13 +5,16 @@ label-first ordering, kept as the oracle for the faster step path.
   multisets and re-absorbing inert units over every locality.
 - `keyed_transitions` computes `canonical_key` for every transition and sorts
   by (rule, actor, detail, str(key)), merging equal (label, key) pairs.
+- `keyed_explore` rebuilds every successor and keys it whole with
+  `net.StateKeys`, where `semantics.explore` keys a successor from its
+  parent's key parts and the transition's delta and builds only new states.
 """
 
 from fixtures import fresh
 from kdb import kernel as k
 from kdb import semantics
 from kdb import syntax as s
-from kdb.net import ERR_NET, CanonicalNet, canonical_key, tables_by_id
+from kdb.net import ERR_NET, CanonicalNet, StateKeys, canonical_key, canonicalize, tables_by_id
 from kdb.values import Multiset
 
 
@@ -61,3 +64,34 @@ def keyed_transitions(cn: CanonicalNet, sys: s.System) -> list:
         found.setdefault((label, canonical_key(succ)), (label, succ))
     return [found[key] for key in sorted(
         found, key=lambda kv: (kv[0].rule, kv[0].actor, kv[0].detail, str(kv[1])))]
+
+
+def keyed_explore(sys: s.System, bound: int, on_edge=None) -> semantics.ExploreResult:
+    """`on_edge(parent, transition, rebuilt successor)` is called on every edge."""
+    start = canonicalize(sys.main_net, sys.procedures)
+    keys = StateKeys(start.restricted)
+    index = {keys.key(start): 0}
+    states, edges, quiescent = [start], [], []
+    frontier, truncated = [0], False
+    while frontier:
+        next_frontier = []
+        for i in frontier:
+            transitions = semantics.enumerate_transitions(states[i], sys)
+            if not transitions and not states[i].err:
+                quiescent.append(states[i])
+            for t in transitions:
+                succ = rebuild_apply(states[i], t._actor, t.outcome)
+                if on_edge is not None:
+                    on_edge(states[i], t, succ)
+                j = index.get(keys.key(succ))
+                if j is None:
+                    if len(states) >= bound:
+                        truncated = True
+                        continue
+                    j = index[keys.key(succ)] = len(states)
+                    states.append(succ)
+                    next_frontier.append(j)
+                edges.append((i, t.label, j))
+        frontier = next_frontier
+    return semantics.ExploreResult(len(states), any(cn.err for cn in states), quiescent, edges,
+                                   states, truncated)

@@ -13,6 +13,7 @@ import smallscope
 from fixtures import KLD_TABLE, srow
 from gen import AstGen
 from kdb import net as netmod
+from kdb import semantics
 from kdb import syntax as s
 from kdb.parser import parse_system
 from kdb.semantics import enumerate_transitions, explore, run
@@ -432,6 +433,19 @@ class TestStateKeys:
         result = explore(parse_system(_RECURRING["chains"]))
         assert (result.states, len(result.edges)) == (108, 324)
         assert len(calls) == 12
+
+    def test_explore_builds_one_net_per_new_state(self, monkeypatch):
+        # 324 edges and the initial net, of which 108 states are new: a
+        # successor that another path reached is keyed from its parent's key
+        # parts and its delta, and never built.
+        built = []
+        real = netmod.make_canonical
+        monkeypatch.setattr(semantics, "make_canonical",
+                            lambda *args: built.append(args) or real(*args))
+        monkeypatch.setattr(netmod, "make_canonical", semantics.make_canonical)
+        result = explore(parse_system(_RECURRING["chains"]))
+        assert (result.states, len(result.edges)) == (108, 324)
+        assert len(built) == 108
 
     @pytest.mark.parametrize("name", sorted(_RECURRING))
     def test_reachable_states_match_the_naive_engine(self, name):

@@ -6,18 +6,22 @@ tests require the engine's delta successors, label-first order and table
 order to give exactly the same results.
 """
 
+import collections
 import pathlib
 import random
 
+import diffcheck
 import gensys
 import pytest
 import step_oracle
+import test_acceptance
 from diffcheck import repeated_tables
 from fixtures import fresh, keeps_old_table, srow
 from kdb import net as netmod
 from kdb import semantics
 from kdb import syntax as s
-from kdb.net import canonical_key, canonicalize, find_tables, lid
+from kdb import values
+from kdb.net import ERR_NET, canonical_key, canonicalize, find_tables, lid
 from kdb.parser import parse_system
 from kdb.values import Multiset, ValueTuple, VLoc
 from nets import item_sort_key, no_rep, sorted_items
@@ -158,9 +162,11 @@ class TestDeltaSuccessors:
         compared = 0
         for sys1 in population():
             for cn in visited(sys1):
-                for pair, _rule, _detail, oc in step_oracle.outcomes(cn, sys1):
-                    assert (semantics._apply(cn, pair, oc)
-                            == step_oracle.rebuild_apply(cn, pair, oc))
+                busy: dict = {}
+                netmod.tables_by_id(cn, busy)
+                for pair, rule, _detail, oc in step_oracle.outcomes(cn, sys1):
+                    transition = semantics.Transition(rule, cn, pair, oc, busy)
+                    assert transition.succ == step_oracle.rebuild_apply(cn, pair, oc)
                     compared += 1
         assert compared > 1000
 
@@ -198,6 +204,77 @@ class TestDeltaSuccessors:
         assert sorted(loc for (loc, body), _ in succ.items.items()
                       if isinstance(body, s.NilProc)) == ["l2"]
         assert len(succ.items) == 2
+
+
+# Moves around inert units, in a net laid out as test_net's
+# `test_inert_units_survive_last_where_nothing_else_stands`: a process ends
+# where another stands (b) and where none does (r, restricted), a spawn
+# lands where only a unit stands (i), a drop leaves a locality to its unit
+# (j), a unit stays alone under a restriction (z), and a bad insert reaches
+# the error net.
+INERT_UNITS = """schema U : (Int)
+let p() := nil in
+$i :: nil || $b :: nil || $b :: p()
+|| (new $r) ($r :: nil || $r :: eval(nil, $r). nil)
+|| (new $z) $z :: nil
+|| $j :: { nil | nil | table U : (Int) = {} | drop(U@$j). eval(p(), $i). nil }
+|| $b :: p()
+|| $b :: { table U : (Int) = {} | insert(U@$b, ("x")). nil }
+"""
+
+
+def delta_keys_agree(sys1, bound: int) -> collections.Counter:
+    """Check that exploring sys1 gives what rebuilding and keying every
+    successor gives (`step_oracle.keyed_explore`), and that on each edge the
+    parts and key made from the parent's parts and the delta are those of
+    the rebuilt successor.  Counts the edges checked and what they cover."""
+    keys = netmod.StateKeys(canonicalize(sys1.main_net, sys1.procedures).restricted)
+    parts = {}  # id(parent) -> (parent, its parts)
+    seen = collections.Counter()
+
+    def check(cn, t, built):
+        if id(cn) not in parts:
+            parts[id(cn)] = cn, keys.parts(cn)
+        delta = t.delta
+        got = keys.parts(ERR_NET) if delta is None else keys.after(parts[id(cn)][1], delta)
+        assert got == keys.parts(built)
+        assert keys.key(got) == keys.key(built)
+        seen["edges"] += 1
+        seen["restricted"] += bool(cn.restricted)
+        if delta is None:
+            seen["err"] += 1
+            return
+        # The units the delta takes from the parent, the units it adds, and
+        # those of the outcome it absorbs.
+        seen["unit removed"] += sum(isinstance(body, s.NilProc) for _, body in delta.removed)
+        seen["unit added"] += sum(isinstance(body, s.NilProc) for _, body in delta.added)
+        seen["unit absorbed"] += 1 + len(t.outcome.add) - len(delta.added)
+
+    assert semantics.explore(sys1, bound=bound) == step_oracle.keyed_explore(sys1, bound, check)
+    return seen
+
+
+UNIT_MOVES = ("unit removed", "unit added", "unit absorbed")
+
+
+class TestDeltaKeys:
+    def test_criteria_3_to_5_explorations(self):
+        seen = collections.Counter()
+        for seed in range(test_acceptance.EXPLORED):
+            seen += delta_keys_agree(diffcheck.generated(seed), test_acceptance.EXPLORE_BOUND)
+        assert seen["edges"] > 30_000
+        assert all(seen[kind] for kind in UNIT_MOVES)
+
+    def test_diffcheck_explorations(self):
+        seen = collections.Counter()
+        for _, sys1 in diffcheck.population():
+            seen += delta_keys_agree(sys1, diffcheck.EXPLORE_BOUND)
+        assert seen["edges"] > 15_000
+        assert all(seen[kind] for kind in ("err", "restricted", *UNIT_MOVES))
+
+    def test_inert_units(self):
+        seen = delta_keys_agree(parse_system(INERT_UNITS), 10_000)
+        assert all(seen[kind] for kind in ("err", "restricted", *UNIT_MOVES))
 
 
 def _table(tid, *values):
@@ -295,6 +372,21 @@ class TestEnumerationWork:
         transitions = semantics.enumerate_transitions(cn, sys1)
         assert len(transitions) == 60
         assert calls == {"tables_by_id": 1, "find_tables": 0, "lid": 0, "free_locs": 0}
+
+
+    def test_a_run_hashes_its_big_table_whole_at_most_once(self, monkeypatch):
+        # 20 inserts into a 2,000-row table: each new table's hash is the old
+        # one's plus the inserted row's.
+        rows = ", ".join(f"({i})" for i in range(2000))
+        inserts = "".join(f"insert(T@$l, ({-i})). " for i in range(1, 21))
+        sys1 = parse_system(f"$l :: {{ table T : (Int) = {{ {rows} }} | {inserts}nil }}\n")
+        hashed = []
+        real = values._sum_hash
+        monkeypatch.setattr(values, "_sum_hash",
+                            lambda counts: hashed.append(len(counts)) or real(counts))
+        trace = semantics.run(sys1)
+        assert (trace.terminal, len(trace.steps)) == ("quiescent", 20)
+        assert len([n for n in hashed if n >= 2000]) <= 1
 
 
 def count_row_passes(monkeypatch) -> list:

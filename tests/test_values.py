@@ -13,6 +13,7 @@ from kdb.values import (
     row_sort_key,
     sorted_rows,
 )
+from kdb import syntax as s
 from kdb.syntax import render_row
 
 
@@ -60,6 +61,52 @@ class TestMultisetLaws:
     @given(small_multisets, small_multisets)
     def test_union_commutes(self, a, b):
         assert a.union(b) == b.union(a)
+
+
+counts = st.dictionaries(st.integers(0, 6), st.integers(1, 3), max_size=6)
+
+
+def warm(m: Multiset, known: bool) -> Multiset:
+    """m, with its hash and size computed first when `known`, so that the
+    operations on it carry them instead of computing them afresh."""
+    if known:
+        hash(m), len(m)
+    return m
+
+
+def built_ways(target: dict, other: dict, known: bool) -> list:
+    """Multisets equal to `target`, each built another way from `other`."""
+    extra = {k: other[k] for k in other if k not in target}
+    added = Multiset()
+    for k, n in target.items():
+        for _ in range(n):
+            added = warm(added, known).add(k)
+    half = dict(list(target.items())[::2])
+    rest = {k: n for k, n in target.items() if k not in half}
+    return [
+        Multiset(target),
+        Multiset([k for k, n in reversed(target.items()) for _ in range(n)]),
+        Multiset.of_counts(dict(target)),
+        added,
+        warm(Multiset(half), known).union(Multiset(rest)),
+        warm(Multiset({**target, **extra}), known).subtract(Multiset(extra)),
+        warm(Multiset(other), known).changed(other, target),
+        warm(Multiset(target), known).changed({**other, **target}, target),
+    ]
+
+
+class TestMultisetHash:
+    @given(counts, counts, st.booleans())
+    def test_equal_multisets_hash_and_count_alike(self, target, other, known):
+        # The hash and size that an operation carries from its operands are
+        # those that the result would compute afresh.
+        reference = Multiset(target)
+        for m in built_ways(target, other, known):
+            assert m == reference
+            assert (hash(m), len(m)) == (hash(reference), len(reference))
+            assert hash(VSet(m)) == hash(VSet(Multiset(target)))
+            table = s.TableComp(s.Interface("T", (s.INT,)), m)
+            assert hash(table) == hash(s.TableComp(s.Interface("T", (s.INT,)), reference))
 
 
 class TestValues:
