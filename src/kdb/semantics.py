@@ -22,7 +22,7 @@ Judging compiles the predicate, and the payload of an update or select,
 once over the template's columns (`kernel.compile_pred`); a row whose width
 and locality columns fit the template runs them on its cells, with no match
 built, and only a hit builds its payload row.  The pass reports the first
-row that fails, and counts the hits and the misses.
+row that fails, and counts the hits and the rows that hit.
 Errors are monitored there and where an action meets a schema: a bad
 inserted row, a template that does not fit, a failing row, a new row or
 aggregate that breaks its schema, an unresolvable select source or payload,
@@ -111,7 +111,6 @@ class _Outcome(NamedTuple):
 class _RowPass(NamedTuple):
     failure: Optional[str]  # None, or "match" | "eval" for the first row that fails
     hits: dict  # row, or its payload value, -> count, where the predicate holds
-    misses: dict  # row -> count, where it does not
     taken: dict  # row -> count, where it holds: the rows a write replaces
 
 
@@ -129,21 +128,19 @@ def _row_pass(rows: Multiset, template: s.Template, pred: s.Pred, payload=None,
         seen = {}
     judge = None
     failure = None
-    hits, misses, taken = {}, {}, {}
+    hits, taken = {}, {}
     for row, n in rows.items():
         verdict = seen.get(row)
         if verdict is None:
             if judge is None:
                 judge = _judge(template, pred, payload)
             verdict = seen[row] = judge(row)
-        if verdict is False:
-            misses[row] = n
-        elif verdict.__class__ is str:
+        if verdict.__class__ is str:
             failure = failure or verdict
-        else:
+        elif verdict is not False:
             hits[verdict] = hits.get(verdict, 0) + n
             taken[row] = n
-    return _RowPass(failure, hits, misses, taken)
+    return _RowPass(failure, hits, taken)
 
 
 def _judge(template: s.Template, pred: s.Pred, payload):

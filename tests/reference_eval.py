@@ -146,12 +146,13 @@ def match(et, template):
 
 
 def row_pass(rows, template, pred, payload=None):
-    """(failure, hits, misses) of a pass over rows, as `semantics._row_pass`
-    defines them: failure is None, or "match" | "eval" for the first row
-    that fails; hits maps each row, or its payload value, to its count where
-    the predicate holds; misses maps each row where it does not."""
+    """(failure, hits, taken, misses) of a pass over rows, the first three as
+    `semantics._row_pass` defines them: failure is None, or "match" | "eval"
+    for the first row that fails; hits maps each row, or its payload value,
+    to its count where the predicate holds; taken maps each row where it
+    holds, and misses each row where it does not."""
     failure = None
-    hits, misses = {}, {}
+    hits, taken, misses = {}, {}, {}
     for row, n in rows.items():
         sigma = match(row, template)
         if is_err(sigma):
@@ -163,6 +164,7 @@ def row_pass(rows, template, pred, payload=None):
             failure = failure or "eval"
         elif holds:
             hits[hit] = hits.get(hit, 0) + n
+            taken[row] = n
         else:
             misses[row] = n
-    return failure, hits, misses
+    return failure, hits, taken, misses

@@ -901,7 +901,7 @@ def test_create_and_eval_at_a_locality_with_no_node():
 
 class TestRowPassAgainstReference:
     """The compiled row pass gives the reference pass's failure, hits and
-    misses, in the same order, on random templates, rows, predicates and
+    taken rows, in the same order, on random templates, rows, predicates and
     payloads; the reference matches each row and evaluates under the match."""
 
     NAMES = ("a", "b", "c")
@@ -1031,11 +1031,11 @@ class TestRowPassAgainstReference:
             pred = self.pred(rng, 2, template, kinds)
             payload = self.payload(rng, template)
             got = _row_pass(rows, template, pred, payload)
-            failure, hits, misses = ref.row_pass(rows, template, pred, payload)
+            failure, hits, taken, misses = ref.row_pass(rows, template, pred, payload)
             case = (template, rows, pred, payload)
             assert got.failure == failure, case
             assert list(got.hits.items()) == list(hits.items()), case
-            assert list(got.misses.items()) == list(misses.items()), case
+            assert list(got.taken.items()) == list(taken.items()), case
             repeats = len(set(template.names())) < len(template.fields)
             seen.add((failure, bool(hits), bool(misses), repeats))
         # Every failure, and every mix of hits and misses, on templates with
@@ -1066,11 +1066,11 @@ class TestRowPassAgainstReference:
                     met += sum(row in store for row, _ in rows.items())
                     visited += len(rows.items())
                     got = _row_pass(rows, *action, store)
-                    failure, hits, misses = ref.row_pass(rows, *action)
+                    failure, hits, taken, _ = ref.row_pass(rows, *action)
                     case = (action, rows)
                     assert got.failure == failure, case
                     assert list(got.hits.items()) == list(hits.items()), case
-                    assert list(got.misses.items()) == list(misses.items()), case
+                    assert list(got.taken.items()) == list(taken.items()), case
                     # Two rows hit with one payload image.
                     hit_rows = [row for row, _ in rows.items()
                                 if ref.row_pass(Multiset([row]), *action)[1]]
