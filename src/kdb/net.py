@@ -5,7 +5,7 @@ extruded to a single outer prefix (renaming restricted localities apart when
 extrusion would capture), every node is split into one item per co-located
 process or table, and inert-process units are absorbed.  Rule matching in
 the engine then becomes multiset lookup instead of congruence search.
-`make_canonical` builds every canonical net, from a parent and a `Delta`:
+`make_canonical` builds every canonical net, from a parent and a delta:
 the items a transition removes and adds, exact, inert units absorbed
 (`item_delta`).  `canonicalize` hands it the empty net and a net's parts,
 which `syntax.net_parts` finds for the checker too.
@@ -59,18 +59,13 @@ def canonicalize(net: s.Net, procedures=None) -> CanonicalNet:
     return make_canonical(empty, item_delta(empty, {}, (), tuple(items)))
 
 
-class Delta(NamedTuple):
-    """The exact change of a net's items that one transition makes: one copy
-    of each removed item goes, then one of each added item comes."""
-    removed: tuple  # of item
-    added: tuple  # of item
-
-
-def item_delta(parent: CanonicalNet, busy: dict, removed: tuple, added: tuple) -> Delta:
+def item_delta(parent: CanonicalNet, busy: dict, removed: tuple, added: tuple) -> tuple:
     """The delta of `parent` when `removed` items give way to `added`, with
     inert units absorbed at the touched localities: a locality keeps one
     unit if it then hosts nothing else and none if it does.  Every other
-    locality is already absorbed in a canonical parent.
+    locality is already absorbed in a canonical parent.  The delta is the
+    exact change of the items, a pair of tuples (removed, added): one copy
+    of each removed item goes, then one of each added item comes.
 
     The removed items are the parent's and none is an inert unit, which
     takes part in no transition.  `busy` counts the parent's items that are
@@ -100,20 +95,22 @@ def item_delta(parent: CanonicalNet, busy: dict, removed: tuple, added: tuple) -
             kept.append(item)
         removed += tuple((loc, _NIL) for loc in had if count[loc])
         added = tuple(kept)
-    return Delta(removed, added)
+    return removed, added
 
 
-def make_canonical(parent: CanonicalNet, delta: Delta) -> CanonicalNet:
-    """The canonical net the delta makes of `parent`: a copy of its item
-    counts with the delta applied, so only the touched items are hashed."""
+def make_canonical(parent: CanonicalNet, delta: tuple) -> CanonicalNet:
+    """The canonical net the delta (`item_delta`) makes of `parent`: a copy
+    of its item counts with the delta applied, so only the touched items
+    are hashed."""
+    removed, added = delta
     counts = parent.items.copy_counts()
-    for item in delta.removed:
+    for item in removed:
         n = counts[item]
         if n > 1:
             counts[item] = n - 1
         else:
             del counts[item]
-    for item in delta.added:
+    for item in added:
         counts[item] = counts.get(item, 0) + 1
     return CanonicalNet(parent.restricted, Multiset.of_counts(counts), parent.err)
 
@@ -180,14 +177,6 @@ _SELF, _OTHER = "ρ1", "ρ"  # placeholders for restricted names; no source name
 _COUNT = 1 << 40  # an item's tally: its place + its count × _COUNT
 
 
-class KeyParts(NamedTuple):
-    """What `StateKeys` reads of a net: each item's tally by its place."""
-    err: bool
-    restricted: int  # how many restricted names the net has
-    loose: dict  # place -> tally, of the items that hold no restricted name
-    held: dict  # place -> tally, of the others
-
-
 class StateKeys:
     """Keys that identify nets up to congruence and renaming of restrictions,
     as `canonical_key` does, without rendering: one keyer serves one
@@ -195,16 +184,17 @@ class StateKeys:
     they occur, so it serves any nets whose restricted names are among them
     and whose free names are not.  Keys from two keyers do not compare.
 
-    A key is read off a net's parts (`KeyParts`), apart for the items that
-    hold a restricted name: each item as one int, its tally, which holds its
-    count and its place, a number for its locality and the int interned for
-    its body.  `parts` reads a whole net; `after` applies a transition's
-    `Delta` to a parent's parts, so `explore` keys a successor at the cost
-    of its delta and of copying the parts, without building it.  Each body
-    is remembered by identity, with a reference to it, for the life of the
-    keyer: its int, which equal bodies share, which restricted names it
-    mentions, and its forms with those names renamed to placeholders, each
-    interned to a small int.
+    A key is read off a net's parts: whether it is the error net, how many
+    restricted names it has, and its items, the loose ones and those that
+    hold a restricted name apart, each by its place, a number for its
+    locality and the int interned for its body, with its tally, one int for
+    its place and its count.  `parts` reads a whole net; `after` applies a
+    transition's delta (`item_delta`) to a parent's parts, so `explore` keys
+    a successor at the cost of its delta and of copying the parts, without
+    building it.  Each body is remembered by identity, with a reference to
+    it, for the life of the keyer: its int, which equal bodies share, which
+    restricted names it mentions, its place at each locality, and its forms
+    with those names renamed to placeholders, each interned to a small int.
 
     A key is the set of the loose tallies and a certificate of the held
     ones, interned to an int (`_certificate`): the items with every
@@ -265,44 +255,50 @@ class StateKeys:
                 s.rename_localities(body, dict(zip(names, placeholders))))
         return form
 
-    def parts(self, cn: CanonicalNet) -> KeyParts:
+    def parts(self, cn: CanonicalNet) -> tuple:
+        """(err, restricted names, loose tallies, held tallies) of cn, each
+        set of tallies a map from place to tally."""
         loose, held = {}, {}
         for item, n in cn.items.items():
             part, place = self._locate(loose, held, item)
             part[place] = place + n * _COUNT
-        return KeyParts(cn.err, len(cn.restricted), loose, held)
+        return cn.err, len(cn.restricted), loose, held
 
-    def after(self, parts: KeyParts, delta: Delta) -> KeyParts:
+    def after(self, parts: tuple, delta: tuple) -> tuple:
         """The parts of the net that `delta` makes of the net of `parts`."""
-        loose, held = dict(parts.loose), dict(parts.held)
-        for item in delta.removed:
+        err, restricted, loose, held = parts
+        loose, held = dict(loose), dict(held)
+        removed, added = delta
+        for item in removed:
             part, place = self._locate(loose, held, item)
             tally = part[place] - _COUNT
             if tally >= _COUNT:
                 part[place] = tally
             else:
                 del part[place]
-        for item in delta.added:
+        for item in added:
             part, place = self._locate(loose, held, item)
             part[place] = part.get(place, place) + _COUNT
-        return KeyParts(parts.err, parts.restricted, loose, held)
+        return err, restricted, loose, held
 
     def key(self, net):
         """The key of `net`, a canonical net or the parts of one."""
-        parts = self.parts(net) if isinstance(net, CanonicalNet) else net
-        config = frozenset(parts.held.values())
+        if isinstance(net, CanonicalNet):
+            net = self.parts(net)
+        err, restricted, loose, held = net
+        config = frozenset(held.values())
         cert = self._certified.get(config)
         if cert is None:
-            held = []
+            items = []
             for tally in sorted(config):
                 loc, ident = self._sites[tally % _COUNT]
                 entry = self._entries[ident]
                 names = entry[1]
                 if loc in self._restricted and loc not in names:
                     names = (*names, loc)
-                held.append((loc, entry, tally // _COUNT, names))
-            cert = self._certified[config] = self._intern(self._certificate(held, {}))
-        return parts.err, parts.restricted, frozenset(parts.loose.values()), cert
+                items.append((loc, entry, tally // _COUNT, names))
+            cert = self._certified[config] = self._intern(self._certificate(items, {}))
+        return err, restricted, frozenset(loose.values()), cert
 
     def _certificate(self, items: list, number: dict) -> tuple:
         """The items with the restricted names in `number` numbered by it and

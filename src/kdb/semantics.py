@@ -416,7 +416,8 @@ class Transition:
 
     @property
     def delta(self):
-        """The exact change of the parent's items; None for a monitored error."""
+        """The exact change of the parent's items (`net.item_delta`); None for
+        a monitored error."""
         if self._delta is None and self.outcome is not k.ERR:
             actor, oc = self._actor, self.outcome
             self._delta = netmod.item_delta(self._parent, self._busy, (actor, *oc.remove),
@@ -552,7 +553,7 @@ def explore(sys: s.System, bound: int = 10000) -> ExploreResult:
                     index[key] = j
                     states.append(t.succ)
                     next_frontier.append((j, succ_parts))
-                    if succ_parts.err:
+                    if t.succ.err:
                         err_reachable = True
                 edges.append((i, t.label, j))
         frontier = next_frontier

@@ -246,9 +246,10 @@ def delta_keys_agree(sys1, bound: int) -> collections.Counter:
             return
         # The units the delta takes from the parent, the units it adds, and
         # those of the outcome it absorbs.
-        seen["unit removed"] += sum(isinstance(body, s.NilProc) for _, body in delta.removed)
-        seen["unit added"] += sum(isinstance(body, s.NilProc) for _, body in delta.added)
-        seen["unit absorbed"] += 1 + len(t.outcome.add) - len(delta.added)
+        removed, added = delta
+        seen["unit removed"] += sum(isinstance(body, s.NilProc) for _, body in removed)
+        seen["unit added"] += sum(isinstance(body, s.NilProc) for _, body in added)
+        seen["unit absorbed"] += 1 + len(t.outcome.add) - len(added)
 
     assert semantics.explore(sys1, bound=bound) == step_oracle.keyed_explore(sys1, bound, check)
     return seen
