@@ -20,7 +20,6 @@ from fixtures import fresh, keeps_old_table, srow
 from kdb import net as netmod
 from kdb import semantics
 from kdb import syntax as s
-from kdb import values
 from kdb.net import ERR_NET, canonical_key, canonicalize, find_tables, lid
 from kdb.parser import parse_system
 from kdb.values import Multiset, ValueTuple, VLoc
@@ -381,13 +380,18 @@ class TestEnumerationWork:
         rows = ", ".join(f"({i})" for i in range(2000))
         inserts = "".join(f"insert(T@$l, ({-i})). " for i in range(1, 21))
         sys1 = parse_system(f"$l :: {{ table T : (Int) = {{ {rows} }} | {inserts}nil }}\n")
-        hashed = []
-        real = values._sum_hash
-        monkeypatch.setattr(values, "_sum_hash",
-                            lambda counts: hashed.append(len(counts)) or real(counts))
+        whole = []
+        real = Multiset.__hash__
+
+        def counting(rows):
+            if rows._hash is None and len(rows) >= 2000:
+                whole.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(Multiset, "__hash__", counting)
         trace = semantics.run(sys1)
         assert (trace.terminal, len(trace.steps)) == ("quiescent", 20)
-        assert len([n for n in hashed if n >= 2000]) <= 1
+        assert len(whole) <= 1
 
 
 def count_row_passes(monkeypatch) -> list:
