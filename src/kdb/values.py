@@ -17,18 +17,22 @@ costs those rows.
 from __future__ import annotations
 
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Iterator, KeysView, Mapping, TypeVar, Union
 
 from kdb.nodes import Record, build
 
 X = TypeVar("X")
-_NONE: Mapping = {}
+_NONE: Mapping = MappingProxyType({})
 _MASK = (1 << 64) - 1
 
 
 def _sum_hash(counts: Mapping) -> int:
-    """The sum of count × hash(element) over a map of counts, in C."""
-    return sum(map(mul, map(hash, counts), counts.values()))
+    """The sum of count × h² over a map of counts, in C, h the hash of the
+    element's 1-tuple.  An int is its own hash, which the tuple's only
+    nearly mixes: summed plain, {1, 4} and {2, 3} would collide."""
+    hs = list(map(hash, zip(counts)))
+    return sum(map(mul, map(mul, hs, hs), counts.values()))
 
 
 class Multiset:
@@ -38,11 +42,12 @@ class Multiset:
     other's map: the map is made when it is first read, from the nearest
     multiset up the chain that has one and the deltas since.  So small
     changes to a big multiset cost their size until a reader needs the whole.
-    The hash is additive, the sum of count × hash(element) mod 2^64 (Clarke
-    et al., "Incremental Multiset Hash Functions", ASIACRYPT 2003), and the
-    size is kept: each is computed in C the first time it is asked for, and
-    `changed` carries it from then on.  Equality stays structural, so a
-    collision costs time, never a wrong answer.
+    The hash is additive, the sum of count × a mix of each element's hash,
+    mod 2^64 (`_sum_hash`; Clarke et al., "Incremental Multiset Hash
+    Functions", ASIACRYPT 2003), and the size is kept: each is computed in C
+    the first time it is asked for, and `changed` carries it from then on.
+    Equality stays structural, so a collision costs time, never a wrong
+    answer.
     """
 
     # `_map` is the element-to-count dict or, until it is first read, the

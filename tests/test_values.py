@@ -1,5 +1,7 @@
 """Multiset algebra and value domain."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,6 +109,13 @@ class TestMultisetHash:
             assert hash(VSet(m)) == hash(VSet(Multiset(target)))
             table = s.TableComp(s.Interface("T", (s.INT,)), m)
             assert hash(table) == hash(s.TableComp(s.Interface("T", (s.INT,)), reference))
+
+
+    def test_int_sets_that_sum_alike_hash_apart(self):
+        # An int is its own hash: summed plain, the hashes of {1, 4} and
+        # {2, 3} collide, and so do rows whose cells hold them.
+        sets = [Multiset(c) for r in (1, 2, 3) for c in itertools.combinations(range(40), r)]
+        assert len({hash(m) for m in sets}) > 0.99 * len(sets)
 
 
 class TestValues:
