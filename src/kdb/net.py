@@ -281,11 +281,9 @@ class StateKeys:
             part[place] = part.get(place, place) + _COUNT
         return err, restricted, loose, held
 
-    def key(self, net):
-        """The key of `net`, a canonical net or the parts of one."""
-        if isinstance(net, CanonicalNet):
-            net = self.parts(net)
-        err, restricted, loose, held = net
+    def key(self, parts: tuple):
+        """The key of a net, read off its parts (`parts` or `after`)."""
+        err, restricted, loose, held = parts
         config = frozenset(held.values())
         cert = self._certified.get(config)
         if cert is None:

@@ -176,7 +176,7 @@ def _insert(a: s.Insert, loc: str, tab: s.TableComp, cont: s.Process, seen) -> t
     if k.is_err(row) or not k.well_sorted_value(row, tab.interface.schema):
         return "INS", f"insert into {a.tid}@{loc}: bad row format", k.ERR
     return ("INS", f"insert {s.render_row(row)} into {a.tid}@{loc}",
-            _write(loc, tab, tab.rows.add(row), cont))
+            _write(loc, tab, tab.rows.changed(added={row: 1}), cont))
 
 
 def _delete(a: s.Delete, loc: str, tab: s.TableComp, cont: s.Process, seen) -> tuple:
@@ -324,7 +324,7 @@ def _foreach_outcomes(p: s.Foreach) -> list:
         return [("FOR_TT", "loop order names a missing column", k.ERR)]
     out = []
     for t0 in sorted_rows(k.minimal(Multiset.of_counts(found.hits), p.order)):
-        rest = s.TableLiteral(p.table.interface, rows.subtract(Multiset([t0])))
+        rest = s.TableLiteral(p.table.interface, rows.changed({t0: 1}))
         succ = s.Seq(
             k.apply_subst(k.match(t0, p.template), p.body),
             s.Foreach(rest, p.template, p.pred, p.order, p.body),
@@ -364,11 +364,6 @@ def _proc_outcomes(tables: dict, proc: s.Process, sys: s.System) -> list:
                                oc._replace(new_proc=s.Seq(oc.new_proc, proc.second))))
         return lifted
     raise TypeError(f"not a process: {proc!r}")
-
-
-def _apply(cn: CanonicalNet, delta) -> CanonicalNet:
-    """The successor a transition's delta makes of cn: the error net for None."""
-    return ERR_NET if delta is None else make_canonical(cn, delta)
 
 
 def _table_key(item):
@@ -427,7 +422,8 @@ class Transition:
     @property
     def succ(self) -> CanonicalNet:
         if self._succ is None:
-            self._succ = _apply(self._parent, self.delta)
+            delta = self.delta
+            self._succ = ERR_NET if delta is None else make_canonical(self._parent, delta)
         return self._succ
 
     def __iter__(self):

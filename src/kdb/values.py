@@ -9,9 +9,9 @@ no hash or equality of its own, so rows hash, compare and serve as
 dictionary keys in C code.  A row keeps its text the first time it is
 rendered (`syntax._row`), and rows sort in their cells' own order, which
 needs no key unless cells of other kinds decide (`sorted_rows`).  A table's
-rows are a `Multiset`, whose hash and size a change carries from the old
-table's and the change's, so a step that changes a few rows of a big table
-costs those rows.
+rows are a `Multiset`, changed exactly (`Multiset.changed`): a change reads
+only the old table's hash, which it carries, so a step that changes a few
+rows of a big table costs those rows.
 """
 
 from __future__ import annotations
@@ -38,35 +38,28 @@ def _sum_hash(counts: Mapping) -> int:
 class Multiset:
     """Immutable multiset: a map from elements to strictly positive counts.
 
-    `changed` makes a multiset from another and a delta without copying the
-    other's map: the map is made when it is first read, from the nearest
-    multiset up the chain that has one and the deltas since.  So small
-    changes to a big multiset cost their size until a reader needs the whole.
-    The hash is additive, the sum of count × a mix of each element's hash,
-    mod 2^64 (`_sum_hash`; Clarke et al., "Incremental Multiset Hash
-    Functions", ASIACRYPT 2003), and the size is kept: each is computed in C
-    the first time it is asked for, and `changed` carries it from then on.
-    Equality stays structural, so a collision costs time, never a wrong
-    answer.
+    `changed` makes a multiset from another and a delta without reading the
+    other: the map is made when it is first read, from the nearest multiset
+    up the chain that has one and the deltas since.  So small changes to a
+    big multiset cost their size until a reader needs the whole.  The hash
+    is additive, the sum of count × a mix of each element's hash, mod 2^64
+    (`_sum_hash`; Clarke et al., "Incremental Multiset Hash Functions",
+    ASIACRYPT 2003): it is computed in C the first time it is asked for, and
+    `changed` carries it from then on.  Equality stays structural, so a
+    collision costs time, never a wrong answer.
     """
 
     # `_map` is the element-to-count dict or, until it is first read, the
     # (multiset, removed, added) that `changed` makes it from.
-    __slots__ = ("_map", "_hash", "_size")
+    __slots__ = ("_map", "_hash")
 
-    def __init__(self, items: Union[Iterable[X], Mapping[X, int], None] = None):
+    def __init__(self, items: Iterable[X] | None = None):
         counts: dict = {}
-        if isinstance(items, Mapping):
-            for k, n in items.items():
-                if n < 0:
-                    raise ValueError(f"negative multiplicity {n!r} for {k!r}")
-                if n > 0:
-                    counts[k] = counts.get(k, 0) + n
-        elif items is not None:
+        if items is not None:
             for k in items:
                 counts[k] = counts.get(k, 0) + 1
         self._map = counts
-        self._hash = self._size = None
+        self._hash = None
 
     @property
     def _counts(self) -> dict:
@@ -79,10 +72,13 @@ class Multiset:
             counts = dict(ms._map)
             for removed, added in reversed(deltas):
                 for k, n in removed.items():
-                    if counts[k] > n:
-                        counts[k] -= n
-                    else:
+                    left = counts[k] - n
+                    if left > 0:
+                        counts[k] = left
+                    elif left == 0:
                         del counts[k]
+                    else:
+                        raise ValueError(f"removing {n} of {k!r}, held {counts[k]} times")
                 for k, n in added.items():
                     counts[k] = counts.get(k, 0) + n
             self._map = counts
@@ -96,12 +92,10 @@ class Multiset:
 
     def __len__(self) -> int:
         """Total number of elements, counting multiplicity."""
-        if self._size is None:
-            self._size = sum(self._counts.values())
-        return self._size
+        return sum(self._counts.values())
 
     def __bool__(self) -> bool:
-        return bool(self._counts) if self._size is None else self._size > 0
+        return bool(self._counts)
 
     def __iter__(self) -> Iterator:
         """Iterate elements with multiplicity (insertion order of the map)."""
@@ -125,37 +119,19 @@ class Multiset:
         """Take over a map of positive counts without copying or rehashing it."""
         ms = cls.__new__(cls)
         ms._map = counts
-        ms._hash = ms._size = None
+        ms._hash = None
         return ms
 
     def changed(self, removed: Mapping = _NONE, added: Mapping = _NONE) -> "Multiset":
-        """The multiset less the counts in `removed` (never below zero), then
-        plus those in `added`, which it keeps: once made, an element keeps
-        its place in the map unless it goes, and a new one comes last.  The
-        work is the delta's, and a known hash and size are carried."""
-        taken = {}
-        if removed:
-            counts = self._counts
-            for k, n in removed.items():
-                m = counts.get(k, 0)
-                if m:
-                    taken[k] = min(m, n)
-        out = Multiset.of_counts((self, taken, added))
-        if self._size is not None:
-            out._size = self._size - sum(taken.values()) + sum(added.values())
+        """The multiset less `removed`, whose counts it must hold, plus `added`.
+        It keeps both maps and reads nothing of this multiset but a known
+        hash, which it carries.  A kept element keeps its place; a new one
+        comes last.  Removing more than is held raises on the map's first
+        read: `KeyError` for an element not held, `ValueError` for too few."""
+        out = Multiset.of_counts((self, removed, added))
         if self._hash is not None:
-            out._hash = (self._hash - _sum_hash(taken) + _sum_hash(added)) & _MASK
+            out._hash = (self._hash - _sum_hash(removed) + _sum_hash(added)) & _MASK
         return out
-
-    def add(self, elem) -> "Multiset":
-        return self.changed(added={elem: 1})
-
-    def union(self, other: "Multiset") -> "Multiset":
-        return self.changed(added=other._counts)
-
-    def subtract(self, other: "Multiset") -> "Multiset":
-        """The counts less `other`'s, in their order, in `other`'s size of work."""
-        return self.changed(removed=other._counts)
 
     def __reduce__(self):
         return Multiset.of_counts, (self._counts,)

@@ -139,7 +139,7 @@ def _keep_and_hit(rows, template, pred):
             hit[row] = n
         else:
             keep[row] = n
-    return Multiset(keep), Multiset(hit)
+    return Multiset.of_counts(keep), Multiset.of_counts(hit)
 
 
 def _steps(state, proc, sysdefs):
@@ -163,7 +163,7 @@ def _steps(state, proc, sysdefs):
                 if k.is_err(row) or not k.well_sorted_value(row, table.interface.schema):
                     out.append(ERR_MARK)
                 else:
-                    out.append((cont, {ti: s.TableComp(table.interface, table.rows.add(row))}, []))
+                    out.append((cont, {ti: s.TableComp(table.interface, table.rows.changed(added={row: 1}))}, []))
             return out
         if isinstance(a, s.Delete):
             l2 = _loc_literal(a.loc)
@@ -210,7 +210,7 @@ def _steps(state, proc, sysdefs):
                 if failed:
                     out.append(ERR_MARK)
                 else:
-                    merged = Multiset(kept).union(Multiset(fresh))
+                    merged = Multiset.of_counts(kept).changed(added=fresh)
                     out.append((cont, {ti: s.TableComp(table.interface, merged)}, []))
             return out
         if isinstance(a, s.Aggr):
@@ -272,7 +272,7 @@ def _steps(state, proc, sysdefs):
             proj = k.project_schema(jsk, a.template, a.payload)
             if proj is None:
                 return [ERR_MARK]
-            bound = s.TableLiteral(s.Interface(None, proj), Multiset(picked))
+            bound = s.TableLiteral(s.Interface(None, proj), Multiset.of_counts(picked))
             return [(k.apply_subst({a.bind: bound}, cont), {}, [])]
         if isinstance(a, s.Create):
             l2 = _loc_literal(a.loc)
@@ -318,7 +318,7 @@ def _steps(state, proc, sysdefs):
                     return [ERR_MARK]
             for row in sorted(k.minimal(hit, proc.order), key=s.render_row):
                 sub = ref.match(row, proc.template)
-                rest = s.TableLiteral(proc.table.interface, rows.subtract(Multiset([row])))
+                rest = s.TableLiteral(proc.table.interface, rows.changed({row: 1}))
                 follow = s.Seq(k.apply_subst(sub, proc.body),
                                s.Foreach(rest, proc.template, proc.pred,
                                          proc.order, proc.body))

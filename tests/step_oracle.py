@@ -10,6 +10,8 @@ label-first ordering, kept as the oracle for the faster step path.
   parent's key parts and the transition's delta and builds only new states.
 """
 
+from collections import Counter
+
 from fixtures import fresh
 from kdb import kernel as k
 from kdb import semantics
@@ -38,7 +40,7 @@ def rebuild_apply(cn: CanonicalNet, actor_item, oc) -> CanonicalNet:
         return ERR_NET
     removed = [actor_item, *oc.remove]
     added = [(actor_item[0], oc.new_proc), *oc.add]
-    items = cn.items.subtract(Multiset(removed)).union(Multiset(added))
+    items = cn.items.changed(Counter(removed), Counter(added))
     return CanonicalNet(tuple(cn.restricted), Multiset(absorb_nil_units(list(items))), cn.err)
 
 
@@ -70,7 +72,7 @@ def keyed_explore(sys: s.System, bound: int, on_edge=None) -> semantics.ExploreR
     """`on_edge(parent, transition, rebuilt successor)` is called on every edge."""
     start = canonicalize(sys.main_net, sys.procedures)
     keys = StateKeys(start.restricted)
-    index = {keys.key(start): 0}
+    index = {keys.key(keys.parts(start)): 0}
     states, edges, quiescent = [start], [], []
     frontier, truncated = [0], False
     while frontier:
@@ -83,12 +85,13 @@ def keyed_explore(sys: s.System, bound: int, on_edge=None) -> semantics.ExploreR
                 succ = rebuild_apply(states[i], t._actor, t.outcome)
                 if on_edge is not None:
                     on_edge(states[i], t, succ)
-                j = index.get(keys.key(succ))
+                key = keys.key(keys.parts(succ))
+                j = index.get(key)
                 if j is None:
                     if len(states) >= bound:
                         truncated = True
                         continue
-                    j = index[keys.key(succ)] = len(states)
+                    j = index[key] = len(states)
                     states.append(succ)
                     next_frontier.append(j)
                 edges.append((i, t.label, j))

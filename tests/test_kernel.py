@@ -618,7 +618,7 @@ class TestAggregation:
         for row, n in KLD_ROWS.items():
             if row[pred_col] == pred_val:
                 out[row] = n
-        return Multiset(out)
+        return Multiset.of_counts(out)
 
     def test_sum_of_sales_for_one_shoe_id(self):
         rows = self._sales_matching(0, "001")
@@ -633,7 +633,7 @@ class TestAggregation:
         assert k.apply_aggr(s.AggrFn("avg", 7), rows) == srow(2)
 
     def test_sum_counts_multiplicity(self):
-        rows = Multiset({srow("x", 3): 2})
+        rows = Multiset.of_counts({srow("x", 3): 2})
         assert k.apply_aggr(s.AggrFn("sum", 2), rows) == srow(6)
 
     def test_min_max_over_empty_are_zero(self):

@@ -311,7 +311,7 @@ def _disagreements(keyer, pairs) -> list:
     found = []
     for a, b, same in pairs:
         keys = keyer(a.restricted + b.restricted)
-        if (keys.key(a) == keys.key(b)) != same:
+        if (keys.key(keys.parts(a)) == keys.key(keys.parts(b))) != same:
             found.append((s.render(to_net(a)), s.render(to_net(b)), same))
     return found
 
@@ -593,7 +593,7 @@ class TestLid:
 
     def test_no_rep(self):
         assert no_rep(Multiset([("l", "T")]))
-        assert not no_rep(Multiset({("l", "T"): 2}))
+        assert not no_rep(Multiset.of_counts({("l", "T"): 2}))
 
     def test_case_study_net_has_no_repetition(self):
         import pathlib
@@ -618,7 +618,7 @@ class TestFindTables:
 
 class TestDump:
     def test_rows_repeated_by_multiplicity_and_sorted(self):
-        rows = Multiset({srow("b", 1): 2, srow("a", 2): 1})
+        rows = Multiset.of_counts({srow("b", 1): 2, srow("a", 2): 1})
         table = s.TableComp(s.Interface("T", (s.STRING, s.INT)), rows)
         cn = canonicalize(node("l1", table))
         (d,) = dump_tables(cn)

@@ -237,7 +237,7 @@ def delta_keys_agree(sys1, bound: int) -> collections.Counter:
         delta = t.delta
         got = keys.parts(ERR_NET) if delta is None else keys.after(parts[id(cn)][1], delta)
         assert got == keys.parts(built)
-        assert keys.key(got) == keys.key(built)
+        assert keys.key(got) == keys.key(keys.parts(built))
         seen["edges"] += 1
         seen["restricted"] += bool(cn.restricted)
         if delta is None:

@@ -233,16 +233,16 @@ class TestScopedMap:
             ("l#1", "insert(T@$m, ($l#1)). nil"), ("l", "insert(T@$m, ($l)). nil")]
 
     def test_renamed_rows_keep_their_multiplicities(self):
-        rows = Multiset({ValueTuple((VLoc("a"),)): 2, ValueTuple((VLoc("b"),)): 1,
-                         ValueTuple((1,)): 1})
+        rows = Multiset.of_counts({ValueTuple((VLoc("a"),)): 2, ValueTuple((VLoc("b"),)): 1,
+                                   ValueTuple((1,)): 1})
         table = s.TableComp(s.Interface("T", (s.LOC,)), rows)
         swapped = s.rename_localities(table, {"a": "b", "b": "a"})
-        assert swapped.rows == Multiset({ValueTuple((VLoc("b"),)): 2,
-                                         ValueTuple((VLoc("a"),)): 1,
-                                         ValueTuple((1,)): 1})
+        assert swapped.rows == Multiset.of_counts({ValueTuple((VLoc("b"),)): 2,
+                                                   ValueTuple((VLoc("a"),)): 1,
+                                                   ValueTuple((1,)): 1})
         merged = s.rename_localities(table, {"a": "b"})
-        assert merged.rows == Multiset({ValueTuple((VLoc("b"),)): 3,
-                                        ValueTuple((1,)): 1})
+        assert merged.rows == Multiset.of_counts({ValueTuple((VLoc("b"),)): 3,
+                                                  ValueTuple((1,)): 1})
         assert s.rename_localities(table, {"c": "d"}) is table
 
 

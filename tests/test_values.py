@@ -20,59 +20,81 @@ from kdb.syntax import render_row
 
 
 def ms(d):
-    return Multiset(d)
+    """The multiset of the counts in d, a map of positive counts."""
+    return Multiset.of_counts(dict(d))
+
+
+def unread(m: Multiset) -> bool:
+    """Whether m's map is still the delta that `changed` made it from."""
+    return m._map.__class__ is tuple
 
 
 class TestMultisetBasics:
     def test_union_adds_multiplicities(self):
-        assert ms({"a": 2}).union(ms({"a": 1, "b": 1})) == ms({"a": 3, "b": 1})
-
-    def test_subtract_truncates_at_zero(self):
-        assert ms({"a": 1}).subtract(ms({"a": 3})) == ms({})
+        # A union is a change that removes nothing.
+        assert ms({"a": 2}).changed(added={"a": 1, "b": 1}) == ms({"a": 3, "b": 1})
 
     def test_len_counts_multiplicity(self):
         assert len(ms({"a": 2, "b": 1})) == 3
 
     def test_zero_counts_dropped(self):
-        assert "a" not in ms({"a": 0})
+        # An element removed in full is no longer held.
+        rest = ms({"a": 2, "b": 1}).changed({"a": 2})
+        assert "a" not in rest and list(rest.support()) == ["b"]
 
     def test_negative_count_rejected(self):
+        # Removing more of an element than is held raises when the map is
+        # first read, not when the change is made.
+        over = ms({"a": 1}).changed({"a": 3})
         with pytest.raises(ValueError):
-            Multiset({"a": -1})
+            over.count("a")
+
+    def test_removing_an_element_not_held_raises(self):
+        over = ms({"a": 1}).changed(added={"b": 1}).changed({"c": 1})
+        with pytest.raises(KeyError):
+            list(over)
 
     def test_hash_consistent_with_eq(self):
         assert hash(ms({"a": 1, "b": 2})) == hash(ms({"b": 2, "a": 1}))
 
 
-small_multisets = st.dictionaries(
-    st.sampled_from("abcde"), st.integers(min_value=1, max_value=4), max_size=5
-).map(Multiset)
+small_counts = st.dictionaries(
+    st.sampled_from("abcde"), st.integers(min_value=1, max_value=4), max_size=5)
+small_multisets = small_counts.map(ms)
+
+
+@st.composite
+def exact_changes(draw):
+    """A map of counts a, a removal r that a holds, and any addition d."""
+    a = draw(small_counts)
+    r = {k: draw(st.integers(1, n)) for k, n in a.items() if draw(st.booleans())}
+    return a, r, draw(small_counts)
 
 
 class TestMultisetLaws:
-    @given(small_multisets, small_multisets, st.sampled_from("abcde"))
-    def test_union_pointwise(self, a, b, x):
-        assert a.union(b).count(x) == a.count(x) + b.count(x)
-
-    @given(small_multisets, small_multisets, st.sampled_from("abcde"))
-    def test_subtract_pointwise(self, a, b, x):
-        assert a.subtract(b).count(x) == max(a.count(x) - b.count(x), 0)
-        # What is left keeps the minuend's order.
-        assert list(a.subtract(b).support()) == [k for k in a.support() if a.count(k) > b.count(k)]
+    @given(exact_changes(), st.sampled_from("abcde"))
+    def test_changed_pointwise(self, change, x):
+        a, r, d = change
+        out = ms(a).changed(r, d)
+        assert out.count(x) == a.get(x, 0) - r.get(x, 0) + d.get(x, 0)
+        # Kept elements keep their place; new ones, and those removed in
+        # full and then added again, come last, in the addition's order.
+        kept = [k for k in a if a[k] > r.get(k, 0)]
+        assert list(out.support()) == kept + [k for k in d if k not in kept]
 
     @given(small_multisets, small_multisets)
     def test_union_commutes(self, a, b):
-        assert a.union(b) == b.union(a)
+        assert a.changed(added=b.copy_counts()) == b.changed(added=a.copy_counts())
 
 
 counts = st.dictionaries(st.integers(0, 6), st.integers(1, 3), max_size=6)
 
 
 def warm(m: Multiset, known: bool) -> Multiset:
-    """m, with its hash and size computed first when `known`, so that the
-    operations on it carry them instead of computing them afresh."""
+    """m, with its hash computed first when `known`, so that a change to it
+    carries the hash instead of computing it afresh."""
     if known:
-        hash(m), len(m)
+        hash(m)
     return m
 
 
@@ -82,34 +104,45 @@ def built_ways(target: dict, other: dict, known: bool) -> list:
     added = Multiset()
     for k, n in target.items():
         for _ in range(n):
-            added = warm(added, known).add(k)
+            added = warm(added, known).changed(added={k: 1})
     half = dict(list(target.items())[::2])
     rest = {k: n for k, n in target.items() if k not in half}
     return [
-        Multiset(target),
         Multiset([k for k, n in reversed(target.items()) for _ in range(n)]),
-        Multiset.of_counts(dict(target)),
+        ms(target),
         added,
-        warm(Multiset(half), known).union(Multiset(rest)),
-        warm(Multiset({**target, **extra}), known).subtract(Multiset(extra)),
-        warm(Multiset(other), known).changed(other, target),
-        warm(Multiset(target), known).changed({**other, **target}, target),
+        warm(ms(half), known).changed(added=rest),
+        warm(ms({**target, **extra}), known).changed(extra),
+        warm(ms(other), known).changed(other, target),
+        warm(ms(target), known).changed(target, target),
+        warm(ms(other), known).changed(added=target).changed(other),
     ]
 
 
 class TestMultisetHash:
     @given(counts, counts, st.booleans())
     def test_equal_multisets_hash_and_count_alike(self, target, other, known):
-        # The hash and size that an operation carries from its operands are
-        # those that the result would compute afresh.
-        reference = Multiset(target)
+        # The hash that a change carries from the multiset it changes is the
+        # one that the result would compute afresh.
+        reference = ms(target)
         for m in built_ways(target, other, known):
             assert m == reference
             assert (hash(m), len(m)) == (hash(reference), len(reference))
-            assert hash(VSet(m)) == hash(VSet(Multiset(target)))
+            assert hash(VSet(m)) == hash(VSet(ms(target)))
             table = s.TableComp(s.Interface("T", (s.INT,)), m)
             assert hash(table) == hash(s.TableComp(s.Interface("T", (s.INT,)), reference))
 
+    @given(exact_changes(), st.booleans())
+    def test_a_change_reads_nothing_but_a_known_hash(self, change, known):
+        # A change, a removal included, made to a multiset whose map is not
+        # yet read leaves that map unread; a known hash is carried down the
+        # chain, and it is the hash that the counts give afresh.
+        a, r, d = change
+        chain = warm(Multiset(), known).changed(added=a)
+        out = chain.changed(r, d)
+        assert unread(chain) and unread(out)
+        assert (out._hash is not None) == known
+        assert hash(out) == hash(ms(out.copy_counts()))
 
     def test_int_sets_that_sum_alike_hash_apart(self):
         # An int is its own hash: summed plain, the hashes of {1, 4} and
@@ -162,5 +195,5 @@ class TestValues:
     def test_sorted_rows_repeats_by_multiplicity(self):
         r1 = ValueTuple((1,))
         r2 = ValueTuple((2,))
-        rows = Multiset({r2: 1, r1: 2})
+        rows = ms({r2: 1, r1: 2})
         assert sorted_rows(rows) == [r1, r1, r2]
