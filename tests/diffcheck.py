@@ -38,9 +38,13 @@ The population:
   rows that do not fit the schema: the text of their diagnostics, so which
   bad row is reported first is covered under both hash seeds.
 
-Only text goes into the hash: renders, the `repr`s of parses, diagnostics,
-labels and the `str` of canonical keys, none of which depends on the
-string-hash seed.  CI runs it under PYTHONHASHSEED=0 and 7 and fails
+Each system that a text parses to also puts the class name and span of
+every node it holds into the hash (`spans`), so a parser that builds the
+same trees with other positions prints another line.
+
+Only text goes into the hash: renders, the `repr`s of parses, spans,
+diagnostics, labels and the `str` of canonical keys, none of which depends
+on the string-hash seed.  CI runs it under PYTHONHASHSEED=0 and 7 and fails
 unless both print the line in `tests/diffcheck.expected`, the line of the
 committed code.
 """
@@ -55,6 +59,7 @@ import gen
 import gensys
 from kdb import syntax as s
 from kdb.net import canonical_key, dump_json
+from kdb.nodes import Record
 from kdb.parser import ParseError, parse_system
 from kdb.semantics import explore, run
 from kdb.typesys import check_system
@@ -181,17 +186,34 @@ def population() -> list:
     return out
 
 
+def spans(system: s.System) -> list:
+    """`class span` of every node of a parsed system, in a fixed order: the
+    fields of each node in turn, and the items of a tuple or a dict."""
+    out, stack = [], [system]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Record):
+            out.append(f"{x.__class__.__name__} {getattr(x, 'span', None)}")
+            stack += reversed([getattr(x, name) for name in x._fields])
+        elif isinstance(x, (tuple, list)):
+            stack += reversed(x)
+        elif isinstance(x, dict):
+            stack += reversed(list(x.values()))
+    return out
+
+
 def render_and_check(sys1: s.System) -> list:
     text = s.render(sys1)
     return [text, *map(str, check_system(sys1))]
 
 
 def reported(text: str) -> list:
-    """The diagnostics of `text`, or its ParseError, as text."""
+    """The spans and diagnostics of `text`, or its ParseError, as text."""
     try:
-        return [str(d) for d in check_system(parse_system(text))]
+        system = parse_system(text)
     except ParseError as e:
         return [f"parse error: {e}"]
+    return [*spans(system), *map(str, check_system(system))]
 
 
 def main() -> int:
@@ -205,9 +227,10 @@ def main() -> int:
 
     for name, sys1 in population():
         counts["systems"] += 1
-        put(f"== {name}", *render_and_check(sys1))
+        put(f"== {name}", *render_and_check(sys1), *spans(sys1))
         try:
-            put("reparse", *render_and_check(parse_system(s.render(sys1))))
+            again = parse_system(s.render(sys1))
+            put("reparse", *render_and_check(again), *spans(again))
         except ParseError as e:
             put(f"reparse error: {e}")
         result = explore(sys1, bound=EXPLORE_BOUND)
@@ -232,9 +255,10 @@ def main() -> int:
         except ParseError as e:
             put(f"parse error: {e}")
         else:
-            put(s.render(sys1), repr(sys1), *map(str, check_system(sys1)))
-    trace = run(parse_system(wide(WIDE_NODES)), seed=0, max_steps=WIDE_STEPS)
-    put(f"== wide {WIDE_NODES} {trace.terminal}",
+            put(s.render(sys1), repr(sys1), *spans(sys1), *map(str, check_system(sys1)))
+    sys1 = parse_system(wide(WIDE_NODES))
+    trace = run(sys1, seed=0, max_steps=WIDE_STEPS)
+    put(f"== wide {WIDE_NODES} {trace.terminal}", *spans(sys1),
         *(f"{lb.rule} {lb.actor} {lb.detail}" for lb, _ in trace.steps), dump_json(trace.final()))
     for name, text in layout_texts():
         counts["layouts"] += 1
