@@ -16,6 +16,17 @@ ParseError, against a line table built at most once per parse.  The store
 ends in one EOF token, which the parser never reads past.  Keyword and
 operator choices are table lookups on the kind.
 
+The descent's hot rules read their common shape inline, straight from
+`kinds`, `texts` and `offsets`: `template` a `(!x, !@u, ...)` of distinct
+names, `target` `T@$l` and `T@u`, `tuple_` and `row` components that are
+names, integers or strings (a row's only integers and strings), and
+`pred_atom` a comparison of two such atoms that no operator follows.  At
+the first token that does not fit, the rule runs its general code from its
+start, so it builds the same nodes with the same spans, and every
+ParseError is raised by the general code.  The inline reads look at a
+token past one only when that one is not EOF, so they never read past the
+end.  Nodes are built with positional arguments, the span last.
+
 The descent reads every name as written, variables and localities alike,
 so it builds the only tree.  A variable use is a `syntax.Var`, or a
 `TableByVar` in a table position, and a binder keeps its text.  Which binder
@@ -194,6 +205,7 @@ _ORDERS = {op: op for op in ("unordered", "lex", "asc", "desc")}
 _AGGREGATORS = {op: op for op in ("count", "sum", "avg", "min", "max")}
 _COMPARISONS = {op: op for op in ("=", "!=", "<", "<=", ">", ">=", "in", "sub")}
 _BINOPS = frozenset(("++", "+", "-", "*", "/"))
+_ATOMS = frozenset(("NAME", "INT", "STRING"))  # the kinds of a one-token expression
 _ACTION_KEYWORDS = ("insert", "delete", "select", "update", "aggr", "create", "drop", "eval")
 
 
@@ -285,7 +297,7 @@ class _Parser:
         body = self.process()
         if len({n for n, _ in params}) != len(params):
             raise self.error(f"duplicate parameter name in {self.texts[t]!r}", self.offsets[t])
-        return s.ProcDef(self.texts[t], tuple(params), body, span=self.offsets[t])
+        return s.ProcDef(self.texts[t], tuple(params), body, self.offsets[t])
 
     def param(self) -> tuple:
         name = self.texts[self.expect("NAME", "parameter name")]
@@ -318,19 +330,19 @@ class _Parser:
     def net_atom(self) -> s.Net:
         span = self.offsets[self.pos]
         if self.accept("nil"):
-            return s.NilNet(span=span)
+            return s.NilNet(span)
         if self.accept("ERR"):
-            return s.ErrNet(span=span)
+            return s.ErrNet(span)
         if self.accept("$"):
             loc = self.texts[self.expect("NAME", "locality name")]
             self.expect("::")
-            return s.Node(loc, self.component(), span=span)
+            return s.Node(loc, self.component(), span)
         if self.accept("("):
             if self.accept("new"):
                 self.expect("$")
                 loc = self.texts[self.expect("NAME", "locality name")]
                 self.expect(")")
-                return s.Restrict(loc, self.net_atom(), span=span)
+                return s.Restrict(loc, self.net_atom(), span)
             inner = self.net()
             self.expect(")")
             return inner
@@ -346,12 +358,12 @@ class _Parser:
         span = self.offsets[self.pos]
         if self.at("table"):
             interface, rows = self.table_literal()
-            return s.TableComp(interface, rows, span=span)
+            return s.TableComp(interface, rows, span)
         if self.accept("{"):
             inner = self.component()
             self.expect("}")
             return inner
-        return s.ProcComp(self.process(), span=span)
+        return s.ProcComp(self.process(), span)
 
     def table_literal(self):
         self.expect("table")
@@ -365,6 +377,23 @@ class _Parser:
         return s.Interface(tid, sk), rows
 
     def row(self) -> ValueTuple:
+        kinds, texts, i = self.kinds, self.texts, self.pos
+        if kinds[i] == "(":  # inline: (c, ...) of integers and strings
+            cells = []
+            while True:
+                kind = kinds[i + 1]
+                if kind == "INT":
+                    cells.append(int(texts[i + 1]))
+                elif kind == "STRING":
+                    cells.append(texts[i + 1])
+                else:
+                    break
+                i += 2
+                if kinds[i] == ")":
+                    self.pos = i + 1
+                    return ValueTuple(cells)
+                if kinds[i] != ",":
+                    break
         self.expect("(", "row")
         vals = self.separated(self.value)
         self.expect(")")
@@ -417,18 +446,18 @@ class _Parser:
         if kind in _ACTION_KEYWORDS:
             action = self.action()
             self.expect(".", "'.' and a continuation")
-            return s.Prefix(action, self.proc_atom(), span=action.span)
+            return s.Prefix(action, self.proc_atom(), action.span)
         if kind == "NAME":
             self.next()
             self.expect("(")
             args = [] if self.at(")") else self.separated(self.expr)
             self.expect(")")
-            call = s.CallProc(self.texts[t], tuple(args), span=self.offsets[t])
+            call = s.CallProc(self.texts[t], tuple(args), self.offsets[t])
             self.calls.append(call)
             return call
         if kind == "nil":
             self.next()
-            return s.NilProc(span=self.offsets[t])
+            return s.NilProc(self.offsets[t])
         if kind == "(":
             self.next()
             inner = self.process()
@@ -447,7 +476,7 @@ class _Parser:
             self.expect(")")
             self.expect(":")
             body = self.proc_atom()
-            return s.Foreach(table, template, pred, order, body, span=self.offsets[t])
+            return s.Foreach(table, template, pred, order, body, self.offsets[t])
         self.fail(
             "expected a process",
             expected=("nil", "foreach", "a procedure call") + _ACTION_KEYWORDS,
@@ -470,6 +499,15 @@ class _Parser:
 
     def target(self):
         """`TID@loc` with loc a locality literal or variable."""
+        kinds, texts, t = self.kinds, self.texts, self.pos
+        if kinds[t] == "TID" and kinds[t + 1] == "@":  # inline: T@$l and T@u
+            kind = kinds[t + 2]
+            if kind == "$" and kinds[t + 3] == "NAME":
+                self.pos = t + 4
+                return texts[t], VLoc(texts[t + 3])
+            if kind == "NAME":
+                self.pos = t + 3
+                return texts[t], s.Var(texts[t + 2], self.offsets[t + 2])
         tid = self.texts[self.expect("TID", "table identifier")]
         self.expect("@")
         return tid, self.loc_expr()
@@ -479,7 +517,7 @@ class _Parser:
         if self.accept("$"):
             return VLoc(self.texts[self.expect("NAME", "locality name")])
         if self.accept("NAME"):
-            return s.Var(self.texts[t], span=self.offsets[t])
+            return s.Var(self.texts[t], self.offsets[t])
         self.fail("expected a locality", expected=("$", "a locality variable"))
 
     def action(self) -> s.Action:
@@ -502,28 +540,28 @@ class _Parser:
             self.expect("!")
             bind = self.texts[self.expect("NAME", "table variable")]
             self.expect(")")
-            return s.Select(tuple(tables), template, pred, payload, bind, span=span)
+            return s.Select(tuple(tables), template, pred, payload, bind, span)
         if kw == "eval":
             proc = self.process()
             self.expect(",")
             loc = self.loc_expr()
             self.expect(")")
-            return s.Eval(proc, loc, span=span)
+            return s.Eval(proc, loc, span)
         # The other actions share their leading arguments: a target, then
         # most of them a template and a predicate.
         tid, loc = self.target()
         if kw == "drop":
             self.expect(")")
-            return s.Drop(tid, loc, span=span)
+            return s.Drop(tid, loc, span)
         self.expect(",")
         if kw == "insert":
             payload = self.tuple_()
             self.expect(")")
-            return s.Insert(tid, payload, loc, span=span)
+            return s.Insert(tid, payload, loc, span)
         if kw == "create":
             sk = self.schema()
             self.expect(")")
-            return s.Create(tid, loc, sk, span=span)
+            return s.Create(tid, loc, sk, span)
         template = self.template()
         self.expect(",")
         pred = self.pred()
@@ -532,32 +570,55 @@ class _Parser:
             payload = self.tuple_()
         if kw == "delete":
             self.expect(")")
-            return s.Delete(tid, template, pred, loc, span=span)
+            return s.Delete(tid, template, pred, loc, span)
         if kw == "update":
             self.expect(")")
-            return s.Update(tid, template, pred, payload, loc, span=span)
+            return s.Update(tid, template, pred, payload, loc, span)
         self.expect(",")
         fn = self.operator(s.AggrFn, _AGGREGATORS, "an aggregator")  # aggr
         self.expect(",")
         bind_template = self.template()
         self.expect(")")
-        return s.Aggr(tid, template, pred, fn, bind_template, loc, span=span)
+        return s.Aggr(tid, template, pred, fn, bind_template, loc, span)
 
     def tableref(self) -> s.TableRef:
         t = self.pos
         if self.at("table"):
             interface, rows = self.table_literal()
-            return s.TableLiteral(interface, rows, span=self.offsets[t])
+            return s.TableLiteral(interface, rows, self.offsets[t])
         if self.at("TID"):
             tid, loc = self.target()
-            return s.TableByName(tid, loc, span=self.offsets[t])
+            return s.TableByName(tid, loc, self.offsets[t])
         if self.accept("NAME"):
-            return s.TableByVar(self.texts[t], span=self.offsets[t])
+            return s.TableByVar(self.texts[t], self.offsets[t])
         self.fail("expected a table", expected=("TID@loc", "a table variable", "table"))
 
     # -- templates, tuples, predicates, expressions
 
     def template(self) -> s.Template:
+        kinds, texts, offsets = self.kinds, self.texts, self.offsets
+        start = i = self.pos
+        if kinds[i] == "(":  # inline: (!x, !@u, ...) with distinct names
+            fields, names = [], set()
+            while True:
+                kind = kinds[i + 1]
+                if kind == "!":
+                    cls = s.BindData
+                elif kind == "!@":
+                    cls = s.BindLoc
+                else:
+                    break
+                name = texts[i + 2]
+                if kinds[i + 2] != "NAME" or name in names:  # the general code reports a repeat
+                    break
+                names.add(name)
+                fields.append(cls(name, offsets[i + 1]))
+                i += 3
+                if kinds[i] == ")":
+                    self.pos = i + 1
+                    return s.Template(tuple(fields), offsets[start])
+                if kinds[i] != ",":
+                    break
         span = self.offsets[self.expect("(", "template")]
         fields = self.separated(self.template_field)
         self.expect(")")
@@ -567,21 +628,40 @@ class _Parser:
                 raise self.error(f"template binds {f.name!r} twice; binders must be linear",
                                  f.span)
             seen.add(f.name)
-        return s.Template(tuple(fields), span=span)
+        return s.Template(tuple(fields), span)
 
     def template_field(self) -> s.BindData | s.BindLoc:
         span = self.offsets[self.pos]
         if self.accept("!@"):
-            return s.BindLoc(self.texts[self.expect("NAME", "locality variable")], span=span)
+            return s.BindLoc(self.texts[self.expect("NAME", "locality variable")], span)
         if self.accept("!"):
-            return s.BindData(self.texts[self.expect("NAME", "data variable")], span=span)
+            return s.BindData(self.texts[self.expect("NAME", "data variable")], span)
         self.fail("expected a template field", expected=("!x", "!@u"))
 
     def tuple_(self) -> s.Tuple:
+        kinds = self.kinds
+        start = i = self.pos
+        if kinds[i] == "(":  # inline: (e, ...) of names, integers and strings
+            comps = []
+            while kinds[i + 1] in _ATOMS:
+                comps.append(self.atom(i + 1))
+                i += 2
+                if kinds[i] == ")":
+                    self.pos = i + 1
+                    return s.Tuple(tuple(comps), self.offsets[start])
+                if kinds[i] != ",":
+                    break
         span = self.offsets[self.expect("(", "tuple")]
         comps = self.separated(self.expr)
         self.expect(")")
-        return s.Tuple(tuple(comps), span=span)
+        return s.Tuple(tuple(comps), span)
+
+    def atom(self, t: int) -> s.Expr:
+        """The expression the token `t` is, of a kind in `_ATOMS`."""
+        kind = self.kinds[t]
+        if kind == "NAME":
+            return s.Var(self.texts[t], self.offsets[t])
+        return int(self.texts[t]) if kind == "INT" else self.texts[t]
 
     def pred(self) -> s.Pred:
         left = self.pred_atom()
@@ -590,11 +670,16 @@ class _Parser:
         return left
 
     def pred_atom(self) -> s.Pred:
+        kinds, t = self.kinds, self.pos
+        if (kinds[t] in _ATOMS and kinds[t + 1] in _COMPARISONS and kinds[t + 2] in _ATOMS
+                and kinds[t + 3] not in _BINOPS):  # inline: atom op atom
+            self.pos = t + 3
+            return s.Cmp(kinds[t + 1], self.atom(t), self.atom(t + 2), self.offsets[t])
         span = self.offsets[self.pos]
         if self.accept("true"):
-            return s.TruePred(span=span)
+            return s.TruePred(span)
         if self.accept("!"):
-            return s.Not(self.pred_atom(), span=span)
+            return s.Not(self.pred_atom(), span)
         if self.at("("):
             # Could be a parenthesized predicate or a parenthesized expression
             # starting a comparison; try the former, fall back to the latter.
@@ -610,24 +695,24 @@ class _Parser:
             self.pos = mark
         left = self.expr()
         op = self.keyword(_COMPARISONS, "a comparison")
-        return s.Cmp(op, left, self.expr(), span=span)
+        return s.Cmp(op, left, self.expr(), span)
 
     def expr(self) -> s.Expr:
         left = self.expr_atom()
         while self.kinds[self.pos] in _BINOPS:
             t = self.next()
-            left = s.Arith(self.kinds[t], left, self.expr_atom(), span=self.offsets[t])
+            left = s.Arith(self.kinds[t], left, self.expr_atom(), self.offsets[t])
         return left
 
     def expr_atom(self) -> s.Expr:
         t = self.next()
         kind = self.kinds[t]
         if kind == "NAME":
-            return s.Var(self.texts[t], span=self.offsets[t])
+            return s.Var(self.texts[t], self.offsets[t])
         if kind == "{":
             elems = self.separated(self.multiset_elem)
             self.expect("}")
-            return s.MultisetLit(tuple(elems), span=self.offsets[t])
+            return s.MultisetLit(tuple(elems), self.offsets[t])
         if kind == "(":
             # Memoised, a failed read too: `pred_atom` reads it twice at every
             # level of nesting, and a second read gives the same.

@@ -227,7 +227,7 @@ def _outcomes(proc, tables, compute) -> list:
     tables it found: those proc keeps in `_kept` while it finds the same
     tables, the same objects in the same number, else compute(verdicts), with
     the verdicts it keeps on every row its passes have met (`_row_pass`)."""
-    kept = proc._kept
+    kept = getattr(proc, "_kept", None)  # unset until the first call
     if kept is None:
         verdicts = {}
     else:

@@ -378,9 +378,10 @@ def render(node) -> str:
     """Render an AST node, type, schema, value, row or multiset of rows back
     to concrete syntax.  A process or a table keeps its text in `_text`, as
     a row does, and is rendered once."""
-    keeps = hasattr(node.__class__, "_text")
-    if keeps and node._text is not None:
-        return node._text
+    # A node's `__init__` leaves `_text` unset, so it is read with a default.
+    text = getattr(node, "_text", None)
+    if text is not None:
+        return text
     out, stack = [], [_quote(node) if node.__class__ is str else node]
     try:
         while stack:
@@ -400,7 +401,7 @@ def render(node) -> str:
     except KeyError as e:
         raise TypeError(f"cannot render {e.args[0].__name__}") from None
     text = "".join(out)
-    if keeps:
+    if hasattr(node.__class__, "_text"):
         object.__setattr__(node, "_text", text)
     return text
 
@@ -651,7 +652,7 @@ class ScopedMap:
             env.undo(mark)
         if vals is None:
             return node
-        return node.__class__(*vals, span=node.span)
+        return node.__class__(*vals, node.span)
 
     def _bind(self, shape, value, env) -> None:
         """Open a binder's scope in env."""
@@ -700,7 +701,7 @@ def rename_table(node, mapping: dict):
     rows = rename_rows(node.rows, mapping)
     if rows is node.rows:
         return node
-    return node.__class__(node.interface, rows, span=node.span)
+    return node.__class__(node.interface, rows, node.span)
 
 
 # -- the traversals of the binding structure itself

@@ -129,8 +129,14 @@ class Multiset:
         comes last.  Removing more than is held raises on the map's first
         read: `KeyError` for an element not held, `ValueError` for too few."""
         out = Multiset.of_counts((self, removed, added))
-        if self._hash is not None:
-            out._hash = (self._hash - _sum_hash(removed) + _sum_hash(added)) & _MASK
+        h = self._hash
+        if h is not None:
+            # An insert removes nothing and a loop step adds nothing.
+            if removed:
+                h -= _sum_hash(removed)
+            if added:
+                h += _sum_hash(added)
+            out._hash = h & _MASK
         return out
 
     def __reduce__(self):

@@ -40,6 +40,34 @@ PARSE_ERRORS = [
     pytest.param("$l :: // trailing\n", "2:1: " + PROCESS, id="eof-after-comment"),
     pytest.param("$l :: insert(T@$l, (1)). nil ||\t",
                  "1:33: expected a net (expected $ or ( or ERR or nil)", id="eof-after-tab"),
+    # A text that starts a shape the parser reads inline and then breaks
+    # it: the error is the one the rule's general code raises.
+    pytest.param("$l :: delete(T@$l, (!x, !x), true). nil",
+                 "1:25: template binds 'x' twice; binders must be linear", id="template-twice"),
+    pytest.param("$l :: delete(T@$l, (!x, !@x), true). nil",
+                 "1:25: template binds 'x' twice; binders must be linear",
+                 id="template-twice-loc"),
+    pytest.param("$l :: delete(T@$l, (!x, 1), true). nil",
+                 "1:25: expected a template field (expected !@u or !x)", id="template-constant"),
+    pytest.param("$l :: delete(T@$l, (!x, !y", "1:27: unexpected end of input (expected ))",
+                 id="template-eof"),
+    pytest.param("$l :: insert(T@", "1:16: expected a locality (expected $ or a locality variable)",
+                 id="target-eof"),
+    pytest.param("$l :: insert(T@$", "1:17: unexpected end of input (expected locality name)",
+                 id="target-sigil-eof"),
+    pytest.param("$l :: insert(T@$l, (a, b +", "1:27: expected an expression",
+                 id="tuple-operator-eof"),
+    pytest.param("$l :: insert(T@$l, (1, -", "1:24: expected an expression", id="tuple-minus-eof"),
+    pytest.param("$l :: insert(T@$l, (1, -)). nil", "1:24: expected an expression",
+                 id="tuple-minus"),
+    pytest.param("$l :: table T : (Int, Int) = {(1, -", "1:35: expected a constant value",
+                 id="row-minus-eof"),
+    pytest.param("$l :: table T : (Int, Int) = {(1, -)}", "1:35: expected a constant value",
+                 id="row-minus"),
+    pytest.param('$l :: table T : (Int, String) = {(1, "a"',
+                 "1:41: unexpected end of input (expected ))", id="row-eof"),
+    pytest.param("$l :: delete(T@$l, (!x), x <", "1:29: expected an expression",
+                 id="comparison-eof"),
 ]
 
 
@@ -48,6 +76,41 @@ def test_parse_error_position(src, text):
     with pytest.raises(ParseError) as exc:
         parse_system(src)
     assert str(exc.value) == text
+
+
+# Texts that the parser's inline shapes do not cover, so the general code
+# reads them: what each parses to, rendered, and the class and span of
+# every node of the tree.
+GENERAL_PATH = [
+    pytest.param("$l :: delete(T@$l, (!x, !y), x < y + 1). nil",
+                 "$l :: delete(T@$l, (!x, !y), x < (y + 1)). nil",
+                 "Node 0, ProcComp 6, Prefix 6, Delete 6, Template 19, BindData 20, BindData 24,"
+                 " Cmp 29, Var 29, Arith 35, Var 33, VLoc None, NilProc 41", id="comparison-arith"),
+    pytest.param("$l :: delete(T@$l, (!x), x < -1). nil",
+                 "$l :: delete(T@$l, (!x), x < -1). nil",
+                 "Node 0, ProcComp 6, Prefix 6, Delete 6, Template 19, BindData 20, Cmp 25,"
+                 " Var 25, VLoc None, NilProc 34", id="comparison-negative"),
+    pytest.param("$l :: delete(T@$l, (!x), x + 1 < (y)). nil",
+                 "$l :: delete(T@$l, (!x), (x + 1) < y). nil",
+                 "Node 0, ProcComp 6, Prefix 6, Delete 6, Template 19, BindData 20, Cmp 25,"
+                 " Arith 27, Var 25, Var 34, VLoc None, NilProc 39", id="comparison-left-arith"),
+    pytest.param("$l :: table T : (Int, Loc, Id, {Int}) = {(-1, $l, T, {1, 2}), (1, $m, U, {3})}",
+                 "$l :: table T : (Int, Loc, Id, {Int}) = {(-1, $l, T, {1, 2}), (1, $m, U, {3})}",
+                 "Node 0, TableComp 6, Interface None, Base None, Base None, Base None, MSet None",
+                 id="rows"),
+    pytest.param("$l :: insert(T@$l, (-1, $l, T, {1, 2}, a ++ b)). nil",
+                 "$l :: insert(T@$l, (-1, $l, T, {1, 2}, (a ++ b))). nil",
+                 "Node 0, ProcComp 6, Prefix 6, Insert 6, Tuple 19, VLoc None, VTid None,"
+                 " MultisetLit 31, Arith 41, Var 39, Var 44, VLoc None, NilProc 49", id="tuple"),
+]
+
+
+@pytest.mark.parametrize("src, text, spans", GENERAL_PATH)
+def test_general_path(src, text, spans):
+    system = parse_system(src)
+    assert s.render(system) == text
+    assert ", ".join(f"{n.__class__.__name__} {getattr(n, 'span', None)}"
+                     for n in _nodes(system.main_net)) == spans
 
 
 DIAGNOSTICS = [
