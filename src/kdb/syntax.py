@@ -652,7 +652,7 @@ class ScopedMap:
             env.undo(mark)
         if vals is None:
             return node
-        return node.__class__(*vals, node.span)
+        return node.__class__(*vals, node.span)  # every process and table ends in `span`
 
     def _bind(self, shape, value, env) -> None:
         """Open a binder's scope in env."""
